@@ -1,25 +1,21 @@
-//! Net-path benches: what readiness notification buys at connection
-//! scale. Each pair drives the SAME client workload against two
-//! otherwise-identical servers — one on the epoll backend, one on the
-//! portable polling loop:
+//! Net-path benches: the readiness loop at connection scale.
 //!
 //! * `netpath_conn` — one full connection lifecycle per iteration:
 //!   connect → set → get → `quit` → observe the server's FIN. This is
 //!   the accept/register/teardown path, the churn-storm shape.
 //! * `netpath_fanin` — a single-key GET roundtrip while the server
-//!   holds 256 idle connections. The polling loop pays for every idle
-//!   socket on every sweep; epoll pays only for the one that spoke.
+//!   holds 256 idle connections: readiness pays only for the one that
+//!   spoke.
 //!
-//! There is deliberately NO in-bench ratio gate: on a single-core host
-//! the two backends time-slice each other and the gap narrows. The
-//! committed `BENCH_netpath_*.json` baselines feed the bench_compare
-//! regression gate instead, which catches either backend getting
-//! slower against its own history.
+//! The committed `BENCH_netpath_*.json` baselines feed the
+//! bench_compare regression gate, which catches the loop getting slower
+//! against its own history. (The polling backend these arms used to be
+//! paired against is gone; its last numbers are in EXPERIMENTS.md.)
 
 use std::hint::black_box;
 
 use bench::wire::WireConn;
-use mcache::net::{EventLoop, NetConfig, Server};
+use mcache::net::{NetConfig, Server};
 use mcache::{Branch, McCache, McConfig, Stage};
 use testkit::bench::Criterion;
 use testkit::{criterion_group, criterion_main};
@@ -32,9 +28,9 @@ fn key(i: usize) -> String {
     format!("netbench:{i:04}")
 }
 
-/// One cache + server on an ephemeral loopback port with the requested
-/// readiness backend, warmed with the bench keyspace.
-fn server(event_loop: EventLoop) -> Server {
+/// One cache + server on an ephemeral loopback port, warmed with the
+/// bench keyspace.
+fn server() -> Server {
     let handle = McCache::start(McConfig {
         branch: Branch::It(Stage::OnCommit),
         workers: 2,
@@ -52,7 +48,6 @@ fn server(event_loop: EventLoop) -> Server {
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            event_loop,
             ..Default::default()
         },
     )
@@ -75,78 +70,46 @@ fn lifecycle(addr: &str, i: usize) {
 }
 
 fn bench_conn(c: &mut Criterion) {
-    let epoll_srv = server(EventLoop::Epoll);
-    let poll_srv = server(EventLoop::Poll);
-    let epoll_addr = epoll_srv.local_addr().to_string();
-    let poll_addr = poll_srv.local_addr().to_string();
-    let (mut i, mut j) = (0usize, 0usize);
+    let srv = server();
+    let addr = srv.local_addr().to_string();
+    let mut i = 0usize;
 
     let mut g = c.benchmark_group("netpath_conn");
     g.sample_size(20);
-    g.bench_pair(
-        "conn_lifecycle/epoll",
-        |b| {
-            b.iter(|| {
-                i = (i + 1) % KEYS;
-                black_box(lifecycle(&epoll_addr, i))
-            })
-        },
-        "conn_lifecycle/poll",
-        |b| {
-            b.iter(|| {
-                j = (j + 1) % KEYS;
-                black_box(lifecycle(&poll_addr, j))
-            })
-        },
-    );
+    g.bench_function("conn_lifecycle/epoll", |b| {
+        b.iter(|| {
+            i = (i + 1) % KEYS;
+            black_box(lifecycle(&addr, i))
+        })
+    });
     g.finish();
 }
 
 fn bench_fanin(c: &mut Criterion) {
-    let epoll_srv = server(EventLoop::Epoll);
-    let poll_srv = server(EventLoop::Poll);
-    let epoll_addr = epoll_srv.local_addr().to_string();
-    let poll_addr = poll_srv.local_addr().to_string();
+    let srv = server();
+    let addr = srv.local_addr().to_string();
 
-    // The fan-in backdrop: IDLE_CONNS held-open, silent connections per
-    // server. They exist purely so the readiness machinery has a crowd
-    // to pick the one active socket out of.
-    let hold = |addr: &str| -> Vec<WireConn> {
-        (0..IDLE_CONNS)
-            .map(|_| WireConn::connect(addr).expect("idle connect"))
-            .collect()
-    };
-    let _epoll_idle = hold(&epoll_addr);
-    let _poll_idle = hold(&poll_addr);
+    // The fan-in backdrop: IDLE_CONNS held-open, silent connections.
+    // They exist purely so the readiness machinery has a crowd to pick
+    // the one active socket out of.
+    let _idle: Vec<WireConn> = (0..IDLE_CONNS)
+        .map(|_| WireConn::connect(&addr).expect("idle connect"))
+        .collect();
 
-    let mut epoll_conn = WireConn::connect(&epoll_addr).expect("active connect");
-    let mut poll_conn = WireConn::connect(&poll_addr).expect("active connect");
-    let (mut i, mut j) = (0usize, 0usize);
+    let mut conn = WireConn::connect(&addr).expect("active connect");
+    let mut i = 0usize;
 
     let mut g = c.benchmark_group("netpath_fanin");
     g.sample_size(20);
-    g.bench_pair(
-        "get_under_256_idle/epoll",
-        |b| {
-            b.iter(|| {
-                i = (i + 1) % KEYS;
-                let k = key(i);
-                let hits = epoll_conn.ascii_get(&[k.as_bytes()], false).expect("get");
-                assert_eq!(hits.len(), 1, "warm key must hit");
-                black_box(hits)
-            })
-        },
-        "get_under_256_idle/poll",
-        |b| {
-            b.iter(|| {
-                j = (j + 1) % KEYS;
-                let k = key(j);
-                let hits = poll_conn.ascii_get(&[k.as_bytes()], false).expect("get");
-                assert_eq!(hits.len(), 1, "warm key must hit");
-                black_box(hits)
-            })
-        },
-    );
+    g.bench_function("get_under_256_idle/epoll", |b| {
+        b.iter(|| {
+            i = (i + 1) % KEYS;
+            let k = key(i);
+            let hits = conn.ascii_get(&[k.as_bytes()], false).expect("get");
+            assert_eq!(hits.len(), 1, "warm key must hit");
+            black_box(hits)
+        })
+    });
     g.finish();
 }
 

@@ -13,15 +13,15 @@
 //! `--dur-path` is set), print the final wire counters, and exit 0.
 //! `--port 0` binds an ephemeral port; the `LISTENING` line reports the
 //! real one. `--udp PORT` and `--unix PATH` open the extra transports
-//! (each gets its own `LISTENING-UDP` / `LISTENING-UNIX` line), and
-//! `--event-loop {epoll,poll}` selects the readiness backend. Starting
+//! (each gets its own `LISTENING-UDP` / `LISTENING-UNIX` line). Starting
 //! on a `--dur-path` that already holds a log replays it before the
-//! socket opens.
+//! socket opens. A flag that is unknown, or whose value is missing or
+//! malformed, is a usage error: one line on stderr, exit 2.
 
 use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use mcache::net::{EventLoop, NetConfig, Server};
+use mcache::net::{NetConfig, Server};
 use mcache::{Branch, DurFsync, McCache, McConfig, Stage};
 
 struct Args {
@@ -34,7 +34,6 @@ struct Args {
     dur_fsync: DurFsync,
     udp_port: Option<u16>,
     unix_path: Option<std::path::PathBuf>,
-    event_loop: EventLoop,
     idle_timeout_ms: u64,
 }
 
@@ -56,6 +55,24 @@ fn parse_branch(name: &str) -> Option<Branch> {
     })
 }
 
+/// The next argument as `flag`'s value, through `parse`. A missing or
+/// malformed value is a usage error, the same way for every flag.
+fn value<T>(
+    flag: &str,
+    it: &mut impl Iterator<Item = String>,
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> T {
+    it.next().as_deref().and_then(parse).unwrap_or_else(|| {
+        eprintln!("{flag} takes {what}");
+        std::process::exit(2);
+    })
+}
+
+fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         host: "127.0.0.1".to_string(),
@@ -67,87 +84,31 @@ fn parse_args() -> Args {
         dur_fsync: DurFsync::EveryN(32),
         udp_port: None,
         unix_path: None,
-        event_loop: EventLoop::default(),
         idle_timeout_ms: 0,
     };
+    let path = |s: &str| Some(std::path::PathBuf::from(s));
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let num = |it: &mut dyn Iterator<Item = String>| {
-            it.next().and_then(|v| v.parse::<usize>().ok())
-        };
+        let it = &mut it;
         match flag.as_str() {
-            "--host" => {
-                if let Some(h) = it.next() {
-                    args.host = h;
-                }
-            }
-            "--port" | "-p" => {
-                if let Some(v) = num(&mut it) {
-                    args.port = v as u16;
-                }
-            }
+            "--host" => args.host = value(&flag, it, "a host", |s| Some(s.to_string())),
+            "--port" | "-p" => args.port = value(&flag, it, "a port (0 = ephemeral)", num),
             "--threads" | "-t" => {
-                if let Some(v) = num(&mut it) {
-                    args.threads = v.max(1);
-                }
+                args.threads = value::<usize>(&flag, it, "a thread count", num).max(1)
             }
-            "--magazine" => {
-                if let Some(v) = num(&mut it) {
-                    args.magazine = v;
-                }
-            }
+            "--magazine" => args.magazine = value(&flag, it, "a slot count", num),
             "--branch" => {
-                if let Some(b) = it.next().as_deref().and_then(parse_branch) {
-                    args.branch = b;
-                } else {
-                    eprintln!("unknown branch; see examples/cache_server.rs for names");
-                    std::process::exit(2);
-                }
+                let what = "a branch name; see examples/cache_server.rs";
+                args.branch = value(&flag, it, what, parse_branch)
             }
-            "--dur-path" => {
-                if let Some(p) = it.next() {
-                    args.dur_path = Some(std::path::PathBuf::from(p));
-                } else {
-                    eprintln!("--dur-path needs a directory");
-                    std::process::exit(2);
-                }
-            }
-            "--udp" | "-U" => {
-                if let Some(v) = num(&mut it) {
-                    args.udp_port = Some(v as u16);
-                } else {
-                    eprintln!("--udp needs a port (0 = ephemeral)");
-                    std::process::exit(2);
-                }
-            }
-            "--unix" | "-s" => {
-                if let Some(p) = it.next() {
-                    args.unix_path = Some(std::path::PathBuf::from(p));
-                } else {
-                    eprintln!("--unix needs a socket path");
-                    std::process::exit(2);
-                }
-            }
-            "--event-loop" => {
-                if let Some(b) = it.next().as_deref().and_then(|s| s.parse().ok()) {
-                    args.event_loop = b;
-                } else {
-                    eprintln!("--event-loop takes epoll | poll");
-                    std::process::exit(2);
-                }
-            }
-            "--idle-timeout-ms" => {
-                if let Some(v) = num(&mut it) {
-                    args.idle_timeout_ms = v as u64;
-                }
-            }
+            "--dur-path" => args.dur_path = Some(value(&flag, it, "a directory", path)),
             "--dur-fsync" => {
-                if let Some(f) = it.next().as_deref().and_then(DurFsync::parse) {
-                    args.dur_fsync = f;
-                } else {
-                    eprintln!("--dur-fsync takes always | every:N | off");
-                    std::process::exit(2);
-                }
+                args.dur_fsync = value(&flag, it, "always | every:N | off", DurFsync::parse)
+            }
+            "--udp" | "-U" => args.udp_port = Some(value(&flag, it, "a port (0 = ephemeral)", num)),
+            "--unix" | "-s" => args.unix_path = Some(value(&flag, it, "a socket path", path)),
+            "--idle-timeout-ms" => {
+                args.idle_timeout_ms = value(&flag, it, "milliseconds (0 = off)", num)
             }
             other => {
                 eprintln!("unknown flag {other}");
@@ -204,7 +165,6 @@ fn main() {
         NetConfig {
             addr: format!("{}:{}", args.host, args.port),
             workers: args.threads,
-            event_loop: args.event_loop,
             udp_addr: args.udp_port.map(|p| format!("{}:{}", args.host, p)),
             unix_path: args.unix_path,
             idle_timeout_ms: args.idle_timeout_ms,
@@ -212,7 +172,7 @@ fn main() {
         },
     )
     .unwrap_or_else(|e| {
-        eprintln!("bind failed: {e}");
+        eprintln!("server start failed: {e}");
         std::process::exit(1);
     });
     // The harness contract: one LISTENING line per bound transport, then

@@ -60,7 +60,7 @@ pub use cache::{
     StoreStatus, KEY_MAX,
 };
 pub use dur::{DurFsync, DurSnapshot};
-pub use net::{EventLoop, NetConfig, NetSnapshot, Server};
+pub use net::{NetConfig, NetSnapshot, Server};
 pub use policy::{Branch, Category, ItemMode, Policy, SectionKind, Stage};
 pub use slabs::SlabConfig;
 

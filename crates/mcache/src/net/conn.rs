@@ -2,12 +2,10 @@
 //! scanning, and coalesced dispatch into the protocol layer.
 //!
 //! The same state machine serves TCP and Unix-domain streams (the
-//! [`Stream`] enum) and both event backends: the polling loop pumps
-//! every connection each round, the epoll loop pumps on readiness
-//! edges and uses the [`Pump::repump`] signal to keep draining work
-//! that a single pump capped (edge-triggered epoll only re-notifies on
-//! new bytes, so capped work must be carried by the worker, not the
-//! kernel).
+//! [`Stream`] enum). The worker loop pumps on readiness edges and uses
+//! the [`Pump::repump`] signal to keep draining work that a single
+//! pump capped (edge-triggered epoll only re-notifies on new bytes, so
+//! capped work must be carried by the worker, not the kernel).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,6 +17,7 @@ use std::time::Instant;
 use crate::cache::McCache;
 use crate::proto::{self, binary, FrameScan};
 
+use super::event::{fd_of, RawFd};
 use super::Shared;
 
 /// Upper bound on bytes a single pump ingests before dispatching, so
@@ -58,13 +57,12 @@ impl Stream {
         }
     }
 
-    /// The raw fd, for epoll registration.
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> i32 {
-        use std::os::unix::io::AsRawFd;
+    /// The raw fd, for poller registration.
+    fn raw_fd(&self) -> RawFd {
         match self {
-            Stream::Tcp(s) => s.as_raw_fd(),
-            Stream::Unix(s) => s.as_raw_fd(),
+            Stream::Tcp(s) => fd_of(s),
+            #[cfg(unix)]
+            Stream::Unix(s) => fd_of(s),
         }
     }
 }
@@ -74,20 +72,15 @@ impl Stream {
 pub(crate) struct Pump {
     /// Keep the connection registered (false = close it now).
     pub(crate) keep: bool,
-    /// Any bytes moved — the polling backend's idle-sleep signal.
-    pub(crate) busy: bool,
     /// Work remains that no readiness edge will announce: the read cap
     /// stopped short of `WouldBlock`, or dispatch hit its output budget
-    /// with complete frames still buffered. The epoll worker must pump
-    /// again without waiting; the polling worker re-pumps every round
-    /// anyway.
+    /// with complete frames still buffered. The worker must pump again
+    /// without waiting.
     pub(crate) repump: bool,
 }
 
 impl Pump {
-    fn closed(busy: bool) -> Pump {
-        Pump { keep: false, busy, repump: false }
-    }
+    const CLOSED: Pump = Pump { keep: false, repump: false };
 }
 
 pub(crate) struct Connection {
@@ -106,8 +99,8 @@ pub(crate) struct Connection {
     /// reaper's clock.
     pub(crate) last_activity: Instant,
     /// Whether this connection is currently registered with `EPOLLOUT`
-    /// armed (epoll backend only; tracked here so the worker issues
-    /// `epoll_ctl` only on arm/disarm edges, not every pump).
+    /// armed (tracked here so the worker issues `epoll_ctl` only on
+    /// arm/disarm edges, not every pump).
     pub(crate) epollout_armed: bool,
     /// Whether this connection sits in the worker's hot (repump) list,
     /// so the list stays duplicate-free.
@@ -129,9 +122,8 @@ impl Connection {
         }
     }
 
-    /// The raw fd, for epoll registration.
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> i32 {
+    /// The raw fd, for poller registration.
+    pub(crate) fn raw_fd(&self) -> RawFd {
         self.stream.raw_fd()
     }
 
@@ -142,12 +134,12 @@ impl Connection {
     }
 
     /// One pump round: flush pending writes, drain the socket, dispatch
-    /// every complete frame, flush again. Works identically for both
-    /// backends; see [`Pump`] for what the worker does with the result.
+    /// every complete frame, flush again. See [`Pump`] for what the
+    /// worker does with the result.
     pub(crate) fn pump(&mut self, cache: &McCache, w: usize, shared: &Shared) -> Pump {
         let mut busy = false;
         if !self.flush(shared, &mut busy) {
-            return Pump::closed(busy);
+            return Pump::CLOSED;
         }
         // Backpressure: a client that pipelines requests but does not
         // drain responses parks here — no reads, no dispatch — until
@@ -165,7 +157,7 @@ impl Connection {
             if busy {
                 self.last_activity = Instant::now();
             }
-            return Pump { keep: true, busy, repump: false };
+            return Pump { keep: true, repump: false };
         }
         let mut chunk = vec![0u8; shared.cfg.read_chunk];
         let mut peer_closed = false;
@@ -187,12 +179,12 @@ impl Connection {
                     break;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Pump::closed(busy),
+                Err(_) => return Pump::CLOSED,
             }
         }
         let more_frames = self.dispatch(cache, w, shared);
         if !self.flush(shared, &mut busy) {
-            return Pump::closed(busy);
+            return Pump::CLOSED;
         }
         if busy {
             self.last_activity = Instant::now();
@@ -201,14 +193,13 @@ impl Connection {
             // Whatever could be answered was; a half-open client gets
             // the remaining responses dropped with the connection, as
             // memcached does.
-            return Pump::closed(busy);
+            return Pump::CLOSED;
         }
         if self.close_after_flush && self.wpos == self.wbuf.len() {
-            return Pump::closed(busy);
+            return Pump::CLOSED;
         }
         Pump {
             keep: true,
-            busy,
             // The read cap stopping short of `WouldBlock` means bytes
             // may still sit in the socket buffer with no future edge to
             // announce them; budget-capped dispatch leaves complete
@@ -331,7 +322,8 @@ pub(crate) fn run_frames(cache: &McCache, w: usize, shared: &Shared, buf: &[u8])
                 let frame = &buf[consumed..consumed + len];
                 consumed += len;
                 // Connection-level commands the protocol layer cannot
-                // answer: `quit` and the net-stat splice on `stats`.
+                // answer alone: `quit`, and `stats`, which also reports
+                // this layer's counters.
                 if frame == b"quit\r\n" {
                     flush_runs!();
                     close = true;
@@ -339,7 +331,8 @@ pub(crate) fn run_frames(cache: &McCache, w: usize, shared: &Shared, buf: &[u8])
                 }
                 if frame == b"stats\r\n" {
                     flush_runs!();
-                    out.extend_from_slice(&stats_with_net(cache, w, shared));
+                    let net = shared.stats.snapshot().stat_pairs();
+                    out.extend_from_slice(&proto::execute_ascii_ext(cache, w, frame, &net));
                     continue;
                 }
                 if !bin_run.is_empty() {
@@ -354,6 +347,13 @@ pub(crate) fn run_frames(cache: &McCache, w: usize, shared: &Shared, buf: &[u8])
                     flush_runs!();
                 }
                 match binary::parse_frame(frame) {
+                    Ok(req) if req.opcode == binary::Opcode::Stat => {
+                        flush_runs!();
+                        let net = shared.stats.snapshot().stat_pairs();
+                        for r in binary::stat_responses(cache, &req, &net) {
+                            out.extend_from_slice(&r.encode());
+                        }
+                    }
                     Ok(req) => bin_run.push(req),
                     Err(resp) => {
                         // Answer in order, then keep going: a bad frame
@@ -393,32 +393,4 @@ pub(crate) fn run_frames(cache: &McCache, w: usize, shared: &Shared, buf: &[u8])
         close,
         more,
     }
-}
-
-/// The cache's `stats` response with the server-wide wire counters
-/// spliced in before the trailing `END`.
-fn stats_with_net(cache: &McCache, w: usize, shared: &Shared) -> Vec<u8> {
-    let base = proto::execute_ascii(cache, w, b"stats\r\n");
-    let Some(cut) = base.len().checked_sub(b"END\r\n".len()).filter(|&c| &base[c..] == b"END\r\n")
-    else {
-        return base; // a panicked handler answered SERVER_ERROR
-    };
-    let mut out = base[..cut].to_vec();
-    let ns = shared.stats.snapshot();
-    for (k, v) in [
-        ("curr_connections", ns.curr_connections),
-        ("total_connections", ns.total_connections),
-        ("bytes_read", ns.bytes_read),
-        ("bytes_written", ns.bytes_written),
-        ("frame_errors", ns.frame_errors),
-        ("backpressure_stalls", ns.backpressure_stalls),
-        ("accept_errors", ns.accept_errors),
-        ("conn_timeouts", ns.conn_timeouts),
-        ("udp_datagrams_rx", ns.udp_datagrams_rx),
-        ("udp_datagrams_tx", ns.udp_datagrams_tx),
-    ] {
-        out.extend_from_slice(format!("STAT {k} {v}\r\n").as_bytes());
-    }
-    out.extend_from_slice(b"END\r\n");
-    out
 }

@@ -1,12 +1,20 @@
-//! Readiness notification: a thin std-only wrapper over the raw Linux
-//! `epoll` interface.
+//! Readiness notification: the [`Poller`] operations the one worker
+//! loop is written against, and the two implementations behind them.
 //!
-//! The workspace is hermetic — no `libc` crate — so the three epoll
-//! entry points are declared as raw `extern "C"` symbols against the C
-//! library `std` already links, the same technique `mcached` uses for
-//! `signal(2)`. Everything is `#[cfg(target_os = "linux")]`; on other
-//! platforms [`Poller::new`] reports `Unsupported` and the server falls
-//! back to the portable polling loop ([`super::EventLoop::Poll`]).
+//! - [`EpollPoller`] (Linux): a thin std-only wrapper over the raw
+//!   `epoll` interface. The workspace is hermetic — no `libc` crate —
+//!   so the three epoll entry points are declared as raw `extern "C"`
+//!   symbols against the C library `std` already links, the same
+//!   technique `mcached` uses for `signal(2)`.
+//! - [`SweepPoller`] (everywhere else): reports every registered token
+//!   ready after a fixed nap. Spurious readiness is always safe under
+//!   the drain-to-`WouldBlock` discipline below, so the same loop runs
+//!   over it unchanged — only slower.
+//!
+//! [`DefaultPoller`] picks between them by `cfg(target_os)`; there is
+//! no user-facing choice. The sweep poller is also compiled into Linux
+//! test builds, where the unit tests run the loop over both as the
+//! byte-equivalence reference.
 //!
 //! Registration protocol (DESIGN §16):
 //!
@@ -21,27 +29,51 @@
 //!   so an idle writable socket never wakes anybody (the arm/disarm
 //!   signal is exactly the backpressure state from PR 7).
 
-#[cfg(not(target_os = "linux"))]
 use std::io;
 
-/// One readiness event: the registration token plus edge flags.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Event {
-    /// The `u64` token passed at registration (a connection slot index
-    /// or one of the listener/UDP sentinels).
-    pub(crate) token: u64,
-    /// Readable — includes `EPOLLERR`/`EPOLLHUP`/`EPOLLRDHUP`, which
-    /// must drive a read so the pump observes the error or EOF.
-    pub(crate) readable: bool,
-    /// Writable (`EPOLLOUT`).
-    pub(crate) writable: bool,
+/// A socket's registration handle. Only the epoll poller looks at it.
+pub(crate) type RawFd = i32;
+
+/// The fd behind a std socket.
+#[cfg(unix)]
+pub(crate) fn fd_of(sock: &impl std::os::unix::io::AsRawFd) -> RawFd {
+    sock.as_raw_fd()
+}
+
+/// Non-unix hosts have no fd to offer and need none: they run the
+/// sweep poller, which keys registrations by token.
+#[cfg(not(unix))]
+pub(crate) fn fd_of<S>(_sock: &S) -> RawFd {
+    -1
+}
+
+/// What the worker loop needs from a readiness source. Each network
+/// worker owns exactly one, so its ready set only ever names sockets
+/// that worker owns.
+pub(crate) trait Poller: Send + 'static {
+    /// Registers `fd` edge-triggered with permanent read interest;
+    /// `writable` arms write interest too.
+    fn add(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()>;
+
+    /// Re-registers `fd` — the EPOLLOUT arm/disarm edge.
+    fn modify(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()>;
+
+    /// Deregisters `fd`. The worker deregisters before the stream drop
+    /// so a same-batch stale event can never land on a reused slot.
+    fn delete(&mut self, fd: RawFd, token: u64);
+
+    /// Waits up to `timeout_ms` (0 = poll) and appends the token of
+    /// every ready registration to `out`. Which edge fired is not
+    /// reported: readable, writable, error and hangup all call for the
+    /// same pump, which flushes, reads, and observes EOF or the error
+    /// for itself.
+    fn wait(&mut self, out: &mut Vec<u64>, timeout_ms: i32) -> io::Result<()>;
 }
 
 #[cfg(target_os = "linux")]
 mod sys {
-    use super::Event;
+    use super::{Poller, RawFd};
     use std::io;
-    use std::os::unix::io::RawFd;
 
     // <sys/epoll.h>, x86_64/aarch64 Linux ABI. The event struct is
     // packed on x86_64 (the kernel ABI predates natural alignment).
@@ -59,8 +91,6 @@ mod sys {
 
     const EPOLLIN: u32 = 0x001;
     const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
     const EPOLLET: u32 = 1 << 31;
 
@@ -71,20 +101,19 @@ mod sys {
         fn close(fd: i32) -> i32;
     }
 
-    /// One epoll instance. Each network worker owns exactly one, so its
-    /// ready set only ever names connections that worker owns.
-    pub(crate) struct Poller {
+    /// One epoll instance.
+    pub(crate) struct EpollPoller {
         epfd: RawFd,
         buf: Vec<EpollEvent>,
     }
 
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Poller> {
+    impl EpollPoller {
+        pub(crate) fn new() -> io::Result<EpollPoller> {
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            Ok(Poller {
+            Ok(EpollPoller {
                 epfd,
                 buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
             })
@@ -101,30 +130,24 @@ mod sys {
             }
             Ok(())
         }
+    }
 
-        /// Registers `fd` edge-triggered with permanent read interest;
-        /// `writable` arms `EPOLLOUT` too.
-        pub(crate) fn add(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+    impl Poller for EpollPoller {
+        fn add(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, token, writable)
         }
 
-        /// Re-registers `fd` — the EPOLLOUT arm/disarm edge.
-        pub(crate) fn modify(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+        fn modify(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, token, writable)
         }
 
-        /// Deregisters `fd`. Closing an fd removes it implicitly; this
-        /// exists for the reaper, which deregisters before the stream
-        /// drop so a same-batch stale event can never land on a reused
-        /// slot.
-        pub(crate) fn delete(&self, fd: RawFd) {
+        fn delete(&mut self, fd: RawFd, _token: u64) {
             let mut ev = EpollEvent { events: 0, data: 0 };
             unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
         }
 
-        /// Waits up to `timeout_ms` (0 = poll, -1 = forever) and appends
-        /// the ready set to `out`. EINTR reads as an empty set.
-        pub(crate) fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        /// EINTR reads as an empty set.
+        fn wait(&mut self, out: &mut Vec<u64>, timeout_ms: i32) -> io::Result<()> {
             let n = unsafe {
                 epoll_wait(
                     self.epfd,
@@ -140,21 +163,12 @@ mod sys {
                 }
                 return Err(e);
             }
-            for ev in &self.buf[..n as usize] {
-                let bits = ev.events;
-                out.push(Event {
-                    token: ev.data,
-                    // Error/hangup edges count as readable so the next
-                    // read(2) surfaces the condition to the pump.
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                });
-            }
+            out.extend(self.buf[..n as usize].iter().map(|ev| ev.data));
             Ok(())
         }
     }
 
-    impl Drop for Poller {
+    impl Drop for EpollPoller {
         fn drop(&mut self) {
             unsafe { close(self.epfd) };
         }
@@ -162,33 +176,56 @@ mod sys {
 }
 
 #[cfg(target_os = "linux")]
-pub(crate) use sys::Poller;
+pub(crate) use sys::EpollPoller;
 
-/// Non-Linux stub: construction fails, pushing [`super::worker_loop`]
-/// onto the portable polling backend.
+/// The poller [`Server::start`](super::Server::start) gives every
+/// worker on this platform.
+#[cfg(target_os = "linux")]
+pub(crate) type DefaultPoller = EpollPoller;
 #[cfg(not(target_os = "linux"))]
-pub(crate) struct Poller;
+pub(crate) type DefaultPoller = SweepPoller;
 
-#[cfg(not(target_os = "linux"))]
-impl Poller {
-    pub(crate) fn new() -> io::Result<Poller> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll is Linux-only; use EventLoop::Poll",
-        ))
+/// The portable poller: no kernel readiness source, so every `wait`
+/// naps and then reports every registered token.
+/// The worker pumps them all and each pump ends in `WouldBlock` — one
+/// full sweep per nap, with cost linear in the connection count.
+#[cfg(any(test, not(target_os = "linux")))]
+pub(crate) struct SweepPoller {
+    tokens: Vec<u64>,
+}
+
+#[cfg(any(test, not(target_os = "linux")))]
+impl SweepPoller {
+    /// Nap per blocking `wait`: the latency floor of this poller, and
+    /// shorter than any nonzero timeout the worker asks for.
+    const NAP: std::time::Duration = std::time::Duration::from_micros(200);
+
+    pub(crate) fn new() -> io::Result<SweepPoller> {
+        Ok(SweepPoller { tokens: Vec::new() })
+    }
+}
+
+#[cfg(any(test, not(target_os = "linux")))]
+impl Poller for SweepPoller {
+    fn add(&mut self, _fd: RawFd, token: u64, _writable: bool) -> io::Result<()> {
+        self.tokens.push(token);
+        Ok(())
     }
 
-    pub(crate) fn add(&self, _fd: i32, _token: u64, _writable: bool) -> io::Result<()> {
-        unreachable!("stub poller cannot be constructed")
+    /// Write readiness is always reported; there is nothing to arm.
+    fn modify(&mut self, _fd: RawFd, _token: u64, _writable: bool) -> io::Result<()> {
+        Ok(())
     }
 
-    pub(crate) fn modify(&self, _fd: i32, _token: u64, _writable: bool) -> io::Result<()> {
-        unreachable!("stub poller cannot be constructed")
+    fn delete(&mut self, _fd: RawFd, token: u64) {
+        self.tokens.retain(|&t| t != token);
     }
 
-    pub(crate) fn delete(&self, _fd: i32) {}
-
-    pub(crate) fn wait(&mut self, _out: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<()> {
-        unreachable!("stub poller cannot be constructed")
+    fn wait(&mut self, out: &mut Vec<u64>, timeout_ms: i32) -> io::Result<()> {
+        if timeout_ms != 0 {
+            std::thread::sleep(Self::NAP);
+        }
+        out.extend_from_slice(&self.tokens);
+        Ok(())
     }
 }

@@ -10,17 +10,17 @@
 //!   through worker slot `w`, so the STM's per-worker descriptors,
 //!   stats shards and slab magazines all stay thread-private — no
 //!   cross-thread handoff anywhere on the request path.
-//! - **Readiness-driven service.** On Linux each worker owns one epoll
-//!   instance ([`EventLoop::Epoll`], the default): its listener clones,
-//!   the shared UDP socket, and its connections are registered
-//!   edge-triggered, read interest is permanent, and `EPOLLOUT` is
-//!   armed only while a connection owes response bytes (the PR 7
-//!   backpressure marks double as the arm/disarm signal). Idle workers
-//!   sleep in `epoll_wait` — near-zero idle CPU, no sleep-quantum tail
-//!   latency, and scale to 10k mostly-idle connections. The PR 6
-//!   polling loop remains as [`EventLoop::Poll`], the portable
-//!   fallback; both backends drive the identical connection state
-//!   machine and are byte-equivalent on the wire.
+//! - **Readiness-driven service, one loop.** Each worker owns one
+//!   poller (`event.rs`): its listener clones, the shared UDP socket,
+//!   and its connections are registered edge-triggered, read interest
+//!   is permanent, and `EPOLLOUT` is armed only while a connection owes
+//!   response bytes (the PR 7 backpressure marks double as the
+//!   arm/disarm signal). On Linux the poller is a raw epoll instance:
+//!   idle workers sleep in `epoll_wait` — near-zero idle CPU, no
+//!   sleep-quantum tail latency, and scale to 10k mostly-idle
+//!   connections. Elsewhere the same loop runs over a std-only sweep
+//!   poller that reports everything ready after a short nap. The
+//!   platform picks; there is no option.
 //! - **Three transports, one state machine.** TCP and Unix-domain
 //!   streams share [`conn::Connection`] verbatim; the UDP endpoint
 //!   (`udp.rs`) frames each datagram with memcached's 8-byte UDP
@@ -77,49 +77,6 @@ use std::thread::JoinHandle;
 
 use crate::cache::{McCache, McHandle};
 
-/// Which readiness backend the workers run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventLoop {
-    /// Edge-triggered epoll readiness (Linux). Idle workers sleep in
-    /// `epoll_wait`; non-Linux hosts silently fall back to [`Poll`].
-    ///
-    /// [`Poll`]: EventLoop::Poll
-    Epoll,
-    /// The portable polling loop: pump every connection each round,
-    /// nap [`NetConfig::idle_sleep_us`] when nothing moved.
-    Poll,
-}
-
-impl Default for EventLoop {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            EventLoop::Epoll
-        } else {
-            EventLoop::Poll
-        }
-    }
-}
-
-impl std::str::FromStr for EventLoop {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s {
-            "epoll" => Ok(EventLoop::Epoll),
-            "poll" => Ok(EventLoop::Poll),
-            _ => Err(()),
-        }
-    }
-}
-
-impl std::fmt::Display for EventLoop {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EventLoop::Epoll => "epoll",
-            EventLoop::Poll => "poll",
-        })
-    }
-}
-
 /// Configuration for [`Server::start`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
@@ -131,10 +88,6 @@ pub struct NetConfig {
     pub workers: usize,
     /// Bytes per `read(2)` into a connection buffer.
     pub read_chunk: usize,
-    /// Poll-idle sleep in microseconds when a worker finds no bytes and
-    /// no new connections ([`EventLoop::Poll`] backend only — the epoll
-    /// backend sleeps in `epoll_wait` instead).
-    pub idle_sleep_us: u64,
     /// Backpressure high-water mark: once a connection's pending
     /// response bytes reach this, the worker stops reading (and
     /// answering) that connection until the backlog flushes below it —
@@ -142,12 +95,9 @@ pub struct NetConfig {
     /// cannot grow the write buffer without bound. Per-dispatch
     /// response output is budgeted by the same mark, so the buffer
     /// overshoots it by at most one coalesced run. Stalls are counted
-    /// in [`NetSnapshot::backpressure_stalls`]. On the epoll backend
-    /// the same state is the `EPOLLOUT` arm/disarm signal.
+    /// in [`NetSnapshot::backpressure_stalls`]. The same state is the
+    /// `EPOLLOUT` arm/disarm signal.
     pub wbuf_high_water: usize,
-    /// Readiness backend. Defaults to [`EventLoop::Epoll`] on Linux,
-    /// [`EventLoop::Poll`] elsewhere.
-    pub event_loop: EventLoop,
     /// UDP endpoint (e.g. `"127.0.0.1:0"`); `None` = no UDP transport.
     /// Serves the memcached UDP frame protocol ([`udp`]) on a socket
     /// shared by every worker.
@@ -168,9 +118,7 @@ impl Default for NetConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             read_chunk: 16 << 10,
-            idle_sleep_us: 200,
             wbuf_high_water: 4 << 20,
-            event_loop: EventLoop::default(),
             udp_addr: None,
             unix_path: None,
             idle_timeout_ms: 0,
@@ -179,7 +127,7 @@ impl Default for NetConfig {
 }
 
 /// Server-wide wire counters, updated lock-free by the workers and
-/// spliced into the ASCII `stats` response.
+/// reported by `stats` on both protocols after the cache's own.
 #[derive(Default)]
 pub struct NetStats {
     pub(crate) curr_connections: AtomicU64,
@@ -227,6 +175,24 @@ pub struct NetSnapshot {
     pub udp_datagrams_tx: u64,
 }
 
+impl NetSnapshot {
+    /// The counters as `stats` pairs, in reporting order.
+    pub(crate) fn stat_pairs(&self) -> [(&'static str, u64); 10] {
+        [
+            ("curr_connections", self.curr_connections),
+            ("total_connections", self.total_connections),
+            ("bytes_read", self.bytes_read),
+            ("bytes_written", self.bytes_written),
+            ("frame_errors", self.frame_errors),
+            ("backpressure_stalls", self.backpressure_stalls),
+            ("accept_errors", self.accept_errors),
+            ("conn_timeouts", self.conn_timeouts),
+            ("udp_datagrams_rx", self.udp_datagrams_rx),
+            ("udp_datagrams_tx", self.udp_datagrams_tx),
+        ]
+    }
+}
+
 impl NetStats {
     /// Snapshots the counters.
     pub fn snapshot(&self) -> NetSnapshot {
@@ -268,11 +234,25 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured transports and spawns the worker threads.
+    /// Binds the configured transports, builds one poller per worker
+    /// and registers the worker's sockets with it, then spawns the
+    /// worker threads. Any of those steps failing — including a poller
+    /// that cannot be created — is an error here; no thread starts.
     ///
     /// # Panics
     /// If `cfg.workers` exceeds the cache's worker slots.
     pub fn start(cache: McHandle, cfg: NetConfig) -> io::Result<Server> {
+        Self::start_on(cache, cfg, event::DefaultPoller::new)
+    }
+
+    /// [`Server::start`] over an explicit poller constructor, called
+    /// once per worker. The unit tests run the loop over each poller
+    /// through this.
+    fn start_on<P: event::Poller>(
+        cache: McHandle,
+        cfg: NetConfig,
+        new_poller: impl Fn() -> io::Result<P>,
+    ) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -322,19 +302,28 @@ impl Server {
             shutdown: AtomicBool::new(false),
             cfg,
         });
-        let mut threads = Vec::with_capacity(workers);
+        let mut net_workers = Vec::with_capacity(workers);
         for w in 0..workers {
-            let io = listener::WorkerIo {
-                tcp: listener.try_clone()?,
-                #[cfg(unix)]
-                unix: unix.as_ref().map(|l| l.try_clone()).transpose()?,
-                udp: udp.as_ref().map(|s| s.try_clone()).transpose()?,
-            };
-            let s = Arc::clone(&shared);
+            let mut listeners = vec![listener::Listener::Tcp(listener.try_clone()?)];
+            #[cfg(unix)]
+            if let Some(l) = &unix {
+                listeners.push(listener::Listener::Unix(l.try_clone()?));
+            }
+            let udp = udp.as_ref().map(|s| s.try_clone()).transpose()?;
+            net_workers.push(listener::Worker::new(
+                Arc::clone(&shared),
+                w,
+                new_poller()?,
+                listeners,
+                udp,
+            )?);
+        }
+        let mut threads = Vec::with_capacity(workers);
+        for (w, worker) in net_workers.into_iter().enumerate() {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("mc-net-{w}"))
-                    .spawn(move || listener::worker_loop(s, io, w))?,
+                    .spawn(move || worker.run())?,
             );
         }
         Ok(Server {
@@ -390,5 +379,114 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+#[path = "../../tests/support/wire_script.rs"]
+mod wire_script;
+
+#[cfg(test)]
+mod tests {
+    //! The one worker loop over each poller: the platform's
+    //! ([`event::DefaultPoller`] — epoll on Linux) and the portable
+    //! [`event::SweepPoller`], which is the byte-equivalence reference.
+
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    use super::event::{DefaultPoller, Poller, SweepPoller};
+    use super::*;
+    use crate::cache::McConfig;
+    use crate::policy::{Branch, Stage};
+
+    use super::wire_script::{read_until_version, wire_script};
+
+    fn server_on<P: Poller>(
+        new_poller: fn() -> io::Result<P>,
+        net: NetConfig,
+    ) -> io::Result<Server> {
+        let handle = McCache::start(McConfig {
+            branch: Branch::It(Stage::OnCommit),
+            workers: net.workers,
+            slab: crate::SlabConfig {
+                mem_limit: 16 << 20,
+                page_size: 256 << 10,
+                chunk_min: 96,
+                growth_factor: 1.5,
+            },
+            hash_power: 8,
+            hash_power_max: 10,
+            item_lock_power: 5,
+            maintenance: false,
+            ..Default::default()
+        });
+        Server::start_on(handle, net, new_poller)
+    }
+
+    fn script_bytes<P: Poller>(new_poller: fn() -> io::Result<P>) -> Vec<u8> {
+        let net = NetConfig {
+            workers: 2,
+            ..NetConfig::default()
+        };
+        let srv = server_on(new_poller, net).expect("bind ephemeral server");
+        let mut s = TcpStream::connect(srv.local_addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        s.write_all(&wire_script()).expect("script");
+        read_until_version(&mut s)
+    }
+
+    #[test]
+    fn one_loop_serves_identical_bytes_over_both_pollers() {
+        assert_eq!(
+            script_bytes(DefaultPoller::new),
+            script_bytes(SweepPoller::new),
+            "the loop must be byte-identical over the platform and sweep pollers"
+        );
+    }
+
+    fn reaper_closes_stale_connection<P: Poller>(new_poller: fn() -> io::Result<P>, which: &str) {
+        let net = NetConfig {
+            workers: 1,
+            idle_timeout_ms: 50,
+            ..NetConfig::default()
+        };
+        let srv = server_on(new_poller, net).expect("bind ephemeral server");
+        let mut s = TcpStream::connect(srv.local_addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // A partial frame parks the connection mid-request; only the
+        // reaper can ever close it.
+        s.write_all(b"get never-finis").expect("partial frame");
+        let mut buf = [0u8; 64];
+        let n = s.read(&mut buf).expect("reaped connection reads EOF");
+        assert_eq!(n, 0, "the idle connection must be closed ({which})");
+        let ns = srv.net_stats();
+        assert!(
+            ns.conn_timeouts >= 1,
+            "conn_timeouts={} must count the reap ({which})",
+            ns.conn_timeouts
+        );
+        assert_eq!(ns.curr_connections, 0, "slot must be released ({which})");
+    }
+
+    #[test]
+    fn idle_reaper_closes_stale_connections_over_both_pollers() {
+        reaper_closes_stale_connection(DefaultPoller::new, "platform poller");
+        reaper_closes_stale_connection(SweepPoller::new, "sweep poller");
+    }
+
+    #[test]
+    fn poller_construction_failure_is_an_error_from_start() {
+        let no_poller = || Err::<SweepPoller, _>(io::Error::other("no poller for you"));
+        let net = NetConfig {
+            workers: 1,
+            ..NetConfig::default()
+        };
+        let err = match server_on(no_poller, net) {
+            Ok(_) => panic!("start must fail when a worker's poller cannot be built"),
+            Err(e) => e,
+        };
+        assert_eq!(err.to_string(), "no poller for you");
     }
 }

@@ -71,34 +71,31 @@ pub fn decode_header(datagram: &[u8]) -> Option<(u16, u16, u16)> {
 const RECV_BUF: usize = 64 << 10;
 
 /// Drains up to `max_datagrams` requests off the shared socket.
-/// Returns `(busy, drained)`: whether any datagram was served and
-/// whether the socket was drained to `WouldBlock` (edge-triggered
-/// callers must re-pump when `drained` is false).
+/// Returns whether the socket was drained to `WouldBlock`; when it was
+/// not, the edge-triggered caller must pump again.
 pub(crate) fn pump_udp(
     sock: &UdpSocket,
     cache: &McCache,
     w: usize,
     shared: &Shared,
     max_datagrams: usize,
-) -> (bool, bool) {
+) -> bool {
     let mut buf = vec![0u8; RECV_BUF];
-    let mut busy = false;
     for _ in 0..max_datagrams {
         match sock.recv_from(&mut buf) {
             Ok((n, peer)) => {
-                busy = true;
                 shared.stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
                 shared.stats.udp_datagrams_rx.fetch_add(1, Ordering::Relaxed);
                 serve_datagram(sock, cache, w, shared, &buf[..n], peer);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return (busy, true),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             // Per-peer ICMP errors (port unreachable from a gone
             // client) surface here; skip the datagram, keep serving.
-            Err(_) => return (busy, true),
+            Err(_) => return true,
         }
     }
-    (busy, false)
+    false
 }
 
 /// Parses the frame header, runs the payload through the same coalesced

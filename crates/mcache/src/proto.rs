@@ -33,7 +33,20 @@ pub const SERVER_ERROR_PANIC: &[u8] = b"SERVER_ERROR internal error for this req
 /// [`SERVER_ERROR_PANIC`] — the worker thread survives to serve the next
 /// request.
 pub fn execute_ascii(cache: &McCache, w: usize, request: &[u8]) -> Vec<u8> {
-    match catch_unwind(AssertUnwindSafe(|| execute_ascii_inner(cache, w, request))) {
+    execute_ascii_ext(cache, w, request, &[])
+}
+
+/// [`execute_ascii`] for a caller with counters of its own: `stats`
+/// reports `extra_stats` after the cache's [`stat_pairs`]. The wire
+/// front end passes its connection-layer counters here.
+pub(crate) fn execute_ascii_ext(
+    cache: &McCache,
+    w: usize,
+    request: &[u8],
+    extra_stats: &[(&'static str, u64)],
+) -> Vec<u8> {
+    let run = || execute_ascii_inner(cache, w, request, extra_stats);
+    match catch_unwind(AssertUnwindSafe(run)) {
         Ok(resp) => resp,
         Err(_panic) => {
             cache.note_request_panic();
@@ -42,11 +55,14 @@ pub fn execute_ascii(cache: &McCache, w: usize, request: &[u8]) -> Vec<u8> {
     }
 }
 
-/// The `stats` surface both protocols expose: one `(name, counter)` pair
-/// per statistic, in a stable order. The ASCII handler renders them as
-/// `STAT name value` lines; the binary handler ([`binary::Opcode::Stat`])
-/// as one key/value response packet each. The `dur_*` block appears only
-/// when the durability log is attached, matching the ASCII behavior.
+/// The cache's half of the `stats` surface both protocols expose: one
+/// `(name, counter)` pair per statistic, in a stable order. The ASCII
+/// handler renders them as `STAT name value` lines; the binary handler
+/// ([`binary::stat_responses`]) as one key/value response packet each.
+/// Both append whatever pairs the calling layer passes down (the wire
+/// front end's connection counters), so the two protocols always report
+/// the same names. The `dur_*` block appears only when the durability
+/// log is attached.
 pub fn stat_pairs(cache: &McCache) -> Vec<(&'static str, u64)> {
     let s = cache.stats();
     let tm = cache.tm_stats();
@@ -112,7 +128,12 @@ fn valid_key(key: &[u8]) -> bool {
 
 const BAD_LINE: &[u8] = b"CLIENT_ERROR bad command line format\r\n";
 
-fn execute_ascii_inner(cache: &McCache, w: usize, request: &[u8]) -> Vec<u8> {
+fn execute_ascii_inner(
+    cache: &McCache,
+    w: usize,
+    request: &[u8],
+    extra_stats: &[(&'static str, u64)],
+) -> Vec<u8> {
     if cache.take_request_panic_trap() {
         panic!("test trap: request panic");
     }
@@ -276,7 +297,7 @@ fn execute_ascii_inner(cache: &McCache, w: usize, request: &[u8]) -> Vec<u8> {
         }
         b"stats" => {
             let mut out = String::new();
-            for (k, v) in stat_pairs(cache) {
+            for (k, v) in stat_pairs(cache).iter().chain(extra_stats) {
                 out.push_str(&format!("STAT {k} {v}\r\n"));
             }
             out.push_str("END\r\n");
@@ -287,44 +308,21 @@ fn execute_ascii_inner(cache: &McCache, w: usize, request: &[u8]) -> Vec<u8> {
     }
 }
 
-/// Executes a buffer holding MULTIPLE complete ASCII requests — a
-/// pipelined connection read — and returns the concatenated responses in
-/// order.
+/// Executes a run of pre-split COMPLETE ASCII requests, as delimited
+/// by [`scan_frame`] — the connection dispatcher feeds it exactly the
+/// frames sitting in a connection's read buffer — and returns the
+/// concatenated responses in order.
 ///
 /// Runs of consecutive simple storage commands (`set`/`add`/`replace`/
 /// `cas`) execute as ONE batched store transaction via
 /// [`McCache::store_batch`] — the write-path twin of the multiget batch —
-/// so a bulk load pays one begin/commit fence for the whole run. Every
-/// other command (including `append`/`prepend`, which are get+CAS retry
-/// loops) dispatches one-by-one through [`execute_ascii`], keeping its
-/// per-request panic guard. A panic inside a batched run is caught here
-/// and answered with one [`SERVER_ERROR_PANIC`] per batched command.
-pub fn execute_ascii_pipeline(cache: &McCache, w: usize, buffer: &[u8]) -> Vec<u8> {
-    let mut cmds: Vec<&[u8]> = Vec::new();
-    let mut rest = buffer;
-    while !rest.is_empty() {
-        let Some(len) = ascii_request_len(rest) else {
-            // Unsplittable tail: the single-request path answers ERROR /
-            // CLIENT_ERROR exactly as a desynchronized connection would.
-            cmds.push(rest);
-            break;
-        };
-        cmds.push(&rest[..len]);
-        rest = &rest[len..];
-    }
-    execute_ascii_run(cache, w, &cmds)
-}
-
-/// Executes a run of pre-split COMPLETE ASCII requests — the batching
-/// core shared by [`execute_ascii_pipeline`] (whole-buffer splitting),
-/// [`execute_ascii_pipeline_consumed`] (incremental framing), and the
-/// TCP connection dispatcher, which feeds it exactly the frames sitting
-/// in a connection's read buffer.
-///
-/// Runs of consecutive simple storage commands execute as ONE batched
-/// store transaction via [`McCache::store_batch`]; `noreply` ops inside
-/// a batch keep their quiet semantics (the store happens, the reply is
-/// suppressed).
+/// so a bulk load pays one begin/commit fence for the whole run;
+/// `noreply` ops inside a batch keep their quiet semantics (the store
+/// happens, the reply is suppressed). Every other command (including
+/// `append`/`prepend`, which are get+CAS retry loops) dispatches
+/// one-by-one through [`execute_ascii`], keeping its per-request panic
+/// guard. A panic inside a batched run is caught here and answered with
+/// one [`SERVER_ERROR_PANIC`] per batched command.
 pub fn execute_ascii_run(cache: &McCache, w: usize, cmds: &[&[u8]]) -> Vec<u8> {
     let mut out = Vec::new();
     let mut i = 0;
@@ -523,96 +521,6 @@ pub fn scan_frame(buf: &[u8]) -> FrameScan {
     } else {
         FrameScan::Ascii { len: total }
     }
-}
-
-/// Outcome of [`execute_ascii_pipeline_consumed`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PipelineOutcome {
-    /// Concatenated wire responses for every executed request.
-    pub responses: Vec<u8>,
-    /// Bytes consumed from the front of the buffer. Anything after is a
-    /// partial frame the caller must keep for the next socket read.
-    pub consumed: usize,
-    /// Further bytes to discard as they arrive (see [`FrameScan::Error`]).
-    pub swallow: usize,
-    /// Whether the connection should close after flushing `responses`.
-    pub close: bool,
-}
-
-/// Incremental twin of [`execute_ascii_pipeline`]: executes every
-/// COMPLETE ASCII request at the front of `buffer` — with the same
-/// consecutive-store batching — and reports exactly how many bytes were
-/// consumed. A trailing partial frame (a `set` whose data block
-/// straddles two socket reads) is left unconsumed for the next read to
-/// complete; a malformed head reports its error response plus
-/// swallow/close state. Stops without consuming at the first binary
-/// frame — protocol interleaving is the connection dispatcher's job.
-pub fn execute_ascii_pipeline_consumed(
-    cache: &McCache,
-    w: usize,
-    buffer: &[u8],
-) -> PipelineOutcome {
-    let mut cmds: Vec<&[u8]> = Vec::new();
-    let mut consumed = 0;
-    let mut swallow = 0;
-    let mut close = false;
-    let mut tail_error: Option<Vec<u8>> = None;
-    loop {
-        match scan_frame(&buffer[consumed..]) {
-            FrameScan::Ascii { len } => {
-                cmds.push(&buffer[consumed..consumed + len]);
-                consumed += len;
-            }
-            FrameScan::Incomplete | FrameScan::Binary { .. } => break,
-            FrameScan::Error {
-                consumed: c,
-                swallow: s,
-                close: cl,
-                response,
-            } => {
-                consumed += c;
-                swallow = s;
-                close = cl;
-                tail_error = Some(response);
-                break;
-            }
-        }
-    }
-    let mut responses = execute_ascii_run(cache, w, &cmds);
-    if let Some(e) = tail_error {
-        responses.extend_from_slice(&e);
-    }
-    PipelineOutcome {
-        responses,
-        consumed,
-        swallow,
-        close,
-    }
-}
-
-/// Length of the first complete request in `buf`: the command line plus,
-/// for storage commands, the data block. `None` when the buffer cannot be
-/// split cleanly (malformed or truncated).
-fn ascii_request_len(buf: &[u8]) -> Option<usize> {
-    let line_end = buf.windows(2).position(|w| w == b"\r\n")?;
-    let mut parts = Tokens::new(&buf[..line_end]);
-    let cmd = parts.next()?;
-    let is_store = matches!(
-        cmd,
-        b"set" | b"add" | b"replace" | b"append" | b"prepend" | b"cas"
-    );
-    if !is_store {
-        return Some(line_end + 2);
-    }
-    let _key = parts.next()?;
-    let _flags = parts.next_u64()?;
-    let _exptime = parts.next_u64()?;
-    let nbytes = parts.next_u64()?;
-    if nbytes > buf.len() as u64 {
-        return None; // cannot be complete; also keeps usize math exact
-    }
-    let total = line_end + 2 + nbytes as usize + 2;
-    (buf.len() >= total && &buf[total - 2..total] == b"\r\n").then_some(total)
 }
 
 /// Parses one complete request as a batchable storage op: `set`/`add`/
@@ -1051,13 +959,19 @@ pub mod binary {
 
     /// Answers one [`Opcode::Stat`] request with the full multi-packet
     /// dump: one [`Status::Ok`] response per statistic from
-    /// [`super::stat_pairs`] (key = stat name, value = the counter in
+    /// [`super::stat_pairs`] and then from `extra_stats`, the calling
+    /// layer's own counters (key = stat name, value = the counter in
     /// decimal ASCII), then the canonical terminator — an empty-key,
     /// empty-value packet. A non-empty request key selects a stat
     /// subgroup, which this server does not implement: it answers a
     /// single [`Status::KeyNotFound`], as real memcached does for an
-    /// unknown stat group.
-    pub fn stat_responses(cache: &McCache, req: &Request) -> Vec<Response> {
+    /// unknown stat group. Panics are caught and answered like
+    /// [`execute`]'s.
+    pub fn stat_responses(
+        cache: &McCache,
+        req: &Request,
+        extra_stats: &[(&'static str, u64)],
+    ) -> Vec<Response> {
         let mk = |key: Vec<u8>, value: Vec<u8>| Response {
             status: Status::Ok,
             opcode: req.opcode,
@@ -1072,8 +986,21 @@ pub mod binary {
             r.status = Status::KeyNotFound;
             return vec![r];
         }
-        let mut out: Vec<Response> = super::stat_pairs(cache)
-            .into_iter()
+        let dump = catch_unwind(AssertUnwindSafe(|| {
+            if cache.take_request_panic_trap() {
+                panic!("test trap: request panic");
+            }
+            super::stat_pairs(cache)
+        }));
+        let Ok(pairs) = dump else {
+            cache.note_request_panic();
+            let mut r = mk(Vec::new(), Vec::new());
+            r.status = Status::InternalError;
+            return vec![r];
+        };
+        let mut out: Vec<Response> = pairs
+            .iter()
+            .chain(extra_stats)
             .map(|(k, v)| mk(k.as_bytes().to_vec(), v.to_string().into_bytes()))
             .collect();
         out.push(mk(Vec::new(), Vec::new()));
@@ -1172,28 +1099,8 @@ pub mod binary {
             }
             if reqs[i].opcode == Opcode::Stat {
                 // One request, many responses: the stat dump plus its
-                // empty-key terminator, under the same panic guard.
-                let rs = catch_unwind(AssertUnwindSafe(|| {
-                    if cache.take_request_panic_trap() {
-                        panic!("test trap: request panic");
-                    }
-                    stat_responses(cache, &reqs[i])
-                }));
-                match rs {
-                    Ok(rs) => out.extend(rs),
-                    Err(_panic) => {
-                        cache.note_request_panic();
-                        out.push(Response {
-                            status: Status::InternalError,
-                            opcode: reqs[i].opcode,
-                            opaque: reqs[i].opaque,
-                            cas: 0,
-                            flags: 0,
-                            key: Vec::new(),
-                            value: Vec::new(),
-                        });
-                    }
-                }
+                // empty-key terminator.
+                out.extend(stat_responses(cache, &reqs[i], &[]));
                 i += 1;
                 continue;
             }
@@ -1318,9 +1225,9 @@ pub mod binary {
             }
             Opcode::Noop => {}
             Opcode::Stat => {
-                // The server routes every frame through execute_pipeline,
-                // which intercepts STAT and fans out via stat_responses.
-                // A lone dispatch answers only the terminator packet.
+                // The server answers STAT through stat_responses (one
+                // request, many packets). A lone dispatch answers only
+                // the terminator packet.
             }
             Opcode::Version => {
                 resp.value = format!("1.4.15-tm ({})", cache.branch()).into_bytes();
@@ -1626,8 +1533,27 @@ mod tests {
         })
     }
 
+    /// What the connection dispatcher does with an all-ASCII buffer:
+    /// delimit with `scan_frame`, execute the complete frames as one
+    /// run. Returns the responses, the bytes consumed, and the scan
+    /// result that ended the run.
+    fn scan_and_run(c: &McCache, buf: &[u8]) -> (Vec<u8>, usize, FrameScan) {
+        let mut frames = Vec::new();
+        let mut consumed = 0;
+        let end = loop {
+            match scan_frame(&buf[consumed..]) {
+                FrameScan::Ascii { len } => {
+                    frames.push(&buf[consumed..consumed + len]);
+                    consumed += len;
+                }
+                other => break other,
+            }
+        };
+        (execute_ascii_run(c, 0, &frames), consumed, end)
+    }
+
     #[test]
-    fn ascii_pipeline_batches_storage_commands() {
+    fn ascii_run_batches_storage_commands() {
         for c in [cache(), magazine_cache()] {
             let buf = b"set a 1 0 2\r\nAA\r\n\
                         set b 2 0 2\r\nBB\r\n\
@@ -1635,7 +1561,8 @@ mod tests {
                         get a b\r\n\
                         set c 0 0 1\r\nC\r\n\
                         delete c\r\n";
-            let out = execute_ascii_pipeline(&c, 0, buf);
+            let (out, consumed, end) = scan_and_run(&c, buf);
+            assert_eq!((consumed, end), (buf.len(), FrameScan::Incomplete));
             let text = String::from_utf8(out).unwrap();
             assert_eq!(
                 text,
@@ -1651,16 +1578,23 @@ mod tests {
     }
 
     #[test]
-    fn ascii_pipeline_rejects_malformed_tail() {
+    fn ascii_run_answers_malformed_tail_like_a_single_request() {
         let c = cache();
-        let out = execute_ascii_pipeline(&c, 0, b"set k 0 0 1\r\nA\r\nbogus cmd\r\n");
+        let (out, ..) = scan_and_run(&c, b"set k 0 0 1\r\nA\r\nbogus cmd\r\n");
         assert_eq!(out, b"STORED\r\nERROR\r\n");
-        // A storage command with a short data block can't be framed; the
-        // unsplittable tail falls through to the single-request path.
-        let out = execute_ascii_pipeline(&c, 0, b"get k\r\nset x 0 0 10\r\nshort\r\n");
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("VALUE k 0 1\r\nA\r\nEND\r\n"), "{text}");
-        assert!(text.contains("CLIENT_ERROR"), "{text}");
+        // A data block that overruns its declared length frames as the
+        // declared bytes; the executor answers CLIENT_ERROR for the bad
+        // terminator, exactly as the single-request path does.
+        let buf = b"get k\r\nset x 0 0 3\r\nshort\r\n";
+        let (out, consumed, _) = scan_and_run(&c, buf);
+        assert_eq!(consumed, buf.len());
+        assert_eq!(
+            out,
+            b"VALUE k 0 1\r\nA\r\nEND\r\nCLIENT_ERROR bad data chunk\r\nERROR\r\n"
+        );
+        // An unparseable storage header is a frame of its own.
+        let (out, ..) = scan_and_run(&c, b"get k\r\nset x y z\r\n");
+        assert_eq!(out, [&b"VALUE k 0 1\r\nA\r\nEND\r\n"[..], BAD_LINE].concat());
     }
 
     #[test]
@@ -1738,9 +1672,8 @@ mod tests {
         assert_eq!(execute_ascii(&c, 0, b"delete n noreply\r\n"), b"");
         assert_eq!(execute_ascii(&c, 0, b"get n\r\n"), b"END\r\n");
         // Quiet ops inside a batched pipeline stay quiet; loud ones answer.
-        let out = execute_ascii_pipeline(
+        let (out, ..) = scan_and_run(
             &c,
-            0,
             b"set a 0 0 1 noreply\r\nA\r\nset b 0 0 1\r\nB\r\nset c 0 0 1 noreply\r\nC\r\n",
         );
         assert_eq!(out, b"STORED\r\n");
@@ -1844,7 +1777,6 @@ mod tests {
             b"CLIENT_ERROR bad data chunk\r\n".to_vec()
         );
         assert!(parse_store_op(huge.as_bytes()).is_none());
-        assert!(ascii_request_len(huge.as_bytes()).is_none());
         // A binary header promising a huge body closes too.
         let mut frame = vec![0u8; 24];
         frame[0] = binary::REQ_MAGIC;
@@ -1860,31 +1792,40 @@ mod tests {
     }
 
     #[test]
-    fn ascii_pipeline_consumed_leaves_straddled_set() {
+    fn ascii_run_leaves_straddled_set_unconsumed() {
         let c = cache();
         // First socket read ends mid-data-block: nothing consumed.
         let part = b"get missing\r\nset s 0 0 5\r\nhel";
-        let out = execute_ascii_pipeline_consumed(&c, 0, part);
-        assert_eq!(out.consumed, 13, "only the get consumed");
-        assert_eq!(out.responses, b"END\r\n");
-        assert_eq!((out.swallow, out.close), (0, false));
+        let (out, consumed, end) = scan_and_run(&c, part);
+        assert_eq!(consumed, 13, "only the get consumed");
+        assert_eq!(out, b"END\r\n");
+        assert_eq!(end, FrameScan::Incomplete);
         // Second read completes the block: the set executes.
         let full = b"set s 0 0 5\r\nhello\r\nget s\r\n";
-        let out = execute_ascii_pipeline_consumed(&c, 0, full);
-        assert_eq!(out.consumed, full.len());
-        assert_eq!(out.responses, b"STORED\r\nVALUE s 0 5\r\nhello\r\nEND\r\n");
+        let (out, consumed, _) = scan_and_run(&c, full);
+        assert_eq!(consumed, full.len());
+        assert_eq!(out, b"STORED\r\nVALUE s 0 5\r\nhello\r\nEND\r\n");
     }
 
     #[test]
-    fn ascii_pipeline_consumed_reports_error_state() {
+    fn ascii_run_stops_at_error_frame_with_its_swallow_and_close_state() {
         let c = cache();
         let buf = format!("set ok 0 0 1\r\nA\r\nset big 0 0 {}\r\n", ASCII_VALUE_MAX + 1);
-        let out = execute_ascii_pipeline_consumed(&c, 0, buf.as_bytes());
-        assert_eq!(out.consumed, buf.len());
-        assert_eq!(out.swallow, ASCII_VALUE_MAX + 3);
-        assert!(!out.close);
-        let text = String::from_utf8(out.responses).unwrap();
-        assert!(text.starts_with("STORED\r\nSERVER_ERROR object too large"), "{text}");
+        let (out, consumed, end) = scan_and_run(&c, buf.as_bytes());
+        assert_eq!(out, b"STORED\r\n");
+        let FrameScan::Error {
+            consumed: c2,
+            swallow,
+            close,
+            response,
+        } = end
+        else {
+            panic!("expected Error, got {end:?}");
+        };
+        assert_eq!(consumed + c2, buf.len());
+        assert_eq!(swallow, ASCII_VALUE_MAX + 3);
+        assert!(!close);
+        assert!(response.starts_with(b"SERVER_ERROR object too large"));
     }
 
     #[test]

@@ -366,11 +366,8 @@ fn quit_closes_after_flushing() {
     expect_closed(&mut s);
 }
 
-#[test]
-fn stats_includes_net_counters() {
-    let srv = server(Branch::It(Stage::OnCommit));
-    let mut s = connect(&srv);
-    roundtrip(&mut s, b"set sk 0 0 2\r\nsv\r\n", b"STORED\r\n");
+/// Sends ASCII `stats` and reads the dump through its `END`.
+fn ascii_stats(s: &mut TcpStream) -> String {
     s.write_all(b"stats\r\n").unwrap();
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -379,7 +376,15 @@ fn stats_includes_net_counters() {
         assert!(n > 0, "connection closed mid-stats");
         buf.extend_from_slice(&chunk[..n]);
     }
-    let text = String::from_utf8_lossy(&buf);
+    String::from_utf8(buf).expect("stats are ASCII")
+}
+
+#[test]
+fn stats_includes_net_counters() {
+    let srv = server(Branch::It(Stage::OnCommit));
+    let mut s = connect(&srv);
+    roundtrip(&mut s, b"set sk 0 0 2\r\nsv\r\n", b"STORED\r\n");
+    let text = ascii_stats(&mut s);
     for key in [
         "STAT curr_connections 1",
         "STAT total_connections 1",
@@ -622,4 +627,47 @@ fn binary_stat_over_the_wire() {
 
     drop(srv);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `stats` is one surface: a binary client must see every name an ASCII
+/// client sees, in the same order — the connection layer's counters
+/// (a binary-only client's sole view of `frame_errors`) included.
+#[test]
+fn ascii_and_binary_stats_report_the_same_names() {
+    let srv = server(Branch::It(Stage::OnCommit));
+    let mut s = connect(&srv);
+
+    let ascii: Vec<String> = ascii_stats(&mut s)
+        .lines()
+        .filter_map(|l| l.strip_prefix("STAT "))
+        .map(|l| l.split(' ').next().unwrap().to_string())
+        .collect();
+
+    s.write_all(&bin_req(Opcode::Stat, 9, b"", b"").encode()).unwrap();
+    let mut rb = Vec::new();
+    let mut binary = Vec::new();
+    loop {
+        let r = read_frame(&mut s, &mut rb);
+        assert_eq!((r.status, r.opaque), (Status::Ok, 9));
+        if r.key.is_empty() {
+            break;
+        }
+        binary.push(String::from_utf8(r.key).expect("stat names are ASCII"));
+    }
+
+    assert_eq!(ascii, binary);
+    for k in [
+        "curr_connections",
+        "total_connections",
+        "bytes_read",
+        "bytes_written",
+        "frame_errors",
+        "backpressure_stalls",
+        "accept_errors",
+        "conn_timeouts",
+        "udp_datagrams_rx",
+        "udp_datagrams_tx",
+    ] {
+        assert!(binary.iter().any(|n| n == k), "binary STAT missing {k}");
+    }
 }

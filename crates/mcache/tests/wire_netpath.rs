@@ -1,8 +1,9 @@
 //! Event-driven front-end conformance: the UDP frame protocol
 //! (multi-datagram reassembly, out-of-order request ids, malformed
 //! headers), the Unix-domain transport, the idle-connection reaper, and
-//! byte-for-byte equivalence between the epoll and poll backends —
-//! including 64 connections trickling frames one byte at a time.
+//! 64 connections trickling frames one byte at a time. (Byte-for-byte
+//! equivalence of the loop over the epoll and sweep pollers is a unit
+//! test inside `mcache::net`, which can name the pollers.)
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -10,8 +11,12 @@ use std::net::{TcpStream, UdpSocket};
 use std::time::Duration;
 
 use mcache::net::udp::{decode_header, encode_header, UDP_HEADER, UDP_PAYLOAD_MAX};
-use mcache::net::{EventLoop, NetConfig, Server};
+use mcache::net::{NetConfig, Server};
 use mcache::{Branch, McCache, McConfig, SlabConfig, Stage};
+
+#[path = "support/wire_script.rs"]
+mod wire_script;
+use wire_script::{read_until_version, wire_script};
 
 fn server_with(net: NetConfig) -> Server {
     let workers = net.workers;
@@ -33,12 +38,11 @@ fn server_with(net: NetConfig) -> Server {
     Server::start(handle, net).expect("bind ephemeral server")
 }
 
-fn udp_server(event_loop: EventLoop) -> Server {
+fn udp_server() -> Server {
     server_with(NetConfig {
         addr: "127.0.0.1:0".to_string(),
         udp_addr: Some("127.0.0.1:0".to_string()),
         workers: 2,
-        event_loop,
         ..NetConfig::default()
     })
 }
@@ -106,7 +110,7 @@ fn udp_header_encode_decode_roundtrip() {
 
 #[test]
 fn udp_single_datagram_roundtrip() {
-    let srv = udp_server(EventLoop::default());
+    let srv = udp_server();
     let sock = udp_socket(&srv);
 
     udp_send(&sock, 7, b"set alpha 0 0 5\r\nhello\r\n");
@@ -120,7 +124,7 @@ fn udp_single_datagram_roundtrip() {
 
 #[test]
 fn udp_large_value_reassembles_from_multiple_datagrams() {
-    let srv = udp_server(EventLoop::default());
+    let srv = udp_server();
     let sock = udp_socket(&srv);
 
     // A value big enough that VALUE line + data + END spans >= 4
@@ -147,7 +151,7 @@ fn udp_large_value_reassembles_from_multiple_datagrams() {
 
 #[test]
 fn udp_out_of_order_request_ids_answer_independently() {
-    let srv = udp_server(EventLoop::default());
+    let srv = udp_server();
     let sock = udp_socket(&srv);
 
     udp_send(&sock, 3, b"set k1 0 0 3\r\none\r\n");
@@ -175,7 +179,7 @@ fn udp_out_of_order_request_ids_answer_independently() {
 
 #[test]
 fn udp_malformed_frames_counted_not_answered() {
-    let srv = udp_server(EventLoop::default());
+    let srv = udp_server();
     let sock = udp_socket(&srv);
     sock.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
 
@@ -205,48 +209,6 @@ fn udp_malformed_frames_counted_not_answered() {
 // ---------------------------------------------------------------------
 // Stream transports
 // ---------------------------------------------------------------------
-
-fn read_until_version(s: &mut impl Read) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if buf.ends_with(b"\r\n") {
-            let last_line_start = buf[..buf.len() - 2]
-                .windows(2)
-                .rposition(|w| w == b"\r\n")
-                .map_or(0, |i| i + 2);
-            if buf[last_line_start..].starts_with(b"VERSION") {
-                return buf;
-            }
-        }
-        let n = s.read(&mut chunk).expect("read response stream");
-        assert!(n > 0, "connection closed before the version sync");
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-/// A deterministic ASCII script touching every command family, ending
-/// with `version` as the sync point.
-fn wire_script() -> Vec<u8> {
-    let mut script = Vec::new();
-    for i in 0..40 {
-        let value = format!("payload-{i:04}-{}", "x".repeat(i * 7 % 90));
-        script.extend_from_slice(
-            format!("set key{} {} 0 {}\r\n", i % 13, i % 3, value.len()).as_bytes(),
-        );
-        script.extend_from_slice(value.as_bytes());
-        script.extend_from_slice(b"\r\n");
-        script.extend_from_slice(format!("get key{} key{}\r\n", i % 13, (i + 5) % 13).as_bytes());
-        if i % 7 == 0 {
-            script.extend_from_slice(format!("delete key{}\r\n", (i + 1) % 13).as_bytes());
-        }
-        if i % 11 == 0 {
-            script.extend_from_slice(b"set ctr 0 0 2\r\n10\r\nincr ctr 5\r\n");
-        }
-    }
-    script.extend_from_slice(b"version\r\n");
-    script
-}
 
 #[cfg(unix)]
 #[test]
@@ -287,28 +249,6 @@ fn unix_socket_serves_identical_bytes_to_tcp() {
     srv.shutdown();
     assert!(!path.exists(), "shutdown must remove the socket file");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn poll_and_epoll_serve_identical_bytes() {
-    let script = wire_script();
-    let mut outputs = Vec::new();
-    for event_loop in [EventLoop::Epoll, EventLoop::Poll] {
-        let srv = server_with(NetConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            event_loop,
-            ..NetConfig::default()
-        });
-        let mut s = TcpStream::connect(srv.local_addr()).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        s.write_all(&script).expect("script");
-        outputs.push(read_until_version(&mut s));
-    }
-    assert_eq!(
-        outputs[0], outputs[1],
-        "epoll and poll backends must be byte-identical"
-    );
 }
 
 /// A script safe to run concurrently from many connections: values are
@@ -400,35 +340,6 @@ fn sixty_four_connections_one_byte_at_a_time() {
     });
     let ns = srv.net_stats();
     assert_eq!(ns.frame_errors, 0, "no trickled frame may desync");
-}
-
-#[test]
-fn idle_reaper_closes_stale_connections_on_both_backends() {
-    for event_loop in [EventLoop::Epoll, EventLoop::Poll] {
-        let srv = server_with(NetConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 1,
-            event_loop,
-            idle_timeout_ms: 50,
-            ..NetConfig::default()
-        });
-        let mut s = TcpStream::connect(srv.local_addr()).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        // A partial frame parks the connection mid-request; only the
-        // reaper can ever close it.
-        s.write_all(b"get never-finis").expect("partial frame");
-        std::thread::sleep(Duration::from_millis(400));
-        let mut buf = [0u8; 64];
-        let n = s.read(&mut buf).expect("reaped connection reads EOF");
-        assert_eq!(n, 0, "server must have closed the idle connection");
-        let ns = srv.net_stats();
-        assert!(
-            ns.conn_timeouts >= 1,
-            "conn_timeouts={} must count the reap ({event_loop})",
-            ns.conn_timeouts
-        );
-        assert_eq!(ns.curr_connections, 0, "slot must be released ({event_loop})");
-    }
 }
 
 #[test]

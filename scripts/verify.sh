@@ -29,12 +29,12 @@ cargo test -q --offline -p testkit --features chaos
 echo "==> chaos stress (5s, every combo, deterministic fault plan; all four schedules)"
 cargo run --release --offline -p testkit --features chaos --bin stress -- --chaos --seconds 5
 
-# Wire smoke: a real mcached on ephemeral TCP + UDP + Unix transports
-# (epoll backend — the default), mcslap workloads on every transport
-# plus the two connection-scale scenarios (each asserts every response
-# against the workload oracle and frame_errors=0 server-side), then a
-# clean pipe-driven shutdown that must exit 0.
-echo "==> wire smoke (mcached over loopback TCP/UDP/unix, epoll backend)"
+# Wire smoke: a real mcached on ephemeral TCP + UDP + Unix transports,
+# mcslap workloads on every transport plus the two connection-scale
+# scenarios (each asserts every response against the workload oracle
+# and frame_errors=0 server-side), then a clean pipe-driven shutdown
+# that must exit 0.
+echo "==> wire smoke (mcached over loopback TCP/UDP/unix)"
 WIRE_LOG="$PWD/target/mcached-smoke.log"
 WIRE_CTL="$PWD/target/mcached-smoke.ctl"
 WIRE_SOCK="$PWD/target/mcached-smoke.sock"
@@ -58,7 +58,7 @@ target/release/mcslap --udp "$WIRE_UDP" --execute-number 2000 --connections 2 \
     --read-ratio 90
 target/release/mcslap --udp "$WIRE_UDP" --execute-number 500 --connections 2 \
     --keys 100 --value-size 4000   # multi-datagram responses
-echo "==> connection-scale smoke (churn storm + fan-in, epoll backend)"
+echo "==> connection-scale smoke (churn storm + fan-in)"
 target/release/mcslap --tcp "$WIRE_ADDR" --churn 4 --execute-number 50 --keys 200
 target/release/mcslap --tcp "$WIRE_ADDR" --fanin 200 --concurrency 4 \
     --execute-number 400 --keys 200
@@ -69,32 +69,11 @@ rm -f "$WIRE_CTL"
 grep -q 'frame_errors=0' "$WIRE_LOG"
 echo "    wire smoke OK: $(tail -n 1 "$WIRE_LOG")"
 
-# The same connection-scale scenarios on the portable polling backend:
-# both backends must survive churn and fan-in with zero frame errors
-# and shut down cleanly.
-echo "==> connection-scale smoke (churn storm + fan-in, poll backend)"
-POLL_LOG="$PWD/target/mcached-poll-smoke.log"
-POLL_CTL="$PWD/target/mcached-poll-smoke.ctl"
-rm -f "$POLL_CTL"
-mkfifo "$POLL_CTL"
-target/release/mcached --port 0 --threads 2 --event-loop poll \
-    < "$POLL_CTL" > "$POLL_LOG" 2>&1 &
-POLL_PID=$!
-exec 8> "$POLL_CTL"
-for _ in $(seq 1 300); do grep -q '^LISTENING' "$POLL_LOG" && break; sleep 0.1; done
-grep -q '^LISTENING' "$POLL_LOG"
-POLL_ADDR=$(awk '/^LISTENING /{print $2; exit}' "$POLL_LOG")
-target/release/mcslap --tcp "$POLL_ADDR" --execute-number 2000 --concurrency 2 \
-    --read-ratio 90
-target/release/mcslap --tcp "$POLL_ADDR" --churn 2 --execute-number 30 --keys 100
-target/release/mcslap --tcp "$POLL_ADDR" --fanin 100 --concurrency 2 \
-    --execute-number 200 --keys 100
-echo shutdown >&8
-wait "$POLL_PID"
-exec 8>&-
-rm -f "$POLL_CTL"
-grep -q 'frame_errors=0' "$POLL_LOG"
-echo "    poll-backend smoke OK: $(tail -n 1 "$POLL_LOG")"
+# System benchmark, quick mode: every sysbench workload once, each
+# checked against its own oracle (failed must be 0). Read-only use of
+# benchmark/ — it builds into its own target directory.
+echo "==> sysbench quick (benchmark/run.sh --quick: 5 workloads, oracle-checked)"
+bash benchmark/run.sh --quick
 
 # Durability tier: the kill-at-random-commit harness. 36 seeded kill
 # points sweep every (fsync policy x kill mode) combination — each child
@@ -156,7 +135,7 @@ TESTKIT_BENCH_SAMPLES="${TESTKIT_BENCH_SAMPLES:-15}" \
     TESTKIT_BENCH_DIR="$PWD/target/testkit-bench" \
     cargo bench --offline -p bench --bench stm_adaptpath
 
-echo "==> bench smoke (stm_netpath: connection lifecycle + fan-in GET, epoll vs poll)"
+echo "==> bench smoke (stm_netpath: connection lifecycle + fan-in GET)"
 TESTKIT_BENCH_SAMPLES="${TESTKIT_BENCH_SAMPLES:-15}" \
     TESTKIT_BENCH_DIR="$PWD/target/testkit-bench" \
     cargo bench --offline -p bench --bench stm_netpath
