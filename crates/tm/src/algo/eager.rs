@@ -18,6 +18,7 @@ use crate::error::Abort;
 use crate::fault::{self, FaultSite};
 use crate::orec::{self, OrecValue};
 use crate::runtime::RtInner;
+use crate::stats::Counter;
 
 /// Per-attempt state for the eager engine. The logs themselves live in the
 /// thread's arena ([`LogBufs`]), passed into every operation.
@@ -43,12 +44,12 @@ fn undo_recently_logged(undo: &[(usize, u64)], addr: usize) -> bool {
 }
 
 impl EagerTx {
-    pub(crate) fn begin(rt: &RtInner, tx_id: u64) -> Self {
+    pub(crate) fn begin(rt: &RtInner, tx_id: u64, bufs: &LogBufs) -> Self {
         EagerTx {
             tx_id,
             // Own-shard load + cached cross-shard view: no full clock scan
             // at begin. A stale-low snapshot costs at most an extension.
-            start_time: rt.clock.now_cached(),
+            start_time: rt.clock.now_cached(&bufs.clock),
         }
     }
 
@@ -87,11 +88,10 @@ impl EagerTx {
     /// cross-shard clock scan ([`crate::clock::ShardedClock::sync`]) —
     /// TLC-style, synchronization only on validation pressure.
     fn extend(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<(), Abort> {
-        let now = rt.clock.sync();
-        bufs.shard_syncs += 1;
+        let now = rt.clock.sync(&mut bufs.clock, &mut bufs.stats);
         self.validate(rt, bufs)?;
         self.start_time = now;
-        bufs.extensions += 1;
+        bufs.stats.bump(Counter::snapshot_extensions);
         Ok(())
     }
 
@@ -124,7 +124,7 @@ impl EagerTx {
                 // the whole read set).
                 if let Some(slot) = bufs.read_slot_or_append(idx, o1) {
                     bufs.reads[slot].1 = o1;
-                    bufs.dedup_hits += 1;
+                    bufs.stats.bump(Counter::read_log_dedup_hits);
                 }
                 return Ok(v);
             }
@@ -152,7 +152,7 @@ impl EagerTx {
                     if cur == v {
                         // Silent store under our own lock: the word (ours
                         // since we hold the orec) already reads `v`.
-                        bufs.silent_elisions += 1;
+                        bufs.stats.bump(Counter::silent_store_elisions);
                         return Ok(());
                     }
                     if !undo_recently_logged(&bufs.undo, addr) {
@@ -181,7 +181,7 @@ impl EagerTx {
                 if let Some(slot) = bufs.read_slot_or_append(idx, o) {
                     bufs.reads[slot].1 = o;
                 }
-                bufs.silent_elisions += 1;
+                bufs.stats.bump(Counter::silent_store_elisions);
                 return Ok(());
             }
             if rt.orecs.try_update(idx, o, orec::locked_by(self.tx_id)) {
@@ -214,11 +214,11 @@ impl EagerTx {
             self.rollback(rt, bufs);
             return Err(e);
         }
-        let (end, revalidate) = rt.clock.commit_tick(self.start_time);
+        let (end, revalidate) = rt.clock.commit_tick(&bufs.clock, &mut bufs.stats, self.start_time);
         if revalidate {
             // Some shard moved past our snapshot: a transaction committed
             // since we started, so the read set must be revalidated.
-            bufs.clock_retries += 1;
+            bufs.stats.bump(Counter::clock_cas_retries);
             if self.validate(rt, bufs).is_err() {
                 self.rollback(rt, bufs);
                 return Err(Abort::Conflict);
@@ -227,7 +227,7 @@ impl EagerTx {
             // GV5-style conflict-free path: no shard moved past our
             // snapshot even after our own CAS published, so no transaction
             // committed since we started — validation elided.
-            bufs.clock_elisions += 1;
+            bufs.stats.bump(Counter::clock_tick_elisions);
         }
         for &(idx, _) in &bufs.locks {
             rt.orecs.release(idx, orec::unlocked_at(end));
@@ -248,7 +248,7 @@ impl EagerTx {
         if !bufs.locks.is_empty() {
             // Bump versions: concurrent readers may have seen our
             // intermediate values and must fail validation.
-            let t = rt.clock.tick();
+            let t = rt.clock.tick(&bufs.clock, &mut bufs.stats);
             for &(idx, _) in &bufs.locks {
                 rt.orecs.release(idx, orec::unlocked_at(t));
             }
@@ -265,7 +265,7 @@ impl EagerTx {
             return Err(Abort::Conflict);
         }
         if !bufs.locks.is_empty() {
-            let end = rt.clock.tick();
+            let end = rt.clock.tick(&bufs.clock, &mut bufs.stats);
             for &(idx, _) in &bufs.locks {
                 rt.orecs.release(idx, orec::unlocked_at(end));
             }

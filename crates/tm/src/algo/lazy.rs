@@ -22,6 +22,7 @@ use crate::error::Abort;
 use crate::fault::{self, FaultSite};
 use crate::orec::{self, OrecValue};
 use crate::runtime::RtInner;
+use crate::stats::Counter;
 
 /// Per-attempt state for the lazy engine; logs live in the arena.
 #[derive(Debug)]
@@ -62,11 +63,11 @@ fn validate(
 }
 
 impl LazyTx {
-    pub(crate) fn begin(rt: &RtInner, tx_id: u64) -> Self {
+    pub(crate) fn begin(rt: &RtInner, tx_id: u64, bufs: &LogBufs) -> Self {
         LazyTx {
             tx_id,
             // Own-shard load + cached cross-shard view; see the eager twin.
-            start_time: rt.clock.now_cached(),
+            start_time: rt.clock.now_cached(&bufs.clock),
         }
     }
 
@@ -77,11 +78,10 @@ impl LazyTx {
     fn extend(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<(), Abort> {
         // The one full cross-shard clock scan on the read path: TLC-style,
         // paid only under validation pressure.
-        let now = rt.clock.sync();
-        bufs.shard_syncs += 1;
+        let now = rt.clock.sync(&mut bufs.clock, &mut bufs.stats);
         validate(rt, self.tx_id, &bufs.reads, &[])?;
         self.start_time = now;
-        bufs.extensions += 1;
+        bufs.stats.bump(Counter::snapshot_extensions);
         Ok(())
     }
 
@@ -113,7 +113,7 @@ impl LazyTx {
                 // instead of appending a duplicate.
                 if let Some(slot) = bufs.read_slot_or_append(idx, o1) {
                     bufs.reads[slot].1 = o1;
-                    bufs.dedup_hits += 1;
+                    bufs.stats.bump(Counter::read_log_dedup_hits);
                 }
                 return Ok(v);
             }
@@ -144,7 +144,7 @@ impl LazyTx {
                     if let Some(slot) = bufs.read_slot_or_append(idx, o1) {
                         bufs.reads[slot].1 = o1;
                     }
-                    bufs.silent_elisions += 1;
+                    bufs.stats.bump(Counter::silent_store_elisions);
                     return Ok(());
                 }
             }
@@ -163,8 +163,8 @@ impl LazyTx {
             reads,
             writes,
             locks: held,
-            clock_elisions,
-            clock_retries,
+            stats,
+            clock,
             ..
         } = bufs;
         if writes.is_empty() {
@@ -215,11 +215,11 @@ impl LazyTx {
             bufs.clear();
             return Err(e);
         }
-        let (end, revalidate) = rt.clock.commit_tick(self.start_time);
+        let (end, revalidate) = rt.clock.commit_tick(clock, stats, self.start_time);
         if revalidate {
             // A shard moved past our snapshot: someone committed since we
             // started, revalidate the read set.
-            *clock_retries += 1;
+            stats.bump(Counter::clock_cas_retries);
             if validate(rt, self.tx_id, reads, held).is_err() {
                 release_held(rt, held, None);
                 bufs.clear();
@@ -228,7 +228,7 @@ impl LazyTx {
         } else {
             // GV5-style conflict-free path: no commit since our snapshot,
             // so the read set is provably current — validation elided.
-            *clock_elisions += 1;
+            stats.bump(Counter::clock_tick_elisions);
         }
         for &(addr, v) in writes.iter() {
             tword_at(addr).store_direct(v);

@@ -15,6 +15,7 @@ use crate::arena::LogBufs;
 use crate::error::Abort;
 use crate::fault::{self, FaultSite};
 use crate::runtime::RtInner;
+use crate::stats::Counter;
 
 /// Per-attempt state for the NOrec engine; logs live in the arena.
 #[derive(Debug)]
@@ -58,7 +59,7 @@ impl NorecTx {
             }
             if rt.seqlock.load() == t {
                 if t != self.snapshot {
-                    bufs.extensions += 1;
+                    bufs.stats.bump(Counter::snapshot_extensions);
                 }
                 self.snapshot = t;
                 return Ok(());
@@ -85,7 +86,7 @@ impl NorecTx {
                 // appending a duplicate for validation to re-read.
                 if let Some(slot) = bufs.read_slot_or_append(addr, v) {
                     bufs.reads[slot].1 = v;
-                    bufs.dedup_hits += 1;
+                    bufs.stats.bump(Counter::read_log_dedup_hits);
                 }
                 return Ok(v);
             }
@@ -114,7 +115,7 @@ impl NorecTx {
                 if let Some(slot) = bufs.read_slot_or_append(addr, cur) {
                     bufs.reads[slot].1 = cur;
                 }
-                bufs.silent_elisions += 1;
+                bufs.stats.bump(Counter::silent_store_elisions);
                 return Ok(());
             }
         }
@@ -158,7 +159,7 @@ impl NorecTx {
                 }
                 if writes_ok {
                     self.snapshot = t;
-                    bufs.seqlock_elisions += 1;
+                    bufs.stats.bump(Counter::seqlock_bump_elisions);
                     bufs.clear();
                     return Ok(t);
                 }
@@ -166,7 +167,7 @@ impl NorecTx {
                 // the window doubled as a validation, so extend to `t` and
                 // take the ordinary bumping path.
                 if t != self.snapshot {
-                    bufs.extensions += 1;
+                    bufs.stats.bump(Counter::snapshot_extensions);
                 }
                 self.snapshot = t;
                 break;
@@ -179,14 +180,14 @@ impl NorecTx {
         let mut first_try = true;
         while !rt.seqlock.try_begin_commit(self.snapshot) {
             first_try = false;
-            bufs.clock_retries += 1;
+            bufs.stats.bump(Counter::clock_cas_retries);
             if self.validate(rt, bufs).is_err() {
                 bufs.clear();
                 return Err(Abort::Conflict);
             }
         }
         if first_try {
-            bufs.clock_elisions += 1;
+            bufs.stats.bump(Counter::clock_tick_elisions);
         }
         self.committing = true;
         for &(addr, v) in &bufs.writes {

@@ -22,10 +22,20 @@
 //!   touch the table at all: the redo log itself is scanned inline.
 //! * `onCommit`/`onAbort` handler vectors keep their backing storage across
 //!   retries *and* across transactions (the `'env`-erased allocation is
-//!   cached while empty; see [`Arena::take_handler_vec`]).
+//!   cached while empty; see [`Arena::take_handler_vecs`]).
+//! * [`ThreadCtx`] is the crate's one thread-local: the cached arena plus
+//!   the few words a transaction needs from its thread (ordinal, tx-id
+//!   block, last commit stamp, commit/abort tally). `run_loop` looks it up
+//!   once per transaction; everything an engine needs per operation (the
+//!   clock cursor, the stat deltas) rides in the arena it takes from it.
 
 use std::cell::Cell;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::clock::ClockCursor;
+use crate::stats::{StatDeltas, ThreadTally};
+use crate::sync_count::{self, SyncSite};
 
 /// Write-set size up to which the redo log is scanned inline instead of
 /// consulting the [`WriteMap`]. Eight entries cover the paper's small
@@ -231,27 +241,15 @@ pub(crate) struct LogBufs {
     /// Read-set index for [`LogBufs::reads`] past the inline window, keyed
     /// the same way as the read log (orec index or word address).
     pub(crate) rmap: WriteMap,
-    /// Duplicate reads absorbed by the read-set index this attempt; flushed
-    /// into `TmStats::read_log_dedup_hits` when the attempt ends.
-    pub(crate) dedup_hits: u64,
-    /// Successful snapshot extensions this attempt; flushed into
-    /// `TmStats::snapshot_extensions` when the attempt ends.
-    pub(crate) extensions: u64,
-    /// Writes elided because the location already held the written value;
-    /// flushed into `TmStats::silent_store_elisions` when the attempt ends.
-    pub(crate) silent_elisions: u64,
-    /// Commits that took the conflict-free snapshot+1 clock CAS and skipped
-    /// validation; flushed into `TmStats::clock_tick_elisions`.
-    pub(crate) clock_elisions: u64,
-    /// Commit-time clock CASes lost to a concurrent committer; flushed into
-    /// `TmStats::clock_cas_retries`.
-    pub(crate) clock_retries: u64,
-    /// Full cross-shard clock synchronizations (paid on the snapshot
-    /// extension path only); flushed into `TmStats::clock_shard_syncs`.
-    pub(crate) shard_syncs: u64,
-    /// NOrec commits whose write set matched memory and skipped the
-    /// sequence-lock bump; flushed into `TmStats::seqlock_bump_elisions`.
-    pub(crate) seqlock_elisions: u64,
+    /// Counters this attempt has bumped (read-log dedup hits, snapshot
+    /// extensions, elisions, begin/commit/abort, ...), private until the
+    /// runtime flushes them into the thread's stat block when the attempt
+    /// ends. They survive [`LogBufs::clear`], which engines call before the
+    /// runtime gets to flush.
+    pub(crate) stats: StatDeltas,
+    /// This thread's handle on the commit clock: shard affinity and the
+    /// cached cross-shard view.
+    pub(crate) clock: ClockCursor,
     /// High-watermark log sizes observed on this thread, updated as each
     /// attempt's logs are cleared. [`LogBufs::prewarm`] reserves to these
     /// marks up front, so a workload's steady-state transaction shape never
@@ -262,25 +260,10 @@ pub(crate) struct LogBufs {
     peak_undo: usize,
 }
 
-/// The per-attempt stat tallies [`LogBufs`] accumulates and the runtime
-/// flushes into the shared [`crate::TmStats`] counters once per attempt.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct OpTallies {
-    pub(crate) dedup_hits: u64,
-    pub(crate) extensions: u64,
-    pub(crate) silent_elisions: u64,
-    pub(crate) clock_elisions: u64,
-    pub(crate) clock_retries: u64,
-    pub(crate) shard_syncs: u64,
-    pub(crate) seqlock_elisions: u64,
-}
-
 impl LogBufs {
-    /// Clears every log, keeping all backing storage. The per-attempt stat
-    /// tallies survive (they are flushed by the runtime, which needs them
-    /// *after* the engine's commit/rollback has cleared the logs); the
-    /// high-watermark size hints are refreshed here, where the attempt's
-    /// final log sizes are still visible.
+    /// Clears every log, keeping all backing storage (and the unflushed
+    /// stat deltas); the high-watermark size hints are refreshed here,
+    /// where the attempt's final log sizes are still visible.
     pub(crate) fn clear(&mut self) {
         self.peak_reads = self.peak_reads.max(self.reads.len());
         self.peak_writes = self.peak_writes.max(self.writes.len());
@@ -310,28 +293,6 @@ impl LogBufs {
         if self.undo.capacity() < self.peak_undo {
             self.undo.reserve(self.peak_undo - self.undo.len());
         }
-    }
-
-    /// Takes and resets the per-attempt stat tallies.
-    #[inline]
-    pub(crate) fn take_op_tallies(&mut self) -> OpTallies {
-        let t = OpTallies {
-            dedup_hits: self.dedup_hits,
-            extensions: self.extensions,
-            silent_elisions: self.silent_elisions,
-            clock_elisions: self.clock_elisions,
-            clock_retries: self.clock_retries,
-            shard_syncs: self.shard_syncs,
-            seqlock_elisions: self.seqlock_elisions,
-        };
-        self.dedup_hits = 0;
-        self.extensions = 0;
-        self.silent_elisions = 0;
-        self.clock_elisions = 0;
-        self.clock_retries = 0;
-        self.shard_syncs = 0;
-        self.seqlock_elisions = 0;
-        t
     }
 
     /// Duplicate-check-and-append in one pass: returns `Some(slot)` when
@@ -414,34 +375,17 @@ type HandlerVec = Vec<Box<dyn FnOnce()>>;
 
 /// The per-thread transaction arena: log buffers plus the cached backing
 /// storage of the `onCommit`/`onAbort` handler vectors.
+#[derive(Default)]
 pub(crate) struct Arena {
     pub(crate) logs: LogBufs,
     commit_handlers: HandlerVec,
     abort_handlers: HandlerVec,
 }
 
-impl Default for Arena {
-    fn default() -> Self {
-        Arena {
-            logs: LogBufs::default(),
-            commit_handlers: Vec::new(),
-            abort_handlers: Vec::new(),
-        }
-    }
-}
-
 impl fmt::Debug for Arena {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Arena").field("logs", &self.logs).finish_non_exhaustive()
     }
-}
-
-thread_local! {
-    /// One cached arena per thread. `Cell<Option<..>>` rather than
-    /// `RefCell` so a transaction started from inside an `onCommit`
-    /// handler (or any other reentrancy) simply sees an empty slot and
-    /// allocates fresh buffers instead of panicking.
-    static ARENA: Cell<Option<Box<Arena>>> = const { Cell::new(None) };
 }
 
 /// Re-lifetimes an empty handler vector. Sound because the vector holds no
@@ -460,17 +404,9 @@ fn relifetime<'from, 'to>(mut v: Vec<Box<dyn FnOnce() + 'from>>) -> Vec<Box<dyn 
 }
 
 impl Arena {
-    /// Takes this thread's cached arena, or a fresh one if none is cached
-    /// (first transaction on the thread, or a reentrant transaction). The
-    /// logs come back pre-reserved to this thread's high-watermark hints.
-    pub(crate) fn take() -> Box<Arena> {
-        let mut a = ARENA.with(|slot| slot.take()).unwrap_or_default();
-        a.logs.prewarm();
-        a
-    }
-
-    /// Borrows the cached `onCommit` handler storage at the transaction's
-    /// environment lifetime. Must be paired with [`Arena::release`].
+    /// Borrows the cached `onCommit`/`onAbort` handler storage at the
+    /// transaction's environment lifetime. Must be paired with
+    /// [`ThreadCtx::release`].
     pub(crate) fn take_handler_vecs<'env>(
         &mut self,
     ) -> (
@@ -482,28 +418,101 @@ impl Arena {
             relifetime(std::mem::take(&mut self.abort_handlers)),
         )
     }
+}
+
+/// Process-wide thread ordinal source. A thread keeps one ordinal for
+/// life; each commit clock masks it down to a shard, each runtime's
+/// statistics to a block.
+static THREAD_ORDINALS: AtomicU64 = AtomicU64::new(0);
+
+/// Transaction ids are handed out in per-thread blocks of this many.
+const TX_ID_BLOCK: u64 = 1 << 20;
+
+/// Next unclaimed id block. Block 0 is never issued: id 0 means "open" to
+/// the hourglass gate.
+static TX_ID_BLOCKS: AtomicU64 = AtomicU64::new(1);
+
+/// Everything a transaction needs from the thread it runs on, behind the
+/// crate's single `thread_local!`. All interior-mutable through `Cell`s,
+/// so a reentrant transaction (begun from a handler or a transaction body)
+/// shares it freely; only the arena is exclusive, and a reentrant taker
+/// simply finds the slot empty and builds a fresh one.
+pub(crate) struct ThreadCtx {
+    /// This thread's process-wide ordinal.
+    pub(crate) ord: u64,
+    /// The next transaction id this thread will issue; a multiple of
+    /// [`TX_ID_BLOCK`] means the block is spent (or was never claimed).
+    next_tx_id: Cell<u64>,
+    /// Commit stamp of this thread's most recent committed attempt.
+    pub(crate) last_commit_stamp: Cell<u64>,
+    /// Commits/aborts since the last [`crate::take_thread_tally`].
+    pub(crate) tally: Cell<ThreadTally>,
+    arena: Cell<Option<Box<Arena>>>,
+}
+
+thread_local! {
+    static CTX: ThreadCtx = ThreadCtx {
+        ord: THREAD_ORDINALS.fetch_add(1, Ordering::Relaxed),
+        next_tx_id: Cell::new(0),
+        last_commit_stamp: Cell::new(0),
+        tally: Cell::new(ThreadTally { commits: 0, aborts: 0 }),
+        arena: Cell::new(None),
+    };
+}
+
+impl ThreadCtx {
+    /// Runs `f` with the calling thread's context.
+    #[inline]
+    pub(crate) fn with<R>(f: impl FnOnce(&ThreadCtx) -> R) -> R {
+        CTX.with(f)
+    }
+
+    /// A transaction id no other transaction of this process has or will
+    /// have, and never 0 — all the runtime asks of one (orec ownership,
+    /// the hourglass gate). Ids come from a thread-private block, so
+    /// minting touches shared memory once per [`TX_ID_BLOCK`] transactions
+    /// and the scheme holds for any number of threads or transactions.
+    #[inline]
+    pub(crate) fn mint_tx_id(&self) -> u64 {
+        let mut id = self.next_tx_id.get();
+        if id.is_multiple_of(TX_ID_BLOCK) {
+            sync_count::rmw(SyncSite::TxId);
+            id = TX_ID_BLOCKS.fetch_add(1, Ordering::Relaxed) * TX_ID_BLOCK;
+        }
+        self.next_tx_id.set(id + 1);
+        id
+    }
+
+    /// Takes this thread's cached arena, or a fresh one if none is cached
+    /// (first transaction on the thread, or a reentrant transaction). The
+    /// logs come back pre-reserved to this thread's high-watermark hints.
+    pub(crate) fn take_arena(&self) -> Box<Arena> {
+        let mut a = self.arena.take().unwrap_or_else(|| {
+            let mut a = Box::<Arena>::default();
+            a.logs.clock = ClockCursor::new(self.ord);
+            a
+        });
+        a.logs.prewarm();
+        a
+    }
 
     /// Returns an arena (plus the handler vectors borrowed from it) to the
-    /// thread-local cache, clearing everything but keeping all storage.
-    /// The handler vectors must already be empty (drained by commit or
-    /// abort); any stragglers are dropped here before the lifetime is
-    /// erased.
+    /// thread's cache, clearing everything but keeping all storage. The
+    /// handler vectors must already be empty (drained by commit or abort);
+    /// any stragglers are dropped here before the lifetime is erased. At
+    /// most one arena is cached: one a reentrant transaction left in the
+    /// slot is dropped in favour of this one.
     pub(crate) fn release<'env>(
-        mut self: Box<Self>,
+        &self,
+        mut arena: Box<Arena>,
         commit_handlers: Vec<Box<dyn FnOnce() + 'env>>,
         abort_handlers: Vec<Box<dyn FnOnce() + 'env>>,
     ) {
         debug_assert!(commit_handlers.is_empty() && abort_handlers.is_empty());
-        self.commit_handlers = relifetime(commit_handlers);
-        self.abort_handlers = relifetime(abort_handlers);
-        self.logs.clear();
-        ARENA.with(|slot| {
-            // Keep at most one cached arena per thread; if a reentrant
-            // transaction already refilled the slot, drop this one.
-            if slot.take().is_none() {
-                slot.set(Some(self));
-            }
-        });
+        arena.commit_handlers = relifetime(commit_handlers);
+        arena.abort_handlers = relifetime(abort_handlers);
+        arena.logs.clear();
+        self.arena.set(Some(arena));
     }
 }
 
@@ -653,62 +662,93 @@ mod tests {
     }
 
     #[test]
-    fn op_tallies_reset_on_take() {
+    fn stat_deltas_survive_clear() {
+        use crate::stats::Counter;
         let mut b = LogBufs::default();
-        b.silent_elisions = 3;
-        b.clock_elisions = 2;
-        b.clock_retries = 1;
-        b.dedup_hits = 7;
-        b.shard_syncs = 5;
-        b.seqlock_elisions = 4;
-        let t = b.take_op_tallies();
-        assert_eq!(
-            (t.silent_elisions, t.clock_elisions, t.clock_retries, t.dedup_hits),
-            (3, 2, 1, 7)
-        );
-        assert_eq!((t.shard_syncs, t.seqlock_elisions), (5, 4));
-        let t2 = b.take_op_tallies();
-        assert_eq!(
-            t2.silent_elisions
-                + t2.clock_elisions
-                + t2.clock_retries
-                + t2.shard_syncs
-                + t2.seqlock_elisions,
-            0
-        );
+        b.stats.bump(Counter::silent_store_elisions);
+        b.reads.push((1, 2));
+        b.clear();
+        assert!(b.reads.is_empty());
+        assert_eq!(b.stats.get(Counter::silent_store_elisions), 1);
     }
 
     #[test]
     fn arena_take_release_reuses_capacity() {
-        // Prime the thread-local arena with grown buffers.
-        let mut a = Arena::take();
-        a.logs.reads.reserve(1024);
-        let cap = a.logs.reads.capacity();
-        let (ch, ah) = a.take_handler_vecs();
-        a.release(ch, ah);
-        // The next take on this thread sees the same storage.
-        let a2 = Arena::take();
-        assert!(a2.logs.reads.capacity() >= cap, "capacity must survive release/take");
-        let (ch, ah) = {
-            let mut a2 = a2;
-            let v = a2.take_handler_vecs();
-            a2.release(v.0, v.1);
-            Arena::take().take_handler_vecs()
-        };
-        assert!(ch.is_empty() && ah.is_empty());
+        ThreadCtx::with(|tc| {
+            // Prime the thread's cached arena with grown buffers.
+            let mut a = tc.take_arena();
+            a.logs.reads.reserve(1024);
+            let cap = a.logs.reads.capacity();
+            let (ch, ah) = a.take_handler_vecs();
+            tc.release(a, ch, ah);
+            // The next take on this thread sees the same storage.
+            let mut a2 = tc.take_arena();
+            assert!(a2.logs.reads.capacity() >= cap, "capacity must survive release/take");
+            let (ch, ah) = a2.take_handler_vecs();
+            assert!(ch.is_empty() && ah.is_empty());
+            tc.release(a2, ch, ah);
+        });
     }
 
     #[test]
     fn handler_storage_survives_relifetime() {
-        let mut a = Arena::take();
-        let (mut ch, ah) = a.take_handler_vecs();
-        ch.reserve(32);
-        let cap = ch.capacity();
-        ch.push(Box::new(|| {}));
-        ch.clear();
-        a.release(ch, ah);
-        let mut a = Arena::take();
-        let (ch, _ah) = a.take_handler_vecs();
-        assert!(ch.capacity() >= cap, "handler allocation must be reused");
+        ThreadCtx::with(|tc| {
+            let mut a = tc.take_arena();
+            let (mut ch, ah) = a.take_handler_vecs();
+            ch.reserve(32);
+            let cap = ch.capacity();
+            ch.push(Box::new(|| {}));
+            ch.clear();
+            tc.release(a, ch, ah);
+            let mut a = tc.take_arena();
+            let (ch, _ah) = a.take_handler_vecs();
+            assert!(ch.capacity() >= cap, "handler allocation must be reused");
+        });
+    }
+
+    #[test]
+    fn reentrant_take_builds_a_fresh_arena_and_one_stays_cached() {
+        ThreadCtx::with(|tc| {
+            let mut outer = tc.take_arena();
+            outer.logs.reads.reserve(512);
+            // The slot is empty while `outer` is out: a transaction begun
+            // from a handler gets its own, fresh arena.
+            let mut inner = tc.take_arena();
+            assert_eq!(inner.logs.reads.capacity(), 0);
+            let (ch, ah) = inner.take_handler_vecs();
+            tc.release(inner, ch, ah);
+            let (ch, ah) = outer.take_handler_vecs();
+            tc.release(outer, ch, ah);
+            // The outer (grown) arena replaced the inner one in the slot.
+            assert!(tc.take_arena().logs.reads.capacity() >= 512);
+        });
+    }
+
+    #[test]
+    fn tx_ids_are_unique_nonzero_and_block_local() {
+        let mine: Vec<u64> = ThreadCtx::with(|tc| (0..1000).map(|_| tc.mint_tx_id()).collect());
+        assert!(mine.windows(2).all(|w| w[1] == w[0] + 1), "ids run consecutively in a block");
+        let theirs: Vec<u64> = std::thread::spawn(|| {
+            ThreadCtx::with(|tc| (0..1000).map(|_| tc.mint_tx_id()).collect())
+        })
+        .join()
+        .unwrap();
+        assert!(mine.iter().chain(&theirs).all(|&id| id != 0 && id < 1 << 62));
+        assert_ne!(mine[0] / TX_ID_BLOCK, theirs[0] / TX_ID_BLOCK, "threads draw from distinct blocks");
+    }
+
+    #[test]
+    fn a_spent_id_block_is_replaced() {
+        ThreadCtx::with(|tc| {
+            let first = tc.mint_tx_id();
+            // Jump to the last id of the block instead of minting 2^20.
+            let last = first / TX_ID_BLOCK * TX_ID_BLOCK + TX_ID_BLOCK - 1;
+            tc.next_tx_id.set(last);
+            assert_eq!(tc.mint_tx_id(), last);
+            let next = tc.mint_tx_id();
+            assert_eq!(next % TX_ID_BLOCK, 0, "a fresh block starts at its base");
+            assert_ne!(next / TX_ID_BLOCK, first / TX_ID_BLOCK);
+            assert_eq!(tc.mint_tx_id(), next + 1);
+        });
     }
 }

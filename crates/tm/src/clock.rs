@@ -39,49 +39,56 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::stats::{Counter, StatDeltas};
+use crate::sync_count::{self, SyncSite};
+
 /// Maximum number of clock shards (timestamps reserve 6 low bits at most).
 pub const MAX_CLOCK_SHARDS: usize = 64;
 
-/// Process-wide thread ordinal source for shard affinity. Deliberately
-/// shared by all clocks: a thread keeps one ordinal for life, and each
-/// clock masks it down to its own shard count.
-static THREAD_ORDINALS: AtomicU64 = AtomicU64::new(0);
-
-/// Identity source for [`ShardedClock`] instances, used to key the
-/// thread-local cached cross-shard view. Ids start at 1 so the zeroed
-/// thread-local cache never aliases a real clock.
+/// Identity source for [`ShardedClock`] instances, used to key a cursor's
+/// cached cross-shard view. Ids start at 1 so a fresh cursor never aliases
+/// a real clock.
 static CLOCK_IDS: AtomicU64 = AtomicU64::new(1);
 
-thread_local! {
-    /// This thread's process-wide ordinal (assigned on first use).
-    static THREAD_ORD: u64 = THREAD_ORDINALS.fetch_add(1, Ordering::Relaxed);
-    /// Cached cross-shard maximum: `(clock id, highest timestamp seen)`.
-    /// Only ever *behind* the real maximum (stale-low), never ahead: every
-    /// stored value was loaded from a shard line, so using it as a
-    /// snapshot floor can only cost an extension, never admit a torn read.
-    static CLOCK_VIEW: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+/// One thread's handle on the commit clocks: its shard affinity and its
+/// cached cross-shard maximum. Lives in the thread's arena, so engines
+/// reach it through the log buffers they already hold instead of a
+/// thread-local lookup per clock operation.
+#[derive(Debug, Default)]
+pub(crate) struct ClockCursor {
+    /// The owning thread's process-wide ordinal; each clock masks it down
+    /// to its own shard count.
+    ord: u64,
+    /// `(clock id, highest timestamp seen)`. Only ever *behind* the real
+    /// maximum (stale-low), never ahead: every stored value was loaded
+    /// from a shard line of that clock, so using it as a snapshot floor
+    /// can only cost an extension, never admit a torn read.
+    view: (u64, u64),
 }
 
-/// One clock shard: the timestamp word plus its contention telemetry,
-/// padded to exactly one cache line so a committer's CAS on shard `k`
-/// never invalidates shard `j`'s line under another committer.
+impl ClockCursor {
+    pub(crate) fn new(ord: u64) -> Self {
+        ClockCursor { ord, view: (0, 0) }
+    }
+}
+
+/// One clock shard: the timestamp word alone on its cache line, so a
+/// committer's CAS on shard `k` never invalidates shard `j`'s line under
+/// another committer. The shard's telemetry (ticks, CAS losses, syncs) is
+/// tallied in the committing thread's stat block, not here: every
+/// committer scans every shard line, and a counter bumped on it would
+/// dirty the line once more per commit.
 #[derive(Default)]
 #[repr(align(64))]
 pub(crate) struct ClockShard {
     /// Latest timestamp issued on this shard.
     value: AtomicU64,
-    /// Commit/rollback ticks issued on this shard.
-    ticks: AtomicU64,
-    /// CAS attempts on this shard lost to another thread with the same
-    /// affinity (never to a thread on a different shard).
-    cas_retries: AtomicU64,
-    /// Full cross-shard synchronizations performed by threads of this
-    /// affinity (snapshot extensions / validation pressure).
-    syncs: AtomicU64,
 }
 
 const _: () = assert!(std::mem::size_of::<ClockShard>() == 64, "ClockShard must fill one cache line");
 const _: () = assert!(std::mem::align_of::<ClockShard>() == 64, "ClockShard must start a cache line");
+// Exhaustive destructuring: a second field on the value line stops the build.
+const _: fn(ClockShard) = |ClockShard { value: _ }| {};
 
 /// A point-in-time copy of one shard's counters; see
 /// [`crate::TmRuntime::clock_shard_stats`].
@@ -104,7 +111,7 @@ pub(crate) struct ShardedClock {
     mask: u64,
     /// `log2(shards.len())` — low bits of every timestamp hold the shard.
     shard_bits: u32,
-    /// Instance id keying the thread-local cached view.
+    /// Instance id keying a cursor's cached view.
     id: u64,
 }
 
@@ -133,10 +140,11 @@ impl ShardedClock {
         self.shards.len()
     }
 
-    /// The calling thread's shard affinity under this clock.
+    /// The shard affinity, under this clock, of the thread with
+    /// process-wide ordinal `ord`.
     #[inline]
-    pub fn my_shard(&self) -> usize {
-        (THREAD_ORD.with(|o| *o) & self.mask) as usize
+    pub fn shard_of(&self, ord: u64) -> usize {
+        (ord & self.mask) as usize
     }
 
     /// The next timestamp after `from` carrying this shard's residue:
@@ -156,56 +164,44 @@ impl ShardedClock {
             .unwrap_or(0)
     }
 
-    /// Folds a freshly observed timestamp into the thread-cached view.
+    /// One CAS on shard `slot`'s timestamp word.
     #[inline]
-    fn cache_put(&self, t: u64) {
-        CLOCK_VIEW.with(|c| {
-            let (id, cached) = c.get();
-            let floor = if id == self.id { cached.max(t) } else { t };
-            c.set((self.id, floor));
-        });
+    fn cas(slot: &ClockShard, from: u64, to: u64) -> Result<u64, u64> {
+        sync_count::rmw(SyncSite::Clock);
+        slot.value.compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
     }
 
     /// Current global time: the exact lazy max over all shards. Costs one
     /// load per shard; begin paths use [`ShardedClock::now_cached`].
     pub fn now(&self) -> u64 {
-        let m = self.scan_max();
-        self.cache_put(m);
-        m
+        self.scan_max()
     }
 
     /// A cheap snapshot for transaction begin: the own-shard line joined
-    /// with this thread's cached cross-shard view — no full scan. May be
+    /// with the cursor's cached cross-shard view — no full scan. May be
     /// stale-low (costing a snapshot extension on the first read that
     /// notices), never stale-high: every cached value was read from a
     /// shard line of *this* clock, so it is a published timestamp.
     #[inline]
-    pub fn now_cached(&self) -> u64 {
-        let own = self.shards[self.my_shard()].value.load(Ordering::Acquire);
-        let cached = CLOCK_VIEW.with(|c| {
-            let (id, cached) = c.get();
-            if id == self.id {
-                cached
-            } else {
-                0
-            }
-        });
-        let t = own.max(cached);
-        if cached < t {
-            self.cache_put(t);
+    pub fn now_cached(&self, cur: &ClockCursor) -> u64 {
+        let own = self.shards[self.shard_of(cur.ord)].value.load(Ordering::Acquire);
+        let (id, cached) = cur.view;
+        if id == self.id {
+            own.max(cached)
+        } else {
+            own
         }
-        t
     }
 
     /// Full cross-shard synchronization: scan every shard, refresh the
-    /// thread-cached view, count it against the caller's affinity shard.
+    /// cursor's cached view, count it against the caller's affinity shard.
     /// Engines call this exactly where validation pressure appears (the
     /// snapshot-extension path), so quiescent threads never pay the scan.
-    pub fn sync(&self) -> u64 {
-        self.shards[self.my_shard()]
-            .syncs
-            .fetch_add(1, Ordering::Relaxed);
-        self.now()
+    pub fn sync(&self, cur: &mut ClockCursor, d: &mut StatDeltas) -> u64 {
+        d.bump(Counter::clock_shard_syncs);
+        let m = self.scan_max();
+        cur.view = (self.id, m);
+        m
     }
 
     /// Advances this thread's shard past everything published, returning
@@ -217,25 +213,21 @@ impl ShardedClock {
     /// the caller serialized): the cross-shard scan inside is what makes
     /// the returned timestamp exceed every snapshot a concurrent reader
     /// could have completed before our locks became visible.
-    pub fn tick(&self) -> u64 {
-        let k = self.my_shard();
+    pub fn tick(&self, cur: &ClockCursor, d: &mut StatDeltas) -> u64 {
+        let k = self.shard_of(cur.ord);
         let slot = &self.shards[k];
         let mut own = slot.value.load(Ordering::Acquire);
         loop {
             let m = self.scan_max().max(own);
             let end = self.next_on(m, k as u64);
-            match slot
-                .value
-                .compare_exchange(own, end, Ordering::AcqRel, Ordering::Acquire)
-            {
+            match Self::cas(slot, own, end) {
                 Ok(_) => {
-                    slot.ticks.fetch_add(1, Ordering::Relaxed);
-                    self.cache_put(end);
+                    d.bump(Counter::shard_ticks);
                     return end;
                 }
-                Err(cur) => {
-                    slot.cas_retries.fetch_add(1, Ordering::Relaxed);
-                    own = cur;
+                Err(seen) => {
+                    d.bump(Counter::shard_cas_losses);
+                    own = seen;
                 }
             }
         }
@@ -266,8 +258,8 @@ impl ShardedClock {
     /// read-only transactions (which never revalidate) cannot detect.
     ///
     /// Same lock-ordering contract as [`ShardedClock::tick`].
-    pub fn commit_tick(&self, snapshot: u64) -> (u64, bool) {
-        let k = self.my_shard();
+    pub fn commit_tick(&self, cur: &ClockCursor, d: &mut StatDeltas, snapshot: u64) -> (u64, bool) {
+        let k = self.shard_of(cur.ord);
         let slot = &self.shards[k];
         let mut own = slot.value.load(Ordering::Acquire);
         loop {
@@ -280,14 +272,10 @@ impl ShardedClock {
                 // the elided verdict is already lost, take a plain tick.
                 (own, self.next_on(self.scan_max().max(own), k as u64))
             };
-            match slot
-                .value
-                .compare_exchange(from, end, Ordering::AcqRel, Ordering::Acquire)
-            {
+            match Self::cas(slot, from, end) {
                 Ok(_) => {
-                    slot.ticks.fetch_add(1, Ordering::Relaxed);
+                    d.bump(Counter::shard_ticks);
                     if from > snapshot {
-                        self.cache_put(end);
                         return (end, true);
                     }
                     // Post-publication cross-shard check: our CAS is
@@ -305,7 +293,6 @@ impl ShardedClock {
                         max_seen = max_seen.max(v);
                     }
                     if max_seen <= end {
-                        self.cache_put(end);
                         return (end, !clean);
                     }
                     // A stale-low snapshot: some shard is already past the
@@ -322,26 +309,18 @@ impl ShardedClock {
                     loop {
                         let m = self.scan_max().max(own);
                         let bumped = self.next_on(m, k as u64);
-                        match slot.value.compare_exchange(
-                            own,
-                            bumped,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        ) {
-                            Ok(_) => {
-                                self.cache_put(bumped);
-                                return (bumped, true);
-                            }
-                            Err(cur) => {
-                                slot.cas_retries.fetch_add(1, Ordering::Relaxed);
-                                own = cur;
+                        match Self::cas(slot, own, bumped) {
+                            Ok(_) => return (bumped, true),
+                            Err(seen) => {
+                                d.bump(Counter::shard_cas_losses);
+                                own = seen;
                             }
                         }
                     }
                 }
-                Err(cur) => {
-                    slot.cas_retries.fetch_add(1, Ordering::Relaxed);
-                    own = cur;
+                Err(seen) => {
+                    d.bump(Counter::shard_cas_losses);
+                    own = seen;
                 }
             }
         }
@@ -353,36 +332,20 @@ impl ShardedClock {
     /// race the raise), so commit stamps minted after the switch are
     /// guaranteed to exceed every stamp published before it.
     pub fn raise_to(&self, v: u64) {
-        let k = self.my_shard();
-        let slot = &self.shards[k];
-        loop {
-            if self.scan_max() >= v {
-                return;
-            }
-            let cur = slot.value.load(Ordering::Acquire);
-            let end = self.next_on(v, k as u64);
-            if slot
-                .value
-                .compare_exchange(cur, end, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.cache_put(end);
+        // Any shard will do (the caller excludes every committer); shard 0
+        // exists under every shard count.
+        let slot = &self.shards[0];
+        while self.scan_max() < v {
+            let from = slot.value.load(Ordering::Acquire);
+            if Self::cas(slot, from, self.next_on(v, 0)).is_ok() {
                 return;
             }
         }
     }
 
-    /// Copies every shard's counters.
-    pub fn shard_stats(&self) -> Vec<ClockShardStats> {
-        self.shards
-            .iter()
-            .map(|s| ClockShardStats {
-                value: s.value.load(Ordering::Acquire),
-                ticks: s.ticks.load(Ordering::Relaxed),
-                cas_retries: s.cas_retries.load(Ordering::Relaxed),
-                syncs: s.syncs.load(Ordering::Relaxed),
-            })
-            .collect()
+    /// The latest timestamp issued on each shard.
+    pub fn shard_values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.shards.iter().map(|s| s.value.load(Ordering::Acquire))
     }
 }
 
@@ -440,6 +403,7 @@ impl SeqLock {
     #[inline]
     pub fn try_begin_commit(&self, snapshot: u64) -> bool {
         debug_assert_eq!(snapshot & 1, 0);
+        sync_count::rmw(SyncSite::SeqLock);
         self.0
             .compare_exchange(snapshot, snapshot + 1, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
@@ -476,27 +440,37 @@ impl fmt::Debug for SeqLock {
 mod tests {
     use super::*;
 
+    /// A cursor for an imaginary thread with ordinal `ord`, plus scratch
+    /// deltas for the telemetry.
+    fn thread(ord: u64) -> (ClockCursor, StatDeltas) {
+        (ClockCursor::new(ord), StatDeltas::default())
+    }
+
     #[test]
     fn one_shard_degenerates_to_the_plus_one_clock() {
         let c = ShardedClock::new(1);
+        let (cur, mut d) = thread(5);
         assert_eq!(c.now(), 0);
-        assert_eq!(c.tick(), 1);
-        assert_eq!(c.tick(), 2);
+        assert_eq!(c.tick(&cur, &mut d), 1);
+        assert_eq!(c.tick(&cur, &mut d), 2);
         assert_eq!(c.now(), 2);
-        assert_eq!(c.now_cached(), 2);
+        assert_eq!(c.now_cached(&cur), 2);
     }
 
     #[test]
     fn sharded_ticks_are_monotonic_on_one_thread() {
         let c = ShardedClock::new(8);
+        let (cur, mut d) = thread(11);
+        assert_eq!(c.shard_of(11), 3);
         let mut last = c.now();
         for _ in 0..100 {
-            let t = c.tick();
+            let t = c.tick(&cur, &mut d);
             assert!(t > last, "tick {t} did not exceed {last}");
-            assert_eq!(t & 7, c.my_shard() as u64, "residue must name the shard");
+            assert_eq!(t & 7, 3, "residue must name the shard");
             last = t;
         }
         assert_eq!(c.now(), last);
+        assert_eq!(d.get(Counter::shard_ticks), 100);
     }
 
     #[test]
@@ -504,10 +478,11 @@ mod tests {
         for nshards in [1usize, 4, 8] {
             let c = std::sync::Arc::new(ShardedClock::new(nshards));
             let mut handles = vec![];
-            for _ in 0..4 {
+            for ord in 0..4 {
                 let c = c.clone();
                 handles.push(std::thread::spawn(move || {
-                    (0..1000).map(|_| c.tick()).collect::<Vec<_>>()
+                    let (cur, mut d) = thread(ord);
+                    (0..1000).map(|_| c.tick(&cur, &mut d)).collect::<Vec<_>>()
                 }));
             }
             let mut all: Vec<u64> = handles
@@ -523,29 +498,28 @@ mod tests {
     #[test]
     fn conflict_free_commit_tick_elides_validation() {
         let c = ShardedClock::new(8);
-        let snap = c.now_cached();
-        let (end, validate) = c.commit_tick(snap);
+        let (cur, mut d) = thread(2);
+        let snap = c.now_cached(&cur);
+        let (end, validate) = c.commit_tick(&cur, &mut d, snap);
         assert!(!validate, "quiescent clock must elide");
         assert!(end > snap);
         // Single-thread steady state keeps eliding: the own shard is the max.
-        let snap2 = c.now_cached();
+        let snap2 = c.now_cached(&cur);
         assert_eq!(snap2, end);
-        let (end2, validate2) = c.commit_tick(snap2);
+        let (end2, validate2) = c.commit_tick(&cur, &mut d, snap2);
         assert!(!validate2);
         assert!(end2 > end);
     }
 
     #[test]
     fn stale_snapshot_commit_tick_demands_validation() {
-        let c = std::sync::Arc::new(ShardedClock::new(8));
-        let snap = c.now_cached();
-        // A commit from a different thread (different ordinal, usually a
-        // different shard — but even same-shard staleness must be seen).
-        {
-            let c = c.clone();
-            std::thread::spawn(move || c.tick()).join().unwrap();
-        }
-        let (end, validate) = c.commit_tick(snap);
+        let c = ShardedClock::new(8);
+        let (cur, mut d) = thread(0);
+        let snap = c.now_cached(&cur);
+        // A commit by a thread of another shard after the snapshot.
+        let (other, mut od) = thread(1);
+        c.tick(&other, &mut od);
+        let (end, validate) = c.commit_tick(&cur, &mut d, snap);
         assert!(validate, "a concurrent commit after the snapshot must force validation");
         assert!(end > snap);
         assert!(c.now() >= end);
@@ -555,40 +529,40 @@ mod tests {
     fn same_shard_staleness_forces_validation() {
         // One shard: any tick after the snapshot lands on *our* shard.
         let c = ShardedClock::new(1);
-        let snap = c.now_cached();
-        c.tick();
-        let (end, validate) = c.commit_tick(snap);
+        let (cur, mut d) = thread(0);
+        let snap = c.now_cached(&cur);
+        c.tick(&cur, &mut d);
+        let (end, validate) = c.commit_tick(&cur, &mut d, snap);
         assert!(validate);
         assert!(end > snap);
-        let stats = c.shard_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].ticks, 2);
-        assert_eq!(stats[0].value, end);
+        assert_eq!(d.get(Counter::shard_ticks), 2);
+        assert_eq!(c.shard_values().collect::<Vec<_>>(), [end]);
     }
 
     #[test]
     fn cached_view_is_keyed_per_clock_instance() {
         let a = ShardedClock::new(8);
         let b = ShardedClock::new(8);
-        let ta = a.tick();
-        assert!(a.now_cached() >= ta);
+        let (mut cur, mut d) = thread(0);
+        // Another shard of `a` runs ahead; a sync pulls it into the view.
+        let (other, mut od) = thread(1);
+        let ta = a.tick(&other, &mut od);
+        assert_eq!(a.now_cached(&cur), 0, "no sync yet: own shard only");
+        assert_eq!(a.sync(&mut cur, &mut d), ta);
+        assert_eq!(a.now_cached(&cur), ta);
         // Clock b must not inherit a's cached view (stale-high would be
         // unsound for b): a fresh clock still reads time 0.
-        assert_eq!(b.now_cached(), 0);
-        // And coming back to a, the own-shard line alone restores the time.
-        assert!(a.now_cached() >= ta);
+        assert_eq!(b.now_cached(&cur), 0);
+        assert_eq!(a.now_cached(&cur), ta);
     }
 
     #[test]
-    fn sync_counts_against_the_callers_shard() {
+    fn sync_counts_against_the_caller() {
         let c = ShardedClock::new(4);
-        let before: u64 = c.shard_stats().iter().map(|s| s.syncs).sum();
-        c.sync();
-        c.sync();
-        let stats = c.shard_stats();
-        let after: u64 = stats.iter().map(|s| s.syncs).sum();
-        assert_eq!(after - before, 2);
-        assert_eq!(stats[c.my_shard()].syncs, 2);
+        let (mut cur, mut d) = thread(6);
+        c.sync(&mut cur, &mut d);
+        c.sync(&mut cur, &mut d);
+        assert_eq!(d.get(Counter::clock_shard_syncs), 2);
     }
 
     #[test]
@@ -599,27 +573,28 @@ mod tests {
         // orecs at this stamp, and a stamp at or below a live reader's
         // snapshot lets that reader accept post-commit values as
         // pre-snapshot ones — a torn write set no validation catches.
-        let c = std::sync::Arc::new(ShardedClock::new(8));
-        let snap = c.now_cached();
-        let k = c.my_shard();
-        // Drive a *different* shard far ahead. Spawned threads get fresh
-        // ordinals; retry any that land back on our own shard.
-        let mut hot = 0;
-        while hot == 0 {
-            let c2 = c.clone();
-            hot = std::thread::spawn(move || {
-                if c2.my_shard() == k {
-                    return 0;
-                }
-                (0..64).map(|_| c2.tick()).max().unwrap()
-            })
-            .join()
-            .unwrap();
-        }
-        let (end, validate) = c.commit_tick(snap);
+        let c = ShardedClock::new(8);
+        let (cur, mut d) = thread(0);
+        let snap = c.now_cached(&cur);
+        // Drive a *different* shard far ahead.
+        let (other, mut od) = thread(5);
+        let hot = (0..64).map(|_| c.tick(&other, &mut od)).max().unwrap();
+        let (end, validate) = c.commit_tick(&cur, &mut d, snap);
         assert!(validate, "foreign commits past the snapshot must force validation");
         assert!(end > hot, "commit stamp {end} must exceed the hot shard's {hot}");
         assert_eq!(c.scan_max(), end, "the fresh stamp is the new global max");
+    }
+
+    #[test]
+    fn raise_to_lifts_every_later_tick() {
+        let c = ShardedClock::new(8);
+        let (cur, mut d) = thread(3);
+        c.raise_to(1000);
+        assert!(c.now() >= 1000);
+        assert!(c.tick(&cur, &mut d) > 1000);
+        let before = c.now();
+        c.raise_to(10);
+        assert_eq!(c.now(), before, "raise_to never lowers the clock");
     }
 
     #[test]

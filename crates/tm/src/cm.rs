@@ -18,6 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::Instant;
 
+use crate::sync_count::{self, SyncSite};
+
 /// Which policy the runtime applies between transaction attempts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ContentionManager {
@@ -90,7 +92,14 @@ impl fmt::Display for ContentionManager {
 
 /// The hourglass gate: a single global slot naming the starving transaction
 /// allowed to make progress while new transactions wait.
+///
+/// Alone on its cache line: closing or opening the gate must not invalidate
+/// the runtime's read-mostly configuration words under every beginning
+/// transaction. On the transaction path the word is only *loaded* (and only
+/// under [`ContentionManager::Hourglass`]); the two RMWs below are issued
+/// solely by a transaction that closes the gate.
 #[derive(Default)]
+#[repr(align(64))]
 pub struct Hourglass {
     /// 0 = open; otherwise the tx id that closed the gate.
     holder: AtomicU64,
@@ -140,6 +149,7 @@ impl Hourglass {
     /// now holds it (including if it already did).
     pub fn try_close(&self, tx_id: u64) -> bool {
         debug_assert_ne!(tx_id, 0, "tx id 0 is reserved for the open gate");
+        sync_count::rmw(SyncSite::Hourglass);
         self.holder
             .compare_exchange(0, tx_id, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
@@ -148,6 +158,7 @@ impl Hourglass {
 
     /// Opens the gate if held by `tx_id`.
     pub fn open_if_held(&self, tx_id: u64) {
+        sync_count::rmw(SyncSite::Hourglass);
         let _ = self
             .holder
             .compare_exchange(tx_id, 0, Ordering::AcqRel, Ordering::Acquire);

@@ -1,21 +1,27 @@
 //! Compile-time layout facts for the false-sharing-sensitive structures.
 //!
-//! The contention story of this runtime rests on three structures being
+//! The contention story of this runtime rests on a few structures being
 //! exactly cache-line shaped: commit-clock shards (each committer CASes
-//! only its own line), orec stripes (unrelated data blocks never share an
-//! orec line), and the NOrec seqlock (alone on its line). The definitions
-//! carry in-source `const` assertions; these public constants re-export
+//! only its own line, which holds the timestamp and nothing else), orec
+//! stripes (unrelated data blocks never share an orec line), the words
+//! every transaction may write — NOrec seqlock, serial lock, hourglass
+//! gate — each alone on its line, and the per-thread statistics blocks
+//! (whole lines only their own threads write). The definitions carry
+//! in-source `const` assertions; these public constants re-export
 //! the measured layout so the `layout_guard` integration test — and any
 //! downstream crate padding its own per-thread slots — can pin them from
 //! outside without access to the private types.
 
 use crate::clock::{ClockShard, SeqLock};
+use crate::cm::Hourglass;
 use crate::orec::OrecStripe;
+use crate::serial::SerialLock;
+use crate::stats::StatBlock;
 
 /// The cache-line size every padded structure in this crate targets.
 pub const CACHE_LINE: usize = 64;
 
-/// Size in bytes of one commit-clock shard (timestamp + telemetry).
+/// Size in bytes of one commit-clock shard (the timestamp word, padded).
 pub const CLOCK_SHARD_SIZE: usize = std::mem::size_of::<ClockShard>();
 
 /// Alignment of one commit-clock shard.
@@ -32,3 +38,25 @@ pub const SEQLOCK_SIZE: usize = std::mem::size_of::<SeqLock>();
 
 /// Alignment of the NOrec sequence lock.
 pub const SEQLOCK_ALIGN: usize = std::mem::align_of::<SeqLock>();
+
+/// Alignment of the global serial lock (it owns its cache line).
+pub const SERIAL_LOCK_ALIGN: usize = std::mem::align_of::<SerialLock>();
+
+/// Alignment of the hourglass gate word (it owns its cache line).
+pub const HOURGLASS_ALIGN: usize = std::mem::align_of::<Hourglass>();
+
+/// Per-thread statistics blocks per runtime; a thread flushes its counters
+/// into block `thread ordinal % STAT_BLOCKS`.
+pub const STAT_BLOCKS: usize = crate::stats::STAT_BLOCKS;
+
+/// Size in bytes of one statistics block (a whole number of cache lines).
+pub const STAT_BLOCK_SIZE: usize = std::mem::size_of::<StatBlock>();
+
+/// Alignment of one statistics block.
+pub const STAT_BLOCK_ALIGN: usize = std::mem::align_of::<StatBlock>();
+
+/// Whether the runtime's read-mostly configuration words (live algorithm,
+/// live contention manager, serial-lock mode) share no cache line with a
+/// word transactions write (serial lock, hourglass gate, seqlock). Also a
+/// build-time assertion next to the runtime's definition.
+pub const RT_CONFIG_WORDS_ISOLATED: bool = crate::runtime::CONFIG_WORDS_ISOLATED;

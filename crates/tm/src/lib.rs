@@ -79,6 +79,7 @@ mod orec;
 mod runtime;
 mod serial;
 mod stats;
+pub mod sync_count;
 mod txn;
 mod word;
 

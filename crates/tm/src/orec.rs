@@ -38,6 +38,8 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::sync_count::{self, SyncSite};
+
 /// Raw orec value.
 pub type OrecValue = u64;
 
@@ -167,6 +169,7 @@ impl OrecTable {
     /// Attempts to CAS the orec at `idx` from `current` to `new`.
     #[inline]
     pub fn try_update(&self, idx: usize, current: OrecValue, new: OrecValue) -> bool {
+        sync_count::rmw(SyncSite::Orec);
         self.stripes[idx / ORECS_PER_STRIPE].0[idx % ORECS_PER_STRIPE]
             .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
@@ -185,6 +188,7 @@ impl OrecTable {
     /// on the happy path.
     #[inline]
     pub fn note_conflict(&self, idx: usize) {
+        sync_count::rmw(SyncSite::OrecConflict);
         self.conflicts[idx / ORECS_PER_STRIPE].fetch_add(1, Ordering::Relaxed);
     }
 

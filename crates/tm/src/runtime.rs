@@ -7,15 +7,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::algo::{Algorithm, Engine};
-use crate::arena::Arena;
-use crate::clock::{ClockShardStats, SeqLock, ShardedClock, MAX_CLOCK_SHARDS};
+use crate::arena::{Arena, ThreadCtx};
+use crate::clock::{ClockCursor, ClockShardStats, SeqLock, ShardedClock, MAX_CLOCK_SHARDS};
 use crate::cm::{exponential_backoff, ContentionManager, Hourglass};
 use crate::cell::TCell;
 use crate::error::{Abort, Cancelled, TxError};
 use crate::fault::{self, FaultSite};
 use crate::orec::OrecTable;
 use crate::serial::{SerialLock, SerialLockMode};
-use crate::stats::{self, LivenessSnapshot, StatsSnapshot, TmStats};
+use crate::stats::{Counter, LivenessSnapshot, StatDeltas, StatsSnapshot, ThreadTally, TmStats};
 use crate::txn::{AtomicTx, RelaxedPlan, RelaxedTx, Transaction, TxInner};
 
 /// Bounds on a transaction's retry loop, for the `_with` entry points
@@ -72,6 +72,13 @@ impl TxOptions {
 }
 
 /// Shared state of one runtime. Engines and transactions hold `&RtInner`.
+///
+/// Every inline word a transaction *writes* — the serial lock, the
+/// hourglass gate, the sequence lock — is an `align(64)` type, so it owns
+/// its cache lines outright; the clock shards, orecs and stat blocks are
+/// separate allocations. What is left inline (the configuration words and
+/// the pointers to those allocations) is read-mostly and stays shared in
+/// every core's cache. [`CONFIG_WORDS_ISOLATED`] pins that.
 pub(crate) struct RtInner {
     /// Live algorithm, packed by [`Algorithm::encode`]. Atomic because
     /// [`TmRuntime::switch_config`] swaps it under the serial write lock;
@@ -88,8 +95,33 @@ pub(crate) struct RtInner {
     pub(crate) serial: SerialLock,
     pub(crate) hourglass: Hourglass,
     pub(crate) stats: TmStats,
-    next_tx_id: AtomicU64,
 }
+
+/// Whether `RtInner`'s read-mostly configuration words share no cache line
+/// with a word transactions write. Re-exported as
+/// [`crate::layout::RT_CONFIG_WORDS_ISOLATED`].
+pub(crate) const CONFIG_WORDS_ISOLATED: bool = {
+    use std::mem::{offset_of, size_of};
+    let config = [
+        offset_of!(RtInner, algo_code),
+        offset_of!(RtInner, cm_code),
+        offset_of!(RtInner, serial_mode),
+    ];
+    // Each an `align(64)` type of exactly one line.
+    let written = [
+        offset_of!(RtInner, serial),
+        offset_of!(RtInner, hourglass),
+        offset_of!(RtInner, seqlock),
+    ];
+    let mut ok = size_of::<SerialLock>() == 64 && size_of::<Hourglass>() == 64 && size_of::<SeqLock>() == 64;
+    let mut i = 0;
+    while i < config.len() * written.len() {
+        ok &= config[i / written.len()] / 64 != written[i % written.len()] / 64;
+        i += 1;
+    }
+    ok
+};
+const _: () = assert!(CONFIG_WORDS_ISOLATED, "a config word shares a line with a written word");
 
 impl RtInner {
     /// The live algorithm (may change between attempts, never within one).
@@ -249,8 +281,7 @@ impl TmRuntimeBuilder {
                 seqlock: SeqLock::new(),
                 serial: SerialLock::new(),
                 hourglass: Hourglass::new(),
-                stats: TmStats::default(),
-                next_tx_id: AtomicU64::new(1),
+                stats: TmStats::new(),
             }),
         }
     }
@@ -366,7 +397,9 @@ impl TmRuntime {
             }
             rt.algo_code.store(algorithm.encode(), Ordering::Release);
             rt.cm_code.store(cm.encode(), Ordering::Release);
-            rt.stats.bump(&rt.stats.config_switches);
+            let mut d = StatDeltas::default();
+            d.bump(Counter::config_switches);
+            ThreadCtx::with(|tc| rt.stats.flush(tc.ord, &mut d));
         }
         rt.serial.write_release();
         Ok(changed)
@@ -390,7 +423,20 @@ impl TmRuntime {
     /// Per-shard commit-clock counters: current timestamp, ticks issued,
     /// same-shard CAS retries, and cross-shard syncs, indexed by shard.
     pub fn clock_shard_stats(&self) -> Vec<ClockShardStats> {
-        self.inner.clock.shard_stats()
+        let rt = &*self.inner;
+        let n = rt.clock.shards();
+        // A thread's stat block index and its shard affinity are the same
+        // ordinal masked two ways, so shard k's telemetry is the fold of
+        // every n-th block from k.
+        let values = rt.clock.shard_values().enumerate();
+        values
+            .map(|(k, value)| ClockShardStats {
+                value,
+                ticks: rt.stats.shard_sum(Counter::shard_ticks, k, n),
+                cas_retries: rt.stats.shard_sum(Counter::shard_cas_losses, k, n),
+                syncs: rt.stats.shard_sum(Counter::clock_shard_syncs, k, n),
+            })
+            .collect()
     }
 
     /// The number of commit-clock shards this runtime was built with.
@@ -401,7 +447,7 @@ impl TmRuntime {
     /// The calling thread's commit-clock shard affinity under this
     /// runtime: commits from this thread CAS only that shard's line.
     pub fn current_thread_shard(&self) -> usize {
-        self.inner.clock.my_shard()
+        ThreadCtx::with(|tc| self.inner.clock.shard_of(tc.ord))
     }
 
     /// Per-stripe orec conflict tallies (locked-by-other and version
@@ -447,7 +493,12 @@ impl TmRuntime {
             // Advancing the clock (rather than just reading it) keeps the
             // invariant that a later `commit_tick` strictly exceeds this
             // stamp.
-            Algorithm::Eager | Algorithm::Lazy => rt.clock.tick(),
+            Algorithm::Eager | Algorithm::Lazy => ThreadCtx::with(|tc| {
+                let mut d = StatDeltas::default();
+                let t = rt.clock.tick(&ClockCursor::new(tc.ord), &mut d);
+                rt.stats.flush(tc.ord, &mut d);
+                t
+            }),
             // No committer bump: the caller serializes same-data effects
             // externally (its lock), and any transactional commit that
             // begins after this read bumps to at least this value + 2.
@@ -678,13 +729,14 @@ impl TmRuntime {
     /// A cheap progress probe for an external watchdog: pair two of these
     /// some interval apart and use [`LivenessSnapshot::stalled_since`] /
     /// [`LivenessSnapshot::abort_storm_since`] to detect a livelocked or
-    /// storming runtime. Costs a handful of relaxed atomic loads.
+    /// storming runtime. Costs relaxed atomic loads only: three counters
+    /// folded over the per-thread stat blocks, plus the clock words.
     pub fn liveness(&self) -> LivenessSnapshot {
         let rt = &*self.inner;
         LivenessSnapshot {
-            commits: rt.stats.commits.load(Ordering::Relaxed),
-            aborts: rt.stats.aborts.load(Ordering::Relaxed),
-            panic_aborts: rt.stats.panic_aborts.load(Ordering::Relaxed),
+            commits: rt.stats.sum(Counter::commits),
+            aborts: rt.stats.sum(Counter::aborts),
+            panic_aborts: rt.stats.sum(Counter::panic_aborts),
             clock: rt.clock.now(),
             seq: rt.seqlock.load(),
             hourglass_holder: rt.hourglass.holder(),
@@ -699,6 +751,12 @@ impl TmRuntime {
     /// commit path, the loop still holds the transaction state and can
     /// tear it down — replay undo, release orecs and the serial lock,
     /// reopen the hourglass — before resuming the unwind.
+    ///
+    /// The loop's own bookkeeping stays on memory this thread owns: the
+    /// transaction id comes from the thread's id block, every counter is
+    /// accumulated in the arena and flushed to the thread's stat block once
+    /// per attempt, and the hourglass word is written only by a transaction
+    /// that closed the gate itself.
     fn run_loop<'env, R, B>(
         &'env self,
         plan: RelaxedPlan,
@@ -709,135 +767,148 @@ impl TmRuntime {
     where
         B: FnMut(&mut TxInner<'env>) -> Result<R, Abort>,
     {
-        let rt: &'env RtInner = &self.inner;
-        let id = rt.next_tx_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let deadline = opts.deadline.map(|d| Instant::now() + d);
-        let mut consecutive_aborts: u32 = 0;
-        // This thread's log arena: cleared — not freed — between attempts,
-        // and returned to the thread-local cache at the end, so retries and
-        // successive transactions on one thread reuse all log storage (and
-        // the handler vectors' backing allocation, lifetime-erased while
-        // empty).
-        let mut arena = Arena::take();
-        let (mut commit_handlers, mut abort_handlers) = arena.take_handler_vecs();
-        loop {
-            if let ContentionManager::Hourglass(_) = rt.cm() {
-                if !rt.hourglass.wait_at_begin_until(id, deadline) {
-                    rt.stats.bump(&rt.stats.timeouts);
-                    arena.release(commit_handlers, abort_handlers);
-                    return Err(TxError::Timeout);
-                }
-            }
-            let mut inner = self.begin_attempt(
-                rt,
-                id,
-                plan,
-                ro,
-                consecutive_aborts,
-                arena,
-                commit_handlers,
-                abort_handlers,
-            );
-            // Body and commit point run under one catch_unwind: a panic
-            // anywhere before the commit point completes — user code, an
-            // engine read/write, commit-time validation, an injected fault
-            // — is recoverable because nothing has been published yet.
-            let attempt: Result<AttemptOutcome<R>, Box<dyn Any + Send>> =
-                catch_unwind(AssertUnwindSafe(|| match body(&mut inner) {
-                    Ok(r) => match self.commit_point(&mut inner) {
-                        Ok(()) => AttemptOutcome::Committed(r),
-                        Err(_) => AttemptOutcome::Aborted,
-                    },
-                    Err(Abort::Conflict) => {
-                        self.abort_point(&mut inner);
-                        AttemptOutcome::Aborted
-                    }
-                    Err(Abort::Cancelled) => {
-                        self.cancel_point(&mut inner);
-                        AttemptOutcome::Cancelled
-                    }
-                }));
-            let outcome = match attempt {
-                Ok(o) => o,
-                Err(payload) => {
-                    // Panic unwinding out of the attempt: replay the undo
-                    // log / drop buffered writes, release every orec and
-                    // the serial lock, run onAbort handlers, reopen the
-                    // hourglass, then resume the unwind with the runtime
-                    // fully usable by other threads.
-                    self.panic_point(&mut inner);
-                    let _ = self.run_abort_handlers(&mut inner);
+        // The transaction's one thread-local lookup.
+        ThreadCtx::with(|tc| {
+            let rt: &'env RtInner = &self.inner;
+            let id = tc.mint_tx_id();
+            let deadline = opts.deadline.map(|d| Instant::now() + d);
+            let mut consecutive_aborts: u32 = 0;
+            // Set once this transaction has closed the hourglass gate; only
+            // then does finishing touch the gate word again.
+            let mut holds_gate = false;
+            // This thread's log arena: cleared — not freed — between attempts,
+            // and returned to the thread's cache at the end, so retries and
+            // successive transactions on one thread reuse all log storage (and
+            // the handler vectors' backing allocation, lifetime-erased while
+            // empty).
+            let mut arena = tc.take_arena();
+            let (mut commit_handlers, mut abort_handlers) = arena.take_handler_vecs();
+            // Every way out of the loop: flush what the last attempt counted,
+            // reopen the gate if this transaction closed it, cache the arena.
+            let finish = |mut arena: Box<Arena>, ch, ah, holds_gate: bool| {
+                rt.stats.flush(tc.ord, &mut arena.logs.stats);
+                if holds_gate {
                     rt.hourglass.open_if_held(id);
-                    let ch = std::mem::take(&mut inner.commit_handlers);
-                    let ah = std::mem::take(&mut inner.abort_handlers);
-                    inner.arena.release(ch, ah);
+                }
+                tc.release(arena, ch, ah);
+            };
+            loop {
+                if let ContentionManager::Hourglass(_) = rt.cm() {
+                    if !rt.hourglass.wait_at_begin_until(id, deadline) {
+                        arena.logs.stats.bump(Counter::timeouts);
+                        finish(arena, commit_handlers, abort_handlers, holds_gate);
+                        return Err(TxError::Timeout);
+                    }
+                }
+                let mut inner = self.begin_attempt(
+                    rt,
+                    id,
+                    plan,
+                    ro,
+                    consecutive_aborts,
+                    arena,
+                    commit_handlers,
+                    abort_handlers,
+                );
+                // Body and commit point run under one catch_unwind: a panic
+                // anywhere before the commit point completes — user code, an
+                // engine read/write, commit-time validation, an injected fault
+                // — is recoverable because nothing has been published yet.
+                let attempt: Result<AttemptOutcome<R>, Box<dyn Any + Send>> =
+                    catch_unwind(AssertUnwindSafe(|| match body(&mut inner) {
+                        Ok(r) => match self.commit_point(tc, &mut inner) {
+                            Ok(()) => AttemptOutcome::Committed(r),
+                            Err(_) => AttemptOutcome::Aborted,
+                        },
+                        Err(Abort::Conflict) => {
+                            self.abort_point(tc, &mut inner, Counter::aborts);
+                            AttemptOutcome::Aborted
+                        }
+                        Err(Abort::Cancelled) => {
+                            self.cancel_point(&mut inner);
+                            AttemptOutcome::Cancelled
+                        }
+                    }));
+                let outcome = match attempt {
+                    Ok(o) => o,
+                    Err(payload) => {
+                        // Panic unwinding out of the attempt: replay the undo
+                        // log / drop buffered writes, release every orec and
+                        // the serial lock, run onAbort handlers, reopen the
+                        // hourglass, then resume the unwind with the runtime
+                        // fully usable by other threads.
+                        self.abort_point(tc, &mut inner, Counter::panic_aborts);
+                        let _ = self.run_abort_handlers(&mut inner);
+                        let ch = std::mem::take(&mut inner.commit_handlers);
+                        let ah = std::mem::take(&mut inner.abort_handlers);
+                        finish(inner.arena, ch, ah, holds_gate);
+                        resume_unwind(payload);
+                    }
+                };
+                // Handlers run outside the attempt's catch_unwind: by now the
+                // outcome is sealed, so a panicking onCommit handler must not
+                // (and cannot) roll back committed data. Each handler is
+                // caught individually; the first payload is re-thrown below
+                // after cleanup.
+                let handler_panic = match &outcome {
+                    AttemptOutcome::Committed(_) => self.run_commit_handlers(&mut inner),
+                    AttemptOutcome::Aborted | AttemptOutcome::Cancelled => {
+                        self.run_abort_handlers(&mut inner)
+                    }
+                };
+                // Recover the reusable storage from the finished attempt (the
+                // handler vectors were drained in place, keeping capacity).
+                commit_handlers = std::mem::take(&mut inner.commit_handlers);
+                abort_handlers = std::mem::take(&mut inner.abort_handlers);
+                arena = inner.arena;
+                if let Some(payload) = handler_panic {
+                    finish(arena, commit_handlers, abort_handlers, holds_gate);
                     resume_unwind(payload);
                 }
-            };
-            // Handlers run outside the attempt's catch_unwind: by now the
-            // outcome is sealed, so a panicking onCommit handler must not
-            // (and cannot) roll back committed data. Each handler is
-            // caught individually; the first payload is re-thrown below
-            // after cleanup.
-            let handler_panic = match &outcome {
-                AttemptOutcome::Committed(_) => self.run_commit_handlers(&mut inner),
-                AttemptOutcome::Aborted | AttemptOutcome::Cancelled => {
-                    self.run_abort_handlers(&mut inner)
-                }
-            };
-            // Recover the reusable storage from the finished attempt (the
-            // handler vectors were drained in place, keeping capacity).
-            commit_handlers = std::mem::take(&mut inner.commit_handlers);
-            abort_handlers = std::mem::take(&mut inner.abort_handlers);
-            arena = inner.arena;
-            if let Some(payload) = handler_panic {
-                rt.hourglass.open_if_held(id);
-                arena.release(commit_handlers, abort_handlers);
-                resume_unwind(payload);
-            }
-            match outcome {
-                AttemptOutcome::Committed(r) => {
-                    rt.hourglass.open_if_held(id);
-                    arena.release(commit_handlers, abort_handlers);
-                    return Ok(r);
-                }
-                AttemptOutcome::Cancelled => {
-                    rt.hourglass.open_if_held(id);
-                    arena.release(commit_handlers, abort_handlers);
-                    return Err(TxError::Cancelled);
-                }
-                AttemptOutcome::Aborted => {
-                    consecutive_aborts += 1;
-                    if let Some(max) = opts.max_retries {
-                        if consecutive_aborts > max {
-                            rt.stats.bump(&rt.stats.retry_limits);
-                            rt.hourglass.open_if_held(id);
-                            arena.release(commit_handlers, abort_handlers);
-                            return Err(TxError::RetryLimit { retries: max });
-                        }
+                match outcome {
+                    AttemptOutcome::Committed(r) => {
+                        finish(arena, commit_handlers, abort_handlers, holds_gate);
+                        return Ok(r);
                     }
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            rt.stats.bump(&rt.stats.timeouts);
-                            rt.hourglass.open_if_held(id);
-                            arena.release(commit_handlers, abort_handlers);
-                            return Err(TxError::Timeout);
-                        }
+                    AttemptOutcome::Cancelled => {
+                        finish(arena, commit_handlers, abort_handlers, holds_gate);
+                        return Err(TxError::Cancelled);
                     }
-                    match rt.cm() {
-                        ContentionManager::Backoff { max_shift } => {
-                            exponential_backoff(consecutive_aborts, max_shift, id, deadline);
-                        }
-                        ContentionManager::Hourglass(limit) => {
-                            if consecutive_aborts >= limit {
-                                rt.hourglass.try_close(id);
+                    AttemptOutcome::Aborted => {
+                        consecutive_aborts += 1;
+                        if let Some(max) = opts.max_retries {
+                            if consecutive_aborts > max {
+                                arena.logs.stats.bump(Counter::retry_limits);
+                                finish(arena, commit_handlers, abort_handlers, holds_gate);
+                                return Err(TxError::RetryLimit { retries: max });
                             }
                         }
-                        ContentionManager::None | ContentionManager::SerializeAfter(_) => {}
+                        if let Some(d) = deadline {
+                            if Instant::now() >= d {
+                                arena.logs.stats.bump(Counter::timeouts);
+                                finish(arena, commit_handlers, abort_handlers, holds_gate);
+                                return Err(TxError::Timeout);
+                            }
+                        }
+                        // The attempt's counts become visible before the retry,
+                        // so a watchdog polling `liveness` sees an abort storm
+                        // while it is still raging.
+                        rt.stats.flush(tc.ord, &mut arena.logs.stats);
+                        match rt.cm() {
+                            ContentionManager::Backoff { max_shift } => {
+                                exponential_backoff(consecutive_aborts, max_shift, id, deadline);
+                            }
+                            ContentionManager::Hourglass(limit) => {
+                                if !holds_gate && consecutive_aborts >= limit {
+                                    holds_gate = rt.hourglass.try_close(id);
+                                }
+                            }
+                            ContentionManager::None | ContentionManager::SerializeAfter(_) => {}
+                        }
                     }
                 }
             }
-        }
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -848,12 +919,12 @@ impl TmRuntime {
         plan: RelaxedPlan,
         ro: bool,
         consecutive_aborts: u32,
-        arena: Box<Arena>,
+        mut arena: Box<Arena>,
         commit_handlers: Vec<Box<dyn FnOnce() + 'env>>,
         abort_handlers: Vec<Box<dyn FnOnce() + 'env>>,
     ) -> TxInner<'env> {
         debug_assert!(arena.logs.writes.is_empty() && arena.logs.reads.is_empty());
-        rt.stats.bump(&rt.stats.begins);
+        arena.logs.stats.bump(Counter::begins);
         let serialize_by_cm =
             matches!(rt.cm(), ContentionManager::SerializeAfter(n) if consecutive_aborts >= n);
         let serialize = plan.start_serial || serialize_by_cm;
@@ -869,11 +940,11 @@ impl TmRuntime {
                 ),
             }
             rt.serial.write_acquire();
-            if plan.start_serial {
-                rt.stats.bump(&rt.stats.start_serial);
+            arena.logs.stats.bump(if plan.start_serial {
+                Counter::start_serial
             } else {
-                rt.stats.bump(&rt.stats.abort_serial);
-            }
+                Counter::abort_serial
+            });
             TxInner {
                 rt,
                 id,
@@ -899,7 +970,7 @@ impl TmRuntime {
             TxInner {
                 rt,
                 id,
-                engine: Engine::begin(rt, id),
+                engine: Engine::begin(rt, id, &arena.logs),
                 arena,
                 irrevocable: false,
                 // Every retry re-enters the fast lane: a promotion is
@@ -917,14 +988,14 @@ impl TmRuntime {
     /// `Err` the attempt has been fully aborted (engine contract: a failed
     /// `commit` has already rolled back). Handlers run later, outside the
     /// attempt's `catch_unwind`.
-    fn commit_point(&self, inner: &mut TxInner<'_>) -> Result<(), Abort> {
+    fn commit_point(&self, tc: &ThreadCtx, inner: &mut TxInner<'_>) -> Result<(), Abort> {
         let rt = inner.rt;
         let read_only = inner.engine.is_read_only(&inner.arena.logs) && !inner.irrevocable;
         let stamp = match inner.engine.commit(rt, &mut inner.arena.logs) {
             Ok(s) => s,
             Err(e) => {
                 // Engine rolled itself back; finish the bookkeeping.
-                self.abort_point(inner);
+                self.abort_point(tc, inner, Counter::aborts);
                 return Err(e);
             }
         };
@@ -938,7 +1009,10 @@ impl TmRuntime {
         let stamp = if matches!(inner.engine, Engine::Serial) && !inner.commit_handlers.is_empty()
         {
             match rt.algorithm() {
-                Algorithm::Eager | Algorithm::Lazy => rt.clock.tick(),
+                Algorithm::Eager | Algorithm::Lazy => {
+                    let bufs = &mut inner.arena.logs;
+                    rt.clock.tick(&bufs.clock, &mut bufs.stats)
+                }
                 Algorithm::Norec => {
                     let s = rt.seqlock.wait_even();
                     // Cannot spin: no committer can hold the sequence lock
@@ -952,58 +1026,49 @@ impl TmRuntime {
         } else {
             stamp
         };
-        LAST_COMMIT_STAMP.with(|c| c.set(stamp));
+        tc.last_commit_stamp.set(stamp);
         inner.release_serial();
-        rt.stats.bump(&rt.stats.commits);
+        let stats = &mut inner.arena.logs.stats;
+        stats.bump(Counter::commits);
         if read_only {
-            rt.stats.bump(&rt.stats.read_only_commits);
+            stats.bump(Counter::read_only_commits);
             if inner.ro {
                 // Fast lane held to the end: never acquired an orec, never
                 // logged an undo/redo entry, committed on the engines'
                 // single-fence read-only path.
-                rt.stats.bump(&rt.stats.ro_fast_commits);
+                stats.bump(Counter::ro_fast_commits);
             }
         }
         if inner.irrevocable {
-            rt.stats.bump(&rt.stats.irrevocable_commits);
+            stats.bump(Counter::irrevocable_commits);
         }
-        flush_op_tallies(inner);
-        stats::tally_commit();
+        let t = tc.tally.get();
+        tc.tally.set(ThreadTally { commits: t.commits + 1, ..t });
         Ok(())
     }
 
-    fn abort_point(&self, inner: &mut TxInner<'_>) {
-        let rt = inner.rt;
-        inner.engine.rollback(rt, &mut inner.arena.logs);
-        inner.release_serial();
-        rt.stats.bump(&rt.stats.aborts);
-        flush_op_tallies(inner);
-        stats::tally_abort();
-    }
-
-    fn cancel_point(&self, inner: &mut TxInner<'_>) {
-        let rt = inner.rt;
-        inner.engine.rollback(rt, &mut inner.arena.logs);
-        inner.release_serial();
-        rt.stats.bump(&rt.stats.cancels);
-        flush_op_tallies(inner);
-    }
-
-    /// Tears down an attempt that a panic is unwinding out of: replay the
-    /// undo log / drop buffered writes and release every orec (engine
-    /// rollback), release the serial lock, count a `panic_abort`.
+    /// Tears down an attempt that will not commit — a conflict
+    /// (`Counter::aborts`) or a panic unwinding out of it
+    /// (`Counter::panic_aborts`): replay the undo log / drop buffered
+    /// writes and release every orec (engine rollback), release the serial
+    /// lock, count the abort under `cause`.
     ///
     /// For a serial-irrevocable attempt the engine rollback is a no-op —
     /// uninstrumented direct writes cannot be undone, exactly like a panic
     /// inside a lock-based critical section — but the serial lock is
     /// released so every other thread keeps running.
-    fn panic_point(&self, inner: &mut TxInner<'_>) {
-        let rt = inner.rt;
-        inner.engine.rollback(rt, &mut inner.arena.logs);
+    fn abort_point(&self, tc: &ThreadCtx, inner: &mut TxInner<'_>, cause: Counter) {
+        inner.engine.rollback(inner.rt, &mut inner.arena.logs);
         inner.release_serial();
-        rt.stats.bump(&rt.stats.panic_aborts);
-        flush_op_tallies(inner);
-        stats::tally_abort();
+        inner.arena.logs.stats.bump(cause);
+        let t = tc.tally.get();
+        tc.tally.set(ThreadTally { aborts: t.aborts + 1, ..t });
+    }
+
+    fn cancel_point(&self, inner: &mut TxInner<'_>) {
+        inner.engine.rollback(inner.rt, &mut inner.arena.logs);
+        inner.release_serial();
+        inner.arena.logs.stats.bump(Counter::cancels);
     }
 
     /// Runs (drains) the `onCommit` handlers. Each handler is caught
@@ -1015,13 +1080,12 @@ impl TmRuntime {
     /// Handler vectors are drained in place (not `mem::take`n) so their
     /// backing storage survives into the next attempt / transaction.
     fn run_commit_handlers(&self, inner: &mut TxInner<'_>) -> Option<Box<dyn Any + Send>> {
-        let rt = inner.rt;
-        rt.stats
-            .add(&rt.stats.commit_handlers_run, inner.commit_handlers.len() as u64);
+        let stats = &mut inner.arena.logs.stats;
+        stats.add(Counter::commit_handlers_run, inner.commit_handlers.len() as u64);
         inner.abort_handlers.clear();
         let mut first_panic = None;
         for h in inner.commit_handlers.drain(..) {
-            run_handler(rt, h, &mut first_panic);
+            run_handler(stats, h, &mut first_panic);
         }
         first_panic
     }
@@ -1029,23 +1093,15 @@ impl TmRuntime {
     /// Runs (drains) the `onAbort` handlers; same panic semantics as
     /// [`TmRuntime::run_commit_handlers`].
     fn run_abort_handlers(&self, inner: &mut TxInner<'_>) -> Option<Box<dyn Any + Send>> {
-        let rt = inner.rt;
-        rt.stats
-            .add(&rt.stats.abort_handlers_run, inner.abort_handlers.len() as u64);
+        let stats = &mut inner.arena.logs.stats;
+        stats.add(Counter::abort_handlers_run, inner.abort_handlers.len() as u64);
         inner.commit_handlers.clear();
         let mut first_panic = None;
         for h in inner.abort_handlers.drain(..) {
-            run_handler(rt, h, &mut first_panic);
+            run_handler(stats, h, &mut first_panic);
         }
         first_panic
     }
-}
-
-thread_local! {
-    /// The commit stamp of this thread's most recent committed attempt,
-    /// published by `commit_point` before the serial lock is released and
-    /// before onCommit handlers run.
-    static LAST_COMMIT_STAMP: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The commit stamp of the calling thread's most recently committed
@@ -1061,28 +1117,11 @@ thread_local! {
 ///
 /// Returns 0 if the thread has never committed.
 pub fn last_commit_stamp() -> u64 {
-    LAST_COMMIT_STAMP.with(|c| c.get())
-}
-
-/// Drains the attempt's per-operation tallies (read-log dedup hits,
-/// snapshot extensions) into the shared counters. Accumulating in the
-/// arena and flushing once per attempt keeps shared-atomic traffic off the
-/// read hot path; the tallies survive the engine's `bufs.clear()` exactly
-/// so this can run after commit/rollback.
-fn flush_op_tallies(inner: &mut TxInner<'_>) {
-    let rt = inner.rt;
-    let t = inner.arena.logs.take_op_tallies();
-    rt.stats.add(&rt.stats.read_log_dedup_hits, t.dedup_hits);
-    rt.stats.add(&rt.stats.snapshot_extensions, t.extensions);
-    rt.stats.add(&rt.stats.silent_store_elisions, t.silent_elisions);
-    rt.stats.add(&rt.stats.clock_tick_elisions, t.clock_elisions);
-    rt.stats.add(&rt.stats.clock_cas_retries, t.clock_retries);
-    rt.stats.add(&rt.stats.clock_shard_syncs, t.shard_syncs);
-    rt.stats.add(&rt.stats.seqlock_bump_elisions, t.seqlock_elisions);
+    ThreadCtx::with(|tc| tc.last_commit_stamp.get())
 }
 
 fn run_handler<'e>(
-    rt: &RtInner,
+    stats: &mut StatDeltas,
     h: Box<dyn FnOnce() + 'e>,
     first_panic: &mut Option<Box<dyn Any + Send>>,
 ) {
@@ -1093,7 +1132,7 @@ fn run_handler<'e>(
         h();
     }));
     if let Err(p) = r {
-        rt.stats.bump(&rt.stats.handler_panics);
+        stats.bump(Counter::handler_panics);
         if first_panic.is_none() {
             *first_panic = Some(p);
         }
@@ -1331,7 +1370,7 @@ mod tests {
                         rt.inner.seqlock.end_commit(snap);
                     }
                     _ => {
-                        rt.inner.clock.tick();
+                        rt.mint_commit_stamp();
                     }
                 }
                 Ok(())

@@ -12,6 +12,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
+use crate::sync_count::{self, SyncSite};
+
 /// Whether transactions take the global serial lock at begin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum SerialLockMode {
@@ -29,8 +31,10 @@ const WRITER: u64 = 1 << 63;
 
 /// A writer-preferring readers/writer spinlock with the contention profile
 /// of GCC's `gtm_serial_lock`: one shared cache line touched by every
-/// transaction begin/end.
+/// transaction begin/end — and, being `align(64)`, no other word of the
+/// runtime on it.
 #[derive(Default)]
+#[repr(align(64))]
 pub struct SerialLock {
     /// Bit 63: writer held or pending. Low bits: active reader count.
     state: AtomicU64,
@@ -51,13 +55,15 @@ impl SerialLock {
         let mut spins = 0u32;
         loop {
             let s = self.state.load(Ordering::Acquire);
-            if s & WRITER == 0
-                && self
+            if s & WRITER == 0 {
+                sync_count::rmw(SyncSite::SerialLock);
+                if self
                     .state
                     .compare_exchange_weak(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
-            {
-                return;
+                {
+                    return;
+                }
             }
             backoff(&mut spins);
         }
@@ -65,6 +71,7 @@ impl SerialLock {
 
     /// Releases a read acquisition.
     pub fn read_release(&self) {
+        sync_count::rmw(SyncSite::SerialLock);
         let prev = self.state.fetch_sub(1, Ordering::AcqRel);
         debug_assert_ne!(prev & !WRITER, 0, "read_release without read_acquire");
     }
@@ -75,6 +82,7 @@ impl SerialLock {
         // Claim the writer bit, waiting out any current writer.
         let mut spins = 0u32;
         loop {
+            sync_count::rmw(SyncSite::SerialLock);
             let s = self.state.fetch_or(WRITER, Ordering::AcqRel);
             if s & WRITER == 0 {
                 break;
@@ -90,6 +98,7 @@ impl SerialLock {
 
     /// Releases a write acquisition.
     pub fn write_release(&self) {
+        sync_count::rmw(SyncSite::SerialLock);
         let prev = self.state.fetch_and(!WRITER, Ordering::AcqRel);
         debug_assert_ne!(prev & WRITER, 0, "write_release without write_acquire");
     }

@@ -10,12 +10,30 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::arena::ThreadCtx;
+use crate::layout::CACHE_LINE;
+use crate::sync_count::{self, SyncSite};
+
+/// Statistics blocks per runtime. A thread flushes into block
+/// `ordinal % STAT_BLOCKS`; at least [`crate::MAX_CLOCK_SHARDS`] blocks, so
+/// a block's index also names the commit-clock shard of every thread that
+/// writes it (the per-shard telemetry is folded from the blocks).
+pub(crate) const STAT_BLOCKS: usize = 64;
+const _: () = assert!(STAT_BLOCKS.is_power_of_two() && STAT_BLOCKS >= crate::MAX_CLOCK_SHARDS);
+
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident),* $(,)?) => {
-        /// Live atomic counters owned by a [`crate::TmRuntime`].
-        #[derive(Default)]
-        pub struct TmStats {
-            $($(#[$doc])* pub(crate) $name: AtomicU64,)*
+        /// Index of one counter in a [`StatBlock`] / [`StatDeltas`]: the
+        /// public counters in declaration order, then the per-clock-shard
+        /// telemetry behind [`crate::ClockShardStats`].
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub(crate) enum Counter {
+            $($name,)*
+            /// Commit/rollback ticks issued on the thread's clock shard.
+            shard_ticks,
+            /// Clock CASes lost to a thread of the same shard affinity.
+            shard_cas_losses,
         }
 
         /// A point-in-time copy of the runtime counters, suitable for diffing.
@@ -25,10 +43,10 @@ macro_rules! counters {
         }
 
         impl TmStats {
-            /// Copies every counter.
+            /// Folds every block into one copy of the counters.
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    $($name: self.sum(Counter::$name),)*
                 }
             }
         }
@@ -138,17 +156,87 @@ counters! {
     config_switches,
 }
 
-impl TmStats {
+const NCOUNTERS: usize = Counter::shard_cas_losses as usize + 1;
+const _: () = assert!(NCOUNTERS <= u32::BITS as usize, "StatDeltas::dirty is a u32 mask");
+
+/// One thread's slice of a runtime's counters: whole cache lines that only
+/// threads of one ordinal residue ever write, so a transaction's
+/// bookkeeping never invalidates a line under another core.
+#[repr(align(64))]
+pub(crate) struct StatBlock([AtomicU64; NCOUNTERS]);
+
+const _: () = assert!(std::mem::align_of::<StatBlock>() == CACHE_LINE, "StatBlock must start a cache line");
+const _: () = assert!(std::mem::size_of::<StatBlock>().is_multiple_of(CACHE_LINE), "StatBlock must end on a cache line");
+
+/// The counters an attempt accumulates privately (in the thread's arena)
+/// before [`TmStats::flush`] adds them to the thread's [`StatBlock`].
+#[derive(Debug, Default)]
+pub(crate) struct StatDeltas {
+    counts: [u64; NCOUNTERS],
+    /// Bit `c` set iff `counts[c] != 0`, so a flush visits only the few
+    /// counters an attempt touched.
+    dirty: u32,
+}
+
+impl StatDeltas {
     #[inline]
-    pub(crate) fn bump(&self, c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn bump(&mut self, c: Counter) {
+        self.add(c, 1);
     }
 
     #[inline]
-    pub(crate) fn add(&self, c: &AtomicU64, n: u64) {
-        if n != 0 {
-            c.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add(&mut self, c: Counter, n: u64) {
+        self.counts[c as usize] += n;
+        self.dirty |= u32::from(n != 0) << c as u32;
+    }
+
+    /// The unflushed count of `c`.
+    #[cfg(test)]
+    pub(crate) fn get(&self, c: Counter) -> u64 {
+        self.counts[c as usize]
+    }
+}
+
+/// Live counters owned by a [`crate::TmRuntime`]: [`STAT_BLOCKS`]
+/// per-thread blocks, folded on read. Counts are exact for any number of
+/// threads — threads whose ordinals collide on a block add to it
+/// atomically, and a thread's counts outlive it because the runtime, not
+/// the thread, owns the block.
+pub(crate) struct TmStats {
+    blocks: Box<[StatBlock]>,
+}
+
+impl TmStats {
+    pub(crate) fn new() -> Self {
+        TmStats {
+            blocks: (0..STAT_BLOCKS)
+                .map(|_| StatBlock(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
         }
+    }
+
+    /// Adds `d` to the block of the thread with ordinal `ord` and zeroes it.
+    #[inline]
+    pub(crate) fn flush(&self, ord: u64, d: &mut StatDeltas) {
+        let block = &self.blocks[ord as usize % STAT_BLOCKS];
+        while d.dirty != 0 {
+            let c = d.dirty.trailing_zeros() as usize;
+            d.dirty &= d.dirty - 1;
+            sync_count::rmw(SyncSite::Stats);
+            block.0[c].fetch_add(std::mem::take(&mut d.counts[c]), Ordering::Relaxed);
+        }
+    }
+
+    /// One counter summed over every block.
+    pub(crate) fn sum(&self, c: Counter) -> u64 {
+        self.shard_sum(c, 0, 1)
+    }
+
+    /// One counter summed over the blocks of threads whose commit-clock
+    /// affinity is `shard` of `nshards` (a power of two `<= STAT_BLOCKS`).
+    pub(crate) fn shard_sum(&self, c: Counter, shard: usize, nshards: usize) -> u64 {
+        let blocks = self.blocks.iter().skip(shard).step_by(nshards);
+        blocks.map(|b| b.0[c as usize].load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -207,9 +295,9 @@ impl fmt::Display for StatsSnapshot {
 /// A cheap progress probe for the livelock watchdog: pair two snapshots
 /// taken some interval apart and ask whether the runtime made progress.
 ///
-/// Everything here is a relaxed atomic load — taking a snapshot costs a
-/// handful of reads and never blocks, so an external watchdog thread can
-/// poll at any frequency. See [`crate::TmRuntime::liveness`].
+/// Everything here is a relaxed atomic load — taking a snapshot folds
+/// three counters over the per-thread stat blocks and never blocks or
+/// writes, so an external watchdog thread can poll at any frequency. See [`crate::TmRuntime::liveness`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LivenessSnapshot {
     /// Committed transactions so far.
@@ -254,10 +342,6 @@ impl LivenessSnapshot {
     }
 }
 
-thread_local! {
-    static THREAD_TALLY: std::cell::Cell<ThreadTally> = const { std::cell::Cell::new(ThreadTally { commits: 0, aborts: 0 }) };
-}
-
 /// Per-thread commit/abort tallies, used by the Figure 11 harness to report
 /// the cross-thread abort-rate variance the paper discusses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -268,25 +352,9 @@ pub struct ThreadTally {
     pub aborts: u64,
 }
 
-pub(crate) fn tally_commit() {
-    THREAD_TALLY.with(|t| {
-        let mut v = t.get();
-        v.commits += 1;
-        t.set(v);
-    });
-}
-
-pub(crate) fn tally_abort() {
-    THREAD_TALLY.with(|t| {
-        let mut v = t.get();
-        v.aborts += 1;
-        t.set(v);
-    });
-}
-
 /// Returns and resets the calling thread's commit/abort tally.
 pub fn take_thread_tally() -> ThreadTally {
-    THREAD_TALLY.with(|t| t.replace(ThreadTally::default()))
+    ThreadCtx::with(|tc| tc.tally.take())
 }
 
 #[cfg(test)]
@@ -295,16 +363,132 @@ mod tests {
 
     #[test]
     fn snapshot_and_diff() {
-        let s = TmStats::default();
-        s.bump(&s.commits);
-        s.bump(&s.commits);
-        s.bump(&s.aborts);
+        let s = TmStats::new();
+        let mut d = StatDeltas::default();
+        d.add(Counter::commits, 2);
+        d.bump(Counter::aborts);
+        s.flush(0, &mut d);
         let a = s.snapshot();
-        s.bump(&s.commits);
+        d.bump(Counter::commits);
+        s.flush(0, &mut d);
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.commits, 1);
         assert_eq!(d.aborts, 0);
+    }
+
+    #[test]
+    fn flush_drains_the_deltas_and_folds_across_blocks() {
+        let s = TmStats::new();
+        let mut d = StatDeltas::default();
+        // Two "threads" on different blocks, a third colliding with the
+        // first (ordinal one full turn of the blocks later).
+        for ord in [3, 4, 3 + STAT_BLOCKS as u64] {
+            d.add(Counter::commits, 10);
+            d.add(Counter::read_log_dedup_hits, 0); // must not mark dirty
+            d.bump(Counter::shard_ticks);
+            s.flush(ord, &mut d);
+            assert_eq!(d.dirty, 0);
+            assert_eq!(d.get(Counter::commits), 0, "flush must zero what it moved");
+        }
+        assert_eq!(s.snapshot().commits, 30);
+        assert_eq!(s.sum(Counter::shard_ticks), 3);
+        // Per-shard fold: with 8 shards, ordinals 3 and 67 are shard 3.
+        assert_eq!(s.shard_sum(Counter::shard_ticks, 3, 8), 2);
+        assert_eq!(s.shard_sum(Counter::shard_ticks, 4, 8), 1);
+        assert_eq!(s.shard_sum(Counter::shard_ticks, 5, 8), 0);
+        assert_eq!(s.shard_sum(Counter::shard_ticks, 0, 1), 3, "one shard owns every block");
+    }
+
+    /// More short-lived threads than there are stat blocks, each gone by
+    /// the time the counters are read: nothing is lost to a block shared
+    /// between threads or to a thread's exit.
+    #[test]
+    fn counts_are_exact_with_more_threads_than_blocks() {
+        use crate::{Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction};
+        const THREADS: u64 = STAT_BLOCKS as u64 + 8;
+        const TXNS: u64 = 1_000;
+        let rt = TmRuntime::builder()
+            .algorithm(Algorithm::Eager)
+            .contention_manager(ContentionManager::None)
+            .serial_lock(SerialLockMode::None)
+            .build();
+        let cells: Vec<TCell<u64>> = (0..THREADS).map(|_| TCell::new(0)).collect();
+        let hot = TCell::new(0u64);
+        let (rt, hot) = (&rt, &hot);
+        // Eight at a time, so threads of one wave run concurrently and
+        // later waves land on blocks earlier threads already wrote.
+        for wave in cells.chunks(8) {
+            std::thread::scope(|s| {
+                for c in wave {
+                    s.spawn(move || {
+                        for i in 0..TXNS {
+                            // Mostly private, sometimes a shared word, so
+                            // the run has real aborts to account for.
+                            rt.atomic(|tx| {
+                                if i % 16 == 0 {
+                                    tx.fetch_add(hot, 1)?;
+                                }
+                                tx.fetch_add(c, 1)
+                            });
+                        }
+                    });
+                }
+            });
+        }
+        let s = rt.stats();
+        assert_eq!(s.commits, THREADS * TXNS);
+        assert_eq!(s.begins, s.commits + s.aborts);
+        assert_eq!(hot.load_direct(), THREADS * TXNS.div_ceil(16));
+        let ticks: u64 = rt.clock_shard_stats().iter().map(|k| k.ticks).sum();
+        assert!(ticks >= s.commits, "every writer commit (and eager rollback) ticks a shard");
+    }
+
+    #[test]
+    fn two_runtimes_on_one_thread_keep_separate_counts() {
+        use crate::{TCell, TmRuntime, Transaction};
+        let (a, b) = (TmRuntime::default_runtime(), TmRuntime::default_runtime());
+        let c = TCell::new(0u64);
+        for i in 0..30u64 {
+            let rt = if i % 3 == 0 { &a } else { &b };
+            rt.atomic(|tx| tx.fetch_add(&c, 1));
+            let _ = a.atomic_ro(|tx| tx.read(&c));
+        }
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!((sa.commits, sa.ro_fast_commits), (10 + 30, 30));
+        assert_eq!((sb.commits, sb.ro_fast_commits), (20, 0));
+        assert_eq!(sa.begins + sb.begins, 60);
+    }
+
+    /// `liveness()` reads the folded counters: a retry storm that never
+    /// commits shows as stalled *while it runs*, and stops showing once a
+    /// commit lands.
+    #[test]
+    fn liveness_detectors_work_from_folded_counters() {
+        use crate::{Abort, TCell, TmRuntime, Transaction, TxOptions};
+        let rt = TmRuntime::default_runtime();
+        let c = TCell::new(0u64);
+        let before = rt.liveness();
+        let mut mid = None;
+        let r = rt.atomic_with(TxOptions::new().max_retries(200), |tx| {
+            tx.read(&c)?;
+            // Sampled from inside a late attempt: the earlier attempts'
+            // aborts must already be visible.
+            if mid.is_none() && rt.liveness().aborts >= 100 {
+                mid = Some(rt.liveness());
+            }
+            Err::<(), _>(Abort::Conflict)
+        });
+        assert!(r.is_err());
+        let mid = mid.expect("aborts must become visible between attempts");
+        assert!(mid.stalled_since(&before));
+        assert!(mid.abort_storm_since(&before, 50));
+        let after = rt.liveness();
+        assert_eq!(after.aborts - before.aborts, 201);
+        rt.atomic(|tx| tx.write(&c, 1));
+        let done = rt.liveness();
+        assert!(!done.stalled_since(&after), "a commit ends the stall");
+        assert!(!done.abort_storm_since(&after, 50));
     }
 
     #[test]
@@ -396,9 +580,18 @@ mod tests {
 
     #[test]
     fn thread_tally_take_resets() {
-        tally_commit();
-        tally_abort();
-        tally_abort();
+        use crate::{Abort, TCell, TmRuntime, Transaction};
+        let rt = TmRuntime::default_runtime();
+        let c = TCell::new(0u64);
+        let _ = take_thread_tally();
+        let mut attempts = 0;
+        rt.atomic(|tx| {
+            attempts += 1;
+            if attempts <= 2 {
+                return Err(Abort::Conflict);
+            }
+            tx.write(&c, 1)
+        });
         let t = take_thread_tally();
         assert_eq!(t, ThreadTally { commits: 1, aborts: 2 });
         assert_eq!(take_thread_tally(), ThreadTally::default());

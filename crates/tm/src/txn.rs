@@ -25,6 +25,7 @@ use crate::cell::{TBytes, TCell, TWord};
 use crate::error::Abort;
 use crate::runtime::RtInner;
 use crate::serial::SerialLockMode;
+use crate::stats::Counter;
 use crate::word::Word;
 
 mod sealed {
@@ -434,7 +435,7 @@ impl<'env> TxInner<'env> {
             // valid (it is the same invisible-read log either way), so
             // promotion costs exactly one branch plus a stat.
             self.ro = false;
-            self.rt.stats.bump(&self.rt.stats.ro_promotions);
+            self.arena.logs.stats.bump(Counter::ro_promotions);
         }
         self.engine.write_word(self.rt, &mut self.arena.logs, w.addr(), v)
     }
@@ -476,12 +477,12 @@ impl<'env> TxInner<'env> {
                     Ok(()) => {
                         self.holds_write = true;
                         self.irrevocable = true;
-                        self.rt.stats.bump(&self.rt.stats.in_flight_switch);
+                        self.arena.logs.stats.bump(Counter::in_flight_switch);
                         Ok(())
                     }
                     Err(e) => {
                         self.rt.serial.write_release();
-                        self.rt.stats.bump(&self.rt.stats.failed_switches);
+                        self.arena.logs.stats.bump(Counter::failed_switches);
                         Err(e)
                     }
                 }

@@ -5,7 +5,7 @@
 //! is compiled out.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use tm::{
     last_commit_stamp, Algorithm, ContentionManager, SerialLockMode, SwitchError, TCell, TmRuntime,
@@ -131,13 +131,19 @@ fn switch_storm_under_mixed_load() {
     let cells: Vec<TCell<u64>> = (0..8).map(|_| TCell::new(0)).collect();
     let done = AtomicBool::new(false);
     let switches = AtomicU64::new(0);
+    // Workers start only after the switcher's first successful switch:
+    // on a fast runtime they could otherwise finish — and the watcher set
+    // `done` — before the switcher thread had run at all.
+    let first_switch = Barrier::new(4);
     std::thread::scope(|s| {
         let rt = &rt;
         let cells = &cells[..];
         let done = &done;
         let switches = &switches;
+        let first_switch = &first_switch;
         for w in 0..3usize {
             s.spawn(move || {
+                first_switch.wait();
                 for i in 0..400u64 {
                     if (i + w as u64) % 4 == 0 {
                         // Read-only sweep: all cells move together below.
@@ -163,17 +169,13 @@ fn switch_storm_under_mixed_load() {
             let mut k = 0usize;
             while !done.load(Ordering::Acquire) {
                 let (a, cm) = plans[k % plans.len()];
-                if rt.switch_config(a, cm).unwrap() {
-                    switches.fetch_add(1, Ordering::Relaxed);
+                if rt.switch_config(a, cm).unwrap() && switches.fetch_add(1, Ordering::Relaxed) == 0 {
+                    first_switch.wait();
                 }
                 k += 1;
                 std::thread::yield_now();
             }
         });
-        for w in 0..3usize {
-            // Each worker writes 400 - its read-only share.
-            let _ = w;
-        }
         // Workers joined when the non-switcher spawns finish; signal the
         // switcher via `done` after they do by joining through the scope:
         // the scope joins all threads, so flip `done` from a watcher.

@@ -10,7 +10,7 @@
 //! stripes out at the advertised granularity.
 
 use tm::layout;
-use tm::{Algorithm, ContentionManager, SerialLockMode, TmRuntime};
+use tm::{Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction};
 
 #[test]
 fn clock_shards_are_exactly_one_cache_line() {
@@ -21,6 +21,54 @@ fn clock_shards_are_exactly_one_cache_line() {
     // this test runs.
     assert_eq!(layout::CLOCK_SHARD_SIZE, layout::CACHE_LINE);
     assert_eq!(layout::CLOCK_SHARD_ALIGN, layout::CACHE_LINE);
+}
+
+#[test]
+fn clock_shard_telemetry_lives_in_the_stat_blocks() {
+    // The shard line holds the timestamp and nothing else (an exhaustive
+    // destructuring next to `ClockShard` stops the build if a field is
+    // added): every committer scans every shard line, so a counter bumped
+    // there would dirty it once more per commit. The per-shard numbers
+    // are folded from the committing threads' stat blocks instead — which
+    // only works while a block index determines a shard.
+    assert!(layout::STAT_BLOCKS.is_power_of_two());
+    assert!(layout::STAT_BLOCKS >= tm::MAX_CLOCK_SHARDS);
+    let rt = TmRuntime::builder()
+        .contention_manager(ContentionManager::None)
+        .serial_lock(SerialLockMode::None)
+        .clock_shards(8)
+        .build();
+    let c = TCell::new(0u64);
+    for i in 1..=5u64 {
+        rt.atomic(|tx| tx.write(&c, i));
+    }
+    let mine = rt.current_thread_shard();
+    for (k, s) in rt.clock_shard_stats().iter().enumerate() {
+        assert_eq!(s.ticks, if k == mine { 5 } else { 0 }, "shard {k}");
+        assert_eq!(s.value != 0, k == mine, "shard {k}");
+    }
+}
+
+#[test]
+fn stat_blocks_are_whole_aligned_cache_lines() {
+    // A thread's counters must never share a line with another thread's
+    // (or with anything else): the block starts a line and ends on one.
+    assert_eq!(layout::STAT_BLOCK_ALIGN, layout::CACHE_LINE);
+    assert_eq!(layout::STAT_BLOCK_SIZE % layout::CACHE_LINE, 0);
+    assert!(layout::STAT_BLOCK_SIZE > 0);
+}
+
+#[test]
+fn config_words_share_no_line_with_a_written_word() {
+    // Every attempt loads the live algorithm, the live contention manager
+    // and the serial-lock mode. The words transactions *write* — serial
+    // lock, hourglass gate, seqlock — each own their line, so those loads
+    // stay cache hits however hard the written words bounce. (Stat blocks,
+    // clock shards and orecs are separate line-aligned allocations.)
+    assert_eq!(layout::SERIAL_LOCK_ALIGN, layout::CACHE_LINE);
+    assert_eq!(layout::HOURGLASS_ALIGN, layout::CACHE_LINE);
+    assert_eq!(layout::SEQLOCK_ALIGN, layout::CACHE_LINE);
+    assert!(layout::RT_CONFIG_WORDS_ISOLATED);
 }
 
 #[test]

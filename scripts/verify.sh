@@ -15,15 +15,26 @@ cargo build --workspace --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+# A single green pass of a parallelism-sensitive test proves little (this
+# one used to fail when the workers outran the switcher thread): loop the
+# test binary itself, without cargo's per-run overhead.
+echo "==> adapt_switch storm x200"
+STORM_BIN=$(cargo test --offline -p tm --test adapt_switch --no-run 2>&1 \
+    | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
+for i in $(seq 1 200); do
+    "$STORM_BIN" switch_storm_under_mixed_load > /dev/null 2>&1 || {
+        echo "adapt_switch::switch_storm_under_mixed_load failed on run $i of 200"; exit 1; }
+done
+
 echo "==> stress smoke (${STRESS_SECONDS}s, every algorithm/lock/CM combo; mixed, read-mostly, write-heavy and contended-commit schedules per seed)"
 cargo run --release --offline -p testkit --bin stress -- --seconds "$STRESS_SECONDS"
 
 # Chaos tier: the same 21-combo matrix with tm's deterministic fault
 # injection armed (spurious aborts, delays, panics) and the ticket oracle
-# still on. Separate cargo invocations so the `chaos`/`fault` features
-# never unify into the plain build or the bench binaries.
-echo "==> chaos tests (tm fault layer + chaos schedules + fault-path zero-alloc guard)"
-cargo test -q --offline -p tm --features fault
+# still on. Separate cargo invocations so the `chaos`/`fault`/`sync-count`
+# features never unify into the plain build or the bench binaries.
+echo "==> chaos tests (tm fault layer + chaos schedules + fault-path zero-alloc guard) and the sync budget (tm RMW-counting shim)"
+cargo test -q --offline -p tm --features fault,sync-count
 cargo test -q --offline -p testkit --features chaos
 
 echo "==> chaos stress (5s, every combo, deterministic fault plan; all four schedules)"
