@@ -18,7 +18,7 @@
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use testkit::bench::{BenchStats, Criterion};
+use testkit::bench::Criterion;
 use testkit::{criterion_group, criterion_main};
 use tm::{
     Algorithm, ContentionManager, SerialLockMode, TBytes, TCell, TmRuntime, Transaction,
@@ -144,7 +144,7 @@ fn bench_steady_state_allocs(c: &mut Criterion) {
 /// One sample of the contended-commit payload: `workers` threads each run
 /// a batch of tiny read-modify-write transactions over their **own** four
 /// cells, so write sets are disjoint and the only shared state is the
-/// commit machinery — the clock's cache line(s) and the orec stripes.
+/// commit machinery — the clock's cache line and the orec stripes.
 ///
 /// The batch is floored well above `iters`: a sample must span many
 /// scheduler quanta, or on small hosts the wall time measures *which*
@@ -186,30 +186,6 @@ fn contended_run(rt: &TmRuntime, workers: usize, iters: u64) -> Duration {
     elapsed.mul_f64(iters as f64 / reps as f64)
 }
 
-/// Structural check, valid on any host: the per-shard clock stats must
-/// attribute ticks to as many distinct shards as the workers can cover —
-/// consecutively spawned workers take consecutive thread ordinals, so a
-/// batch of `w` workers lands on `min(w, shards)` distinct shards.
-fn assert_shard_spread(rt: &TmRuntime, algo: Algorithm, workers: usize) {
-    if matches!(algo, Algorithm::Norec) {
-        return; // NOrec commits through the seqlock, not the clock.
-    }
-    let stats = rt.clock_shard_stats();
-    let ticked = stats.iter().filter(|s| s.ticks > 0).count();
-    let want = workers.min(rt.clock_shards());
-    assert!(
-        ticked >= want,
-        "{algo}: {workers} disjoint writers ticked only {ticked} of \
-         {} clock shards (expected >= {want})",
-        rt.clock_shards()
-    );
-    let retries: u64 = stats.iter().map(|s| s.cas_retries).sum();
-    println!(
-        "    [{algo}/w{workers}] shards_ticked={ticked}/{} clock_cas_retries={retries}",
-        rt.clock_shards()
-    );
-}
-
 fn bench_contended(c: &mut Criterion) {
     let mut g = c.benchmark_group("fastpath_contended");
     // Thread spawn + barrier per sample makes these slower to take than
@@ -217,66 +193,14 @@ fn bench_contended(c: &mut Criterion) {
     g.sample_size(15);
     for algo in [Algorithm::Eager, Algorithm::Lazy, Algorithm::Norec] {
         for workers in [2usize, 4, 8] {
-            let rt1 = TmRuntime::builder()
-                .algorithm(algo)
-                .contention_manager(ContentionManager::None)
-                .serial_lock(SerialLockMode::None)
-                .clock_shards(1)
-                .build();
-            let rt8 = TmRuntime::builder()
-                .algorithm(algo)
-                .contention_manager(ContentionManager::None)
-                .serial_lock(SerialLockMode::None)
-                .clock_shards(8)
-                .build();
-            g.bench_pair(
-                format!("{algo}/shards1_w{workers}"),
-                |b| b.iter_custom(|iters| contended_run(&rt1, workers, iters)),
-                format!("{algo}/shards8_w{workers}"),
-                |b| b.iter_custom(|iters| contended_run(&rt8, workers, iters)),
-            );
-            assert_shard_spread(&rt8, algo, workers);
+            let rt = runtime(algo);
+            g.bench_function(format!("{algo}/w{workers}"), |b| {
+                b.iter_custom(|iters| contended_run(&rt, workers, iters))
+            });
+            println!("    [{algo}/w{workers}] clock_cas_retries={}", rt.stats().clock_cas_retries);
         }
     }
-    let stats = g.finish();
-    contended_gate(&stats);
-}
-
-/// The contended acceptance bar: at 8 disjoint writers, the 8-shard clock
-/// must beat the single global clock by ≥1.3x median on at least one
-/// orec-based algorithm. Cache-line contention needs real parallelism to
-/// materialize, so the hard floor only arms on hosts with ≥4 cores; on
-/// smaller hosts the ratio is measured and reported but informational.
-fn contended_gate(stats: &[BenchStats]) {
-    let median = |name: &str| stats.iter().find(|b| b.name == name).map(|b| b.median_ns);
-    let mut best = 0.0f64;
-    for algo in [Algorithm::Eager, Algorithm::Lazy] {
-        let (Some(one), Some(eight)) = (
-            median(&format!("{algo}/shards1_w8")),
-            median(&format!("{algo}/shards8_w8")),
-        ) else {
-            continue;
-        };
-        let ratio = one / eight.max(1e-9);
-        println!("    [gate] {algo}: shards1_w8 / shards8_w8 = {ratio:.2}x");
-        best = best.max(ratio);
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 4 {
-        if best < 1.3 {
-            eprintln!(
-                "RATIO REGRESSION: 8-worker contended commit speedup {best:.2}x < 1.30x \
-                 floor on every orec-based algorithm"
-            );
-            std::process::exit(1);
-        }
-    } else {
-        println!(
-            "    [gate] host has {cores} core(s): 8 workers time-share, so cross-core \
-             cache-line contention cannot materialize — ≥1.30x floor informational \
-             (best {best:.2}x); structural shard-spread asserts ran above"
-        );
-    }
+    g.finish();
 }
 
 criterion_group!(

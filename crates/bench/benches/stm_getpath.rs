@@ -344,48 +344,20 @@ fn contended_mix_run(
     elapsed.mul_f64(iters as f64 / reps as f64)
 }
 
-/// Contended GET path: 2/4/8 workers on disjoint item slices, single
-/// global clock vs the 8-shard clock. GETs dominate, so this pins the
-/// read side of the sharding work — `now_cached` keeps fast-lane reads
-/// off the other shards' cache lines. The pair feeds the bench_compare
-/// baseline gate; the shard-spread assert (from the SETs' commit ticks)
-/// is the structural check that holds on any host.
+/// Contended GET path: 2/4/8 workers on disjoint item slices. GETs
+/// dominate, so this pins the read side of commit-clock contention: the
+/// fast-lane readers' snapshots against the SETs' commit ticks.
 fn bench_contended(c: &mut Criterion) {
     let mut g = c.benchmark_group("getpath_contended");
     g.sample_size(15);
     for algo in [Algorithm::Eager, Algorithm::Lazy, Algorithm::Norec] {
         for workers in [2usize, 4, 8] {
-            let rt1 = TmRuntime::builder()
-                .algorithm(algo)
-                .contention_manager(ContentionManager::None)
-                .serial_lock(SerialLockMode::None)
-                .clock_shards(1)
-                .build();
-            let items1 = table();
-            let rt8 = TmRuntime::builder()
-                .algorithm(algo)
-                .contention_manager(ContentionManager::None)
-                .serial_lock(SerialLockMode::None)
-                .clock_shards(8)
-                .build();
-            let items8 = table();
-            g.bench_pair(
-                format!("{algo}/shards1_w{workers}"),
-                |b| b.iter_custom(|iters| contended_mix_run(&rt1, &items1, workers, iters)),
-                format!("{algo}/shards8_w{workers}"),
-                |b| b.iter_custom(|iters| contended_mix_run(&rt8, &items8, workers, iters)),
-            );
-            if !matches!(algo, Algorithm::Norec) {
-                let ticked = rt8.clock_shard_stats().iter().filter(|s| s.ticks > 0).count();
-                let want = workers.min(rt8.clock_shards());
-                assert!(
-                    ticked >= want,
-                    "{algo}: {workers} disjoint writers ticked only {ticked} of \
-                     {} clock shards (expected >= {want})",
-                    rt8.clock_shards()
-                );
-            }
-            report(&format!("contended_shards8_w{workers}"), &rt8);
+            let rt = runtime(algo);
+            let items = table();
+            g.bench_function(format!("{algo}/w{workers}"), |b| {
+                b.iter_custom(|iters| contended_mix_run(&rt, &items, workers, iters))
+            });
+            report(&format!("contended_{algo}_w{workers}"), &rt);
         }
     }
     g.finish();

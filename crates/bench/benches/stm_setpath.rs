@@ -396,8 +396,8 @@ fn bench_magazine(c: &mut Criterion) {
 /// One sample of the contended SET storm: `workers` threads each run
 /// `iters` magazine-shaped single-transaction SETs over their **own**
 /// slice of the item table, with per-worker stats blocks, so every write
-/// set is disjoint — all the fighting happens at the commit point (clock
-/// shards, orec stripes). The per-worker batch is floored so one sample
+/// set is disjoint — all the fighting happens at the commit point (the
+/// clock word, orec stripes). The per-worker batch is floored so one sample
 /// spans many scheduler quanta (short samples on small hosts measure
 /// descheduling, not the payload); the barrier-to-join wall time is
 /// scaled back to the requested `iters`.
@@ -438,61 +438,23 @@ fn contended_set_run(
 }
 
 /// Contended SET path: 2/4/8 workers hammering disjoint item slices with
-/// the single-transaction magazine SET, single global clock vs the
-/// 8-shard clock. Every transaction is a writer, so this is the purest
-/// commit-clock contention the cache-shaped benches produce. The pair
-/// feeds the bench_compare baseline gate; the shard-spread assert is the
-/// structural check that holds on any host.
+/// the single-transaction magazine SET. Every transaction is a writer, so
+/// this is the purest commit-clock contention the cache-shaped benches
+/// produce.
 fn bench_contended(c: &mut Criterion) {
     let mut g = c.benchmark_group("setpath_contended");
     g.sample_size(15);
     for algo in [Algorithm::Eager, Algorithm::Lazy, Algorithm::Norec] {
         for workers in [2usize, 4, 8] {
-            let rt1 = TmRuntime::builder()
-                .algorithm(algo)
-                .contention_manager(ContentionManager::None)
-                .serial_lock(SerialLockMode::None)
-                .clock_shards(1)
-                .build();
-            let items1 = table();
-            let stats1: Vec<[TCell<u64>; 3]> = (0..workers)
+            let rt = runtime(algo);
+            let items = table();
+            let stats: Vec<[TCell<u64>; 3]> = (0..workers)
                 .map(|_| std::array::from_fn(|_| TCell::new(0)))
                 .collect();
-            let rt8 = TmRuntime::builder()
-                .algorithm(algo)
-                .contention_manager(ContentionManager::None)
-                .serial_lock(SerialLockMode::None)
-                .clock_shards(8)
-                .build();
-            let items8 = table();
-            let stats8: Vec<[TCell<u64>; 3]> = (0..workers)
-                .map(|_| std::array::from_fn(|_| TCell::new(0)))
-                .collect();
-            g.bench_pair(
-                format!("{algo}/shards1_w{workers}"),
-                |b| {
-                    b.iter_custom(|iters| {
-                        contended_set_run(&rt1, &items1, &stats1, workers, iters)
-                    })
-                },
-                format!("{algo}/shards8_w{workers}"),
-                |b| {
-                    b.iter_custom(|iters| {
-                        contended_set_run(&rt8, &items8, &stats8, workers, iters)
-                    })
-                },
-            );
-            if !matches!(algo, Algorithm::Norec) {
-                let ticked = rt8.clock_shard_stats().iter().filter(|s| s.ticks > 0).count();
-                let want = workers.min(rt8.clock_shards());
-                assert!(
-                    ticked >= want,
-                    "{algo}: {workers} disjoint writers ticked only {ticked} of \
-                     {} clock shards (expected >= {want})",
-                    rt8.clock_shards()
-                );
-            }
-            report(&format!("contended_shards8_w{workers}"), &rt8);
+            g.bench_function(format!("{algo}/w{workers}"), |b| {
+                b.iter_custom(|iters| contended_set_run(&rt, &items, &stats, workers, iters))
+            });
+            report(&format!("contended_{algo}_w{workers}"), &rt);
         }
     }
     g.finish();

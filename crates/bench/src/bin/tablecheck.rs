@@ -39,10 +39,6 @@ fn run_deterministic(cfg: &BenchConfig, scale: &Scale) -> (u64, u64, u64, u64) {
         // Tables 1–4 count the 3-transaction store; magazines stay off so
         // the per-set serialization counts remain bit-identical.
         magazine: 0,
-        // One clock shard reproduces the classic single-word global clock
-        // timestamp-for-timestamp, so the serialization decision stream is
-        // unchanged by the sharded-clock machinery.
-        clock_shards: 1,
         dur_path: None,
         dur_fsync: mcache::DurFsync::Off,
         dur_segment_bytes: 4 << 20,
@@ -51,6 +47,7 @@ fn run_deterministic(cfg: &BenchConfig, scale: &Scale) -> (u64, u64, u64, u64) {
         adapt: false,
         adapt_epoch_ms: 50,
         hot_slots: 0,
+        ..McConfig::default()
     };
     let handle = McCache::start(mc);
     let cache = handle.cache().clone();

@@ -178,9 +178,6 @@ impl BenchConfig {
             // 3-transaction store; mcslap exposes the knob for the
             // setpath experiments.
             magazine: 0,
-            // Figure/table runners keep the default shard fanout; the
-            // deterministic tablecheck bin pins its own config to 1.
-            clock_shards: 8,
             // Figures and tables measure the in-memory paths; durability
             // has its own bench (stm_durpath) and harness (mccrash).
             dur_path: None,
@@ -193,6 +190,7 @@ impl BenchConfig {
             adapt: false,
             adapt_epoch_ms: 50,
             hot_slots: 0,
+            ..McConfig::default()
         }
     }
 }

@@ -85,10 +85,10 @@ pub struct McConfig {
     /// value, link, stats) collapses into one transaction. Ignored on
     /// lock and IP branches.
     pub magazine: usize,
-    /// Commit-clock shards for the STM runtime (power of two in `1..=64`).
-    /// The default of 8 spreads eager/lazy commit CASes over eight cache
-    /// lines with worker→shard affinity; 1 reproduces the classic global
-    /// clock timestamp-for-timestamp (the `tablecheck` configuration).
+    /// Compile shim for the frozen `benchmark/` package: the STM's commit
+    /// clock is one word, so 1 (the default) is the only value
+    /// [`McCache::start`] accepts. Delete with the next benchmark PR.
+    #[doc(hidden)]
     pub clock_shards: usize,
     /// Directory for the commit-time redo log (DESIGN §14). `None` (the
     /// default) disables durability entirely — no hook, no handler, no
@@ -136,7 +136,7 @@ impl Default for McConfig {
             maintenance: true,
             refcount_elision: false,
             magazine: 0,
-            clock_shards: 8,
+            clock_shards: 1,
             dur_path: None,
             dur_fsync: crate::dur::DurFsync::EveryN(32),
             dur_segment_bytes: 4 << 20,
@@ -401,6 +401,7 @@ impl McCache {
     /// contention manager that needs the serial lock on a NoLock branch).
     pub fn start(cfg: McConfig) -> McHandle {
         assert!(cfg.workers > 0, "need at least one worker slot");
+        assert_eq!(cfg.clock_shards, 1, "the commit clock is one word: clock_shards must be 1");
         let policy = cfg.branch.policy();
         let cm = cfg.contention.unwrap_or(if policy.serial_lock {
             ContentionManager::GCC_DEFAULT
@@ -415,7 +416,6 @@ impl McCache {
             } else {
                 SerialLockMode::None
             })
-            .clock_shards(cfg.clock_shards)
             .build();
         let profiler = Profiler::new();
         let core = CacheCore::new(

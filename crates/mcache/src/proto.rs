@@ -83,9 +83,8 @@ pub fn stat_pairs(cache: &McCache) -> Vec<(&'static str, u64)> {
         ("silent_store_elisions", tm.silent_store_elisions),
         ("clock_tick_elisions", tm.clock_tick_elisions),
         ("clock_cas_retries", tm.clock_cas_retries),
-        // Contention-path gauges: sharded commit clock, striped
-        // orec table, and NOrec's seqlock-bump elision.
-        ("clock_shard_syncs", tm.clock_shard_syncs),
+        // Contention-path gauges: orec conflicts and NOrec's
+        // seqlock-bump elision.
         ("orec_stripe_conflicts", tm.orec_stripe_conflicts),
         ("seqlock_bump_elisions", tm.seqlock_bump_elisions),
         ("magazine_refills", s.global.magazine_refills),
@@ -1920,7 +1919,6 @@ mod tests {
             "silent_store_elisions",
             "clock_tick_elisions",
             "clock_cas_retries",
-            "clock_shard_syncs",
             "orec_stripe_conflicts",
             "seqlock_bump_elisions",
             "magazine_refills",

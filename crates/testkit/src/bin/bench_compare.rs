@@ -70,24 +70,10 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Contended reports carry in-bench ratio floors that only arm on
-    // hosts with enough real parallelism (≥4 cores) for cross-core
-    // cache-line contention to materialize; elsewhere those floors ran
-    // informational and only this absolute gate held the line. Label
-    // each report so a log reader can tell which tier actually gated.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
     let mut regressions = 0usize;
     let mut compared = 0usize;
     for base_path in &baselines {
         let name = base_path.file_name().unwrap().to_string_lossy();
-        let tier = if !name.contains("contended") {
-            "armed"
-        } else if cores >= 4 {
-            "armed: contended ratio floors live"
-        } else {
-            "informational: contended ratio floors did not arm (host cores < 4)"
-        };
         let fresh_path = fresh_dir.join(&*name);
         let Ok(fresh_json) = std::fs::read_to_string(&fresh_path) else {
             // A baseline with no fresh counterpart means that bench was not
@@ -115,7 +101,7 @@ fn main() -> ExitCode {
         }
         regressions += bad.len();
         if bad.is_empty() {
-            println!("  {name}: ok ({} benchmarks) [{tier}]", fresh.len());
+            println!("  {name}: ok ({} benchmarks)", fresh.len());
         }
     }
 

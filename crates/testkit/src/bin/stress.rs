@@ -23,9 +23,7 @@
 //! manufactured silent stores; the run fails if silent-store elision
 //! never fired), and the contended-commit schedule (disjoint per-thread
 //! write blocks with cross-block reads, so the threads fight over the
-//! commit machinery — clock shards, orec stripes — instead of data; the
-//! run fails if the per-shard clock stats stop attributing ticks to the
-//! shards the workers ran on).
+//! commit machinery — the clock word, orec stripes — instead of data).
 
 use std::time::{Duration, Instant};
 
@@ -108,7 +106,7 @@ fn run_chaos(args: &Args, base: &StressConfig) -> ! {
     let (mut injected, mut panic_aborts) = (0u64, 0u64);
     let (mut promotions, mut ro_commits, mut snaps_checked) = (0u64, 0u64, 0u64);
     let mut elisions = 0u64;
-    let (mut shards_used, mut clock_retries) = (0usize, 0u64);
+    let mut clock_retries = 0u64;
     let mut seed = args.seed.unwrap_or(1);
     loop {
         for &(algorithm, serial_lock, contention) in &combos {
@@ -164,11 +162,10 @@ fn run_chaos(args: &Args, base: &StressConfig) -> ! {
             match chaos::run_schedule_contended_chaos(seed, &cfg, plan) {
                 Ok(r) => {
                     schedules += 1;
-                    commits += r.report.report.commits;
-                    aborts += r.report.report.aborts;
+                    commits += r.report.commits;
+                    aborts += r.report.aborts;
                     injected += r.injected;
                     panic_aborts += r.panic_aborts;
-                    shards_used = shards_used.max(r.report.shards_used);
                     clock_retries += r.report.clock_cas_retries;
                 }
                 Err(d) => {
@@ -185,8 +182,8 @@ fn run_chaos(args: &Args, base: &StressConfig) -> ! {
     println!(
         "stress: CHAOS OK — {} schedules over {} runtime combos, {} commits, {} aborts, \
          {} faults injected ({} panic teardowns), {} fast-lane commits, {} promotions, \
-         {} reader snapshots checked, {} silent stores elided, contended commits over \
-         up to {} clock shards ({} clock CAS retries), {:.2}s",
+         {} reader snapshots checked, {} silent stores elided, {} clock CAS retries \
+         under contended commits, {:.2}s",
         schedules,
         combos.len(),
         commits,
@@ -197,7 +194,6 @@ fn run_chaos(args: &Args, base: &StressConfig) -> ! {
         promotions,
         snaps_checked,
         elisions,
-        shards_used,
         clock_retries,
         start.elapsed().as_secs_f64()
     );
@@ -237,7 +233,7 @@ fn main() {
     let mut aborts = 0u64;
     let (mut promotions, mut ro_commits, mut snaps_checked) = (0u64, 0u64, 0u64);
     let mut elisions = 0u64;
-    let (mut shards_used, mut clock_retries) = (0usize, 0u64);
+    let mut clock_retries = 0u64;
     let mut seed = args.seed.unwrap_or(1);
     loop {
         for &(algorithm, serial_lock, contention) in &combos {
@@ -287,9 +283,8 @@ fn main() {
             match run_schedule_contended(seed, &cfg) {
                 Ok(r) => {
                     schedules += 1;
-                    commits += r.report.commits;
-                    aborts += r.report.aborts;
-                    shards_used = shards_used.max(r.shards_used);
+                    commits += r.commits;
+                    aborts += r.aborts;
                     clock_retries += r.clock_cas_retries;
                 }
                 Err(d) => {
@@ -307,8 +302,8 @@ fn main() {
     println!(
         "stress: OK — {} schedules over {} runtime combos, {} commits, {} aborts, \
          {} fast-lane commits, {} promotions, {} reader snapshots checked, \
-         {} silent stores elided, contended commits over up to {} clock shards \
-         ({} clock CAS retries), {:.2}s",
+         {} silent stores elided, {} clock CAS retries under contended commits, \
+         {:.2}s",
         schedules,
         combos.len(),
         commits,
@@ -317,7 +312,6 @@ fn main() {
         promotions,
         snaps_checked,
         elisions,
-        shards_used,
         clock_retries,
         start.elapsed().as_secs_f64()
     );

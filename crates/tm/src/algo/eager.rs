@@ -44,12 +44,10 @@ fn undo_recently_logged(undo: &[(usize, u64)], addr: usize) -> bool {
 }
 
 impl EagerTx {
-    pub(crate) fn begin(rt: &RtInner, tx_id: u64, bufs: &LogBufs) -> Self {
+    pub(crate) fn begin(rt: &RtInner, tx_id: u64) -> Self {
         EagerTx {
             tx_id,
-            // Own-shard load + cached cross-shard view: no full clock scan
-            // at begin. A stale-low snapshot costs at most an extension.
-            start_time: rt.clock.now_cached(&bufs.clock),
+            start_time: rt.clock.now(),
         }
     }
 
@@ -59,7 +57,7 @@ impl EagerTx {
 
     /// Revalidates the read set; on success the snapshot may be extended to
     /// `new_time` by the caller.
-    fn validate(&self, rt: &RtInner, bufs: &LogBufs) -> Result<(), Abort> {
+    fn validate(&self, rt: &RtInner, bufs: &mut LogBufs) -> Result<(), Abort> {
         // Fault site: callers treat a validation Err exactly like a real
         // conflict, and a panic here finds the undo log and lock set
         // intact for replay.
@@ -77,18 +75,16 @@ impl EagerTx {
                     continue;
                 }
             }
-            rt.orecs.note_conflict(idx);
+            bufs.stats.bump(Counter::orec_stripe_conflicts);
             return Err(Abort::Conflict);
         }
         Ok(())
     }
 
     /// TinySTM-style timestamp extension: revalidate, then move the
-    /// snapshot forward. This is the one place the read path pays a full
-    /// cross-shard clock scan ([`crate::clock::ShardedClock::sync`]) —
-    /// TLC-style, synchronization only on validation pressure.
+    /// snapshot forward.
     fn extend(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<(), Abort> {
-        let now = rt.clock.sync(&mut bufs.clock, &mut bufs.stats);
+        let now = rt.clock.now();
         self.validate(rt, bufs)?;
         self.start_time = now;
         bufs.stats.bump(Counter::snapshot_extensions);
@@ -109,7 +105,7 @@ impl EagerTx {
                     // Write-through: our own writes are already in place.
                     return Ok(tword_at(addr).load_direct());
                 }
-                rt.orecs.note_conflict(idx);
+                bufs.stats.bump(Counter::orec_stripe_conflicts);
                 return Err(Abort::Conflict);
             }
             let v = tword_at(addr).load_direct();
@@ -161,7 +157,7 @@ impl EagerTx {
                     w.store_direct(v);
                     return Ok(());
                 }
-                rt.orecs.note_conflict(idx);
+                bufs.stats.bump(Counter::orec_stripe_conflicts);
                 return Err(Abort::Conflict);
             }
             if orec::version_of(o) > self.start_time {
@@ -214,9 +210,9 @@ impl EagerTx {
             self.rollback(rt, bufs);
             return Err(e);
         }
-        let (end, revalidate) = rt.clock.commit_tick(&bufs.clock, &mut bufs.stats, self.start_time);
+        let (end, revalidate) = rt.clock.commit_tick(self.start_time);
         if revalidate {
-            // Some shard moved past our snapshot: a transaction committed
+            // The clock moved past our snapshot: a transaction committed
             // since we started, so the read set must be revalidated.
             bufs.stats.bump(Counter::clock_cas_retries);
             if self.validate(rt, bufs).is_err() {
@@ -224,9 +220,9 @@ impl EagerTx {
                 return Err(Abort::Conflict);
             }
         } else {
-            // GV5-style conflict-free path: no shard moved past our
-            // snapshot even after our own CAS published, so no transaction
-            // committed since we started — validation elided.
+            // GV5-style conflict-free path: our CAS moved the clock off
+            // our own snapshot, so no transaction committed since we
+            // started — validation elided.
             bufs.stats.bump(Counter::clock_tick_elisions);
         }
         for &(idx, _) in &bufs.locks {
@@ -248,7 +244,7 @@ impl EagerTx {
         if !bufs.locks.is_empty() {
             // Bump versions: concurrent readers may have seen our
             // intermediate values and must fail validation.
-            let t = rt.clock.tick(&bufs.clock, &mut bufs.stats);
+            let t = rt.clock.tick();
             for &(idx, _) in &bufs.locks {
                 rt.orecs.release(idx, orec::unlocked_at(t));
             }
@@ -265,7 +261,7 @@ impl EagerTx {
             return Err(Abort::Conflict);
         }
         if !bufs.locks.is_empty() {
-            let end = rt.clock.tick(&bufs.clock, &mut bufs.stats);
+            let end = rt.clock.tick();
             for &(idx, _) in &bufs.locks {
                 rt.orecs.release(idx, orec::unlocked_at(end));
             }

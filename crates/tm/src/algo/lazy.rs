@@ -22,7 +22,7 @@ use crate::error::Abort;
 use crate::fault::{self, FaultSite};
 use crate::orec::{self, OrecValue};
 use crate::runtime::RtInner;
-use crate::stats::Counter;
+use crate::stats::{Counter, StatDeltas};
 
 /// Per-attempt state for the lazy engine; logs live in the arena.
 #[derive(Debug)]
@@ -39,6 +39,7 @@ fn validate(
     tx_id: u64,
     reads: &[(usize, OrecValue)],
     held: &[(usize, OrecValue)],
+    stats: &mut StatDeltas,
 ) -> Result<(), Abort> {
     // Fault site: every caller treats a validation Err like a real
     // conflict and releases any held orecs; a panic here is recovered by
@@ -56,18 +57,17 @@ fn validate(
                 continue;
             }
         }
-        rt.orecs.note_conflict(idx);
+        stats.bump(Counter::orec_stripe_conflicts);
         return Err(Abort::Conflict);
     }
     Ok(())
 }
 
 impl LazyTx {
-    pub(crate) fn begin(rt: &RtInner, tx_id: u64, bufs: &LogBufs) -> Self {
+    pub(crate) fn begin(rt: &RtInner, tx_id: u64) -> Self {
         LazyTx {
             tx_id,
-            // Own-shard load + cached cross-shard view; see the eager twin.
-            start_time: rt.clock.now_cached(&bufs.clock),
+            start_time: rt.clock.now(),
         }
     }
 
@@ -76,10 +76,8 @@ impl LazyTx {
     }
 
     fn extend(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<(), Abort> {
-        // The one full cross-shard clock scan on the read path: TLC-style,
-        // paid only under validation pressure.
-        let now = rt.clock.sync(&mut bufs.clock, &mut bufs.stats);
-        validate(rt, self.tx_id, &bufs.reads, &[])?;
+        let now = rt.clock.now();
+        validate(rt, self.tx_id, &bufs.reads, &[], &mut bufs.stats)?;
         self.start_time = now;
         bufs.stats.bump(Counter::snapshot_extensions);
         Ok(())
@@ -100,7 +98,7 @@ impl LazyTx {
             if orec::is_locked(o1) {
                 // We never hold locks while executing, so this is always a
                 // concurrent committer: conflict.
-                rt.orecs.note_conflict(idx);
+                bufs.stats.bump(Counter::orec_stripe_conflicts);
                 return Err(Abort::Conflict);
             }
             let v = tword_at(addr).load_direct();
@@ -164,7 +162,6 @@ impl LazyTx {
             writes,
             locks: held,
             stats,
-            clock,
             ..
         } = bufs;
         if writes.is_empty() {
@@ -197,7 +194,7 @@ impl LazyTx {
                     if orec::owner_of(o) == self.tx_id {
                         break; // hash collision onto an orec we already hold
                     }
-                    rt.orecs.note_conflict(idx);
+                    stats.bump(Counter::orec_stripe_conflicts);
                     release_held(rt, held, None);
                     bufs.clear();
                     return Err(Abort::Conflict);
@@ -215,12 +212,12 @@ impl LazyTx {
             bufs.clear();
             return Err(e);
         }
-        let (end, revalidate) = rt.clock.commit_tick(clock, stats, self.start_time);
+        let (end, revalidate) = rt.clock.commit_tick(self.start_time);
         if revalidate {
-            // A shard moved past our snapshot: someone committed since we
-            // started, revalidate the read set.
+            // The clock moved past our snapshot: someone committed since
+            // we started, revalidate the read set.
             stats.bump(Counter::clock_cas_retries);
-            if validate(rt, self.tx_id, reads, held).is_err() {
+            if validate(rt, self.tx_id, reads, held, stats).is_err() {
                 release_held(rt, held, None);
                 bufs.clear();
                 return Err(Abort::Conflict);
@@ -253,7 +250,7 @@ impl LazyTx {
     /// Caller holds the serial lock exclusively: validate, then publish the
     /// redo log directly.
     pub(crate) fn make_irrevocable(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<(), Abort> {
-        if validate(rt, self.tx_id, &bufs.reads, &[]).is_err() {
+        if validate(rt, self.tx_id, &bufs.reads, &[], &mut bufs.stats).is_err() {
             bufs.clear();
             return Err(Abort::Conflict);
         }

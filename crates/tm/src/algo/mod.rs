@@ -83,10 +83,10 @@ pub(crate) enum Engine {
 }
 
 impl Engine {
-    pub(crate) fn begin(rt: &RtInner, tx_id: u64, bufs: &LogBufs) -> Engine {
+    pub(crate) fn begin(rt: &RtInner, tx_id: u64) -> Engine {
         match rt.algorithm() {
-            Algorithm::Eager => Engine::Eager(eager::EagerTx::begin(rt, tx_id, bufs)),
-            Algorithm::Lazy => Engine::Lazy(lazy::LazyTx::begin(rt, tx_id, bufs)),
+            Algorithm::Eager => Engine::Eager(eager::EagerTx::begin(rt, tx_id)),
+            Algorithm::Lazy => Engine::Lazy(lazy::LazyTx::begin(rt, tx_id)),
             Algorithm::Norec => Engine::Norec(norec::NorecTx::begin(rt)),
         }
     }

@@ -26,14 +26,13 @@
 //! * [`ThreadCtx`] is the crate's one thread-local: the cached arena plus
 //!   the few words a transaction needs from its thread (ordinal, tx-id
 //!   block, last commit stamp, commit/abort tally). `run_loop` looks it up
-//!   once per transaction; everything an engine needs per operation (the
-//!   clock cursor, the stat deltas) rides in the arena it takes from it.
+//!   once per transaction; what an engine needs per operation (the stat
+//!   deltas) rides in the arena it takes from it.
 
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::clock::ClockCursor;
 use crate::stats::{StatDeltas, ThreadTally};
 use crate::sync_count::{self, SyncSite};
 
@@ -247,9 +246,6 @@ pub(crate) struct LogBufs {
     /// ends. They survive [`LogBufs::clear`], which engines call before the
     /// runtime gets to flush.
     pub(crate) stats: StatDeltas,
-    /// This thread's handle on the commit clock: shard affinity and the
-    /// cached cross-shard view.
-    pub(crate) clock: ClockCursor,
     /// High-watermark log sizes observed on this thread, updated as each
     /// attempt's logs are cleared. [`LogBufs::prewarm`] reserves to these
     /// marks up front, so a workload's steady-state transaction shape never
@@ -421,8 +417,7 @@ impl Arena {
 }
 
 /// Process-wide thread ordinal source. A thread keeps one ordinal for
-/// life; each commit clock masks it down to a shard, each runtime's
-/// statistics to a block.
+/// life; each runtime's statistics mask it down to a block.
 static THREAD_ORDINALS: AtomicU64 = AtomicU64::new(0);
 
 /// Transaction ids are handed out in per-thread blocks of this many.
@@ -487,11 +482,7 @@ impl ThreadCtx {
     /// (first transaction on the thread, or a reentrant transaction). The
     /// logs come back pre-reserved to this thread's high-watermark hints.
     pub(crate) fn take_arena(&self) -> Box<Arena> {
-        let mut a = self.arena.take().unwrap_or_else(|| {
-            let mut a = Box::<Arena>::default();
-            a.logs.clock = ClockCursor::new(self.ord);
-            a
-        });
+        let mut a = self.arena.take().unwrap_or_default();
         a.logs.prewarm();
         a
     }

@@ -1,18 +1,17 @@
 //! Compile-time layout facts for the false-sharing-sensitive structures.
 //!
 //! The contention story of this runtime rests on a few structures being
-//! exactly cache-line shaped: commit-clock shards (each committer CASes
-//! only its own line, which holds the timestamp and nothing else), orec
-//! stripes (unrelated data blocks never share an orec line), the words
-//! every transaction may write — NOrec seqlock, serial lock, hourglass
-//! gate — each alone on its line, and the per-thread statistics blocks
-//! (whole lines only their own threads write). The definitions carry
+//! exactly cache-line shaped: orec stripes (unrelated data blocks never
+//! share an orec line), the words every transaction may write — commit
+//! clock, NOrec seqlock, serial lock, hourglass gate — each alone on its
+//! line, and the per-thread statistics blocks (whole lines only their own
+//! threads write). The definitions carry
 //! in-source `const` assertions; these public constants re-export
 //! the measured layout so the `layout_guard` integration test — and any
 //! downstream crate padding its own per-thread slots — can pin them from
 //! outside without access to the private types.
 
-use crate::clock::{ClockShard, SeqLock};
+use crate::clock::{Clock, SeqLock};
 use crate::cm::Hourglass;
 use crate::orec::OrecStripe;
 use crate::serial::SerialLock;
@@ -21,11 +20,11 @@ use crate::stats::StatBlock;
 /// The cache-line size every padded structure in this crate targets.
 pub const CACHE_LINE: usize = 64;
 
-/// Size in bytes of one commit-clock shard (the timestamp word, padded).
-pub const CLOCK_SHARD_SIZE: usize = std::mem::size_of::<ClockShard>();
+/// Size in bytes of the commit clock (the timestamp word, padded).
+pub const CLOCK_SIZE: usize = std::mem::size_of::<Clock>();
 
-/// Alignment of one commit-clock shard.
-pub const CLOCK_SHARD_ALIGN: usize = std::mem::align_of::<ClockShard>();
+/// Alignment of the commit clock.
+pub const CLOCK_ALIGN: usize = std::mem::align_of::<Clock>();
 
 /// Size in bytes of one orec stripe (a full cache line of orecs).
 pub const OREC_STRIPE_SIZE: usize = std::mem::size_of::<OrecStripe>();
@@ -57,6 +56,6 @@ pub const STAT_BLOCK_ALIGN: usize = std::mem::align_of::<StatBlock>();
 
 /// Whether the runtime's read-mostly configuration words (live algorithm,
 /// live contention manager, serial-lock mode) share no cache line with a
-/// word transactions write (serial lock, hourglass gate, seqlock). Also a
-/// build-time assertion next to the runtime's definition.
+/// word transactions write (serial lock, hourglass gate, clock, seqlock).
+/// Also a build-time assertion next to the runtime's definition.
 pub const RT_CONFIG_WORDS_ISOLATED: bool = crate::runtime::CONFIG_WORDS_ISOLATED;

@@ -85,7 +85,6 @@ mod word;
 
 pub use algo::Algorithm;
 pub use cell::{TBytes, TCell, TWord};
-pub use clock::{ClockShardStats, MAX_CLOCK_SHARDS};
 pub use cm::ContentionManager;
 pub use error::{cancel, Abort, Cancelled, TxError};
 pub use runtime::{last_commit_stamp, SwitchError, TmRuntime, TmRuntimeBuilder, TxOptions};

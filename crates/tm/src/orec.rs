@@ -30,10 +30,6 @@
 //!   already sharing a data cache line, so a writer was invalidating the
 //!   reader's data line regardless — co-locating their orecs adds no new
 //!   coherence traffic, and gives commit-time lock runs spatial locality.
-//!
-//! Per-stripe conflict counters live in a separate allocation (off the
-//! orec lines, so bumping one is not itself false sharing) and feed the
-//! `orec_stripe_conflicts` stat.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,12 +91,9 @@ const _: () = assert!(std::mem::align_of::<OrecStripe>() == 64, "OrecStripe must
 /// The table size trades false conflicts for memory; the default of 2^16
 /// entries matches the scale of the memcached reproduction's working set.
 /// Entries are grouped into cache-line stripes ([`OrecStripe`]), so a
-/// table costs 8 bytes per orec plus 8 bytes per stripe of telemetry.
+/// table costs 8 bytes per orec.
 pub struct OrecTable {
     stripes: Box<[OrecStripe]>,
-    /// Per-stripe conflict tallies, deliberately a separate allocation so
-    /// the counters never share a line with the orecs they describe.
-    conflicts: Box<[AtomicU64]>,
     stripe_mask: usize,
 }
 
@@ -122,7 +115,6 @@ impl OrecTable {
         let nstripes = 1usize << (log_size - 3);
         OrecTable {
             stripes: (0..nstripes).map(|_| OrecStripe::default()).collect(),
-            conflicts: (0..nstripes).map(|_| AtomicU64::new(0)).collect(),
             stripe_mask: nstripes - 1,
         }
     }
@@ -139,12 +131,6 @@ impl OrecTable {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.stripes.is_empty()
-    }
-
-    /// Number of stripes in the table.
-    #[inline]
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
     }
 
     /// Maps a word address to its orec index. Stripe-aware: the 64-byte
@@ -182,26 +168,6 @@ impl OrecTable {
         self.stripes[idx / ORECS_PER_STRIPE].0[idx % ORECS_PER_STRIPE]
             .store(new, Ordering::Release);
     }
-
-    /// Records a conflict observed at orec `idx` against its stripe.
-    /// Called on the abort edges (locked-by-other, version mismatch), not
-    /// on the happy path.
-    #[inline]
-    pub fn note_conflict(&self, idx: usize) {
-        sync_count::rmw(SyncSite::OrecConflict);
-        self.conflicts[idx / ORECS_PER_STRIPE].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total conflicts recorded across all stripes.
-    pub fn conflict_total(&self) -> u64 {
-        self.conflicts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Per-stripe conflict tallies.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn stripe_conflicts(&self) -> Vec<u64> {
-        self.conflicts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
 }
 
 impl fmt::Debug for OrecTable {
@@ -232,7 +198,6 @@ mod tests {
         let t = OrecTable::new(4);
         assert_eq!(t.len(), 16);
         assert!(!t.is_empty());
-        assert_eq!(t.stripe_count(), 2);
         for i in 0..t.len() {
             let v = t.load(i);
             assert!(!is_locked(v));
@@ -298,17 +263,6 @@ mod tests {
         assert_eq!(owner_of(t.load(idx)), 9);
         t.release(idx, unlocked_at(5));
         assert_eq!(version_of(t.load(idx)), 5);
-    }
-
-    #[test]
-    fn conflicts_tally_against_the_stripe() {
-        let t = OrecTable::new(4);
-        assert_eq!(t.conflict_total(), 0);
-        t.note_conflict(0);
-        t.note_conflict(3); // same stripe as 0
-        t.note_conflict(8); // second stripe
-        assert_eq!(t.conflict_total(), 3);
-        assert_eq!(t.stripe_conflicts(), vec![2, 1]);
     }
 
     #[test]

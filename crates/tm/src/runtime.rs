@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use crate::algo::{Algorithm, Engine};
 use crate::arena::{Arena, ThreadCtx};
-use crate::clock::{ClockCursor, ClockShardStats, SeqLock, ShardedClock, MAX_CLOCK_SHARDS};
+use crate::clock::{Clock, SeqLock};
 use crate::cm::{exponential_backoff, ContentionManager, Hourglass};
 use crate::cell::TCell;
 use crate::error::{Abort, Cancelled, TxError};
@@ -74,9 +74,9 @@ impl TxOptions {
 /// Shared state of one runtime. Engines and transactions hold `&RtInner`.
 ///
 /// Every inline word a transaction *writes* — the serial lock, the
-/// hourglass gate, the sequence lock — is an `align(64)` type, so it owns
-/// its cache lines outright; the clock shards, orecs and stat blocks are
-/// separate allocations. What is left inline (the configuration words and
+/// hourglass gate, the commit clock, the sequence lock — is an `align(64)`
+/// type, so it owns its cache lines outright; the orecs and stat blocks
+/// are separate allocations. What is left inline (the configuration words and
 /// the pointers to those allocations) is read-mostly and stays shared in
 /// every core's cache. [`CONFIG_WORDS_ISOLATED`] pins that.
 pub(crate) struct RtInner {
@@ -90,7 +90,7 @@ pub(crate) struct RtInner {
     cm_code: AtomicU64,
     pub(crate) serial_mode: SerialLockMode,
     pub(crate) orecs: OrecTable,
-    pub(crate) clock: ShardedClock,
+    pub(crate) clock: Clock,
     pub(crate) seqlock: SeqLock,
     pub(crate) serial: SerialLock,
     pub(crate) hourglass: Hourglass,
@@ -111,9 +111,13 @@ pub(crate) const CONFIG_WORDS_ISOLATED: bool = {
     let written = [
         offset_of!(RtInner, serial),
         offset_of!(RtInner, hourglass),
+        offset_of!(RtInner, clock),
         offset_of!(RtInner, seqlock),
     ];
-    let mut ok = size_of::<SerialLock>() == 64 && size_of::<Hourglass>() == 64 && size_of::<SeqLock>() == 64;
+    let mut ok = size_of::<SerialLock>() == 64
+        && size_of::<Hourglass>() == 64
+        && size_of::<Clock>() == 64
+        && size_of::<SeqLock>() == 64;
     let mut i = 0;
     while i < config.len() * written.len() {
         ok &= config[i / written.len()] / 64 != written[i % written.len()] / 64;
@@ -181,12 +185,6 @@ pub struct TmRuntimeBuilder {
     cm: ContentionManager,
     serial_mode: SerialLockMode,
     orec_log_size: u32,
-    clock_shards: usize,
-}
-
-impl TmRuntimeBuilder {
-    /// Default commit-clock shard count.
-    pub const DEFAULT_CLOCK_SHARDS: usize = 8;
 }
 
 impl Default for TmRuntimeBuilder {
@@ -196,7 +194,6 @@ impl Default for TmRuntimeBuilder {
             cm: ContentionManager::GCC_DEFAULT,
             serial_mode: SerialLockMode::ReaderWriter,
             orec_log_size: OrecTable::DEFAULT_LOG_SIZE,
-            clock_shards: Self::DEFAULT_CLOCK_SHARDS,
         }
     }
 }
@@ -233,17 +230,12 @@ impl TmRuntimeBuilder {
         self
     }
 
-    /// Sets the commit-clock shard count (default 8). One shard reproduces
-    /// the classic single-word global clock, timestamp for timestamp — the
-    /// configuration `tablecheck` pins for the paper's tables. More shards
-    /// spread commit CASes over that many cache lines with thread→shard
-    /// affinity.
-    ///
-    /// # Panics
-    ///
-    /// `build` panics unless the value is a power of two in `1..=64`.
-    pub fn clock_shards(mut self, n: usize) -> Self {
-        self.clock_shards = n;
+    /// Compile shim for the frozen `benchmark/` package: the commit clock
+    /// is one word, so 1 is the only value accepted. Delete with the next
+    /// benchmark PR.
+    #[doc(hidden)]
+    pub fn clock_shards(self, n: usize) -> Self {
+        assert_eq!(n, 1, "the commit clock is one word: clock_shards must be 1");
         self
     }
 
@@ -253,8 +245,7 @@ impl TmRuntimeBuilder {
     ///
     /// Panics on an inconsistent configuration: a serializing contention
     /// manager ([`ContentionManager::SerializeAfter`]) cannot be combined
-    /// with [`SerialLockMode::None`], and the clock shard count must be a
-    /// power of two in `1..=64`.
+    /// with [`SerialLockMode::None`].
     pub fn build(self) -> TmRuntime {
         if matches!(self.cm, ContentionManager::SerializeAfter(_))
             && self.serial_mode == SerialLockMode::None
@@ -265,19 +256,13 @@ impl TmRuntimeBuilder {
                  SerialLockMode::None"
             );
         }
-        assert!(
-            self.clock_shards.is_power_of_two()
-                && (1..=MAX_CLOCK_SHARDS).contains(&self.clock_shards),
-            "clock shard count {} must be a power of two in 1..=64",
-            self.clock_shards
-        );
         TmRuntime {
             inner: Arc::new(RtInner {
                 algo_code: AtomicU8::new(self.algorithm.encode()),
                 cm_code: AtomicU64::new(self.cm.encode()),
                 serial_mode: self.serial_mode,
                 orecs: OrecTable::new(self.orec_log_size),
-                clock: ShardedClock::new(self.clock_shards),
+                clock: Clock::new(),
                 seqlock: SeqLock::new(),
                 serial: SerialLock::new(),
                 hourglass: Hourglass::new(),
@@ -413,52 +398,7 @@ impl TmRuntime {
     /// A snapshot of the runtime's statistics counters (the raw material of
     /// the paper's Tables 1–4).
     pub fn stats(&self) -> StatsSnapshot {
-        let mut s = self.inner.stats.snapshot();
-        // Conflicts tally per orec stripe (off the transaction hot path);
-        // fold the table's total into the snapshot here.
-        s.orec_stripe_conflicts = self.inner.orecs.conflict_total();
-        s
-    }
-
-    /// Per-shard commit-clock counters: current timestamp, ticks issued,
-    /// same-shard CAS retries, and cross-shard syncs, indexed by shard.
-    pub fn clock_shard_stats(&self) -> Vec<ClockShardStats> {
-        let rt = &*self.inner;
-        let n = rt.clock.shards();
-        // A thread's stat block index and its shard affinity are the same
-        // ordinal masked two ways, so shard k's telemetry is the fold of
-        // every n-th block from k.
-        let values = rt.clock.shard_values().enumerate();
-        values
-            .map(|(k, value)| ClockShardStats {
-                value,
-                ticks: rt.stats.shard_sum(Counter::shard_ticks, k, n),
-                cas_retries: rt.stats.shard_sum(Counter::shard_cas_losses, k, n),
-                syncs: rt.stats.shard_sum(Counter::clock_shard_syncs, k, n),
-            })
-            .collect()
-    }
-
-    /// The number of commit-clock shards this runtime was built with.
-    pub fn clock_shards(&self) -> usize {
-        self.inner.clock.shards()
-    }
-
-    /// The calling thread's commit-clock shard affinity under this
-    /// runtime: commits from this thread CAS only that shard's line.
-    pub fn current_thread_shard(&self) -> usize {
-        ThreadCtx::with(|tc| self.inner.clock.shard_of(tc.ord))
-    }
-
-    /// Per-stripe orec conflict tallies (locked-by-other and version
-    /// mismatches observed against each orec cache line).
-    pub fn orec_stripe_conflicts(&self) -> Vec<u64> {
-        self.inner.orecs.stripe_conflicts()
-    }
-
-    /// The number of orec cache-line stripes in this runtime's table.
-    pub fn orec_stripe_count(&self) -> usize {
-        self.inner.orecs.stripe_count()
+        self.inner.stats.snapshot()
     }
 
     /// Reads the runtime's current time base *without* advancing it: the
@@ -493,12 +433,7 @@ impl TmRuntime {
             // Advancing the clock (rather than just reading it) keeps the
             // invariant that a later `commit_tick` strictly exceeds this
             // stamp.
-            Algorithm::Eager | Algorithm::Lazy => ThreadCtx::with(|tc| {
-                let mut d = StatDeltas::default();
-                let t = rt.clock.tick(&ClockCursor::new(tc.ord), &mut d);
-                rt.stats.flush(tc.ord, &mut d);
-                t
-            }),
+            Algorithm::Eager | Algorithm::Lazy => rt.clock.tick(),
             // No committer bump: the caller serializes same-data effects
             // externally (its lock), and any transactional commit that
             // begins after this read bumps to at least this value + 2.
@@ -970,7 +905,7 @@ impl TmRuntime {
             TxInner {
                 rt,
                 id,
-                engine: Engine::begin(rt, id, &arena.logs),
+                engine: Engine::begin(rt, id),
                 arena,
                 irrevocable: false,
                 // Every retry re-enters the fast lane: a promotion is
@@ -1009,10 +944,7 @@ impl TmRuntime {
         let stamp = if matches!(inner.engine, Engine::Serial) && !inner.commit_handlers.is_empty()
         {
             match rt.algorithm() {
-                Algorithm::Eager | Algorithm::Lazy => {
-                    let bufs = &mut inner.arena.logs;
-                    rt.clock.tick(&bufs.clock, &mut bufs.stats)
-                }
+                Algorithm::Eager | Algorithm::Lazy => rt.clock.tick(),
                 Algorithm::Norec => {
                     let s = rt.seqlock.wait_even();
                     // Cannot spin: no committer can hold the sequence lock

@@ -15,25 +15,17 @@ use crate::layout::CACHE_LINE;
 use crate::sync_count::{self, SyncSite};
 
 /// Statistics blocks per runtime. A thread flushes into block
-/// `ordinal % STAT_BLOCKS`; at least [`crate::MAX_CLOCK_SHARDS`] blocks, so
-/// a block's index also names the commit-clock shard of every thread that
-/// writes it (the per-shard telemetry is folded from the blocks).
+/// `ordinal % STAT_BLOCKS`.
 pub(crate) const STAT_BLOCKS: usize = 64;
-const _: () = assert!(STAT_BLOCKS.is_power_of_two() && STAT_BLOCKS >= crate::MAX_CLOCK_SHARDS);
 
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident),* $(,)?) => {
-        /// Index of one counter in a [`StatBlock`] / [`StatDeltas`]: the
-        /// public counters in declaration order, then the per-clock-shard
-        /// telemetry behind [`crate::ClockShardStats`].
+        /// Index of one counter in a [`StatBlock`] / [`StatDeltas`], in
+        /// declaration order.
         #[allow(non_camel_case_types)]
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         pub(crate) enum Counter {
             $($name,)*
-            /// Commit/rollback ticks issued on the thread's clock shard.
-            shard_ticks,
-            /// Clock CASes lost to a thread of the same shard affinity.
-            shard_cas_losses,
         }
 
         /// A point-in-time copy of the runtime counters, suitable for diffing.
@@ -135,14 +127,8 @@ counters! {
     /// seqlock acquisition retries). The clock-pressure gauge: relief work
     /// (magazines, batching, silent stores) must push this down.
     clock_cas_retries,
-    /// Full cross-shard commit-clock scans, paid only on the snapshot
-    /// extension path (TLC-style: quiescent threads never synchronize).
-    /// Per-shard breakdowns come from `TmRuntime::clock_shard_stats`.
-    clock_shard_syncs,
-    /// Conflicts recorded against orec cache-line stripes (locked-by-other
-    /// encounters and validation version mismatches). Snapshots read the
-    /// live per-stripe tallies; `TmRuntime::orec_stripe_conflicts` gives
-    /// the per-stripe breakdown.
+    /// Conflicts observed on an orec (locked-by-other encounters and
+    /// validation version mismatches) — the abort edges of eager and lazy.
     orec_stripe_conflicts,
     /// NOrec writer commits whose buffered values all matched committed
     /// memory inside one even-stable seqlock window: the write-back and
@@ -156,7 +142,7 @@ counters! {
     config_switches,
 }
 
-const NCOUNTERS: usize = Counter::shard_cas_losses as usize + 1;
+const NCOUNTERS: usize = Counter::config_switches as usize + 1;
 const _: () = assert!(NCOUNTERS <= u32::BITS as usize, "StatDeltas::dirty is a u32 mask");
 
 /// One thread's slice of a runtime's counters: whole cache lines that only
@@ -229,14 +215,7 @@ impl TmStats {
 
     /// One counter summed over every block.
     pub(crate) fn sum(&self, c: Counter) -> u64 {
-        self.shard_sum(c, 0, 1)
-    }
-
-    /// One counter summed over the blocks of threads whose commit-clock
-    /// affinity is `shard` of `nshards` (a power of two `<= STAT_BLOCKS`).
-    pub(crate) fn shard_sum(&self, c: Counter, shard: usize, nshards: usize) -> u64 {
-        let blocks = self.blocks.iter().skip(shard).step_by(nshards);
-        blocks.map(|b| b.0[c as usize].load(Ordering::Relaxed)).sum()
+        self.blocks.iter().map(|b| b.0[c as usize].load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -386,18 +365,13 @@ mod tests {
         for ord in [3, 4, 3 + STAT_BLOCKS as u64] {
             d.add(Counter::commits, 10);
             d.add(Counter::read_log_dedup_hits, 0); // must not mark dirty
-            d.bump(Counter::shard_ticks);
+            d.bump(Counter::config_switches);
             s.flush(ord, &mut d);
             assert_eq!(d.dirty, 0);
             assert_eq!(d.get(Counter::commits), 0, "flush must zero what it moved");
         }
         assert_eq!(s.snapshot().commits, 30);
-        assert_eq!(s.sum(Counter::shard_ticks), 3);
-        // Per-shard fold: with 8 shards, ordinals 3 and 67 are shard 3.
-        assert_eq!(s.shard_sum(Counter::shard_ticks, 3, 8), 2);
-        assert_eq!(s.shard_sum(Counter::shard_ticks, 4, 8), 1);
-        assert_eq!(s.shard_sum(Counter::shard_ticks, 5, 8), 0);
-        assert_eq!(s.shard_sum(Counter::shard_ticks, 0, 1), 3, "one shard owns every block");
+        assert_eq!(s.sum(Counter::config_switches), 3, "the last counter folds too");
     }
 
     /// More short-lived threads than there are stat blocks, each gone by
@@ -440,8 +414,7 @@ mod tests {
         assert_eq!(s.commits, THREADS * TXNS);
         assert_eq!(s.begins, s.commits + s.aborts);
         assert_eq!(hot.load_direct(), THREADS * TXNS.div_ceil(16));
-        let ticks: u64 = rt.clock_shard_stats().iter().map(|k| k.ticks).sum();
-        assert!(ticks >= s.commits, "every writer commit (and eager rollback) ticks a shard");
+        assert!(rt.liveness().clock >= s.commits, "every writer commit (and eager rollback) ticks the clock");
     }
 
     #[test]

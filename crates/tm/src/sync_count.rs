@@ -19,9 +19,7 @@
 pub enum SyncSite {
     /// An ownership-record lock CAS (encounter- or commit-time).
     Orec,
-    /// A per-stripe orec conflict tally (abort edges only).
-    OrecConflict,
-    /// A commit-clock shard CAS.
+    /// A commit-clock CAS.
     Clock,
     /// NOrec's global sequence-lock CAS.
     SeqLock,
@@ -38,9 +36,8 @@ pub enum SyncSite {
 
 impl SyncSite {
     /// Every site, in [`SyncCounts`] index order.
-    pub const ALL: [SyncSite; 8] = [
+    pub const ALL: [SyncSite; 7] = [
         SyncSite::Orec,
-        SyncSite::OrecConflict,
         SyncSite::Clock,
         SyncSite::SeqLock,
         SyncSite::SerialLock,

@@ -52,7 +52,7 @@ fn switch_requires_serial_lock() {
 }
 
 /// Every algorithm→algorithm edge (including via norec, whose time base is
-/// the seqlock, not the sharded clock): commit stamps observed in external
+/// the seqlock, not the commit clock): commit stamps observed in external
 /// lock order never regress across a switch, and no increment is lost.
 #[test]
 fn stamps_monotone_and_counts_exact_across_all_switch_edges() {

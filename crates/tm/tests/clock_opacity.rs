@@ -1,31 +1,29 @@
-//! Opacity under skewed clock shards.
+//! Opacity of multi-word write sets against read-only snapshots.
 //!
-//! A committer whose snapshot is stale-low — cold home shard, thread-cached
-//! cross-shard view far behind a hot foreign shard — must never release its
-//! write-set orecs at a timestamp at or below a live reader's snapshot:
-//! such a reader could observe half the write set pre-publication and half
-//! post-release, with every version check passing and (being read-only)
-//! no commit-time revalidation to catch it.
+//! A committer must never release its write-set orecs at a timestamp at or
+//! below a live reader's snapshot: such a reader could observe half the
+//! write set pre-publication and half post-release, with every version
+//! check passing and (being read-only) no commit-time revalidation to
+//! catch it.
 //!
-//! One hot thread commits continuously on a private cell, dragging the
-//! global clock maximum ahead on its own shard. A cold thread periodically
-//! rewrites ALL shared words in one transaction, so its cached clock view
-//! is perpetually stale relative to the hot shard. Reader threads snapshot
-//! every shared word read-only; each snapshot must be uniform — any mix of
-//! old and new words is a serializability violation.
+//! One hot thread commits continuously on a private cell, so the clock
+//! moves under everybody and the other writer's commit-time CAS usually
+//! loses and takes the re-read fallback. A cold thread rewrites ALL shared
+//! words in one transaction per loop. Reader threads snapshot every shared
+//! word read-only; each snapshot must be uniform — any mix of old and new
+//! words is a serializability violation.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use tm::{Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction};
 
-fn skewed_shard_writers_stay_atomic(algo: Algorithm) {
+fn multiword_writes_stay_atomic(algo: Algorithm) {
     const WORDS: usize = 8;
     const COLD_COMMITS: u64 = 40_000;
     let rt = Arc::new(
         TmRuntime::builder()
             .algorithm(algo)
-            .clock_shards(8)
             .contention_manager(ContentionManager::None)
             .serial_lock(SerialLockMode::None)
             .build(),
@@ -79,7 +77,7 @@ fn skewed_shard_writers_stay_atomic(algo: Algorithm) {
     }
 
     // The cold committer runs here: one commit per loop against the hot
-    // thread's thousands, so now_cached at its begin lags the hot shard.
+    // thread's thousands, so its snapshot is usually stale by commit time.
     start.wait();
     for i in 1..=COLD_COMMITS {
         rt.atomic(|tx| {
@@ -98,11 +96,11 @@ fn skewed_shard_writers_stay_atomic(algo: Algorithm) {
 }
 
 #[test]
-fn eager_skewed_shard_writers_stay_atomic() {
-    skewed_shard_writers_stay_atomic(Algorithm::Eager);
+fn eager_multiword_writes_stay_atomic_under_a_hot_clock() {
+    multiword_writes_stay_atomic(Algorithm::Eager);
 }
 
 #[test]
-fn lazy_skewed_shard_writers_stay_atomic() {
-    skewed_shard_writers_stay_atomic(Algorithm::Lazy);
+fn lazy_multiword_writes_stay_atomic_under_a_hot_clock() {
+    multiword_writes_stay_atomic(Algorithm::Lazy);
 }

@@ -79,9 +79,8 @@ fn one_write_transaction_pays_only_its_commit_protocol() {
             Algorithm::Eager | Algorithm::Lazy => &[(SyncSite::Orec, 1), (SyncSite::Clock, 1)],
             Algorithm::Norec => &[(SyncSite::SeqLock, 1)],
         };
-        // Own-line: begins, commits, clock_tick_elisions, plus the shard
-        // tick tally for the orec algorithms.
-        let own = if algo == Algorithm::Norec { 3 } else { 4 };
+        // Own-line: begins, commits, clock_tick_elisions.
+        let own = 3;
         let mut want = protocol.to_vec();
         want.push((SyncSite::Stats, own));
         assert_eq!(nonzero(&c), want, "{algo}");
@@ -159,4 +158,38 @@ fn aborted_attempts_stay_on_own_lines() {
     });
     assert_eq!(c.shared_line(), 0, "{:?}", nonzero(&c));
     assert!(c.own_line() > 0);
+}
+
+/// The abort edge of the orec algorithms: an attempt that loses a
+/// validation (another thread committed over a word it had read) counts
+/// the conflict in its own stat block and — having locked no orec —
+/// touches no shared line at all.
+#[test]
+fn a_conflict_abort_issues_no_shared_line_rmw() {
+    for algo in [Algorithm::Eager, Algorithm::Lazy] {
+        let rt = runtime(algo, ContentionManager::None, SerialLockMode::None);
+        let (x, w) = (TCell::new(0u64), TCell::new(0u64));
+        let before = rt.stats();
+        let c = measure(|| {
+            let r = rt.atomic_with(TxOptions::new().max_retries(0), |tx| {
+                let seen = tx.read(&x)?;
+                // Another thread commits over `x` and `w` (its RMWs land
+                // in its own tally): reading `w` now needs a snapshot
+                // extension, whose validation finds `x` changed.
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        rt.atomic(|tx| {
+                            tx.write(&x, seen + 1)?;
+                            tx.write(&w, seen + 1)
+                        })
+                    });
+                });
+                tx.read(&w)
+            });
+            assert!(r.is_err(), "{algo}: the stale read must abort");
+        });
+        assert_eq!(c.shared_line(), 0, "{algo}: {:?}", nonzero(&c));
+        let s = rt.stats().since(&before);
+        assert_eq!((s.aborts, s.orec_stripe_conflicts), (2, 2), "{algo}: warm-up + measured run");
+    }
 }

@@ -15,16 +15,27 @@ cargo build --workspace --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
-# A single green pass of a parallelism-sensitive test proves little (this
-# one used to fail when the workers outran the switcher thread): loop the
-# test binary itself, without cargo's per-run overhead.
+# A single green pass of a parallelism-sensitive test proves little: loop
+# the test binary itself, without cargo's per-run overhead.
+# usage: loop200 <tm integration test> [test name filter]
+loop200() {
+    local bin
+    bin=$(cargo test --offline -p tm --test "$1" --no-run 2>&1 \
+        | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
+    for i in $(seq 1 200); do
+        "$bin" ${2:+"$2"} > /dev/null 2>&1 || {
+            echo "$1${2:+::$2} failed on run $i of 200"; exit 1; }
+    done
+}
+
+# Used to fail when the workers outran the switcher thread.
 echo "==> adapt_switch storm x200"
-STORM_BIN=$(cargo test --offline -p tm --test adapt_switch --no-run 2>&1 \
-    | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
-for i in $(seq 1 200); do
-    "$STORM_BIN" switch_storm_under_mixed_load > /dev/null 2>&1 || {
-        echo "adapt_switch::switch_storm_under_mixed_load failed on run $i of 200"; exit 1; }
-done
+loop200 adapt_switch switch_storm_under_mixed_load
+
+# A hot writer keeps the commit clock moving under a multi-word writer
+# while readers demand uniform snapshots (eager and lazy).
+echo "==> clock_opacity x200"
+loop200 clock_opacity
 
 echo "==> stress smoke (${STRESS_SECONDS}s, every algorithm/lock/CM combo; mixed, read-mostly, write-heavy and contended-commit schedules per seed)"
 cargo run --release --offline -p testkit --bin stress -- --seconds "$STRESS_SECONDS"
@@ -116,7 +127,7 @@ echo "$ADAPT_OUT" | grep -q 'switches=[1-9]' || {
 echo "$ADAPT_OUT" | grep -Eq 'hits=[1-9][0-9]*' || {
     echo "adaptive smoke: hot-key path never served a privatized hit"; exit 1; }
 
-echo "==> bench smoke (stm_fastpath: word-granularity speedup + zero-alloc counts + contended sharded-clock arms)"
+echo "==> bench smoke (stm_fastpath: word-granularity speedup + zero-alloc counts + contended-commit arms)"
 TESTKIT_BENCH_SAMPLES="${TESTKIT_BENCH_SAMPLES:-15}" \
     TESTKIT_BENCH_DIR="$PWD/target/testkit-bench" \
     cargo bench --offline -p bench --bench stm_fastpath
