@@ -132,7 +132,7 @@ fn bench_mix(c: &mut Criterion) {
                                 // ref_decr.
                                 let rc = tx.read(&it[3])?;
                                 tx.write(&it[3], rc.wrapping_sub(1))?;
-                                // stats_inline.
+                                // Stats folded into the item transaction.
                                 for s in &stats_full {
                                     let v = tx.read(s)?;
                                     tx.write(s, v + 1)?;

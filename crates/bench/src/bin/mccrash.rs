@@ -2,7 +2,7 @@
 //!
 //! ```console
 //! $ cargo run --release -p bench --bin mccrash -- --sweep 36 --seed 1
-//! PASS case=00 seed=0x4ba3f1... fsync=always mode=before kill_at=9/21
+//! PASS case=00 path=it-oncommit fsync=always mode=before kill_at=9/21
 //! ...
 //! mccrash: 39/39 cases passed (36 kill + 3 chaos-fail)
 //! ```
@@ -19,6 +19,12 @@
 //! iff the kill fired *after* its frame was written. Kill mode `mid`
 //! must additionally leave exactly one torn record; `before`/`after`
 //! leave none.
+//!
+//! Every mutation path stages its redo record through one `emit`, but
+//! reaches it from a different section shape per branch family, so the
+//! sweep rotates its kill points over six store paths ([`STORE_PATHS`]):
+//! a case's path is `seed % 6`, which the sweep pins so each path gets
+//! six of the 36 kill points, spread over every fsync policy.
 //!
 //! A second arm injects persistent log-write failures (`--fail-at`)
 //! instead of killing: the child must keep serving in cache-only mode,
@@ -41,9 +47,30 @@ const DEFAULT_OPS: usize = 40;
 const POLICIES: [DurFsync; 3] = [DurFsync::Always, DurFsync::EveryN(8), DurFsync::Off];
 const MODE_NAMES: [&str; 3] = ["before", "mid", "after"];
 
-fn start_cache(dir: &Path, fsync: DurFsync) -> McHandle {
+/// Every store path a redo record is emitted from: `(name, branch,
+/// magazine)` — the lock branch, IP with and without the serial lock (the
+/// branch sysbench measures), IT's 3-transaction store with and without
+/// it, and IT's 1-transaction magazine store.
+const STORE_PATHS: [(&str, Branch, usize); 6] = [
+    ("baseline", Branch::Baseline, 0),
+    ("ip-oncommit", Branch::Ip(Stage::OnCommit), 0),
+    ("ip-nolock", Branch::IpNoLock, 0),
+    ("it-oncommit", Branch::It(Stage::OnCommit), 0),
+    ("it-nolock", Branch::ItNoLock, 0),
+    ("it-oncommit+mag64", Branch::It(Stage::OnCommit), 64),
+];
+
+/// The store path a case runs (and recovers) on depends only on its seed,
+/// like its kill point.
+fn store_path(seed: u64) -> (&'static str, Branch, usize) {
+    STORE_PATHS[(seed % STORE_PATHS.len() as u64) as usize]
+}
+
+fn start_cache(dir: &Path, fsync: DurFsync, seed: u64) -> McHandle {
+    let (_, branch, magazine) = store_path(seed);
     McCache::start(McConfig {
-        branch: Branch::It(Stage::OnCommit),
+        branch,
+        magazine,
         workers: 1,
         slab: SlabConfig {
             mem_limit: 16 << 20,
@@ -100,7 +127,7 @@ fn run_child(
         CHAOS_FAIL_AFTER.store(f, Ordering::SeqCst);
     }
     let plan = CrashPlan::from_seed(seed, ops_n);
-    let c = start_cache(dir, fsync);
+    let c = start_cache(dir, fsync, seed);
     for op in &plan.ops {
         exec(&c, op);
     }
@@ -139,12 +166,13 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// Returns a list of human-readable mismatches (empty = pass).
 fn verify_recovery(
     dir: &Path,
+    seed: u64,
     sim: &BTreeMap<Vec<u8>, Vec<u8>>,
     expect_torn: u64,
     verbose: bool,
 ) -> Vec<String> {
     let mut errs = Vec::new();
-    let c = start_cache(dir, DurFsync::Off);
+    let c = start_cache(dir, DurFsync::Off, seed);
     let d = c.dur_stats().expect("dur stats present");
     if d.torn_records_dropped != expect_torn {
         errs.push(format!(
@@ -229,11 +257,12 @@ fn run_kill_case(exe: &Path, spec: &CaseSpec, verbose: bool) -> bool {
     let survivors = fatal + usize::from(spec.kill_mode == 2);
     let sim = simulate(&plan.ops, survivors);
     let expect_torn = u64::from(spec.kill_mode == 1);
-    errs.extend(verify_recovery(&dir, &sim, expect_torn, verbose));
+    errs.extend(verify_recovery(&dir, spec.seed, &sim, expect_torn, verbose));
     let _ = std::fs::remove_dir_all(&dir);
     let line = format!(
-        "{} fsync={} mode={} kill_at={kill_at}/{total} fatal_op={fatal} live={}",
+        "{} path={} fsync={} mode={} kill_at={kill_at}/{total} fatal_op={fatal} live={}",
         spec.label,
+        store_path(spec.seed).0,
         spec.fsync,
         MODE_NAMES[spec.kill_mode as usize],
         sim.len()
@@ -267,6 +296,7 @@ fn run_fail_case(exe: &Path, label: &str, seed: u64, ops_n: usize, fsync: DurFsy
         return true;
     }
     let fail_at = pick_kill_at(seed ^ 0xFA11, total);
+    let path = store_path(seed).0;
     let dir = fresh_dir(label);
     let out = Command::new(exe)
         .args([
@@ -303,13 +333,16 @@ fn run_fail_case(exe: &Path, label: &str, seed: u64, ops_n: usize, fsync: DurFsy
     // Appends 0..fail_at landed; the op that would have produced append
     // `fail_at` (and everything after) was dropped on the floor.
     let sim = simulate(&plan.ops, fatal_op(&plan.ops, fail_at));
-    errs.extend(verify_recovery(&dir, &sim, 0, false));
+    errs.extend(verify_recovery(&dir, seed, &sim, 0, false));
     let _ = std::fs::remove_dir_all(&dir);
     if errs.is_empty() {
-        println!("PASS {label} fsync={fsync} fail_at={fail_at}/{total} live={}", sim.len());
+        println!(
+            "PASS {label} path={path} fsync={fsync} fail_at={fail_at}/{total} live={}",
+            sim.len()
+        );
         true
     } else {
-        println!("FAIL {label} fsync={fsync} fail_at={fail_at}/{total}");
+        println!("FAIL {label} path={path} fsync={fsync} fail_at={fail_at}/{total}");
         for e in &errs {
             println!("  {e}");
         }
@@ -445,13 +478,19 @@ fn main() {
     }
 
     // The sweep: every (fsync policy × kill mode) combination, each
-    // kill point seed-derived, plus one chaos-fail case per policy.
+    // kill point seed-derived, plus one chaos-fail case per policy. The
+    // case seed's residue mod 6 is pinned to `(i + i/6) % 6`, which walks
+    // the store paths against the fsync (`i % 3`) and kill-mode
+    // (`(i/3) % 3`) rotations: 36 cases give each path six kill points
+    // and each (path, fsync) pair two.
     let mut passed = 0usize;
     let mut failed = 0usize;
+    let paths = STORE_PATHS.len() as u64;
     for i in 0..a.sweep {
+        let seed = mix_seed(a.seed, i as u64);
         let spec = CaseSpec {
             label: format!("case={i:02}"),
-            seed: mix_seed(a.seed, i as u64),
+            seed: seed - seed % paths + (i + i / 6) as u64 % paths,
             ops_n: a.ops_n,
             fsync: POLICIES[i % 3],
             kill_mode: ((i / 3) % 3) as u64,

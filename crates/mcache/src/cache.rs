@@ -6,21 +6,22 @@
 //! (Figure 2, comments) forms.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lockprof::{ProfiledMutex, Profiler};
 use lockprof::sync::Condvar;
-use tm::{Abort, Algorithm, ContentionManager, RelaxedPlan, SerialLockMode, StatsSnapshot, TmRuntime, Transaction};
+use lockprof::{ProfiledGuard, ProfiledMutex, Profiler};
+use tm::{Abort, Algorithm, ContentionManager, RelaxedPlan, SerialLockMode, StatsSnapshot, TCell, TmRuntime, Transaction};
 use tmstd::ByteAccess;
 
-use crate::core::{AllocError, CacheCore, GetHit};
+use crate::core::{AllocError, Allocation, CacheCore, GetHit};
 use crate::ctx::Ctx;
-use crate::dur::{self, DurLog, DurSnapshot, Record};
+use crate::dur::{self, DurLog, DurSnapshot};
+use crate::effect::{Effect, Effects, Entered};
 use crate::hashes::jenkins_hash;
-use crate::hot::{HotLookup, HotSet, HotSketch, HotState};
-use crate::item::ItemHandle;
+use crate::hot::{HotLookup, HotSketch, HotState};
+use crate::item::{ItemHandle, ItemSizes};
 use crate::policy::{Branch, Category, ItemMode, Policy, SectionKind};
 use crate::sem::Semaphore;
 use crate::slabs::SlabConfig;
@@ -157,6 +158,14 @@ pub struct GetValue {
     pub flags: u32,
     /// CAS id.
     pub cas: u64,
+    /// Expiry in [`McCache::rel_time`] seconds (0 = never).
+    pub exp: u32,
+}
+
+impl From<GetHit> for GetValue {
+    fn from(h: GetHit) -> GetValue {
+        GetValue { data: h.value, flags: h.flags, cas: h.cas, exp: h.exp }
+    }
 }
 
 /// Store command flavors.
@@ -269,12 +278,9 @@ pub struct McCache {
     core: CacheCore,
     profiler: Profiler,
     start_time: Instant,
-    /// Unix seconds corresponding to `rel_time() == 0`, fixed at start so
-    /// redo records carry wall-clock times that survive a restart.
-    unix_base: u64,
-    /// The redo-log writer; empty while recovery replays (replayed inserts
-    /// must not re-log) and forever when durability is off.
-    dur: OnceLock<Arc<DurLog>>,
+    /// The redo log and the hot-key set, reachable only as subscribers of
+    /// [`Effect`]s (plus the GET-side probe, recovery attach and stats).
+    fx: Effects,
     // Lock-branch locks, in the §3.1 order: item, cache, slabs, stats.
     cache_lock: ProfiledMutex<()>,
     slabs_lock: ProfiledMutex<()>,
@@ -296,9 +302,6 @@ pub struct McCache {
     mag_cap: AtomicUsize,
     /// Live LRU-bump cadence; `cfg.lru_bump_every` is only the seed.
     bump_every: AtomicU64,
-    /// Hot-key privatization table; present iff `cfg.hot_slots > 0` on a
-    /// transactional branch.
-    hot: Option<Arc<HotSet>>,
     /// Controller epochs completed.
     adapt_epochs: AtomicU64,
     /// Magazine-capacity retunes applied.
@@ -392,6 +395,88 @@ pub struct CacheStats {
     pub hot_armed: u64,
 }
 
+/// What a critical section's body touches, which decides how each branch
+/// family runs it (§3.1, §3.3).
+enum Scope<'a> {
+    /// One item's data, under that key's [`ItemGuard`]: direct on the lock
+    /// branches and on IP (privatized while the item lock is held), a
+    /// transaction on IT.
+    Item,
+    /// [`Scope::Item`] for a body that expects to stay read-only: IT
+    /// enters through the read-only fast lane.
+    ItemRead,
+    /// Data the lock branches guard with these locks, taken in order:
+    /// direct under them there, a transaction on IP and IT.
+    Table(&'a [&'a ProfiledMutex<()>]),
+}
+
+/// Runs `f` holding every lock of `locks`, acquired left to right.
+fn with_locks<R>(locks: &[&ProfiledMutex<()>], f: impl FnOnce() -> R) -> R {
+    match locks {
+        [] => f(),
+        [first, rest @ ..] => {
+            let _g = first.lock();
+            with_locks(rest, f)
+        }
+    }
+}
+
+/// A key's item lock in the branch's form — striped mutex, IP's
+/// lock/unlock mini-transaction pair (Figure 1a's `tm_lock`), or nothing
+/// on IT — held for exactly as long as the guard lives. Release on drop
+/// means a request that panics mid-section (and is answered
+/// `SERVER_ERROR` by the per-request guard) cannot leave its stripe
+/// locked for every later request.
+pub(crate) enum ItemGuard<'a> {
+    /// Lock branches.
+    Mutex(#[allow(dead_code)] ProfiledGuard<'a, ()>),
+    /// IP: the stripe's boolean is `true` until drop.
+    Tx(&'a McCache, usize),
+    /// IT: item sections are transactions.
+    None,
+}
+
+impl<'a> ItemGuard<'a> {
+    pub(crate) fn new(cache: &'a McCache, stripe: usize) -> Self {
+        match cache.policy.item_mode {
+            ItemMode::Lock => ItemGuard::Mutex(cache.core.item_locks.mutex(stripe).lock()),
+            ItemMode::Privatize => {
+                cache.ip_item_lock(stripe);
+                ItemGuard::Tx(cache, stripe)
+            }
+            ItemMode::Transactional => ItemGuard::None,
+        }
+    }
+}
+
+impl Drop for ItemGuard<'_> {
+    fn drop(&mut self) {
+        if let ItemGuard::Tx(cache, stripe) = self {
+            cache.ip_item_unlock(*stripe);
+        }
+    }
+}
+
+/// A private chunk on its way into a link section.
+#[derive(Clone, Copy)]
+struct Chunk {
+    h: ItemHandle,
+    /// `Some` while the value (and, for a raw magazine chunk, the header)
+    /// is still to be written — by the link section itself.
+    fill: Option<ItemSizes>,
+    /// Whether allocating it evicted something.
+    evicted: bool,
+}
+
+impl From<AllocError> for StoreStatus {
+    fn from(e: AllocError) -> StoreStatus {
+        match e {
+            AllocError::TooLarge => StoreStatus::TooLarge,
+            AllocError::OutOfMemory => StoreStatus::OutOfMemory,
+        }
+    }
+}
+
 impl McCache {
     /// Builds the cache and spawns its maintenance threads.
     ///
@@ -443,8 +528,15 @@ impl McCache {
                 sketch: HotSketch::default(),
             })
             .collect();
-        let hot = (cfg.hot_slots > 0 && policy.item_mode == ItemMode::Transactional)
-            .then(|| Arc::new(HotSet::new(cfg.hot_slots)));
+        // Unix seconds at `rel_time() == 0`, fixed at start.
+        let unix_base = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_secs())
+            .unwrap_or(0)
+            .saturating_sub(2);
+        // The hot set exists only where item sections are transactions.
+        let hot_slots =
+            if policy.item_mode == ItemMode::Transactional { cfg.hot_slots } else { 0 };
         let cache = Arc::new(McCache {
             policy,
             rt,
@@ -462,7 +554,7 @@ impl McCache {
             shutdown: AtomicBool::new(false),
             mag_cap: AtomicUsize::new(cfg.magazine),
             bump_every: AtomicU64::new(cfg.lru_bump_every),
-            hot,
+            fx: Effects::new(hot_slots, unix_base),
             adapt_epochs: AtomicU64::new(0),
             adapt_mag_resizes: AtomicU64::new(0),
             adapt_ro_tunes: AtomicU64::new(0),
@@ -480,12 +572,6 @@ impl McCache {
             assoc_panic_trap: AtomicBool::new(false),
             slab_panic_trap: AtomicBool::new(false),
             start_time: Instant::now(),
-            unix_base: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0)
-                .saturating_sub(2),
-            dur: OnceLock::new(),
             profiler,
             cfg,
         });
@@ -533,9 +619,7 @@ impl McCache {
     /// Stops the maintenance threads (idempotent) and seals the redo log
     /// so the next start recovers without the torn-tail heuristic.
     pub fn shutdown(&self) {
-        if let Some(d) = self.dur.get() {
-            d.seal();
-        }
+        self.fx.seal_log();
         self.shutdown.store(true, Ordering::SeqCst);
         self.assoc_sem.post();
         self.slab_sem.post();
@@ -583,7 +667,7 @@ impl McCache {
         // `cmd_total` cell; fold the shards back in so `cmd_total` keeps
         // meaning "every command ever processed".
         global.cmd_total += threads.cmd_shard;
-        let hot = self.hot.as_deref();
+        let hot = self.fx.hot_counters();
         CacheStats {
             global,
             threads,
@@ -596,10 +680,10 @@ impl McCache {
             adapt_ro_tunes: self.adapt_ro_tunes.load(Ordering::Relaxed),
             magazine_cap: self.mag_cap.load(Ordering::Relaxed) as u64,
             lru_bump_every: self.bump_every.load(Ordering::Relaxed),
-            hot_hits: hot.map_or(0, |h| h.hits.load(Ordering::Relaxed)),
-            hot_installs: hot.map_or(0, |h| h.installs.load(Ordering::Relaxed)),
-            hot_invalidations: hot.map_or(0, |h| h.invalidations.load(Ordering::Relaxed)),
-            hot_armed: hot.map_or(0, |h| h.armed() as u64),
+            hot_hits: hot.hits,
+            hot_installs: hot.installs,
+            hot_invalidations: hot.invalidations,
+            hot_armed: hot.armed,
         }
     }
 
@@ -612,157 +696,22 @@ impl McCache {
     /// Current Unix seconds, derived from the same monotonic clock as
     /// [`McCache::rel_time`] so the two never drift within a run.
     pub fn unix_time(&self) -> u64 {
-        self.unix_base + self.rel_time() as u64
-    }
-
-    /// Converts a rel-time-space second to Unix seconds, preserving the
-    /// "0 = never" sentinel.
-    fn abs_unix(&self, rel: u32) -> u64 {
-        if rel == 0 {
-            0
-        } else {
-            self.unix_base + rel as u64
-        }
+        self.fx.unix_base() + self.rel_time() as u64
     }
 
     // ------------------------------------------------------------------
-    // Durability: redo-log hook + startup recovery (DESIGN §14)
+    // Durability: startup recovery (DESIGN §14; the commit-time hook is
+    // `effect::Effects::emit`)
     // ------------------------------------------------------------------
 
     /// Whether the redo log is attached (and not yet failed).
     pub fn dur_enabled(&self) -> bool {
-        self.dur.get().is_some_and(|d| !d.is_failed())
+        self.fx.dur_enabled()
     }
 
     /// Durability counters, `None` when the cache runs without a log.
     pub fn dur_stats(&self) -> Option<DurSnapshot> {
-        self.dur.get().map(|d| d.stats().snapshot())
-    }
-
-    /// Registers `rec` for the redo log at this critical section's commit
-    /// stamp. Inside a transaction the append rides the §3.5 onCommit
-    /// hook — it runs after every runtime lock is released, stamped with
-    /// [`tm::last_commit_stamp`]. Under a held lock (Lock/IP branches,
-    /// recovery) the append happens immediately with a freshly minted
-    /// stamp from the same time base, while the caller still holds the
-    /// item lock — so same-key records land in the file in lock order.
-    fn dur_record<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, rec: Record) {
-        let Some(d) = self.dur.get() else { return };
-        if ctx.in_transaction() {
-            let d = Arc::clone(d);
-            ctx.defer_or_run(move || d.append(tm::last_commit_stamp(), &rec));
-        } else {
-            d.append(self.rt.mint_commit_stamp(), &rec);
-        }
-    }
-
-    /// Builds and registers the [`Record::Set`] for a freshly linked item.
-    /// Must run inside the same critical section as the link, after the
-    /// link assigned the CAS id.
-    fn dur_store_record<'e>(
-        &'e self,
-        ctx: &mut Ctx<'_, 'e>,
-        h: ItemHandle,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-    ) -> Result<(), Abort> {
-        if self.dur.get().is_none() {
-            return Ok(());
-        }
-        let it = self.core.arena.resolve(h);
-        let cas = it.cas(ctx)?;
-        let (exp, last) = it.times(ctx)?;
-        self.dur_record(
-            ctx,
-            Record::Set {
-                cas,
-                flags,
-                abs_exp: self.abs_unix(exp),
-                stored_unix: self.abs_unix(last),
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-        );
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Hot-key publication (DESIGN §15.4)
-    // ------------------------------------------------------------------
-
-    /// The hot set's current invalidation generation — capture BEFORE the
-    /// critical section whose outcome will be published. 0 when the hot
-    /// set is off (publishes are no-ops then anyway).
-    fn hot_gen(&self) -> u64 {
-        self.hot.as_deref().map_or(0, HotSet::current_gen)
-    }
-
-    /// Publishes a freshly linked item to the hot set from the linking
-    /// transaction's onCommit hook, stamped with the commit stamp — after
-    /// the store is globally visible, before the client's reply (which is
-    /// what makes hot reads read-your-writes). Must run inside the same
-    /// section as the link, after the CAS id was assigned; `gen` is the
-    /// generation captured before the section.
-    #[allow(clippy::too_many_arguments)]
-    fn hot_record_store<'e>(
-        &'e self,
-        ctx: &mut Ctx<'_, 'e>,
-        h: ItemHandle,
-        key: &[u8],
-        hv: u32,
-        value: &[u8],
-        flags: u32,
-        gen: u64,
-    ) -> Result<(), Abort> {
-        let Some(hot) = &self.hot else { return Ok(()) };
-        if !hot.is_tagged(hv) {
-            return Ok(());
-        }
-        let it = self.core.arena.resolve(h);
-        let cas = it.cas(ctx)?;
-        let (exp, _) = it.times(ctx)?;
-        let hot = Arc::clone(hot);
-        let key = key.to_vec();
-        let value = value.to_vec();
-        ctx.defer_or_run(move || {
-            hot.publish(
-                hv,
-                &key,
-                gen,
-                tm::last_commit_stamp(),
-                HotState::Present { value, flags, cas, exp },
-            );
-        });
-        Ok(())
-    }
-
-    /// Publishes a commit-stamped [`HotState::Absent`] for a deleted key.
-    fn hot_record_delete<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, key: &[u8], hv: u32, gen: u64) {
-        let Some(hot) = &self.hot else { return };
-        if !hot.is_tagged(hv) {
-            return;
-        }
-        let hot = Arc::clone(hot);
-        let key = key.to_vec();
-        ctx.defer_or_run(move || {
-            hot.publish(hv, &key, gen, tm::last_commit_stamp(), HotState::Absent);
-        });
-    }
-
-    /// Publishes a commit-stamped [`HotState::Unknown`] for a key mutated
-    /// without a re-renderable value (incr/decr, touch): never served, but
-    /// it fences out repopulation from pre-mutation observations.
-    fn hot_record_disturb<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, key: &[u8], hv: u32, gen: u64) {
-        let Some(hot) = &self.hot else { return };
-        if !hot.is_tagged(hv) {
-            return;
-        }
-        let hot = Arc::clone(hot);
-        let key = key.to_vec();
-        ctx.defer_or_run(move || {
-            hot.publish(hv, &key, gen, tm::last_commit_stamp(), HotState::Unknown);
-        });
+        self.fx.dur_stats()
     }
 
     /// Startup recovery: scan the log directory, replay the surviving
@@ -800,7 +749,7 @@ impl McCache {
                     let rel_exp = if e.abs_exp == 0 {
                         0
                     } else {
-                        e.abs_exp.saturating_sub(self.unix_base) as u32
+                        e.abs_exp.saturating_sub(self.fx.unix_base()) as u32
                     };
                     if self.store(0, StoreMode::Set, &e.key, &e.value, e.flags, rel_exp)
                         == StoreStatus::Stored
@@ -830,7 +779,7 @@ impl McCache {
         match DurLog::open(&dir, self.cfg.dur_fsync, self.cfg.dur_segment_bytes, cas_floor) {
             Ok(log) => {
                 log.note_recovery(recovered, torn, compactions);
-                let _ = self.dur.set(Arc::new(log));
+                self.fx.attach_log(log);
             }
             Err(e) => {
                 eprintln!(
@@ -886,55 +835,81 @@ impl McCache {
     // Section machinery
     // ------------------------------------------------------------------
 
-    /// Runs one critical-section-turned-transaction. `entry` lists unsafe
-    /// categories performed unconditionally at the top of the section
-    /// (start-serial causes); `mid` lists those reachable later
-    /// (in-flight-switch causes). Only meaningful on transactional
-    /// branches.
-    fn tx_section<'e, R>(
+    /// Runs one critical section the way this branch runs sections of its
+    /// [`Scope`]: directly, under the scope's locks, where the data is
+    /// still lock-protected or privatized; as a transaction where the paper
+    /// replaced the locks. There `entry` lists the unsafe categories
+    /// performed unconditionally at the top of the section (start-serial
+    /// causes) and `mid` those reachable later (in-flight-switch causes).
+    ///
+    /// A [`Scope::ItemRead`] transaction enters through the runtime's
+    /// read-only fast lane (`atomic_ro` / `relaxed_ro`), so a GET that
+    /// never writes commits without ever touching an orec or a log. A
+    /// write mid-section (cold ITEM_FETCHED, refcounting without elision,
+    /// LRU timestamp) promotes the attempt in flight — same semantics, just
+    /// without the fast-lane discount. Sections whose policy forces serial
+    /// mode take the ordinary serial path; the hint is meaningless there.
+    fn section<'e, R>(
         &'e self,
+        scope: Scope<'_>,
         entry: &[Category],
         mid: &[Category],
         mut f: impl FnMut(&mut Ctx<'_, 'e>) -> Result<R, Abort>,
     ) -> R {
+        let it_mode = self.policy.item_mode == ItemMode::Transactional;
+        let direct_under = match scope {
+            Scope::Item | Scope::ItemRead if !it_mode => Some(&[][..]),
+            Scope::Table(locks) if !self.policy.transactional => Some(locks),
+            _ => None,
+        };
+        if let Some(locks) = direct_under {
+            return with_locks(locks, || f(&mut Ctx::Direct).expect("direct sections never abort"));
+        }
+        let ro = matches!(scope, Scope::ItemRead);
+        let rt = &self.rt;
         match self.policy.section_kind(entry, mid) {
-            SectionKind::Atomic => self.rt.atomic(|tx| f(&mut Ctx::Atomic(tx))),
-            SectionKind::Relaxed => self
-                .rt
-                .relaxed(RelaxedPlan::new(), |tx| f(&mut Ctx::Relaxed(tx))),
-            SectionKind::RelaxedSerial => self
-                .rt
-                .relaxed(RelaxedPlan::serial(), |tx| f(&mut Ctx::Relaxed(tx))),
+            SectionKind::Atomic if ro => rt.atomic_ro(|tx| f(&mut Ctx::Atomic(tx))),
+            SectionKind::Atomic => rt.atomic(|tx| f(&mut Ctx::Atomic(tx))),
+            SectionKind::Relaxed if ro => {
+                rt.relaxed_ro(RelaxedPlan::new(), |tx| f(&mut Ctx::Relaxed(tx)))
+            }
+            SectionKind::Relaxed => rt.relaxed(RelaxedPlan::new(), |tx| f(&mut Ctx::Relaxed(tx))),
+            SectionKind::RelaxedSerial => {
+                rt.relaxed(RelaxedPlan::serial(), |tx| f(&mut Ctx::Relaxed(tx)))
+            }
         }
     }
 
-    /// [`Self::tx_section`] for sections that expect to stay read-only:
-    /// enters through the runtime's read-only fast lane (`atomic_ro` /
-    /// `relaxed_ro`), so a GET that never writes commits without ever
-    /// touching an orec or a log. A write mid-section (cold ITEM_FETCHED,
-    /// refcounting without elision, LRU timestamp) promotes the attempt in
-    /// flight — same semantics, just without the fast-lane discount.
-    /// Sections whose policy forces serial mode take the ordinary serial
-    /// path; the hint is meaningless there.
-    fn tx_section_ro<'e, R>(
+    /// [`Self::section`] for a body that mutates the cache. Entry is
+    /// marked first — the hot generation is captured here, before the body
+    /// runs, for every mutation alike — and the body hands the mark back
+    /// to [`Self::emit`] with the [`Effect`] of what it did.
+    fn mutation<'e, R>(
         &'e self,
+        scope: Scope<'_>,
         entry: &[Category],
         mid: &[Category],
-        mut f: impl FnMut(&mut Ctx<'_, 'e>) -> Result<R, Abort>,
+        mut f: impl FnMut(&mut Ctx<'_, 'e>, Entered) -> Result<R, Abort>,
     ) -> R {
-        match self.policy.section_kind(entry, mid) {
-            SectionKind::Atomic => self.rt.atomic_ro(|tx| f(&mut Ctx::Atomic(tx))),
-            SectionKind::Relaxed => self
-                .rt
-                .relaxed_ro(RelaxedPlan::new(), |tx| f(&mut Ctx::Relaxed(tx))),
-            SectionKind::RelaxedSerial => self
-                .rt
-                .relaxed(RelaxedPlan::serial(), |tx| f(&mut Ctx::Relaxed(tx))),
-        }
+        let at = self.fx.enter();
+        self.section(scope, entry, mid, |ctx| f(ctx, at))
+    }
+
+    /// Reports `effect` on `key` to the redo log and the hot set, from
+    /// inside the section that caused it ([`Effects::emit`]).
+    fn emit<'e>(
+        &'e self,
+        ctx: &mut Ctx<'_, 'e>,
+        at: Entered,
+        key: &[u8],
+        hv: u32,
+        effect: Effect<'_>,
+    ) -> Result<(), Abort> {
+        self.fx.emit(ctx, &self.core, &self.rt, at, key, hv, effect)
     }
 
     /// IP's item-lock acquire: a mini-transaction spinning on a boolean
-    /// (Figure 1a's `tm_lock`).
+    /// (Figure 1a's `tm_lock`). Only [`ItemGuard::new`] calls it.
     fn ip_item_lock(&self, stripe: usize) {
         let cell = self.core.item_locks.cell(stripe);
         loop {
@@ -955,41 +930,28 @@ impl McCache {
 
     /// IP's item-lock release mini-transaction (a single-location
     /// transaction expression, which GCC — and this runtime — does not
-    /// optimize; §3.3 flags the cost).
+    /// optimize; §3.3 flags the cost). Only [`ItemGuard`]'s drop calls it.
     fn ip_item_unlock(&self, stripe: usize) {
         self.rt.expr_write(self.core.item_locks.cell(stripe), false);
     }
 
     /// Verbose logging inside a section: `fprintf(stderr, ...)` guarded by
     /// the verbose flag — unsafe pre-onCommit, a commit handler after.
-    fn maybe_log<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, _what: &'static str) -> Result<(), Abort> {
+    fn maybe_log<'e>(&'e self, ctx: &mut Ctx<'_, 'e>) -> Result<(), Abort> {
         if !self.cfg.verbose {
             return Ok(());
         }
         let sink = &self.log_lines;
-        if !ctx.in_transaction() {
+        ctx.side_effect(&self.policy, Category::LogIo, move || {
             sink.fetch_add(1, Ordering::Relaxed);
-        } else if self.policy.is_deferred(Category::LogIo) {
-            ctx.defer_or_run(move || {
-                sink.fetch_add(1, Ordering::Relaxed);
-            });
-        } else {
-            ctx.unsafe_op(|| sink.fetch_add(1, Ordering::Relaxed))?;
-        }
-        Ok(())
+        })
     }
 
     /// Wakes a maintenance thread from inside a section: condvar signal in
     /// Baseline (Figure 2 left), `sem_post` after — unsafe pre-onCommit,
     /// then deferred to an onCommit handler.
-    fn signal_maintenance<'e>(
-        &'e self,
-        ctx: &mut Ctx<'_, 'e>,
-        slab: bool,
-    ) -> Result<(), Abort> {
-        let g = &self.core.global;
-        let c = ctx.fetch_add_word(g.maintenance_signals.word(), 1);
-        c?;
+    fn signal_maintenance<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, slab: bool) -> Result<(), Abort> {
+        ctx.fetch_add_word(self.core.global.maintenance_signals.word(), 1)?;
         if !self.policy.semaphores {
             // Baseline: cond_signal while holding the lock.
             debug_assert!(!ctx.in_transaction());
@@ -1001,81 +963,54 @@ impl McCache {
             return Ok(());
         }
         let sem = if slab { &self.slab_sem } else { &self.assoc_sem };
-        if !ctx.in_transaction() {
-            sem.post();
-        } else if self.policy.is_deferred(Category::SemPost) {
-            ctx.defer_or_run(move || sem.post());
-        } else {
-            ctx.unsafe_op(|| sem.post())?;
-        }
-        Ok(())
+        ctx.side_effect(&self.policy, Category::SemPost, move || sem.post())
     }
 
-    /// Per-op statistics: the per-thread block under its own lock, then
-    /// the global `cmd_total` under `stats_lock` — the §3.1 contended
-    /// lock.
-    fn op_stats<'s>(
-        &'s self,
-        w: usize,
-        f: impl Fn(&'s ThreadStats) -> (
-            &'s tm::TCell<u64>,
-            Option<&'s tm::TCell<u64>>,
-        ),
-    ) {
-        let slot = &self.workers[w];
-        let (a, b) = f(&slot.stats);
-        let cells = std::iter::once(a).chain(b);
-        if !self.policy.transactional {
-            let _g = slot.lock.lock();
-            let mut ctx = Ctx::Direct;
-            for cell in cells {
-                let v = ctx.get_word(cell.word()).expect("direct");
-                ctx.put_word(cell.word(), v + 1).expect("direct");
+    /// A maintenance wakeup as its own section, whose entry *is* the
+    /// `sem_post`: how IT hoists the wakeup out of its (already large)
+    /// store transaction, and how every branch delivers the one an
+    /// out-of-memory allocation raised.
+    fn wake(&self, assoc: bool, slab: bool) {
+        self.section(Scope::Table(&[]), &[Category::SemPost], &[], |ctx| {
+            if assoc {
+                self.signal_maintenance(ctx, false)?;
             }
-        } else {
-            // The per-thread stats lock became a transaction (§3.1).
-            self.tx_section(&[], &[], |ctx| {
-                for cell in std::iter::once(a).chain(b) {
-                    let v = ctx.get_word(cell.word())?;
-                    ctx.put_word(cell.word(), v + 1)?;
-                }
-                Ok(())
-            });
-        }
+            if slab {
+                self.signal_maintenance(ctx, true)?;
+            }
+            Ok(())
+        });
     }
 
-    fn bump_cmd_total(&self) {
-        let g = &self.core.global;
-        if !self.policy.transactional {
-            let _s = self.stats_lock.lock();
-            let mut ctx = Ctx::Direct;
-            let v = ctx.get_word(g.cmd_total.word()).expect("direct");
-            ctx.put_word(g.cmd_total.word(), v + 1).expect("direct");
-        } else {
-            self.tx_section(&[], &[], |ctx| {
-                let v = ctx.get_word(g.cmd_total.word())?;
-                ctx.put_word(g.cmd_total.word(), v + 1)
-            });
-        }
-    }
-
-    /// IT enlarges critical sections (the Figure-3 observation: "using TM
-    /// will encourage programmers to enlarge critical sections"): the
-    /// per-thread and global stats updates fold into the main item
-    /// transaction instead of running as their own mini-transactions.
-    fn stats_inline<'e>(
+    /// Counts one command inside the caller's own transaction: the
+    /// per-thread `cells`, then the global `cmd_total`. IT enlarges
+    /// critical sections (the Figure-3 observation: "using TM will
+    /// encourage programmers to enlarge critical sections"), so its item
+    /// transactions fold the stats updates in.
+    fn count_inline<'e>(
         &'e self,
         ctx: &mut Ctx<'_, 'e>,
-        cell: &'e tm::TCell<u64>,
-        extra: Option<&'e tm::TCell<u64>>,
+        cells: &[&'e TCell<u64>],
     ) -> Result<(), Abort> {
-        for c in std::iter::once(cell).chain(extra) {
-            let v = ctx.get_word(c.word())?;
-            ctx.put_word(c.word(), v + 1)?;
-        }
         let g = &self.core.global;
-        let v = ctx.get_word(g.cmd_total.word())?;
-        ctx.put_word(g.cmd_total.word(), v + 1)
+        for cell in cells {
+            g.bump(ctx, cell)?;
+        }
+        g.bump(ctx, &g.cmd_total)
+    }
+
+    /// Counts one command as its own two sections: worker `w`'s `cells`
+    /// under the per-thread lock, then the global `cmd_total` under
+    /// `stats_lock` — the §3.1 contended lock. On the transactional
+    /// branches both locks became mini-transactions.
+    fn count_op<'e>(&'e self, w: usize, cells: &[&'e TCell<u64>]) {
+        let g = &self.core.global;
+        if !cells.is_empty() {
+            self.section(Scope::Table(&[&self.workers[w].lock]), &[], &[], |ctx| {
+                cells.iter().try_for_each(|cell| g.bump(ctx, cell))
+            });
+        }
+        self.section(Scope::Table(&[&self.stats_lock]), &[], &[], |ctx| g.bump(ctx, &g.cmd_total));
     }
 
     /// GET-path stats by privatization: the per-thread block is only ever
@@ -1107,6 +1042,13 @@ impl McCache {
     // Client operations
     // ------------------------------------------------------------------
 
+    /// Whether the get that drew op number `ops` should bump its item's
+    /// LRU position.
+    fn lru_bump_due(&self, ops: u64) -> bool {
+        let cadence = self.bump_every.load(Ordering::Relaxed);
+        cadence != 0 && ops.is_multiple_of(cadence)
+    }
+
     /// `get key`.
     ///
     /// # Panics
@@ -1117,131 +1059,79 @@ impl McCache {
         assert!(key.len() <= KEY_MAX && !key.is_empty(), "bad key length");
         let hv = jenkins_hash(key, 0);
         let now = self.rel_time();
-        let stripe = self.core.item_locks.stripe(hv);
         let ops = self.workers[w].op_count.fetch_add(1, Ordering::Relaxed);
-        let bump_cadence = self.bump_every.load(Ordering::Relaxed);
-        let bump_hint = bump_cadence != 0 && ops.is_multiple_of(bump_cadence);
-        let core = &self.core;
-        let policy = self.policy;
+        let bump_hint = self.lru_bump_due(ops);
+        let (core, policy) = (&self.core, self.policy);
+        let it_mode = policy.item_mode == ItemMode::Transactional;
 
-        let hit: Option<GetHit> = match self.policy.item_mode {
-            ItemMode::Lock => {
-                let _g = core.item_locks.mutex(stripe).lock();
-                let mut ctx = Ctx::Direct;
-                let hit = core
-                    .item_get(&mut ctx, &policy, key, hv, now, bump_hint, false)
-                    .expect("direct sections never abort");
-                if let Some(h) = &hit {
-                    if h.needs_bump {
-                        // item -> cache lock order.
-                        let _c = self.cache_lock.lock();
-                        core.update_item(&mut ctx, &policy, h.handle, now)
-                            .expect("direct");
-                    }
-                }
-                self.maybe_log(&mut ctx, "get").expect("direct");
-                hit
-            }
-            ItemMode::Privatize => {
-                self.ip_item_lock(stripe);
-                let mut ctx = Ctx::Direct;
-                let hit = core
-                    .item_get(&mut ctx, &policy, key, hv, now, bump_hint, false)
-                    .expect("privatized sections never abort");
-                self.maybe_log(&mut ctx, "get").expect("direct");
-                if let Some(h) = &hit {
-                    if h.needs_bump {
-                        self.update_section(key, hv, h.handle, now);
-                    }
-                }
-                self.ip_item_unlock(stripe);
-                hit
-            }
-            ItemMode::Transactional => {
-                // Hot-key privatization (DESIGN §15.4): feed the popularity
-                // sketch, then try the privatized copy. Every
-                // HOT_REFRESH_EVERY-th access falls through on purpose so
-                // the real item still gets LRU bumps — a hot key served
-                // purely from the hot set would otherwise age to the LRU
-                // tail and be evicted under memory pressure.
-                let hot = self.hot.as_deref();
-                if hot.is_some() {
-                    self.workers[w].sketch.note(hv);
-                }
-                let hot = hot.filter(|h| h.is_tagged(hv));
-                if let Some(hs) = hot {
-                    if !ops.is_multiple_of(HOT_REFRESH_EVERY) {
-                        match hs.lookup(hv, key, now) {
-                            HotLookup::Hit(v) => {
-                                self.get_stats_privatized(w, 1, 0);
-                                return Some(v);
-                            }
-                            HotLookup::Absent => {
-                                self.get_stats_privatized(w, 0, 1);
-                                return None;
-                            }
-                            HotLookup::Stale => {}
-                        }
-                    }
-                }
-                // Repopulation metadata, captured BEFORE the transaction:
-                // any writer committing after this observation stamp mints
-                // a strictly larger one, and any eviction committing after
-                // this generation bumps it — either way the publish below
-                // can never mask a newer state.
-                let hot_obs = hot.map(|hs| (hs.current_gen(), self.rt.observation_stamp()));
-                // The trimmed GET of the read-path overdrive: the
-                // transaction carries only what the paper's IP shape needs
-                // atomically — hash walk, key memcmp, refcount bump — and
-                // enters through the read-only fast lane. Stats moved out
-                // (see `get_stats_privatized`); with refcount elision a
-                // warm hit therefore never writes and commits fast-lane.
-                let elide = self.cfg.refcount_elision;
-                let hit = self.tx_section_ro(
-                    &[Category::VolatileFlag],
-                    &[Category::Libc, Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
-                    |ctx| {
-                        let h = core.item_get(ctx, &policy, key, hv, now, bump_hint, elide)?;
-                        self.maybe_log(ctx, "get")?;
-                        Ok(h)
-                    },
-                );
-                if let (Some(hs), Some((gen, obs))) = (hot, hot_obs) {
-                    let state = match &hit {
-                        Some(h) => HotState::Present {
-                            value: h.value.clone(),
-                            flags: h.flags,
-                            cas: h.cas,
-                            exp: h.exp,
-                        },
-                        None => HotState::Absent,
-                    };
-                    hs.publish(hv, key, gen, obs, state);
-                }
-                if let Some(h) = &hit {
-                    if h.needs_bump {
-                        self.update_section(key, hv, h.handle, now);
-                    }
-                }
-                self.get_stats_privatized(w, hit.is_some() as u64, hit.is_none() as u64);
-                hit
-            }
-        };
-
-        if self.policy.item_mode != ItemMode::Transactional {
-            self.op_stats(w, |t| {
-                (
-                    &t.get_cmds,
-                    Some(if hit.is_some() { &t.get_hits } else { &t.get_misses }),
-                )
-            });
-            self.bump_cmd_total();
+        // Hot-key privatization (DESIGN §15.4; the set only exists on IT):
+        // feed the popularity sketch, then try the privatized copy. Every
+        // HOT_REFRESH_EVERY-th access falls through on purpose so the real
+        // item still gets LRU bumps — a hot key served purely from the hot
+        // set would otherwise age to the LRU tail and be evicted under
+        // memory pressure.
+        if self.fx.hot_on() {
+            self.workers[w].sketch.note(hv);
         }
-        hit.map(|h| GetValue {
-            data: h.value,
-            flags: h.flags,
-            cas: h.cas,
-        })
+        let hot = self.fx.hot_key(hv);
+        if let Some(hk) = hot.filter(|_| !ops.is_multiple_of(HOT_REFRESH_EVERY)) {
+            match hk.lookup(key, now) {
+                HotLookup::Hit(v) => {
+                    self.get_stats_privatized(w, 1, 0);
+                    return Some(v);
+                }
+                HotLookup::Absent => {
+                    self.get_stats_privatized(w, 0, 1);
+                    return None;
+                }
+                HotLookup::Stale => {}
+            }
+        }
+        let hot_obs = hot.map(|hk| hk.observe(&self.rt));
+
+        // One body for every branch: hash walk, key memcmp, refcount bump,
+        // value copy. Lock and IP run it directly under the item lock; on
+        // IT it is the trimmed GET of the read-path overdrive — stats
+        // moved out (see `get_stats_privatized`), so with refcount elision
+        // a warm hit never writes and commits on the read-only fast lane.
+        let guard = ItemGuard::new(self, core.item_locks.stripe(hv));
+        let elide = it_mode && self.cfg.refcount_elision;
+        let hit = self.section(
+            Scope::ItemRead,
+            &[Category::VolatileFlag],
+            &[Category::Libc, Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
+            |ctx| {
+                let h = core.item_get(ctx, &policy, key, hv, now, bump_hint, elide)?;
+                self.maybe_log(ctx)?;
+                Ok(h)
+            },
+        );
+        if let (Some(hk), Some(obs)) = (hot, hot_obs) {
+            let state = match &hit {
+                Some(h) => HotState::Present {
+                    value: h.value.clone(),
+                    flags: h.flags,
+                    cas: h.cas,
+                    exp: h.exp,
+                },
+                None => HotState::Absent,
+            };
+            hk.repopulate(key, obs, state);
+        }
+        if let Some(h) = hit.as_ref().filter(|h| h.needs_bump) {
+            self.update_section(key, hv, h.handle, now);
+        }
+        drop(guard);
+        if it_mode {
+            self.get_stats_privatized(w, hit.is_some() as u64, hit.is_none() as u64);
+        } else {
+            let t = &self.workers[w].stats;
+            self.count_op(
+                w,
+                &[&t.get_cmds, if hit.is_some() { &t.get_hits } else { &t.get_misses }],
+            );
+        }
+        hit.map(GetValue::from)
     }
 
     /// Multiget: `get k1 k2 ... kn` as ONE critical section. On the
@@ -1266,22 +1156,19 @@ impl McCache {
             assert!(key.len() <= KEY_MAX && !key.is_empty(), "bad key length");
         }
         let now = self.rel_time();
-        let core = &self.core;
-        let policy = self.policy;
+        let (core, policy) = (&self.core, self.policy);
         let elide = self.cfg.refcount_elision;
         // Hash + LRU-bump decisions are per-key and side-effecting
         // (op_count advances), so take them once, outside the retry loop.
-        let bump_cadence = self.bump_every.load(Ordering::Relaxed);
         let meta: Vec<(u32, bool)> = keys
             .iter()
             .map(|key| {
-                let hv = jenkins_hash(key, 0);
                 let ops = self.workers[w].op_count.fetch_add(1, Ordering::Relaxed);
-                let bump = bump_cadence != 0 && ops.is_multiple_of(bump_cadence);
-                (hv, bump)
+                (jenkins_hash(key, 0), self.lru_bump_due(ops))
             })
             .collect();
-        let hits: Vec<Option<GetHit>> = self.tx_section_ro(
+        let hits: Vec<Option<GetHit>> = self.section(
+            Scope::ItemRead,
             &[Category::VolatileFlag],
             &[Category::Libc, Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
             |ctx| {
@@ -1289,28 +1176,18 @@ impl McCache {
                 for (key, &(hv, bump)) in keys.iter().zip(&meta) {
                     out.push(core.item_get(ctx, &policy, key, hv, now, bump, elide)?);
                 }
-                self.maybe_log(ctx, "get_multi")?;
+                self.maybe_log(ctx)?;
                 Ok(out)
             },
         );
         for (key, (hit, &(hv, _))) in keys.iter().zip(hits.iter().zip(&meta)) {
-            if let Some(h) = hit {
-                if h.needs_bump {
-                    self.update_section(key, hv, h.handle, now);
-                }
+            if let Some(h) = hit.as_ref().filter(|h| h.needs_bump) {
+                self.update_section(key, hv, h.handle, now);
             }
         }
         let n_hits = hits.iter().flatten().count() as u64;
         self.get_stats_privatized(w, n_hits, keys.len() as u64 - n_hits);
-        hits.into_iter()
-            .map(|o| {
-                o.map(|h| GetValue {
-                    data: h.value,
-                    flags: h.flags,
-                    cas: h.cas,
-                })
-            })
-            .collect()
+        hits.into_iter().map(|o| o.map(GetValue::from)).collect()
     }
 
     /// The `item_update` critical section (cache-lock category): re-finds
@@ -1319,16 +1196,14 @@ impl McCache {
     /// the re-find's `memcmp` is a mid-transaction libc call until Lib, so
     /// this is the in-flight-switch site of Tables 1–2.
     fn update_section(&self, key: &[u8], hv: u32, h: ItemHandle, now: u32) {
-        let core = &self.core;
-        let policy = self.policy;
-        self.tx_section(
+        let (core, policy) = (&self.core, self.policy);
+        self.section(
+            Scope::Table(&[&self.cache_lock]),
             &[],
             &[Category::Libc, Category::AssertAbort],
             |ctx| {
-                if let Some(cur) = core.assoc.find(ctx, &policy, &core.arena, key, hv)? {
-                    if cur == h {
-                        core.update_item(ctx, &policy, h, now)?;
-                    }
+                if core.assoc.find(ctx, &policy, &core.arena, key, hv)? == Some(h) {
+                    core.update_item(ctx, &policy, h, now)?;
                 }
                 Ok(())
             },
@@ -1386,15 +1261,10 @@ impl McCache {
             let Some(old) = self.get(w, key) else {
                 return StoreStatus::NotStored;
             };
-            let mut data = Vec::with_capacity(old.data.len() + extra.len());
-            if after {
-                data.extend_from_slice(&old.data);
-                data.extend_from_slice(extra);
-            } else {
-                data.extend_from_slice(extra);
-                data.extend_from_slice(&old.data);
-            }
-            match self.store(w, StoreMode::Cas(old.cas), key, &data, old.flags, 0) {
+            let (head, tail) = if after { (&old.data[..], extra) } else { (extra, &old.data[..]) };
+            let data = [head, tail].concat();
+            // Flags and expiry are the original item's, as in memcached.
+            match self.store(w, StoreMode::Cas(old.cas), key, &data, old.flags, old.exp) {
                 StoreStatus::Exists => continue, // raced; retry
                 s => return s,
             }
@@ -1402,7 +1272,6 @@ impl McCache {
         StoreStatus::NotStored
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn store(
         &self,
         w: usize,
@@ -1412,188 +1281,75 @@ impl McCache {
         flags: u32,
         exptime: u32,
     ) -> StoreStatus {
-        assert!(key.len() <= KEY_MAX && !key.is_empty(), "bad key length");
-        let hv = jenkins_hash(key, 0);
+        self.store_op(w, StoreOp { mode, key, value, flags, exptime })
+    }
+
+    /// Every store: the branch's link section(s), then the wakeup an
+    /// out-of-memory allocation raised (a `sem_post` site like any other)
+    /// and the command count that did not ride a link transaction.
+    fn store_op(&self, w: usize, op: StoreOp<'_>) -> StoreStatus {
+        assert!(op.key.len() <= KEY_MAX && !op.key.is_empty(), "bad key length");
+        let hv = jenkins_hash(op.key, 0);
         let now = self.rel_time();
-        let stripe = self.core.item_locks.stripe(hv);
-        let core = &self.core;
-        let policy = self.policy;
-        let nbytes = value.len() as u32;
-
-        let status = match self.policy.item_mode {
-            ItemMode::Lock => {
-                let _g = core.item_locks.mutex(stripe).lock();
-                let mut ctx = Ctx::Direct;
-                // §3.1: the cache_lock section whose first action takes
-                // slabs_lock — the lock-order fix merged them; here the
-                // lock branches take them nested in the fixed order.
-                let alloc = {
-                    let _c = self.cache_lock.lock();
-                    let _s = self.slabs_lock.lock();
-                    core.alloc_item(&mut ctx, &policy, key, flags, exptime, nbytes, now, stripe)
-                        .expect("direct")
-                };
-                match alloc {
-                    Err(AllocError::TooLarge) => StoreStatus::TooLarge,
-                    Err(AllocError::OutOfMemory) => StoreStatus::OutOfMemory,
-                    Ok(a) => {
-                        let it = core.arena.resolve(a.handle);
-                        let sizes = it.sizes(&mut ctx).expect("direct");
-                        it.write_value(&mut ctx, &policy, sizes, value).expect("direct");
-                        let st = {
-                            let _c = self.cache_lock.lock();
-                            self.link_new(&mut ctx, mode, key, hv, a.handle, a.evicted > 0)
-                        };
-                        if st == StoreStatus::Stored {
-                            self.dur_store_record(&mut ctx, a.handle, key, value, flags)
-                                .expect("direct");
-                        }
-                        core.item_release(&mut ctx, &policy, a.handle).expect("direct");
-                        st
-                    }
-                }
-            }
-            ItemMode::Privatize => {
-                self.ip_item_lock(stripe);
-                let alloc = self.alloc_section(key, flags, exptime, nbytes, now, stripe);
-                let st = match alloc {
-                    Err(AllocError::TooLarge) => StoreStatus::TooLarge,
-                    Err(AllocError::OutOfMemory) => StoreStatus::OutOfMemory,
-                    Ok(a) => {
-                        // Privatized: the new item's bytes are written
-                        // directly while the item lock is held.
-                        let mut ctx = Ctx::Direct;
-                        let it = core.arena.resolve(a.handle);
-                        let sizes = it.sizes(&mut ctx).expect("direct");
-                        it.write_value(&mut ctx, &policy, sizes, value).expect("direct");
-                        let (st, _) = self.tx_section(
-                            &[Category::VolatileFlag],
-                            &[
-                                Category::Libc,
-                                Category::SemPost,
-                                Category::LogIo,
-                                Category::AssertAbort,
-                            ],
-                            |ctx| {
-                                let expanding =
-                                    core.assoc.is_expanding(ctx, &policy)?;
-                                let _ = expanding;
-                                let (st, signal) = self.link_new_tx(
-                                    ctx,
-                                    mode,
-                                    key,
-                                    hv,
-                                    a.handle,
-                                    a.evicted > 0,
-                                    false,
-                                    None,
-                                )?;
-                                if st == StoreStatus::Stored {
-                                    self.dur_store_record(ctx, a.handle, key, value, flags)?;
-                                }
-                                Ok((st, signal))
-                            },
-                        );
-                        let mut ctx = Ctx::Direct;
-                        core.item_release(&mut ctx, &policy, a.handle).expect("direct");
-                        st
-                    }
-                };
-                self.ip_item_unlock(stripe);
-                st
-            }
-            ItemMode::Transactional if self.magazines_on() => {
-                self.store_magazine(w, mode, key, value, flags, exptime, hv, now)
-            }
-            ItemMode::Transactional => {
-                let alloc = self.alloc_section(key, flags, exptime, nbytes, now, usize::MAX);
-                match alloc {
-                    Err(AllocError::TooLarge) => StoreStatus::TooLarge,
-                    Err(AllocError::OutOfMemory) => StoreStatus::OutOfMemory,
-                    Ok(a) => {
-                        // Captured after the (possibly evicting) alloc
-                        // section committed, before the link section.
-                        let hot_gen = self.hot_gen();
-                        // The store transaction *begins* with the value
-                        // memcpy — libc on every path, so this section
-                        // starts serial until Lib (IT-Max's persistent
-                        // "Start Serial" column).
-                        self.tx_section(
-                            &[Category::Libc],
-                            &[Category::AssertAbort],
-                            |ctx| {
-                                let it = core.arena.resolve(a.handle);
-                                let sizes = it.sizes(ctx)?;
-                                it.write_value(ctx, &policy, sizes, value)
-                            },
-                        );
-                        let (st, signal) = self.tx_section(
-                            &[Category::VolatileFlag],
-                            &[Category::Libc, Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
-                            |ctx| {
-                                let expanding =
-                                    core.assoc.is_expanding(ctx, &policy)?;
-                                let _ = expanding;
-                                let (st, signal) = self.link_new_tx(
-                                    ctx,
-                                    mode,
-                                    key,
-                                    hv,
-                                    a.handle,
-                                    a.evicted > 0,
-                                    true,
-                                    None,
-                                )?;
-                                if st == StoreStatus::Stored {
-                                    self.dur_store_record(ctx, a.handle, key, value, flags)?;
-                                    self.hot_record_store(
-                                        ctx, a.handle, key, hv, value, flags, hot_gen,
-                                    )?;
-                                }
-                                core.item_release(ctx, &policy, a.handle)?;
-                                let tstats = &self.workers[w].stats;
-                                self.stats_inline(ctx, &tstats.set_cmds, None)?;
-                                Ok((st, signal))
-                            },
-                        );
-                        if signal {
-                            // IT hoists the maintenance wakeup out of the
-                            // (already large) store transaction into its
-                            // own section, whose entry *is* the sem_post.
-                            let evicted = a.evicted > 0;
-                            self.tx_section(&[Category::SemPost], &[], |ctx| {
-                                self.signal_maintenance(ctx, false)?;
-                                if evicted {
-                                    self.signal_maintenance(ctx, true)?;
-                                }
-                                Ok(())
-                            });
-                        }
-                        st
-                    }
-                }
-            }
+        let status = if self.magazines_on() {
+            self.store_magazine(w, &op, hv, now)
+        } else {
+            self.store_sections(w, &op, hv, now)
         };
-
         if status == StoreStatus::OutOfMemory {
-            // The allocation raised the rebalance signal; deliver the wakeup
-            // (a sem_post site like any other).
-            if !self.policy.transactional {
-                let mut ctx = Ctx::Direct;
-                self.signal_maintenance(&mut ctx, true).expect("direct");
-            } else {
-                self.tx_section(&[Category::SemPost], &[], |ctx| {
-                    self.signal_maintenance(ctx, true)
-                });
-            }
+            self.wake(false, true);
         }
         if self.policy.item_mode != ItemMode::Transactional
             || matches!(status, StoreStatus::TooLarge | StoreStatus::OutOfMemory)
         {
-            self.op_stats(w, |t| (&t.set_cmds, None));
-            self.bump_cmd_total();
+            self.count_op(w, &[&self.workers[w].stats.set_cmds]);
         }
         status
+    }
+
+    /// The store as memcached sections it, under the key's item guard:
+    /// allocate (the merged cache+slabs section of §3.1's lock-order fix),
+    /// fill the value, link. Lock branches run all three directly; IP
+    /// privatizes the fill; IT makes each one a transaction — the
+    /// 3-transaction store Tables 1–4 count.
+    fn store_sections(&self, w: usize, op: &StoreOp<'_>, hv: u32, now: u32) -> StoreStatus {
+        let (core, policy) = (&self.core, self.policy);
+        let it_mode = policy.item_mode == ItemMode::Transactional;
+        let stripe = core.item_locks.stripe(hv);
+        let _guard = ItemGuard::new(self, stripe);
+        let a = match self.alloc_section(op, now, if it_mode { usize::MAX } else { stripe }) {
+            Ok(a) => a,
+            Err(e) => return e.into(),
+        };
+        // On IT the fill *begins* with the value memcpy — libc on every
+        // path, so this section starts serial until Lib (IT-Max's
+        // persistent "Start Serial" column).
+        self.section(Scope::Item, &[Category::Libc], &[Category::AssertAbort], |ctx| {
+            let it = core.arena.resolve(a.handle);
+            let sizes = it.sizes(ctx)?;
+            it.write_value(ctx, &policy, sizes, op.value)
+        });
+        // IP signals the maintainer from inside the link section; IT
+        // hoists that out and drops the allocation reference inside.
+        let tail = if it_mode { Category::RefcountRmw } else { Category::SemPost };
+        let chunk = Chunk { h: a.handle, fill: None, evicted: a.evicted > 0 };
+        let (st, signal) = self.mutation(
+            Scope::Table(&[&self.cache_lock]),
+            &[Category::VolatileFlag],
+            &[Category::Libc, tail, Category::LogIo, Category::AssertAbort],
+            |ctx, at| {
+                core.assoc.is_expanding(ctx, &policy)?; // memcached's volatile `expanding` read
+                self.link_body(ctx, at, w, op, hv, now, chunk, None)
+            },
+        );
+        if !it_mode {
+            // Still under the item lock: the allocation reference.
+            self.section(Scope::Item, &[], &[], |ctx| core.item_release(ctx, &policy, a.handle));
+        }
+        if signal {
+            self.wake(true, chunk.evicted);
+        }
+        st
     }
 
     /// Batched stores: a run of pipelined mutations (quiet binary SETQ
@@ -1603,8 +1359,7 @@ impl McCache {
     /// per-transaction overhead exactly like [`Self::get_multi`] does on
     /// the read path, with allocation hoisted out front (a magazine pop per
     /// op when magazines are on, one slab transaction per op otherwise).
-    /// Lock and IP branches, and trivial runs, fall back to per-op
-    /// [`Self::store`].
+    /// Lock and IP branches, and trivial runs, fall back to per-op stores.
     ///
     /// # Panics
     ///
@@ -1612,181 +1367,128 @@ impl McCache {
     /// [`KEY_MAX`].
     pub fn store_batch(&self, w: usize, ops: &[StoreOp<'_>]) -> Vec<StoreStatus> {
         if self.policy.item_mode != ItemMode::Transactional || ops.len() < 2 {
-            return ops
-                .iter()
-                .map(|op| self.store(w, op.mode, op.key, op.value, op.flags, op.exptime))
-                .collect();
+            return ops.iter().map(|op| self.store_op(w, *op)).collect();
         }
         for op in ops {
             assert!(op.key.len() <= KEY_MAX && !op.key.is_empty(), "bad key length");
         }
         let core = &self.core;
-        let policy = self.policy;
         let now = self.rel_time();
         let mags = self.magazines_on();
         // Per-op prep (hash, sizing, one private chunk each) runs once; the
         // link transaction below may retry, so it must not re-allocate.
-        enum Prep {
-            Fail(StoreStatus),
-            Ready {
-                hv: u32,
-                sizes: crate::item::ItemSizes,
-                h: ItemHandle,
-                evicted: bool,
-            },
-        }
-        let preps: Vec<Prep> = ops
+        let mut evicted = false;
+        let preps: Vec<(u32, Result<Chunk, StoreStatus>)> = ops
             .iter()
             .map(|op| {
-                let hv = jenkins_hash(op.key, 0);
-                let Some((sizes, class)) = core.size_item(op.key, op.flags, op.value.len() as u32)
-                else {
-                    return Prep::Fail(StoreStatus::TooLarge);
+                let chunk = match core.size_item(op.key, op.flags, op.value.len() as u32) {
+                    None => Err(StoreStatus::TooLarge),
+                    Some((sizes, class)) if mags => self
+                        .magazine_take(w, class)
+                        .map(|h| Chunk { h, fill: Some(sizes), evicted: false })
+                        .ok_or(StoreStatus::OutOfMemory),
+                    Some((sizes, _)) => match self.alloc_section(op, now, usize::MAX) {
+                        Ok(a) => {
+                            evicted |= a.evicted > 0;
+                            Ok(Chunk { h: a.handle, fill: Some(sizes), evicted: false })
+                        }
+                        Err(e) => Err(e.into()),
+                    },
                 };
-                if mags {
-                    match self.magazine_take(w, class) {
-                        Some(h) => Prep::Ready { hv, sizes, h, evicted: false },
-                        None => Prep::Fail(StoreStatus::OutOfMemory),
-                    }
-                } else {
-                    match self.alloc_section(
-                        op.key,
-                        op.flags,
-                        op.exptime,
-                        op.value.len() as u32,
-                        now,
-                        usize::MAX,
-                    ) {
-                        Ok(a) => Prep::Ready { hv, sizes, h: a.handle, evicted: a.evicted > 0 },
-                        Err(AllocError::TooLarge) => Prep::Fail(StoreStatus::TooLarge),
-                        Err(AllocError::OutOfMemory) => Prep::Fail(StoreStatus::OutOfMemory),
-                    }
-                }
+                (jenkins_hash(op.key, 0), chunk)
             })
             .collect();
-        let hot_gen = self.hot_gen();
-        let tstats = &self.workers[w].stats;
         let mut statuses: Vec<StoreStatus> = Vec::with_capacity(ops.len());
         let mut reclaims: Vec<ItemHandle> = Vec::new();
         let mut any_signal = false;
-        self.tx_section(
+        self.mutation(
+            Scope::Item,
             &[Category::VolatileFlag, Category::Libc],
             &[Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
-            |ctx| {
+            |ctx, at| {
                 // Attempt-local accumulators: an abort rolls them back.
                 statuses.clear();
                 reclaims.clear();
                 any_signal = false;
-                let expanding = core.assoc.is_expanding(ctx, &policy)?;
-                let _ = expanding;
-                for (op, prep) in ops.iter().zip(&preps) {
-                    let &Prep::Ready { hv, sizes, h, .. } = prep else {
-                        let Prep::Fail(st) = prep else { unreachable!() };
-                        statuses.push(*st);
-                        continue;
+                core.assoc.is_expanding(ctx, &self.policy)?;
+                for (op, (hv, chunk)) in ops.iter().zip(&preps) {
+                    let st = match chunk {
+                        Err(st) => *st,
+                        Ok(chunk) => {
+                            let mut reclaimed = None;
+                            let (st, signal) = self.link_body(
+                                ctx,
+                                at,
+                                w,
+                                op,
+                                *hv,
+                                now,
+                                *chunk,
+                                mags.then_some(&mut reclaimed),
+                            )?;
+                            reclaims.extend(reclaimed);
+                            any_signal |= signal;
+                            st
+                        }
                     };
-                    if mags {
-                        // Magazine chunks arrive raw; alloc_section chunks
-                        // were initialized inside their slab transaction.
-                        core.init_item(ctx, &policy, h, op.key, op.flags, op.exptime, sizes, now)?;
-                    }
-                    let it = core.arena.resolve(h);
-                    it.write_value(ctx, &policy, sizes, op.value)?;
-                    let mut reclaimed = None;
-                    let (st, signal) = self.link_new_tx(
-                        ctx,
-                        op.mode,
-                        op.key,
-                        hv,
-                        h,
-                        false,
-                        true,
-                        if mags { Some(&mut reclaimed) } else { None },
-                    )?;
-                    if st == StoreStatus::Stored {
-                        self.dur_store_record(ctx, h, op.key, op.value, op.flags)?;
-                        self.hot_record_store(ctx, h, op.key, hv, op.value, op.flags, hot_gen)?;
-                    }
-                    if st == StoreStatus::Stored || !mags {
-                        // Magazine chunks that failed their predicate stay
-                        // private and go back to the magazine post-commit.
-                        core.item_release(ctx, &policy, h)?;
-                    }
-                    if let Some(old) = reclaimed {
-                        reclaims.push(old);
-                    }
-                    any_signal |= signal;
-                    self.stats_inline(ctx, &tstats.set_cmds, None)?;
                     statuses.push(st);
                 }
                 Ok(())
             },
         );
-        for (prep, st) in preps.iter().zip(&statuses) {
-            if let Prep::Ready { h, .. } = prep {
-                if mags && *st != StoreStatus::Stored {
-                    self.magazine_put(w, *h);
-                }
+        for ((_, chunk), st) in preps.iter().zip(&statuses) {
+            if let (true, Ok(chunk), false) = (mags, chunk, *st == StoreStatus::Stored) {
+                self.magazine_put(w, chunk.h);
             }
         }
-        for old in reclaims.drain(..) {
+        for old in reclaims {
             self.magazine_put(w, old);
         }
         if any_signal {
-            self.tx_section(&[Category::SemPost], &[], |ctx| {
-                self.signal_maintenance(ctx, false)
-            });
+            self.wake(true, false);
         }
-        let evicted = preps
-            .iter()
-            .any(|p| matches!(p, Prep::Ready { evicted: true, .. }));
         if evicted || statuses.contains(&StoreStatus::OutOfMemory) {
-            self.tx_section(&[Category::SemPost], &[], |ctx| {
-                self.signal_maintenance(ctx, true)
-            });
+            self.wake(false, true);
         }
         for st in &statuses {
             if matches!(st, StoreStatus::TooLarge | StoreStatus::OutOfMemory) {
-                self.op_stats(w, |t| (&t.set_cmds, None));
-                self.bump_cmd_total();
+                self.count_op(w, &[&self.workers[w].stats.set_cmds]);
             }
         }
         statuses
     }
 
-    /// The merged cache+slabs allocation section for the transactional
-    /// branches (§3.1's lock-order fix). Entry reads the `volatile` slab
-    /// rebalance signal; eviction reads victim refcounts and the suffix
-    /// `snprintf` is libc — the in-flight causes pre-Max/pre-Lib.
+    /// The merged cache+slabs allocation section (§3.1's lock-order fix).
+    /// Entry reads the `volatile` slab rebalance signal; eviction reads
+    /// victim refcounts and the suffix `snprintf` is libc — the in-flight
+    /// causes pre-Max/pre-Lib. `held_stripe` is the caller's item lock, for
+    /// the trylock on victims.
     fn alloc_section(
         &self,
-        key: &[u8],
-        flags: u32,
-        exptime: u32,
-        nbytes: u32,
+        op: &StoreOp<'_>,
         now: u32,
         held_stripe: usize,
-    ) -> Result<crate::core::Allocation, AllocError> {
-        let core = &self.core;
-        let policy = self.policy;
-        self.tx_section(
+    ) -> Result<Allocation, AllocError> {
+        let (core, policy) = (&self.core, self.policy);
+        let nbytes = op.value.len() as u32;
+        self.mutation(
+            Scope::Table(&[&self.cache_lock, &self.slabs_lock]),
             &[Category::VolatileFlag],
             &[Category::Libc, Category::RefcountRmw, Category::AssertAbort],
-            |ctx| {
-                let sig = ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
-                let _ = sig;
-                let r =
-                    core.alloc_item(ctx, &policy, key, flags, exptime, nbytes, now, held_stripe)?;
-                if let Ok(a) = &r {
-                    if a.evicted > 0 {
-                        // Eviction bypasses per-key hot publication:
-                        // invalidate the hot set wholesale at this
-                        // section's commit.
-                        if let Some(hot) = &self.hot {
-                            let hot = Arc::clone(hot);
-                            ctx.defer_or_run(move || hot.bump_gen());
-                        }
-                    }
+            |ctx, at| {
+                ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
+                let r = core.alloc_item(
+                    ctx,
+                    &policy,
+                    op.key,
+                    op.flags,
+                    op.exptime,
+                    nbytes,
+                    now,
+                    held_stripe,
+                )?;
+                if r.is_ok_and(|a| a.evicted > 0) {
+                    self.emit(ctx, at, &[], 0, Effect::Invalidated)?;
                 }
                 Ok(r)
             },
@@ -1828,20 +1530,17 @@ impl McCache {
         let mut scratch: Vec<ItemHandle> = Vec::with_capacity(cap);
         let mut flushed = false;
         loop {
-            let evictions = self.tx_section(
+            let evictions = self.mutation(
+                Scope::Item,
                 &[Category::VolatileFlag],
                 &[Category::Libc, Category::RefcountRmw, Category::AssertAbort],
-                |ctx| {
+                |ctx, at| {
                     scratch.clear(); // attempt-local: aborted pops roll back
-                    let sig = ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
-                    let _ = sig;
+                    ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
                     let (got, evicted) =
                         core.refill_batch(ctx, &policy, class, cap, &mut scratch)?;
                     if evicted > 0 {
-                        if let Some(hot) = &self.hot {
-                            let hot = Arc::clone(hot);
-                            ctx.defer_or_run(move || hot.bump_gen());
-                        }
+                        self.emit(ctx, at, &[], 0, Effect::Invalidated)?;
                     }
                     if got > 0 {
                         core.global.bump(ctx, &core.global.magazine_refills)?;
@@ -1858,9 +1557,7 @@ impl McCache {
             if evictions > 0 {
                 // Deliver the wakeup outside the refill transaction, like
                 // the IT store hoists its sem_post.
-                self.tx_section(&[Category::SemPost], &[], |ctx| {
-                    self.signal_maintenance(ctx, true)
-                });
+                self.wake(false, true);
             }
             if let Some(h) = scratch.pop() {
                 if !scratch.is_empty() {
@@ -1888,7 +1585,7 @@ impl McCache {
         let row = &mut mag.rows[h.class as usize];
         if row.len() >= cap {
             let keep = cap / 2;
-            self.tx_section(&[], &[Category::AssertAbort], |ctx| {
+            self.section(Scope::Item, &[], &[Category::AssertAbort], |ctx| {
                 core.arena.free_batch(ctx, &row[keep..])?;
                 core.global.bump(ctx, &core.global.magazine_flushes)
             });
@@ -1911,7 +1608,7 @@ impl McCache {
                 if row.is_empty() {
                     continue;
                 }
-                self.tx_section(&[], &[Category::AssertAbort], |ctx| {
+                self.section(Scope::Item, &[], &[Category::AssertAbort], |ctx| {
                     core.arena.free_batch(ctx, row)?;
                     core.global.bump(ctx, &core.global.magazine_flushes)
                 });
@@ -1934,91 +1631,106 @@ impl McCache {
     /// post-snapshot bytes undetected. A dead overwritten item is parked in
     /// limbo by `link_new_tx` and merged into the magazine after commit, so
     /// overwrite-heavy workloads recycle chunks entirely within the worker.
-    #[allow(clippy::too_many_arguments)]
-    fn store_magazine(
-        &self,
-        w: usize,
-        mode: StoreMode,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        exptime: u32,
-        hv: u32,
-        now: u32,
-    ) -> StoreStatus {
+    fn store_magazine(&self, w: usize, op: &StoreOp<'_>, hv: u32, now: u32) -> StoreStatus {
         let core = &self.core;
-        let policy = self.policy;
-        let Some((sizes, class)) = core.size_item(key, flags, value.len() as u32) else {
+        let Some((sizes, class)) = core.size_item(op.key, op.flags, op.value.len() as u32) else {
             return StoreStatus::TooLarge;
         };
-        let Some(handle) = self.magazine_take(w, class) else {
+        let Some(h) = self.magazine_take(w, class) else {
             // The refill raised the rebalance signal; store()'s tail
             // delivers the wakeup and counts the failed op.
             return StoreStatus::OutOfMemory;
         };
-        let hot_gen = self.hot_gen();
-        let tstats = &self.workers[w].stats;
+        let chunk = Chunk { h, fill: Some(sizes), evicted: false };
         let mut reclaimed: Option<ItemHandle> = None;
-        let (st, signal) = self.tx_section(
+        let (st, signal) = self.mutation(
+            Scope::Item,
             &[Category::VolatileFlag, Category::Libc],
             &[Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
-            |ctx| {
+            |ctx, at| {
                 reclaimed = None; // attempt-local: an aborted park rolls back
-                core.init_item(ctx, &policy, handle, key, flags, exptime, sizes, now)?;
-                let it = core.arena.resolve(handle);
-                it.write_value(ctx, &policy, sizes, value)?;
-                let expanding = core.assoc.is_expanding(ctx, &policy)?;
-                let _ = expanding;
-                let (st, signal) =
-                    self.link_new_tx(ctx, mode, key, hv, handle, false, true, Some(&mut reclaimed))?;
-                if st == StoreStatus::Stored {
-                    self.dur_store_record(ctx, handle, key, value, flags)?;
-                    self.hot_record_store(ctx, handle, key, hv, value, flags, hot_gen)?;
-                    core.item_release(ctx, &policy, handle)?;
-                }
-                self.stats_inline(ctx, &tstats.set_cmds, None)?;
-                Ok((st, signal))
+                core.assoc.is_expanding(ctx, &self.policy)?;
+                self.link_body(ctx, at, w, op, hv, now, chunk, Some(&mut reclaimed))
             },
         );
         if st != StoreStatus::Stored {
             // Failed predicate: never published, so still private — straight
             // back into the magazine instead of a slab-free transaction.
             debug_assert!(reclaimed.is_none());
-            self.magazine_put(w, handle);
+            self.magazine_put(w, h);
         }
         if let Some(old) = reclaimed {
             self.magazine_put(w, old);
         }
         if signal {
-            self.tx_section(&[Category::SemPost], &[], |ctx| {
-                self.signal_maintenance(ctx, false)
-            });
+            self.wake(true, false);
         }
         st
     }
 
-    /// Decide + unlink-old + link-new, inside whatever section the caller
-    /// holds (`Ctx::Direct` for the lock branches). Returns the status and
-    /// — transactionally — whether an expansion wants the maintainer.
-    fn link_new<'e>(
+    /// What every store does per op inside its link section, whoever
+    /// allocated the chunk: fill it if the caller's earlier sections have
+    /// not (a raw magazine chunk gets its header too), then decide, unlink
+    /// the old item, link the new one, and emit the [`Effect::Stored`]. On
+    /// IT — where the item section *is* this transaction — also drop the
+    /// allocation reference, count the command, and report a wanted
+    /// maintenance wakeup instead of signaling inline; the returned pair is
+    /// `(status, signal_needed)`. `reclaim` is `Some` for magazine chunks
+    /// (see [`Self::link_new_tx`]).
+    #[allow(clippy::too_many_arguments)]
+    fn link_body<'e>(
         &'e self,
         ctx: &mut Ctx<'_, 'e>,
-        mode: StoreMode,
-        key: &[u8],
+        at: Entered,
+        w: usize,
+        op: &StoreOp<'_>,
         hv: u32,
-        new_h: ItemHandle,
-        evicted: bool,
-    ) -> StoreStatus {
-        match self.link_new_tx(ctx, mode, key, hv, new_h, evicted, false, None) {
-            Ok((st, _)) => st,
-            Err(_) => unreachable!("direct sections never abort"),
+        now: u32,
+        chunk: Chunk,
+        reclaim: Option<&mut Option<ItemHandle>>,
+    ) -> Result<(StoreStatus, bool), Abort> {
+        let (core, policy) = (&self.core, self.policy);
+        let it_mode = policy.item_mode == ItemMode::Transactional;
+        let from_magazine = reclaim.is_some();
+        if let Some(sizes) = chunk.fill {
+            if from_magazine {
+                // Magazine chunks arrive raw; alloc_section chunks were
+                // initialized inside their slab transaction.
+                core.init_item(ctx, &policy, chunk.h, op.key, op.flags, op.exptime, sizes, now)?;
+            }
+            core.arena.resolve(chunk.h).write_value(ctx, &policy, sizes, op.value)?;
         }
+        let (st, wants_maintainer) =
+            self.link_new_tx(ctx, op.mode, op.key, hv, chunk.h, reclaim)?;
+        let mut signal_later = false;
+        if st == StoreStatus::Stored {
+            self.maybe_log(ctx)?;
+            if it_mode {
+                signal_later = wants_maintainer || chunk.evicted;
+            } else if wants_maintainer || chunk.evicted {
+                self.signal_maintenance(ctx, false)?;
+                if chunk.evicted {
+                    self.signal_maintenance(ctx, true)?;
+                }
+            }
+            let stored = Effect::Stored { h: chunk.h, value: op.value, flags: op.flags };
+            self.emit(ctx, at, op.key, hv, stored)?;
+        }
+        if it_mode {
+            if st == StoreStatus::Stored || !from_magazine {
+                // A magazine chunk that failed its predicate was never
+                // published: it stays private and goes back to the
+                // magazine post-commit.
+                core.item_release(ctx, &policy, chunk.h)?;
+            }
+            self.count_inline(ctx, &[&self.workers[w].stats.set_cmds])?;
+        }
+        Ok((st, signal_later))
     }
 
-    /// Transaction-compatible version of [`McCache::link_new`]. When
-    /// `defer_signal` is set (IT), the expansion wakeup is reported to the
-    /// caller instead of signaled inline; the returned pair is
-    /// `(status, signal_needed)`.
+    /// Decide + unlink-old + link-new, inside whatever section the caller
+    /// holds. Returns the status and whether the insert started a hash
+    /// expansion (the maintainer wants waking).
     ///
     /// `reclaim` (magazine path only): when an overwrite unlinks a dead
     /// old item, park it in limbo — unlinked, refcount 0, *not* on the
@@ -2030,7 +1742,6 @@ impl McCache {
     /// back, so the limbo state only ever exists after a successful
     /// commit, at which point serializability makes the chunk
     /// thread-private.
-    #[allow(clippy::too_many_arguments)]
     fn link_new_tx<'e>(
         &'e self,
         ctx: &mut Ctx<'_, 'e>,
@@ -2038,196 +1749,119 @@ impl McCache {
         key: &[u8],
         hv: u32,
         new_h: ItemHandle,
-        evicted: bool,
-        defer_signal: bool,
         reclaim: Option<&mut Option<ItemHandle>>,
     ) -> Result<(StoreStatus, bool), Abort> {
-        let core = &self.core;
-        let policy = self.policy;
+        let (core, policy) = (&self.core, self.policy);
         let existing = core.assoc.find(ctx, &policy, &core.arena, key, hv)?;
-        let proceed = match (mode, existing) {
-            (StoreMode::Set, _) => Ok(()),
-            (StoreMode::Add, None) => Ok(()),
-            (StoreMode::Add, Some(_)) => Err(StoreStatus::NotStored),
-            (StoreMode::Replace, Some(_)) => Ok(()),
-            (StoreMode::Replace, None) => Err(StoreStatus::NotStored),
-            (StoreMode::Cas(_), None) => Err(StoreStatus::NotFound),
-            (StoreMode::Cas(c), Some(old)) => {
-                if core.arena.resolve(old).cas(ctx)? == c {
-                    Ok(())
-                } else {
-                    Err(StoreStatus::Exists)
-                }
+        // A failed predicate leaves the new item private; the caller's
+        // item_release (refcount 1 -> 0, unlinked) frees the chunk.
+        let refused = match (mode, existing) {
+            (StoreMode::Add, Some(_)) | (StoreMode::Replace, None) => Some(StoreStatus::NotStored),
+            (StoreMode::Cas(_), None) => Some(StoreStatus::NotFound),
+            (StoreMode::Cas(c), Some(old)) if core.arena.resolve(old).cas(ctx)? != c => {
+                Some(StoreStatus::Exists)
             }
+            _ => None,
         };
-        match proceed {
-            Err(st) => {
-                // Failed predicate: the item stays private; the caller's
-                // item_release (refcount 1 -> 0, unlinked) frees the chunk.
-                Ok((st, false))
-            }
-            Ok(()) => {
-                if let Some(old) = existing {
-                    let mut parked = false;
-                    if let Some(reclaim) = reclaim {
-                        let it = core.arena.resolve(old);
-                        if it.refcount(ctx, &policy)? == 0 {
-                            it.set_refcount(ctx, 1)?;
-                            core.unlink_item(ctx, &policy, old, hv)?;
-                            it.set_refcount(ctx, 0)?;
-                            *reclaim = Some(old);
-                            parked = true;
-                        }
-                    }
-                    if !parked {
-                        core.unlink_item(ctx, &policy, old, hv)?;
-                    }
+        if let Some(st) = refused {
+            return Ok((st, false));
+        }
+        if let Some(old) = existing {
+            let it = core.arena.resolve(old);
+            match reclaim {
+                Some(reclaim) if it.refcount(ctx, &policy)? == 0 => {
+                    it.set_refcount(ctx, 1)?;
+                    core.unlink_item(ctx, &policy, old, hv)?;
+                    it.set_refcount(ctx, 0)?;
+                    *reclaim = Some(old);
                 }
-                let wants_maintainer = core.link_item(ctx, &policy, new_h, hv)?;
-                self.maybe_log(ctx, "set")?;
-                let mut signal_later = false;
-                if wants_maintainer || evicted {
-                    if defer_signal {
-                        signal_later = true;
-                    } else {
-                        self.signal_maintenance(ctx, false)?;
-                        if evicted {
-                            self.signal_maintenance(ctx, true)?;
-                        }
-                    }
-                }
-                Ok((StoreStatus::Stored, signal_later))
+                _ => core.unlink_item(ctx, &policy, old, hv)?,
             }
         }
+        let wants_maintainer = core.link_item(ctx, &policy, new_h, hv)?;
+        Ok((StoreStatus::Stored, wants_maintainer))
+    }
+
+    /// The pipeline every single-section keyed mutation goes through: item
+    /// guard → section (its entry marked for the hot set) → the body's
+    /// [`Effect`], emitted → count. `scope` says what the body touches;
+    /// `cell` is the command's per-thread counter, folded into the section
+    /// on IT unless `own_count` keeps it outside (touch, added after the
+    /// paper, never had its stats merged).
+    #[allow(clippy::too_many_arguments)]
+    fn keyed_mutation<'e, R>(
+        &'e self,
+        w: usize,
+        key: &[u8],
+        scope: Scope<'_>,
+        mid: &[Category],
+        cell: &'e TCell<u64>,
+        own_count: bool,
+        mut body: impl FnMut(&mut Ctx<'_, 'e>, u32) -> Result<(R, Option<Effect<'static>>), Abort>,
+    ) -> R {
+        assert!(key.len() <= KEY_MAX && !key.is_empty(), "bad key length");
+        let hv = jenkins_hash(key, 0);
+        let inline = !own_count && self.policy.item_mode == ItemMode::Transactional;
+        let guard = ItemGuard::new(self, self.core.item_locks.stripe(hv));
+        let r = self.mutation(scope, &[Category::VolatileFlag], mid, |ctx, at| {
+            let (r, effect) = body(ctx, hv)?;
+            if let Some(effect) = effect {
+                self.emit(ctx, at, key, hv, effect)?;
+            }
+            if inline {
+                self.count_inline(ctx, &[cell])?;
+            }
+            Ok(r)
+        });
+        drop(guard);
+        if !inline {
+            self.count_op(w, &[cell]);
+        }
+        r
     }
 
     /// `delete key`.
     pub fn delete(&self, w: usize, key: &[u8]) -> bool {
-        assert!(key.len() <= KEY_MAX && !key.is_empty(), "bad key length");
-        let hv = jenkins_hash(key, 0);
-        let stripe = self.core.item_locks.stripe(hv);
-        let core = &self.core;
-        let policy = self.policy;
-        let found = match self.policy.item_mode {
-            ItemMode::Lock => {
-                let _g = core.item_locks.mutex(stripe).lock();
-                let _c = self.cache_lock.lock();
-                let mut ctx = Ctx::Direct;
-                match core
-                    .assoc
-                    .find(&mut ctx, &policy, &core.arena, key, hv)
-                    .expect("direct")
-                {
-                    Some(h) => {
-                        core.unlink_item(&mut ctx, &policy, h, hv).expect("direct");
-                        self.dur_record(&mut ctx, Record::Del { key: key.to_vec() });
-                        true
-                    }
-                    None => false,
-                }
-            }
-            ItemMode::Privatize | ItemMode::Transactional => {
-                if self.policy.item_mode == ItemMode::Privatize {
-                    self.ip_item_lock(stripe);
-                }
-                let inline_stats = self.policy.item_mode == ItemMode::Transactional;
-                let hot_gen = self.hot_gen();
-                let tstats = &self.workers[w].stats;
-                let found = self.tx_section(
-                    &[Category::VolatileFlag],
-                    &[Category::Libc, Category::RefcountRmw, Category::AssertAbort],
-                    |ctx| {
-                        let found = match core.assoc.find(ctx, &policy, &core.arena, key, hv)? {
-                            Some(h) => {
-                                core.unlink_item(ctx, &policy, h, hv)?;
-                                self.dur_record(ctx, Record::Del { key: key.to_vec() });
-                                self.hot_record_delete(ctx, key, hv, hot_gen);
-                                true
-                            }
-                            None => false,
-                        };
-                        if inline_stats {
-                            self.stats_inline(ctx, &tstats.delete_cmds, None)?;
-                        }
-                        Ok(found)
-                    },
-                );
-                if self.policy.item_mode == ItemMode::Privatize {
-                    self.ip_item_unlock(stripe);
-                }
-                found
-            }
-        };
-        if self.policy.item_mode != ItemMode::Transactional {
-            self.op_stats(w, |t| (&t.delete_cmds, None));
-            self.bump_cmd_total();
-        }
-        found
+        let (core, policy) = (&self.core, self.policy);
+        self.keyed_mutation(
+            w,
+            key,
+            Scope::Table(&[&self.cache_lock]),
+            &[Category::Libc, Category::RefcountRmw, Category::AssertAbort],
+            &self.workers[w].stats.delete_cmds,
+            false,
+            |ctx, hv| {
+                let Some(h) = core.assoc.find(ctx, &policy, &core.arena, key, hv)? else {
+                    return Ok((false, None));
+                };
+                core.unlink_item(ctx, &policy, h, hv)?;
+                Ok((true, Some(Effect::Deleted)))
+            },
+        )
     }
 
     /// `incr`/`decr key delta`.
     pub fn arith(&self, w: usize, key: &[u8], delta: u64, incr: bool) -> ArithStatus {
-        assert!(key.len() <= KEY_MAX && !key.is_empty(), "bad key length");
-        let hv = jenkins_hash(key, 0);
+        let (core, policy) = (&self.core, self.policy);
         let now = self.rel_time();
-        let stripe = self.core.item_locks.stripe(hv);
-        let core = &self.core;
-        let policy = self.policy;
-        let res = match self.policy.item_mode {
-            ItemMode::Lock | ItemMode::Privatize => {
-                // do_add_delta runs under the item lock: privatized in IP,
-                // so the strtoull/snprintf pair stays uninstrumented.
-                if self.policy.item_mode == ItemMode::Privatize {
-                    self.ip_item_lock(stripe);
-                }
-                let res = {
-                    let _g = (self.policy.item_mode == ItemMode::Lock)
-                        .then(|| core.item_locks.mutex(stripe).lock());
-                    let mut ctx = Ctx::Direct;
-                    let r = core
-                        .arith(&mut ctx, &policy, key, hv, delta, incr, now)
-                        .expect("direct");
-                    if let Some(Ok((new, cas))) = r {
-                        self.dur_record(
-                            &mut ctx,
-                            Record::Arith { cas, value: new, key: key.to_vec() },
-                        );
-                    }
-                    r
+        // do_add_delta runs under the item lock: privatized in IP, so the
+        // strtoull/snprintf pair stays uninstrumented.
+        let res = self.keyed_mutation(
+            w,
+            key,
+            Scope::Item,
+            &[Category::Libc, Category::RefcountRmw, Category::AssertAbort],
+            &self.workers[w].stats.arith_cmds,
+            false,
+            |ctx, hv| {
+                let r = core.arith(ctx, &policy, key, hv, delta, incr, now)?;
+                let effect = match r {
+                    Some(Ok((value, cas))) => Some(Effect::Arith { value, cas }),
+                    _ => None,
                 };
-                if self.policy.item_mode == ItemMode::Privatize {
-                    self.ip_item_unlock(stripe);
-                }
-                res
-            }
-            ItemMode::Transactional => {
-                let hot_gen = self.hot_gen();
-                let tstats = &self.workers[w].stats;
-                self.tx_section(
-                    &[Category::VolatileFlag],
-                    &[Category::Libc, Category::RefcountRmw, Category::AssertAbort],
-                    |ctx| {
-                        let r = core.arith(ctx, &policy, key, hv, delta, incr, now)?;
-                        if let Some(Ok((new, cas))) = r {
-                            self.dur_record(
-                                ctx,
-                                Record::Arith { cas, value: new, key: key.to_vec() },
-                            );
-                            // The new decimal rendering is not in hand
-                            // here; fence the hot slot instead of serving
-                            // a pre-arith value.
-                            self.hot_record_disturb(ctx, key, hv, hot_gen);
-                        }
-                        self.stats_inline(ctx, &tstats.arith_cmds, None)?;
-                        Ok(r)
-                    },
-                )
-            }
-        };
-        if self.policy.item_mode != ItemMode::Transactional {
-            self.op_stats(w, |t| (&t.arith_cmds, None));
-            self.bump_cmd_total();
-        }
+                Ok((r, effect))
+            },
+        );
         match res {
             None => ArithStatus::NotFound,
             Some(Err(())) => ArithStatus::NonNumeric,
@@ -2237,113 +1871,38 @@ impl McCache {
 
     /// `touch key exptime`.
     pub fn touch(&self, w: usize, key: &[u8], exptime: u32) -> bool {
-        assert!(key.len() <= KEY_MAX && !key.is_empty(), "bad key length");
-        let hv = jenkins_hash(key, 0);
+        let (core, policy) = (&self.core, self.policy);
         let now = self.rel_time();
-        let stripe = self.core.item_locks.stripe(hv);
-        let core = &self.core;
-        let _policy = self.policy;
-        let found = match self.policy.item_mode {
-            ItemMode::Lock => {
-                let _g = core.item_locks.mutex(stripe).lock();
-                let mut ctx = Ctx::Direct;
-                self.touch_inner(&mut ctx, key, hv, exptime, now).expect("direct")
-            }
-            ItemMode::Privatize => {
-                self.ip_item_lock(stripe);
-                let mut ctx = Ctx::Direct;
-                let r = self.touch_inner(&mut ctx, key, hv, exptime, now).expect("direct");
-                self.ip_item_unlock(stripe);
-                r
-            }
-            ItemMode::Transactional => {
-                let hot_gen = self.hot_gen();
-                self.tx_section(
-                    &[Category::VolatileFlag],
-                    &[Category::Libc, Category::AssertAbort],
-                    |ctx| {
-                        let found = self.touch_inner(ctx, key, hv, exptime, now)?;
-                        if found {
-                            // The expiry changed; the privatized copy's is
-                            // stale. (A no-op touch commits with an elided
-                            // stamp and the fence publish loses — which is
-                            // correct: nothing changed.)
-                            self.hot_record_disturb(ctx, key, hv, hot_gen);
-                        }
-                        Ok(found)
-                    },
-                )
-            }
-        };
-        self.op_stats(w, |t| (&t.touch_cmds, None));
-        self.bump_cmd_total();
-        found
-    }
-
-    fn touch_inner<'e>(
-        &'e self,
-        ctx: &mut Ctx<'_, 'e>,
-        key: &[u8],
-        hv: u32,
-        exptime: u32,
-        now: u32,
-    ) -> Result<bool, Abort> {
-        let core = &self.core;
-        let policy = self.policy;
-        match core.assoc.find(ctx, &policy, &core.arena, key, hv)? {
-            Some(h) => {
-                let it = core.arena.resolve(h);
-                it.set_times(ctx, exptime, now)?;
-                if self.dur.get().is_some() {
-                    if ctx.in_transaction() {
-                        // A touch that rewrites identical times commits
-                        // with an elided (read-only) stamp; bump the nonce
-                        // so the engine mints a fresh one for the record.
-                        ctx.fetch_add_word(core.dur_nonce.word(), 1)?;
-                    }
-                    self.dur_record(
-                        ctx,
-                        Record::Touch {
-                            abs_exp: self.abs_unix(exptime),
-                            touched_unix: self.abs_unix(now),
-                            key: key.to_vec(),
-                        },
-                    );
-                }
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        self.keyed_mutation(
+            w,
+            key,
+            Scope::Item,
+            &[Category::Libc, Category::AssertAbort],
+            &self.workers[w].stats.touch_cmds,
+            true,
+            |ctx, hv| {
+                let Some(h) = core.assoc.find(ctx, &policy, &core.arena, key, hv)? else {
+                    return Ok((false, None));
+                };
+                core.arena.resolve(h).set_times(ctx, exptime, now)?;
+                Ok((true, Some(Effect::Touched { exp: exptime, now })))
+            },
+        )
     }
 
     /// `flush_all`.
     pub fn flush_all(&self, w: usize) {
         let now = self.rel_time();
-        let core = &self.core;
-        let flush_unix = self.abs_unix(now);
-        if !self.policy.transactional {
-            let _s = self.stats_lock.lock();
-            let mut ctx = Ctx::Direct;
-            core.flush_all(&mut ctx, now).expect("direct");
-            self.dur_record(&mut ctx, Record::FlushAll { flush_unix });
-        } else {
-            self.tx_section(&[], &[], |ctx| {
-                core.flush_all(ctx, now)?;
-                self.dur_record(ctx, Record::FlushAll { flush_unix });
-                if let Some(hot) = &self.hot {
-                    let hot = Arc::clone(hot);
-                    ctx.defer_or_run(move || hot.bump_gen());
-                }
-                Ok(())
-            });
-        }
+        self.mutation(Scope::Table(&[&self.stats_lock]), &[], &[], |ctx, at| {
+            self.core.flush_all(ctx, now)?;
+            self.emit(ctx, at, &[], 0, Effect::FlushedAll { now })
+        });
         if self.magazines_on() {
             // Return every parked chunk so a post-flush heap audit sees
             // all memory back on the free lists.
             self.flush_magazines();
         }
-        let _ = w;
-        self.bump_cmd_total();
+        self.count_op(w, &[]);
     }
 
     // ------------------------------------------------------------------
@@ -2374,44 +1933,22 @@ impl McCache {
             // (idle, completed): idle ends the inner loop; completed means
             // this call finished a migration and the stat should bump.
             loop {
-                let (idle, completed) = if !self.policy.transactional {
-                    let _c = self.cache_lock.lock();
-                    let mut ctx = Ctx::Direct;
-                    if !core.assoc.is_expanding(&mut ctx, &policy).expect("direct") {
-                        (true, false)
-                    } else {
-                        let done = core
-                            .assoc
-                            .migrate_step(&mut ctx, &policy, &core.arena, 4)
-                            .expect("direct");
-                        (done, done)
-                    }
-                } else {
-                    self.tx_section(
-                        &[Category::VolatileFlag],
-                        &[Category::AssertAbort],
-                        |ctx| {
-                            if !core.assoc.is_expanding(ctx, &policy)? {
-                                return Ok((true, false));
-                            }
-                            let done =
-                                core.assoc.migrate_step(ctx, &policy, &core.arena, 4)?;
-                            Ok((done, done))
-                        },
-                    )
-                };
+                let (idle, completed) = self.section(
+                    Scope::Table(&[&self.cache_lock]),
+                    &[Category::VolatileFlag],
+                    &[Category::AssertAbort],
+                    |ctx| {
+                        if !core.assoc.is_expanding(ctx, &policy)? {
+                            return Ok((true, false));
+                        }
+                        let done = core.assoc.migrate_step(ctx, &policy, &core.arena, 4)?;
+                        Ok((done, done))
+                    },
+                );
                 if completed {
-                    if !self.policy.transactional {
-                        let _s = self.stats_lock.lock();
-                        let mut ctx = Ctx::Direct;
-                        core.global
-                            .bump(&mut ctx, &core.global.expansions)
-                            .expect("direct");
-                    } else {
-                        self.tx_section(&[], &[], |ctx| {
-                            core.global.bump(ctx, &core.global.expansions)
-                        });
-                    }
+                    self.section(Scope::Table(&[&self.stats_lock]), &[], &[], |ctx| {
+                        core.global.bump(ctx, &core.global.expansions)
+                    });
                 }
                 if idle {
                     break;
@@ -2442,56 +1979,47 @@ impl McCache {
             }
             // Acquire the rebalance lock: a trylock spin on the mutex in
             // the lock branches; the transactional boolean (§3.1) after.
-            if !self.policy.transactional {
-                let guard = loop {
-                    if let Some(g) = self.rebalance_mutex.try_lock() {
-                        break Some(g);
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                    std::thread::yield_now(); // the paper's pthread_yield fallback
-                };
-                let Some(_guard) = guard else { return };
-                let _s = self.slabs_lock.lock();
-                let mut ctx = Ctx::Direct;
-                self.rebalance_once(&mut ctx).expect("direct");
-            } else {
-                loop {
-                    let got = self.tx_section(&[Category::VolatileFlag], &[], |ctx| {
-                        let sig =
-                            ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
-                        let _ = sig;
+            let mut mutex_guard = None;
+            loop {
+                let got = if !self.policy.transactional {
+                    mutex_guard = self.rebalance_mutex.try_lock();
+                    mutex_guard.is_some()
+                } else {
+                    self.section(Scope::Table(&[]), &[Category::VolatileFlag], &[], |ctx| {
+                        ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
                         let cell = core.arena.rebalance_lock.word();
                         if ctx.get_word(cell)? != 0 {
-                            Ok(false)
-                        } else {
-                            ctx.put_word(cell, 1)?;
-                            Ok(true)
+                            return Ok(false);
                         }
-                    });
-                    if got {
-                        break;
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::yield_now();
+                        ctx.put_word(cell, 1)?;
+                        Ok(true)
+                    })
+                };
+                if got {
+                    break;
                 }
-                self.tx_section(
-                    &[Category::VolatileFlag],
-                    &[Category::AssertAbort],
-                    |ctx| self.rebalance_once(ctx),
-                );
-                self.tx_section(&[], &[], |ctx| {
+                if self.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                std::thread::yield_now(); // the paper's pthread_yield fallback
+            }
+            self.mutation(
+                Scope::Table(&[&self.slabs_lock]),
+                &[Category::VolatileFlag],
+                &[Category::AssertAbort],
+                |ctx, at| self.rebalance_once(ctx, at),
+            );
+            if self.policy.transactional {
+                self.section(Scope::Table(&[]), &[], &[], |ctx| {
                     ctx.put_word(core.arena.rebalance_lock.word(), 0)
                 });
             }
+            drop(mutex_guard);
         }
     }
 
     /// One rebalance attempt under the slabs lock / inside a transaction.
-    fn rebalance_once<'e>(&'e self, ctx: &mut Ctx<'_, 'e>) -> Result<(), Abort> {
+    fn rebalance_once<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, at: Entered) -> Result<(), Abort> {
         let core = &self.core;
         let policy = self.policy;
         if ctx.volatile_read(&policy, core.arena.rebalance_signal.word())? == 0 {
@@ -2500,14 +2028,10 @@ impl McCache {
         let receiver = ctx.get_word(core.arena.needy_class.word())? as u8;
         if let Some(donor) = core.arena.pick_donor(ctx)? {
             if core.arena.rebalance_step(ctx, &policy, donor, receiver)? {
-                let n = ctx.get_word(core.global.rebalances.word())?;
-                ctx.put_word(core.global.rebalances.word(), n + 1)?;
+                core.global.bump(ctx, &core.global.rebalances)?;
                 // A reassigned page's items vanished without per-key
-                // publication; invalidate the hot set at commit.
-                if let Some(hot) = &self.hot {
-                    let hot = Arc::clone(hot);
-                    ctx.defer_or_run(move || hot.bump_gen());
-                }
+                // effects.
+                self.emit(ctx, at, &[], 0, Effect::Invalidated)?;
             }
         }
         ctx.volatile_write(&policy, core.arena.rebalance_signal.word(), 0)?;
@@ -2602,7 +2126,7 @@ impl McCache {
         }
         // (d) Hot keys: aggregate the per-worker sketches and rearm when
         // the top set changed. Deterministic order: count desc, hash asc.
-        if let Some(hot) = &self.hot {
+        if self.fx.hot_on() {
             let mut counts: std::collections::BTreeMap<u32, u64> = Default::default();
             for wslot in &self.workers {
                 for (hv, c) in wslot.sketch.drain() {
@@ -2617,7 +2141,7 @@ impl McCache {
             top.truncate(self.cfg.hot_slots);
             let tags: Vec<u32> = top.into_iter().map(|(hv, _)| hv).collect();
             if !tags.is_empty() && tags != st.armed {
-                hot.retune(&tags);
+                self.fx.hot_retune(&tags);
                 st.armed = tags;
             }
         }
@@ -2633,9 +2157,9 @@ impl McCache {
     /// controller normally does this from the sketches).
     #[doc(hidden)]
     pub fn hot_install_keys(&self, keys: &[&[u8]]) {
-        if let Some(hot) = &self.hot {
+        if self.fx.hot_on() {
             let tags: Vec<u32> = keys.iter().map(|k| jenkins_hash(k, 0)).collect();
-            hot.retune(&tags);
+            self.fx.hot_retune(&tags);
             self.adapt_state.lock().unwrap().armed = tags;
         }
     }

@@ -69,6 +69,27 @@ impl<'a, 'e> Ctx<'a, 'e> {
         }
     }
 
+    /// A side effect of category `c` (`sem_post`, `fprintf`) on its way
+    /// through the paper's stages: run now when no transaction is open, an
+    /// unsafe operation (in-flight switch) inside one until
+    /// [`crate::Stage::OnCommit`] defers `c`, an onCommit handler after.
+    ///
+    /// # Errors
+    ///
+    /// [`Abort::Conflict`] if the in-flight switch fails validation.
+    pub fn side_effect(
+        &mut self,
+        policy: &Policy,
+        c: Category,
+        f: impl FnOnce() + 'e,
+    ) -> Result<(), Abort> {
+        if self.in_transaction() && !policy.is_deferred(c) {
+            return self.unsafe_op(f);
+        }
+        self.defer_or_run(f);
+        Ok(())
+    }
+
     /// Reads a maintenance flag that memcached declares `volatile`.
     /// Unsafe until [`crate::Stage::Max`] re-declares it transactional.
     ///

@@ -167,6 +167,7 @@ impl HotSet {
                     data: value.clone(),
                     flags: *flags,
                     cas: *cas,
+                    exp: *exp,
                 })
             }
             HotState::Absent => {

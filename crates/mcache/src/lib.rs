@@ -44,6 +44,7 @@ pub mod cache;
 pub mod core;
 pub mod ctx;
 pub mod dur;
+mod effect;
 pub mod hashes;
 mod hot;
 pub mod item;
@@ -142,6 +143,46 @@ mod tests {
         assert_eq!(c.prepend(0, b"k", b"start-"), StoreStatus::Stored);
         assert_eq!(c.get(0, b"k").unwrap().data, b"start-mid-end");
         assert_eq!(c.append(0, b"missing", b"x"), StoreStatus::NotStored);
+    }
+
+    #[test]
+    fn a_panic_under_the_item_guard_releases_the_stripe() {
+        // A request that panics mid-section is answered SERVER_ERROR and
+        // the worker lives on — so its item lock must not outlive it. On IP
+        // the lock is a transactional boolean that only the guard's drop
+        // writes back; hand-paired lock/unlock left it `true` forever and
+        // every later op on the stripe spun. The wait is bounded: a wedged
+        // stripe fails the test instead of hanging it.
+        for branch in [Branch::Baseline, Branch::Ip(Stage::OnCommit), Branch::IpNoLock] {
+            let handle = McCache::start(small_config(branch));
+            let c = handle.cache().clone();
+            let stripe = 3;
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _guard = crate::cache::ItemGuard::new(&c, stripe);
+                panic!("request handler died holding the item lock");
+            }));
+            assert!(r.is_err());
+            // A key on the same stripe (item_lock_power 6: 64 stripes).
+            let key = (0u32..)
+                .map(|i| format!("k{i}").into_bytes())
+                .find(|k| crate::hashes::jenkins_hash(k, 0) as usize & 63 == stripe)
+                .unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let worker = {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    let st = c.set(1, &key, b"v", 0, 0);
+                    let _ = tx.send((st, c.get(1, &key).map(|v| v.data)));
+                })
+            };
+            let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+            assert_eq!(
+                got.ok(),
+                Some((StoreStatus::Stored, Some(b"v".to_vec()))),
+                "{branch}: stripe still locked after the panic unwound"
+            );
+            worker.join().unwrap();
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use mcache::dur::{DurLog, Record};
-use mcache::{Branch, DurFsync, McCache, McConfig, McHandle, SlabConfig, Stage};
+use mcache::{
+    Branch, DurFsync, McCache, McConfig, McHandle, SlabConfig, Stage, StoreMode, StoreOp, StoreStatus,
+};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -20,9 +22,10 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-fn config(branch: Branch, dir: &PathBuf) -> McConfig {
+fn config(branch: Branch, magazine: usize, dir: &PathBuf) -> McConfig {
     McConfig {
         branch,
+        magazine,
         workers: 2,
         slab: SlabConfig {
             mem_limit: 8 << 20,
@@ -40,21 +43,27 @@ fn config(branch: Branch, dir: &PathBuf) -> McConfig {
 }
 
 fn start(branch: Branch, dir: &PathBuf) -> McHandle {
-    McCache::start(config(branch, dir))
+    McCache::start(config(branch, 0, dir))
 }
 
-const BRANCHES: [Branch; 3] = [
-    Branch::Baseline,
-    Branch::Ip(Stage::OnCommit),
-    Branch::It(Stage::OnCommit),
+/// Every store path a record can be emitted from: `(branch, magazine)`.
+const STORE_PATHS: [(Branch, usize); 6] = [
+    (Branch::Baseline, 0),
+    (Branch::Ip(Stage::OnCommit), 0),
+    (Branch::IpNoLock, 0),
+    (Branch::It(Stage::OnCommit), 0),
+    (Branch::ItNoLock, 0),
+    (Branch::It(Stage::OnCommit), 64),
 ];
 
 #[test]
 fn warm_restart_replays_all_mutation_kinds() {
-    for branch in BRANCHES {
-        let dir = tmpdir(&format!("all-{branch}"));
+    for (branch, magazine) in STORE_PATHS {
+        let tag = format!("{branch}+mag{magazine}");
+        let dir = tmpdir(&format!("all-{tag}"));
+        let far = 1_000_000; // rel-time seconds: alive for the whole test
         {
-            let c = start(branch, &dir);
+            let c = McCache::start(config(branch, magazine, &dir));
             assert_eq!(c.dur_stats().unwrap().recovered_items, 0);
             c.set(0, b"keep", b"v1", 7, 0);
             c.set(0, b"gone", b"x", 0, 0);
@@ -62,20 +71,37 @@ fn warm_restart_replays_all_mutation_kinds() {
             assert!(c.delete(0, b"gone"));
             assert_eq!(c.arith(0, b"num", 5, true), mcache::ArithStatus::Ok(15));
             c.set(0, b"keep", b"v2", 7, 0); // overwrite: replay keeps last
+            assert_eq!(c.add(0, b"added", b"a1", 1, 0), StoreStatus::Stored);
+            assert_eq!(c.add(0, b"added", b"a2", 1, 0), StoreStatus::NotStored); // logs nothing
+            assert_eq!(c.replace(0, b"added", b"a3", 2, 0), StoreStatus::Stored);
+            let cas = c.get(0, b"keep").unwrap().cas;
+            assert_eq!(c.cas(0, b"keep", b"v3", 7, 0, cas), StoreStatus::Stored);
+            assert_eq!(c.cas(0, b"keep", b"v4", 7, 0, cas), StoreStatus::Exists); // logs nothing
+            c.set(0, b"cat", b"mid", 3, far);
+            assert_eq!(c.append(0, b"cat", b"-end"), StoreStatus::Stored);
+            assert_eq!(c.prepend(0, b"cat", b"start-"), StoreStatus::Stored);
+            c.set(0, b"brief", b"b", 0, 1); // expires at once...
+            assert!(c.touch(0, b"brief", far)); // ...rescued
+            let ops = [
+                StoreOp { mode: StoreMode::Set, key: b"b1", value: b"one", flags: 0, exptime: 0 },
+                StoreOp { mode: StoreMode::Add, key: b"keep", value: b"no", flags: 0, exptime: 0 },
+                StoreOp { mode: StoreMode::Set, key: b"b1", value: b"two", flags: 4, exptime: 0 },
+            ];
+            c.store_batch(0, &ops);
         } // drop seals the log
-        let c = start(branch, &dir);
+        let c = McCache::start(config(branch, magazine, &dir));
         let d = c.dur_stats().unwrap();
-        assert_eq!(d.torn_records_dropped, 0, "{branch}: sealed log has no torn tail");
-        assert_eq!(d.recovered_items, 2, "{branch}: {d:?}");
-        let keep = c.get(0, b"keep").expect("keep survives");
-        assert_eq!(keep.data, b"v2", "{branch}: last write wins");
-        assert_eq!(keep.flags, 7, "{branch}: flags replayed");
-        assert_eq!(c.get(0, b"gone"), None, "{branch}: delete replayed");
-        assert_eq!(
-            c.get(0, b"num").unwrap().data,
-            b"15",
-            "{branch}: arith post-image replayed"
-        );
+        assert_eq!(d.torn_records_dropped, 0, "{tag}: sealed log has no torn tail");
+        assert_eq!(d.recovered_items, 6, "{tag}: {d:?}");
+        let get = |k: &[u8]| c.get(0, k).map(|g| (g.data, g.flags));
+        assert_eq!(get(b"keep"), Some((b"v3".to_vec(), 7)), "{tag}: last successful write wins");
+        assert_eq!(get(b"gone"), None, "{tag}: delete replayed");
+        assert_eq!(get(b"num"), Some((b"15".to_vec(), 0)), "{tag}: arith post-image replayed");
+        assert_eq!(get(b"added"), Some((b"a3".to_vec(), 2)), "{tag}: add then replace");
+        assert_eq!(get(b"cat"), Some((b"start-mid-end".to_vec(), 3)), "{tag}: append + prepend");
+        assert!(c.get(0, b"cat").unwrap().exp != 0, "{tag}: the concatenation's TTL replayed");
+        assert_eq!(get(b"brief"), Some((b"b".to_vec(), 0)), "{tag}: touch replayed");
+        assert_eq!(get(b"b1"), Some((b"two".to_vec(), 4)), "{tag}: batch replays in order");
         drop(c);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -225,9 +251,9 @@ fn batch_stores_replay_in_order() {
     let dir = tmpdir("batch");
     {
         let c = start(Branch::It(Stage::OnCommit), &dir);
-        let ops: Vec<mcache::StoreOp<'_>> = (0..8)
-            .map(|i| mcache::StoreOp {
-                mode: mcache::StoreMode::Set,
+        let ops: Vec<StoreOp<'_>> = (0..8)
+            .map(|i| StoreOp {
+                mode: StoreMode::Set,
                 key: b"same",
                 value: if i == 7 { b"final" } else { b"mid" },
                 flags: 0,
@@ -235,7 +261,7 @@ fn batch_stores_replay_in_order() {
             })
             .collect();
         let st = c.store_batch(0, &ops);
-        assert!(st.iter().all(|s| *s == mcache::StoreStatus::Stored));
+        assert!(st.iter().all(|s| *s == StoreStatus::Stored));
     }
     let c = start(Branch::It(Stage::OnCommit), &dir);
     assert_eq!(

@@ -21,6 +21,9 @@ enum Cmd {
     Incr(u8, u16),
     SetNumeric(u8, u32),
     Append(u8, Vec<u8>),
+    Prepend(u8, Vec<u8>),
+    /// Set with a (far-future) expiry, in `rel_time` seconds.
+    SetTtl(u8, Vec<u8>, u32),
     CasFresh(u8, Vec<u8>),
     CasStale(u8, Vec<u8>),
 }
@@ -30,7 +33,7 @@ no_shrink!(Cmd);
 fn cmd_gen() -> impl Fn(&mut SmallRng) -> Cmd + Clone {
     |rng: &mut SmallRng| {
         let k = rng.gen_range(0u8..24);
-        match rng.gen_range(0u32..10) {
+        match rng.gen_range(0u32..12) {
             0 => Cmd::Set(k, gen::bytes(0..48)(rng)),
             1 => Cmd::Add(k, gen::bytes(0..48)(rng)),
             2 => Cmd::Replace(k, gen::bytes(0..48)(rng)),
@@ -40,6 +43,8 @@ fn cmd_gen() -> impl Fn(&mut SmallRng) -> Cmd + Clone {
             6 => Cmd::SetNumeric(k, rng.next_u64() as u32),
             7 => Cmd::Append(k, gen::bytes(1..16)(rng)),
             8 => Cmd::CasFresh(k, gen::bytes(0..48)(rng)),
+            9 => Cmd::Prepend(k, gen::bytes(1..16)(rng)),
+            10 => Cmd::SetTtl(k, gen::bytes(0..48)(rng), rng.gen_range(1_000_000u32..2_000_000)),
             _ => Cmd::CasStale(k, gen::bytes(0..48)(rng)),
         }
     }
@@ -65,13 +70,14 @@ fn check_branch(branch: Branch, cmds: &[Cmd]) -> CaseResult {
         maintenance: false, // single-threaded determinism
         ..Default::default()
     });
-    let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
+    // key -> (value, expiry): append/prepend must carry both over.
+    let mut model: HashMap<u8, (Vec<u8>, u32)> = HashMap::new();
     for cmd in cmds {
         match cmd {
             Cmd::Set(k, v) => {
                 let st = cache.set(0, &key_name(*k), v, 0, 0);
                 prop_assert_eq!(st, StoreStatus::Stored, "{} set", branch);
-                model.insert(*k, v.clone());
+                model.insert(*k, (v.clone(), 0));
             }
             Cmd::Add(k, v) => {
                 let st = cache.add(0, &key_name(*k), v, 0, 0);
@@ -79,20 +85,20 @@ fn check_branch(branch: Branch, cmds: &[Cmd]) -> CaseResult {
                     prop_assert_eq!(st, StoreStatus::NotStored, "{} add-present", branch);
                 } else {
                     prop_assert_eq!(st, StoreStatus::Stored, "{} add-absent", branch);
-                    model.insert(*k, v.clone());
+                    model.insert(*k, (v.clone(), 0));
                 }
             }
             Cmd::Replace(k, v) => {
                 let st = cache.replace(0, &key_name(*k), v, 0, 0);
                 if model.contains_key(k) {
                     prop_assert_eq!(st, StoreStatus::Stored, "{} replace-present", branch);
-                    model.insert(*k, v.clone());
+                    model.insert(*k, (v.clone(), 0));
                 } else {
                     prop_assert_eq!(st, StoreStatus::NotStored, "{} replace-absent", branch);
                 }
             }
             Cmd::Get(k) => {
-                let got = cache.get(0, &key_name(*k)).map(|g| g.data);
+                let got = cache.get(0, &key_name(*k)).map(|g| (g.data, g.exp));
                 prop_assert_eq!(got.as_ref(), model.get(k), "{} get key {}", branch, k);
             }
             Cmd::Delete(k) => {
@@ -102,13 +108,13 @@ fn check_branch(branch: Branch, cmds: &[Cmd]) -> CaseResult {
             Cmd::SetNumeric(k, v) => {
                 let text = v.to_string().into_bytes();
                 cache.set(0, &key_name(*k), &text, 0, 0);
-                model.insert(*k, text);
+                model.insert(*k, (text, 0));
             }
             Cmd::Incr(k, d) => {
                 let st = cache.arith(0, &key_name(*k), *d as u64, true);
                 match model.get_mut(k) {
                     None => prop_assert_eq!(st, ArithStatus::NotFound, "{}", branch),
-                    Some(stored) => {
+                    Some((stored, _)) => {
                         // memcached's safe_strtoull: whole value numeric
                         // modulo surrounding whitespace.
                         let parse = |buf: &[u8]| {
@@ -131,15 +137,27 @@ fn check_branch(branch: Branch, cmds: &[Cmd]) -> CaseResult {
                     }
                 }
             }
-            Cmd::Append(k, v) => {
-                let st = cache.append(0, &key_name(*k), v);
+            Cmd::Append(k, v) | Cmd::Prepend(k, v) => {
+                let after = matches!(cmd, Cmd::Append(..));
+                let name = key_name(*k);
+                let st = if after { cache.append(0, &name, v) } else { cache.prepend(0, &name, v) };
                 match model.get_mut(k) {
-                    Some(stored) => {
-                        prop_assert_eq!(st, StoreStatus::Stored, "{} append", branch);
-                        stored.extend_from_slice(v);
+                    // The expiry stays the original item's (memcached).
+                    Some((stored, _)) => {
+                        prop_assert_eq!(st, StoreStatus::Stored, "{} concat", branch);
+                        if after {
+                            stored.extend_from_slice(v);
+                        } else {
+                            stored.splice(0..0, v.iter().copied());
+                        }
                     }
-                    None => prop_assert_eq!(st, StoreStatus::NotStored, "{} append", branch),
+                    None => prop_assert_eq!(st, StoreStatus::NotStored, "{} concat", branch),
                 }
+            }
+            Cmd::SetTtl(k, v, exp) => {
+                let st = cache.set(0, &key_name(*k), v, 0, *exp);
+                prop_assert_eq!(st, StoreStatus::Stored, "{} set-ttl", branch);
+                model.insert(*k, (v.clone(), *exp));
             }
             Cmd::CasFresh(k, v) => {
                 // CAS with the current id must succeed iff present.
@@ -147,7 +165,7 @@ fn check_branch(branch: Branch, cmds: &[Cmd]) -> CaseResult {
                     Some(cur) => {
                         let st = cache.cas(0, &key_name(*k), v, 0, 0, cur.cas);
                         prop_assert_eq!(st, StoreStatus::Stored, "{} cas-fresh", branch);
-                        model.insert(*k, v.clone());
+                        model.insert(*k, (v.clone(), 0));
                     }
                     None => {
                         let st = cache.cas(0, &key_name(*k), v, 0, 0, 1);
@@ -166,7 +184,7 @@ fn check_branch(branch: Branch, cmds: &[Cmd]) -> CaseResult {
     }
     // Final sweep: every model entry is retrievable, nothing extra lives.
     for (k, v) in &model {
-        let got = cache.get(0, &key_name(*k)).map(|g| g.data);
+        let got = cache.get(0, &key_name(*k)).map(|g| (g.data, g.exp));
         prop_assert_eq!(got.as_ref(), Some(v), "{} final sweep key {}", branch, k);
     }
     prop_assert_eq!(

@@ -179,3 +179,71 @@ fn stats_reflect_protocol_traffic() {
     assert!(stats.contains("STAT cmd_set 1"), "{stats}");
     assert!(stats.contains("STAT curr_items 1"), "{stats}");
 }
+
+#[test]
+fn append_and_prepend_keep_the_ttl() {
+    // memcached re-stores a concatenation with the original item's flags
+    // *and* expiry. In-process on three branch families, then over both
+    // protocols (the storage commands' exptime is in the cache's `rel_time`
+    // seconds; the binary protocol here has no append opcode and no expiry
+    // field, so its line is the read side: the same item through a binary
+    // GET). One sleep serves every cache.
+    use mcache::proto::binary::{execute, Opcode, Request, Status};
+    use mcache::StoreStatus;
+    let caches: Vec<_> =
+        [Branch::Baseline, Branch::Ip(Stage::OnCommit), Branch::It(Stage::OnCommit)]
+            .into_iter()
+            .map(|branch| {
+                let c = cache(branch);
+                let ttl = c.rel_time() + 2;
+                for k in [&b"dies"[..], b"rescued"] {
+                    c.set(0, k, b"mid", 5, ttl);
+                    assert_eq!(c.append(0, k, b"-end"), StoreStatus::Stored, "{branch}");
+                    assert_eq!(c.prepend(0, k, b"start-"), StoreStatus::Stored, "{branch}");
+                    let v = c.get(0, k).unwrap();
+                    assert_eq!(
+                        (v.data.as_slice(), v.flags),
+                        (&b"start-mid-end"[..], 5),
+                        "{branch}"
+                    );
+                    assert_eq!(v.exp, ttl, "{branch}: the concatenation dropped the TTL");
+                }
+                // touch still owns the expiry afterwards.
+                assert!(c.touch(0, b"rescued", 0), "{branch}");
+                assert_eq!(c.get(0, b"rescued").unwrap().exp, 0, "{branch}");
+                (branch, c, ttl)
+            })
+            .collect();
+
+    let w = cache(Branch::Ip(Stage::OnCommit));
+    let ttl = w.rel_time() + 2;
+    let bget = || {
+        let req = Request {
+            opcode: Opcode::Get,
+            opaque: 1,
+            cas: 0,
+            key: b"k".to_vec(),
+            value: Vec::new(),
+            extra: 0,
+        };
+        execute(&w, 0, &req)
+    };
+    assert_eq!(
+        execute_ascii(&w, 0, format!("set k 3 {ttl} 3\r\nmid\r\n").as_bytes()),
+        b"STORED\r\n"
+    );
+    assert_eq!(execute_ascii(&w, 0, b"append k 0 0 4\r\n-end\r\n"), b"STORED\r\n");
+    assert_eq!(execute_ascii(&w, 0, b"prepend k 0 0 6\r\nstart-\r\n"), b"STORED\r\n");
+    assert_eq!(execute_ascii(&w, 0, b"get k\r\n"), b"VALUE k 3 13\r\nstart-mid-end\r\nEND\r\n");
+    assert_eq!((bget().status, bget().value), (Status::Ok, b"start-mid-end".to_vec()));
+
+    std::thread::sleep(std::time::Duration::from_millis(2100));
+    for (branch, c, ttl) in &caches {
+        assert!(c.rel_time() >= *ttl);
+        assert!(c.get(0, b"dies").is_none(), "{branch}: an appended item must still expire");
+        assert!(c.get(0, b"rescued").is_some(), "{branch}: a touched item must live on");
+    }
+    assert!(w.rel_time() >= ttl);
+    assert_eq!(execute_ascii(&w, 0, b"get k\r\n"), b"END\r\n", "the concatenation dropped the TTL");
+    assert_eq!(bget().status, Status::KeyNotFound, "the concatenation dropped the TTL");
+}

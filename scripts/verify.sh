@@ -15,6 +15,13 @@ cargo build --workspace --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+# Transaction shapes: single-worker Tables 1-4 are a pure function of the
+# code paths taken, so any diff against the recorded output is a changed
+# serialization profile, not noise. (tx_shapes.rs, in the workspace tests
+# above, pins the same thing op by op.)
+echo "==> tablecheck vs scripts/tablecheck.golden"
+target/release/tablecheck 2>/dev/null | cmp - scripts/tablecheck.golden
+
 # A single green pass of a parallelism-sensitive test proves little: loop
 # the test binary itself, without cargo's per-run overhead.
 # usage: loop200 <tm integration test> [test name filter]
@@ -98,12 +105,14 @@ echo "==> sysbench quick (benchmark/run.sh --quick: 5 workloads, oracle-checked)
 bash benchmark/run.sh --quick
 
 # Durability tier: the kill-at-random-commit harness. 36 seeded kill
-# points sweep every (fsync policy x kill mode) combination — each child
+# points sweep every (fsync policy x kill mode) combination, rotated over
+# the six store paths (lock, IP, IP-NoLock, IT, IT-NoLock, IT + magazines)
+# — each child
 # is murdered by chaos injection inside the log writer at a seed-chosen
 # append, and the parent replays the log against the exact oracle — plus
 # one injected-EIO degradation case per policy. Then a warm-restart
 # round trip under mcslap verifies and times recovery end to end.
-echo "==> crash sweep (mccrash: 36 kill points x {always,every:8,off} x {before,mid,after} + 3 chaos-fail arms)"
+echo "==> crash sweep (mccrash: 36 kill points x {always,every:8,off} x {before,mid,after} over 6 store paths + 3 chaos-fail arms)"
 target/release/mccrash --sweep 36 --seed 1
 
 echo "==> warm restart smoke (mcslap --restart: load, seal, recover, verify)"
