@@ -21,8 +21,9 @@
 use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use bench::cli::{num, parse_branch, value};
 use mcache::net::{NetConfig, Server};
-use mcache::{Branch, DurFsync, McCache, McConfig, Stage};
+use mcache::{Branch, DurFsync, McCache, McConfig};
 
 struct Args {
     host: String,
@@ -35,42 +36,6 @@ struct Args {
     udp_port: Option<u16>,
     unix_path: Option<std::path::PathBuf>,
     idle_timeout_ms: u64,
-}
-
-fn parse_branch(name: &str) -> Option<Branch> {
-    Some(match name {
-        "baseline" => Branch::Baseline,
-        "semaphore" => Branch::Semaphore,
-        "ip" => Branch::Ip(Stage::Plain),
-        "it" => Branch::It(Stage::Plain),
-        "ip-max" => Branch::Ip(Stage::Max),
-        "it-max" => Branch::It(Stage::Max),
-        "ip-lib" => Branch::Ip(Stage::Lib),
-        "it-lib" => Branch::It(Stage::Lib),
-        "ip-oncommit" => Branch::Ip(Stage::OnCommit),
-        "it-oncommit" => Branch::It(Stage::OnCommit),
-        "ip-nolock" => Branch::IpNoLock,
-        "it-nolock" => Branch::ItNoLock,
-        _ => return None,
-    })
-}
-
-/// The next argument as `flag`'s value, through `parse`. A missing or
-/// malformed value is a usage error, the same way for every flag.
-fn value<T>(
-    flag: &str,
-    it: &mut impl Iterator<Item = String>,
-    what: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> T {
-    it.next().as_deref().and_then(parse).unwrap_or_else(|| {
-        eprintln!("{flag} takes {what}");
-        std::process::exit(2);
-    })
-}
-
-fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
-    s.parse().ok()
 }
 
 fn parse_args() -> Args {

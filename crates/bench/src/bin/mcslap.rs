@@ -28,9 +28,10 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use bench::cli::{num, parse_branch, value};
 use bench::wire::{UdpClient, WireConn};
 use mcache::proto::binary::{self, Opcode, Request, Status};
-use mcache::{Branch, McCache, McConfig, Stage, StoreMode, StoreOp};
+use mcache::{Branch, McCache, McConfig, StoreMode, StoreOp};
 use tm::{Algorithm, ContentionManager};
 use workload::{Op, OpMix, Workload};
 
@@ -84,20 +85,8 @@ struct Args {
     dur_fsync: mcache::DurFsync,
     /// Zipfian key-popularity exponent in `[0, 1)`; 0 = uniform.
     zipf: f64,
-    /// Run the adaptive controller (`--adapt on|off`).
-    adapt: bool,
-    /// Controller epoch in milliseconds.
-    adapt_epoch_ms: u64,
-    /// Hot-key privatization slots; 0 = off.
-    hot_slots: usize,
-    /// Run the three-phase schedule (read-mostly → write-storm →
-    /// hot-key zipfian) instead of one homogeneous stream, reporting
-    /// per-phase throughput and the configuration the controller landed
-    /// on after each phase.
-    phase_shift: bool,
     /// Pin the STM algorithm (`--algorithm eager|lazy|norec`); None =
-    /// the cache default. The static arms of the adaptive-vs-static
-    /// comparison pin this with `--adapt off`.
+    /// the cache default.
     algorithm: Option<Algorithm>,
     /// Pin the contention manager (`--cm none|gcc-default|backoff:N|
     /// serialize-after:N|hourglass:N`); None = the branch default.
@@ -123,24 +112,6 @@ fn parse_cm(name: &str) -> Option<ContentionManager> {
     None
 }
 
-fn parse_branch(name: &str) -> Option<Branch> {
-    Some(match name {
-        "baseline" => Branch::Baseline,
-        "semaphore" => Branch::Semaphore,
-        "ip" => Branch::Ip(Stage::Plain),
-        "it" => Branch::It(Stage::Plain),
-        "ip-max" => Branch::Ip(Stage::Max),
-        "it-max" => Branch::It(Stage::Max),
-        "ip-lib" => Branch::Ip(Stage::Lib),
-        "it-lib" => Branch::It(Stage::Lib),
-        "ip-oncommit" => Branch::Ip(Stage::OnCommit),
-        "it-oncommit" => Branch::It(Stage::OnCommit),
-        "ip-nolock" => Branch::IpNoLock,
-        "it-nolock" => Branch::ItNoLock,
-        _ => return None,
-    })
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         concurrency: 4,
@@ -164,187 +135,66 @@ fn parse_args() -> Args {
         dur_path: None,
         dur_fsync: mcache::DurFsync::EveryN(32),
         zipf: 0.0,
-        adapt: false,
-        adapt_epoch_ms: 50,
-        hot_slots: 0,
-        phase_shift: false,
         algorithm: None,
         cm: None,
     };
+    let text = |s: &str| Some(s.to_string());
+    let path = |s: &str| Some(std::path::PathBuf::from(s));
+    let count = "a count";
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let num = |it: &mut dyn Iterator<Item = String>| {
-            it.next().and_then(|v| v.parse::<usize>().ok())
-        };
+        let it = &mut it;
         match flag.as_str() {
             "--concurrency" | "-c" => {
-                if let Some(v) = num(&mut it) {
-                    args.concurrency = v.max(1);
-                }
+                args.concurrency = value::<usize>(&flag, it, "a thread count", num).max(1)
             }
-            "--execute-number" | "-x" => {
-                if let Some(v) = num(&mut it) {
-                    args.execute_number = v;
-                }
-            }
-            "--value-size" => {
-                if let Some(v) = num(&mut it) {
-                    args.value_size = v.max(1);
-                }
-            }
-            "--keys" => {
-                if let Some(v) = num(&mut it) {
-                    args.keys = v.max(1);
-                }
-            }
+            "--execute-number" | "-x" => args.execute_number = value(&flag, it, count, num),
+            "--value-size" => args.value_size = value::<usize>(&flag, it, "a byte count", num).max(1),
+            "--keys" => args.keys = value::<usize>(&flag, it, count, num).max(1),
             "--read-ratio" => {
-                if let Some(v) = num(&mut it) {
-                    args.read_ratio = v.min(100);
-                }
+                args.read_ratio = value::<usize>(&flag, it, "a percentage", num).min(100)
             }
             // memslap has no such flag, but every setpath arm is
             // write-shaped; --write-ratio 70 == --read-ratio 30.
             "--write-ratio" => {
-                if let Some(v) = num(&mut it) {
-                    args.read_ratio = 100 - v.min(100);
-                }
+                args.read_ratio = 100 - value::<usize>(&flag, it, "a percentage", num).min(100)
             }
-            "--value-size-max" => {
-                if let Some(v) = num(&mut it) {
-                    args.value_size_max = v;
-                }
-            }
-            "--setq-pipeline" => {
-                if let Some(v) = num(&mut it) {
-                    args.setq_pipeline = v.max(1);
-                }
-            }
-            "--magazine" => {
-                if let Some(v) = num(&mut it) {
-                    args.magazine = v;
-                }
-            }
-            "--multiget" => {
-                if let Some(v) = num(&mut it) {
-                    args.multiget = v.max(1);
-                }
-            }
+            "--value-size-max" => args.value_size_max = value(&flag, it, "a byte count", num),
+            "--setq-pipeline" => args.setq_pipeline = value::<usize>(&flag, it, count, num).max(1),
+            "--magazine" => args.magazine = value(&flag, it, "a slot count", num),
+            "--multiget" => args.multiget = value::<usize>(&flag, it, count, num).max(1),
             "--binary" => args.binary = true,
             "--restart" => args.restart = true,
-            "--phase-shift" => args.phase_shift = true,
             "--zipf" => {
-                match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                    Some(t) if (0.0..1.0).contains(&t) => args.zipf = t,
-                    _ => {
-                        eprintln!("--zipf takes a theta in [0, 1)");
-                        std::process::exit(2);
-                    }
-                }
+                args.zipf = value(&flag, it, "a theta in [0, 1)", |s| {
+                    num::<f64>(s).filter(|t| (0.0..1.0).contains(t))
+                })
             }
-            "--adapt" => {
-                match it.next().as_deref() {
-                    Some("on") => args.adapt = true,
-                    Some("off") => args.adapt = false,
-                    _ => {
-                        eprintln!("--adapt takes on | off");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--adapt-epoch-ms" => {
-                if let Some(v) = num(&mut it) {
-                    args.adapt_epoch_ms = v.max(1) as u64;
-                }
-            }
-            "--hot-slots" => {
-                if let Some(v) = num(&mut it) {
-                    args.hot_slots = v;
-                }
-            }
-            "--dur-path" => {
-                if let Some(p) = it.next() {
-                    args.dur_path = Some(std::path::PathBuf::from(p));
-                } else {
-                    eprintln!("--dur-path needs a directory");
-                    std::process::exit(2);
-                }
-            }
+            "--dur-path" => args.dur_path = Some(value(&flag, it, "a directory", path)),
             "--dur-fsync" => {
-                if let Some(f) = it.next().as_deref().and_then(mcache::DurFsync::parse) {
-                    args.dur_fsync = f;
-                } else {
-                    eprintln!("--dur-fsync takes always | every:N | off");
-                    std::process::exit(2);
-                }
+                args.dur_fsync = value(&flag, it, "always | every:N | off", mcache::DurFsync::parse)
             }
-            "--tcp" => {
-                if let Some(a) = it.next() {
-                    args.tcp = Some(a);
-                } else {
-                    eprintln!("--tcp needs HOST:PORT");
-                    std::process::exit(2);
-                }
-            }
-            "--udp" => {
-                if let Some(a) = it.next() {
-                    args.udp = Some(a);
-                } else {
-                    eprintln!("--udp needs HOST:PORT");
-                    std::process::exit(2);
-                }
-            }
-            "--unix" => {
-                if let Some(p) = it.next() {
-                    args.unix = Some(std::path::PathBuf::from(p));
-                } else {
-                    eprintln!("--unix needs a socket path");
-                    std::process::exit(2);
-                }
-            }
-            "--churn" => {
-                if let Some(v) = num(&mut it) {
-                    args.churn = v.max(1);
-                }
-            }
-            "--fanin" => {
-                if let Some(v) = num(&mut it) {
-                    args.fanin = v.max(1);
-                }
-            }
-            "--connections" => {
-                if let Some(v) = num(&mut it) {
-                    args.connections = v.max(1);
-                }
-            }
+            "--tcp" => args.tcp = Some(value(&flag, it, "HOST:PORT", text)),
+            "--udp" => args.udp = Some(value(&flag, it, "HOST:PORT", text)),
+            "--unix" => args.unix = Some(value(&flag, it, "a socket path", path)),
+            "--churn" => args.churn = value::<usize>(&flag, it, count, num).max(1),
+            "--fanin" => args.fanin = value::<usize>(&flag, it, count, num).max(1),
+            "--connections" => args.connections = value::<usize>(&flag, it, count, num).max(1),
             "--algorithm" => {
-                args.algorithm = match it.next().as_deref() {
-                    Some("eager") => Some(Algorithm::Eager),
-                    Some("lazy") => Some(Algorithm::Lazy),
-                    Some("norec") => Some(Algorithm::Norec),
-                    _ => {
-                        eprintln!("--algorithm takes eager | lazy | norec");
-                        std::process::exit(2);
-                    }
-                };
+                args.algorithm = Some(value(&flag, it, "eager | lazy | norec", |s| match s {
+                    "eager" => Some(Algorithm::Eager),
+                    "lazy" => Some(Algorithm::Lazy),
+                    "norec" => Some(Algorithm::Norec),
+                    _ => None,
+                }))
             }
             "--cm" => {
-                if let Some(cm) = it.next().as_deref().and_then(parse_cm) {
-                    args.cm = Some(cm);
-                } else {
-                    eprintln!(
-                        "--cm takes none | gcc-default | serialize-after:N | \
-                         backoff:N | hourglass:N"
-                    );
-                    std::process::exit(2);
-                }
+                let what = "none | gcc-default | serialize-after:N | backoff:N | hourglass:N";
+                args.cm = Some(value(&flag, it, what, parse_cm))
             }
             "--branch" => {
-                if let Some(b) = it.next().as_deref().and_then(parse_branch) {
-                    args.branch = b;
-                } else {
-                    eprintln!("unknown branch; see examples/cache_server.rs for names");
-                    std::process::exit(2);
-                }
+                let what = "a branch name; see examples/cache_server.rs";
+                args.branch = value(&flag, it, what, parse_branch)
             }
             other => {
                 eprintln!("unknown flag {other}");
@@ -359,10 +209,6 @@ fn main() {
     let args = parse_args();
     if args.restart {
         run_restart(&args);
-        return;
-    }
-    if args.phase_shift {
-        run_phase_shift(&args);
         return;
     }
     if let Some(addr) = args.udp.clone() {
@@ -406,9 +252,6 @@ fn main() {
         branch: args.branch,
         workers: args.concurrency,
         magazine: args.magazine,
-        adapt: args.adapt,
-        adapt_epoch_ms: args.adapt_epoch_ms,
-        hot_slots: args.hot_slots,
         algorithm: args.algorithm.unwrap_or_default(),
         contention: args.cm,
         ..Default::default()
@@ -623,154 +466,6 @@ fn main() {
         stats.global.rebalances,
     );
     println!("tm: {tm}");
-    if args.adapt || args.hot_slots > 0 {
-        let (algo, cm) = cache.tm_config();
-        println!(
-            "adapt: epochs={} switches={} mag_resizes={} ro_tunes={} \
-             magazine_cap={} lru_bump_every={} now={algo}/{cm}",
-            stats.adapt_epochs,
-            stats.adapt_switches,
-            stats.adapt_mag_resizes,
-            stats.adapt_ro_tunes,
-            stats.magazine_cap,
-            stats.lru_bump_every,
-        );
-        println!(
-            "hot: armed={} hits={} installs={} invalidations={}",
-            stats.hot_armed, stats.hot_hits, stats.hot_installs, stats.hot_invalidations,
-        );
-    }
-}
-
-/// The `--phase-shift` schedule: three back-to-back phases with sharply
-/// different profiles — read-mostly uniform, write-storm uniform, and
-/// read-heavy hot-key zipfian — over one live cache, the workload the
-/// adaptive controller exists for. Per-phase throughput and the
-/// configuration the controller landed on print after each phase; the
-/// final line is the aggregate ops/s used by the adaptive-vs-static
-/// comparison in EXPERIMENTS.md.
-fn run_phase_shift(args: &Args) {
-    let phases: [(&str, u32, f64); 3] = [
-        ("read-mostly", 98, 0.0),
-        ("write-storm", 10, 0.0),
-        ("hot-zipfian", 90, if args.zipf > 0.0 { args.zipf } else { 0.9 }),
-    ];
-    let handle = McCache::start(McConfig {
-        branch: args.branch,
-        workers: args.concurrency,
-        magazine: args.magazine,
-        adapt: args.adapt,
-        adapt_epoch_ms: args.adapt_epoch_ms,
-        hot_slots: args.hot_slots,
-        algorithm: args.algorithm.unwrap_or_default(),
-        contention: args.cm,
-        // GETs ride the pure-read fast lane (§5) so a read-dominated
-        // phase is visible to the controller as read-only commits, and
-        // the LRU-bump cadence starts wide enough that bump writes don't
-        // drown the read signal.
-        refcount_elision: true,
-        lru_bump_every: 16,
-        ..Default::default()
-    });
-    let cache = handle.cache().clone();
-    // Preload so phase 1's reads hit.
-    let preload = Workload::builder()
-        .concurrency(args.concurrency)
-        .execute_number(1)
-        .key_count(args.keys)
-        .value_size_range(args.value_size, args.value_size_max.max(args.value_size))
-        .build();
-    for i in 0..preload.key_count() {
-        cache.set(0, preload.key(i), &preload.value(i), 0, 0);
-    }
-
-    let total_start = Instant::now();
-    let mut total_ops = 0usize;
-    for (pi, &(name, read_ratio, zipf)) in phases.iter().enumerate() {
-        let wl = Arc::new(
-            Workload::builder()
-                .concurrency(args.concurrency)
-                .execute_number(args.execute_number)
-                .key_count(args.keys)
-                .value_size_range(args.value_size, args.value_size_max.max(args.value_size))
-                .seed(0xC0FFEE + pi as u64)
-                .zipf(zipf)
-                .mix(OpMix {
-                    get: read_ratio,
-                    set: 100 - read_ratio,
-                    delete: 0,
-                    incr: 0,
-                })
-                .build(),
-        );
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for w in 0..args.concurrency {
-                let cache = cache.clone();
-                let wl = wl.clone();
-                s.spawn(move || {
-                    for op in wl.stream(w) {
-                        match op {
-                            Op::Get(k) => {
-                                cache.get(w, wl.key(k));
-                            }
-                            Op::Set(k) => {
-                                cache.set(w, wl.key(k), &wl.value(k), 0, 0);
-                            }
-                            Op::Delete(k) => {
-                                cache.delete(w, wl.key(k));
-                            }
-                            Op::Incr(k, d) => {
-                                cache.arith(w, wl.key(k), d, true);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let secs = start.elapsed().as_secs_f64();
-        let ops = args.concurrency * args.execute_number;
-        total_ops += ops;
-        let (algo, cm) = cache.tm_config();
-        let s = cache.stats();
-        println!(
-            "phase {name}: {} ops in {secs:.3}s = {:.0} ops/s  \
-             (now {algo}/{cm}, switches={}, magazine_cap={}, bump_every={}, \
-             hot_armed={}, hot_hits={})",
-            ops,
-            ops as f64 / secs,
-            s.adapt_switches,
-            s.magazine_cap,
-            s.lru_bump_every,
-            s.hot_armed,
-            s.hot_hits,
-        );
-    }
-    let secs = total_start.elapsed().as_secs_f64();
-    let s = cache.stats();
-    println!(
-        "phase-shift total: {total_ops} ops in {secs:.3}s = {:.0} ops/s  \
-         ({} threads, {} branch, adapt={}, epoch={}ms, hot_slots={}, magazine={})",
-        total_ops as f64 / secs,
-        args.concurrency,
-        args.branch,
-        if args.adapt { "on" } else { "off" },
-        args.adapt_epoch_ms,
-        args.hot_slots,
-        args.magazine,
-    );
-    println!(
-        "adapt: epochs={} switches={} mag_resizes={} ro_tunes={} \
-         hot: armed={} hits={} installs={} invalidations={}",
-        s.adapt_epochs,
-        s.adapt_switches,
-        s.adapt_mag_resizes,
-        s.adapt_ro_tunes,
-        s.hot_armed,
-        s.hot_hits,
-        s.hot_installs,
-        s.hot_invalidations,
-    );
 }
 
 /// The `--restart` mode: memslap meets `kill -TERM`. Loads the whole

@@ -43,10 +43,6 @@ fn run_deterministic(cfg: &BenchConfig, scale: &Scale) -> (u64, u64, u64, u64) {
         dur_fsync: mcache::DurFsync::Off,
         dur_segment_bytes: 4 << 20,
         dur_compact_ratio: 0.5,
-        // The adaptive controller stays off: tables measure fixed configs.
-        adapt: false,
-        adapt_epoch_ms: 50,
-        hot_slots: 0,
         ..McConfig::default()
     };
     let handle = McCache::start(mc);

@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod wire;
 
 use std::sync::Arc;
@@ -184,12 +185,6 @@ impl BenchConfig {
             dur_fsync: mcache::DurFsync::Off,
             dur_segment_bytes: 4 << 20,
             dur_compact_ratio: 0.5,
-            // Figures and tables measure fixed configurations; the
-            // adaptive controller has its own bench (stm_adaptpath) and
-            // the mcslap --phase-shift schedule.
-            adapt: false,
-            adapt_epoch_ms: 50,
-            hot_slots: 0,
             ..McConfig::default()
         }
     }

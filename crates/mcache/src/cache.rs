@@ -5,7 +5,7 @@
 //! synchronization in both the condvar (Figure 2, left) and semaphore
 //! (Figure 2, comments) forms.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -18,9 +18,8 @@ use tmstd::ByteAccess;
 use crate::core::{AllocError, Allocation, CacheCore, GetHit};
 use crate::ctx::Ctx;
 use crate::dur::{self, DurLog, DurSnapshot};
-use crate::effect::{Effect, Effects, Entered};
+use crate::effect::{Effect, Effects};
 use crate::hashes::jenkins_hash;
-use crate::hot::{HotLookup, HotSketch, HotState};
 use crate::item::{ItemHandle, ItemSizes};
 use crate::policy::{Branch, Category, ItemMode, Policy, SectionKind};
 use crate::sem::Semaphore;
@@ -29,19 +28,6 @@ use crate::stats::{GlobalSnapshot, ThreadSnapshot, ThreadStats};
 
 /// Longest accepted key, as in memcached.
 pub const KEY_MAX: usize = 250;
-
-/// Every Nth GET of a hot key deliberately bypasses the privatized copy
-/// and runs the real transactional lookup, so the backing item keeps
-/// collecting LRU bumps (a hot key served purely from the hot set would
-/// age to the LRU tail and be evicted).
-const HOT_REFRESH_EVERY: u64 = 64;
-
-/// Minimum epoch sketch count for a key hash to be worth arming.
-const HOT_MIN_COUNT: u64 = 8;
-
-/// Bounds for the controller's magazine-capacity retuning.
-const MAG_MIN: usize = 2;
-const MAG_MAX: usize = 1024;
 
 /// Cache configuration.
 #[derive(Clone, Debug)]
@@ -106,19 +92,6 @@ pub struct McConfig {
     /// rewrite it as a single sealed segment whenever the live entries
     /// account for less than this fraction of the on-disk bytes.
     pub dur_compact_ratio: f64,
-    /// Run the adaptive controller (DESIGN §15): a feedback thread that
-    /// samples TM and cache counters every [`McConfig::adapt_epoch_ms`]
-    /// and retunes the running configuration — algorithm + contention
-    /// manager via [`tm::TmRuntime::switch_config`], the LRU-bump cadence,
-    /// the per-worker magazine capacity, and the hot-key set. Only
-    /// meaningful on transactional branches; ignored elsewhere.
-    pub adapt: bool,
-    /// The controller's sampling epoch, in milliseconds.
-    pub adapt_epoch_ms: u64,
-    /// Hot-key privatization slots (rounded up to a power of two). 0
-    /// disables the hot set entirely; nonzero arms it for the controller
-    /// (or tests) to install keys into. Transactional branches only.
-    pub hot_slots: usize,
 }
 
 impl Default for McConfig {
@@ -142,9 +115,6 @@ impl Default for McConfig {
             dur_fsync: crate::dur::DurFsync::EveryN(32),
             dur_segment_bytes: 4 << 20,
             dur_compact_ratio: 0.5,
-            adapt: false,
-            adapt_epoch_ms: 50,
-            hot_slots: 0,
         }
     }
 }
@@ -244,22 +214,6 @@ struct WorkerSlot {
     stats: ThreadStats,
     op_count: AtomicU64,
     magazine: Mutex<Magazine>,
-    /// Lossy key-popularity sketch, fed by this worker's GETs and drained
-    /// by the adaptive controller each epoch.
-    sketch: HotSketch,
-}
-
-/// The adaptive controller's epoch baselines: counter values as of the
-/// previous tick, the configuration it believes is installed, and the
-/// hot-key tags it last armed. Locked only by the controller thread and
-/// the deterministic test hook ([`McCache::adapt_tick`]).
-struct AdaptState {
-    tm: StatsSnapshot,
-    sets: u64,
-    refills: u64,
-    flushes: u64,
-    cur: tm::adapt::AdaptConfig,
-    armed: Vec<u32>,
 }
 
 // Layout guard (see crates/tm/tests/layout_guard.rs for the STM twins):
@@ -278,8 +232,8 @@ pub struct McCache {
     core: CacheCore,
     profiler: Profiler,
     start_time: Instant,
-    /// The redo log and the hot-key set, reachable only as subscribers of
-    /// [`Effect`]s (plus the GET-side probe, recovery attach and stats).
+    /// The redo log, reachable only as the subscriber of [`Effect`]s (plus
+    /// recovery attach and stats).
     fx: Effects,
     // Lock-branch locks, in the §3.1 order: item, cache, slabs, stats.
     cache_lock: ProfiledMutex<()>,
@@ -294,22 +248,6 @@ pub struct McCache {
     workers: Vec<WorkerSlot>,
     log_lines: AtomicU64,
     shutdown: AtomicBool,
-    // Adaptive-runtime state (DESIGN §15). The live knobs the controller
-    // writes and the hot paths read; each starts at its configured value
-    // and never leaves the hot path's cache line cold (plain relaxed
-    // atomics, no locks).
-    /// Live per-worker magazine capacity; `cfg.magazine` is only the seed.
-    mag_cap: AtomicUsize,
-    /// Live LRU-bump cadence; `cfg.lru_bump_every` is only the seed.
-    bump_every: AtomicU64,
-    /// Controller epochs completed.
-    adapt_epochs: AtomicU64,
-    /// Magazine-capacity retunes applied.
-    adapt_mag_resizes: AtomicU64,
-    /// LRU-bump-cadence retunes applied.
-    adapt_ro_tunes: AtomicU64,
-    /// Controller epoch baselines (see [`AdaptState`]).
-    adapt_state: Mutex<AdaptState>,
     // Robustness telemetry: panics caught at the two supervision
     // boundaries (per-request guards in `proto`, maintenance respawn).
     request_panics: AtomicU64,
@@ -373,26 +311,11 @@ pub struct CacheStats {
     pub request_panics: u64,
     /// Maintenance-thread panics recovered by respawn.
     pub maintenance_panics: u64,
-    /// Adaptive-controller epochs completed (0 when the controller is off).
-    pub adapt_epochs: u64,
-    /// Algorithm/CM switches the TM runtime has performed.
-    pub adapt_switches: u64,
-    /// Magazine-capacity retunes the controller applied.
-    pub adapt_mag_resizes: u64,
-    /// LRU-bump-cadence retunes the controller applied.
-    pub adapt_ro_tunes: u64,
-    /// Live per-worker magazine capacity.
-    pub magazine_cap: u64,
-    /// Live LRU-bump cadence.
-    pub lru_bump_every: u64,
-    /// GETs served from the privatized hot-key set.
+    /// Compile shim for the frozen `benchmark/` package, which reads this
+    /// field: there is no privatized GET path, so it is always 0. Delete
+    /// with the next benchmark PR.
+    #[doc(hidden)]
     pub hot_hits: u64,
-    /// Hot-key installs (slots armed by retunes).
-    pub hot_installs: u64,
-    /// Wholesale hot-set invalidations (evictions, rebalances, flushes).
-    pub hot_invalidations: u64,
-    /// Currently armed hot-key slots.
-    pub hot_armed: u64,
 }
 
 /// What a critical section's body touches, which decides how each branch
@@ -525,7 +448,6 @@ impl McCache {
                         Vec::new()
                     },
                 }),
-                sketch: HotSketch::default(),
             })
             .collect();
         // Unix seconds at `rel_time() == 0`, fixed at start.
@@ -534,9 +456,6 @@ impl McCache {
             .map(|d| d.as_secs())
             .unwrap_or(0)
             .saturating_sub(2);
-        // The hot set exists only where item sections are transactions.
-        let hot_slots =
-            if policy.item_mode == ItemMode::Transactional { cfg.hot_slots } else { 0 };
         let cache = Arc::new(McCache {
             policy,
             rt,
@@ -552,20 +471,7 @@ impl McCache {
             workers,
             log_lines: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            mag_cap: AtomicUsize::new(cfg.magazine),
-            bump_every: AtomicU64::new(cfg.lru_bump_every),
-            fx: Effects::new(hot_slots, unix_base),
-            adapt_epochs: AtomicU64::new(0),
-            adapt_mag_resizes: AtomicU64::new(0),
-            adapt_ro_tunes: AtomicU64::new(0),
-            adapt_state: Mutex::new(AdaptState {
-                tm: StatsSnapshot::default(),
-                sets: 0,
-                refills: 0,
-                flushes: 0,
-                cur: tm::adapt::AdaptConfig { algorithm: cfg.algorithm, cm },
-                armed: Vec::new(),
-            }),
+            fx: Effects::new(unix_base),
             request_panics: AtomicU64::new(0),
             maintenance_panics: AtomicU64::new(0),
             request_panic_trap: AtomicBool::new(false),
@@ -588,9 +494,6 @@ impl McCache {
         if cache.cfg.maintenance {
             threads.push(Self::supervised(&cache, McCache::assoc_maintenance_loop));
             threads.push(Self::supervised(&cache, McCache::slab_rebalance_loop));
-        }
-        if cache.cfg.adapt && cache.policy.item_mode == ItemMode::Transactional {
-            threads.push(Self::supervised(&cache, McCache::adapt_loop));
         }
         McHandle { cache, threads }
     }
@@ -667,23 +570,13 @@ impl McCache {
         // `cmd_total` cell; fold the shards back in so `cmd_total` keeps
         // meaning "every command ever processed".
         global.cmd_total += threads.cmd_shard;
-        let hot = self.fx.hot_counters();
         CacheStats {
             global,
             threads,
             log_lines: self.log_lines.load(Ordering::Relaxed),
             request_panics: self.request_panics(),
             maintenance_panics: self.maintenance_panics(),
-            adapt_epochs: self.adapt_epochs.load(Ordering::Relaxed),
-            adapt_switches: self.rt.stats().config_switches,
-            adapt_mag_resizes: self.adapt_mag_resizes.load(Ordering::Relaxed),
-            adapt_ro_tunes: self.adapt_ro_tunes.load(Ordering::Relaxed),
-            magazine_cap: self.mag_cap.load(Ordering::Relaxed) as u64,
-            lru_bump_every: self.bump_every.load(Ordering::Relaxed),
-            hot_hits: hot.hits,
-            hot_installs: hot.installs,
-            hot_invalidations: hot.invalidations,
-            hot_armed: hot.armed,
+            hot_hits: 0,
         }
     }
 
@@ -880,32 +773,15 @@ impl McCache {
         }
     }
 
-    /// [`Self::section`] for a body that mutates the cache. Entry is
-    /// marked first — the hot generation is captured here, before the body
-    /// runs, for every mutation alike — and the body hands the mark back
-    /// to [`Self::emit`] with the [`Effect`] of what it did.
-    fn mutation<'e, R>(
-        &'e self,
-        scope: Scope<'_>,
-        entry: &[Category],
-        mid: &[Category],
-        mut f: impl FnMut(&mut Ctx<'_, 'e>, Entered) -> Result<R, Abort>,
-    ) -> R {
-        let at = self.fx.enter();
-        self.section(scope, entry, mid, |ctx| f(ctx, at))
-    }
-
-    /// Reports `effect` on `key` to the redo log and the hot set, from
-    /// inside the section that caused it ([`Effects::emit`]).
+    /// Reports `effect` on `key` to the redo log, from inside the section
+    /// that caused it ([`Effects::emit`]).
     fn emit<'e>(
         &'e self,
         ctx: &mut Ctx<'_, 'e>,
-        at: Entered,
         key: &[u8],
-        hv: u32,
         effect: Effect<'_>,
     ) -> Result<(), Abort> {
-        self.fx.emit(ctx, &self.core, &self.rt, at, key, hv, effect)
+        self.fx.emit(ctx, &self.core, &self.rt, key, effect)
     }
 
     /// IP's item-lock acquire: a mini-transaction spinning on a boolean
@@ -1045,7 +921,7 @@ impl McCache {
     /// Whether the get that drew op number `ops` should bump its item's
     /// LRU position.
     fn lru_bump_due(&self, ops: u64) -> bool {
-        let cadence = self.bump_every.load(Ordering::Relaxed);
+        let cadence = self.cfg.lru_bump_every;
         cadence != 0 && ops.is_multiple_of(cadence)
     }
 
@@ -1064,31 +940,6 @@ impl McCache {
         let (core, policy) = (&self.core, self.policy);
         let it_mode = policy.item_mode == ItemMode::Transactional;
 
-        // Hot-key privatization (DESIGN §15.4; the set only exists on IT):
-        // feed the popularity sketch, then try the privatized copy. Every
-        // HOT_REFRESH_EVERY-th access falls through on purpose so the real
-        // item still gets LRU bumps — a hot key served purely from the hot
-        // set would otherwise age to the LRU tail and be evicted under
-        // memory pressure.
-        if self.fx.hot_on() {
-            self.workers[w].sketch.note(hv);
-        }
-        let hot = self.fx.hot_key(hv);
-        if let Some(hk) = hot.filter(|_| !ops.is_multiple_of(HOT_REFRESH_EVERY)) {
-            match hk.lookup(key, now) {
-                HotLookup::Hit(v) => {
-                    self.get_stats_privatized(w, 1, 0);
-                    return Some(v);
-                }
-                HotLookup::Absent => {
-                    self.get_stats_privatized(w, 0, 1);
-                    return None;
-                }
-                HotLookup::Stale => {}
-            }
-        }
-        let hot_obs = hot.map(|hk| hk.observe(&self.rt));
-
         // One body for every branch: hash walk, key memcmp, refcount bump,
         // value copy. Lock and IP run it directly under the item lock; on
         // IT it is the trimmed GET of the read-path overdrive — stats
@@ -1106,18 +957,6 @@ impl McCache {
                 Ok(h)
             },
         );
-        if let (Some(hk), Some(obs)) = (hot, hot_obs) {
-            let state = match &hit {
-                Some(h) => HotState::Present {
-                    value: h.value.clone(),
-                    flags: h.flags,
-                    cas: h.cas,
-                    exp: h.exp,
-                },
-                None => HotState::Absent,
-            };
-            hk.repopulate(key, obs, state);
-        }
         if let Some(h) = hit.as_ref().filter(|h| h.needs_bump) {
             self.update_section(key, hv, h.handle, now);
         }
@@ -1333,13 +1172,13 @@ impl McCache {
         // hoists that out and drops the allocation reference inside.
         let tail = if it_mode { Category::RefcountRmw } else { Category::SemPost };
         let chunk = Chunk { h: a.handle, fill: None, evicted: a.evicted > 0 };
-        let (st, signal) = self.mutation(
+        let (st, signal) = self.section(
             Scope::Table(&[&self.cache_lock]),
             &[Category::VolatileFlag],
             &[Category::Libc, tail, Category::LogIo, Category::AssertAbort],
-            |ctx, at| {
+            |ctx| {
                 core.assoc.is_expanding(ctx, &policy)?; // memcached's volatile `expanding` read
-                self.link_body(ctx, at, w, op, hv, now, chunk, None)
+                self.link_body(ctx, w, op, hv, now, chunk, None)
             },
         );
         if !it_mode {
@@ -1401,11 +1240,11 @@ impl McCache {
         let mut statuses: Vec<StoreStatus> = Vec::with_capacity(ops.len());
         let mut reclaims: Vec<ItemHandle> = Vec::new();
         let mut any_signal = false;
-        self.mutation(
+        self.section(
             Scope::Item,
             &[Category::VolatileFlag, Category::Libc],
             &[Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
-            |ctx, at| {
+            |ctx| {
                 // Attempt-local accumulators: an abort rolls them back.
                 statuses.clear();
                 reclaims.clear();
@@ -1418,7 +1257,6 @@ impl McCache {
                             let mut reclaimed = None;
                             let (st, signal) = self.link_body(
                                 ctx,
-                                at,
                                 w,
                                 op,
                                 *hv,
@@ -1471,13 +1309,13 @@ impl McCache {
     ) -> Result<Allocation, AllocError> {
         let (core, policy) = (&self.core, self.policy);
         let nbytes = op.value.len() as u32;
-        self.mutation(
+        self.section(
             Scope::Table(&[&self.cache_lock, &self.slabs_lock]),
             &[Category::VolatileFlag],
             &[Category::Libc, Category::RefcountRmw, Category::AssertAbort],
-            |ctx, at| {
+            |ctx| {
                 ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
-                let r = core.alloc_item(
+                core.alloc_item(
                     ctx,
                     &policy,
                     op.key,
@@ -1486,11 +1324,7 @@ impl McCache {
                     nbytes,
                     now,
                     held_stripe,
-                )?;
-                if r.is_ok_and(|a| a.evicted > 0) {
-                    self.emit(ctx, at, &[], 0, Effect::Invalidated)?;
-                }
-                Ok(r)
+                )
             },
         )
     }
@@ -1526,22 +1360,19 @@ impl McCache {
     fn magazine_refill(&self, w: usize, class: u8) -> Option<ItemHandle> {
         let core = &self.core;
         let policy = self.policy;
-        let cap = self.mag_cap.load(Ordering::Relaxed).max(1);
+        let cap = self.cfg.magazine;
         let mut scratch: Vec<ItemHandle> = Vec::with_capacity(cap);
         let mut flushed = false;
         loop {
-            let evictions = self.mutation(
+            let evictions = self.section(
                 Scope::Item,
                 &[Category::VolatileFlag],
                 &[Category::Libc, Category::RefcountRmw, Category::AssertAbort],
-                |ctx, at| {
+                |ctx| {
                     scratch.clear(); // attempt-local: aborted pops roll back
                     ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
                     let (got, evicted) =
                         core.refill_batch(ctx, &policy, class, cap, &mut scratch)?;
-                    if evicted > 0 {
-                        self.emit(ctx, at, &[], 0, Effect::Invalidated)?;
-                    }
                     if got > 0 {
                         core.global.bump(ctx, &core.global.magazine_refills)?;
                     }
@@ -1580,7 +1411,7 @@ impl McCache {
     /// op) the row never overflows and the spill path never runs.
     fn magazine_put(&self, w: usize, h: ItemHandle) {
         let core = &self.core;
-        let cap = self.mag_cap.load(Ordering::Relaxed).max(1);
+        let cap = self.cfg.magazine;
         let mut mag = self.workers[w].magazine.lock().unwrap();
         let row = &mut mag.rows[h.class as usize];
         if row.len() >= cap {
@@ -1643,14 +1474,14 @@ impl McCache {
         };
         let chunk = Chunk { h, fill: Some(sizes), evicted: false };
         let mut reclaimed: Option<ItemHandle> = None;
-        let (st, signal) = self.mutation(
+        let (st, signal) = self.section(
             Scope::Item,
             &[Category::VolatileFlag, Category::Libc],
             &[Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
-            |ctx, at| {
+            |ctx| {
                 reclaimed = None; // attempt-local: an aborted park rolls back
                 core.assoc.is_expanding(ctx, &self.policy)?;
-                self.link_body(ctx, at, w, op, hv, now, chunk, Some(&mut reclaimed))
+                self.link_body(ctx, w, op, hv, now, chunk, Some(&mut reclaimed))
             },
         );
         if st != StoreStatus::Stored {
@@ -1681,7 +1512,6 @@ impl McCache {
     fn link_body<'e>(
         &'e self,
         ctx: &mut Ctx<'_, 'e>,
-        at: Entered,
         w: usize,
         op: &StoreOp<'_>,
         hv: u32,
@@ -1714,7 +1544,7 @@ impl McCache {
                 }
             }
             let stored = Effect::Stored { h: chunk.h, value: op.value, flags: op.flags };
-            self.emit(ctx, at, op.key, hv, stored)?;
+            self.emit(ctx, op.key, stored)?;
         }
         if it_mode {
             if st == StoreStatus::Stored || !from_magazine {
@@ -1783,11 +1613,10 @@ impl McCache {
     }
 
     /// The pipeline every single-section keyed mutation goes through: item
-    /// guard → section (its entry marked for the hot set) → the body's
-    /// [`Effect`], emitted → count. `scope` says what the body touches;
-    /// `cell` is the command's per-thread counter, folded into the section
-    /// on IT unless `own_count` keeps it outside (touch, added after the
-    /// paper, never had its stats merged).
+    /// guard → section → the body's [`Effect`], emitted → count. `scope`
+    /// says what the body touches; `cell` is the command's per-thread
+    /// counter, folded into the section on IT unless `own_count` keeps it
+    /// outside (touch, added after the paper, never had its stats merged).
     #[allow(clippy::too_many_arguments)]
     fn keyed_mutation<'e, R>(
         &'e self,
@@ -1803,10 +1632,10 @@ impl McCache {
         let hv = jenkins_hash(key, 0);
         let inline = !own_count && self.policy.item_mode == ItemMode::Transactional;
         let guard = ItemGuard::new(self, self.core.item_locks.stripe(hv));
-        let r = self.mutation(scope, &[Category::VolatileFlag], mid, |ctx, at| {
+        let r = self.section(scope, &[Category::VolatileFlag], mid, |ctx| {
             let (r, effect) = body(ctx, hv)?;
             if let Some(effect) = effect {
-                self.emit(ctx, at, key, hv, effect)?;
+                self.emit(ctx, key, effect)?;
             }
             if inline {
                 self.count_inline(ctx, &[cell])?;
@@ -1893,9 +1722,9 @@ impl McCache {
     /// `flush_all`.
     pub fn flush_all(&self, w: usize) {
         let now = self.rel_time();
-        self.mutation(Scope::Table(&[&self.stats_lock]), &[], &[], |ctx, at| {
+        self.section(Scope::Table(&[&self.stats_lock]), &[], &[], |ctx| {
             self.core.flush_all(ctx, now)?;
-            self.emit(ctx, at, &[], 0, Effect::FlushedAll { now })
+            self.emit(ctx, &[], Effect::FlushedAll { now })
         });
         if self.magazines_on() {
             // Return every parked chunk so a post-flush heap audit sees
@@ -2003,11 +1832,11 @@ impl McCache {
                 }
                 std::thread::yield_now(); // the paper's pthread_yield fallback
             }
-            self.mutation(
+            self.section(
                 Scope::Table(&[&self.slabs_lock]),
                 &[Category::VolatileFlag],
                 &[Category::AssertAbort],
-                |ctx, at| self.rebalance_once(ctx, at),
+                |ctx| self.rebalance_once(ctx),
             );
             if self.policy.transactional {
                 self.section(Scope::Table(&[]), &[], &[], |ctx| {
@@ -2019,7 +1848,7 @@ impl McCache {
     }
 
     /// One rebalance attempt under the slabs lock / inside a transaction.
-    fn rebalance_once<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, at: Entered) -> Result<(), Abort> {
+    fn rebalance_once<'e>(&'e self, ctx: &mut Ctx<'_, 'e>) -> Result<(), Abort> {
         let core = &self.core;
         let policy = self.policy;
         if ctx.volatile_read(&policy, core.arena.rebalance_signal.word())? == 0 {
@@ -2029,144 +1858,9 @@ impl McCache {
         if let Some(donor) = core.arena.pick_donor(ctx)? {
             if core.arena.rebalance_step(ctx, &policy, donor, receiver)? {
                 core.global.bump(ctx, &core.global.rebalances)?;
-                // A reassigned page's items vanished without per-key
-                // effects.
-                self.emit(ctx, at, &[], 0, Effect::Invalidated)?;
             }
         }
         ctx.volatile_write(&policy, core.arena.rebalance_signal.word(), 0)?;
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Adaptive controller (DESIGN §15)
-    // ------------------------------------------------------------------
-
-    /// The feedback loop: sleep one epoch (in short chunks so shutdown
-    /// stays prompt), then evaluate. Runs under the same supervisor as the
-    /// maintenance threads — a panicking tick loses one epoch, not the
-    /// controller.
-    fn adapt_loop(&self) {
-        let epoch = Duration::from_millis(self.cfg.adapt_epoch_ms.max(5));
-        while !self.shutdown.load(Ordering::SeqCst) {
-            let mut left = epoch;
-            while left > Duration::ZERO {
-                let step = left.min(Duration::from_millis(20));
-                std::thread::sleep(step);
-                if self.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                left = left.saturating_sub(step);
-            }
-            self.adapt_tick();
-        }
-    }
-
-    /// One controller epoch, run synchronously: sample counter deltas
-    /// since the previous tick, feed them to the pure policy in
-    /// [`tm::adapt`], and apply whatever changed. Public (hidden) so tests
-    /// can drive epochs deterministically without the timer thread.
-    #[doc(hidden)]
-    pub fn adapt_tick(&self) {
-        let mut st = self.adapt_state.lock().unwrap();
-        let tm_now = self.rt.stats();
-        let delta = StatsSnapshot {
-            commits: tm_now.commits.saturating_sub(st.tm.commits),
-            read_only_commits: tm_now
-                .read_only_commits
-                .saturating_sub(st.tm.read_only_commits),
-            aborts: tm_now.aborts.saturating_sub(st.tm.aborts),
-            ..Default::default()
-        };
-        // (a) Algorithm + contention manager, via the quiesce-and-swap.
-        let next = tm::adapt::decide(&delta, st.cur);
-        if next != st.cur
-            && self.policy.serial_lock
-            && self.rt.switch_config(next.algorithm, next.cm).is_ok()
-        {
-            st.cur = next;
-        }
-        // (b) Read-lane tuning: in strongly read-dominated phases, stretch
-        // the LRU-bump cadence so more GETs stay pure read-only fast-lane
-        // commits; restore the configured cadence when writes return.
-        if delta.commits >= tm::adapt::MIN_EPOCH_COMMITS {
-            let base = self.cfg.lru_bump_every;
-            let ro_frac = delta.read_only_commits as f64 / delta.commits as f64;
-            let target = if base != 0 && ro_frac >= tm::adapt::RO_HIGH {
-                base.saturating_mul(8)
-            } else {
-                base
-            };
-            if self.bump_every.load(Ordering::Relaxed) != target {
-                self.bump_every.store(target, Ordering::Relaxed);
-                self.adapt_ro_tunes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        // (c) Magazine autosizing from observed refill/flush churn.
-        let sets_now: u64 = self
-            .workers
-            .iter()
-            .map(|w| w.stats.snapshot_direct().set_cmds)
-            .sum();
-        let g = self.core.global.snapshot_direct();
-        if self.magazines_on() {
-            let cap = self.mag_cap.load(Ordering::Relaxed);
-            let newcap = tm::adapt::size_magazine(
-                cap,
-                sets_now.saturating_sub(st.sets),
-                g.magazine_refills.saturating_sub(st.refills),
-                g.magazine_flushes.saturating_sub(st.flushes),
-                MAG_MIN,
-                MAG_MAX,
-            );
-            if newcap != cap {
-                self.mag_cap.store(newcap, Ordering::Relaxed);
-                self.adapt_mag_resizes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        // (d) Hot keys: aggregate the per-worker sketches and rearm when
-        // the top set changed. Deterministic order: count desc, hash asc.
-        if self.fx.hot_on() {
-            let mut counts: std::collections::BTreeMap<u32, u64> = Default::default();
-            for wslot in &self.workers {
-                for (hv, c) in wslot.sketch.drain() {
-                    *counts.entry(hv).or_insert(0) += c as u64;
-                }
-            }
-            let mut top: Vec<(u32, u64)> = counts
-                .into_iter()
-                .filter(|&(_, c)| c >= HOT_MIN_COUNT)
-                .collect();
-            top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            top.truncate(self.cfg.hot_slots);
-            let tags: Vec<u32> = top.into_iter().map(|(hv, _)| hv).collect();
-            if !tags.is_empty() && tags != st.armed {
-                self.fx.hot_retune(&tags);
-                st.armed = tags;
-            }
-        }
-        st.tm = tm_now;
-        st.sets = sets_now;
-        st.refills = g.magazine_refills;
-        st.flushes = g.magazine_flushes;
-        drop(st);
-        self.adapt_epochs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Arms exactly these keys in the hot set (tests and benchmarks; the
-    /// controller normally does this from the sketches).
-    #[doc(hidden)]
-    pub fn hot_install_keys(&self, keys: &[&[u8]]) {
-        if self.fx.hot_on() {
-            let tags: Vec<u32> = keys.iter().map(|k| jenkins_hash(k, 0)).collect();
-            self.fx.hot_retune(&tags);
-            self.adapt_state.lock().unwrap().armed = tags;
-        }
-    }
-
-    /// The TM configuration currently installed (reflects controller
-    /// switches).
-    pub fn tm_config(&self) -> (Algorithm, ContentionManager) {
-        (self.rt.algorithm(), self.rt.contention_manager())
     }
 }

@@ -134,8 +134,8 @@ pub struct GetHit {
     pub flags: u32,
     /// The item's CAS id.
     pub cas: u64,
-    /// Relative expiry (0 = never) — carried so hot-key repopulation can
-    /// preserve the TTL.
+    /// Relative expiry (0 = never) — carried so `append`/`prepend` keep
+    /// the TTL.
     pub exp: u32,
     /// Whether the LRU position is stale enough to bump.
     pub needs_bump: bool,

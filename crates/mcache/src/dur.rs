@@ -1092,27 +1092,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_fail_degrades_to_cache_only_once() {
-        let dir = tmpdir("chaos-fail");
-        let log = DurLog::open(&dir, DurFsync::Always, 1 << 20, 0).unwrap();
-        log.append(1, &set(b"a", b"1", 1, 100));
-        let base = APPEND_COUNTER.load(Ordering::SeqCst);
-        CHAOS_FAIL_AFTER.store(base, Ordering::SeqCst);
-        log.append(2, &set(b"b", b"2", 2, 100));
-        log.append(3, &set(b"c", b"3", 3, 100));
-        CHAOS_FAIL_AFTER.store(u64::MAX, Ordering::SeqCst);
-        // Degradation is sticky even after the chaos window closes.
-        log.append(4, &set(b"d", b"4", 4, 100));
-        assert!(log.is_failed());
-        let s = log.stats().snapshot();
-        assert_eq!(s.appends, 1, "no append lands after degradation");
-        assert_eq!(s.log_write_errors, 3);
-        let rec = recover(&dir).unwrap();
-        assert_eq!(rec.entries.len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn group_commit_dedups_fsyncs_across_threads() {
         let dir = tmpdir("group");
         let log = std::sync::Arc::new(DurLog::open(&dir, DurFsync::Always, 1 << 20, 0).unwrap());

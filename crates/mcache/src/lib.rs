@@ -46,7 +46,6 @@ pub mod ctx;
 pub mod dur;
 mod effect;
 pub mod hashes;
-mod hot;
 pub mod item;
 pub mod lru;
 pub mod net;

@@ -89,18 +89,6 @@ pub fn stat_pairs(cache: &McCache) -> Vec<(&'static str, u64)> {
         ("seqlock_bump_elisions", tm.seqlock_bump_elisions),
         ("magazine_refills", s.global.magazine_refills),
         ("magazine_flushes", s.global.magazine_flushes),
-        // Adaptive-runtime gauges (DESIGN §15): controller epochs,
-        // the live knob positions, and the hot-key set.
-        ("adapt_epochs", s.adapt_epochs),
-        ("adapt_switches", s.adapt_switches),
-        ("adapt_mag_resizes", s.adapt_mag_resizes),
-        ("adapt_ro_tunes", s.adapt_ro_tunes),
-        ("magazine_cap", s.magazine_cap),
-        ("lru_bump_every", s.lru_bump_every),
-        ("hot_armed", s.hot_armed),
-        ("hot_hits", s.hot_hits),
-        ("hot_installs", s.hot_installs),
-        ("hot_invalidations", s.hot_invalidations),
     ];
     if let Some(d) = cache.dur_stats() {
         pairs.extend([

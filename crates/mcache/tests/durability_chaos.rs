@@ -4,22 +4,61 @@
 //!
 //! Lives in its own integration-test binary because the chaos triggers
 //! are process-global statics; sharing a process with the other
-//! durability tests would inject failures into their logs.
+//! durability tests would inject failures into their logs. For the same
+//! reason every test here holds [`CHAOS`] for as long as it appends.
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 
-use mcache::dur::{APPEND_COUNTER, CHAOS_FAIL_AFTER};
+use mcache::dur::{recover, DurLog, Record, APPEND_COUNTER, CHAOS_FAIL_AFTER};
 use mcache::{Branch, DurFsync, McCache, McConfig, SlabConfig, Stage};
+
+/// Serialises the tests of this binary: an armed `CHAOS_FAIL_AFTER` fails
+/// every append in the process, whichever log it was meant for.
+static CHAOS: Mutex<()> = Mutex::new(());
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mcache-durchaos-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The writer alone, no cache on top: the first failed append degrades
+/// the log, and it stays degraded after the fault goes away.
+#[test]
+fn chaos_fail_degrades_to_cache_only_once() {
+    let _serial = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmpdir("writer");
+    let set = |key: &[u8], cas: u64| Record::Set {
+        cas,
+        flags: 7,
+        abs_exp: 0,
+        stored_unix: 100,
+        key: key.to_vec(),
+        value: b"v".to_vec(),
+    };
+    let log = DurLog::open(&dir, DurFsync::Always, 1 << 20, 0).unwrap();
+    log.append(1, &set(b"a", 1));
+    CHAOS_FAIL_AFTER.store(APPEND_COUNTER.load(Ordering::SeqCst), Ordering::SeqCst);
+    log.append(2, &set(b"b", 2));
+    log.append(3, &set(b"c", 3));
+    CHAOS_FAIL_AFTER.store(u64::MAX, Ordering::SeqCst);
+    // Degradation is sticky even after the chaos window closes.
+    log.append(4, &set(b"d", 4));
+    assert!(log.is_failed());
+    let s = log.stats().snapshot();
+    assert_eq!(s.appends, 1, "no append lands after degradation");
+    assert_eq!(s.log_write_errors, 3);
+    assert_eq!(recover(&dir).unwrap().entries.len(), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
 
 #[test]
 fn log_write_failure_degrades_to_cache_only() {
-    let dir: PathBuf = std::env::temp_dir().join(format!(
-        "mcache-durchaos-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let _serial = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmpdir("cache");
 
     let c = McCache::start(McConfig {
         branch: Branch::It(Stage::OnCommit),

@@ -613,7 +613,7 @@ fn binary_stat_over_the_wire() {
         stats.contains_key("dur_appends") && stats["dur_appends"] >= 1,
         "durability counters must ride the binary STAT surface"
     );
-    for k in ["dur_fsyncs", "dur_bytes", "dur_compactions", "adapt_epochs", "hot_hits"] {
+    for k in ["dur_fsyncs", "dur_bytes", "dur_compactions"] {
         assert!(stats.contains_key(k), "missing stat {k}");
     }
 

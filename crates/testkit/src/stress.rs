@@ -27,13 +27,9 @@
 //! `ContentionManager` combination the runtime supports.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-use tm::{
-    Abort, Algorithm, ContentionManager, SerialLockMode, SwitchError, TCell,
-    TmRuntime, Transaction,
-};
+use tm::{Abort, Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction};
 
 use crate::rng::{mix_seed, Rng, SmallRng, SplitMix64};
 
@@ -98,9 +94,6 @@ pub struct StressReport {
     pub aborts: u64,
     /// Writes the runtime elided as silent stores during the schedule.
     pub silent_elisions: u64,
-    /// Completed algorithm/CM switches during the schedule (nonzero only
-    /// for the `*_switching` arms on a serial-locked runtime).
-    pub config_switches: u64,
     /// Commit-time clock (or NOrec seqlock) CASes lost to a concurrent
     /// committer during the schedule.
     pub clock_cas_retries: u64,
@@ -113,7 +106,6 @@ impl StressReport {
             commits: stats.commits,
             aborts: stats.aborts,
             silent_elisions: stats.silent_store_elisions,
-            config_switches: stats.config_switches,
             clock_cas_retries: stats.clock_cas_retries,
         }
     }
@@ -304,95 +296,7 @@ fn initial_values(seed: u64, cells: usize) -> Vec<u64> {
 /// Returns [`Divergence`] — carrying the replay seed — when the committed
 /// state disagrees with the model.
 pub fn run_schedule(seed: u64, cfg: &StressConfig) -> Result<StressReport, Divergence> {
-    run_schedule_impl(seed, cfg, false, txn_program, false)
-}
-
-/// The configurations the mid-load switcher cycles through: every
-/// algorithm appears with a distinct contention manager, so a switching
-/// schedule keeps crossing eager↔lazy↔norec boundaries (undo-log,
-/// redo-log, and value-validation commit paths) while transactions are
-/// in flight.
-const SWITCH_CYCLE: [(Algorithm, ContentionManager); 4] = [
-    (Algorithm::Eager, ContentionManager::GCC_DEFAULT),
-    (Algorithm::Norec, ContentionManager::Backoff { max_shift: 8 }),
-    (Algorithm::Lazy, ContentionManager::HOURGLASS_128),
-    (Algorithm::Norec, ContentionManager::None),
-];
-
-/// The controller stand-in: keeps calling [`TmRuntime::switch_config`]
-/// with seed-derived picks from [`SWITCH_CYCLE`] until told to stop,
-/// returning how many switches completed. On a lock-free runtime every
-/// attempt must be refused with [`SwitchError::NoSerialLock`] — anything
-/// else is a harness bug worth dying loudly over.
-fn switcher_loop(rt: &TmRuntime, stop: &AtomicBool, seed: u64, locked: bool) -> u64 {
-    let mut rng = SplitMix64::seed_from_u64(mix_seed(seed, 0x5317C4));
-    let mut switched = 0u64;
-    while !stop.load(Ordering::Relaxed) {
-        let (algo, cm) = SWITCH_CYCLE[rng.gen_range(0..SWITCH_CYCLE.len())];
-        match rt.switch_config(algo, cm) {
-            Ok(changed) => {
-                assert!(locked, "switch succeeded without a serial lock");
-                // `Ok(false)` is the no-op path (already at that config):
-                // the runtime's counter only moves on real switches.
-                switched += u64::from(changed);
-            }
-            Err(SwitchError::NoSerialLock) => {
-                assert!(!locked, "switch refused despite a serial lock")
-            }
-        }
-        // A short seed-derived pause between quiesces so workers make
-        // real progress under every configuration the cycle visits.
-        std::thread::sleep(std::time::Duration::from_micros(rng.gen_range(20u64..200)));
-    }
-    switched
-}
-
-/// Runs one barrier-stepped schedule with a live controller thread
-/// flipping the runtime's algorithm + contention manager underneath it
-/// (the adaptive runtime's quiesce-and-swap, driven adversarially), and
-/// checks the result against the sequential model. On a serial-locked
-/// runtime the schedule must have crossed at least one switch; on a
-/// lock-free runtime every switch attempt must have been refused.
-///
-/// # Errors
-///
-/// Returns [`Divergence`] on model disagreement, when no switch landed
-/// despite a serial lock, or when the runtime's switch counter disagrees
-/// with the switcher's own tally.
-pub fn run_schedule_switching(seed: u64, cfg: &StressConfig) -> Result<StressReport, Divergence> {
-    let report = run_schedule_impl(seed, cfg, false, txn_program, true)?;
-    check_switch_report(seed, cfg, &report, "")?;
-    Ok(report)
-}
-
-/// Shared post-conditions for the switching arms (plain and chaos).
-fn check_switch_report(
-    seed: u64,
-    cfg: &StressConfig,
-    report: &StressReport,
-    prefix: &str,
-) -> Result<(), Divergence> {
-    let locked = matches!(cfg.serial_lock, SerialLockMode::ReaderWriter);
-    if locked && report.config_switches == 0 {
-        return Err(Divergence {
-            seed,
-            combo: cfg.combo(),
-            detail: format!(
-                "{prefix}switching schedule completed no switches despite a serial lock"
-            ),
-        });
-    }
-    if !locked && report.config_switches != 0 {
-        return Err(Divergence {
-            seed,
-            combo: cfg.combo(),
-            detail: format!(
-                "{prefix}lock-free runtime reported {} completed switches",
-                report.config_switches
-            ),
-        });
-    }
-    Ok(())
+    run_schedule_impl(seed, cfg, false, txn_program)
 }
 
 /// Runs one **write-heavy** barrier-stepped schedule ([`wh_txn_program`])
@@ -406,7 +310,7 @@ fn check_switch_report(
 /// Returns [`Divergence`] on model disagreement, or when the schedule
 /// elided nothing despite its manufactured silent stores.
 pub fn run_schedule_wh(seed: u64, cfg: &StressConfig) -> Result<StressReport, Divergence> {
-    let report = run_schedule_impl(seed, cfg, false, wh_txn_program, false)?;
+    let report = run_schedule_impl(seed, cfg, false, wh_txn_program)?;
     if report.silent_elisions == 0 {
         return Err(Divergence {
             seed,
@@ -427,7 +331,7 @@ pub fn run_schedule_wh(seed: u64, cfg: &StressConfig) -> Result<StressReport, Di
 /// deterministically from its printed seed.
 #[doc(hidden)]
 pub fn run_schedule_sabotaged(seed: u64, cfg: &StressConfig) -> Result<StressReport, Divergence> {
-    run_schedule_impl(seed, cfg, true, txn_program, false)
+    run_schedule_impl(seed, cfg, true, txn_program)
 }
 
 fn run_schedule_impl(
@@ -435,7 +339,6 @@ fn run_schedule_impl(
     cfg: &StressConfig,
     sabotage: bool,
     program: ProgramFn,
-    switching: bool,
 ) -> Result<StressReport, Divergence> {
     assert!(cfg.threads > 0 && cfg.cells > 0 && cfg.txns_per_thread > 0);
     let rt = TmRuntime::builder()
@@ -458,15 +361,7 @@ fn run_schedule_impl(
     let before = rt.stats();
     // (ticket, thread, txn) for every committed transaction.
     let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(cfg.threads * cfg.txns_per_thread);
-    let stop = AtomicBool::new(false);
-    let mut switched = 0u64;
     std::thread::scope(|s| {
-        let switcher = switching.then(|| {
-            let rt = &rt;
-            let stop = &stop;
-            let locked = matches!(cfg.serial_lock, SerialLockMode::ReaderWriter);
-            s.spawn(move || switcher_loop(rt, stop, seed, locked))
-        });
         let mut handles = Vec::new();
         for t in 0..cfg.threads {
             let rt = &rt;
@@ -502,10 +397,6 @@ fn run_schedule_impl(
         }
         for h in handles {
             order.extend(h.join().expect("stress worker panicked"));
-        }
-        stop.store(true, Ordering::SeqCst);
-        if let Some(h) = switcher {
-            switched = h.join().expect("switcher panicked");
         }
     });
     let stats = rt.stats().since(&before);
@@ -554,12 +445,6 @@ fn run_schedule_impl(
                 model[i]
             )));
         }
-    }
-    if stats.config_switches != switched {
-        return Err(diverge(format!(
-            "runtime counted {} config switches, the switcher completed {}",
-            stats.config_switches, switched
-        )));
     }
     Ok(StressReport::new(cfg, &stats))
 }
@@ -642,51 +527,7 @@ pub mod chaos {
         cfg: &StressConfig,
         plan: FaultPlan,
     ) -> Result<ChaosReport, Divergence> {
-        run_schedule_chaos_impl(seed, cfg, plan, txn_program, false)
-    }
-
-    /// [`super::run_schedule_switching`] under fault injection: the
-    /// controller stand-in keeps flipping the algorithm + contention
-    /// manager while every worker is armed with spurious aborts, delays,
-    /// and panics — the adaptive runtime's worst afternoon. The same
-    /// ticket oracle and switch post-conditions apply.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Divergence`] on model disagreement or broken switch
-    /// accounting.
-    pub fn run_schedule_switching_chaos(
-        seed: u64,
-        cfg: &StressConfig,
-        plan: FaultPlan,
-    ) -> Result<ChaosReport, Divergence> {
-        let r = run_schedule_chaos_impl(seed, cfg, plan, txn_program, true)?;
-        check_switch_report(seed, cfg, &r.report, "[chaos] ")?;
-        Ok(r)
-    }
-
-    /// [`run_schedule_switching_chaos`] across every [`combos`]
-    /// combination.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`Divergence`].
-    pub fn run_matrix_switching_chaos(
-        seed: u64,
-        base: &StressConfig,
-        plan: FaultPlan,
-    ) -> Result<Vec<ChaosReport>, Divergence> {
-        let mut reports = Vec::new();
-        for (algorithm, serial_lock, contention) in combos() {
-            let cfg = StressConfig {
-                algorithm,
-                serial_lock,
-                contention,
-                ..base.clone()
-            };
-            reports.push(run_schedule_switching_chaos(seed, &cfg, plan)?);
-        }
-        Ok(reports)
+        run_schedule_chaos_impl(seed, cfg, plan, txn_program)
     }
 
     /// [`run_schedule_wh`] under fault injection: write-heavy programs
@@ -707,7 +548,7 @@ pub mod chaos {
         cfg: &StressConfig,
         plan: FaultPlan,
     ) -> Result<ChaosReport, Divergence> {
-        let r = run_schedule_chaos_impl(seed, cfg, plan, wh_txn_program, false)?;
+        let r = run_schedule_chaos_impl(seed, cfg, plan, wh_txn_program)?;
         if r.report.silent_elisions == 0 {
             return Err(Divergence {
                 seed,
@@ -748,7 +589,6 @@ pub mod chaos {
         cfg: &StressConfig,
         plan: FaultPlan,
         program: ProgramFn,
-        switching: bool,
     ) -> Result<ChaosReport, Divergence> {
         assert!(cfg.threads > 0 && cfg.cells > 0 && cfg.txns_per_thread > 0);
         silence_injected_panics();
@@ -770,17 +610,7 @@ pub mod chaos {
         let mut order: Vec<(u64, usize, usize)> =
             Vec::with_capacity(cfg.threads * cfg.txns_per_thread);
         let mut injected = 0u64;
-        let stop = AtomicBool::new(false);
-        let mut switched = 0u64;
         std::thread::scope(|s| {
-            let switcher = switching.then(|| {
-                let rt = &rt;
-                let stop = &stop;
-                let locked = matches!(cfg.serial_lock, SerialLockMode::ReaderWriter);
-                // The switcher itself stays unarmed: faults belong in the
-                // transactional paths it is quiescing, not in the quiesce.
-                s.spawn(move || switcher_loop(rt, stop, seed, locked))
-            });
             let mut handles = Vec::new();
             for t in 0..cfg.threads {
                 let rt = &rt;
@@ -858,10 +688,6 @@ pub mod chaos {
                 order.extend(mine);
                 injected += hits;
             }
-            stop.store(true, Ordering::SeqCst);
-            if let Some(h) = switcher {
-                switched = h.join().expect("switcher panicked");
-            }
         });
         let stats = rt.stats().since(&before);
 
@@ -904,12 +730,6 @@ pub mod chaos {
                 )));
             }
         }
-        if stats.config_switches != switched {
-            return Err(diverge(format!(
-                "[chaos] runtime counted {} config switches, the switcher completed {}",
-                stats.config_switches, switched
-            )));
-        }
         Ok(ChaosReport {
             report: StressReport::new(cfg, &stats),
             injected,
@@ -929,7 +749,7 @@ pub mod chaos {
         cfg: &StressConfig,
         plan: FaultPlan,
     ) -> Result<ChaosReport, Divergence> {
-        run_schedule_chaos_impl(seed, cfg, plan, contended_txn_program, false)
+        run_schedule_chaos_impl(seed, cfg, plan, contended_txn_program)
     }
 
     /// [`run_schedule_contended_chaos`] across every [`combos`]
@@ -1235,31 +1055,6 @@ pub fn run_matrix(seed: u64, base: &StressConfig) -> Result<Vec<StressReport>, D
     Ok(reports)
 }
 
-/// Runs [`run_schedule_switching`] for `seed` across every [`combos`]
-/// combination, stopping at the first divergence. The 12 serial-locked
-/// combinations must each cross at least one live switch; the 9
-/// lock-free ones prove the refusal path instead.
-///
-/// # Errors
-///
-/// Propagates the first [`Divergence`].
-pub fn run_matrix_switching(
-    seed: u64,
-    base: &StressConfig,
-) -> Result<Vec<StressReport>, Divergence> {
-    let mut reports = Vec::new();
-    for (algorithm, serial_lock, contention) in combos() {
-        let cfg = StressConfig {
-            algorithm,
-            serial_lock,
-            contention,
-            ..base.clone()
-        };
-        reports.push(run_schedule_switching(seed, &cfg)?);
-    }
-    Ok(reports)
-}
-
 /// Runs [`run_schedule_wh`] for `seed` across every [`combos`]
 /// combination, stopping at the first divergence (including a combination
 /// that elided nothing).
@@ -1295,7 +1090,7 @@ pub fn run_matrix_wh(seed: u64, base: &StressConfig) -> Result<Vec<StressReport>
 ///
 /// Returns [`Divergence`] on model disagreement.
 pub fn run_schedule_contended(seed: u64, cfg: &StressConfig) -> Result<StressReport, Divergence> {
-    run_schedule_impl(seed, cfg, false, contended_txn_program, false)
+    run_schedule_impl(seed, cfg, false, contended_txn_program)
 }
 
 /// Runs [`run_schedule_contended`] for `seed` across every [`combos`]
@@ -1841,54 +1636,6 @@ mod tests {
         assert!(replay.detail.starts_with("cell 0:"), "{replay}");
         // And the clean harness passes the very same schedule.
         run_schedule(seed, &cfg).unwrap_or_else(|d| panic!("{d}"));
-    }
-
-    /// The adaptive acceptance check: all 21 combos pass the ticket
-    /// oracle while a controller thread switches the algorithm and
-    /// contention manager out from under the load. Serial-locked combos
-    /// must cross at least one live switch; lock-free combos must refuse
-    /// every attempt.
-    #[test]
-    fn switching_matrix_passes_ticket_oracle() {
-        let base = StressConfig {
-            threads: 3,
-            cells: 6,
-            txns_per_thread: 80,
-            max_ops_per_txn: 5,
-            ..StressConfig::smoke()
-        };
-        let reports = run_matrix_switching(0x5117C4, &base).unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(reports.len(), combos().len());
-        for r in &reports {
-            assert_eq!(r.commits, 3 * 80, "{}", r.combo);
-            if r.combo.contains("nolock") {
-                assert_eq!(r.config_switches, 0, "{}", r.combo);
-            } else {
-                assert!(r.config_switches >= 1, "{}", r.combo);
-            }
-        }
-    }
-
-    /// Switching under fire: all 21 combos pass the ticket oracle with
-    /// live algorithm/CM switches AND injected faults landing in the
-    /// same schedules.
-    #[cfg(feature = "chaos")]
-    #[test]
-    fn chaos_switching_matrix_passes_ticket_oracle() {
-        let base = StressConfig {
-            threads: 3,
-            cells: 6,
-            txns_per_thread: 40,
-            max_ops_per_txn: 5,
-            ..StressConfig::smoke()
-        };
-        let reports = chaos::run_matrix_switching_chaos(0x5117C5, &base, chaos::default_plan())
-            .unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(reports.len(), combos().len());
-        let injected: u64 = reports.iter().map(|r| r.injected).sum();
-        assert!(injected > 0, "chaos switching schedule injected no faults");
-        let switched: u64 = reports.iter().map(|r| r.report.config_switches).sum();
-        assert!(switched > 0, "chaos switching schedule never switched");
     }
 
     /// The chaos acceptance check: with panics, spurious aborts, and

@@ -43,27 +43,6 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-impl Algorithm {
-    /// Packs the algorithm into the runtime's atomic config word (the live
-    /// algorithm is swappable by [`crate::TmRuntime::switch_config`]).
-    pub(crate) fn encode(self) -> u8 {
-        match self {
-            Algorithm::Eager => 0,
-            Algorithm::Lazy => 1,
-            Algorithm::Norec => 2,
-        }
-    }
-
-    pub(crate) fn decode(code: u8) -> Algorithm {
-        match code {
-            0 => Algorithm::Eager,
-            1 => Algorithm::Lazy,
-            2 => Algorithm::Norec,
-            other => unreachable!("invalid algorithm code {other}"),
-        }
-    }
-}
-
 /// Reinterprets a stored word address. Soundness: addresses enter engines
 /// only through `Tx<'env>` methods whose signatures force the referent to
 /// outlive the transaction.
@@ -84,7 +63,7 @@ pub(crate) enum Engine {
 
 impl Engine {
     pub(crate) fn begin(rt: &RtInner, tx_id: u64) -> Engine {
-        match rt.algorithm() {
+        match rt.algorithm {
             Algorithm::Eager => Engine::Eager(eager::EagerTx::begin(rt, tx_id)),
             Algorithm::Lazy => Engine::Lazy(lazy::LazyTx::begin(rt, tx_id)),
             Algorithm::Norec => Engine::Norec(norec::NorecTx::begin(rt)),

@@ -66,14 +66,6 @@ impl Clock {
             Err(cur) => (self.tick_from(cur), true),
         }
     }
-
-    /// Raises the clock to at least `v`. The algorithm switch aligns the
-    /// orec clock with NOrec's sequence lock this way, under the exclusive
-    /// serial lock, so stamps minted after a switch exceed all before it.
-    pub fn raise_to(&self, v: u64) {
-        sync_count::rmw(SyncSite::Clock);
-        self.0.fetch_max(v, Ordering::AcqRel);
-    }
 }
 
 /// NOrec's single global sequence lock.
@@ -132,19 +124,6 @@ impl SeqLock {
         debug_assert_eq!(self.load(), snapshot + 1);
         self.0.store(snapshot + 2, Ordering::Release);
     }
-
-    /// Raises the sequence to at least `v`, rounded up to even. The
-    /// algorithm-switch twin of [`Clock::raise_to`]: the caller must
-    /// hold the serial lock exclusively, so no committer holds the lock
-    /// (the value is even) and none can race the store.
-    pub fn raise_to(&self, v: u64) {
-        let cur = self.load();
-        debug_assert_eq!(cur & 1, 0, "raise_to with a committer in flight");
-        let target = (v + 1) & !1;
-        if target > cur {
-            self.0.store(target, Ordering::Release);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -191,16 +170,6 @@ mod tests {
         let other = c.tick(); // a commit after the snapshot
         assert_eq!(c.commit_tick(snap), (other + 1, true));
         assert_eq!(c.now(), other + 1);
-    }
-
-    #[test]
-    fn raise_to_lifts_every_later_tick() {
-        let c = Clock::new();
-        c.raise_to(1000);
-        assert_eq!(c.now(), 1000);
-        assert_eq!(c.tick(), 1001);
-        c.raise_to(10);
-        assert_eq!(c.now(), 1001, "raise_to never lowers the clock");
     }
 
     #[test]

@@ -53,32 +53,6 @@ impl ContentionManager {
     pub const HOURGLASS_128: ContentionManager = ContentionManager::Hourglass(128);
 }
 
-impl ContentionManager {
-    /// Packs the policy into the runtime's atomic config word (the live
-    /// contention manager is swappable by
-    /// [`crate::TmRuntime::switch_config`]): tag in the low byte, the
-    /// policy parameter above it.
-    pub(crate) fn encode(self) -> u64 {
-        match self {
-            ContentionManager::None => 0,
-            ContentionManager::SerializeAfter(n) => 1 | ((n as u64) << 8),
-            ContentionManager::Backoff { max_shift } => 2 | ((max_shift as u64) << 8),
-            ContentionManager::Hourglass(n) => 3 | ((n as u64) << 8),
-        }
-    }
-
-    pub(crate) fn decode(code: u64) -> ContentionManager {
-        let param = (code >> 8) as u32;
-        match code & 0xff {
-            0 => ContentionManager::None,
-            1 => ContentionManager::SerializeAfter(param),
-            2 => ContentionManager::Backoff { max_shift: param },
-            3 => ContentionManager::Hourglass(param),
-            other => unreachable!("invalid contention-manager code {other}"),
-        }
-    }
-}
-
 impl fmt::Display for ContentionManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

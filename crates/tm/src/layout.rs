@@ -54,8 +54,8 @@ pub const STAT_BLOCK_SIZE: usize = std::mem::size_of::<StatBlock>();
 /// Alignment of one statistics block.
 pub const STAT_BLOCK_ALIGN: usize = std::mem::align_of::<StatBlock>();
 
-/// Whether the runtime's read-mostly configuration words (live algorithm,
-/// live contention manager, serial-lock mode) share no cache line with a
+/// Whether the runtime's read-mostly configuration words (algorithm,
+/// contention manager, serial-lock mode) share no cache line with a
 /// word transactions write (serial lock, hourglass gate, clock, seqlock).
 /// Also a build-time assertion next to the runtime's definition.
 pub const RT_CONFIG_WORDS_ISOLATED: bool = crate::runtime::CONFIG_WORDS_ISOLATED;

@@ -66,7 +66,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adapt;
 mod algo;
 mod arena;
 mod cell;
@@ -87,7 +86,7 @@ pub use algo::Algorithm;
 pub use cell::{TBytes, TCell, TWord};
 pub use cm::ContentionManager;
 pub use error::{cancel, Abort, Cancelled, TxError};
-pub use runtime::{last_commit_stamp, SwitchError, TmRuntime, TmRuntimeBuilder, TxOptions};
+pub use runtime::{last_commit_stamp, TmRuntime, TmRuntimeBuilder, TxOptions};
 pub use serial::SerialLockMode;
 pub use stats::{take_thread_tally, LivenessSnapshot, StatsSnapshot, ThreadTally};
 pub use txn::{AtomicTx, RelaxedPlan, RelaxedTx, Transaction};

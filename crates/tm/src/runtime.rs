@@ -2,7 +2,6 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -80,14 +79,10 @@ impl TxOptions {
 /// the pointers to those allocations) is read-mostly and stays shared in
 /// every core's cache. [`CONFIG_WORDS_ISOLATED`] pins that.
 pub(crate) struct RtInner {
-    /// Live algorithm, packed by [`Algorithm::encode`]. Atomic because
-    /// [`TmRuntime::switch_config`] swaps it under the serial write lock;
-    /// every attempt loads it once at begin, and no attempt can span a swap
-    /// (switching requires [`SerialLockMode::ReaderWriter`], so every
-    /// attempt holds the serial lock for its whole lifetime).
-    algo_code: AtomicU8,
-    /// Live contention manager, packed by [`ContentionManager::encode`].
-    cm_code: AtomicU64,
+    /// Fixed at build time, like the serial-lock mode: a runtime runs the
+    /// algorithm and contention manager it was built with.
+    pub(crate) algorithm: Algorithm,
+    pub(crate) cm: ContentionManager,
     pub(crate) serial_mode: SerialLockMode,
     pub(crate) orecs: OrecTable,
     pub(crate) clock: Clock,
@@ -103,8 +98,8 @@ pub(crate) struct RtInner {
 pub(crate) const CONFIG_WORDS_ISOLATED: bool = {
     use std::mem::{offset_of, size_of};
     let config = [
-        offset_of!(RtInner, algo_code),
-        offset_of!(RtInner, cm_code),
+        offset_of!(RtInner, algorithm),
+        offset_of!(RtInner, cm),
         offset_of!(RtInner, serial_mode),
     ];
     // Each an `align(64)` type of exactly one line.
@@ -126,20 +121,6 @@ pub(crate) const CONFIG_WORDS_ISOLATED: bool = {
     ok
 };
 const _: () = assert!(CONFIG_WORDS_ISOLATED, "a config word shares a line with a written word");
-
-impl RtInner {
-    /// The live algorithm (may change between attempts, never within one).
-    #[inline]
-    pub(crate) fn algorithm(&self) -> Algorithm {
-        Algorithm::decode(self.algo_code.load(Ordering::Acquire))
-    }
-
-    /// The live contention manager.
-    #[inline]
-    pub(crate) fn cm(&self) -> ContentionManager {
-        ContentionManager::decode(self.cm_code.load(Ordering::Acquire))
-    }
-}
 
 /// A transactional memory runtime in the image of GCC's libitm.
 ///
@@ -171,8 +152,8 @@ pub struct TmRuntime {
 impl std::fmt::Debug for TmRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TmRuntime")
-            .field("algorithm", &self.inner.algorithm())
-            .field("cm", &self.inner.cm())
+            .field("algorithm", &self.inner.algorithm)
+            .field("cm", &self.inner.cm)
             .field("serial_mode", &self.inner.serial_mode)
             .finish()
     }
@@ -258,8 +239,8 @@ impl TmRuntimeBuilder {
         }
         TmRuntime {
             inner: Arc::new(RtInner {
-                algo_code: AtomicU8::new(self.algorithm.encode()),
-                cm_code: AtomicU64::new(self.cm.encode()),
+                algorithm: self.algorithm,
+                cm: self.cm,
                 serial_mode: self.serial_mode,
                 orecs: OrecTable::new(self.orec_log_size),
                 clock: Clock::new(),
@@ -277,27 +258,6 @@ impl Default for TmRuntime {
         TmRuntimeBuilder::default().build()
     }
 }
-
-/// Why [`TmRuntime::switch_config`] refused to swap the configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SwitchError {
-    /// The runtime was built with [`SerialLockMode::None`]: the serial
-    /// lock is the quiesce point a safe swap requires, so a NoLock
-    /// runtime's configuration is permanently static.
-    NoSerialLock,
-}
-
-impl std::fmt::Display for SwitchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SwitchError::NoSerialLock => {
-                write!(f, "cannot switch configuration: runtime has no serial lock")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SwitchError {}
 
 /// Outcome of one attempt, for the retry loop.
 enum AttemptOutcome<R> {
@@ -318,76 +278,14 @@ impl TmRuntime {
         TmRuntime::default()
     }
 
-    /// The *live* algorithm: the one the next transaction attempt begins
-    /// under. Changes only via [`TmRuntime::switch_config`].
+    /// The algorithm this runtime was built with.
     pub fn algorithm(&self) -> Algorithm {
-        self.inner.algorithm()
+        self.inner.algorithm
     }
 
-    /// The *live* contention manager. Changes only via
-    /// [`TmRuntime::switch_config`].
+    /// The contention manager this runtime was built with.
     pub fn contention_manager(&self) -> ContentionManager {
-        self.inner.cm()
-    }
-
-    /// Swaps the live algorithm and contention manager with a full
-    /// quiesce: the serial lock is acquired exclusively (draining every
-    /// in-flight transaction), the two global time bases are aligned so
-    /// commit stamps stay monotone across the switch, and the new
-    /// configuration is published before any transaction may begin again.
-    ///
-    /// Safety argument (DESIGN.md §15): no transaction ever spans the
-    /// swap — switching requires [`SerialLockMode::ReaderWriter`], under
-    /// which every attempt holds the serial lock shared from begin to
-    /// commit/abort, so the exclusive acquisition here is a barrier. At
-    /// the quiesce point all orecs are unlocked and the sequence lock is
-    /// even. Orec versions published by pre-switch commits are at most the
-    /// aligned time value, and every post-switch snapshot starts at or
-    /// above it, so stale-low versions can never admit a torn read; NOrec
-    /// value-based validation is insensitive to orec state entirely.
-    ///
-    /// Returns `Ok(true)` if the configuration changed, `Ok(false)` if it
-    /// already matched (no quiesce performed).
-    ///
-    /// # Errors
-    ///
-    /// [`SwitchError::NoSerialLock`] if the runtime was built with
-    /// [`SerialLockMode::None`]: without the serial lock there is no
-    /// quiesce point, so the configuration is permanently static.
-    pub fn switch_config(
-        &self,
-        algorithm: Algorithm,
-        cm: ContentionManager,
-    ) -> Result<bool, SwitchError> {
-        let rt = &*self.inner;
-        if rt.serial_mode == SerialLockMode::None {
-            return Err(SwitchError::NoSerialLock);
-        }
-        if rt.algorithm() == algorithm && rt.cm() == cm {
-            return Ok(false);
-        }
-        rt.serial.write_acquire();
-        // Re-check under the lock: a concurrent switcher may have won.
-        let changed = rt.algorithm() != algorithm || rt.cm() != cm;
-        if changed {
-            if rt.algorithm() != algorithm {
-                // Align both time bases to their joint maximum so every
-                // commit stamp minted after the switch exceeds every stamp
-                // published before it — consumers ordering externalized
-                // effects by stamp (the durability log, hot-set
-                // publication) never see time run backwards.
-                let t = rt.clock.now().max(rt.seqlock.load());
-                rt.clock.raise_to(t);
-                rt.seqlock.raise_to(t);
-            }
-            rt.algo_code.store(algorithm.encode(), Ordering::Release);
-            rt.cm_code.store(cm.encode(), Ordering::Release);
-            let mut d = StatDeltas::default();
-            d.bump(Counter::config_switches);
-            ThreadCtx::with(|tc| rt.stats.flush(tc.ord, &mut d));
-        }
-        rt.serial.write_release();
-        Ok(changed)
+        self.inner.cm
     }
 
     /// The configured serial-lock mode.
@@ -401,24 +299,6 @@ impl TmRuntime {
         self.inner.stats.snapshot()
     }
 
-    /// Reads the runtime's current time base *without* advancing it: the
-    /// largest commit stamp that could have been published so far. Any
-    /// writer that commits after this call returns mints a strictly larger
-    /// stamp (clock ticks are strictly increasing; a NOrec commit
-    /// publishes at least `+2` over the even value read here).
-    ///
-    /// Intended for labeling *observations*: a reader that validated its
-    /// snapshot at or after this call can publish what it read tagged with
-    /// this stamp, and a max-stamp-wins consumer will never let that
-    /// observation overwrite a later write's publication.
-    pub fn observation_stamp(&self) -> u64 {
-        let rt = &*self.inner;
-        match rt.algorithm() {
-            Algorithm::Eager | Algorithm::Lazy => rt.clock.now(),
-            Algorithm::Norec => rt.seqlock.wait_even(),
-        }
-    }
-
     /// Mints a commit stamp from the runtime's time base for an effect
     /// published *outside* a transaction (e.g. a direct update performed
     /// under an external lock). The stamp shares the space used by
@@ -429,7 +309,7 @@ impl TmRuntime {
     /// where callers must break ties by append order.
     pub fn mint_commit_stamp(&self) -> u64 {
         let rt = &*self.inner;
-        match rt.algorithm() {
+        match rt.algorithm {
             // Advancing the clock (rather than just reading it) keeps the
             // invariant that a later `commit_tick` strictly exceeds this
             // stamp.
@@ -728,7 +608,7 @@ impl TmRuntime {
                 tc.release(arena, ch, ah);
             };
             loop {
-                if let ContentionManager::Hourglass(_) = rt.cm() {
+                if let ContentionManager::Hourglass(_) = rt.cm {
                     if !rt.hourglass.wait_at_begin_until(id, deadline) {
                         arena.logs.stats.bump(Counter::timeouts);
                         finish(arena, commit_handlers, abort_handlers, holds_gate);
@@ -829,7 +709,7 @@ impl TmRuntime {
                         // so a watchdog polling `liveness` sees an abort storm
                         // while it is still raging.
                         rt.stats.flush(tc.ord, &mut arena.logs.stats);
-                        match rt.cm() {
+                        match rt.cm {
                             ContentionManager::Backoff { max_shift } => {
                                 exponential_backoff(consecutive_aborts, max_shift, id, deadline);
                             }
@@ -861,7 +741,7 @@ impl TmRuntime {
         debug_assert!(arena.logs.writes.is_empty() && arena.logs.reads.is_empty());
         arena.logs.stats.bump(Counter::begins);
         let serialize_by_cm =
-            matches!(rt.cm(), ContentionManager::SerializeAfter(n) if consecutive_aborts >= n);
+            matches!(rt.cm, ContentionManager::SerializeAfter(n) if consecutive_aborts >= n);
         let serialize = plan.start_serial || serialize_by_cm;
         if serialize {
             match rt.serial_mode {
@@ -943,7 +823,7 @@ impl TmRuntime {
         // the global clock on every serial commit would be pure overhead.
         let stamp = if matches!(inner.engine, Engine::Serial) && !inner.commit_handlers.is_empty()
         {
-            match rt.algorithm() {
+            match rt.algorithm {
                 Algorithm::Eager | Algorithm::Lazy => rt.clock.tick(),
                 Algorithm::Norec => {
                     let s = rt.seqlock.wait_even();

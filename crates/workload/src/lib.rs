@@ -547,10 +547,10 @@ mod tests {
             .execute_number(10_000)
             .skew(0.01, 0.9)
             .build();
-        let hot_hits = w.stream(0).filter(|op| op.key_index() < 10).count();
+        let hot_ops = w.stream(0).filter(|op| op.key_index() < 10).count();
         assert!(
-            hot_hits > 8_000,
-            "expected ~90% of ops on the hot 1%: {hot_hits}"
+            hot_ops > 8_000,
+            "expected ~90% of ops on the hot 1%: {hot_ops}"
         );
     }
 

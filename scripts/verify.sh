@@ -35,10 +35,6 @@ loop200() {
     done
 }
 
-# Used to fail when the workers outran the switcher thread.
-echo "==> adapt_switch storm x200"
-loop200 adapt_switch switch_storm_under_mixed_load
-
 # A hot writer keeps the commit clock moving under a multi-word writer
 # while readers demand uniform snapshots (eager and lazy).
 echo "==> clock_opacity x200"
@@ -119,23 +115,6 @@ echo "==> warm restart smoke (mcslap --restart: load, seal, recover, verify)"
 target/release/mcslap --restart --branch it-oncommit --keys 5000 --concurrency 2 \
     --dur-fsync every:32
 
-# Adaptive smoke: the three-phase schedule (read-mostly → write-storm →
-# hot-key zipfian) with the controller live. The run must show the
-# controller actually working: at least one algorithm switch (the
-# read-mostly phase crosses RO_HIGH and lands on NOrec) and a non-zero
-# privatized-hit count from the armed hot keys. Throughput comparisons
-# against static configs are recorded in EXPERIMENTS.md, not gated here
-# (single-run macro numbers drift too much across hosts to assert on).
-echo "==> adaptive smoke (mcslap --phase-shift: controller switches + hot-key privatization)"
-ADAPT_OUT=$(target/release/mcslap --phase-shift --branch it-oncommit --concurrency 4 \
-    --execute-number 30000 --keys 4000 --adapt on --hot-slots 64 --magazine 64 \
-    --adapt-epoch-ms 20)
-echo "$ADAPT_OUT" | sed 's/^/    /'
-echo "$ADAPT_OUT" | grep -q 'switches=[1-9]' || {
-    echo "adaptive smoke: controller never switched algorithm"; exit 1; }
-echo "$ADAPT_OUT" | grep -Eq 'hits=[1-9][0-9]*' || {
-    echo "adaptive smoke: hot-key path never served a privatized hit"; exit 1; }
-
 echo "==> bench smoke (stm_fastpath: word-granularity speedup + zero-alloc counts + contended-commit arms)"
 TESTKIT_BENCH_SAMPLES="${TESTKIT_BENCH_SAMPLES:-15}" \
     TESTKIT_BENCH_DIR="$PWD/target/testkit-bench" \
@@ -160,11 +139,6 @@ echo "==> bench smoke (stm_durpath: redo-log overhead per fsync policy + replay 
 TESTKIT_BENCH_SAMPLES="${TESTKIT_BENCH_SAMPLES:-15}" \
     TESTKIT_BENCH_DIR="$PWD/target/testkit-bench" \
     cargo bench --offline -p bench --bench stm_durpath
-
-echo "==> bench smoke (stm_adaptpath: hot-key privatized GET + controller tick/switch costs)"
-TESTKIT_BENCH_SAMPLES="${TESTKIT_BENCH_SAMPLES:-15}" \
-    TESTKIT_BENCH_DIR="$PWD/target/testkit-bench" \
-    cargo bench --offline -p bench --bench stm_adaptpath
 
 echo "==> bench smoke (stm_netpath: connection lifecycle + fan-in GET)"
 TESTKIT_BENCH_SAMPLES="${TESTKIT_BENCH_SAMPLES:-15}" \
@@ -192,7 +166,6 @@ cargo run --release --offline -p testkit --bin bench_compare -- . target/testkit
 
 cp target/testkit-bench/BENCH_fastpath_*.json target/testkit-bench/BENCH_getpath_*.json \
    target/testkit-bench/BENCH_setpath_*.json target/testkit-bench/BENCH_wirepath_*.json \
-   target/testkit-bench/BENCH_durpath_*.json target/testkit-bench/BENCH_adaptpath_*.json \
-   target/testkit-bench/BENCH_netpath_*.json .
+   target/testkit-bench/BENCH_durpath_*.json target/testkit-bench/BENCH_netpath_*.json .
 
 echo "==> verify OK"
