@@ -18,8 +18,8 @@
 //! Gates: `fsync=always` must cost at least as much as no log at all
 //! (an inversion means the bench or the log stopped doing work), and
 //! every recovery must replay exactly the expected item count with zero
-//! torn records. Absolute drift is caught by the committed
-//! `BENCH_durpath_*.json` baselines through the bench_compare gate.
+//! torn records. The committed `BENCH_durpath_*.json` are the recorded
+//! numbers; end-to-end drift is sysbench's `dur_set_nofsync` pairs.
 
 use std::hint::black_box;
 use std::path::PathBuf;

@@ -1,19 +1,36 @@
-//! Runs every evaluation artifact of the paper in order, printing
-//! paper-format figures and tables (see EXPERIMENTS.md for the recorded
-//! output and the paper-vs-measured comparison).
+//! Prints the paper's evaluation artifacts in paper format (see
+//! EXPERIMENTS.md for the recorded output and the paper-vs-measured
+//! comparison): every one of them in paper order, or only those named.
+//!
+//! ```console
+//! $ cargo run --release -p bench --bin reproduce
+//! $ MC_TRIALS=5 cargo run --release -p bench --bin reproduce -- fig4 table1
+//! ```
+use bench::figures::{Kind, ARTIFACTS};
+
 fn main() {
+    let wanted: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| ARTIFACTS.iter().all(|a| a.name != *w))
+    {
+        let valid: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+        eprintln!("unknown artifact {unknown}; valid: {}", valid.join(" "));
+        std::process::exit(2);
+    }
     let scale = bench::Scale::from_env();
-    eprintln!("reproducing all figures/tables at {scale:?}");
-    bench::print_figure("Figure 4: Performance of baseline transactional memcached", &bench::figures::fig4(), &scale);
-    bench::print_table("Table 1: Frequency and cause of serialized transactions", &bench::figures::table1(), &scale);
-    bench::print_figure("Figure 6: Performance of maximally transactionalized memcached", &bench::figures::fig6(), &scale);
-    bench::print_table("Table 2: Frequency and cause of serialized transactions (Max)", &bench::figures::table2(), &scale);
-    bench::print_figure("Figure 8: Performance with safe library functions", &bench::figures::fig8(), &scale);
-    bench::print_table("Table 3: Frequency and cause of serialized transactions (Lib)", &bench::figures::table3(), &scale);
-    bench::print_figure("Figure 9: Performance with onCommit handlers", &bench::figures::fig9(), &scale);
-    bench::print_table("Table 4: Frequency and cause of serialized transactions (onCommit)", &bench::figures::table4(), &scale);
-    bench::print_figure("Figure 10: Performance without the readers/writer lock", &bench::figures::fig10(), &scale);
-    bench::print_figure("Figure 11: Comparison to other TM algorithms and contention managers", &bench::figures::fig11(), &scale);
-    let threads = scale.threads.iter().copied().max().unwrap_or(4);
-    bench::print_abort_rates(&scale, threads);
+    eprintln!("reproducing at {scale:?}");
+    for a in ARTIFACTS {
+        if !wanted.is_empty() && !wanted.iter().any(|w| w == a.name) {
+            continue;
+        }
+        match a.kind {
+            Kind::Figure => bench::print_figure(a.title, &(a.configs)(), &scale),
+            Kind::Table => bench::print_table(a.title, &(a.configs)(), &scale),
+        }
+        if a.name == "fig11" {
+            let threads = scale.threads.iter().copied().max().unwrap_or(4);
+            bench::print_abort_rates(&scale, threads);
+        }
+    }
 }

@@ -8,7 +8,8 @@
 //! number of operations.
 //!
 //! Scale knobs (environment variables, so `cargo bench` stays tractable on
-//! small hosts while `bin/reproduce --full` approaches the paper's size):
+//! small hosts while `reproduce` with `MC_OPS=625000 MC_TRIALS=5` approaches the
+//! paper's size):
 //!
 //! | var | meaning | default |
 //! |---|---|---|
@@ -341,6 +342,43 @@ pub fn print_table(title: &str, configs: &[BenchConfig], scale: &Scale) {
 pub mod figures {
     use super::*;
 
+    /// How an artifact is measured and laid out.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Kind {
+        /// Run time vs worker threads, mean ± stdev ([`print_figure`]).
+        Figure,
+        /// Serialization causes at 4 threads ([`print_table`]).
+        Table,
+    }
+
+    /// One paper artifact `reproduce` can print.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Artifact {
+        /// The name `reproduce` takes on its command line.
+        pub name: &'static str,
+        /// The heading printed above it.
+        pub title: &'static str,
+        /// How it is measured and laid out.
+        pub kind: Kind,
+        /// Its configurations, in legend order.
+        pub configs: fn() -> Vec<BenchConfig>,
+    }
+
+    /// Every artifact, in paper order.
+    #[rustfmt::skip]
+    pub const ARTIFACTS: [Artifact; 10] = [
+        Artifact { name: "fig4", title: "Figure 4: Performance of baseline transactional memcached", kind: Kind::Figure, configs: fig4 },
+        Artifact { name: "table1", title: "Table 1: Frequency and cause of serialized transactions", kind: Kind::Table, configs: table1 },
+        Artifact { name: "fig6", title: "Figure 6: Performance of maximally transactionalized memcached", kind: Kind::Figure, configs: fig6 },
+        Artifact { name: "table2", title: "Table 2: Frequency and cause of serialized transactions (Max)", kind: Kind::Table, configs: table2 },
+        Artifact { name: "fig8", title: "Figure 8: Performance with safe library functions", kind: Kind::Figure, configs: fig8 },
+        Artifact { name: "table3", title: "Table 3: Frequency and cause of serialized transactions (Lib)", kind: Kind::Table, configs: table3 },
+        Artifact { name: "fig9", title: "Figure 9: Performance with onCommit handlers", kind: Kind::Figure, configs: fig9 },
+        Artifact { name: "table4", title: "Table 4: Frequency and cause of serialized transactions (onCommit)", kind: Kind::Table, configs: table4 },
+        Artifact { name: "fig10", title: "Figure 10: Performance without the readers/writer lock", kind: Kind::Figure, configs: fig10 },
+        Artifact { name: "fig11", title: "Figure 11: Comparison to other TM algorithms and contention managers", kind: Kind::Figure, configs: fig11 },
+    ];
+
     /// Figure 4 configurations: baseline transactionalization.
     pub fn fig4() -> Vec<BenchConfig> {
         vec![
@@ -527,13 +565,23 @@ mod tests {
 
     #[test]
     fn roster_sizes_match_paper() {
-        assert_eq!(figures::fig4().len(), 6);
-        assert_eq!(figures::table1().len(), 4);
-        assert_eq!(figures::fig6().len(), 5);
-        assert_eq!(figures::fig8().len(), 7);
-        assert_eq!(figures::fig9().len(), 7);
-        assert_eq!(figures::fig10().len(), 5);
-        assert_eq!(figures::fig11().len(), 6);
+        let sizes: Vec<(&str, usize)> =
+            figures::ARTIFACTS.iter().map(|a| (a.name, (a.configs)().len())).collect();
+        assert_eq!(
+            sizes,
+            [
+                ("fig4", 6),
+                ("table1", 4),
+                ("fig6", 5),
+                ("table2", 4),
+                ("fig8", 7),
+                ("table3", 6),
+                ("fig9", 7),
+                ("table4", 6),
+                ("fig10", 5),
+                ("fig11", 6),
+            ]
+        );
     }
 
     #[test]

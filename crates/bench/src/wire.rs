@@ -1,7 +1,7 @@
 //! A minimal blocking memcached wire client for loopback load
-//! generation and tests: mcslap's `--tcp`/`--unix`/`--udp` modes, the
-//! `stm_wirepath`/`stm_netpath` benches, and the conformance suites
-//! drive [`mcache::net::Server`] through real sockets with this.
+//! generation and tests: mcslap's `--tcp`/`--unix`/`--udp` targets and
+//! the wire tests drive [`mcache::net::Server`] through real sockets with
+//! this.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -191,11 +191,7 @@ impl WireConn {
             if line == b"END" {
                 return Ok(out);
             }
-            let text = String::from_utf8_lossy(&line);
-            let mut parts = text.split_whitespace();
-            if let (Some("STAT"), Some(k), Some(v)) = (parts.next(), parts.next(), parts.next()) {
-                out.push((k.to_string(), v.parse().map_err(bad_data)?));
-            }
+            out.extend(parse_stat_line(&line));
         }
     }
 
@@ -260,8 +256,15 @@ fn parse_value_line(line: &[u8]) -> Option<(Vec<u8>, u32, usize, u64)> {
     Some((key.as_bytes().to_vec(), flags, len, cas))
 }
 
-fn bad_data<E: std::fmt::Display>(e: E) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+/// Parses one `STAT <name> <counter>` line (trailing CR/LF tolerated, so
+/// a reassembled UDP `stats` response can be split on newlines).
+pub fn parse_stat_line(line: &[u8]) -> Option<(String, u64)> {
+    let text = String::from_utf8_lossy(line);
+    let mut parts = text.split_whitespace();
+    let (Some("STAT"), Some(name), Some(value)) = (parts.next(), parts.next(), parts.next()) else {
+        return None;
+    };
+    Some((name.to_string(), value.parse().ok()?))
 }
 
 // ---------------------------------------------------------------------

@@ -84,18 +84,85 @@ fn mcslap_malformed_and_missing_values_exit_2_naming_the_flag() {
             &["--algorithm", "tl2"],
             &["--cm", "backoff"],
             &["--branch", "no-such-branch"],
-            &["--dur-fsync", "sometimes"],
-            &["--dur-path"],
             &["--tcp"],
             &["--udp"],
             &["--unix"],
+            // Out of range fails like malformed: nothing is clamped.
+            &["--read-ratio", "150"],
+            &["--write-ratio", "101"],
+            &["--concurrency", "0"],
+            &["--keys", "0"],
+            &["--value-size", "0"],
+            &["--multiget", "0"],
+            &["--setq-pipeline", "0"],
+            &["--connections", "0"],
+            &["--churn", "0"],
+            &["--fanin", "0"],
         ],
     );
 }
 
+/// A flag the chosen target cannot honour is refused, not dropped: the
+/// cache-side knobs with a socket target, the stream-only shapes over UDP,
+/// the socket-side counts in-process, and whatever a scenario or
+/// `--connections` would override (the mix, the worker count). Nothing
+/// here ever connects.
+#[test]
+fn mcslap_refuses_flags_on_the_wrong_side_of_the_socket() {
+    const TCP: [&str; 2] = ["--tcp", "127.0.0.1:1"];
+    const UDP: [&str; 2] = ["--udp", "127.0.0.1:1"];
+    let in_process = "configures the in-process cache; pass it to mcached";
+    let udp = "does not apply: --udp is ASCII, one request per datagram";
+    let churn = "does not apply: --churn N is N workers, each op one ASCII connection lifecycle";
+    let fanin = "does not apply: --fanin N is a gets-only stream from --concurrency threads";
+    let pool = "does not apply: --connections is the worker count";
+    let on_churn = [&TCP[..], &["--churn", "2"]].concat();
+    let on_fanin = [&TCP[..], &["--fanin", "8"]].concat();
+    let tcp_pool = [&TCP[..], &["--connections", "2"]].concat();
+    let udp_pool = [&UDP[..], &["--connections", "2"]].concat();
+    let cases: &[(&[&str], &[&str], &str)] = &[
+        (&TCP, &["--branch", "ip"], in_process),
+        (&["--unix", "/nonexistent"], &["--magazine", "8"], in_process),
+        (&TCP, &["--algorithm", "lazy"], in_process),
+        (&UDP, &["--cm", "none"], in_process),
+        (&UDP, &["--binary"], udp),
+        (&UDP, &["--multiget", "4"], udp),
+        (&UDP, &["--setq-pipeline", "4"], udp),
+        (&UDP, &["--churn", "2"], udp),
+        (&UDP, &["--fanin", "2"], udp),
+        (&[], &["--churn", "2"], "needs a socket target"),
+        (&[], &["--fanin", "2"], "needs a socket target"),
+        (&[], &["--connections", "2"], "needs a socket target"),
+        (&on_churn, &["--binary"], churn),
+        (&on_churn, &["--fanin", "8"], churn),
+        (&on_churn, &["--connections", "2"], churn),
+        (&on_churn, &["--concurrency", "2"], churn),
+        (&on_churn, &["-c", "2"], churn),
+        (&on_churn, &["--read-ratio", "50"], churn),
+        (&on_churn, &["--write-ratio", "50"], churn),
+        (&on_churn, &["--multiget", "4"], churn),
+        (&on_churn, &["--setq-pipeline", "4"], churn),
+        (&on_fanin, &["--connections", "2"], fanin),
+        (&on_fanin, &["--read-ratio", "50"], fanin),
+        (&on_fanin, &["--write-ratio", "50"], fanin),
+        (&on_fanin, &["--setq-pipeline", "4"], fanin),
+        (&tcp_pool, &["--concurrency", "2"], pool),
+        (&udp_pool, &["-c", "2"], pool),
+    ];
+    for (target, refused, why) in cases {
+        let args = [*target, *refused].concat();
+        let (err, want) = (usage_error(MCSLAP, &args), format!("{} {why}", refused[0]));
+        assert!(err.contains(&want), "mcslap {args:?}: want {want:?}, got {err:?}");
+    }
+    let err = usage_error(MCSLAP, &[&TCP[..], &UDP[..]].concat());
+    assert!(err.contains("pick one target"), "{err:?}");
+}
+
 /// Flags that earlier PRs deleted with the mechanism behind them: the
-/// backend selection (PR 13) and the adaptive runtime (PR 17). (Spelled
-/// in halves so a grep for the removed names finds nothing in the tree.)
+/// backend selection (PR 13), the adaptive runtime (PR 17) and mcslap's
+/// warm-restart mode (PR 18; `mccrash`, `recovery_wire.rs` and sysbench's
+/// `dur_set_nofsync` cover it). (Spelled in halves so a grep for the
+/// removed names finds nothing in the tree.)
 #[test]
 fn removed_flags_are_unknown_flags() {
     let removed = [
@@ -104,6 +171,9 @@ fn removed_flags_are_unknown_flags() {
         (MCSLAP, ["--ad", "apt-epoch-ms"].concat(), "20"),
         (MCSLAP, ["--hot", "slots"].join("-"), "64"),
         (MCSLAP, ["--phase", "shift"].join("-"), ""),
+        (MCSLAP, ["--re", "start"].concat(), ""),
+        (MCSLAP, "--dur-path".to_string(), "/tmp/x"),
+        (MCSLAP, "--dur-fsync".to_string(), "off"),
     ];
     for (bin, flag, arg) in &removed {
         let err = usage_error(bin, &[flag, arg]);

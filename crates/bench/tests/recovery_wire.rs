@@ -11,108 +11,29 @@
 //! * `flush_all` is logged, so replay cannot resurrect flushed items
 //! * `SIGTERM` drains, seals the segment, and prints the final counters
 
-use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
-use std::process::{Child, ChildStdout, Command, Stdio};
+mod support;
+
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use bench::wire::WireConn;
+use support::Daemon;
 
-struct Daemon {
-    child: Child,
-    stdout: BufReader<ChildStdout>,
-    pub addr: String,
-    /// The `RECOVERED items=N torn_records_dropped=M` banner, when the
-    /// server started with a log attached.
-    pub recovered_banner: Option<String>,
-}
-
-impl Daemon {
-    /// Spawns `mcached` on an ephemeral port and waits for `LISTENING`.
-    fn start(dur_dir: &PathBuf, fsync: &str) -> Daemon {
-        let child = Command::new(env!("CARGO_BIN_EXE_mcached"))
-            .args([
-                "--port",
-                "0",
-                "--threads",
-                "2",
-                "--branch",
-                "it-oncommit",
-                "--dur-path",
-                dur_dir.to_str().unwrap(),
-                "--dur-fsync",
-                fsync,
-            ])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("spawn mcached");
-        let mut child = child;
-        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        let mut recovered_banner = None;
-        let mut addr = None;
-        for _ in 0..64 {
-            let mut line = String::new();
-            if stdout.read_line(&mut line).expect("read startup banner") == 0 {
-                break;
-            }
-            let line = line.trim().to_string();
-            if line.starts_with("RECOVERED ") {
-                recovered_banner = Some(line);
-            } else if let Some(a) = line.strip_prefix("LISTENING ") {
-                addr = Some(a.to_string());
-                break;
-            }
-        }
-        Daemon {
-            child,
-            stdout,
-            addr: addr.expect("mcached printed LISTENING"),
-            recovered_banner,
-        }
-    }
-
-    fn conn(&self) -> WireConn {
-        WireConn::connect(&self.addr).expect("connect to mcached")
-    }
-
-    /// Graceful stop through the stdin pipe; returns the full remaining
-    /// stdout (the shutdown counters).
-    fn stop_via_pipe(mut self) -> String {
-        self.child
-            .stdin
-            .take()
-            .expect("piped stdin")
-            .write_all(b"shutdown\n")
-            .expect("write shutdown");
-        self.wait_and_drain()
-    }
-
-    /// Graceful stop via SIGTERM; returns the full remaining stdout.
-    fn stop_via_sigterm(mut self) -> String {
-        let ok = Command::new("kill")
-            .args(["-TERM", &self.child.id().to_string()])
-            .status()
-            .expect("run kill")
-            .success();
-        assert!(ok, "kill -TERM failed");
-        self.wait_and_drain()
-    }
-
-    /// Hard kill — no seal, no drain; the log keeps whatever the OS has.
-    fn kill_hard(mut self) {
-        self.child.kill().expect("SIGKILL mcached");
-        let _ = self.child.wait();
-    }
-
-    fn wait_and_drain(&mut self) -> String {
-        let status = self.child.wait().expect("wait for mcached");
-        assert!(status.success(), "graceful shutdown must exit 0: {status:?}");
-        let mut rest = String::new();
-        std::io::Read::read_to_string(&mut self.stdout, &mut rest).expect("drain stdout");
-        rest
-    }
+/// `mcached` on an ephemeral port with the redo log in `dur_dir`.
+fn start(dur_dir: &Path, fsync: &str) -> Daemon {
+    let dir = dur_dir.to_str().expect("utf-8 temp path");
+    Daemon::spawn(&[
+        "--port",
+        "0",
+        "--threads",
+        "2",
+        "--branch",
+        "it-oncommit",
+        "--dur-path",
+        dir,
+        "--dur-fsync",
+        fsync,
+    ])
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -141,7 +62,7 @@ fn stat(conn: &mut WireConn, name: &str) -> u64 {
 #[test]
 fn sigterm_restart_preserves_values_cas_floor_and_expiry() {
     let dir = tmpdir("sigterm");
-    let d = Daemon::start(&dir, "always");
+    let d = start(&dir, "always");
     assert_eq!(
         d.recovered_banner.as_deref(),
         Some("RECOVERED items=0 torn_records_dropped=0"),
@@ -172,7 +93,7 @@ fn sigterm_restart_preserves_values_cas_floor_and_expiry() {
     // Let `brief` pass its 1s expiry so replay must drop it.
     std::thread::sleep(Duration::from_millis(1300));
 
-    let d = Daemon::start(&dir, "always");
+    let d = start(&dir, "always");
     let banner = d.recovered_banner.clone().expect("log attached");
     assert!(
         banner.ends_with("torn_records_dropped=0"),
@@ -204,7 +125,7 @@ fn sigterm_restart_preserves_values_cas_floor_and_expiry() {
 #[test]
 fn flush_all_is_logged_and_not_resurrected() {
     let dir = tmpdir("flush");
-    let d = Daemon::start(&dir, "every:8");
+    let d = start(&dir, "every:8");
     {
         let mut c = d.conn();
         set(&mut c, "pre", b"doomed", 0, 0);
@@ -219,7 +140,7 @@ fn flush_all_is_logged_and_not_resurrected() {
     let out = d.stop_via_pipe();
     assert!(out.contains("durability:"), "pipe shutdown prints counters too: {out:?}");
 
-    let d = Daemon::start(&dir, "every:8");
+    let d = start(&dir, "every:8");
     {
         let mut c = d.conn();
         let hits = c.ascii_get(&[b"pre", b"post"], false).expect("get");
@@ -234,7 +155,7 @@ fn flush_all_is_logged_and_not_resurrected() {
 #[test]
 fn hard_kill_recovers_synced_prefix() {
     let dir = tmpdir("kill9");
-    let d = Daemon::start(&dir, "always");
+    let d = start(&dir, "always");
     {
         let mut c = d.conn();
         for i in 0..20 {
@@ -245,7 +166,7 @@ fn hard_kill_recovers_synced_prefix() {
     // SIGKILL: no drain, no seal. With fsync=always every append was
     // synced before its STORED went out, so nothing may be lost.
     d.kill_hard();
-    let d = Daemon::start(&dir, "always");
+    let d = start(&dir, "always");
     {
         let mut c = d.conn();
         assert_eq!(

@@ -1,5 +1,5 @@
 //! A minimal benchmark harness shaped like `criterion`'s API surface, so
-//! the 11 bench binaries in `crates/bench` kept their structure when the
+//! the bench binaries in `crates/bench` kept their structure when the
 //! external dependency was removed: `Criterion`, `benchmark_group`,
 //! `bench_function`, `Bencher::iter`/`iter_custom`, and the
 //! [`criterion_group!`]/[`criterion_main!`] macros.
@@ -19,9 +19,9 @@
 //!
 //! ```json
 //! {
-//!   "group": "fig4",
+//!   "group": "fastpath_smalltx",
 //!   "benchmarks": [
-//!     {"name": "Baseline", "samples": 10, "iters_per_sample": 3,
+//!     {"name": "gcc-eager", "samples": 10, "iters_per_sample": 3,
 //!      "median_ns": 812345.0, "p95_ns": 901234.0, "mean_ns": 823456.1,
 //!      "min_ns": 799999.0, "max_ns": 912345.0}
 //!   ]
@@ -293,137 +293,6 @@ impl BenchmarkGroup<'_> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Report comparison (the offline regression gate)
-// ---------------------------------------------------------------------
-
-/// One benchmark's statistics extracted from a `BENCH_<group>.json` report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReportEntry {
-    /// Benchmark name within its group.
-    pub name: String,
-    /// Median per-iteration nanoseconds.
-    pub median_ns: f64,
-    /// Minimum per-iteration nanoseconds (the low-noise cost estimator).
-    pub min_ns: f64,
-}
-
-/// Parses the `benchmarks` array of a report produced by
-/// [`BenchmarkGroup::finish`]. Only `name`, `median_ns`, and `min_ns` are
-/// extracted; the parser is deliberately matched to our own writer, not a
-/// general JSON reader.
-pub fn parse_report(json: &str) -> Vec<ReportEntry> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    // Skip the group header so its "name"-less prefix can't confuse us.
-    if let Some(i) = rest.find("\"benchmarks\"") {
-        rest = &rest[i..];
-    }
-    while let Some(i) = rest.find("\"name\": \"") {
-        rest = &rest[i + "\"name\": \"".len()..];
-        let mut name = String::new();
-        let mut chars = rest.char_indices();
-        let mut consumed = rest.len();
-        while let Some((j, c)) = chars.next() {
-            match c {
-                '\\' => {
-                    if let Some((_, esc)) = chars.next() {
-                        name.push(match esc {
-                            'n' => '\n',
-                            other => other,
-                        });
-                    }
-                }
-                '"' => {
-                    consumed = j + 1;
-                    break;
-                }
-                c => name.push(c),
-            }
-        }
-        rest = &rest[consumed..];
-        let field = |rest: &str, key: &str| -> Option<(f64, usize)> {
-            let k = rest.find(key)?;
-            let num = &rest[k + key.len()..];
-            let end = num
-                .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-                .unwrap_or(num.len());
-            num[..end].parse::<f64>().ok().map(|v| (v, k + key.len() + end))
-        };
-        let Some((median, _)) = field(rest, "\"median_ns\": ") else {
-            break;
-        };
-        // min_ns sits after median_ns in the writer's field order.
-        let Some((min, consumed)) = field(rest, "\"min_ns\": ") else {
-            break;
-        };
-        out.push(ReportEntry {
-            name,
-            median_ns: median,
-            min_ns: min,
-        });
-        rest = &rest[consumed..];
-    }
-    out
-}
-
-/// The verdict for one benchmark present in both reports.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Regression {
-    /// Benchmark name.
-    pub name: String,
-    /// Baseline median (ns).
-    pub base_ns: f64,
-    /// Fresh minimum (ns) — already the optimistic estimate, yet still
-    /// above the gate.
-    pub fresh_ns: f64,
-}
-
-/// Compares a fresh report against a committed baseline.
-///
-/// The gate compares the **fresh minimum** against the **baseline
-/// median**: host noise (frequency scaling, co-tenants) only ever adds
-/// time, so a fresh run's min is a stable cost estimator, while the
-/// baseline's median sits a noise-margin above its own floor. A real
-/// regression shifts the whole distribution — min included — past the
-/// baseline median; a noisy run does not. (Median-vs-median flapped by
-/// ±60% between consecutive runs on the reference host.)
-///
-/// A benchmark **regresses** when `fresh.min_ns` exceeds
-/// `base.median_ns` by more than `threshold` (a fraction: 0.15 = 15%)
-/// AND by more than an absolute 5ns floor (sub-nanosecond medians — e.g.
-/// the alloc-count pseudo-benches scaled ×1000 — would otherwise flap on
-/// noise). A zero baseline is a hard promise: any nonzero fresh value
-/// fails regardless of the threshold (that is how "zero allocations per
-/// commit" stays pinned). Benchmarks missing from either side are
-/// ignored — renames are not regressions.
-pub fn compare_reports(
-    baseline: &[ReportEntry],
-    fresh: &[ReportEntry],
-    threshold: f64,
-) -> Vec<Regression> {
-    let mut bad = Vec::new();
-    for b in baseline {
-        let Some(f) = fresh.iter().find(|f| f.name == b.name) else {
-            continue;
-        };
-        let regressed = if b.median_ns == 0.0 {
-            f.min_ns > 0.0
-        } else {
-            let delta = f.min_ns - b.median_ns;
-            delta > b.median_ns * threshold && delta > 5.0
-        };
-        if regressed {
-            bad.push(Regression {
-                name: b.name.clone(),
-                base_ns: b.median_ns,
-                fresh_ns: f.min_ns,
-            });
-        }
-    }
-    bad
-}
-
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -584,75 +453,5 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&v, 1.0), 4.0);
         assert_eq!(percentile(&v, 0.5), 2.5);
-    }
-
-    #[test]
-    fn parse_report_roundtrips_writer_output() {
-        let mut c = Criterion {
-            warmup_ms: 0,
-            default_sample_size: 2,
-        };
-        let mut g = c.benchmark_group("gate");
-        g.sample_size(2);
-        g.bench_function("eager/w4", |b| {
-            b.iter_custom(|i| Duration::from_nanos(100) * i as u32)
-        });
-        g.bench_function("norec/\"quoted\"", |b| {
-            b.iter_custom(|i| Duration::from_nanos(200) * i as u32)
-        });
-        let entries = parse_report(&g.to_json());
-        assert_eq!(entries.len(), 2, "{entries:?}");
-        assert_eq!(entries[0].name, "eager/w4");
-        assert!((entries[0].median_ns - 100.0).abs() < 1.0, "{entries:?}");
-        assert!((entries[0].min_ns - 100.0).abs() < 1.0, "{entries:?}");
-        assert_eq!(entries[1].name, "norec/\"quoted\"");
-        assert!((entries[1].median_ns - 200.0).abs() < 1.0, "{entries:?}");
-        assert!((entries[1].min_ns - 200.0).abs() < 1.0, "{entries:?}");
-    }
-
-    #[test]
-    fn compare_flags_only_true_regressions() {
-        // In these fixtures the fresh run's min sits 20% under its median
-        // — the noise margin the min-vs-baseline-median gate exists for.
-        let e = |name: &str, median_ns: f64| ReportEntry {
-            name: name.into(),
-            median_ns,
-            min_ns: median_ns * 0.8,
-        };
-        let baseline = [
-            e("a", 100.0),
-            e("b", 100.0),
-            e("tiny", 2.0),
-            e("zero", 0.0),
-            e("gone", 50.0),
-        ];
-        let fresh = [
-            e("a", 143.0),  // min 114.4 — within threshold of base median
-            e("b", 150.0),  // min 120.0 — regression (+20% past the gate)
-            e("tiny", 4.0), // +100% but under the 5ns floor
-            e("zero", 0.0), // pinned at zero, still zero
-            e("new", 9.0),  // not in baseline — ignored
-        ];
-        let bad = compare_reports(&baseline, &fresh, 0.15);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert_eq!(bad[0].name, "b");
-        assert_eq!(bad[0].base_ns, 100.0);
-        assert_eq!(bad[0].fresh_ns, 120.0);
-
-        // A zero baseline is a hard promise: any nonzero fresh fails.
-        let bad = compare_reports(&[e("zero", 0.0)], &[e("zero", 1.0)], 0.15);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-
-        // A noisy-but-honest run never fails: median drifted +60% while
-        // the floor stayed put.
-        let noisy = [ReportEntry {
-            name: "a".into(),
-            median_ns: 160.0,
-            min_ns: 98.0,
-        }];
-        assert!(compare_reports(&[e("a", 100.0)], &noisy, 0.15).is_empty());
-
-        // Improvements never fail, however large.
-        assert!(compare_reports(&[e("a", 100.0)], &[e("a", 10.0)], 0.15).is_empty());
     }
 }

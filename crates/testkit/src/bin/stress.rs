@@ -9,55 +9,47 @@
 //! ```
 //!
 //! Exits non-zero on divergence, printing the failing seed and the replay
-//! command. `--inject-bug` corrupts the oracle on purpose, to demonstrate
-//! that detection and seed replay work. `--chaos` (requires the `chaos`
-//! feature) arms `tm::fault` on every worker thread: spurious aborts,
-//! bounded delays, and injected panics rain on all 21 combos while the
-//! ticket oracle stays on.
+//! command. `--inject-bug` corrupts the mixed schedule's oracle on purpose,
+//! to demonstrate that detection and seed replay work. `--chaos` (requires
+//! the `chaos` feature) arms `tm::fault` on every worker thread: spurious
+//! aborts, bounded delays, and injected panics rain on all 21 combos while
+//! the same oracle stays on.
 //!
-//! Every combo runs **four** schedules per seed: the mixed ticket
-//! schedule, the read-mostly fast-lane schedule (transactions start
-//! read-only, a quarter promote mid-flight; reader snapshots are
-//! position-checked against the ticket-ordered serial prefix), the
-//! write-heavy schedule (three quarters of the operations mutate, with
-//! manufactured silent stores; the run fails if silent-store elision
-//! never fired), and the contended-commit schedule (disjoint per-thread
-//! write blocks with cross-block reads, so the threads fight over the
-//! commit machinery — the clock word, orec stripes — instead of data).
+//! Every seed runs every row of [`testkit::stress::SCHEDULES`] — mixed,
+//! read-mostly, write-heavy, contended-commit — over every combo; the
+//! table documents what each one demands.
 
 use std::time::{Duration, Instant};
 
 use testkit::stress::{
-    run_schedule, run_schedule_contended, run_schedule_ro, run_schedule_sabotaged,
-    run_schedule_wh, StressConfig,
+    combos, run_matrix, Schedule, StressConfig, StressReport, CHAOS_PLAN, SCHEDULES,
 };
 
 struct Args {
-    seconds: Option<u64>,
+    seconds: u64,
     seed: Option<u64>,
-    threads: usize,
-    txns: usize,
-    cells: usize,
-    ops: usize,
+    base: StressConfig,
     inject_bug: bool,
     chaos: bool,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
-        seconds: None,
+        seconds: 10,
         seed: None,
-        threads: 4,
-        txns: 150,
-        cells: 8,
-        ops: 6,
+        base: StressConfig {
+            txns_per_thread: 150,
+            ..StressConfig::smoke()
+        },
         inject_bug: false,
         chaos: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut num = |what: &str| -> u64 {
-            let v = it.next().unwrap_or_else(|| die(&format!("{what} needs a value")));
+            let v = it
+                .next()
+                .unwrap_or_else(|| die(&format!("{what} needs a value")));
             let v = v.trim();
             let parsed = if let Some(h) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
                 u64::from_str_radix(h, 16)
@@ -67,12 +59,12 @@ fn parse_args() -> Args {
             parsed.unwrap_or_else(|_| die(&format!("bad value for {what}: {v}")))
         };
         match a.as_str() {
-            "--seconds" => args.seconds = Some(num("--seconds")),
+            "--seconds" => args.seconds = num("--seconds"),
             "--seed" => args.seed = Some(num("--seed")),
-            "--threads" => args.threads = num("--threads") as usize,
-            "--txns" => args.txns = num("--txns") as usize,
-            "--cells" => args.cells = num("--cells") as usize,
-            "--ops" => args.ops = num("--ops") as usize,
+            "--threads" => args.base.threads = num("--threads") as usize,
+            "--txns" => args.base.txns_per_thread = num("--txns") as usize,
+            "--cells" => args.base.cells = num("--cells") as usize,
+            "--ops" => args.base.max_ops_per_txn = num("--ops") as usize,
             "--inject-bug" => args.inject_bug = true,
             "--chaos" => args.chaos = true,
             "--help" | "-h" => {
@@ -93,199 +85,29 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Chaos sweep: same seed/combo loop as the plain mode, but through
-/// [`testkit::stress::chaos::run_schedule_chaos`] with the default plan.
-#[cfg(feature = "chaos")]
-fn run_chaos(args: &Args, base: &StressConfig) -> ! {
-    use testkit::stress::chaos;
-    let combos = testkit::stress::combos();
-    let plan = chaos::default_plan();
-    let budget = Duration::from_secs(args.seconds.unwrap_or(10));
-    let start = Instant::now();
-    let (mut schedules, mut commits, mut aborts) = (0u64, 0u64, 0u64);
-    let (mut injected, mut panic_aborts) = (0u64, 0u64);
-    let (mut promotions, mut ro_commits, mut snaps_checked) = (0u64, 0u64, 0u64);
-    let mut elisions = 0u64;
-    let mut clock_retries = 0u64;
-    let mut seed = args.seed.unwrap_or(1);
-    loop {
-        for &(algorithm, serial_lock, contention) in &combos {
-            let cfg = StressConfig {
-                algorithm,
-                serial_lock,
-                contention,
-                ..base.clone()
-            };
-            match chaos::run_schedule_chaos(seed, &cfg, plan) {
-                Ok(r) => {
-                    schedules += 1;
-                    commits += r.report.commits;
-                    aborts += r.report.aborts;
-                    injected += r.injected;
-                    panic_aborts += r.panic_aborts;
-                }
-                Err(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-            match chaos::run_schedule_ro_chaos(seed, &cfg, plan) {
-                Ok(r) => {
-                    schedules += 1;
-                    commits += r.report.report.commits;
-                    aborts += r.report.report.aborts;
-                    injected += r.injected;
-                    panic_aborts += r.panic_aborts;
-                    promotions += r.report.ro_promotions;
-                    ro_commits += r.report.ro_fast_commits;
-                    snaps_checked += r.report.snapshots_checked;
-                }
-                Err(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-            match chaos::run_schedule_wh_chaos(seed, &cfg, plan) {
-                Ok(r) => {
-                    schedules += 1;
-                    commits += r.report.commits;
-                    aborts += r.report.aborts;
-                    injected += r.injected;
-                    panic_aborts += r.panic_aborts;
-                    elisions += r.report.silent_elisions;
-                }
-                Err(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-            match chaos::run_schedule_contended_chaos(seed, &cfg, plan) {
-                Ok(r) => {
-                    schedules += 1;
-                    commits += r.report.commits;
-                    aborts += r.report.aborts;
-                    injected += r.injected;
-                    panic_aborts += r.panic_aborts;
-                    clock_retries += r.report.clock_cas_retries;
-                }
-                Err(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        if args.seed.is_some() || start.elapsed() >= budget {
-            break;
-        }
-        seed += 1;
-    }
-    println!(
-        "stress: CHAOS OK — {} schedules over {} runtime combos, {} commits, {} aborts, \
-         {} faults injected ({} panic teardowns), {} fast-lane commits, {} promotions, \
-         {} reader snapshots checked, {} silent stores elided, {} clock CAS retries \
-         under contended commits, {:.2}s",
-        schedules,
-        combos.len(),
-        commits,
-        aborts,
-        injected,
-        panic_aborts,
-        ro_commits,
-        promotions,
-        snaps_checked,
-        elisions,
-        clock_retries,
-        start.elapsed().as_secs_f64()
-    );
-    std::process::exit(0);
-}
-
-#[cfg(not(feature = "chaos"))]
-fn run_chaos(_args: &Args, _base: &StressConfig) -> ! {
-    die(
-        "chaos mode needs the `chaos` feature: \
-         cargo run --release -p testkit --features chaos --bin stress -- --chaos",
-    );
-}
-
 fn main() {
     let args = parse_args();
-    let base = StressConfig {
-        threads: args.threads,
-        cells: args.cells,
-        txns_per_thread: args.txns,
-        max_ops_per_txn: args.ops,
-        ..StressConfig::smoke()
-    };
-    if args.chaos {
-        run_chaos(&args, &base);
+    if args.chaos && !cfg!(feature = "chaos") {
+        die("chaos mode needs the `chaos` feature: \
+             cargo run --release -p testkit --features chaos --bin stress -- --chaos");
     }
-    let run = if args.inject_bug {
-        run_schedule_sabotaged
-    } else {
-        run_schedule
-    };
-    let combos = testkit::stress::combos();
-    let budget = Duration::from_secs(args.seconds.unwrap_or(10));
+    let faults = args.chaos.then_some(CHAOS_PLAN);
+    let mut schedules = SCHEDULES;
+    schedules[0].sabotage = args.inject_bug;
+
+    let budget = Duration::from_secs(args.seconds);
     let start = Instant::now();
-    let mut schedules = 0u64;
-    let mut commits = 0u64;
-    let mut aborts = 0u64;
-    let (mut promotions, mut ro_commits, mut snaps_checked) = (0u64, 0u64, 0u64);
-    let mut elisions = 0u64;
-    let mut clock_retries = 0u64;
+    let mut totals: Vec<(Schedule, u64, StressReport)> = schedules
+        .iter()
+        .map(|&s| (s, 0, StressReport::default()))
+        .collect();
     let mut seed = args.seed.unwrap_or(1);
     loop {
-        for &(algorithm, serial_lock, contention) in &combos {
-            let cfg = StressConfig {
-                algorithm,
-                serial_lock,
-                contention,
-                ..base.clone()
-            };
-            match run(seed, &cfg) {
-                Ok(r) => {
-                    schedules += 1;
-                    commits += r.commits;
-                    aborts += r.aborts;
-                }
-                Err(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-            match run_schedule_ro(seed, &cfg) {
-                Ok(r) => {
-                    schedules += 1;
-                    commits += r.report.commits;
-                    aborts += r.report.aborts;
-                    promotions += r.ro_promotions;
-                    ro_commits += r.ro_fast_commits;
-                    snaps_checked += r.snapshots_checked;
-                }
-                Err(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-            match run_schedule_wh(seed, &cfg) {
-                Ok(r) => {
-                    schedules += 1;
-                    commits += r.commits;
-                    aborts += r.aborts;
-                    elisions += r.silent_elisions;
-                }
-                Err(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-            match run_schedule_contended(seed, &cfg) {
-                Ok(r) => {
-                    schedules += 1;
-                    commits += r.commits;
-                    aborts += r.aborts;
-                    clock_retries += r.clock_cas_retries;
+        for (schedule, runs, total) in &mut totals {
+            match run_matrix(seed, &args.base, schedule, faults) {
+                Ok(reports) => {
+                    *runs += reports.len() as u64;
+                    reports.iter().for_each(|r| total.absorb(r));
                 }
                 Err(d) => {
                     eprintln!("{d}");
@@ -300,19 +122,28 @@ fn main() {
         seed += 1;
     }
     println!(
-        "stress: OK — {} schedules over {} runtime combos, {} commits, {} aborts, \
-         {} fast-lane commits, {} promotions, {} reader snapshots checked, \
-         {} silent stores elided, {} clock CAS retries under contended commits, \
-         {:.2}s",
-        schedules,
-        combos.len(),
-        commits,
-        aborts,
-        ro_commits,
-        promotions,
-        snaps_checked,
-        elisions,
-        clock_retries,
+        "stress: {}OK — {} runs over {} runtime combos x {} schedules, {:.2}s",
+        if args.chaos { "CHAOS " } else { "" },
+        totals.iter().map(|t| t.1).sum::<u64>(),
+        combos().len(),
+        totals.len(),
         start.elapsed().as_secs_f64()
     );
+    for (schedule, runs, t) in &totals {
+        println!(
+            "  {:<17} {runs} runs, {} commits, {} aborts, {} silent stores elided, \
+             {} clock CAS retries, {} fast-lane commits, {} promotions, \
+             {} reader snapshots checked, {} faults injected ({} panic teardowns)",
+            schedule.name,
+            t.commits,
+            t.aborts,
+            t.silent_elisions,
+            t.clock_cas_retries,
+            t.ro_fast_commits,
+            t.ro_promotions,
+            t.snapshots_checked,
+            t.injected,
+            t.panic_aborts,
+        );
+    }
 }

@@ -5,12 +5,23 @@
 //! own evaluation): N threads run *random transactional programs* whose
 //! content is a pure function of `(seed, thread, txn index)`, and the
 //! final heap is checked against a **sequential model**. The oracle works
-//! because STM promises serializability: every transaction increments a
-//! shared ticket cell *inside* the transaction, so the committed ticket
-//! values name the equivalent serial order exactly. Replaying each
-//! transaction's operations in ticket order through a plain `Vec<u64>`
-//! interpreter must land on the same final state — any divergence is a
-//! runtime bug (lost update, dirty read, broken undo/redo log, ...).
+//! because STM promises serializability: every writing transaction
+//! increments a shared ticket cell *inside* the transaction, so the
+//! committed ticket values name the equivalent serial order exactly.
+//! Replaying each transaction's operations in ticket order through a plain
+//! `Vec<u64>` interpreter must land on the same final state, and a
+//! read-only transaction that observed ticket `t` must have seen exactly
+//! the model after the first `t` writers — any divergence is a runtime bug
+//! (lost update, dirty read, torn snapshot, broken undo/redo log, ...).
+//!
+//! There is **one runner** ([`run`]), **one oracle** and **one matrix**
+//! ([`run_matrix`], every `Algorithm` × `SerialLockMode` ×
+//! `ContentionManager` combination the runtime supports). What varies is
+//! data: a [`Schedule`] row in [`SCHEDULES`] names the program function,
+//! which transaction slots write, promote or only read, and the one
+//! post-condition the schedule adds to the oracle; an optional
+//! [`FaultPlan`] arms `tm::fault` on every worker (the chaos tier). A new
+//! stress shape is one program function and one table row.
 //!
 //! Interleavings are shaped, not fixed: threads advance in *barrier-stepped
 //! rounds* (every thread starts round `r` together, with a seed-derived
@@ -19,17 +30,19 @@
 //! failing seed prints one line that reproduces the exact program set:
 //!
 //! ```text
-//! [testkit] stress divergence (seed 0x000000000000002a, eager/rwlock/no-cm) ...
+//! [testkit] stress divergence (seed 0x000000000000002a, eager/rwlock/no-cm, mixed schedule) ...
 //! [testkit] replay: cargo run --release -p testkit --bin stress -- --seed 0x2a ...
 //! ```
-//!
-//! [`run_matrix`] sweeps every `Algorithm` × `SerialLockMode` ×
-//! `ContentionManager` combination the runtime supports.
 
+use std::cell::Cell;
 use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Barrier;
 
-use tm::{Abort, Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction};
+pub use tm::fault::FaultPlan;
+use tm::{
+    Abort, Algorithm, AtomicTx, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction,
+};
 
 use crate::rng::{mix_seed, Rng, SmallRng, SplitMix64};
 
@@ -83,12 +96,14 @@ impl StressConfig {
     }
 }
 
-/// A passed schedule's measurements.
-#[derive(Clone, Debug)]
+/// A passed run's measurements — and, summed with
+/// [`StressReport::absorb`], a sweep's totals.
+#[derive(Clone, Debug, Default)]
 pub struct StressReport {
     /// The combination that ran.
     pub combo: String,
-    /// Committed transactions (= threads × txns_per_thread).
+    /// Committed transactions (= threads × txns_per_thread; readers and
+    /// writers both count).
     pub commits: u64,
     /// Aborted attempts observed by the runtime during the schedule.
     pub aborts: u64,
@@ -97,39 +112,64 @@ pub struct StressReport {
     /// Commit-time clock (or NOrec seqlock) CASes lost to a concurrent
     /// committer during the schedule.
     pub clock_cas_retries: u64,
+    /// Committed transactions that held the read-only fast lane to the end.
+    pub ro_fast_commits: u64,
+    /// Attempts that entered read-only and promoted at their first write.
+    pub ro_promotions: u64,
+    /// Snapshot extensions the runtime performed during the schedule.
+    pub snapshot_extensions: u64,
+    /// Reader snapshots validated against the ticket-ordered model prefix.
+    pub snapshots_checked: u64,
+    /// Fault actions (aborts + delays + panics) injected across all worker
+    /// threads; zero without a [`FaultPlan`].
+    pub injected: u64,
+    /// Attempts torn down by a panic unwinding through the runtime.
+    pub panic_aborts: u64,
 }
 
 impl StressReport {
-    fn new(cfg: &StressConfig, stats: &tm::StatsSnapshot) -> Self {
-        StressReport {
-            combo: cfg.combo(),
-            commits: stats.commits,
-            aborts: stats.aborts,
-            silent_elisions: stats.silent_store_elisions,
-            clock_cas_retries: stats.clock_cas_retries,
-        }
+    /// Adds `other`'s counters into `self` (the label is left alone).
+    pub fn absorb(&mut self, other: &StressReport) {
+        self.commits += other.commits;
+        self.aborts += other.aborts;
+        self.silent_elisions += other.silent_elisions;
+        self.clock_cas_retries += other.clock_cas_retries;
+        self.ro_fast_commits += other.ro_fast_commits;
+        self.ro_promotions += other.ro_promotions;
+        self.snapshot_extensions += other.snapshot_extensions;
+        self.snapshots_checked += other.snapshots_checked;
+        self.injected += other.injected;
+        self.panic_aborts += other.panic_aborts;
     }
 }
 
-/// A schedule whose concurrent outcome disagreed with the sequential
-/// model. [`fmt::Display`] prints the seed and a replay command.
+/// A run whose concurrent outcome disagreed with the sequential model.
+/// [`fmt::Display`] prints the seed and a replay command.
 #[derive(Clone, Debug)]
 pub struct Divergence {
     /// The seed that reproduces the failing schedule.
     pub seed: u64,
     /// The runtime combination that diverged.
     pub combo: String,
+    /// The [`Schedule::name`] that diverged.
+    pub schedule: &'static str,
+    /// Whether the run was armed with a [`FaultPlan`].
+    pub chaos: bool,
     /// What disagreed.
     pub detail: String,
 }
 
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (tier, feature, flag) = match self.chaos {
+            true => (", chaos", "--features chaos ", "--chaos "),
+            false => ("", "", ""),
+        };
         write!(
             f,
-            "[testkit] stress divergence (seed {:#018x}, {}): {}\n\
-             [testkit] replay: cargo run --release -p testkit --bin stress -- --seed {:#x}",
-            self.seed, self.combo, self.detail, self.seed
+            "[testkit] stress divergence (seed {:#018x}, {}, {} schedule{tier}): {}\n\
+             [testkit] replay: cargo run --release -p testkit {feature}--bin stress -- {flag}--seed {:#x}",
+            self.seed, self.combo, self.schedule, self.detail, self.seed
         )
     }
 }
@@ -138,7 +178,7 @@ impl std::error::Error for Divergence {}
 
 /// One operation of a random transactional program. Every variant is a
 /// pure function of its operands, so the sequential interpreter in
-/// [`run_schedule`] replays it exactly.
+/// [`run`] replays it exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StressOp {
     /// Store a constant.
@@ -288,59 +328,287 @@ fn initial_values(seed: u64, cells: usize) -> Vec<u64> {
     (0..cells).map(|_| rng.next_u64()).collect()
 }
 
-/// Runs one barrier-stepped schedule and checks it against the sequential
-/// model.
+/// Whether transaction `txn` of thread `thread` in the read-mostly schedule
+/// writes. A seed-derived quarter do — they enter through `atomic_ro` like
+/// everyone else and promote mid-flight at their first write; the other
+/// three quarters stay pure fast-lane readers end to end.
+pub fn ro_txn_promotes(seed: u64, thread: usize, txn: usize) -> bool {
+    mix_seed(mix_seed(seed, 0x6904 + thread as u64), txn as u64) & 3 == 0
+}
+
+/// The cells a promoter reads *before* its promoting write. These populate
+/// the read log while the attempt is still on the fast lane, so the
+/// promoted commit must carry them over and revalidate them like any other
+/// read.
+pub fn ro_pre_reads(seed: u64, thread: usize, txn: usize, cfg: &StressConfig) -> Vec<usize> {
+    let mut rng = SmallRng::seed_from_u64(mix_seed(
+        mix_seed(seed, 0x9E4D + thread as u64),
+        txn as u64 + 1,
+    ));
+    let n = rng.gen_range(1usize..4);
+    (0..n).map(|_| rng.gen_range(0..cfg.cells)).collect()
+}
+
+/// What a passing run of a schedule must have exercised.
+#[derive(Clone, Copy, Debug)]
+pub struct Demand {
+    /// Whether the run's report shows it.
+    pub met: fn(&StressReport) -> bool,
+    /// The divergence detail when it does not.
+    pub unmet: &'static str,
+}
+
+/// One stress shape, as data. Every row of [`SCHEDULES`] goes through the
+/// same runner, the same oracle and the same 21-combo matrix, plain and
+/// under fault injection; adding a shape is one program function and one
+/// row.
+#[derive(Clone, Copy, Debug)]
+pub struct Schedule {
+    /// Display name, carried by reports and divergences.
+    pub name: &'static str,
+    /// Draws each writing slot's operations.
+    pub program: ProgramFn,
+    /// `None`: every slot is a writer entered through `atomic`.
+    /// `Some(f)`: every slot begins on the read-only fast lane
+    /// (`atomic_ro`); where `f(seed, thread, txn)` holds the slot reads
+    /// [`ro_pre_reads`], then promotes by taking a ticket and running its
+    /// program; elsewhere it is a snapshot reader of the ticket cell plus
+    /// the whole heap.
+    pub promotes: Option<fn(u64, usize, usize) -> bool>,
+    /// The one post-condition the schedule adds to the oracle.
+    pub demand: Option<Demand>,
+    /// A deliberately injected bug: after the sequential replay the
+    /// model's cell 0 is bumped by one — exactly what the concurrent state
+    /// would look like had the runtime lost one update to that cell.
+    /// Exists to prove, in tests and from the stress binary's
+    /// `--inject-bug` flag, that a divergence is detected and reproduces
+    /// deterministically from its printed seed.
+    pub sabotage: bool,
+}
+
+/// Every schedule the stress tiers run, in sweep order.
+///
+/// * **mixed** — the plain ticket schedule over [`txn_program`].
+/// * **read-mostly** — promotion coverage for the read-only fast lane: a
+///   seed-derived quarter of the slots promote mid-flight (proving reads
+///   accumulated *before* the promotion are still validated by the full
+///   commit), the rest are position-checked snapshot readers. Fails unless
+///   the run both committed on the fast lane and promoted.
+/// * **write-heavy** — [`wh_txn_program`]'s manufactured silent stores.
+///   Fails unless silent-store elision actually fired: an elided write is
+///   logged as a *read*, so under chaos a fault between the elision
+///   decision and the commit must still roll back to a state where the
+///   re-execution can decide differently.
+/// * **contended-commit** — [`contended_txn_program`]'s disjoint write
+///   blocks: the threads fight over the ticket cell and the commit
+///   machinery (the clock word, orec stripes, the NOrec seqlock) instead
+///   of data.
+pub const SCHEDULES: [Schedule; 4] = [
+    Schedule {
+        name: "mixed",
+        program: txn_program,
+        promotes: None,
+        demand: None,
+        sabotage: false,
+    },
+    Schedule {
+        name: "read-mostly",
+        program: txn_program,
+        promotes: Some(ro_txn_promotes),
+        demand: Some(Demand {
+            met: |r| r.ro_fast_commits > 0 && r.ro_promotions > 0,
+            unmet: "the schedule failed to exercise the fast lane \
+                    (no fast-lane commit, or no promotion)",
+        }),
+        sabotage: false,
+    },
+    Schedule {
+        name: "write-heavy",
+        program: wh_txn_program,
+        promotes: None,
+        demand: Some(Demand {
+            met: |r| r.silent_elisions > 0,
+            unmet: "the schedule elided no silent stores — \
+                    the elision path is dead under this combination",
+        }),
+        sabotage: false,
+    },
+    Schedule {
+        name: "contended-commit",
+        program: contended_txn_program,
+        promotes: None,
+        demand: None,
+        sabotage: false,
+    },
+];
+
+/// What one transaction slot of a schedule does.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Slot {
+    /// Takes a ticket and runs `ops`.
+    Writer {
+        /// Enters through `atomic_ro` and promotes at its first write.
+        ro_entry: bool,
+        /// Cells read before the ticket is taken.
+        pre_reads: Vec<usize>,
+        /// The program.
+        ops: Vec<StressOp>,
+    },
+    /// Snapshots the ticket cell and the whole heap on the fast lane.
+    Reader,
+}
+
+impl Schedule {
+    /// Slot `txn` of thread `thread` — like the programs, a pure function
+    /// of the seed.
+    pub fn slot(&self, seed: u64, thread: usize, txn: usize, cfg: &StressConfig) -> Slot {
+        let ops = || (self.program)(seed, thread, txn, cfg);
+        match self.promotes {
+            None => Slot::Writer { ro_entry: false, pre_reads: Vec::new(), ops: ops() },
+            Some(promotes) if promotes(seed, thread, txn) => Slot::Writer {
+                ro_entry: true,
+                pre_reads: ro_pre_reads(seed, thread, txn, cfg),
+                ops: ops(),
+            },
+            Some(_) => Slot::Reader,
+        }
+    }
+}
+
+/// The plan the stress binary's `--chaos` mode uses: every site armed,
+/// with per-site-visit rates of ~1.6% spurious abort, ~3% bounded delay,
+/// and ~0.4% panic. A transaction visits a dozen-odd sites per attempt, so
+/// most transactions see at least one fault while every retry loop still
+/// terminates quickly.
+pub const CHAOS_PLAN: FaultPlan = FaultPlan::all_sites(1024, 2048, 256);
+
+/// Arming `tm::fault` on a worker thread — the harness's only
+/// feature-gated code (`chaos` turns on `tm/fault`).
+#[cfg(feature = "chaos")]
+mod faults {
+    use tm::fault::{self, FaultPlan};
+
+    /// Arms the calling thread. Injected panics unwind through
+    /// `catch_unwind` thousands of times per schedule and the default panic
+    /// hook would print a backtrace header for each, so the first call
+    /// installs a hook that swallows exactly the fault layer's own
+    /// payloads and forwards everything else.
+    pub(super) fn arm(seed: u64, plan: FaultPlan) {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let injected = info
+                    .payload()
+                    .downcast_ref::<String>()
+                    .is_some_and(|s| s.contains("tm::fault injected panic"));
+                if !injected {
+                    prev(info);
+                }
+            }));
+        });
+        fault::arm_thread(seed, plan);
+    }
+
+    /// Disarms the calling thread; returns the faults injected on it.
+    pub(super) fn disarm() -> u64 {
+        fault::disarm_thread();
+        fault::injected_count()
+    }
+}
+
+#[cfg(not(feature = "chaos"))]
+mod faults {
+    pub(super) fn arm(_seed: u64, _plan: tm::fault::FaultPlan) {
+        panic!("a fault plan needs testkit's `chaos` feature");
+    }
+
+    pub(super) fn disarm() -> u64 {
+        0
+    }
+}
+
+/// Enters a transaction on the read-only fast lane or the ordinary path.
+fn enter<'env, R>(
+    rt: &'env TmRuntime,
+    ro: bool,
+    f: impl FnMut(&mut AtomicTx<'env>) -> Result<R, Abort>,
+) -> R {
+    if ro {
+        rt.atomic_ro(f)
+    } else {
+        rt.atomic(f)
+    }
+}
+
+/// Runs `txn` until it has committed. Without faults that is one call.
+/// Under fault injection a panic may unwind out of the runtime, and the
+/// thread's commit tally classifies it: a panic whose attempt never
+/// committed (body/validation/commit-path injection) was fully rolled
+/// back, so the same program retries; a panic *after* the commit point (an
+/// injected handler panic) carried the closure's result away — `None` —
+/// but the data is committed and must appear in the serial order exactly
+/// once.
+fn until_committed<R>(armed: bool, mut txn: impl FnMut() -> R) -> Option<R> {
+    loop {
+        if armed {
+            // Reset the tally so the commit delta covers exactly this call.
+            let _ = tm::take_thread_tally();
+        }
+        match catch_unwind(AssertUnwindSafe(&mut txn)) {
+            Ok(r) => return Some(r),
+            Err(panic) if !armed => resume_unwind(panic),
+            Err(_injected) if tm::take_thread_tally().commits > 0 => return None,
+            Err(_injected) => {}
+        }
+    }
+}
+
+/// One run's identity: what a [`Divergence`] carries and what the oracle
+/// needs to replay programs.
+struct RunId<'a> {
+    seed: u64,
+    cfg: &'a StressConfig,
+    schedule: &'a Schedule,
+    chaos: bool,
+}
+
+impl RunId<'_> {
+    fn diverge(&self, detail: String) -> Divergence {
+        Divergence {
+            seed: self.seed,
+            combo: self.cfg.combo(),
+            schedule: self.schedule.name,
+            chaos: self.chaos,
+            detail,
+        }
+    }
+}
+
+/// Runs one barrier-stepped `schedule` under `cfg`'s runtime combination
+/// and checks it against the sequential model. With `faults`, every worker
+/// thread arms `tm::fault` with a seed-derived stream, so the runtime is
+/// bombarded with spurious aborts, bounded delays and injected panics at
+/// its five fault sites while the same oracle stays on (needs the `chaos`
+/// feature; a seed-derived quarter of the writers then also register no-op
+/// handlers so the handler fault site — panics after the commit point —
+/// is exercised too).
 ///
 /// # Errors
 ///
 /// Returns [`Divergence`] — carrying the replay seed — when the committed
-/// state disagrees with the model.
-pub fn run_schedule(seed: u64, cfg: &StressConfig) -> Result<StressReport, Divergence> {
-    run_schedule_impl(seed, cfg, false, txn_program)
-}
-
-/// Runs one **write-heavy** barrier-stepped schedule ([`wh_txn_program`])
-/// and checks it against the sequential model. On top of the ticket
-/// oracle, the schedule must have actually exercised silent-store
-/// elision — a write-heavy run that never elides means the optimization
-/// is dead under that combination.
-///
-/// # Errors
-///
-/// Returns [`Divergence`] on model disagreement, or when the schedule
-/// elided nothing despite its manufactured silent stores.
-pub fn run_schedule_wh(seed: u64, cfg: &StressConfig) -> Result<StressReport, Divergence> {
-    let report = run_schedule_impl(seed, cfg, false, wh_txn_program)?;
-    if report.silent_elisions == 0 {
-        return Err(Divergence {
-            seed,
-            combo: cfg.combo(),
-            detail: "write-heavy schedule elided no silent stores — \
-                     the elision path is dead under this combination"
-                .into(),
-        });
-    }
-    Ok(report)
-}
-
-/// [`run_schedule`] with a deliberately injected bug: after the sequential
-/// replay, the model's cell 0 is bumped by one — exactly what the
-/// concurrent state would look like if the runtime lost one update to that
-/// cell. Exists to prove, in tests and from the stress binary's
-/// `--inject-bug` flag, that a divergence is detected and reproduces
-/// deterministically from its printed seed.
-#[doc(hidden)]
-pub fn run_schedule_sabotaged(seed: u64, cfg: &StressConfig) -> Result<StressReport, Divergence> {
-    run_schedule_impl(seed, cfg, true, txn_program)
-}
-
-fn run_schedule_impl(
+/// state or a reader's snapshot disagrees with the model, or when the
+/// schedule's own demand was not met. Under chaos a divergence means a
+/// fault unwound the runtime into an inconsistent state (leaked orec,
+/// half-applied undo, ...).
+pub fn run(
     seed: u64,
     cfg: &StressConfig,
-    sabotage: bool,
-    program: ProgramFn,
+    schedule: &Schedule,
+    faults: Option<FaultPlan>,
 ) -> Result<StressReport, Divergence> {
     assert!(cfg.threads > 0 && cfg.cells > 0 && cfg.txns_per_thread > 0);
+    let armed = faults.is_some();
     let rt = TmRuntime::builder()
         .algorithm(cfg.algorithm)
         .serial_lock(cfg.serial_lock)
@@ -359,18 +627,26 @@ fn run_schedule_impl(
     let barrier = Barrier::new(cfg.threads);
 
     let before = rt.stats();
-    // (ticket, thread, txn) for every committed transaction.
-    let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(cfg.threads * cfg.txns_per_thread);
+    // (ticket, thread, txn) for every committed writer; (observed ticket,
+    // heap snapshot) for every reader.
+    let mut writes: Vec<(u64, usize, usize)> = Vec::new();
+    let mut snaps: Vec<(u64, Vec<u64>)> = Vec::new();
+    let mut injected = 0u64;
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..cfg.threads {
-            let rt = &rt;
-            let cells = &cells;
-            let ticket = &ticket;
-            let barrier = &barrier;
+            let (rt, cells, ticket, barrier) = (&rt, &cells[..], &ticket, &barrier);
             handles.push(s.spawn(move || {
-                let mut mine = Vec::with_capacity(cfg.txns_per_thread);
+                if let Some(plan) = faults {
+                    faults::arm(mix_seed(seed, 0xFA07 + t as u64), plan);
+                }
+                let mut my_writes = Vec::new();
+                let mut my_snaps = Vec::new();
                 let mut stagger = SplitMix64::seed_from_u64(mix_seed(seed, 0x57A6 + t as u64));
+                // Ticket captured by the attempt that ends up committing,
+                // read back when a post-commit handler panic carries the
+                // ticket away from the transaction's return value.
+                let taken = Cell::new(u64::MAX);
                 for r in 0..rounds {
                     barrier.wait();
                     // A short seed-derived spin decorrelates which thread
@@ -381,275 +657,24 @@ fn run_schedule_impl(
                     let lo = r * per_round;
                     let hi = ((r + 1) * per_round).min(cfg.txns_per_thread);
                     for j in lo..hi {
-                        let ops = program(seed, t, j, cfg);
-                        let tk = rt.atomic(|tx| {
-                            let tk = tx.fetch_add(ticket, 1)?;
-                            for &op in &ops {
-                                apply_tx(tx, cells, op)?;
-                            }
-                            Ok(tk)
-                        });
-                        mine.push((tk, t, j));
-                    }
-                }
-                mine
-            }));
-        }
-        for h in handles {
-            order.extend(h.join().expect("stress worker panicked"));
-        }
-    });
-    let stats = rt.stats().since(&before);
-
-    let diverge = |detail: String| Divergence {
-        seed,
-        combo: cfg.combo(),
-        detail,
-    };
-
-    // The tickets must be exactly 0..n — a gap or duplicate is a lost or
-    // doubled ticket update, itself a serializability violation.
-    let total = cfg.threads * cfg.txns_per_thread;
-    order.sort_unstable();
-    for (expect, &(tk, t, j)) in order.iter().enumerate() {
-        if tk != expect as u64 {
-            return Err(diverge(format!(
-                "ticket sequence broken at position {expect}: got ticket {tk} \
-                 (thread {t}, txn {j}) — lost or duplicated ticket update"
-            )));
-        }
-    }
-    if ticket.load_direct() != total as u64 {
-        return Err(diverge(format!(
-            "ticket cell ended at {} after {} transactions",
-            ticket.load_direct(),
-            total
-        )));
-    }
-
-    // Sequential replay in ticket order.
-    let mut model = init;
-    for &(_tk, t, j) in &order {
-        for op in program(seed, t, j, cfg) {
-            apply_model(&mut model, op);
-        }
-    }
-    if sabotage {
-        model[0] = model[0].wrapping_add(1);
-    }
-    for (i, cell) in cells.iter().enumerate() {
-        let actual = cell.load_direct();
-        if actual != model[i] {
-            return Err(diverge(format!(
-                "cell {i}: concurrent result {actual:#x} != sequential model {:#x}",
-                model[i]
-            )));
-        }
-    }
-    Ok(StressReport::new(cfg, &stats))
-}
-
-/// Chaos mode: the same programs and the same ticket oracle as
-/// [`run_schedule`], but every worker thread arms `tm::fault` with a
-/// seed-derived stream, so the runtime is bombarded with spurious aborts,
-/// bounded delays, and injected panics at its five fault sites while the
-/// serializability check stays on.
-///
-/// Compiled only with the `chaos` feature (which turns on `tm/fault`).
-#[cfg(feature = "chaos")]
-pub mod chaos {
-    use super::*;
-    use std::cell::Cell;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    use tm::fault::{self, FaultPlan};
-
-    /// One passed chaos schedule: the ordinary report plus how hard the
-    /// fault layer actually hit the runtime.
-    #[derive(Clone, Debug)]
-    pub struct ChaosReport {
-        /// The ordinary schedule measurements.
-        pub report: StressReport,
-        /// Fault actions (aborts + delays + panics) injected across all
-        /// worker threads.
-        pub injected: u64,
-        /// Attempts torn down by a panic unwinding through the runtime.
-        pub panic_aborts: u64,
-    }
-
-    /// The plan the stress binary's `--chaos` mode uses: every site armed,
-    /// with per-site-visit rates of ~1.6% spurious abort, ~3% bounded
-    /// delay, and ~0.4% panic. A transaction visits a dozen-odd sites per
-    /// attempt, so most transactions see at least one fault while every
-    /// retry loop still terminates quickly.
-    pub const fn default_plan() -> FaultPlan {
-        FaultPlan::all_sites(1024, 2048, 256)
-    }
-
-    /// Injected panics unwind through `catch_unwind` thousands of times
-    /// per schedule; the default panic hook would print a backtrace header
-    /// for each. Install (once) a hook that swallows exactly the fault
-    /// layer's own payloads and forwards everything else.
-    fn silence_injected_panics() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .is_some_and(|s| s.contains("tm::fault injected panic"));
-                if !injected {
-                    prev(info);
-                }
-            }));
-        });
-    }
-
-    /// Runs one barrier-stepped schedule with every worker thread armed
-    /// for fault injection, then checks the ticket oracle and the
-    /// sequential model exactly as [`run_schedule`] does.
-    ///
-    /// Injected panics are caught per transaction and classified with the
-    /// thread's commit tally: a panic whose attempt never committed
-    /// (body/validation/commit-path injection) retries the same program;
-    /// a panic *after* the commit point (an injected handler panic) keeps
-    /// its ticket — the data is committed and must appear in the serial
-    /// order exactly once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Divergence`] when the committed state disagrees with the
-    /// model — under chaos that means a fault unwound the runtime into an
-    /// inconsistent state (leaked orec, half-applied undo, ...).
-    pub fn run_schedule_chaos(
-        seed: u64,
-        cfg: &StressConfig,
-        plan: FaultPlan,
-    ) -> Result<ChaosReport, Divergence> {
-        run_schedule_chaos_impl(seed, cfg, plan, txn_program)
-    }
-
-    /// [`run_schedule_wh`] under fault injection: write-heavy programs
-    /// with manufactured silent stores, every worker armed, the same
-    /// ticket oracle — and the same demand that silent-store elision
-    /// actually fired. Elision under chaos is the scary case: an elided
-    /// write is logged as a *read*, so a spurious abort or injected panic
-    /// between the elision decision and the commit must still roll the
-    /// attempt back to a state where the re-execution can decide
-    /// differently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Divergence`] on model disagreement or when nothing was
-    /// elided.
-    pub fn run_schedule_wh_chaos(
-        seed: u64,
-        cfg: &StressConfig,
-        plan: FaultPlan,
-    ) -> Result<ChaosReport, Divergence> {
-        let r = run_schedule_chaos_impl(seed, cfg, plan, wh_txn_program)?;
-        if r.report.silent_elisions == 0 {
-            return Err(Divergence {
-                seed,
-                combo: cfg.combo(),
-                detail: "[chaos] write-heavy schedule elided no silent stores — \
-                         the elision path is dead under this combination"
-                    .into(),
-            });
-        }
-        Ok(r)
-    }
-
-    /// [`run_schedule_wh_chaos`] across every [`combos`] combination.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`Divergence`].
-    pub fn run_matrix_wh_chaos(
-        seed: u64,
-        base: &StressConfig,
-        plan: FaultPlan,
-    ) -> Result<Vec<ChaosReport>, Divergence> {
-        let mut reports = Vec::new();
-        for (algorithm, serial_lock, contention) in combos() {
-            let cfg = StressConfig {
-                algorithm,
-                serial_lock,
-                contention,
-                ..base.clone()
-            };
-            reports.push(run_schedule_wh_chaos(seed, &cfg, plan)?);
-        }
-        Ok(reports)
-    }
-
-    fn run_schedule_chaos_impl(
-        seed: u64,
-        cfg: &StressConfig,
-        plan: FaultPlan,
-        program: ProgramFn,
-    ) -> Result<ChaosReport, Divergence> {
-        assert!(cfg.threads > 0 && cfg.cells > 0 && cfg.txns_per_thread > 0);
-        silence_injected_panics();
-        let rt = TmRuntime::builder()
-            .algorithm(cfg.algorithm)
-            .serial_lock(cfg.serial_lock)
-            .contention_manager(cfg.contention)
-            .build();
-        let init = initial_values(seed, cfg.cells);
-        let cells: Vec<TCell<u64>> = init.iter().copied().map(TCell::new).collect();
-        let ticket = TCell::new(0u64);
-
-        let mut round_rng = SplitMix64::seed_from_u64(mix_seed(seed, 0x0107));
-        let per_round = round_rng.gen_range(1usize..5);
-        let rounds = cfg.txns_per_thread.div_ceil(per_round);
-        let barrier = Barrier::new(cfg.threads);
-
-        let before = rt.stats();
-        let mut order: Vec<(u64, usize, usize)> =
-            Vec::with_capacity(cfg.threads * cfg.txns_per_thread);
-        let mut injected = 0u64;
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for t in 0..cfg.threads {
-                let rt = &rt;
-                let cells = &cells;
-                let ticket = &ticket;
-                let barrier = &barrier;
-                handles.push(s.spawn(move || {
-                    fault::arm_thread(mix_seed(seed, 0xFA07 + t as u64), plan);
-                    let mut mine = Vec::with_capacity(cfg.txns_per_thread);
-                    let mut stagger =
-                        SplitMix64::seed_from_u64(mix_seed(seed, 0x57A6 + t as u64));
-                    // Ticket captured by the attempt that ends up
-                    // committing, read back when a post-commit handler
-                    // panic carries the ticket away from `rt.atomic`.
-                    let tk_cell = Cell::new(u64::MAX);
-                    for r in 0..rounds {
-                        barrier.wait();
-                        for _ in 0..stagger.gen_range(0u32..64) {
-                            std::hint::spin_loop();
-                        }
-                        let lo = r * per_round;
-                        let hi = ((r + 1) * per_round).min(cfg.txns_per_thread);
-                        for j in lo..hi {
-                            let ops = program(seed, t, j, cfg);
-                            // A seed-derived quarter of the transactions
-                            // register no-op handlers so the Handler fault
-                            // site (handler panics after the commit point)
-                            // gets exercised too.
-                            let with_handlers =
-                                mix_seed(mix_seed(seed, 0x4A0D + t as u64), j as u64) & 3 == 0;
-                            let tk = loop {
-                                // Reset the tally so the commit/abort
-                                // delta below covers exactly this call.
-                                let _ = tm::take_thread_tally();
-                                tk_cell.set(u64::MAX);
-                                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                                    rt.atomic(|tx| {
+                        match schedule.slot(seed, t, j, cfg) {
+                            Slot::Writer { ro_entry, pre_reads, ops } => {
+                                let with_handlers = armed
+                                    && mix_seed(mix_seed(seed, 0x4A0D + t as u64), j as u64) & 3 == 0;
+                                let tk = until_committed(armed, || {
+                                    enter(rt, ro_entry, |tx| {
+                                        // Fast-lane reads first: they must
+                                        // survive the promotion and be
+                                        // revalidated.
+                                        let mut sink = 0u64;
+                                        for &i in &pre_reads {
+                                            sink = sink.wrapping_add(tx.read(&cells[i])?);
+                                        }
+                                        std::hint::black_box(sink);
+                                        // First write of the attempt (the
+                                        // promotion, on the fast lane).
                                         let tk = tx.fetch_add(ticket, 1)?;
-                                        tk_cell.set(tk);
+                                        taken.set(tk);
                                         if with_handlers {
                                             tx.on_commit(|| {});
                                             tx.on_abort(|| {});
@@ -659,353 +684,134 @@ pub mod chaos {
                                         }
                                         Ok(tk)
                                     })
-                                }));
-                                match attempt {
-                                    Ok(tk) => break tk,
-                                    Err(_injected_panic) => {
-                                        if tm::take_thread_tally().commits > 0 {
-                                            // The attempt committed before
-                                            // the (handler) panic: its
-                                            // effects are durable, so its
-                                            // ticket must be recorded.
-                                            break tk_cell.get();
-                                        }
-                                        // Pre-commit panic: fully rolled
-                                        // back, retry the same program.
+                                });
+                                my_writes.push((tk.unwrap_or_else(|| taken.get()), t, j));
+                            }
+                            // A reader whose snapshot a post-commit panic
+                            // carried away just loses its sample (readers
+                            // register no handlers: a defensive path).
+                            Slot::Reader => my_snaps.extend(until_committed(armed, || {
+                                enter(rt, true, |tx| {
+                                    let tk = tx.read(ticket)?;
+                                    let mut snap = Vec::with_capacity(cells.len());
+                                    for c in cells {
+                                        snap.push(tx.read(c)?);
                                     }
-                                }
-                            };
-                            mine.push((tk, t, j));
+                                    Ok((tk, snap))
+                                })
+                            })),
                         }
                     }
-                    let hits = fault::injected_count();
-                    fault::disarm_thread();
-                    (mine, hits)
-                }));
-            }
-            for h in handles {
-                let (mine, hits) = h.join().expect("chaos worker escaped its catch_unwind");
-                order.extend(mine);
-                injected += hits;
-            }
-        });
-        let stats = rt.stats().since(&before);
-
-        let diverge = |detail: String| Divergence {
-            seed,
-            combo: cfg.combo(),
-            detail,
-        };
-
-        let total = cfg.threads * cfg.txns_per_thread;
-        order.sort_unstable();
-        for (expect, &(tk, t, j)) in order.iter().enumerate() {
-            if tk != expect as u64 {
-                return Err(diverge(format!(
-                    "[chaos] ticket sequence broken at position {expect}: got ticket {tk} \
-                     (thread {t}, txn {j}) — lost or duplicated ticket update"
-                )));
-            }
+                }
+                (my_writes, my_snaps, faults::disarm())
+            }));
         }
-        if ticket.load_direct() != total as u64 {
-            return Err(diverge(format!(
-                "[chaos] ticket cell ended at {} after {} transactions",
-                ticket.load_direct(),
-                total
+        for h in handles {
+            let (w, sn, hits) = h.join().expect("stress worker panicked");
+            writes.extend(w);
+            snaps.extend(sn);
+            injected += hits;
+        }
+    });
+    let stats = rt.stats().since(&before);
+
+    let id = RunId { seed, cfg, schedule, chaos: armed };
+    let heap: Vec<u64> = cells.iter().map(TCell::load_direct).collect();
+    let snapshots_checked = check_oracle(&id, init, ticket.load_direct(), &heap, writes, snaps)?;
+    let report = StressReport {
+        combo: cfg.combo(),
+        commits: stats.commits,
+        aborts: stats.aborts,
+        silent_elisions: stats.silent_store_elisions,
+        clock_cas_retries: stats.clock_cas_retries,
+        ro_fast_commits: stats.ro_fast_commits,
+        ro_promotions: stats.ro_promotions,
+        snapshot_extensions: stats.snapshot_extensions,
+        snapshots_checked,
+        injected,
+        panic_aborts: stats.panic_aborts,
+    };
+    match schedule.demand {
+        Some(demand) if !(demand.met)(&report) => Err(id.diverge(demand.unmet.to_string())),
+        _ => Ok(report),
+    }
+}
+
+/// The oracle: ticket contiguity for the writers, prefix-equality for the
+/// reader snapshots, final heap against the sequential model. Returns how
+/// many reader snapshots were checked.
+///
+/// * **Writers** — the committed tickets must be exactly `0..n` (a gap or
+///   duplicate is a lost or doubled ticket update, itself a
+///   serializability violation), and replaying their programs in ticket
+///   order must land on the final heap.
+/// * **Readers** — a fast-lane reader that observed ticket value `t`
+///   serialized after exactly the writers holding tickets `0..t`, so its
+///   snapshot must equal the model replayed through that prefix. A stale
+///   snapshot extension, a torn read, or a write leaking from an
+///   uncommitted writer all break the equality.
+fn check_oracle(
+    id: &RunId<'_>,
+    init: Vec<u64>,
+    final_ticket: u64,
+    heap: &[u64],
+    mut writes: Vec<(u64, usize, usize)>,
+    mut snaps: Vec<(u64, Vec<u64>)>,
+) -> Result<u64, Divergence> {
+    let total = writes.len() as u64;
+    writes.sort_unstable();
+    for (expect, &(tk, t, j)) in writes.iter().enumerate() {
+        if tk != expect as u64 {
+            return Err(id.diverge(format!(
+                "ticket sequence broken at position {expect}: got ticket {tk} \
+                 (thread {t}, txn {j}) — lost or duplicated ticket update"
             )));
         }
+    }
+    if final_ticket != total {
+        return Err(id.diverge(format!(
+            "ticket cell ended at {final_ticket} after {total} writing transactions"
+        )));
+    }
 
-        let mut model = init;
-        for &(_tk, t, j) in &order {
-            for op in program(seed, t, j, cfg) {
+    // Replay the writers in ticket order; each reader snapshot must equal
+    // the model exactly at its observed prefix.
+    snaps.sort_by_key(|s| s.0);
+    let mut snaps = snaps.iter().peekable();
+    let mut checked = 0u64;
+    let mut model = init;
+    for k in 0..=total {
+        while let Some((tk, snap)) = snaps.next_if(|s| s.0 == k) {
+            if let Some(i) = (0..model.len()).find(|&i| snap[i] != model[i]) {
+                return Err(id.diverge(format!(
+                    "fast-lane reader at ticket {tk}: cell {i} read {:#x} but the serial \
+                     prefix says {:#x} — stale or torn snapshot",
+                    snap[i], model[i]
+                )));
+            }
+            checked += 1;
+        }
+        if let Some(&(_tk, t, j)) = writes.get(k as usize) {
+            for op in (id.schedule.program)(id.seed, t, j, id.cfg) {
                 apply_model(&mut model, op);
             }
         }
-        for (i, cell) in cells.iter().enumerate() {
-            let actual = cell.load_direct();
-            if actual != model[i] {
-                return Err(diverge(format!(
-                    "[chaos] cell {i}: concurrent result {actual:#x} != sequential model {:#x}",
-                    model[i]
-                )));
-            }
-        }
-        Ok(ChaosReport {
-            report: StressReport::new(cfg, &stats),
-            injected,
-            panic_aborts: stats.panic_aborts,
-        })
+    }
+    if let Some((tk, _)) = snaps.next() {
+        return Err(id.diverge(format!(
+            "fast-lane reader observed ticket {tk} but only {total} were issued"
+        )));
     }
 
-    /// [`run_schedule_contended`] under fault injection: disjoint write
-    /// sets, every worker armed, the ticket oracle on — spurious aborts
-    /// and panics land in the middle of the commit-tick CAS loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Divergence`] on model disagreement.
-    pub fn run_schedule_contended_chaos(
-        seed: u64,
-        cfg: &StressConfig,
-        plan: FaultPlan,
-    ) -> Result<ChaosReport, Divergence> {
-        run_schedule_chaos_impl(seed, cfg, plan, contended_txn_program)
+    if id.schedule.sabotage {
+        model[0] = model[0].wrapping_add(1);
     }
-
-    /// [`run_schedule_contended_chaos`] across every [`combos`]
-    /// combination.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`Divergence`].
-    pub fn run_matrix_contended_chaos(
-        seed: u64,
-        base: &StressConfig,
-        plan: FaultPlan,
-    ) -> Result<Vec<ChaosReport>, Divergence> {
-        let mut reports = Vec::new();
-        for (algorithm, serial_lock, contention) in combos() {
-            let cfg = StressConfig {
-                algorithm,
-                serial_lock,
-                contention,
-                ..base.clone()
-            };
-            reports.push(run_schedule_contended_chaos(seed, &cfg, plan)?);
-        }
-        Ok(reports)
-    }
-
-    /// [`run_schedule_chaos`] across every [`combos`] combination.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`Divergence`].
-    pub fn run_matrix_chaos(
-        seed: u64,
-        base: &StressConfig,
-        plan: FaultPlan,
-    ) -> Result<Vec<ChaosReport>, Divergence> {
-        let mut reports = Vec::new();
-        for (algorithm, serial_lock, contention) in combos() {
-            let cfg = StressConfig {
-                algorithm,
-                serial_lock,
-                contention,
-                ..base.clone()
-            };
-            reports.push(run_schedule_chaos(seed, &cfg, plan)?);
-        }
-        Ok(reports)
-    }
-
-    /// One passed read-mostly chaos schedule.
-    #[derive(Clone, Debug)]
-    pub struct RoChaosReport {
-        /// The read-mostly measurements.
-        pub report: RoStressReport,
-        /// Fault actions injected across all worker threads.
-        pub injected: u64,
-        /// Attempts torn down by a panic unwinding through the runtime.
-        pub panic_aborts: u64,
-    }
-
-    /// [`run_schedule_ro`] under fault injection: the same promotion
-    /// programs and both read-mostly oracles, with every worker thread
-    /// armed. Injected panics are classified exactly as in
-    /// [`run_schedule_chaos`]; a reader whose attempt committed but whose
-    /// snapshot was carried away by a post-commit panic just loses its
-    /// sample (readers register no handlers, so this is a defensive path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Divergence`] when either oracle disagrees — under chaos
-    /// that means a fault unwound the fast lane or the promotion path into
-    /// an inconsistent state.
-    pub fn run_schedule_ro_chaos(
-        seed: u64,
-        cfg: &StressConfig,
-        plan: FaultPlan,
-    ) -> Result<RoChaosReport, Divergence> {
-        assert!(cfg.threads > 0 && cfg.cells > 0 && cfg.txns_per_thread > 0);
-        silence_injected_panics();
-        let rt = TmRuntime::builder()
-            .algorithm(cfg.algorithm)
-            .serial_lock(cfg.serial_lock)
-            .contention_manager(cfg.contention)
-            .build();
-        let init = initial_values(seed, cfg.cells);
-        let cells: Vec<TCell<u64>> = init.iter().copied().map(TCell::new).collect();
-        let ticket = TCell::new(0u64);
-
-        let mut round_rng = SplitMix64::seed_from_u64(mix_seed(seed, 0x0107));
-        let per_round = round_rng.gen_range(1usize..5);
-        let rounds = cfg.txns_per_thread.div_ceil(per_round);
-        let barrier = Barrier::new(cfg.threads);
-
-        let before = rt.stats();
-        let mut writes: Vec<(u64, usize, usize)> = Vec::new();
-        let mut snaps: Vec<(u64, Vec<u64>)> = Vec::new();
-        let mut injected = 0u64;
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for t in 0..cfg.threads {
-                let rt = &rt;
-                let cells = &cells;
-                let ticket = &ticket;
-                let barrier = &barrier;
-                handles.push(s.spawn(move || {
-                    fault::arm_thread(mix_seed(seed, 0xFA07 + t as u64), plan);
-                    let mut my_writes = Vec::new();
-                    let mut my_snaps = Vec::new();
-                    let mut stagger =
-                        SplitMix64::seed_from_u64(mix_seed(seed, 0x57A6 + t as u64));
-                    let tk_cell = Cell::new(u64::MAX);
-                    for r in 0..rounds {
-                        barrier.wait();
-                        for _ in 0..stagger.gen_range(0u32..64) {
-                            std::hint::spin_loop();
-                        }
-                        let lo = r * per_round;
-                        let hi = ((r + 1) * per_round).min(cfg.txns_per_thread);
-                        for j in lo..hi {
-                            if ro_txn_promotes(seed, t, j) {
-                                let pre = ro_pre_reads(seed, t, j, cfg);
-                                let ops = txn_program(seed, t, j, cfg);
-                                let with_handlers =
-                                    mix_seed(mix_seed(seed, 0x4A0D + t as u64), j as u64) & 3
-                                        == 0;
-                                let tk = loop {
-                                    let _ = tm::take_thread_tally();
-                                    tk_cell.set(u64::MAX);
-                                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                                        rt.atomic_ro(|tx| {
-                                            let mut sink = 0u64;
-                                            for &i in &pre {
-                                                sink = sink.wrapping_add(tx.read(&cells[i])?);
-                                            }
-                                            std::hint::black_box(sink);
-                                            let tk = tx.fetch_add(ticket, 1)?;
-                                            tk_cell.set(tk);
-                                            if with_handlers {
-                                                tx.on_commit(|| {});
-                                                tx.on_abort(|| {});
-                                            }
-                                            for &op in &ops {
-                                                apply_tx(tx, cells, op)?;
-                                            }
-                                            Ok(tk)
-                                        })
-                                    }));
-                                    match attempt {
-                                        Ok(tk) => break tk,
-                                        Err(_injected_panic) => {
-                                            if tm::take_thread_tally().commits > 0 {
-                                                break tk_cell.get();
-                                            }
-                                        }
-                                    }
-                                };
-                                my_writes.push((tk, t, j));
-                            } else {
-                                let obs = loop {
-                                    let _ = tm::take_thread_tally();
-                                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                                        rt.atomic_ro(|tx| {
-                                            let tk = tx.read(ticket)?;
-                                            let mut snap = Vec::with_capacity(cells.len());
-                                            for c in cells.iter() {
-                                                snap.push(tx.read(c)?);
-                                            }
-                                            Ok((tk, snap))
-                                        })
-                                    }));
-                                    match attempt {
-                                        Ok(o) => break Some(o),
-                                        Err(_injected_panic) => {
-                                            if tm::take_thread_tally().commits > 0 {
-                                                break None;
-                                            }
-                                        }
-                                    }
-                                };
-                                if let Some(o) = obs {
-                                    my_snaps.push(o);
-                                }
-                            }
-                        }
-                    }
-                    let hits = fault::injected_count();
-                    fault::disarm_thread();
-                    (my_writes, my_snaps, hits)
-                }));
-            }
-            for h in handles {
-                let (w, sn, hits) =
-                    h.join().expect("read-mostly chaos worker escaped its catch_unwind");
-                writes.extend(w);
-                snaps.extend(sn);
-                injected += hits;
-            }
-        });
-        let stats = rt.stats().since(&before);
-
-        let checked = check_ro_oracle(
-            seed,
-            cfg,
-            init,
-            &cells,
-            &ticket,
-            writes,
-            snaps,
-            false,
-            "[ro-chaos] ",
-        )?;
-        if stats.ro_fast_commits == 0 || stats.ro_promotions == 0 {
-            return Err(Divergence {
-                seed,
-                combo: cfg.combo(),
-                detail: format!(
-                    "[ro-chaos] schedule failed to exercise the fast lane: \
-                     {} fast commits, {} promotions",
-                    stats.ro_fast_commits, stats.ro_promotions
-                ),
-            });
-        }
-        Ok(RoChaosReport {
-            report: RoStressReport {
-                report: StressReport::new(cfg, &stats),
-                ro_fast_commits: stats.ro_fast_commits,
-                ro_promotions: stats.ro_promotions,
-                snapshot_extensions: stats.snapshot_extensions,
-                snapshots_checked: checked,
-            },
-            injected,
-            panic_aborts: stats.panic_aborts,
-        })
-    }
-
-    /// [`run_schedule_ro_chaos`] across every [`combos`] combination.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`Divergence`].
-    pub fn run_matrix_ro_chaos(
-        seed: u64,
-        base: &StressConfig,
-        plan: FaultPlan,
-    ) -> Result<Vec<RoChaosReport>, Divergence> {
-        let mut reports = Vec::new();
-        for (algorithm, serial_lock, contention) in combos() {
-            let cfg = StressConfig {
-                algorithm,
-                serial_lock,
-                contention,
-                ..base.clone()
-            };
-            reports.push(run_schedule_ro_chaos(seed, &cfg, plan)?);
-        }
-        Ok(reports)
+    match (0..model.len()).find(|&i| heap[i] != model[i]) {
+        Some(i) => Err(id.diverge(format!(
+            "cell {i}: concurrent result {:#x} != sequential model {:#x}",
+            heap[i], model[i]
+        ))),
+        None => Ok(checked),
     }
 }
 
@@ -1035,406 +841,98 @@ pub fn combos() -> Vec<(Algorithm, SerialLockMode, ContentionManager)> {
     v
 }
 
-/// Runs [`run_schedule`] for `seed` across every [`combos`] combination,
-/// stopping at the first divergence.
+/// [`run`] for `seed` across every [`combos`] combination, stopping at the
+/// first divergence.
 ///
 /// # Errors
 ///
 /// Propagates the first [`Divergence`].
-pub fn run_matrix(seed: u64, base: &StressConfig) -> Result<Vec<StressReport>, Divergence> {
-    let mut reports = Vec::new();
-    for (algorithm, serial_lock, contention) in combos() {
-        let cfg = StressConfig {
-            algorithm,
-            serial_lock,
-            contention,
-            ..base.clone()
-        };
-        reports.push(run_schedule(seed, &cfg)?);
-    }
-    Ok(reports)
-}
-
-/// Runs [`run_schedule_wh`] for `seed` across every [`combos`]
-/// combination, stopping at the first divergence (including a combination
-/// that elided nothing).
-///
-/// # Errors
-///
-/// Propagates the first [`Divergence`].
-pub fn run_matrix_wh(seed: u64, base: &StressConfig) -> Result<Vec<StressReport>, Divergence> {
-    let mut reports = Vec::new();
-    for (algorithm, serial_lock, contention) in combos() {
-        let cfg = StressConfig {
-            algorithm,
-            serial_lock,
-            contention,
-            ..base.clone()
-        };
-        reports.push(run_schedule_wh(seed, &cfg)?);
-    }
-    Ok(reports)
-}
-
-// ---------------------------------------------------------------------------
-// Contended-commit schedules: disjoint write sets, shared commit machinery.
-// ---------------------------------------------------------------------------
-
-/// Runs one **contended-commit** barrier-stepped schedule
-/// ([`contended_txn_program`]) under the ticket oracle: worker write sets
-/// are disjoint blocks, so the threads fight over the ticket cell and the
-/// commit machinery — the clock word, orec stripes, the NOrec seqlock —
-/// instead of data.
-///
-/// # Errors
-///
-/// Returns [`Divergence`] on model disagreement.
-pub fn run_schedule_contended(seed: u64, cfg: &StressConfig) -> Result<StressReport, Divergence> {
-    run_schedule_impl(seed, cfg, false, contended_txn_program)
-}
-
-/// Runs [`run_schedule_contended`] for `seed` across every [`combos`]
-/// combination, stopping at the first divergence.
-///
-/// # Errors
-///
-/// Propagates the first [`Divergence`].
-pub fn run_matrix_contended(
+pub fn run_matrix(
     seed: u64,
     base: &StressConfig,
+    schedule: &Schedule,
+    faults: Option<FaultPlan>,
 ) -> Result<Vec<StressReport>, Divergence> {
-    let mut reports = Vec::new();
-    for (algorithm, serial_lock, contention) in combos() {
-        let cfg = StressConfig {
-            algorithm,
-            serial_lock,
-            contention,
-            ..base.clone()
-        };
-        reports.push(run_schedule_contended(seed, &cfg)?);
-    }
-    Ok(reports)
-}
-
-// ---------------------------------------------------------------------------
-// Read-mostly schedules: promotion coverage for the read-only fast lane.
-// ---------------------------------------------------------------------------
-
-/// Whether transaction `txn` of thread `thread` in the read-mostly schedule
-/// writes. A seed-derived quarter do — they enter through `atomic_ro` like
-/// everyone else and promote mid-flight at their first write; the other
-/// three quarters stay pure fast-lane readers end to end.
-pub fn ro_txn_promotes(seed: u64, thread: usize, txn: usize) -> bool {
-    mix_seed(mix_seed(seed, 0x6904 + thread as u64), txn as u64) & 3 == 0
-}
-
-/// The cells a promoter reads *before* its promoting write. These populate
-/// the read log while the attempt is still on the fast lane, so the
-/// promoted commit must carry them over and revalidate them like any other
-/// read.
-pub fn ro_pre_reads(seed: u64, thread: usize, txn: usize, cfg: &StressConfig) -> Vec<usize> {
-    let mut rng = SmallRng::seed_from_u64(mix_seed(
-        mix_seed(seed, 0x9E4D + thread as u64),
-        txn as u64 + 1,
-    ));
-    let n = rng.gen_range(1usize..4);
-    (0..n).map(|_| rng.gen_range(0..cfg.cells)).collect()
-}
-
-/// A passed read-mostly schedule's measurements.
-#[derive(Clone, Debug)]
-pub struct RoStressReport {
-    /// The ordinary measurements; `commits` covers readers and promoters.
-    pub report: StressReport,
-    /// Committed transactions that held the read-only fast lane to the end.
-    pub ro_fast_commits: u64,
-    /// Attempts that entered read-only and promoted at their first write.
-    pub ro_promotions: u64,
-    /// Snapshot extensions the runtime performed during the schedule.
-    pub snapshot_extensions: u64,
-    /// Reader snapshots validated against the ticket-ordered model prefix.
-    pub snapshots_checked: u64,
-}
-
-/// Runs one barrier-stepped **read-mostly** schedule: every transaction
-/// begins on the read-only fast lane (`atomic_ro`); a seed-derived quarter
-/// promote mid-flight by taking a ticket and writing, the rest snapshot the
-/// ticket cell plus the whole heap without ever leaving the fast lane.
-///
-/// Two oracles run:
-///
-/// * **Promoters** — the usual ticket oracle: committed tickets must be
-///   exactly `0..n`, and replaying the promoted programs in ticket order
-///   must land on the final heap. This proves reads accumulated *before*
-///   the promotion are still validated by the full commit.
-/// * **Readers** — snapshot position: a fast-lane reader that observed
-///   ticket value `t` serialized after exactly the promoters holding
-///   tickets `0..t`, so its snapshot must equal the model replayed through
-///   that prefix. A stale snapshot extension, a torn read, or a write
-///   leaking from an uncommitted promoter all break the equality.
-///
-/// # Errors
-///
-/// Returns [`Divergence`] — carrying the replay seed — when either oracle
-/// disagrees, or when the schedule failed to exercise the fast lane at all
-/// (zero fast commits / zero promotions).
-pub fn run_schedule_ro(seed: u64, cfg: &StressConfig) -> Result<RoStressReport, Divergence> {
-    run_schedule_ro_impl(seed, cfg, false)
-}
-
-/// [`run_schedule_ro`] with the same deliberate bug as
-/// [`run_schedule_sabotaged`]: one update to cell 0 is dropped from the
-/// model, so the schedule must diverge — proof the read-mostly oracle has
-/// teeth and replays from its printed seed.
-#[doc(hidden)]
-pub fn run_schedule_ro_sabotaged(
-    seed: u64,
-    cfg: &StressConfig,
-) -> Result<RoStressReport, Divergence> {
-    run_schedule_ro_impl(seed, cfg, true)
-}
-
-fn run_schedule_ro_impl(
-    seed: u64,
-    cfg: &StressConfig,
-    sabotage: bool,
-) -> Result<RoStressReport, Divergence> {
-    assert!(cfg.threads > 0 && cfg.cells > 0 && cfg.txns_per_thread > 0);
-    let rt = TmRuntime::builder()
-        .algorithm(cfg.algorithm)
-        .serial_lock(cfg.serial_lock)
-        .contention_manager(cfg.contention)
-        .build();
-    let init = initial_values(seed, cfg.cells);
-    let cells: Vec<TCell<u64>> = init.iter().copied().map(TCell::new).collect();
-    let ticket = TCell::new(0u64);
-
-    let mut round_rng = SplitMix64::seed_from_u64(mix_seed(seed, 0x0107));
-    let per_round = round_rng.gen_range(1usize..5);
-    let rounds = cfg.txns_per_thread.div_ceil(per_round);
-    let barrier = Barrier::new(cfg.threads);
-
-    let before = rt.stats();
-    let mut writes: Vec<(u64, usize, usize)> = Vec::new();
-    let mut snaps: Vec<(u64, Vec<u64>)> = Vec::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..cfg.threads {
-            let rt = &rt;
-            let cells = &cells;
-            let ticket = &ticket;
-            let barrier = &barrier;
-            handles.push(s.spawn(move || {
-                let mut my_writes = Vec::new();
-                let mut my_snaps = Vec::new();
-                let mut stagger = SplitMix64::seed_from_u64(mix_seed(seed, 0x57A6 + t as u64));
-                for r in 0..rounds {
-                    barrier.wait();
-                    for _ in 0..stagger.gen_range(0u32..64) {
-                        std::hint::spin_loop();
-                    }
-                    let lo = r * per_round;
-                    let hi = ((r + 1) * per_round).min(cfg.txns_per_thread);
-                    for j in lo..hi {
-                        if ro_txn_promotes(seed, t, j) {
-                            let pre = ro_pre_reads(seed, t, j, cfg);
-                            let ops = txn_program(seed, t, j, cfg);
-                            let tk = rt.atomic_ro(|tx| {
-                                // Fast-lane reads first: they must survive
-                                // the promotion and be revalidated.
-                                let mut sink = 0u64;
-                                for &i in &pre {
-                                    sink = sink.wrapping_add(tx.read(&cells[i])?);
-                                }
-                                std::hint::black_box(sink);
-                                // First write of the attempt: promotes.
-                                let tk = tx.fetch_add(ticket, 1)?;
-                                for &op in &ops {
-                                    apply_tx(tx, cells, op)?;
-                                }
-                                Ok(tk)
-                            });
-                            my_writes.push((tk, t, j));
-                        } else {
-                            my_snaps.push(rt.atomic_ro(|tx| {
-                                let tk = tx.read(ticket)?;
-                                let mut snap = Vec::with_capacity(cells.len());
-                                for c in cells.iter() {
-                                    snap.push(tx.read(c)?);
-                                }
-                                Ok((tk, snap))
-                            }));
-                        }
-                    }
-                }
-                (my_writes, my_snaps)
-            }));
-        }
-        for h in handles {
-            let (w, sn) = h.join().expect("read-mostly stress worker panicked");
-            writes.extend(w);
-            snaps.extend(sn);
-        }
-    });
-    let stats = rt.stats().since(&before);
-
-    let checked =
-        check_ro_oracle(seed, cfg, init, &cells, &ticket, writes, snaps, sabotage, "[ro] ")?;
-    if stats.ro_fast_commits == 0 || stats.ro_promotions == 0 {
-        return Err(Divergence {
-            seed,
-            combo: cfg.combo(),
-            detail: format!(
-                "read-mostly schedule failed to exercise the fast lane: \
-                 {} fast commits, {} promotions",
-                stats.ro_fast_commits, stats.ro_promotions
-            ),
-        });
-    }
-    Ok(RoStressReport {
-        report: StressReport::new(cfg, &stats),
-        ro_fast_commits: stats.ro_fast_commits,
-        ro_promotions: stats.ro_promotions,
-        snapshot_extensions: stats.snapshot_extensions,
-        snapshots_checked: checked,
-    })
-}
-
-/// The read-mostly oracle, shared by the plain and chaos variants: ticket
-/// contiguity for promoters, prefix-equality for reader snapshots, final
-/// heap vs sequential model. Returns how many reader snapshots were
-/// checked.
-#[allow(clippy::too_many_arguments)]
-fn check_ro_oracle(
-    seed: u64,
-    cfg: &StressConfig,
-    init: Vec<u64>,
-    cells: &[TCell<u64>],
-    ticket: &TCell<u64>,
-    mut writes: Vec<(u64, usize, usize)>,
-    mut snaps: Vec<(u64, Vec<u64>)>,
-    sabotage: bool,
-    tag: &str,
-) -> Result<u64, Divergence> {
-    let diverge = |detail: String| Divergence {
-        seed,
-        combo: cfg.combo(),
-        detail,
-    };
-
-    let total = writes.len();
-    writes.sort_unstable();
-    for (expect, &(tk, t, j)) in writes.iter().enumerate() {
-        if tk != expect as u64 {
-            return Err(diverge(format!(
-                "{tag}ticket sequence broken at position {expect}: got ticket {tk} \
-                 (thread {t}, txn {j}) — lost or duplicated promoted write"
-            )));
-        }
-    }
-    if ticket.load_direct() != total as u64 {
-        return Err(diverge(format!(
-            "{tag}ticket cell ended at {} after {} promoted transactions",
-            ticket.load_direct(),
-            total
-        )));
-    }
-
-    // Replay promoters in ticket order; each reader snapshot must equal
-    // the model exactly at its observed prefix.
-    let check_at = |model: &[u64], tk: u64, snap: &[u64]| -> Result<(), Divergence> {
-        for (i, (&got, &want)) in snap.iter().zip(model).enumerate() {
-            if got != want {
-                return Err(Divergence {
-                    seed,
-                    combo: cfg.combo(),
-                    detail: format!(
-                        "{tag}fast-lane reader at ticket {tk}: cell {i} read {got:#x} \
-                         but the serial prefix says {want:#x} — stale or torn snapshot"
-                    ),
-                });
-            }
-        }
-        Ok(())
-    };
-    snaps.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut model = init;
-    let mut ri = 0usize;
-    let mut checked = 0u64;
-    for (k, &(_tk, t, j)) in writes.iter().enumerate() {
-        while ri < snaps.len() && snaps[ri].0 <= k as u64 {
-            check_at(&model, snaps[ri].0, &snaps[ri].1)?;
-            checked += 1;
-            ri += 1;
-        }
-        for op in txn_program(seed, t, j, cfg) {
-            apply_model(&mut model, op);
-        }
-    }
-    while ri < snaps.len() {
-        let tk = snaps[ri].0;
-        if tk > total as u64 {
-            return Err(diverge(format!(
-                "{tag}fast-lane reader observed ticket {tk} but only {total} were issued"
-            )));
-        }
-        check_at(&model, tk, &snaps[ri].1)?;
-        checked += 1;
-        ri += 1;
-    }
-
-    if sabotage {
-        model[0] = model[0].wrapping_add(1);
-    }
-    for (i, cell) in cells.iter().enumerate() {
-        let actual = cell.load_direct();
-        if actual != model[i] {
-            return Err(diverge(format!(
-                "{tag}cell {i}: concurrent result {actual:#x} != sequential model {:#x}",
-                model[i]
-            )));
-        }
-    }
-    Ok(checked)
-}
-
-/// Runs [`run_schedule_ro`] for `seed` across every [`combos`] combination,
-/// stopping at the first divergence.
-///
-/// # Errors
-///
-/// Propagates the first [`Divergence`].
-pub fn run_matrix_ro(seed: u64, base: &StressConfig) -> Result<Vec<RoStressReport>, Divergence> {
-    let mut reports = Vec::new();
-    for (algorithm, serial_lock, contention) in combos() {
-        let cfg = StressConfig {
-            algorithm,
-            serial_lock,
-            contention,
-            ..base.clone()
-        };
-        reports.push(run_schedule_ro(seed, &cfg)?);
-    }
-    Ok(reports)
+    combos()
+        .into_iter()
+        .map(|(algorithm, serial_lock, contention)| {
+            let cfg = StressConfig { algorithm, serial_lock, contention, ..base.clone() };
+            run(seed, &cfg, schedule, faults)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn smoke_schedule_passes_on_every_combo() {
-        let base = StressConfig {
+    const MIXED: Schedule = SCHEDULES[0];
+    const READ_MOSTLY: Schedule = SCHEDULES[1];
+
+    fn matrix_base(txns_per_thread: usize) -> StressConfig {
+        StressConfig {
             threads: 3,
             cells: 6,
-            txns_per_thread: 25,
+            txns_per_thread,
             max_ops_per_txn: 5,
             ..StressConfig::smoke()
-        };
-        let reports = run_matrix(0xA5A5, &base).unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(reports.len(), combos().len());
-        for r in &reports {
-            assert_eq!(r.commits, 3 * 25, "{}", r.combo);
+        }
+    }
+
+    /// Per-schedule matrix seeds, `(plain, chaos)`, in [`SCHEDULES`] order.
+    const MATRIX_SEEDS: [(u64, u64); 4] =
+        [(0xA5A5, 0xC4A05), (0xB0B0, 0x2EAD), (0x3717, 0x3A17), (0xC047, 0xC4A0)];
+
+    /// The plain tier: every schedule passes the oracle and its own demand
+    /// on all 21 combos — the write-heavy one really elides, the
+    /// read-mostly one really commits on the fast lane, really promotes
+    /// and really position-checks reader snapshots.
+    #[test]
+    fn every_schedule_passes_on_every_combo() {
+        for (schedule, (seed, _)) in SCHEDULES.iter().zip(MATRIX_SEEDS) {
+            let reports = run_matrix(seed, &matrix_base(25), schedule, None)
+                .unwrap_or_else(|d| panic!("{d}"));
+            assert_eq!(reports.len(), combos().len(), "{}", schedule.name);
+            for r in &reports {
+                let at = format!("{} schedule, {}", schedule.name, r.combo);
+                assert_eq!(r.commits, 3 * 25, "{at}");
+                assert_eq!((r.injected, r.panic_aborts), (0, 0), "{at}");
+                if let Some(demand) = schedule.demand {
+                    assert!((demand.met)(r), "{at}: {}", demand.unmet);
+                }
+                if schedule.promotes.is_some() {
+                    assert!(r.snapshots_checked > 0, "{at}");
+                }
+            }
+        }
+    }
+
+    /// The chaos tier: with panics, spurious aborts and delays injected at
+    /// every fault site, every schedule still passes the oracle and its
+    /// demand on all 21 combos (elision and promotion keep happening under
+    /// fire) — and the faults really fired, the unwind path included.
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn chaos_every_schedule_passes_on_every_combo() {
+        for (schedule, (_, seed)) in SCHEDULES.iter().zip(MATRIX_SEEDS) {
+            let reports = run_matrix(seed, &matrix_base(20), schedule, Some(CHAOS_PLAN))
+                .unwrap_or_else(|d| panic!("{d}"));
+            assert_eq!(reports.len(), combos().len(), "{}", schedule.name);
+            let mut sum = StressReport::default();
+            reports.iter().for_each(|r| sum.absorb(r));
+            assert!(sum.injected > 0, "{} schedule injected no faults", schedule.name);
+            match schedule.promotes {
+                Some(_) => {
+                    assert!(sum.ro_promotions > 0 && sum.snapshots_checked > 0, "{}", schedule.name)
+                }
+                None => assert!(
+                    sum.panic_aborts > 0,
+                    "{} schedule never exercised the unwind path \
+                     ({} faults injected, none were panics)",
+                    schedule.name,
+                    sum.injected
+                ),
+            }
         }
     }
 
@@ -1455,7 +953,7 @@ mod tests {
                 ..StressConfig::smoke()
             };
             for seed in 0..3 {
-                aborts += run_schedule(seed, &cfg).unwrap_or_else(|d| panic!("{d}")).aborts;
+                aborts += run(seed, &cfg, &MIXED, None).unwrap_or_else(|d| panic!("{d}")).aborts;
             }
         }
         assert!(aborts > 0, "no aborts across 9 contended schedules");
@@ -1477,6 +975,76 @@ mod tests {
             contended_txn_program(9, 2, 17, &cfg),
             contended_txn_program(10, 2, 17, &cfg)
         );
+    }
+
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// FNV-1a over every slot of `schedule` at `StressConfig::smoke()`:
+    /// the slot kind (0 writer through `atomic`, 1 promoting writer through
+    /// `atomic_ro`, 2 snapshot reader), then for writers the pre-reads and
+    /// the program, counts and operands as little-endian `u64`s.
+    fn schedule_fingerprint(schedule: &Schedule, seed: u64) -> u64 {
+        let cfg = StressConfig::smoke();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for t in 0..cfg.threads {
+            for j in 0..cfg.txns_per_thread {
+                let Slot::Writer { ro_entry, pre_reads, ops } = schedule.slot(seed, t, j, &cfg)
+                else {
+                    fnv1a(&mut h, &[2]);
+                    continue;
+                };
+                fnv1a(&mut h, &[u8::from(ro_entry)]);
+                fnv1a(&mut h, &(pre_reads.len() as u64).to_le_bytes());
+                for i in pre_reads {
+                    fnv1a(&mut h, &(i as u64).to_le_bytes());
+                }
+                fnv1a(&mut h, &(ops.len() as u64).to_le_bytes());
+                for op in ops {
+                    let (tag, a, b) = match op {
+                        StressOp::Write(i, v) => (0u8, i as u64, v),
+                        StressOp::Add(i, d) => (1, i as u64, d),
+                        StressOp::Copy(a, b) => (2, a as u64, b as u64),
+                        StressOp::Mix(a, b) => (3, a as u64, b as u64),
+                    };
+                    fnv1a(&mut h, &[tag]);
+                    fnv1a(&mut h, &a.to_le_bytes());
+                    fnv1a(&mut h, &b.to_le_bytes());
+                }
+            }
+        }
+        h
+    }
+
+    /// The schedule table executes what the four hand-written runners it
+    /// replaced executed: these constants were computed at the commit
+    /// before the collapse (38ed4ad) from `txn_program` / `wh_txn_program`
+    /// / `contended_txn_program` and the read-mostly runner's
+    /// `ro_txn_promotes` / `ro_pre_reads` decisions, seeds 1..=8. A change
+    /// here means the stress tiers run different transactions — re-record
+    /// only for a change that means to.
+    #[test]
+    fn schedule_fingerprints_match_the_recorded_runners() {
+        #[rustfmt::skip]
+        const RECORDED: [[u64; 8]; 4] = [
+            [0x4c1d9d8c63da69e8, 0x18ddd9833dac5ba4, 0x360d3347524611ad, 0xd12973557fdac2a0,
+             0xe25dc2e004f8a8e3, 0xe9a396b01b84e9f0, 0x8ec17b15819f076e, 0x9abc713331272b21],
+            [0xae50415c92606264, 0xb536a139770a2fda, 0x9877383d5b31a079, 0xa07b6d8c3e67019b,
+             0xe4c105be1017ec07, 0x7b8d044cb7eb6159, 0x59876fecb08ac607, 0xece7de05201fb5ed],
+            [0x25aa8d1f4787397f, 0xbe89dbac265abbeb, 0x32d85265435ee9f7, 0xe0a0fc1c90c6c3eb,
+             0x277bd4bab23e31a9, 0x4153c99277afb306, 0x81417e20ad16ad0c, 0x2221866270b6e444],
+            [0xabd0a17f8bb6d4b9, 0x03bc578b5817e6f8, 0x2a54998c9bd4398f, 0xec07b98e8084389f,
+             0x84811a5e670a05d4, 0x2dd140ceb3bf2b03, 0x45cb9157fe0921ad, 0x46d182d63b870d92],
+        ];
+        for (schedule, recorded) in SCHEDULES.iter().zip(RECORDED) {
+            for (seed, want) in (1..=8).zip(recorded) {
+                let got = schedule_fingerprint(schedule, seed);
+                assert_eq!(got, want, "{} schedule, seed {seed}: {got:#018x}", schedule.name);
+            }
+        }
     }
 
     /// The contended programs really are write-disjoint: every mutation's
@@ -1511,64 +1079,6 @@ mod tests {
         assert!(cross_reads > 0, "no cross-block reads drawn — validation has no edges");
     }
 
-    /// The contended matrix: all 21 combos pass the ticket oracle with
-    /// disjoint write sets.
-    #[test]
-    fn contended_matrix_passes_on_every_combo() {
-        let base = StressConfig {
-            threads: 3,
-            cells: 6,
-            txns_per_thread: 25,
-            max_ops_per_txn: 5,
-            ..StressConfig::smoke()
-        };
-        let reports = run_matrix_contended(0xC047, &base).unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(reports.len(), combos().len());
-        for r in &reports {
-            assert_eq!(r.commits, 3 * 25, "{}", r.combo);
-        }
-    }
-
-    /// Commit-path contention under fire: all 21 combos pass the ticket
-    /// oracle on disjoint write sets while faults rain on the commit-tick
-    /// CAS loop.
-    #[cfg(feature = "chaos")]
-    #[test]
-    fn chaos_contended_matrix_passes_ticket_oracle() {
-        let base = StressConfig {
-            threads: 3,
-            cells: 6,
-            txns_per_thread: 20,
-            max_ops_per_txn: 5,
-            ..StressConfig::smoke()
-        };
-        let reports = chaos::run_matrix_contended_chaos(0xC4A0, &base, chaos::default_plan())
-            .unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(reports.len(), combos().len());
-        let injected: u64 = reports.iter().map(|r| r.injected).sum();
-        assert!(injected > 0, "chaos contended schedule injected no faults");
-    }
-
-    /// The write-heavy matrix: all 21 combos pass the ticket oracle, and
-    /// every combo really elided silent stores (the run itself diverges
-    /// if not — asserted again here for the report values).
-    #[test]
-    fn write_heavy_matrix_elides_on_every_combo() {
-        let base = StressConfig {
-            threads: 3,
-            cells: 6,
-            txns_per_thread: 25,
-            max_ops_per_txn: 5,
-            ..StressConfig::smoke()
-        };
-        let reports = run_matrix_wh(0x3717, &base).unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(reports.len(), combos().len());
-        for r in &reports {
-            assert_eq!(r.commits, 3 * 25, "{}", r.combo);
-            assert!(r.silent_elisions > 0, "{}", r.combo);
-        }
-    }
-
     /// The write-heavy programs really do manufacture silent stores:
     /// self-copies and duplicated constant writes appear across any
     /// reasonable sample of programs.
@@ -1594,29 +1104,6 @@ mod tests {
         assert!(dup_writes > 0, "no duplicated constant writes drawn");
     }
 
-    /// Elision under fire: all 21 combos pass the ticket oracle on
-    /// write-heavy programs while faults rain on the write path, and the
-    /// elisions still happen.
-    #[cfg(feature = "chaos")]
-    #[test]
-    fn chaos_write_heavy_matrix_passes_ticket_oracle() {
-        let base = StressConfig {
-            threads: 3,
-            cells: 6,
-            txns_per_thread: 20,
-            max_ops_per_txn: 5,
-            ..StressConfig::smoke()
-        };
-        let reports = chaos::run_matrix_wh_chaos(0x3A17, &base, chaos::default_plan())
-            .unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(reports.len(), combos().len());
-        let injected: u64 = reports.iter().map(|r| r.injected).sum();
-        assert!(injected > 0, "chaos write-heavy schedule injected no faults");
-        for r in &reports {
-            assert!(r.report.silent_elisions > 0, "{}", r.report.combo);
-        }
-    }
-
     /// The acceptance criterion's scratch-branch check, kept as a real
     /// test: with a bug injected (one lost update to cell 0), the harness
     /// must diverge, and replaying the printed seed must diverge again at
@@ -1624,45 +1111,38 @@ mod tests {
     #[test]
     fn injected_bug_reproduces_from_its_seed() {
         let cfg = StressConfig::smoke();
+        let sabotaged = Schedule { sabotage: true, ..MIXED };
         let seed = 0x5EED;
-        let first = run_schedule_sabotaged(seed, &cfg)
-            .expect_err("sabotaged model must diverge");
+        let first = run(seed, &cfg, &sabotaged, None).expect_err("sabotaged model must diverge");
         assert_eq!(first.seed, seed, "divergence must carry the replay seed");
         assert!(first.to_string().contains("--seed 0x5eed"), "{first}");
         assert!(first.detail.starts_with("cell 0:"), "{first}");
-        let replay = run_schedule_sabotaged(first.seed, &cfg)
+        let replay = run(first.seed, &cfg, &sabotaged, None)
             .expect_err("replaying the printed seed must diverge again");
         assert_eq!(replay.combo, first.combo);
         assert!(replay.detail.starts_with("cell 0:"), "{replay}");
         // And the clean harness passes the very same schedule.
-        run_schedule(seed, &cfg).unwrap_or_else(|d| panic!("{d}"));
+        run(seed, &cfg, &MIXED, None).unwrap_or_else(|d| panic!("{d}"));
     }
 
-    /// The chaos acceptance check: with panics, spurious aborts, and
-    /// delays injected at every fault site, all 21 combos still pass the
-    /// ticket oracle and the sequential model — and the faults really
-    /// fired.
-    #[cfg(feature = "chaos")]
+    /// The reader half of the oracle has teeth too: on the read-mostly
+    /// schedule a lost update to cell 0 diverges, replays from its printed
+    /// seed, and the clean harness passes the identical schedule.
     #[test]
-    fn chaos_matrix_passes_ticket_oracle() {
-        let base = StressConfig {
-            threads: 3,
-            cells: 6,
-            txns_per_thread: 20,
-            max_ops_per_txn: 5,
-            ..StressConfig::smoke()
-        };
-        let reports = chaos::run_matrix_chaos(0xC4A05, &base, chaos::default_plan())
-            .unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(reports.len(), combos().len());
-        let injected: u64 = reports.iter().map(|r| r.injected).sum();
-        let panic_aborts: u64 = reports.iter().map(|r| r.panic_aborts).sum();
-        assert!(injected > 0, "chaos schedule injected no faults at all");
-        assert!(
-            panic_aborts > 0,
-            "chaos schedule never exercised the unwind path \
-             ({injected} faults injected, none were panics)"
-        );
+    fn read_mostly_injected_bug_reproduces_from_its_seed() {
+        let cfg = StressConfig::smoke();
+        let sabotaged = Schedule { sabotage: true, ..READ_MOSTLY };
+        let seed = 0x0D0;
+        let first = run(seed, &cfg, &sabotaged, None)
+            .expect_err("sabotaged read-mostly model must diverge");
+        assert_eq!(first.seed, seed);
+        assert_eq!(first.schedule, "read-mostly");
+        assert!(first.detail.starts_with("cell 0:"), "{first}");
+        let replay = run(first.seed, &cfg, &sabotaged, None)
+            .expect_err("replaying the printed seed must diverge again");
+        assert_eq!(replay.combo, first.combo);
+        assert!(replay.detail.starts_with("cell 0:"), "{replay}");
+        run(seed, &cfg, &READ_MOSTLY, None).unwrap_or_else(|d| panic!("{d}"));
     }
 
     /// A disabled plan makes chaos mode equivalent to the plain schedule:
@@ -1675,72 +1155,27 @@ mod tests {
             txns_per_thread: 15,
             ..StressConfig::smoke()
         };
-        let r = chaos::run_schedule_chaos(0xD15A, &cfg, tm::fault::FaultPlan::disabled())
+        let r = run(0xD15A, &cfg, &MIXED, Some(FaultPlan::disabled()))
             .unwrap_or_else(|d| panic!("{d}"));
         assert_eq!(r.injected, 0);
         assert_eq!(r.panic_aborts, 0);
-        assert_eq!(r.report.commits, 2 * 15);
+        assert_eq!(r.commits, 2 * 15);
     }
 
-    /// The read-mostly matrix: all 21 combos pass both oracles, every
-    /// combo really commits on the fast lane, really promotes, and really
-    /// position-checks reader snapshots.
+    /// A chaos divergence prints a replay command that re-arms the faults.
     #[test]
-    fn read_mostly_matrix_promotes_on_every_combo() {
-        let base = StressConfig {
-            threads: 3,
-            cells: 6,
-            txns_per_thread: 25,
-            max_ops_per_txn: 5,
-            ..StressConfig::smoke()
+    fn divergence_replay_command_names_its_tier() {
+        let d = |chaos| Divergence {
+            seed: 0x2a,
+            combo: StressConfig::smoke().combo(),
+            schedule: MIXED.name,
+            chaos,
+            detail: String::new(),
         };
-        let reports = run_matrix_ro(0xB0B0, &base).unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(reports.len(), combos().len());
-        for r in &reports {
-            assert_eq!(r.report.commits, 3 * 25, "{}", r.report.combo);
-            assert!(r.ro_fast_commits > 0, "{}", r.report.combo);
-            assert!(r.ro_promotions > 0, "{}", r.report.combo);
-            assert!(r.snapshots_checked > 0, "{}", r.report.combo);
-        }
-    }
-
-    /// The read-mostly oracle has teeth: a lost update to cell 0 diverges,
-    /// replays from its printed seed, and the clean harness passes the
-    /// identical schedule.
-    #[test]
-    fn read_mostly_injected_bug_reproduces_from_its_seed() {
-        let cfg = StressConfig::smoke();
-        let seed = 0x0D0;
-        let first = run_schedule_ro_sabotaged(seed, &cfg)
-            .expect_err("sabotaged read-mostly model must diverge");
-        assert_eq!(first.seed, seed);
-        assert!(first.detail.contains("cell 0"), "{first}");
-        let replay = run_schedule_ro_sabotaged(first.seed, &cfg)
-            .expect_err("replaying the printed seed must diverge again");
-        assert_eq!(replay.combo, first.combo);
-        run_schedule_ro(seed, &cfg).unwrap_or_else(|d| panic!("{d}"));
-    }
-
-    /// Promotion under fire: all 21 combos pass both read-mostly oracles
-    /// while faults rain on the fast lane and the promotion path.
-    #[cfg(feature = "chaos")]
-    #[test]
-    fn chaos_read_mostly_matrix_passes_both_oracles() {
-        let base = StressConfig {
-            threads: 3,
-            cells: 6,
-            txns_per_thread: 20,
-            max_ops_per_txn: 5,
-            ..StressConfig::smoke()
-        };
-        let reports = chaos::run_matrix_ro_chaos(0x2EAD, &base, chaos::default_plan())
-            .unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(reports.len(), combos().len());
-        let injected: u64 = reports.iter().map(|r| r.injected).sum();
-        assert!(injected > 0, "chaos read-mostly schedule injected no faults");
-        let promotions: u64 = reports.iter().map(|r| r.report.ro_promotions).sum();
-        let checked: u64 = reports.iter().map(|r| r.report.snapshots_checked).sum();
-        assert!(promotions > 0 && checked > 0);
+        assert!(d(false).to_string().ends_with("-p testkit --bin stress -- --seed 0x2a"));
+        assert!(d(true)
+            .to_string()
+            .ends_with("-p testkit --features chaos --bin stress -- --chaos --seed 0x2a"));
     }
 
     #[test]
