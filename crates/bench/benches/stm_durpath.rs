@@ -10,9 +10,12 @@
 //!   commit). The nolog/fsync-off pair runs interleaved via
 //!   `bench_pair`, so their ratio — the pure logging overhead with the
 //!   disk out of the picture — is stable across host-noise epochs.
-//! * `durpath_recovery` — a full `McCache::start` on a sealed log of
-//!   2 000 items: segment scan, checksum verify, replay into
-//!   slab/assoc, CAS-floor restore. This is the cold-start price of a
+//! * `durpath_recovery` — a full `McCache::start` on a sealed log: segment
+//!   scan, checksum verify, fold, direct load into slab/assoc, CAS-floor
+//!   restore. Three arms: 2 000 items (dominated by `start`'s fixed cost);
+//!   the sysbench `dur_set_nofsync` fixture shape — 100k live keys under
+//!   250k records, 40 MB, so the start also compacts; and the start after
+//!   that one, on the compacted log. This is the cold-start price of a
 //!   warm cache.
 //!
 //! Gates: `fsync=always` must cost at least as much as no log at all
@@ -22,9 +25,11 @@
 //! numbers; end-to-end drift is sysbench's `dur_set_nofsync` pairs.
 
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
-use mcache::{Branch, DurFsync, McCache, McConfig, McHandle, Stage};
+use mcache::dur::{DurLog, Record};
+use mcache::{Branch, DurFsync, McCache, McConfig, McHandle, SlabConfig, Stage};
 use testkit::bench::{BenchStats, Criterion};
 use testkit::{criterion_group, criterion_main};
 
@@ -166,8 +171,89 @@ fn bench_recovery(c: &mut Criterion) {
             black_box(h)
         })
     });
-    g.finish();
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The sysbench fixture shape, written the way sysbench writes it.
+    const LIVE: usize = 100_000;
+    const RECORDS: usize = 250_000;
+    let fixture = tmpdir("recovery-fixture");
+    let compacted = tmpdir("recovery-compacted");
+    let work = tmpdir("recovery-work");
+    let big_cfg = |dir: &Path| McConfig {
+        branch: Branch::IpNoLock,
+        workers: 2,
+        slab: SlabConfig { mem_limit: 64 << 20, ..SlabConfig::default() },
+        dur_path: Some(dir.to_path_buf()),
+        dur_fsync: DurFsync::Off,
+        ..Default::default()
+    };
+    {
+        let segment_bytes = McConfig::default().dur_segment_bytes;
+        let log = DurLog::open(&fixture, DurFsync::Off, segment_bytes, 0).expect("fixture log");
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..RECORDS {
+            // Each key once, then xorshift-chosen overwrites.
+            let k = if i < LIVE {
+                i
+            } else {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % LIVE as u64) as usize
+            };
+            let set = Record::Set {
+                cas: i as u64 + 1,
+                flags: 0,
+                abs_exp: 0,
+                stored_unix: 1,
+                key: format!("rkey:{k:012}").into_bytes(),
+                value: VALUE.to_vec(),
+            };
+            log.append(i as u64 + 1, &set);
+        }
+        log.seal();
+        assert!(!log.is_failed(), "writing the fixture log failed");
+    }
+    // One timed `start` per iteration on a fresh copy of `from` (a start
+    // that compacts consumes its input); the copy and the drop are not
+    // timed.
+    let timed_start = |from: &Path, compactions: u64, iters: u64| {
+        let mut elapsed = Duration::ZERO;
+        for _ in 0..iters {
+            copy_dir(from, &work);
+            let t = Instant::now();
+            let h = McCache::start(big_cfg(&work));
+            elapsed += t.elapsed();
+            let d = h.dur_stats().expect("log attached");
+            assert_eq!(d.recovered_items, LIVE as u64, "replay must be exact");
+            assert_eq!(d.torn_records_dropped, 0, "sealed log has no torn tail");
+            assert_eq!(d.compactions, compactions);
+            assert_eq!(h.stats().global.expansions, 0, "the table was presized");
+            black_box(h);
+        }
+        elapsed
+    };
+    g.bench_function("recover/100k_live_250k_records", |b| {
+        b.iter_custom(|iters| timed_start(&fixture, 1, iters))
+    });
+    copy_dir(&fixture, &compacted);
+    drop(McCache::start(big_cfg(&compacted)));
+    g.bench_function("recover/100k_sealed_compacted", |b| {
+        b.iter_custom(|iters| timed_start(&compacted, 0, iters))
+    });
+    g.finish();
+    for d in [fixture, compacted, work] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).expect("create bench work dir");
+    for entry in std::fs::read_dir(from).expect("read bench fixture dir") {
+        let entry = entry.expect("read bench fixture dir");
+        std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy bench fixture");
+    }
 }
 
 criterion_group!(benches, bench_set, bench_recovery);

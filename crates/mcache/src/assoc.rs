@@ -194,6 +194,28 @@ impl AssocTable {
         Ok(false)
     }
 
+    /// Sizes a still-empty table for `items` entries: advances it to the
+    /// first generation that holds them below the expansion load factor
+    /// (or the last one there is). Every generation's bucket array already
+    /// exists, so this is a store to `gen` — start-up recovery calls it
+    /// before the first insert instead of growing through every power.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table holds items or is expanding: moving `gen` under
+    /// linked items would lose them.
+    pub fn presize<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, items: u64) -> Result<(), Abort> {
+        assert!(
+            ctx.get_word(self.hash_items.word())? == 0 && ctx.get_word(self.expanding.word())? == 0,
+            "presize on a table in use"
+        );
+        let last = self.generations.len() - 1;
+        let fits = self.generations.iter().position(|b| items <= b.len() as u64 * 3 / 2);
+        let g = fits.unwrap_or(last);
+        let cur = ctx.get_word(self.gen.word())?;
+        ctx.put_word(self.gen.word(), cur.max(g as u64))
+    }
+
     /// Begins an expansion (`assoc_expand`): advances the generation and
     /// raises the `expanding` flag. The maintenance thread then migrates.
     /// Returns `false` if the table is already at maximum size or already
@@ -420,6 +442,37 @@ mod tests {
         // Finish the migration over the now-empty remainder.
         while !t.migrate_step(&mut ctx, &p, &arena, 8).unwrap() {}
         assert!(!t.is_expanding(&mut ctx, &p).unwrap());
+    }
+
+    #[test]
+    fn presize_picks_the_generation_a_cold_table_would_grow_to() {
+        let p = Branch::Baseline.policy();
+        // 16 buckets hold 24 before asking to grow; 25 items want 32.
+        for (items, buckets) in [(0, 16), (24, 16), (25, 32), (96, 64), (97, 128), (10_000, 256)] {
+            let (arena, t) = setup();
+            let mut ctx = Ctx::Direct;
+            t.presize(&mut ctx, items).unwrap();
+            assert_eq!(t.bucket_count(&mut ctx).unwrap(), buckets, "{items} items");
+            // Filling it to `items` never asks for an expansion (unless
+            // the table is at its last generation).
+            let mut wanted = false;
+            for i in 0..items.min(60) {
+                let (h, hv) = put_item(&arena, format!("pre-{i}").as_bytes());
+                wanted |= t.insert(&mut ctx, &p, &arena, h, hv).unwrap();
+            }
+            assert!(!wanted, "{items} items in a table presized for them");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "presize on a table in use")]
+    fn presize_refuses_a_table_in_use() {
+        let (arena, t) = setup();
+        let p = Branch::Baseline.policy();
+        let mut ctx = Ctx::Direct;
+        let (h, hv) = put_item(&arena, b"linked");
+        t.insert(&mut ctx, &p, &arena, h, hv).unwrap();
+        let _ = t.presize(&mut ctx, 1000);
     }
 
     #[test]

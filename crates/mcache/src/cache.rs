@@ -607,10 +607,11 @@ impl McCache {
         self.fx.dur_stats()
     }
 
-    /// Startup recovery: scan the log directory, replay the surviving
-    /// records into the (still-private) cache, optionally compact, then
-    /// attach a fresh-epoch writer. Any I/O failure here degrades to a
-    /// cold, cache-only start with a one-time warning — never a panic.
+    /// Startup recovery (DESIGN §14): scan and fold the log directory,
+    /// load the live entries straight into the (still-private) cache while
+    /// a helper thread compacts the log if it is mostly dead, then attach a
+    /// fresh-epoch writer. Any I/O failure here degrades to a cold,
+    /// cache-only start with a one-time warning — never a panic.
     fn recover_and_attach_log(&self) {
         let dir = self.cfg.dur_path.clone().expect("caller checked dur_path");
         let unix_now = self.unix_time();
@@ -626,30 +627,13 @@ impl McCache {
                 torn = rec.torn_records_dropped;
                 cas_floor = rec.cas_floor;
                 // Expired-at-replay entries are skipped (and excluded from
-                // any compacted rewrite).
-                rec.entries
-                    .retain(|e| e.abs_exp == 0 || e.abs_exp > unix_now);
-                // CAS floor first: every replayed item must take an id
-                // strictly above anything a pre-crash client saw.
-                let mut ctx = Ctx::Direct;
-                self.core
-                    .set_cas_floor(&mut ctx, cas_floor)
-                    .expect("direct");
-                for e in &rec.entries {
-                    if e.key.is_empty() || e.key.len() > KEY_MAX {
-                        continue; // foreign garbage that still passed crc
-                    }
-                    let rel_exp = if e.abs_exp == 0 {
-                        0
-                    } else {
-                        e.abs_exp.saturating_sub(self.fx.unix_base()) as u32
-                    };
-                    if self.store(0, StoreMode::Set, &e.key, &e.value, e.flags, rel_exp)
-                        == StoreStatus::Stored
-                    {
-                        recovered += 1;
-                    }
-                }
+                // any compacted rewrite), and so is foreign garbage that
+                // still passed its crc.
+                rec.entries.retain(|e| {
+                    (e.abs_exp == 0 || e.abs_exp > unix_now)
+                        && !e.key.is_empty()
+                        && e.key.len() <= KEY_MAX
+                });
                 // Compaction: once the log outgrows a segment and most of
                 // its bytes are dead, rewrite it as one sealed segment.
                 let live: u64 = rec
@@ -657,16 +641,22 @@ impl McCache {
                     .iter()
                     .map(|e| 64 + e.key.len() as u64 + e.value.len() as u64)
                     .sum();
-                if rec.log_bytes >= self.cfg.dur_segment_bytes
-                    && (live as f64) < self.cfg.dur_compact_ratio * rec.log_bytes as f64
-                {
-                    match dur::compact(&dir, &rec, unix_now) {
-                        Ok(_) => compactions = 1,
-                        Err(e) => {
+                let compact = rec.log_bytes >= self.cfg.dur_segment_bytes
+                    && (live as f64) < self.cfg.dur_compact_ratio * rec.log_bytes as f64;
+                // The rewrite only reads `rec` and touches the directory,
+                // so it overlaps the load; it is joined before the writer
+                // opens, whose epoch must sort after the rewrite's.
+                std::thread::scope(|s| {
+                    let rewrite = compact.then(|| s.spawn(|| dur::compact(&dir, &rec, unix_now)));
+                    recovered = self.load_recovered(&rec);
+                    match rewrite.map(|h| h.join().expect("the log compactor panicked")) {
+                        Some(Ok(_)) => compactions = 1,
+                        Some(Err(e)) => {
                             eprintln!("mcache: redo-log compaction failed ({e}); keeping segments");
                         }
+                        None => {}
                     }
-                }
+                });
             }
         }
         match DurLog::open(&dir, self.cfg.dur_fsync, self.cfg.dur_segment_bytes, cas_floor) {
@@ -680,6 +670,33 @@ impl McCache {
                 );
             }
         }
+    }
+
+    /// Loads the recovered entries, oldest first, and returns how many
+    /// were stored. Runs under [`Ctx::Direct`] on every branch: `start`
+    /// spawns the maintenance threads (and returns the handle any worker
+    /// needs) only after this, so nothing here is shared yet and no lock,
+    /// transaction, log record or command count is owed — the §3.3
+    /// privatization argument, applied to the whole cache.
+    fn load_recovered(&self, rec: &dur::Recovery) -> u64 {
+        let (core, policy) = (&self.core, self.policy);
+        let ctx = &mut Ctx::Direct;
+        // CAS floor first: every loaded item must take an id strictly
+        // above anything a pre-crash client saw.
+        core.set_cas_floor(ctx, rec.cas_floor).expect("direct");
+        core.assoc.presize(ctx, rec.entries.len() as u64).expect("direct");
+        let now = self.rel_time();
+        let mut stored = 0;
+        for e in &rec.entries {
+            let rel_exp = if e.abs_exp == 0 {
+                0
+            } else {
+                e.abs_exp.saturating_sub(self.fx.unix_base()) as u32
+            };
+            let loaded = core.load_item(ctx, &policy, &e.key, &e.value, e.flags, rel_exp, now);
+            stored += loaded.expect("direct").is_ok() as u64;
+        }
+        stored
     }
 
     /// Requests whose handler panicked and was converted to a

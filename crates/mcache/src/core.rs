@@ -540,6 +540,36 @@ impl CacheCore {
         Ok(false)
     }
 
+    /// Stores one item under a key the table is known not to hold:
+    /// allocate (evicting from the LRU tail if memory is full), fill, link,
+    /// drop the allocation reference — the store's own bodies minus the
+    /// lookup. Start-up recovery loads the replayed set through this under
+    /// [`Ctx::Direct`], before any other thread can reach the cache.
+    #[allow(clippy::too_many_arguments)]
+    pub fn load_item<'e>(
+        &'e self,
+        ctx: &mut Ctx<'_, 'e>,
+        policy: &Policy,
+        key: &[u8],
+        value: &[u8],
+        client_flags: u32,
+        exptime: u32,
+        now: u32,
+    ) -> Result<Result<Allocation, AllocError>, Abort> {
+        let hv = crate::hashes::jenkins_hash(key, 0);
+        let nbytes = value.len() as u32;
+        let a = match self.alloc_item(ctx, policy, key, client_flags, exptime, nbytes, now, usize::MAX)? {
+            Ok(a) => a,
+            Err(e) => return Ok(Err(e)),
+        };
+        let it = self.arena.resolve(a.handle);
+        let sizes = it.sizes(ctx)?;
+        it.write_value(ctx, policy, sizes, value)?;
+        self.link_item(ctx, policy, a.handle, hv)?;
+        self.item_release(ctx, policy, a.handle)?;
+        Ok(Ok(a))
+    }
+
     /// Replaces any existing item under `key` with `new_h` (the second
     /// half of `do_store_item` for `set`).
     pub fn replace_existing<'e>(

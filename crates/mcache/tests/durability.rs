@@ -62,6 +62,7 @@ fn warm_restart_replays_all_mutation_kinds() {
         let tag = format!("{branch}+mag{magazine}");
         let dir = tmpdir(&format!("all-{tag}"));
         let far = 1_000_000; // rel-time seconds: alive for the whole test
+        let old_cas;
         {
             let c = McCache::start(config(branch, magazine, &dir));
             assert_eq!(c.dur_stats().unwrap().recovered_items, 0);
@@ -88,11 +89,23 @@ fn warm_restart_replays_all_mutation_kinds() {
                 StoreOp { mode: StoreMode::Set, key: b"b1", value: b"two", flags: 4, exptime: 0 },
             ];
             c.store_batch(0, &ops);
+            // CAS ids only grow, so the last store holds the highest one.
+            old_cas = c.get(0, b"b1").unwrap().cas;
         } // drop seals the log
         let c = McCache::start(config(branch, magazine, &dir));
         let d = c.dur_stats().unwrap();
         assert_eq!(d.torn_records_dropped, 0, "{tag}: sealed log has no torn tail");
         assert_eq!(d.recovered_items, 6, "{tag}: {d:?}");
+        // Recovery is not client traffic: the load counts items, not
+        // commands, and evicts nothing that fits.
+        let s = c.stats();
+        assert_eq!(s.threads.set_cmds, 0, "{tag}: no client has spoken yet");
+        assert_eq!(s.global.cmd_total, 0, "{tag}");
+        assert_eq!((s.global.curr_items, s.global.total_items), (6, 6), "{tag}");
+        assert_eq!(s.global.evictions, 0, "{tag}");
+        for k in [&b"keep"[..], b"num", b"added", b"cat", b"brief", b"b1"] {
+            assert!(c.get(0, k).unwrap().cas > old_cas, "{tag}: CAS ids clear the recovered floor");
+        }
         let get = |k: &[u8]| c.get(0, k).map(|g| (g.data, g.flags));
         assert_eq!(get(b"keep"), Some((b"v3".to_vec(), 7)), "{tag}: last successful write wins");
         assert_eq!(get(b"gone"), None, "{tag}: delete replayed");
@@ -283,4 +296,134 @@ fn log_off_cache_has_no_dur_surface() {
     assert!(c.dur_stats().is_none());
     c.set(0, b"k", b"v", 0, 0);
     assert_eq!(c.get(0, b"k").unwrap().data, b"v");
+}
+
+/// What a client can see of one key: `get`/`gets` (data, flags, whether
+/// it expires), then `touch`, then `incr`.
+fn observe(c: &McHandle, key: &[u8]) -> String {
+    let got = c.get(0, key).map(|g| (g.data, g.flags, g.exp != 0));
+    format!("{got:?} {} {:?}", c.touch(0, key, 1_000_000), c.arith(0, key, 1, true))
+}
+
+#[test]
+fn direct_load_answers_like_a_cache_that_was_set() {
+    let far = 1_000_000;
+    let big = vec![b'x'; 3000];
+    // The final state, and a history that reaches it the long way round.
+    let state: [(&[u8], &[u8], u32, u32); 5] = [
+        (b"plain", b"alpha", 1, 0),
+        (b"num", b"41", 0, 0),
+        (b"ttl", b"fades", 2, far),
+        (b"big", &big, 3, 0),
+        (b"empty", b"", 4, 0),
+    ];
+    for (branch, magazine) in STORE_PATHS {
+        let tag = format!("{branch}+mag{magazine}");
+        let dir = tmpdir(&format!("equiv-{tag}"));
+        {
+            let c = McCache::start(config(branch, magazine, &dir));
+            c.set(0, b"plain", b"first draft", 9, 0);
+            c.set(0, b"gone", b"x", 0, 0);
+            c.set(0, b"num", b"40", 0, 0);
+            assert_eq!(c.arith(0, b"num", 1, true), mcache::ArithStatus::Ok(41));
+            c.set(0, b"ttl", b"fades", 2, 1);
+            assert!(c.touch(0, b"ttl", far));
+            for (k, v, f, e) in [state[0], state[3], state[4]] {
+                c.set(0, k, v, f, e); // the rest arrived by incr and touch
+            }
+            assert!(c.delete(0, b"gone"));
+        }
+        let loaded = McCache::start(config(branch, magazine, &dir));
+        assert_eq!(loaded.dur_stats().unwrap().recovered_items, state.len() as u64, "{tag}");
+        let was_set = McCache::start(config(branch, magazine, &tmpdir(&format!("equiv-set-{tag}"))));
+        for &(k, v, f, e) in &state {
+            assert_eq!(was_set.set(0, k, v, f, e), StoreStatus::Stored);
+        }
+        for key in state.iter().map(|s| s.0).chain([&b"gone"[..], b"never"]) {
+            let key_s = String::from_utf8_lossy(key);
+            assert_eq!(observe(&loaded, key), observe(&was_set, key), "{tag}: {key_s}");
+        }
+        // A loaded cache logs like any other: a set and the incr above
+        // survive the next restart.
+        assert_eq!(loaded.set(0, b"plain", b"beta", 5, 0), StoreStatus::Stored);
+        drop(loaded);
+        let again = McCache::start(config(branch, magazine, &dir));
+        let get = |k: &[u8]| again.get(0, k).map(|g| (g.data, g.flags));
+        assert_eq!(get(b"plain"), Some((b"beta".to_vec(), 5)), "{tag}");
+        assert_eq!(get(b"num"), Some((b"42".to_vec(), 0)), "{tag}");
+        assert_eq!(get(b"big"), Some((big.clone(), 3)), "{tag}");
+        assert_eq!(again.dur_stats().unwrap().recovered_items, state.len() as u64, "{tag}");
+        drop((again, was_set));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A recovered set four times the memory limit starts, serves, and keeps
+/// the newest-stamped items — whatever order the records sit in the file.
+#[test]
+fn oversized_recovery_keeps_the_newest_stamps() {
+    let dir = tmpdir("oversized");
+    let n = 4096u64;
+    let value = vec![b'v'; 1000];
+    {
+        let log = DurLog::open(&dir, DurFsync::Off, 1 << 20, 0).unwrap();
+        // Newest stamp first in the file: file order is the wrong answer.
+        for i in (0..n).rev() {
+            let key = format!("k{i:05}").into_bytes();
+            let set = Record::Set { cas: i + 1, flags: 0, abs_exp: 0, stored_unix: 1, key, value: value.clone() };
+            log.append(i + 1, &set);
+        }
+        log.seal();
+    }
+    let mut cfg = config(Branch::IpNoLock, 0, &dir);
+    cfg.slab.mem_limit = 1 << 20; // ~4 MB of live values
+    let c = McCache::start(cfg);
+    let s = c.stats();
+    assert_eq!(c.dur_stats().unwrap().recovered_items, n, "every entry was stored in its turn");
+    assert_eq!(s.global.total_items, n);
+    assert!(s.global.curr_items < n / 2, "most of the set cannot fit: {s:?}");
+    assert_eq!(s.global.evictions, n - s.global.curr_items, "evictions are real ones only");
+    let held = |i: u64| c.get(0, format!("k{i:05}").as_bytes()).is_some();
+    let newest = s.global.curr_items / 2;
+    assert!((n - newest..n).all(held), "the newest {newest} stamps survive");
+    assert!(!(0..n / 2).any(held), "the oldest half was evicted");
+    assert_eq!(c.set(0, b"fresh", &value, 0, 0), StoreStatus::Stored);
+    assert_eq!(c.get(0, b"fresh").unwrap().data, value);
+    drop(c);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Presizing lands on the generation a cold cache grows to — no further,
+/// and not pinned there: the same inserts after it cost the same
+/// expansions.
+#[test]
+fn presized_table_expands_no_more_than_a_cold_one() {
+    let n = 700u32; // 256 buckets grow once (past 384 items) to hold these
+    let fill = |c: &McHandle, keys: std::ops::Range<u32>, want: u64| {
+        for i in keys {
+            assert_eq!(c.set(0, format!("k{i}").as_bytes(), b"v", 0, 0), StoreStatus::Stored);
+        }
+        // The maintainer migrates behind the inserts; anything beyond
+        // `want` would show within the extra wait too.
+        for _ in 0..500 {
+            if c.stats().global.expansions >= want {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        c.stats().global.expansions
+    };
+    let dir = tmpdir("presize");
+    let cold = start(Branch::IpNoLock, &dir);
+    assert_eq!(fill(&cold, 0..n, 1), 1, "cold: one expansion to hold n");
+    drop(cold);
+    let warm = start(Branch::IpNoLock, &dir);
+    assert_eq!(warm.dur_stats().unwrap().recovered_items, n as u64);
+    assert_eq!(warm.stats().global.expansions, 0, "recovered: none, the table was presized");
+    // n/2 more cross 768 items: the cold cache would expand once more, and
+    // so must this one — once.
+    assert_eq!(fill(&warm, n..n + n / 2, 1), 1);
+    drop(warm);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

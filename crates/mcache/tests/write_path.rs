@@ -1,4 +1,5 @@
-//! Zero-allocation guard for the magazine write fast lane.
+//! Allocation guards for the write path — the magazine fast lane, the
+//! redo-log append — and the allocation ceiling of log recovery.
 //!
 //! ISSUE 5's acceptance criterion: once a worker's slab magazine is warm,
 //! a steady-state overwrite SET must perform **no heap allocation at
@@ -7,7 +8,8 @@
 //! in the STM (log arenas are reused across transactions). A counting
 //! global allocator proves it the hard way.
 
-use mcache::{Branch, McCache, McConfig, SlabConfig, Stage, StoreStatus};
+use mcache::dur::{recover, DurLog, Record};
+use mcache::{Branch, DurFsync, McCache, McConfig, SlabConfig, Stage, StoreStatus};
 use testkit::alloc::thread_allocs;
 
 #[global_allocator]
@@ -88,4 +90,61 @@ fn plain_transactional_sets_do_allocate_without_magazines() {
     // itself moves on this thread.
     let _ = c.get(0, b"hot-key");
     assert!(thread_allocs() > before, "counting allocator must be live");
+}
+
+fn log_dir(tag: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("mcache-writepath-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
+}
+
+fn set_record(key: u32, version: u32) -> Record {
+    Record::Set {
+        cas: 1,
+        flags: 0,
+        abs_exp: 0,
+        stored_unix: 100,
+        key: format!("key-{key:06}").into_bytes(),
+        value: format!("{version:0100}").into_bytes(),
+    }
+}
+
+#[test]
+fn warm_log_appends_never_allocate() {
+    let dir = log_dir("append");
+    let log = DurLog::open(&dir, DurFsync::Off, 1 << 20, 0).unwrap();
+    let rec = set_record(1, 1);
+    log.append(1, &rec); // grows this thread's frame buffer once
+    let before = thread_allocs();
+    for stamp in 2..102 {
+        log.append(stamp, &rec);
+    }
+    assert_eq!(thread_allocs() - before, 0, "a steady-state append encodes in place");
+    assert_eq!(log.stats().snapshot().appends, 101);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Recovery pays for what survives, not for what was logged: a record
+/// that loses the fold is only ever a slice of its segment's buffer.
+#[test]
+fn recover_allocates_per_live_entry_not_per_record() {
+    let dir = log_dir("recover");
+    let (live, records) = (1000u32, 10_000u32);
+    let log = DurLog::open(&dir, DurFsync::Off, 128 << 10, 0).unwrap();
+    for i in 0..records {
+        log.append(i as u64 + 1, &set_record(i % live, i));
+    }
+    log.seal();
+    drop(log);
+    let before = thread_allocs();
+    let rec = recover(&dir).unwrap();
+    let allocs = thread_allocs() - before;
+    assert_eq!((rec.entries.len() as u32, rec.records_scanned as u32), (live, records));
+    assert!(rec.segments >= 8, "the ceiling has to hold across segments: {}", rec.segments);
+    // Key and value per live entry; per segment its path, buffer, slot
+    // list and scan thread; a handful for the merged index and the map.
+    let ceiling = 2 * live as u64 + 32 * rec.segments + 64;
+    assert!(allocs <= ceiling, "{allocs} allocations for {live} live of {records} records");
+    assert!(allocs < records as u64, "fewer allocations than records: {allocs}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -71,9 +71,20 @@ bash benchmark/run.sh --quick
 # seed-chosen append, and the parent replays the log against the exact
 # oracle — plus one injected-EIO degradation case per policy. (Warm
 # restarts of real processes: crates/bench/tests/recovery_wire.rs, above;
-# timed recovery: sysbench dur_set_nofsync's set-up, above.)
+# timed recovery: sysbench dur_set_nofsync's set-up, above.) mccrash's
+# exactness — recovered state == simulate(plan, fatal_op) — is also the
+# end-to-end check that recovery's scan and fold mean what they meant.
 echo "==> crash sweep (mccrash: 36 kill points x {always,every:8,off} x {before,mid,after} over 6 store paths + 3 chaos-fail arms)"
 target/release/mccrash --sweep 36 --seed 1
+
+# The recovery pipeline against the fold it replaced (kept under
+# #[cfg(test)] as the oracle): 5 000 random damaged logs on a seed the
+# workspace tests above do not use, and a compaction cut short at every
+# frame boundary and inside every frame.
+echo "==> recovery oracle (dur: differential fold x5000, interrupted-compaction sweep)"
+TESTKIT_CASES=5000 TESTKIT_SEED=19 cargo test -q --offline -p mcache --lib -- \
+    dur::tests::recover_matches_the_reference_fold \
+    dur::tests::interrupted_compaction_recovers_the_same_live_set
 
 # Bench smokes. Each bench gates itself on RATIOS between arms it runs
 # interleaved (stm_getpath: fast-lane/fulltx floor and multiget
