@@ -1143,7 +1143,7 @@ impl McCache {
     /// Every store: the branch's link section(s), then the wakeup an
     /// out-of-memory allocation raised (a `sem_post` site like any other)
     /// and the command count that did not ride a link transaction.
-    fn store_op(&self, w: usize, op: StoreOp<'_>) -> StoreStatus {
+    pub(crate) fn store_op(&self, w: usize, op: StoreOp<'_>) -> StoreStatus {
         assert!(op.key.len() <= KEY_MAX && !op.key.is_empty(), "bad key length");
         let hv = jenkins_hash(op.key, 0);
         let now = self.rel_time();

@@ -26,20 +26,22 @@
 //!   (`udp.rs`) frames each datagram with memcached's 8-byte UDP
 //!   header and runs its payload through the same coalesced frame
 //!   dispatcher, fanning responses out as sequenced datagrams.
-//! - **Incremental framing.** Reads land in a per-connection buffer and
-//!   [`proto::scan_frame`] delimits complete frames with exact byte
-//!   counts, auto-detecting ASCII vs binary per frame. Partial frames
-//!   (a `set` whose data block straddles two socket reads) simply stay
-//!   buffered; oversized data blocks are swallowed without buffering.
+//! - **Incremental framing, one pipeline.** Reads land in a
+//!   per-connection buffer, and the protocol layer's decoders delimit
+//!   and decode each complete frame in place (`proto::decode`, whose
+//!   framing [`proto::scan_frame`] exposes), auto-detecting ASCII vs
+//!   binary per frame. Partial frames (a `set`
+//!   whose data block straddles two socket reads) simply stay buffered;
+//!   oversized data blocks are swallowed without buffering.
 //! - **Coalescing from the buffer.** Whatever complete frames sit in
-//!   the buffer at dispatch time execute as pipelined runs:
-//!   consecutive ASCII frames through [`proto::execute_ascii_run`]
-//!   (consecutive stores → one batched store transaction) and
-//!   consecutive binary frames through [`binary::execute_pipeline`]
-//!   (GETQ/GETKQ runs → one read-only multiget transaction, SETQ runs
-//!   → one batched store). The batch boundary is the client's real
-//!   burst, exactly as memcached's `conn` state machine drains what
-//!   `read(2)` returned.
+//!   the buffer at dispatch time form one run buffer that `proto::run`
+//!   executes under one run rule for both protocols:
+//!   consecutive gets (ASCII `get`/`gets`, binary GET/GETK/GETQ/GETKQ)
+//!   → one read-only multiget transaction, consecutive stores (ASCII
+//!   `set`/`add`/`replace`/`cas`, binary SET/SETQ/ADD/REPLACE) → one
+//!   batched store. The batch boundary is the client's real burst,
+//!   exactly as memcached's `conn` state machine drains what `read(2)`
+//!   returned.
 //! - **Write-side backpressure.** A connection whose pending response
 //!   bytes reach [`NetConfig::wbuf_high_water`] is parked — no reads,
 //!   no dispatch — until the backlog flushes below the mark, and a
@@ -57,9 +59,7 @@
 //! Everything is `std::net` + raw `epoll` syscalls — no async runtime,
 //! no external crates — so the server builds offline and hermetic.
 //!
-//! [`binary::execute_pipeline`]: crate::proto::binary::execute_pipeline
 //! [`proto::scan_frame`]: crate::proto::scan_frame
-//! [`proto::execute_ascii_run`]: crate::proto::execute_ascii_run
 
 mod conn;
 mod event;

@@ -1,23 +1,47 @@
 //! Protocol front-ends: the memcached ASCII protocol and the binary
-//! protocol memslap exercises with `--binary`.
+//! protocol memslap exercises with `--binary`, as one request pipeline.
+//!
+//! 1. **Decode.** One framer-decoder per protocol delimits the frame at
+//!    the head of a buffer and decodes it in the same pass into a request
+//!    that borrows the buffer: a command and how to answer it (ASCII
+//!    `noreply`/`gets`, or the binary opcode, opaque and quiet flag). An
+//!    ASCII line is tokenized once; binary keys and values stay slices of
+//!    the read buffer.
+//! 2. **Execute.** One executor runs decoded requests in order under one
+//!    run rule, whatever their protocol: consecutive get-class requests
+//!    are one [`McCache::get_multi`], consecutive set/add/replace/cas
+//!    stores one [`McCache::store_batch`], anything else runs alone. Each
+//!    run has one panic guard.
+//! 3. **Encode.** Each request's outcome goes to its protocol's encoder:
+//!    ASCII text, or a binary [`binary::Response`].
 //!
 //! Parsing happens on private connection buffers — memcached does not
 //! parse inside critical sections — but it runs through the *same*
-//! `tmstd` string routines (`strncmp`, `isspace`, `strtol`, `strchr`) in
-//! their uninstrumented clones, keeping the single-source property
-//! end-to-end.
+//! `tmstd` routines (`isspace`, `strtoull`, `htonl`) in their
+//! uninstrumented clones, keeping the single-source property end-to-end.
+//! [`scan_frame`], [`execute_ascii`], [`execute_ascii_run`] and the
+//! [`binary`] entry points are thin wrappers over the three stages; the
+//! wire front end drives them directly.
 
+use std::io::Write as _;
+use std::mem::discriminant;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use tm::TBytes;
-use tmstd::DirectAccess;
+use crate::cache::{ArithStatus, GetValue, McCache, StoreMode, StoreOp, StoreStatus};
+use crate::policy::Branch;
 
-use crate::cache::{ArithStatus, McCache, StoreMode, StoreOp, StoreStatus};
+use binary::{Opcode, Response};
 
 /// The response a worker sends when a request handler panics: memcached's
 /// catch-all `SERVER_ERROR`, so one poisoned request costs one connection
 /// one error line instead of the whole process.
 pub const SERVER_ERROR_PANIC: &[u8] = b"SERVER_ERROR internal error for this request\r\n";
+
+const ERROR: &[u8] = b"ERROR\r\n";
+const BAD_LINE: &[u8] = b"CLIENT_ERROR bad command line format\r\n";
+const BAD_CHUNK: &[u8] = b"CLIENT_ERROR bad data chunk\r\n";
+const TOO_LARGE: &[u8] = b"SERVER_ERROR object too large for cache\r\n";
 
 /// Executes one complete ASCII request (command line and, for storage
 /// commands, the data block) against `cache` as worker `w`, returning the
@@ -25,44 +49,54 @@ pub const SERVER_ERROR_PANIC: &[u8] = b"SERVER_ERROR internal error for this req
 ///
 /// Supported: `get`/`gets` (multi-key), `set`, `add`, `replace`,
 /// `append`, `prepend`, `cas`, `delete`, `incr`, `decr`, `touch`,
-/// `flush_all`, `stats`, `version`.
+/// `flush_all`, `stats`, `version`, and `quit` (no reply: closing is the
+/// connection's business).
 ///
 /// A panic unwinding out of the handler (a cache invariant tripped, an
-/// injected fault, ...) is caught here, counted in
+/// injected fault, ...) is caught, counted in
 /// [`McCache::request_panics`], and answered with
 /// [`SERVER_ERROR_PANIC`] — the worker thread survives to serve the next
 /// request.
 pub fn execute_ascii(cache: &McCache, w: usize, request: &[u8]) -> Vec<u8> {
-    execute_ascii_ext(cache, w, request, &[])
+    execute_ascii_run(cache, w, &[request])
 }
 
-/// [`execute_ascii`] for a caller with counters of its own: `stats`
-/// reports `extra_stats` after the cache's [`stat_pairs`]. The wire
-/// front end passes its connection-layer counters here.
-pub(crate) fn execute_ascii_ext(
-    cache: &McCache,
-    w: usize,
-    request: &[u8],
-    extra_stats: &[(&'static str, u64)],
-) -> Vec<u8> {
-    let run = || execute_ascii_inner(cache, w, request, extra_stats);
-    match catch_unwind(AssertUnwindSafe(run)) {
-        Ok(resp) => resp,
-        Err(_panic) => {
-            cache.note_request_panic();
-            SERVER_ERROR_PANIC.to_vec()
-        }
+/// Executes a run of pre-split COMPLETE ASCII requests, as delimited
+/// by [`scan_frame`], and returns the concatenated responses in order.
+///
+/// The requests run under the pipeline's one run rule: consecutive
+/// `get`/`gets` lines are one multiget, consecutive `set`/`add`/
+/// `replace`/`cas` one batched store — a `noreply` store still joins, its
+/// reply is simply suppressed — and everything else (including
+/// `append`/`prepend`, which are get+CAS retry loops) runs alone. A panic
+/// inside a run is answered with one [`SERVER_ERROR_PANIC`] per request
+/// in it.
+pub fn execute_ascii_run(cache: &McCache, w: usize, cmds: &[&[u8]]) -> Vec<u8> {
+    let mut keys = Vec::new();
+    let reqs: Vec<Req<'_>> = cmds.iter().map(|f| decode_whole(f, &mut keys)).collect();
+    let mut out = Vec::new();
+    run(cache, w, &reqs, &keys, &[], &mut out);
+    out
+}
+
+/// Decodes a request handed over whole, with no stream behind it to wait
+/// on: a line without its CRLF is no command, and a data block the framer
+/// cannot deliver is a bad chunk.
+fn decode_whole<'a>(frame: &'a [u8], keys: &mut Vec<&'a [u8]>) -> Req<'a> {
+    match decode(frame, keys) {
+        Ok((_, req)) => req,
+        Err(_) if !frame.windows(2).any(|w| w == b"\r\n") => Req::reject(ERROR),
+        Err(_) => Req::reject(BAD_CHUNK),
     }
 }
 
 /// The cache's half of the `stats` surface both protocols expose: one
 /// `(name, counter)` pair per statistic, in a stable order. The ASCII
-/// handler renders them as `STAT name value` lines; the binary handler
-/// ([`binary::stat_responses`]) as one key/value response packet each.
-/// Both append whatever pairs the calling layer passes down (the wire
-/// front end's connection counters), so the two protocols always report
-/// the same names. The `dur_*` block appears only when the durability
-/// log is attached.
+/// encoder renders them as `STAT name value` lines, the binary one as one
+/// key/value response packet each; both append the pairs the calling
+/// layer passes down (the wire front end's connection counters), so the
+/// two protocols always report the same names. The `dur_*` block appears
+/// only when the durability log is attached.
 pub fn stat_pairs(cache: &McCache) -> Vec<(&'static str, u64)> {
     let s = cache.stats();
     let tm = cache.tm_stats();
@@ -106,254 +140,11 @@ pub fn stat_pairs(cache: &McCache) -> Vec<(&'static str, u64)> {
 
 /// `true` when `key` is a protocol-legal key: nonempty and at most
 /// [`KEY_MAX`](crate::cache::KEY_MAX) bytes. The cache layer *asserts*
-/// these bounds, so the protocol layer must reject violations first —
-/// otherwise an oversized key on the wire costs a caught panic and a
-/// `SERVER_ERROR` instead of the `CLIENT_ERROR` memcached answers.
+/// these bounds, so the decoders reject violations first — otherwise an
+/// oversized key on the wire costs a caught panic and a `SERVER_ERROR`
+/// instead of the client error memcached answers.
 fn valid_key(key: &[u8]) -> bool {
     !key.is_empty() && key.len() <= crate::cache::KEY_MAX
-}
-
-const BAD_LINE: &[u8] = b"CLIENT_ERROR bad command line format\r\n";
-
-fn execute_ascii_inner(
-    cache: &McCache,
-    w: usize,
-    request: &[u8],
-    extra_stats: &[(&'static str, u64)],
-) -> Vec<u8> {
-    if cache.take_request_panic_trap() {
-        panic!("test trap: request panic");
-    }
-    let buf = TBytes::from_slice(request);
-    let mut a = DirectAccess;
-    let line_end = match tmstd::strchr(&mut a, &buf, 0, b'\r').expect("direct") {
-        Some(i) => i,
-        None => return b"ERROR\r\n".to_vec(),
-    };
-    let line = &request[..line_end];
-    let mut parts = Tokens::new(line);
-    let Some(cmd) = parts.next() else {
-        return b"ERROR\r\n".to_vec();
-    };
-    match cmd {
-        b"get" | b"gets" => {
-            let with_cas = cmd == b"gets";
-            // One request line, one batch: on transactional branches the
-            // whole multiget runs as a single read-only fast-lane
-            // transaction (see `McCache::get_multi`).
-            let keys: Vec<&[u8]> = parts.collect();
-            if keys.is_empty() || keys.iter().any(|k| !valid_key(k)) {
-                return if keys.is_empty() {
-                    b"ERROR\r\n".to_vec()
-                } else {
-                    BAD_LINE.to_vec()
-                };
-            }
-            let vals = cache.get_multi(w, &keys);
-            let mut out = Vec::new();
-            for (key, v) in keys.iter().zip(vals) {
-                if let Some(v) = v {
-                    out.extend_from_slice(b"VALUE ");
-                    out.extend_from_slice(key);
-                    if with_cas {
-                        out.extend_from_slice(
-                            format!(" {} {} {}\r\n", v.flags, v.data.len(), v.cas).as_bytes(),
-                        );
-                    } else {
-                        out.extend_from_slice(
-                            format!(" {} {}\r\n", v.flags, v.data.len()).as_bytes(),
-                        );
-                    }
-                    out.extend_from_slice(&v.data);
-                    out.extend_from_slice(b"\r\n");
-                }
-            }
-            out.extend_from_slice(b"END\r\n");
-            out
-        }
-        b"set" | b"add" | b"replace" | b"append" | b"prepend" | b"cas" => {
-            let Some(key) = parts.next() else {
-                return BAD_LINE.to_vec();
-            };
-            let (Some(flags), Some(exptime), Some(nbytes)) =
-                (parts.next_u64(), parts.next_u64(), parts.next_u64())
-            else {
-                return BAD_LINE.to_vec();
-            };
-            let cas_id = if cmd == b"cas" {
-                match parts.next_u64() {
-                    Some(c) => c,
-                    None => return BAD_LINE.to_vec(),
-                }
-            } else {
-                0
-            };
-            let noreply = matches!(parts.next(), Some(b"noreply"));
-            if !valid_key(key) {
-                return BAD_LINE.to_vec();
-            }
-            // Bound nbytes by the request itself before any usize
-            // arithmetic: a header declaring a length near u64::MAX must
-            // not overflow the data-block offsets.
-            if nbytes > request.len() as u64 {
-                return b"CLIENT_ERROR bad data chunk\r\n".to_vec();
-            }
-            let data_start = line_end + 2;
-            let data_end = data_start + nbytes as usize;
-            if request.len() < data_end + 2 || &request[data_end..data_end + 2] != b"\r\n" {
-                return b"CLIENT_ERROR bad data chunk\r\n".to_vec();
-            }
-            let data = &request[data_start..data_end];
-            let st = match cmd {
-                b"set" => cache.set(w, key, data, flags as u32, exptime as u32),
-                b"add" => cache.add(w, key, data, flags as u32, exptime as u32),
-                b"replace" => cache.replace(w, key, data, flags as u32, exptime as u32),
-                b"append" => cache.append(w, key, data),
-                b"prepend" => cache.prepend(w, key, data),
-                b"cas" => cache.cas(w, key, data, flags as u32, exptime as u32, cas_id),
-                _ => unreachable!(),
-            };
-            if noreply {
-                Vec::new()
-            } else {
-                store_reply(st).to_vec()
-            }
-        }
-        b"delete" => {
-            let Some(key) = parts.next() else {
-                return BAD_LINE.to_vec();
-            };
-            let noreply = matches!(parts.next(), Some(b"noreply"));
-            if !valid_key(key) {
-                return BAD_LINE.to_vec();
-            }
-            let deleted = cache.delete(w, key);
-            if noreply {
-                Vec::new()
-            } else if deleted {
-                b"DELETED\r\n".to_vec()
-            } else {
-                b"NOT_FOUND\r\n".to_vec()
-            }
-        }
-        b"incr" | b"decr" => {
-            let (Some(key), Some(delta)) = (parts.next(), parts.next_u64()) else {
-                return BAD_LINE.to_vec();
-            };
-            let noreply = matches!(parts.next(), Some(b"noreply"));
-            if !valid_key(key) {
-                return BAD_LINE.to_vec();
-            }
-            let st = cache.arith(w, key, delta, cmd == b"incr");
-            if noreply {
-                return Vec::new();
-            }
-            match st {
-                ArithStatus::Ok(v) => format!("{v}\r\n").into_bytes(),
-                ArithStatus::NotFound => b"NOT_FOUND\r\n".to_vec(),
-                ArithStatus::NonNumeric => {
-                    b"CLIENT_ERROR cannot increment or decrement non-numeric value\r\n".to_vec()
-                }
-            }
-        }
-        b"touch" => {
-            let (Some(key), Some(exp)) = (parts.next(), parts.next_u64()) else {
-                return BAD_LINE.to_vec();
-            };
-            let noreply = matches!(parts.next(), Some(b"noreply"));
-            if !valid_key(key) {
-                return BAD_LINE.to_vec();
-            }
-            let touched = cache.touch(w, key, exp as u32);
-            if noreply {
-                Vec::new()
-            } else if touched {
-                b"TOUCHED\r\n".to_vec()
-            } else {
-                b"NOT_FOUND\r\n".to_vec()
-            }
-        }
-        b"flush_all" => {
-            let noreply = matches!(parts.next(), Some(b"noreply"));
-            cache.flush_all(w);
-            if noreply {
-                Vec::new()
-            } else {
-                b"OK\r\n".to_vec()
-            }
-        }
-        b"stats" => {
-            let mut out = String::new();
-            for (k, v) in stat_pairs(cache).iter().chain(extra_stats) {
-                out.push_str(&format!("STAT {k} {v}\r\n"));
-            }
-            out.push_str("END\r\n");
-            out.into_bytes()
-        }
-        b"version" => format!("VERSION 1.4.15-tm ({})\r\n", cache.branch()).into_bytes(),
-        _ => b"ERROR\r\n".to_vec(),
-    }
-}
-
-/// Executes a run of pre-split COMPLETE ASCII requests, as delimited
-/// by [`scan_frame`] — the connection dispatcher feeds it exactly the
-/// frames sitting in a connection's read buffer — and returns the
-/// concatenated responses in order.
-///
-/// Runs of consecutive simple storage commands (`set`/`add`/`replace`/
-/// `cas`) execute as ONE batched store transaction via
-/// [`McCache::store_batch`] — the write-path twin of the multiget batch —
-/// so a bulk load pays one begin/commit fence for the whole run;
-/// `noreply` ops inside a batch keep their quiet semantics (the store
-/// happens, the reply is suppressed). Every other command (including
-/// `append`/`prepend`, which are get+CAS retry loops) dispatches
-/// one-by-one through [`execute_ascii`], keeping its per-request panic
-/// guard. A panic inside a batched run is caught here and answered with
-/// one [`SERVER_ERROR_PANIC`] per batched command.
-pub fn execute_ascii_run(cache: &McCache, w: usize, cmds: &[&[u8]]) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < cmds.len() {
-        let Some((op, noreply)) = parse_store_op(cmds[i]) else {
-            out.extend_from_slice(&execute_ascii(cache, w, cmds[i]));
-            i += 1;
-            continue;
-        };
-        let mut ops = vec![op];
-        let mut quiet = vec![noreply];
-        let mut j = i + 1;
-        while j < cmds.len() {
-            let Some((op, noreply)) = parse_store_op(cmds[j]) else { break };
-            ops.push(op);
-            quiet.push(noreply);
-            j += 1;
-        }
-        let statuses = catch_unwind(AssertUnwindSafe(|| {
-            if cache.take_request_panic_trap() {
-                panic!("test trap: request panic");
-            }
-            cache.store_batch(w, &ops)
-        }));
-        match statuses {
-            Ok(sts) => {
-                for (st, &q) in sts.into_iter().zip(&quiet) {
-                    if !q {
-                        out.extend_from_slice(store_reply(st));
-                    }
-                }
-            }
-            Err(_panic) => {
-                cache.note_request_panic();
-                for &q in &quiet {
-                    if !q {
-                        out.extend_from_slice(SERVER_ERROR_PANIC);
-                    }
-                }
-            }
-        }
-        i = j;
-    }
-    out
 }
 
 /// Result of scanning a connection read buffer for one complete frame
@@ -417,154 +208,189 @@ pub const ASCII_SWALLOW_MAX: u64 = 1 << 30;
 /// auto-detecting the protocol per frame: a leading
 /// [`binary::REQ_MAGIC`] byte means binary, anything else ASCII.
 ///
-/// This is the incremental-parsing entry point the server's connection
-/// state machine drives. It never copies and never executes; it only
-/// reports exact byte counts, so a request split across socket reads —
-/// a `set` whose data block straddles two reads, a binary header cut
-/// mid-word — is simply [`FrameScan::Incomplete`] until the rest
-/// arrives.
+/// This is the decoders' framing with the decoded request dropped: it
+/// never copies and never executes, and reports exact byte counts, so a
+/// request split across socket reads — a `set` whose data block straddles
+/// two reads, a binary header cut mid-word — is simply
+/// [`FrameScan::Incomplete`] until the rest arrives. A binary frame is
+/// delimited by its header alone (an unknown opcode still frames as
+/// [`FrameScan::Binary`]; [`binary::parse_frame`] answers it).
 pub fn scan_frame(buf: &[u8]) -> FrameScan {
-    let Some(&first) = buf.first() else {
-        return FrameScan::Incomplete;
-    };
-    if first == binary::REQ_MAGIC {
-        if buf.len() < 24 {
-            return FrameScan::Incomplete;
-        }
-        let body_len = u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]) as usize;
-        if body_len > BINARY_BODY_MAX {
-            let opaque = u32::from_be_bytes([buf[12], buf[13], buf[14], buf[15]]);
-            return FrameScan::Error {
-                consumed: buf.len(),
-                swallow: 0,
-                close: true,
-                response: binary::error_frame(buf[1], opaque, binary::Status::ValueTooLarge),
-            };
-        }
-        return if buf.len() < 24 + body_len {
-            FrameScan::Incomplete
-        } else {
-            FrameScan::Binary { len: 24 + body_len }
-        };
-    }
-    let line_end = match buf.windows(2).position(|w| w == b"\r\n") {
-        Some(i) => i,
-        None => {
-            return if buf.len() > ASCII_LINE_MAX {
-                FrameScan::Error {
-                    consumed: buf.len(),
-                    swallow: 0,
-                    close: true,
-                    response: BAD_LINE.to_vec(),
-                }
-            } else {
-                FrameScan::Incomplete
-            };
-        }
-    };
-    let mut parts = Tokens::new(&buf[..line_end]);
-    let is_store = matches!(
-        parts.next(),
-        Some(b"set" | b"add" | b"replace" | b"append" | b"prepend" | b"cas")
-    );
-    if !is_store {
-        return FrameScan::Ascii { len: line_end + 2 };
-    }
-    // Storage header: key flags exptime nbytes [cas] [noreply]. If it
-    // doesn't parse, the line alone is the frame — the single-request
-    // path answers CLIENT_ERROR, exactly as a desynchronized memcached
-    // connection would.
-    let nbytes = (|| {
-        parts.next()?; // key
-        parts.next_u64()?; // flags
-        parts.next_u64()?; // exptime
-        parts.next_u64() // nbytes
-    })();
-    let Some(nbytes) = nbytes else {
-        return FrameScan::Ascii { len: line_end + 2 };
-    };
-    if nbytes > ASCII_VALUE_MAX as u64 {
-        if nbytes > ASCII_SWALLOW_MAX {
-            return FrameScan::Error {
-                consumed: line_end + 2,
-                swallow: 0,
-                close: true,
-                response: b"SERVER_ERROR object too large for cache\r\n".to_vec(),
-            };
-        }
-        return FrameScan::Error {
-            consumed: line_end + 2,
-            swallow: nbytes as usize + 2,
-            close: false,
-            response: b"SERVER_ERROR object too large for cache\r\n".to_vec(),
-        };
-    }
-    let total = line_end + 2 + nbytes as usize + 2;
-    if buf.len() < total {
-        // A data block straddling two socket reads: not a frame yet.
-        // (A bad trailing CRLF still frames as `total` bytes — the
-        // executor answers `CLIENT_ERROR bad data chunk`.)
-        FrameScan::Incomplete
+    let framed = if buf.first() == Some(&binary::REQ_MAGIC) {
+        binary::frame_len(buf).map(|len| FrameScan::Binary { len })
     } else {
-        FrameScan::Ascii { len: total }
-    }
-}
-
-/// Parses one complete request as a batchable storage op: `set`/`add`/
-/// `replace`/`cas` with a well-formed command line and data block. The
-/// second element is the `noreply` flag — a quiet op still joins the
-/// batch, its reply is simply suppressed.
-fn parse_store_op(req: &[u8]) -> Option<(StoreOp<'_>, bool)> {
-    let line_end = req.windows(2).position(|w| w == b"\r\n")?;
-    let mut parts = Tokens::new(&req[..line_end]);
-    let cmd = parts.next()?;
-    if !matches!(cmd, b"set" | b"add" | b"replace" | b"cas") {
-        return None;
-    }
-    let key = parts.next()?;
-    let flags = parts.next_u64()?;
-    let exptime = parts.next_u64()?;
-    let nbytes = parts.next_u64()?;
-    if nbytes > req.len() as u64 {
-        return None; // the data block cannot be present; keep usize math exact
-    }
-    let nbytes = nbytes as usize;
-    let mode = match cmd {
-        b"set" => StoreMode::Set,
-        b"add" => StoreMode::Add,
-        b"replace" => StoreMode::Replace,
-        _ => StoreMode::Cas(parts.next_u64()?),
+        decode_ascii(buf, &mut Vec::new()).map(|(len, _)| FrameScan::Ascii { len })
     };
-    let noreply = matches!(parts.next(), Some(b"noreply"));
-    if key.is_empty() || key.len() > crate::cache::KEY_MAX {
-        return None;
-    }
-    let data_start = line_end + 2;
-    let data_end = data_start + nbytes;
-    if req.len() != data_end + 2 || &req[data_end..] != b"\r\n" {
-        return None;
-    }
-    Some((
-        StoreOp {
-            mode,
-            key,
-            value: &req[data_start..data_end],
-            flags: flags as u32,
-            exptime: exptime as u32,
-        },
-        noreply,
-    ))
+    framed.unwrap_or_else(|scan| scan)
 }
 
-fn store_reply(st: StoreStatus) -> &'static [u8] {
-    match st {
-        StoreStatus::Stored => b"STORED\r\n",
-        StoreStatus::NotStored => b"NOT_STORED\r\n",
-        StoreStatus::Exists => b"EXISTS\r\n",
-        StoreStatus::NotFound => b"NOT_FOUND\r\n",
-        StoreStatus::TooLarge => b"SERVER_ERROR object too large for cache\r\n",
-        StoreStatus::OutOfMemory => b"SERVER_ERROR out of memory storing object\r\n",
+/// One decoded request: what to do, and how to answer. It borrows the
+/// buffer it was decoded from; get keys sit in the decoder's key list.
+pub(crate) struct Req<'a> {
+    cmd: Cmd<'a>,
+    reply: Reply,
+}
+
+/// What a request asks of the cache.
+enum Cmd<'a> {
+    /// `get`/`gets` and binary GET/GETK/GETQ/GETKQ: these entries of the
+    /// key list.
+    Get(Range<usize>),
+    /// `set`/`add`/`replace`/`cas` and binary SET/SETQ/ADD/REPLACE.
+    Store(StoreOp<'a>),
+    /// `append` (`after`) or `prepend`.
+    Concat { key: &'a [u8], data: &'a [u8], after: bool },
+    Delete(&'a [u8]),
+    Arith { key: &'a [u8], delta: u64, incr: bool },
+    Touch { key: &'a [u8], exptime: u32 },
+    FlushAll,
+    /// `stats`; a binary STAT's key names a stat group.
+    Stats { group: &'a [u8] },
+    Version,
+    Noop,
+    Quit,
+    /// A malformed ASCII request, answered with this line.
+    Reject(&'static [u8]),
+}
+
+/// How a request is answered. An ASCII `noreply` silences every reply to
+/// its request, a panic reply included; what the decoder rejects is
+/// always answered.
+enum Reply {
+    Ascii { noreply: bool, with_cas: bool },
+    Binary { opcode: Opcode, opaque: u32, quiet: bool },
+}
+
+impl<'a> Req<'a> {
+    fn ascii(cmd: Cmd<'a>, noreply: bool) -> Req<'a> {
+        Req { cmd, reply: Reply::Ascii { noreply, with_cas: false } }
     }
+
+    fn reject(line: &'static [u8]) -> Req<'a> {
+        Req::ascii(Cmd::Reject(line), false)
+    }
+
+    /// Whether the connection closes once this request is answered.
+    pub(crate) fn closes(&self) -> bool {
+        matches!(self.cmd, Cmd::Quit)
+    }
+}
+
+/// Delimits and decodes the frame at the head of `buf` in one pass,
+/// returning its length and the request it holds, or the
+/// [`FrameScan::Incomplete`] / [`FrameScan::Error`] that stands in its
+/// place. The request borrows `buf`; a get's keys are appended to `keys`.
+pub(crate) fn decode<'a>(
+    buf: &'a [u8],
+    keys: &mut Vec<&'a [u8]>,
+) -> Result<(usize, Req<'a>), FrameScan> {
+    if buf.first() == Some(&binary::REQ_MAGIC) {
+        binary::decode(buf, keys)
+    } else {
+        decode_ascii(buf, keys)
+    }
+}
+
+/// The ASCII framer-decoder. An unparseable storage header frames as the
+/// line alone and answers `CLIENT_ERROR`, exactly as a desynchronized
+/// memcached connection would; a parseable one frames its data block too,
+/// and is incomplete until the block has arrived.
+fn decode_ascii<'a>(
+    buf: &'a [u8],
+    keys: &mut Vec<&'a [u8]>,
+) -> Result<(usize, Req<'a>), FrameScan> {
+    let Some(line_end) = buf.windows(2).position(|w| w == b"\r\n") else {
+        if buf.len() > ASCII_LINE_MAX {
+            let response = BAD_LINE.to_vec();
+            return Err(FrameScan::Error { consumed: buf.len(), swallow: 0, close: true, response });
+        }
+        return Err(FrameScan::Incomplete);
+    };
+    let mut len = line_end + 2;
+    let mut t = Tokens { rest: &buf[..line_end] };
+    let bad = |len, line| Ok((len, Req::reject(line)));
+    let (cmd, key) = match t.next() {
+        Some(name @ (b"get" | b"gets")) => {
+            let first = keys.len();
+            keys.extend(t);
+            let line = match &keys[first..] {
+                [] => ERROR,
+                ks if !ks.iter().all(|k| valid_key(k)) => BAD_LINE,
+                _ => {
+                    let reply = Reply::Ascii { noreply: false, with_cas: name == b"gets" };
+                    return Ok((len, Req { cmd: Cmd::Get(first..keys.len()), reply }));
+                }
+            };
+            keys.truncate(first);
+            return bad(len, line);
+        }
+        Some(name @ (b"set" | b"add" | b"replace" | b"append" | b"prepend" | b"cas")) => {
+            let (Some(key), Some(flags), Some(exptime), Some(nbytes)) =
+                (t.next(), t.next_u64(), t.next_u64(), t.next_u64())
+            else {
+                return bad(len, BAD_LINE);
+            };
+            if nbytes > ASCII_VALUE_MAX as u64 {
+                // Swallow the block in flight, unless the header lies.
+                let close = nbytes > ASCII_SWALLOW_MAX;
+                let swallow = if close { 0 } else { nbytes as usize + 2 };
+                let response = TOO_LARGE.to_vec();
+                return Err(FrameScan::Error { consumed: len, swallow, close, response });
+            }
+            let start = len;
+            len += nbytes as usize + 2;
+            if buf.len() < len {
+                return Err(FrameScan::Incomplete);
+            }
+            let mode = match name {
+                b"set" => Some(StoreMode::Set),
+                b"add" => Some(StoreMode::Add),
+                b"replace" => Some(StoreMode::Replace),
+                b"cas" => match t.next_u64() {
+                    Some(id) => Some(StoreMode::Cas(id)),
+                    None => return bad(len, BAD_LINE),
+                },
+                _ => None,
+            };
+            // A bad key outranks a bad chunk: it answers BAD_LINE below.
+            if &buf[len - 2..len] != b"\r\n" && valid_key(key) {
+                return bad(len, BAD_CHUNK);
+            }
+            let value = &buf[start..len - 2];
+            let cmd = match mode {
+                Some(mode) => {
+                    let (flags, exptime) = (flags as u32, exptime as u32);
+                    Cmd::Store(StoreOp { mode, key, value, flags, exptime })
+                }
+                None => Cmd::Concat { key, data: value, after: name == b"append" },
+            };
+            (cmd, Some(key))
+        }
+        Some(b"delete") => match t.next() {
+            Some(key) => (Cmd::Delete(key), Some(key)),
+            None => return bad(len, BAD_LINE),
+        },
+        Some(name @ (b"incr" | b"decr")) => match (t.next(), t.next_u64()) {
+            (Some(key), Some(delta)) => (Cmd::Arith { key, delta, incr: name == b"incr" }, Some(key)),
+            _ => return bad(len, BAD_LINE),
+        },
+        Some(b"touch") => match (t.next(), t.next_u64()) {
+            (Some(key), Some(exptime)) => (Cmd::Touch { key, exptime: exptime as u32 }, Some(key)),
+            _ => return bad(len, BAD_LINE),
+        },
+        Some(b"flush_all") => (Cmd::FlushAll, None),
+        // Arguments are ignored: there are no stat groups to select.
+        Some(b"stats") => return Ok((len, Req::ascii(Cmd::Stats { group: &[] }, false))),
+        Some(b"version") => return Ok((len, Req::ascii(Cmd::Version, false))),
+        // Nothing to answer: the connection closes.
+        Some(b"quit") => return Ok((len, Req::ascii(Cmd::Quit, true))),
+        _ => return bad(len, ERROR),
+    };
+    let noreply = t.next() == Some(b"noreply");
+    if key.is_some_and(|k| !valid_key(k)) {
+        return bad(len, BAD_LINE);
+    }
+    Ok((len, Req::ascii(cmd, noreply)))
 }
 
 /// Whitespace tokenizer using the ctype helper from `tmstd` (the C
@@ -573,11 +399,7 @@ struct Tokens<'a> {
     rest: &'a [u8],
 }
 
-impl<'a> Tokens<'a> {
-    fn new(line: &'a [u8]) -> Self {
-        Tokens { rest: line }
-    }
-
+impl Tokens<'_> {
     fn next_u64(&mut self) -> Option<u64> {
         let tok = self.next()?;
         tmstd::parse_u64(tok).and_then(|(v, used)| (used == tok.len()).then_some(v))
@@ -605,6 +427,241 @@ impl<'a> Iterator for Tokens<'a> {
     }
 }
 
+/// Where replies go: a wire byte stream, or [`binary::Response`] values
+/// for the in-process binary entry points.
+pub(crate) trait Sink {
+    /// The byte stream ASCII replies are rendered into.
+    fn text(&mut self) -> &mut Vec<u8> {
+        unreachable!("ASCII replies need a byte sink")
+    }
+
+    /// Takes one binary response packet.
+    fn packet(&mut self, r: Response);
+}
+
+impl Sink for Vec<u8> {
+    fn text(&mut self) -> &mut Vec<u8> {
+        self
+    }
+
+    fn packet(&mut self, r: Response) {
+        r.encode_into(self);
+    }
+}
+
+impl Sink for Vec<Response> {
+    fn packet(&mut self, r: Response) {
+        self.push(r);
+    }
+}
+
+/// Keeps the last packet: [`binary::execute`]'s one response.
+impl Sink for Option<Response> {
+    fn packet(&mut self, r: Response) {
+        *self = Some(r);
+    }
+}
+
+/// Executes decoded requests in order and encodes every reply into `out`.
+///
+/// One run rule, whatever the protocol and whether quiet or loud:
+/// consecutive get-class requests are one [`McCache::get_multi`] over all
+/// their keys, consecutive set/add/replace/cas stores one
+/// [`McCache::store_batch`], everything else runs alone. Both batch calls
+/// fall back to per-request `get`/`store` on the lock and IP branches, and
+/// a run of one calls them directly, so a lone request's transactions are
+/// its single-request shape. Each run has one panic guard: a panic answers
+/// every request in the run with its protocol's panic reply, and is
+/// counted in [`McCache::request_panics`] (a run's cache call finishes
+/// before any of its replies is encoded, so none of them is half out).
+/// `stats` reports `extra_stats` (the wire front end's counters) after
+/// the cache's own.
+pub(crate) fn run(
+    cache: &McCache,
+    w: usize,
+    reqs: &[Req<'_>],
+    keys: &[&[u8]],
+    extra_stats: &[(&'static str, u64)],
+    out: &mut impl Sink,
+) {
+    let mut rest = reqs;
+    while let Some(first) = rest.first() {
+        // A get or a store takes its same-class successors along.
+        let same = |r: &&Req<'_>| discriminant(&r.cmd) == discriminant(&first.cmd);
+        let n = match first.cmd {
+            Cmd::Get(_) | Cmd::Store(_) => 1 + rest[1..].iter().take_while(same).count(),
+            _ => 1,
+        };
+        let (batch, tail) = rest.split_at(n);
+        rest = tail;
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            if cache.take_request_panic_trap() {
+                panic!("test trap: request panic");
+            }
+            execute(cache, w, batch, keys, extra_stats, out);
+        }));
+        if ran.is_err() {
+            cache.note_request_panic();
+            for r in batch {
+                r.answer(Outcome::Panicked, extra_stats, out);
+            }
+        }
+    }
+}
+
+/// Executes one run (see [`run`]) and hands each request its outcome.
+fn execute(
+    cache: &McCache,
+    w: usize,
+    batch: &[Req<'_>],
+    keys: &[&[u8]],
+    extra_stats: &[(&'static str, u64)],
+    out: &mut impl Sink,
+) {
+    match (&batch[0].cmd, &batch[batch.len() - 1].cmd) {
+        (Cmd::Get(first), Cmd::Get(last)) => {
+            let all = &keys[first.start..last.end];
+            let (mut one, mut many);
+            let mut values: &mut [Option<GetValue>] = match all {
+                [key] => {
+                    one = [cache.get(w, key)];
+                    &mut one
+                }
+                _ => {
+                    many = cache.get_multi(w, all);
+                    &mut many
+                }
+            };
+            for r in batch {
+                let Cmd::Get(ks) = &r.cmd else { unreachable!("a get run") };
+                let (mine, later) = std::mem::take(&mut values).split_at_mut(ks.len());
+                values = later;
+                r.answer(Outcome::Values(&keys[ks.clone()], mine), extra_stats, out);
+            }
+        }
+        (&Cmd::Store(op), _) if batch.len() == 1 => {
+            batch[0].answer(Outcome::Stored(cache.store_op(w, op)), extra_stats, out);
+        }
+        (Cmd::Store(_), _) => {
+            let ops: Vec<StoreOp<'_>> = batch
+                .iter()
+                .filter_map(|r| match r.cmd {
+                    Cmd::Store(op) => Some(op),
+                    _ => None,
+                })
+                .collect();
+            for (r, st) in batch.iter().zip(cache.store_batch(w, &ops)) {
+                r.answer(Outcome::Stored(st), extra_stats, out);
+            }
+        }
+        (cmd, _) => {
+            let outcome = match *cmd {
+                Cmd::Concat { key, data, after: true } => Outcome::Stored(cache.append(w, key, data)),
+                Cmd::Concat { key, data, after: false } => Outcome::Stored(cache.prepend(w, key, data)),
+                Cmd::Delete(key) => Outcome::Found(cache.delete(w, key)),
+                Cmd::Arith { key, delta, incr } => Outcome::Counted(cache.arith(w, key, delta, incr)),
+                Cmd::Touch { key, exptime } => Outcome::Found(cache.touch(w, key, exptime)),
+                Cmd::FlushAll => {
+                    cache.flush_all(w);
+                    Outcome::Done
+                }
+                Cmd::Stats { .. } => Outcome::Stats(stat_pairs(cache)),
+                Cmd::Version => Outcome::Version(cache.branch()),
+                Cmd::Noop | Cmd::Quit => Outcome::Done,
+                Cmd::Reject(line) => Outcome::Rejected(line),
+                Cmd::Get(_) | Cmd::Store(_) => unreachable!("runs of their own class"),
+            };
+            batch[0].answer(outcome, extra_stats, out);
+        }
+    }
+}
+
+/// What executing one request produced, ready to encode.
+enum Outcome<'v> {
+    /// A get's keys and their values (the encoder takes the values).
+    Values(&'v [&'v [u8]], &'v mut [Option<GetValue>]),
+    Stored(StoreStatus),
+    /// `delete`/`touch`: whether the key was there.
+    Found(bool),
+    Counted(ArithStatus),
+    Stats(Vec<(&'static str, u64)>),
+    Version(Branch),
+    Done,
+    Rejected(&'static [u8]),
+    Panicked,
+}
+
+impl Req<'_> {
+    /// Encodes this request's reply with its protocol's encoder.
+    fn answer(&self, outcome: Outcome<'_>, extra_stats: &[(&'static str, u64)], out: &mut impl Sink) {
+        match self.reply {
+            Reply::Ascii { noreply: true, .. } => {}
+            Reply::Ascii { with_cas, .. } => render(&self.cmd, with_cas, outcome, extra_stats, out.text()),
+            Reply::Binary { opcode, opaque, quiet } => {
+                binary::respond(&self.cmd, opcode, opaque, quiet, outcome, extra_stats, out)
+            }
+        }
+    }
+}
+
+/// The ASCII encoder: one outcome as memcached's text reply. (Writing
+/// into a `Vec` cannot fail.)
+fn render(
+    cmd: &Cmd<'_>,
+    with_cas: bool,
+    outcome: Outcome<'_>,
+    extra_stats: &[(&'static str, u64)],
+    out: &mut Vec<u8>,
+) {
+    let line: &[u8] = match outcome {
+        Outcome::Values(keys, values) => {
+            for (key, v) in keys.iter().zip(values.iter()) {
+                let Some(v) = v else { continue };
+                out.extend_from_slice(b"VALUE ");
+                out.extend_from_slice(key);
+                let _ = write!(out, " {} {}", v.flags, v.data.len());
+                if with_cas {
+                    let _ = write!(out, " {}", v.cas);
+                }
+                out.extend_from_slice(b"\r\n");
+                out.extend_from_slice(&v.data);
+                out.extend_from_slice(b"\r\n");
+            }
+            b"END\r\n"
+        }
+        Outcome::Stored(StoreStatus::Stored) => b"STORED\r\n",
+        Outcome::Stored(StoreStatus::NotStored) => b"NOT_STORED\r\n",
+        Outcome::Stored(StoreStatus::Exists) => b"EXISTS\r\n",
+        Outcome::Stored(StoreStatus::NotFound) => b"NOT_FOUND\r\n",
+        Outcome::Stored(StoreStatus::TooLarge) => TOO_LARGE,
+        Outcome::Stored(StoreStatus::OutOfMemory) => b"SERVER_ERROR out of memory storing object\r\n",
+        Outcome::Found(false) | Outcome::Counted(ArithStatus::NotFound) => b"NOT_FOUND\r\n",
+        Outcome::Found(true) if matches!(cmd, Cmd::Touch { .. }) => b"TOUCHED\r\n",
+        Outcome::Found(true) => b"DELETED\r\n",
+        Outcome::Counted(ArithStatus::Ok(v)) => {
+            let _ = write!(out, "{v}\r\n");
+            return;
+        }
+        Outcome::Counted(ArithStatus::NonNumeric) => {
+            b"CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
+        }
+        Outcome::Stats(pairs) => {
+            for (k, v) in pairs.iter().chain(extra_stats) {
+                let _ = write!(out, "STAT {k} {v}\r\n");
+            }
+            b"END\r\n"
+        }
+        Outcome::Version(branch) => {
+            let _ = write!(out, "VERSION 1.4.15-tm ({branch})\r\n");
+            return;
+        }
+        Outcome::Done => b"OK\r\n",
+        Outcome::Rejected(line) => line,
+        Outcome::Panicked => SERVER_ERROR_PANIC,
+    };
+    out.extend_from_slice(line);
+}
+
 /// The binary protocol (memslap `--binary`).
 pub mod binary {
     use super::*;
@@ -627,7 +684,6 @@ pub mod binary {
         Increment = 0x05,
         Decrement = 0x06,
         /// Quiet GET: misses send no response, no key echo on hits.
-        /// Pipelined runs batch exactly like [`Opcode::GetKQ`].
         GetQ = 0x09,
         Noop = 0x0a,
         Version = 0x0b,
@@ -639,14 +695,12 @@ pub mod binary {
         GetKQ = 0x0d,
         /// STAT: answered by a *series* of response packets, one per
         /// statistic (key = stat name, value = decimal counter), closed
-        /// by a packet with an empty key and empty value. Dispatched in
-        /// [`execute_pipeline`] via [`stat_responses`] — the only opcode
-        /// whose single request fans out to multiple responses.
+        /// by a packet with an empty key and empty value — the only
+        /// opcode whose single request fans out to multiple responses.
         Stat = 0x10,
         /// Quiet SET: successes send no response, so a client can pipeline
         /// `SETQ k1 .. SETQ kn, Noop` as one bulk load — the write-path
-        /// twin of the GETKQ multiget; [`execute_pipeline`] runs the whole
-        /// run as one batched store transaction.
+        /// twin of the GETKQ multiget, run as one batched store.
         SetQ = 0x11,
         /// Quiet DELETE: successes send no response.
         DeleteQ = 0x14,
@@ -661,14 +715,15 @@ pub mod binary {
         KeyNotFound = 0x0001,
         KeyExists = 0x0002,
         ValueTooLarge = 0x0003,
-        /// 0x0004: a known opcode with a malformed frame layout.
+        /// 0x0004: a known opcode with a malformed frame layout, extras
+        /// of the wrong length, or (on the wire) an illegal key.
         InvalidArguments = 0x0004,
         NotStored = 0x0005,
         NonNumeric = 0x0006,
         OutOfMemory = 0x0082,
         UnknownCommand = 0x0081,
         /// 0x0084: the handler panicked and was recovered by the
-        /// per-request guard.
+        /// per-run guard.
         InternalError = 0x0084,
     }
 
@@ -693,6 +748,21 @@ pub mod binary {
                 0x14 => Opcode::DeleteQ,
                 _ => return None,
             })
+        }
+
+        /// The extras block the protocol spec fixes for this opcode's
+        /// request: flags `u32` + exptime `u32` for a store, delta `u64` +
+        /// initial `u64` + exptime `u32` for arithmetic, none otherwise.
+        fn extras_len(self) -> usize {
+            match self {
+                Opcode::Set | Opcode::SetQ | Opcode::Add | Opcode::Replace => 8,
+                Opcode::Increment | Opcode::Decrement => 20,
+                _ => 0,
+            }
+        }
+
+        fn is_get(self) -> bool {
+            matches!(self, Opcode::Get | Opcode::GetQ | Opcode::GetK | Opcode::GetKQ)
         }
     }
 
@@ -728,7 +798,9 @@ pub mod binary {
         pub key: Vec<u8>,
         /// Value bytes (stores).
         pub value: Vec<u8>,
-        /// Client flags (stores) or delta (arithmetic).
+        /// The first extras field: client flags (stores, 32 bits) or
+        /// delta (arithmetic). The exptime and initial fields are not
+        /// kept: binary expiry and auto-create are unsupported.
         pub extra: u64,
     }
 
@@ -752,64 +824,138 @@ pub mod binary {
         pub value: Vec<u8>,
     }
 
-    impl Request {
-        /// Encodes to the 24-byte-header wire format. `htons`-family
-        /// conversions come from `tmstd`, as in the paper's §3.4 inventory.
-        pub fn encode(&self) -> Vec<u8> {
-            let keylen = self.key.len() as u16;
-            let extlen: u8 = match self.opcode {
-                Opcode::Set | Opcode::SetQ | Opcode::Add | Opcode::Replace => 8,
-                Opcode::Increment | Opcode::Decrement => 8,
+    /// A request frame decoded in place: a [`Request`] whose key and
+    /// value are slices of the frame.
+    struct Frame<'a> {
+        opcode: Opcode,
+        opaque: u32,
+        cas: u64,
+        key: &'a [u8],
+        value: &'a [u8],
+        extra: u64,
+    }
+
+    fn be32(buf: &[u8], at: usize) -> u32 {
+        u32::from_be_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
+    }
+
+    fn be64(buf: &[u8], at: usize) -> u64 {
+        u64::from_be_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
+    }
+
+    impl<'a> Frame<'a> {
+        /// The one binary request decoder: header, then the extras layout
+        /// the spec fixes per opcode — any other length is
+        /// [`Status::InvalidArguments`], as memcached answers — then key
+        /// and value.
+        #[inline]
+        fn parse(buf: &'a [u8]) -> Result<Frame<'a>, Status> {
+            if buf.len() < 24 || buf[0] != REQ_MAGIC {
+                return Err(Status::InvalidArguments);
+            }
+            let opcode = Opcode::from_u8(buf[1]).ok_or(Status::UnknownCommand)?;
+            let keylen = u16::from_be_bytes([buf[2], buf[3]]) as usize;
+            let extlen = buf[4] as usize;
+            let body_len = be32(buf, 8) as usize;
+            if buf.len() < 24 + body_len || body_len < keylen + extlen || extlen != opcode.extras_len() {
+                return Err(Status::InvalidArguments);
+            }
+            let (key, value) = buf[24 + extlen..24 + body_len].split_at(keylen);
+            let extra = match extlen {
+                8 => be32(buf, 24) as u64,
+                20 => be64(buf, 24),
                 _ => 0,
             };
-            let body_len = self.key.len() + self.value.len() + extlen as usize;
+            Ok(Frame { opcode, opaque: be32(buf, 12), cas: be64(buf, 16), key, value, extra })
+        }
+
+        #[inline]
+        fn to_request(&self) -> Request {
+            Request {
+                opcode: self.opcode,
+                opaque: self.opaque,
+                cas: self.cas,
+                key: self.key.to_vec(),
+                value: self.value.to_vec(),
+                extra: self.extra,
+            }
+        }
+
+        /// The request this frame asks for. A get's key is entry `at` of
+        /// the caller's key list.
+        #[inline]
+        fn req(&self, at: usize) -> Req<'a> {
+            use Opcode::*;
+            let (op, key) = (self.opcode, self.key);
+            let cmd = match op {
+                Get | GetQ | GetK | GetKQ => Cmd::Get(at..at + 1),
+                Set | SetQ | Add | Replace => {
+                    let mode = match (self.cas, op) {
+                        (0, Add) => StoreMode::Add,
+                        (0, Replace) => StoreMode::Replace,
+                        (0, _) => StoreMode::Set,
+                        (cas, _) => StoreMode::Cas(cas),
+                    };
+                    let (value, flags) = (self.value, self.extra as u32);
+                    Cmd::Store(StoreOp { mode, key, value, flags, exptime: 0 })
+                }
+                Delete | DeleteQ => Cmd::Delete(key),
+                Increment | Decrement => Cmd::Arith { key, delta: self.extra, incr: op == Increment },
+                Noop => Cmd::Noop,
+                Version => Cmd::Version,
+                Stat => Cmd::Stats { group: key },
+            };
+            let quiet = matches!(op, GetQ | GetKQ | SetQ | DeleteQ);
+            Req { cmd, reply: Reply::Binary { opcode: op, opaque: self.opaque, quiet } }
+        }
+    }
+
+    impl Request {
+        fn frame(&self) -> Frame<'_> {
+            Frame {
+                opcode: self.opcode,
+                opaque: self.opaque,
+                cas: self.cas,
+                key: &self.key,
+                value: &self.value,
+                extra: self.extra,
+            }
+        }
+
+        /// Encodes to the 24-byte-header wire format, with the spec's
+        /// extras layout: a store's flags then a zero exptime, an
+        /// arithmetic delta then a zero initial value and exptime.
+        /// `htons`-family conversions come from `tmstd`, as in the paper's
+        /// §3.4 inventory.
+        pub fn encode(&self) -> Vec<u8> {
+            let extlen = self.opcode.extras_len();
+            let mut extras = [0u8; 20];
+            match extlen {
+                8 => extras[..4].copy_from_slice(&(self.extra as u32).to_be_bytes()),
+                20 => extras[..8].copy_from_slice(&self.extra.to_be_bytes()),
+                _ => {}
+            }
+            let body_len = extlen + self.key.len() + self.value.len();
             let mut out = Vec::with_capacity(24 + body_len);
             out.push(REQ_MAGIC);
             out.push(self.opcode as u8);
-            out.extend_from_slice(&tmstd::htons(keylen).to_ne_bytes());
-            out.push(extlen);
+            out.extend_from_slice(&tmstd::htons(self.key.len() as u16).to_ne_bytes());
+            out.push(extlen as u8);
             out.push(0); // data type
             out.extend_from_slice(&tmstd::htons(0).to_ne_bytes()); // vbucket
             out.extend_from_slice(&tmstd::htonl(body_len as u32).to_ne_bytes());
             out.extend_from_slice(&tmstd::htonl(self.opaque).to_ne_bytes());
             out.extend_from_slice(&self.cas.to_be_bytes());
-            if extlen == 8 {
-                out.extend_from_slice(&self.extra.to_be_bytes());
-            }
+            out.extend_from_slice(&extras[..extlen]);
             out.extend_from_slice(&self.key);
             out.extend_from_slice(&self.value);
             out
         }
 
-        /// Decodes from the wire format.
+        /// Decodes from the wire format; `None` for anything
+        /// [`parse_frame`] answers with an error frame.
         pub fn decode(buf: &[u8]) -> Option<Request> {
-            if buf.len() < 24 || buf[0] != REQ_MAGIC {
-                return None;
-            }
-            let opcode = Opcode::from_u8(buf[1])?;
-            let keylen = u16::from_be_bytes([buf[2], buf[3]]) as usize;
-            let extlen = buf[4] as usize;
-            let body_len = u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]) as usize;
-            let opaque = u32::from_be_bytes([buf[12], buf[13], buf[14], buf[15]]);
-            let cas = u64::from_be_bytes(buf[16..24].try_into().ok()?);
-            if buf.len() < 24 + body_len || body_len < keylen + extlen {
-                return None;
-            }
-            let extra = if extlen == 8 {
-                u64::from_be_bytes(buf[24..32].try_into().ok()?)
-            } else {
-                0
-            };
-            let key = buf[24 + extlen..24 + extlen + keylen].to_vec();
-            let value = buf[24 + extlen + keylen..24 + body_len].to_vec();
-            Some(Request {
-                opcode,
-                opaque,
-                cas,
-                key,
-                value,
-                extra,
-            })
+            Frame::parse(buf).ok().map(|f| f.to_request())
         }
     }
 
@@ -818,13 +964,15 @@ pub mod binary {
         /// hits carry the item's client flags as the canonical 4-byte
         /// extras block; everything else has no extras.
         pub fn encode(&self) -> Vec<u8> {
-            let is_get = matches!(
-                self.opcode,
-                Opcode::Get | Opcode::GetQ | Opcode::GetK | Opcode::GetKQ
-            );
-            let extlen: u8 = if is_get && self.status == Status::Ok { 4 } else { 0 };
+            let mut out = Vec::with_capacity(28 + self.key.len() + self.value.len());
+            self.encode_into(&mut out);
+            out
+        }
+
+        /// [`Response::encode`], appended to `out`.
+        pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+            let extlen: u8 = if self.opcode.is_get() && self.status == Status::Ok { 4 } else { 0 };
             let body_len = extlen as usize + self.key.len() + self.value.len();
-            let mut out = Vec::with_capacity(24 + body_len);
             out.push(RES_MAGIC);
             out.push(self.opcode as u8);
             out.extend_from_slice(&tmstd::htons(self.key.len() as u16).to_ne_bytes());
@@ -839,7 +987,6 @@ pub mod binary {
             }
             out.extend_from_slice(&self.key);
             out.extend_from_slice(&self.value);
-            out
         }
 
         /// Decodes one response frame from the front of `buf`, returning
@@ -854,31 +1001,15 @@ pub mod binary {
             let keylen = u16::from_be_bytes([buf[2], buf[3]]) as usize;
             let extlen = buf[4] as usize;
             let status = Status::from_u16(u16::from_be_bytes([buf[6], buf[7]]))?;
-            let body_len = u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]) as usize;
-            let opaque = u32::from_be_bytes([buf[12], buf[13], buf[14], buf[15]]);
-            let cas = u64::from_be_bytes(buf[16..24].try_into().ok()?);
+            let body_len = be32(buf, 8) as usize;
             if buf.len() < 24 + body_len || body_len < keylen + extlen {
                 return None;
             }
-            let flags = if extlen >= 4 {
-                u32::from_be_bytes(buf[24..28].try_into().ok()?)
-            } else {
-                0
-            };
+            let flags = if extlen >= 4 { be32(buf, 24) } else { 0 };
             let key = buf[24 + extlen..24 + extlen + keylen].to_vec();
             let value = buf[24 + extlen + keylen..24 + body_len].to_vec();
-            Some((
-                Response {
-                    status,
-                    opcode,
-                    opaque,
-                    cas,
-                    flags,
-                    key,
-                    value,
-                },
-                24 + body_len,
-            ))
+            let response = Response { status, opcode, opaque: be32(buf, 12), cas: be64(buf, 16), flags, key, value };
+            Some((response, 24 + body_len))
         }
     }
 
@@ -893,18 +1024,51 @@ pub mod binary {
             Status::ValueTooLarge => b"Too large",
             _ => b"Error",
         };
-        let mut out = Vec::with_capacity(24 + msg.len());
-        out.push(RES_MAGIC);
-        out.push(raw_opcode);
-        out.extend_from_slice(&tmstd::htons(0).to_ne_bytes());
-        out.push(0);
-        out.push(0); // data type
-        out.extend_from_slice(&tmstd::htons(status as u16).to_ne_bytes());
-        out.extend_from_slice(&tmstd::htonl(msg.len() as u32).to_ne_bytes());
-        out.extend_from_slice(&tmstd::htonl(opaque).to_ne_bytes());
-        out.extend_from_slice(&0u64.to_be_bytes());
-        out.extend_from_slice(msg);
-        out
+        let (opcode, cas, flags, key, value) = (Opcode::Noop, 0, 0, Vec::new(), msg.to_vec());
+        let mut frame = Response { status, opcode, opaque, cas, flags, key, value }.encode();
+        frame[1] = raw_opcode;
+        frame
+    }
+
+    /// The binary framer: the frame at the head of `buf` is its 24-byte
+    /// header plus the body length the header declares. A body past
+    /// [`BINARY_BODY_MAX`] cannot be trusted, so the connection closes.
+    pub(super) fn frame_len(buf: &[u8]) -> Result<usize, FrameScan> {
+        if buf.len() < 24 {
+            return Err(FrameScan::Incomplete);
+        }
+        let body_len = be32(buf, 8) as usize;
+        if body_len > BINARY_BODY_MAX {
+            let response = error_frame(buf[1], be32(buf, 12), Status::ValueTooLarge);
+            return Err(FrameScan::Error { consumed: buf.len(), swallow: 0, close: true, response });
+        }
+        if buf.len() < 24 + body_len {
+            return Err(FrameScan::Incomplete);
+        }
+        Ok(24 + body_len)
+    }
+
+    /// The binary framer-decoder. A frame that does not decode is a
+    /// [`FrameScan::Error`] that consumes exactly the frame and keeps the
+    /// connection: its error frame answers in order.
+    pub(super) fn decode<'a>(
+        buf: &'a [u8],
+        keys: &mut Vec<&'a [u8]>,
+    ) -> Result<(usize, Req<'a>), FrameScan> {
+        let len = frame_len(buf)?;
+        let status = match Frame::parse(&buf[..len]) {
+            // A key the cache cannot hold is refused here, as memcached
+            // does, not met by the cache's assertion.
+            Ok(f) if valid_key(f.key) || matches!(f.opcode, Opcode::Noop | Opcode::Version | Opcode::Stat) => {
+                let req = f.req(keys.len());
+                keys.push(f.key);
+                return Ok((len, req));
+            }
+            Ok(_) => Status::InvalidArguments,
+            Err(status) => status,
+        };
+        let response = error_frame(buf[1], be32(buf, 12), status);
+        Err(FrameScan::Error { consumed: len, swallow: 0, close: false, response })
     }
 
     /// Decodes one COMPLETE binary frame (as delimited by
@@ -915,312 +1079,106 @@ pub mod binary {
     /// header lengths don't add up.
     pub fn parse_frame(frame: &[u8]) -> Result<Request, Vec<u8>> {
         debug_assert!(frame.len() >= 24 && frame[0] == REQ_MAGIC);
-        let opaque = u32::from_be_bytes([frame[12], frame[13], frame[14], frame[15]]);
-        if Opcode::from_u8(frame[1]).is_none() {
-            return Err(error_frame(frame[1], opaque, Status::UnknownCommand));
-        }
-        Request::decode(frame).ok_or_else(|| error_frame(frame[1], opaque, Status::InvalidArguments))
+        Frame::parse(frame)
+            .map(|f| f.to_request())
+            .map_err(|status| error_frame(frame[1], be32(frame, 12), status))
     }
 
-    /// Dispatches one binary request.
+    /// Dispatches one binary request through the pipeline, answering even
+    /// what a quiet opcode would leave unsaid on a pipeline (a GETQ miss,
+    /// a SETQ success); a STAT answers with its closing packet only.
     ///
     /// Like [`super::execute_ascii`], a panicking handler is caught,
-    /// counted, and turned into a [`Status::InternalError`] response.
+    /// counted, and turned into a [`Status::InternalError`] response — a
+    /// key the cache cannot hold among them: the wire decoder refuses
+    /// those before they get here.
     pub fn execute(cache: &McCache, w: usize, req: &Request) -> Response {
-        match catch_unwind(AssertUnwindSafe(|| execute_inner(cache, w, req))) {
-            Ok(resp) => resp,
-            Err(_panic) => {
-                cache.note_request_panic();
-                Response {
-                    status: Status::InternalError,
-                    opcode: req.opcode,
-                    opaque: req.opaque,
-                    cas: 0,
-                    flags: 0,
-                    key: Vec::new(),
-                    value: Vec::new(),
-                }
-            }
+        let mut r = req.frame().req(0);
+        if let Reply::Binary { quiet, .. } = &mut r.reply {
+            *quiet = false;
         }
+        let mut last = None;
+        run(cache, w, std::slice::from_ref(&r), &[req.key.as_slice()], &[], &mut last);
+        last.expect("a loud request answers")
     }
 
-    /// Answers one [`Opcode::Stat`] request with the full multi-packet
-    /// dump: one [`Status::Ok`] response per statistic from
-    /// [`super::stat_pairs`] and then from `extra_stats`, the calling
-    /// layer's own counters (key = stat name, value = the counter in
-    /// decimal ASCII), then the canonical terminator — an empty-key,
-    /// empty-value packet. A non-empty request key selects a stat
-    /// subgroup, which this server does not implement: it answers a
-    /// single [`Status::KeyNotFound`], as real memcached does for an
-    /// unknown stat group. Panics are caught and answered like
-    /// [`execute`]'s.
-    pub fn stat_responses(
-        cache: &McCache,
-        req: &Request,
-        extra_stats: &[(&'static str, u64)],
-    ) -> Vec<Response> {
-        let mk = |key: Vec<u8>, value: Vec<u8>| Response {
-            status: Status::Ok,
-            opcode: req.opcode,
-            opaque: req.opaque,
-            cas: 0,
-            flags: 0,
-            key,
-            value,
-        };
-        if !req.key.is_empty() {
-            let mut r = mk(Vec::new(), Vec::new());
-            r.status = Status::KeyNotFound;
-            return vec![r];
-        }
-        let dump = catch_unwind(AssertUnwindSafe(|| {
-            if cache.take_request_panic_trap() {
-                panic!("test trap: request panic");
-            }
-            super::stat_pairs(cache)
-        }));
-        let Ok(pairs) = dump else {
-            cache.note_request_panic();
-            let mut r = mk(Vec::new(), Vec::new());
-            r.status = Status::InternalError;
-            return vec![r];
-        };
-        let mut out: Vec<Response> = pairs
-            .iter()
-            .chain(extra_stats)
-            .map(|(k, v)| mk(k.as_bytes().to_vec(), v.to_string().into_bytes()))
-            .collect();
-        out.push(mk(Vec::new(), Vec::new()));
-        out
-    }
-
-    /// Dispatches a pipelined batch of binary requests.
-    ///
-    /// Runs of consecutive quiet gets ([`Opcode::GetKQ`]/[`Opcode::GetQ`])
-    /// — the binary protocol's multiget idiom — execute as ONE read-only
-    /// fast-lane transaction via [`McCache::get_multi`], and, per the quiet
-    /// semantics, misses produce no response at all. Runs of consecutive
-    /// quiet sets ([`Opcode::SetQ`]) — the bulk-load idiom — execute as
-    /// ONE batched store transaction via [`McCache::store_batch`], and
-    /// successes produce no response. Quiet deletes ([`Opcode::DeleteQ`])
-    /// suppress their success responses. Every other opcode (including
-    /// the terminating `Noop`) dispatches one-by-one through [`execute`].
-    /// A panic inside a batch is caught here and answered with one
-    /// [`Status::InternalError`] per batched request.
+    /// Dispatches a pipelined batch of binary requests under the
+    /// pipeline's one run rule: consecutive gets — the GETQ/GETKQ
+    /// multiget idiom, or loud GETs alike — execute as ONE read-only
+    /// [`McCache::get_multi`], consecutive stores — the SETQ bulk-load
+    /// idiom — as ONE [`McCache::store_batch`]. Quiet opcodes answer only
+    /// what the client must hear: no get miss, no SETQ/DELETEQ success.
+    /// Every other opcode (including the terminating `Noop`) runs alone.
+    /// A panic inside a run is answered with one
+    /// [`Status::InternalError`] per request in it.
     pub fn execute_pipeline(cache: &McCache, w: usize, reqs: &[Request]) -> Vec<Response> {
+        let keys: Vec<&[u8]> = reqs.iter().map(|r| r.key.as_slice()).collect();
+        let reqs: Vec<Req<'_>> = reqs.iter().enumerate().map(|(at, r)| r.frame().req(at)).collect();
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < reqs.len() {
-            if reqs[i].opcode == Opcode::SetQ {
-                let mut j = i + 1;
-                // CAS-carrying SETQs keep their per-op dispatch (store_batch
-                // handles them, but the run stays simple without).
-                while j < reqs.len() && reqs[j].opcode == Opcode::SetQ {
-                    j += 1;
-                }
-                let batch = &reqs[i..j];
-                let statuses = catch_unwind(AssertUnwindSafe(|| {
-                    if cache.take_request_panic_trap() {
-                        panic!("test trap: request panic");
-                    }
-                    let ops: Vec<StoreOp<'_>> = batch
-                        .iter()
-                        .map(|r| StoreOp {
-                            mode: if r.cas != 0 { StoreMode::Cas(r.cas) } else { StoreMode::Set },
-                            key: &r.key,
-                            value: &r.value,
-                            flags: r.extra as u32,
-                            exptime: 0,
-                        })
-                        .collect();
-                    cache.store_batch(w, &ops)
-                }));
-                match statuses {
-                    Ok(statuses) => {
-                        for (r, st) in batch.iter().zip(statuses) {
-                            // Quiet set: success sends nothing.
-                            let status = match st {
-                                StoreStatus::Stored => continue,
-                                StoreStatus::NotStored => Status::NotStored,
-                                StoreStatus::Exists => Status::KeyExists,
-                                StoreStatus::NotFound => Status::KeyNotFound,
-                                StoreStatus::TooLarge => Status::ValueTooLarge,
-                                StoreStatus::OutOfMemory => Status::OutOfMemory,
-                            };
-                            out.push(Response {
-                                status,
-                                opcode: r.opcode,
-                                opaque: r.opaque,
-                                cas: 0,
-                                flags: 0,
-                                key: Vec::new(),
-                                value: Vec::new(),
-                            });
-                        }
-                    }
-                    Err(_panic) => {
-                        cache.note_request_panic();
-                        for r in batch {
-                            out.push(Response {
-                                status: Status::InternalError,
-                                opcode: r.opcode,
-                                opaque: r.opaque,
-                                cas: 0,
-                                flags: 0,
-                                key: Vec::new(),
-                                value: Vec::new(),
-                            });
-                        }
-                    }
-                }
-                i = j;
-                continue;
-            }
-            if reqs[i].opcode == Opcode::DeleteQ {
-                let r = execute(cache, w, &reqs[i]);
-                if r.status != Status::Ok {
-                    out.push(r);
-                }
-                i += 1;
-                continue;
-            }
-            if reqs[i].opcode == Opcode::Stat {
-                // One request, many responses: the stat dump plus its
-                // empty-key terminator.
-                out.extend(stat_responses(cache, &reqs[i], &[]));
-                i += 1;
-                continue;
-            }
-            if !matches!(reqs[i].opcode, Opcode::GetKQ | Opcode::GetQ) {
-                out.push(execute(cache, w, &reqs[i]));
-                i += 1;
-                continue;
-            }
-            let mut j = i + 1;
-            while j < reqs.len() && matches!(reqs[j].opcode, Opcode::GetKQ | Opcode::GetQ) {
-                j += 1;
-            }
-            let batch = &reqs[i..j];
-            let vals = catch_unwind(AssertUnwindSafe(|| {
-                if cache.take_request_panic_trap() {
-                    panic!("test trap: request panic");
-                }
-                let keys: Vec<&[u8]> = batch.iter().map(|r| r.key.as_slice()).collect();
-                cache.get_multi(w, &keys)
-            }));
-            match vals {
-                Ok(vals) => {
-                    for (r, v) in batch.iter().zip(vals) {
-                        // Quiet get: a miss sends nothing. Only GETKQ
-                        // echoes the key.
-                        if let Some(v) = v {
-                            out.push(Response {
-                                status: Status::Ok,
-                                opcode: r.opcode,
-                                opaque: r.opaque,
-                                cas: v.cas,
-                                flags: v.flags,
-                                key: if r.opcode == Opcode::GetKQ {
-                                    r.key.clone()
-                                } else {
-                                    Vec::new()
-                                },
-                                value: v.data,
-                            });
-                        }
-                    }
-                }
-                Err(_panic) => {
-                    cache.note_request_panic();
-                    for r in batch {
-                        out.push(Response {
-                            status: Status::InternalError,
-                            opcode: r.opcode,
-                            opaque: r.opaque,
-                            cas: 0,
-                            flags: 0,
-                            key: Vec::new(),
-                            value: Vec::new(),
-                        });
-                    }
-                }
-            }
-            i = j;
-        }
+        run(cache, w, &reqs, &keys, &[], &mut out);
         out
     }
 
-    fn execute_inner(cache: &McCache, w: usize, req: &Request) -> Response {
-        if cache.take_request_panic_trap() {
-            panic!("test trap: request panic");
-        }
-        let mut resp = Response {
-            status: Status::Ok,
-            opcode: req.opcode,
-            opaque: req.opaque,
-            cas: 0,
-            flags: 0,
-            key: Vec::new(),
-            value: Vec::new(),
+    /// The binary encoder: one outcome as its response packets. A quiet
+    /// opcode stays silent on a get miss and on any other success.
+    pub(super) fn respond(
+        cmd: &Cmd<'_>,
+        opcode: Opcode,
+        opaque: u32,
+        quiet: bool,
+        outcome: Outcome<'_>,
+        extra_stats: &[(&'static str, u64)],
+        out: &mut impl Sink,
+    ) {
+        let (cas, flags, key, value) = (0, 0, Vec::new(), Vec::new());
+        let mut r = Response { status: Status::Ok, opcode, opaque, cas, flags, key, value };
+        r.status = match outcome {
+            Outcome::Values(keys, values) => match values[0].take() {
+                Some(v) => {
+                    (r.cas, r.flags, r.value) = (v.cas, v.flags, v.data);
+                    if matches!(opcode, Opcode::GetK | Opcode::GetKQ) {
+                        r.key = keys[0].to_vec();
+                    }
+                    Status::Ok
+                }
+                None => Status::KeyNotFound,
+            },
+            Outcome::Stored(StoreStatus::Stored) => Status::Ok,
+            Outcome::Stored(StoreStatus::NotStored) => Status::NotStored,
+            Outcome::Stored(StoreStatus::Exists) => Status::KeyExists,
+            Outcome::Stored(StoreStatus::NotFound) => Status::KeyNotFound,
+            Outcome::Stored(StoreStatus::TooLarge) => Status::ValueTooLarge,
+            Outcome::Stored(StoreStatus::OutOfMemory) => Status::OutOfMemory,
+            Outcome::Found(true) | Outcome::Done => Status::Ok,
+            Outcome::Found(false) | Outcome::Counted(ArithStatus::NotFound) => Status::KeyNotFound,
+            Outcome::Counted(ArithStatus::Ok(v)) => {
+                r.value = v.to_be_bytes().to_vec();
+                Status::Ok
+            }
+            Outcome::Counted(ArithStatus::NonNumeric) => Status::NonNumeric,
+            // A stat group this server does not keep: memcached's answer
+            // for an unknown one.
+            Outcome::Stats(_) if matches!(cmd, Cmd::Stats { group } if !group.is_empty()) => {
+                Status::KeyNotFound
+            }
+            Outcome::Stats(pairs) => {
+                for (k, v) in pairs.iter().chain(extra_stats) {
+                    let (key, value) = (k.as_bytes().to_vec(), v.to_string().into_bytes());
+                    out.packet(Response { key, value, ..r.clone() });
+                }
+                Status::Ok // the empty closing packet
+            }
+            Outcome::Version(branch) => {
+                r.value = format!("1.4.15-tm ({branch})").into_bytes();
+                Status::Ok
+            }
+            Outcome::Rejected(_) => unreachable!("binary frames are refused by their decoder"),
+            Outcome::Panicked => Status::InternalError,
         };
-        match req.opcode {
-            Opcode::Get | Opcode::GetQ | Opcode::GetK | Opcode::GetKQ => {
-                match cache.get(w, &req.key) {
-                    Some(v) => {
-                        resp.cas = v.cas;
-                        resp.flags = v.flags;
-                        resp.value = v.data;
-                        if matches!(req.opcode, Opcode::GetK | Opcode::GetKQ) {
-                            resp.key = req.key.clone();
-                        }
-                    }
-                    None => resp.status = Status::KeyNotFound,
-                }
-            }
-            Opcode::Set | Opcode::SetQ | Opcode::Add | Opcode::Replace => {
-                let st = if req.cas != 0 {
-                    cache.cas(w, &req.key, &req.value, req.extra as u32, 0, req.cas)
-                } else {
-                    match req.opcode {
-                        Opcode::Set | Opcode::SetQ => {
-                            cache.set(w, &req.key, &req.value, req.extra as u32, 0)
-                        }
-                        Opcode::Add => cache.add(w, &req.key, &req.value, req.extra as u32, 0),
-                        _ => cache.replace(w, &req.key, &req.value, req.extra as u32, 0),
-                    }
-                };
-                resp.status = match st {
-                    StoreStatus::Stored => Status::Ok,
-                    StoreStatus::NotStored => Status::NotStored,
-                    StoreStatus::Exists => Status::KeyExists,
-                    StoreStatus::NotFound => Status::KeyNotFound,
-                    StoreStatus::TooLarge => Status::ValueTooLarge,
-                    StoreStatus::OutOfMemory => Status::OutOfMemory,
-                };
-            }
-            Opcode::Delete | Opcode::DeleteQ => {
-                if !cache.delete(w, &req.key) {
-                    resp.status = Status::KeyNotFound;
-                }
-            }
-            Opcode::Increment | Opcode::Decrement => {
-                match cache.arith(w, &req.key, req.extra, req.opcode == Opcode::Increment) {
-                    ArithStatus::Ok(v) => resp.value = v.to_be_bytes().to_vec(),
-                    ArithStatus::NotFound => resp.status = Status::KeyNotFound,
-                    ArithStatus::NonNumeric => resp.status = Status::NonNumeric,
-                }
-            }
-            Opcode::Noop => {}
-            Opcode::Stat => {
-                // The server answers STAT through stat_responses (one
-                // request, many packets). A lone dispatch answers only
-                // the terminator packet.
-            }
-            Opcode::Version => {
-                resp.value = format!("1.4.15-tm ({})", cache.branch()).into_bytes();
-            }
+        let silent = if opcode.is_get() { Status::KeyNotFound } else { Status::Ok };
+        if !(quiet && r.status == silent) {
+            out.packet(r);
         }
-        resp
     }
 }
 
@@ -1755,15 +1713,18 @@ mod tests {
                 other => panic!("expected Error for nbytes {n}, got {other:?}"),
             }
         }
-        // The same headers through the single-request executor and the
-        // batch parser: answered / rejected without offset overflow.
+        // The same header through the lone-request executor and the
+        // decoder: answered / refused without offset overflow.
         let c = cache();
         let huge = format!("set k 0 0 {}\r\nx\r\n", u64::MAX);
         assert_eq!(
             execute_ascii(&c, 0, huge.as_bytes()),
             b"CLIENT_ERROR bad data chunk\r\n".to_vec()
         );
-        assert!(parse_store_op(huge.as_bytes()).is_none());
+        assert!(matches!(
+            decode(huge.as_bytes(), &mut Vec::new()),
+            Err(FrameScan::Error { swallow: 0, close: true, .. })
+        ));
         // A binary header promising a huge body closes too.
         let mut frame = vec![0u8; 24];
         frame[0] = binary::REQ_MAGIC;
@@ -1922,5 +1883,59 @@ mod tests {
             .parse()
             .unwrap();
         assert!(refills > 0, "magazine cache must have refilled: {stats}");
+    }
+
+    /// Decodes every frame of `buf` into one run buffer and runs it, as
+    /// the wire front end does with what one read delivered.
+    fn run_buffer(c: &McCache, buf: &[u8]) -> Vec<u8> {
+        let (mut reqs, mut keys, mut at) = (Vec::new(), Vec::new(), 0);
+        while let Ok((len, req)) = decode(&buf[at..], &mut keys) {
+            reqs.push(req);
+            at += len;
+        }
+        let mut out = Vec::new();
+        run(c, 0, &reqs, &keys, &[], &mut out);
+        out
+    }
+
+    #[test]
+    fn a_storage_line_decodes_once_into_slices_of_the_buffer() {
+        let buf = b"set k 7 9 5 noreply\r\nhello\r\nget k\r\n";
+        let (len, req) = decode(buf, &mut Vec::new()).unwrap();
+        assert_eq!(len, 28);
+        let Cmd::Store(op) = req.cmd else { panic!("a store") };
+        assert_eq!((op.mode, op.key, op.value), (StoreMode::Set, &b"k"[..], &b"hello"[..]));
+        assert_eq!((op.flags, op.exptime), (7, 9));
+        assert!(std::ptr::eq(op.value, &buf[21..26]), "the value is not copied");
+        assert!(matches!(req.reply, Reply::Ascii { noreply: true, .. }));
+    }
+
+    #[test]
+    fn a_panicking_run_answers_each_request_in_its_own_protocol() {
+        // ASCII and binary gets in one buffer are one get run.
+        let getkq = binary::Request {
+            opcode: binary::Opcode::GetKQ,
+            opaque: 7,
+            cas: 0,
+            key: b"a".to_vec(),
+            value: Vec::new(),
+            extra: 0,
+        };
+        let internal = binary::Response {
+            status: binary::Status::InternalError,
+            opcode: binary::Opcode::GetKQ,
+            opaque: 7,
+            cas: 0,
+            flags: 0,
+            key: Vec::new(),
+            value: Vec::new(),
+        };
+        let buf = [&b"get a b\r\n"[..], &getkq.encode(), b"gets c\r\n"].concat();
+        for c in [cache(), magazine_cache()] {
+            c.trip_request_panic();
+            let want = [SERVER_ERROR_PANIC, &internal.encode(), SERVER_ERROR_PANIC].concat();
+            assert_eq!(run_buffer(&c, &buf), want);
+            assert_eq!(c.request_panics(), 1, "one run, one panic");
+        }
     }
 }

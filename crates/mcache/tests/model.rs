@@ -276,12 +276,13 @@ mod binary_wire {
             prop_assert_eq!(back.cas, req.cas);
             prop_assert_eq!(back.key, req.key);
             prop_assert_eq!(back.value, req.value);
-            // extras only travel on opcodes that carry them
+            // extras only travel on opcodes that carry them; a store's
+            // flags field is 32 bits wide
             match req.opcode {
-                Opcode::Set | Opcode::Add | Opcode::Replace
-                | Opcode::Increment | Opcode::Decrement => {
-                    prop_assert_eq!(back.extra, req.extra)
+                Opcode::Set | Opcode::Add | Opcode::Replace => {
+                    prop_assert_eq!(back.extra, req.extra as u32 as u64)
                 }
+                Opcode::Increment | Opcode::Decrement => prop_assert_eq!(back.extra, req.extra),
                 _ => prop_assert_eq!(back.extra, 0),
             }
         }

@@ -366,6 +366,36 @@ fn quit_closes_after_flushing() {
     expect_closed(&mut s);
 }
 
+#[test]
+fn quit_is_recognised_by_its_first_token() {
+    let srv = server(Branch::It(Stage::OnCommit));
+    let mut s = connect(&srv);
+    // Trailing whitespace is no part of the command.
+    s.write_all(b"set q 0 0 1\r\nx\r\nquit \r\n").unwrap();
+    expect_exact(&mut s, b"STORED\r\n");
+    expect_closed(&mut s);
+}
+
+#[test]
+fn stats_with_arguments_reports_the_net_counters_too() {
+    let srv = server(Branch::It(Stage::OnCommit));
+    let mut s = connect(&srv);
+    for req in [&b"stats \r\n"[..], b"stats anything\r\n"] {
+        s.write_all(req).unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while !buf.ends_with(b"END\r\n") {
+            let n = s.read(&mut chunk).unwrap();
+            assert!(n > 0, "connection closed mid-stats");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+        let text = String::from_utf8(buf).expect("stats are ASCII");
+        for key in ["STAT cmd_get ", "STAT curr_connections 1\r\n", "STAT udp_datagrams_tx "] {
+            assert!(text.contains(key), "{req:?} missing {key:?} in:\n{text}");
+        }
+    }
+}
+
 /// Sends ASCII `stats` and reads the dump through its `END`.
 fn ascii_stats(s: &mut TcpStream) -> String {
     s.write_all(b"stats\r\n").unwrap();
@@ -670,4 +700,45 @@ fn ascii_and_binary_stats_report_the_same_names() {
     ] {
         assert!(binary.iter().any(|n| n == k), "binary STAT missing {k}");
     }
+}
+
+/// A binary request assembled by hand from the protocol spec — not by
+/// this crate's encoder — with a zero CAS.
+fn spec_frame(opcode: u8, opaque: u32, extras: &[u8], key: &[u8], value: &[u8]) -> Vec<u8> {
+    let mut f = vec![0x80, opcode];
+    f.extend_from_slice(&(key.len() as u16).to_be_bytes());
+    f.extend_from_slice(&[extras.len() as u8, 0, 0, 0]);
+    f.extend_from_slice(&((extras.len() + key.len() + value.len()) as u32).to_be_bytes());
+    f.extend_from_slice(&opaque.to_be_bytes());
+    f.extend_from_slice(&[0; 8]);
+    f.extend_from_slice(extras);
+    f.extend_from_slice(key);
+    f.extend_from_slice(value);
+    f
+}
+
+/// The spec's extras: SET/ADD/REPLACE carry flags `u32` + exptime `u32`,
+/// INCR/DECR delta `u64` + initial `u64` + exptime `u32`, everything else
+/// none; any other length is `InvalidArguments`, as memcached answers.
+#[test]
+fn binary_extras_follow_the_spec_layout() {
+    let srv = server(Branch::It(Stage::OnCommit));
+    let mut s = connect(&srv);
+    let mut rb = Vec::new();
+    s.write_all(&spec_frame(0x01, 1, &[0, 0, 0, 5, 0, 0, 0, 0], b"sk", b"41")).unwrap();
+    assert_eq!(read_frame(&mut s, &mut rb).status, Status::Ok);
+    roundtrip(&mut s, b"get sk\r\n", b"VALUE sk 5 2\r\n41\r\nEND\r\n");
+
+    let mut extras = [0u8; 20];
+    extras[7] = 10; // delta 10, initial 0, exptime 0
+    s.write_all(&spec_frame(0x05, 2, &extras, b"sk", b"")).unwrap();
+    let r = read_frame(&mut s, &mut rb);
+    assert_eq!((r.status, r.opaque), (Status::Ok, 2));
+    assert_eq!(r.value, 51u64.to_be_bytes());
+
+    for (opcode, extlen) in [(0x01, 4), (0x02, 0), (0x05, 8), (0x00, 4)] {
+        s.write_all(&spec_frame(opcode, 3, &vec![0; extlen], b"sk", b"")).unwrap();
+        assert_eq!(read_raw_status(&mut s), Status::InvalidArguments as u16, "opcode {opcode:#x}");
+    }
+    roundtrip(&mut s, b"get sk\r\n", b"VALUE sk 5 2\r\n51\r\nEND\r\n");
 }

@@ -148,3 +148,36 @@ fn recover_allocates_per_live_entry_not_per_record() {
     assert!(allocs < records as u64, "fewer allocations than records: {allocs}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A binary GET hit through the calls a server worker makes between its
+/// read and its write — `parse_frame`, `execute`, `encode` — on the branch
+/// the system benchmark runs. The ceiling is what the protocol layer
+/// allocated when it had one executor per protocol (the owned key, the
+/// value out of the cache, the response frame: three per GET, measured
+/// at commit 73b91ce): a run of one must not pay for a run's buffers.
+#[test]
+fn binary_get_hit_allocates_no_more_than_before() {
+    use mcache::proto::binary::{execute, parse_frame, Opcode, Request};
+    const CEILING: u64 = 300;
+    let c = McCache::start(McConfig { branch: Branch::IpNoLock, magazine: 0, ..config() });
+    assert_eq!(c.set(0, b"hot-key", &[7u8; 100], 0, 0), StoreStatus::Stored);
+    let get = Request {
+        opcode: Opcode::Get,
+        opaque: 1,
+        cas: 0,
+        key: b"hot-key".to_vec(),
+        value: Vec::new(),
+        extra: 0,
+    }
+    .encode();
+    let hit = || execute(&c, 0, &parse_frame(&get).expect("a GET frame")).encode();
+    for _ in 0..100 {
+        hit();
+    }
+    let before = thread_allocs();
+    for _ in 0..100 {
+        assert_eq!(hit().len(), 24 + 4 + 100);
+    }
+    let allocs = thread_allocs() - before;
+    assert!(allocs <= CEILING, "{allocs} allocations per 100 GET hits, ceiling {CEILING}");
+}

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline: release build, workspace tests
 # (the wire smoke is one of them: crates/bench/tests/mcslap_wire.rs), the
-# stress and crash tiers, the system benchmark's oracle, and the bench
-# smokes with their in-bench ratio gates. Leaves the tree clean: every
-# output goes under target/.
+# stress and crash tiers, the system benchmark's oracle, the recovery and
+# protocol oracles, and the bench smokes with their in-bench ratio gates.
+# Leaves the tree clean: every output goes under target/.
 #
 # Usage: scripts/verify.sh [stress-seconds]   (default 10)
 
@@ -85,6 +85,14 @@ echo "==> recovery oracle (dur: differential fold x5000, interrupted-compaction 
 TESTKIT_CASES=5000 TESTKIT_SEED=19 cargo test -q --offline -p mcache --lib -- \
     dur::tests::recover_matches_the_reference_fold \
     dur::tests::interrupted_compaction_recovers_the_same_live_set
+
+# The request pipeline against the two protocol executors it replaced:
+# 5 000 seeded mixed ASCII/binary pipelines, cut at seeded read
+# boundaries, through the connection dispatcher on three branches; the
+# transcript fingerprints for this seed were recorded before the collapse.
+echo "==> protocol transcripts (net::conn: 5000 seeded pipelines x 3 branches vs recorded fingerprints)"
+TESTKIT_CASES=5000 TESTKIT_SEED=23 cargo test -q --offline -p mcache --lib -- \
+    net::conn::tests::transcripts_match_the_recorded_fingerprints
 
 # Bench smokes. Each bench gates itself on RATIOS between arms it runs
 # interleaved (stm_getpath: fast-lane/fulltx floor and multiget
