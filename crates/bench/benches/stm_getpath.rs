@@ -23,6 +23,7 @@
 
 use std::hint::black_box;
 
+use bench::{ratio_gate, EVERY_ALGORITHM};
 use testkit::bench::Criterion;
 use testkit::{criterion_group, criterion_main};
 use tm::{Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction};
@@ -201,31 +202,7 @@ fn bench_mix(c: &mut Criterion) {
     // nanoseconds wander ±50%. The acceptance bar is 1.5x; gating a
     // notch under it tolerates residual per-sample noise while still
     // failing loudly if the fast lane ever stops being a fast lane.
-    ratio_gate(&stats, "fulltx_90_10", "fastlane_90_10", 1.4);
-}
-
-/// Fails the bench run unless `slow`'s median is at least `floor` times
-/// `fast`'s median, for every algorithm prefix present in `stats`.
-fn ratio_gate(stats: &[testkit::bench::BenchStats], slow: &str, fast: &str, floor: f64) {
-    for s in stats {
-        let Some(algo) = s.name.strip_suffix(&format!("/{slow}")) else {
-            continue;
-        };
-        let fast_name = format!("{algo}/{fast}");
-        let Some(f) = stats.iter().find(|b| b.name == fast_name) else {
-            continue;
-        };
-        let ratio = s.median_ns / f.median_ns.max(1e-9);
-        if ratio < floor {
-            eprintln!(
-                "RATIO REGRESSION {algo}: {slow} {:.1}ns / {fast} {:.1}ns = {ratio:.2}x \
-                 < required {floor:.2}x",
-                s.median_ns, f.median_ns
-            );
-            std::process::exit(1);
-        }
-        println!("    [gate] {algo}: {slow}/{fast} = {ratio:.2}x (floor {floor:.2}x)");
-    }
+    ratio_gate(&stats, "fulltx_90_10", "fastlane_90_10", 1.4, EVERY_ALGORITHM);
 }
 
 fn bench_multiget(c: &mut Criterion) {
@@ -283,7 +260,7 @@ fn bench_multiget(c: &mut Criterion) {
     // Batching must never LOSE to one-transaction-per-key; the win is
     // modest single-threaded (it saves begin/commit, not validation), so
     // the floor only guards against inversion.
-    ratio_gate(&stats, "single_x16", "batched_x16", 0.95);
+    ratio_gate(&stats, "single_x16", "batched_x16", 0.95, EVERY_ALGORITHM);
 }
 
 /// One sample of the contended GET mix: `workers` threads each run

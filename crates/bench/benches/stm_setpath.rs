@@ -31,8 +31,9 @@
 
 use std::hint::black_box;
 
+use bench::{ratio_gate, EVERY_ALGORITHM};
 use mcache::{Branch, McCache, McConfig, SlabConfig, Stage, StoreStatus};
-use testkit::bench::{BenchStats, Criterion};
+use testkit::bench::Criterion;
 use testkit::{criterion_group, criterion_main};
 use tm::{Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction};
 
@@ -226,49 +227,8 @@ fn bench_mix(c: &mut Criterion) {
     // least two of the three algorithms. The 50/50 arm dilutes the write
     // share, so its floor is lower — it guards the shape, not the
     // headline.
-    ratio_gate_majority(&stats, "fulltx_set_heavy_90_10", "fastlane_set_heavy_90_10", 1.3, 2);
-    ratio_gate_majority(&stats, "fulltx_mix_50_50", "fastlane_mix_50_50", 1.15, 2);
-}
-
-/// Fails the bench run unless `slow`'s median is at least `floor` times
-/// `fast`'s median on at least `need` of the algorithm prefixes present.
-fn ratio_gate_majority(stats: &[BenchStats], slow: &str, fast: &str, floor: f64, need: usize) {
-    let mut passed = 0usize;
-    let mut total = 0usize;
-    for s in stats {
-        let Some(algo) = s.name.strip_suffix(&format!("/{slow}")) else {
-            continue;
-        };
-        let fast_name = format!("{algo}/{fast}");
-        let Some(f) = stats.iter().find(|b| b.name == fast_name) else {
-            continue;
-        };
-        total += 1;
-        let ratio = s.median_ns / f.median_ns.max(1e-9);
-        if ratio >= floor {
-            passed += 1;
-            println!("    [gate] {algo}: {slow}/{fast} = {ratio:.2}x (floor {floor:.2}x)");
-        } else {
-            eprintln!(
-                "    [gate] {algo}: {slow} {:.1}ns / {fast} {:.1}ns = {ratio:.2}x \
-                 < floor {floor:.2}x",
-                s.median_ns, f.median_ns
-            );
-        }
-    }
-    if total > 0 && passed < need.min(total) {
-        eprintln!(
-            "RATIO REGRESSION: {slow}/{fast} ≥ {floor:.2}x held on only {passed}/{total} \
-             algorithms (need {need})"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Strict per-algorithm gate, used where inversion is the only failure
-/// mode.
-fn ratio_gate(stats: &[BenchStats], slow: &str, fast: &str, floor: f64) {
-    ratio_gate_majority(stats, slow, fast, floor, usize::MAX);
+    ratio_gate(&stats, "fulltx_set_heavy_90_10", "fastlane_set_heavy_90_10", 1.3, 2);
+    ratio_gate(&stats, "fulltx_mix_50_50", "fastlane_mix_50_50", 1.15, 2);
 }
 
 fn bench_batch(c: &mut Criterion) {
@@ -324,7 +284,7 @@ fn bench_batch(c: &mut Criterion) {
     // Batching must never LOSE to one-transaction-per-SET; the win is
     // per-commit overhead amortized 16x, so anything under parity is a
     // regression.
-    ratio_gate(&stats, "single_x16", "batched_x16", 0.95);
+    ratio_gate(&stats, "single_x16", "batched_x16", 0.95, EVERY_ALGORITHM);
 }
 
 fn setpath_cache(magazine: usize) -> mcache::McHandle {
@@ -390,7 +350,7 @@ fn bench_magazine(c: &mut Criterion) {
     let stats = g.finish();
     // The magazine must never lose to the freelist store on its home
     // turf (single worker, warm overwrites).
-    ratio_gate(&stats, "set_magoff", "set_magon", 1.0);
+    ratio_gate(&stats, "set_magoff", "set_magon", 1.0, EVERY_ALGORITHM);
 }
 
 /// One sample of the contended SET storm: `workers` threads each run

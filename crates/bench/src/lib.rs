@@ -496,6 +496,52 @@ pub mod figures {
     }
 }
 
+/// `need` for [`ratio_gate`]: the floor must hold on every algorithm.
+pub const EVERY_ALGORITHM: usize = usize::MAX;
+
+/// The micro-benches' in-bench regression gate: exits the bench process
+/// with status 1 unless `slow`'s median is at least `floor` times `fast`'s
+/// on at least `need` of the algorithm prefixes (`{algo}/{name}`) present
+/// in `stats`. Pairs that ran interleaved keep this ratio stable even when
+/// absolute nanoseconds wander.
+pub fn ratio_gate(
+    stats: &[testkit::bench::BenchStats],
+    slow: &str,
+    fast: &str,
+    floor: f64,
+    need: usize,
+) {
+    let (mut passed, mut total) = (0usize, 0usize);
+    for s in stats {
+        let Some(algo) = s.name.strip_suffix(&format!("/{slow}")) else {
+            continue;
+        };
+        let fast_name = format!("{algo}/{fast}");
+        let Some(f) = stats.iter().find(|b| b.name == fast_name) else {
+            continue;
+        };
+        total += 1;
+        let ratio = s.median_ns / f.median_ns.max(1e-9);
+        if ratio >= floor {
+            passed += 1;
+            println!("    [gate] {algo}: {slow}/{fast} = {ratio:.2}x (floor {floor:.2}x)");
+        } else {
+            eprintln!(
+                "    [gate] {algo}: {slow} {:.1}ns / {fast} {:.1}ns = {ratio:.2}x < floor {floor:.2}x",
+                s.median_ns, f.median_ns
+            );
+        }
+    }
+    if total > 0 && passed < need.min(total) {
+        eprintln!(
+            "RATIO REGRESSION: {slow}/{fast} >= {floor:.2}x held on only {passed}/{total} \
+             algorithms (need {})",
+            need.min(total)
+        );
+        std::process::exit(1);
+    }
+}
+
 /// Prints Figure 11's companion abort-rate report (the paper's §4 text:
 /// aborts per commit and cross-thread variance).
 pub fn print_abort_rates(scale: &Scale, threads: usize) {

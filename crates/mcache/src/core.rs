@@ -570,26 +570,6 @@ impl CacheCore {
         Ok(Ok(a))
     }
 
-    /// Replaces any existing item under `key` with `new_h` (the second
-    /// half of `do_store_item` for `set`).
-    pub fn replace_existing<'e>(
-        &'e self,
-        ctx: &mut Ctx<'_, 'e>,
-        policy: &Policy,
-        key: &[u8],
-        hv: u32,
-        new_h: ItemHandle,
-    ) -> Result<bool, Abort> {
-        if let Some(old) = self.assoc.find(ctx, policy, &self.arena, key, hv)? {
-            if old != new_h {
-                self.unlink_item(ctx, policy, old, hv)?;
-            }
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-
     /// `do_item_update`: re-position in the LRU and refresh last-access.
     pub fn update_item<'e>(
         &'e self,
@@ -734,8 +714,9 @@ mod tests {
         let it = core.arena.resolve(a.handle);
         let sizes = it.sizes(&mut ctx).unwrap();
         it.write_value(&mut ctx, policy, sizes, value).unwrap();
-        core.replace_existing(&mut ctx, policy, key, hv, a.handle)
-            .unwrap();
+        if let Some(old) = core.assoc.find(&mut ctx, policy, &core.arena, key, hv).unwrap() {
+            core.unlink_item(&mut ctx, policy, old, hv).unwrap();
+        }
         core.link_item(&mut ctx, policy, a.handle, hv).unwrap();
         core.item_release(&mut ctx, policy, a.handle).unwrap();
         a.handle

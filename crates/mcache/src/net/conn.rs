@@ -234,26 +234,32 @@ impl Connection {
     /// Executes every complete frame at the head of `rbuf`. Returns
     /// whether complete frames may remain buffered (the dispatch output
     /// budget stopped the run early).
+    ///
+    /// A swallow ends a run, not the dispatch: the frames already buffered
+    /// behind a wholly buffered oversized block run now, since no readiness
+    /// edge would announce them. Each extra round consumes a whole block of
+    /// more than [`proto::ASCII_VALUE_MAX`] bytes, so the rounds are bounded
+    /// by what one pump reads.
     fn dispatch(&mut self, cache: &McCache, w: usize, shared: &Shared) -> bool {
-        if self.swallow > 0 {
+        loop {
             let n = self.swallow.min(self.rbuf.len());
             self.rbuf.drain(..n);
             self.swallow -= n;
-            if self.swallow > 0 {
+            if self.swallow > 0 || self.rbuf.is_empty() {
                 return false;
             }
+            let outcome = run_frames(cache, w, shared, &self.rbuf);
+            self.wbuf.extend_from_slice(&outcome.out);
+            self.rbuf.drain(..outcome.consumed);
+            self.swallow = outcome.swallow;
+            if outcome.close {
+                self.close_after_flush = true;
+                return false;
+            }
+            if outcome.swallow == 0 {
+                return outcome.more;
+            }
         }
-        if self.rbuf.is_empty() {
-            return false;
-        }
-        let outcome = run_frames(cache, w, shared, &self.rbuf);
-        self.wbuf.extend_from_slice(&outcome.out);
-        self.rbuf.drain(..outcome.consumed);
-        self.swallow = outcome.swallow;
-        if outcome.close {
-            self.close_after_flush = true;
-        }
-        outcome.more && !outcome.close
     }
 }
 
@@ -416,6 +422,24 @@ mod tests {
             }
         }
         std::mem::take(&mut conn.wbuf)
+    }
+
+    /// Frames that arrive in the same read as a whole oversized block are
+    /// answered by that read's dispatch, not left for the client's next
+    /// bytes (which, under edge-triggered epoll, may never come).
+    #[test]
+    fn frames_behind_a_buffered_swallow_run_in_the_same_dispatch() {
+        let c = cache(Branch::Baseline, 0);
+        c.set(0, b"k", b"v", 0, 0);
+        let n = crate::proto::ASCII_VALUE_MAX + 1;
+        let mut wire = format!("set big 0 0 {n}\r\n").into_bytes();
+        wire.resize(wire.len() + n, b'x');
+        wire.extend_from_slice(b"\r\nget k\r\n");
+        let out = transcript(&c, &wire, &[]);
+        assert_eq!(
+            String::from_utf8_lossy(&out),
+            "SERVER_ERROR object too large for cache\r\nVALUE k 0 1\r\nv\r\nEND\r\n"
+        );
     }
 
     fn fnv1a(h: &mut u64, bytes: &[u8]) {

@@ -56,20 +56,6 @@ impl TWord {
     pub fn fetch_add_direct(&self, v: u64) -> u64 {
         self.0.fetch_add(v, Ordering::AcqRel)
     }
-
-    /// Non-transactional atomic subtract, returning the previous value.
-    #[inline]
-    pub fn fetch_sub_direct(&self, v: u64) -> u64 {
-        self.0.fetch_sub(v, Ordering::AcqRel)
-    }
-
-    /// Non-transactional compare-and-swap; returns `Ok(previous)` on
-    /// success.
-    #[inline]
-    pub fn compare_exchange_direct(&self, current: u64, new: u64) -> Result<u64, u64> {
-        self.0
-            .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
-    }
 }
 
 impl fmt::Debug for TWord {
@@ -366,10 +352,7 @@ mod tests {
         w.store_direct(9);
         assert_eq!(w.load_direct(), 9);
         assert_eq!(w.fetch_add_direct(1), 9);
-        assert_eq!(w.fetch_sub_direct(3), 10);
-        assert_eq!(w.load_direct(), 7);
-        assert_eq!(w.compare_exchange_direct(7, 0), Ok(7));
-        assert_eq!(w.compare_exchange_direct(7, 1), Err(0));
+        assert_eq!(w.load_direct(), 10);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
-use std::time::Instant;
 
 use crate::sync_count::{self, SyncSite};
 
@@ -87,21 +86,17 @@ impl Hourglass {
         }
     }
 
-    /// Blocks until the gate is open or held by `tx_id`, giving up at
-    /// `deadline` (`None` = wait forever). Returns `false` on timeout.
+    /// Blocks until the gate is open or held by `tx_id`.
     ///
     /// Waiters back off exponentially: a few doubling spin bursts, then a
     /// `thread::yield_now` floor — on a one-core host a closed gate must
-    /// hand the core to the holder instead of burning it. The deadline is
-    /// only consulted once the wait reaches the yield floor (`Instant::now`
-    /// is too expensive for the first few spins, and a gate held that
-    /// briefly is about to open anyway).
-    pub fn wait_at_begin_until(&self, tx_id: u64, deadline: Option<Instant>) -> bool {
+    /// hand the core to the holder instead of burning it.
+    pub fn wait_at_begin(&self, tx_id: u64) {
         let mut rounds = 0u32;
         loop {
             let h = self.holder.load(Ordering::Acquire);
             if h == 0 || h == tx_id {
-                return true;
+                return;
             }
             if rounds < 6 {
                 for _ in 0..(1u32 << rounds) {
@@ -109,11 +104,6 @@ impl Hourglass {
                 }
             } else {
                 thread::yield_now();
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return false;
-                    }
-                }
             }
             rounds = rounds.saturating_add(1);
         }
@@ -153,16 +143,8 @@ impl fmt::Debug for Hourglass {
 }
 
 /// Spins/yields for a randomized exponential backoff after `attempt`
-/// consecutive aborts. `seed` decorrelates threads. A backoff never
-/// outlives `deadline`: once it passes, the wait is cut short so the
-/// caller can report [`crate::TxError::Timeout`] instead of sleeping
-/// through it.
-pub(crate) fn exponential_backoff(
-    attempt: u32,
-    max_shift: u32,
-    seed: u64,
-    deadline: Option<Instant>,
-) {
+/// consecutive aborts. `seed` decorrelates threads.
+pub(crate) fn exponential_backoff(attempt: u32, max_shift: u32, seed: u64) {
     let shift = attempt.min(max_shift);
     // xorshift on (seed, attempt) for a cheap random fraction.
     let mut x = seed ^ ((attempt as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -171,7 +153,7 @@ pub(crate) fn exponential_backoff(
     x ^= x << 17;
     let max = 1u64 << shift;
     let units = (x % max) + 1;
-    for unit in 0..units {
+    for _ in 0..units {
         // One "unit" is a short spin; past a threshold we also yield so the
         // backoff behaves under preemption (the paper observes backoff
         // "performs poorly due to preemption" at high thread counts — the
@@ -181,15 +163,6 @@ pub(crate) fn exponential_backoff(
         }
         if units > 64 {
             thread::yield_now();
-        }
-        // Check the deadline only every few units: Instant::now() costs
-        // more than the 16-spin unit itself.
-        if unit % 32 == 31 {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return;
-                }
-            }
         }
     }
 }
@@ -241,41 +214,15 @@ mod tests {
         let h = Hourglass::new();
         assert!(h.try_close(3));
         // Must not deadlock: the holder passes its own gate.
-        assert!(h.wait_at_begin_until(3, None));
+        h.wait_at_begin(3);
         h.open_if_held(3);
-        assert!(h.wait_at_begin_until(4, None));
+        h.wait_at_begin(4);
     }
 
     #[test]
     fn backoff_terminates() {
         for attempt in 0..12 {
-            exponential_backoff(attempt, 8, 42, None);
+            exponential_backoff(attempt, 8, 42);
         }
-    }
-
-    #[test]
-    fn backoff_respects_deadline() {
-        use std::time::Duration;
-        let start = Instant::now();
-        // A huge backoff (2^30 units) cut short by an already-expired
-        // deadline must return in well under the full spin time.
-        exponential_backoff(64, 30, 1, Some(start));
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "deadline-cut backoff still spun for {:?}",
-            start.elapsed()
-        );
-    }
-
-    #[test]
-    fn closed_gate_times_out() {
-        use std::time::Duration;
-        let h = Hourglass::new();
-        assert!(h.try_close(9));
-        let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(!h.wait_at_begin_until(10, Some(deadline)));
-        assert!(h.wait_at_begin_until(9, Some(deadline)), "holder passes");
-        h.open_if_held(9);
-        assert!(h.wait_at_begin_until(10, Some(deadline)), "open gate passes");
     }
 }

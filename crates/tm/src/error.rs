@@ -67,42 +67,6 @@ pub fn cancel<R>() -> Result<R, Abort> {
     Err(Abort::Cancelled)
 }
 
-/// Why a bounded transaction ([`crate::TmRuntime::atomic_with`],
-/// [`crate::TmRuntime::relaxed_with`]) returned without committing.
-///
-/// Unbounded entry points never produce [`TxError::RetryLimit`] or
-/// [`TxError::Timeout`]; they only arise when [`crate::TxOptions`] set the
-/// corresponding bound. In every case the runtime has fully rolled the
-/// transaction back and released all locks — the caller may retry, fall
-/// back to a coarse lock, or surface the error.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum TxError {
-    /// The body requested `transaction_cancel` (atomic transactions only).
-    Cancelled,
-    /// The attempt aborted more than `max_retries` times in a row.
-    RetryLimit {
-        /// The configured retry budget that was exhausted.
-        retries: u32,
-    },
-    /// The configured deadline passed before an attempt committed.
-    Timeout,
-}
-
-impl fmt::Display for TxError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TxError::Cancelled => write!(f, "transaction cancelled by transaction_cancel"),
-            TxError::RetryLimit { retries } => {
-                write!(f, "transaction exceeded its retry budget of {retries}")
-            }
-            TxError::Timeout => write!(f, "transaction deadline expired before commit"),
-        }
-    }
-}
-
-impl Error for TxError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,12 +82,5 @@ mod tests {
     fn cancel_returns_cancelled() {
         let r: Result<(), Abort> = cancel();
         assert_eq!(r, Err(Abort::Cancelled));
-    }
-
-    #[test]
-    fn tx_error_display() {
-        assert!(TxError::Cancelled.to_string().contains("transaction_cancel"));
-        assert!(TxError::RetryLimit { retries: 7 }.to_string().contains('7'));
-        assert!(TxError::Timeout.to_string().contains("deadline"));
     }
 }

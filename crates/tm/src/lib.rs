@@ -85,8 +85,8 @@ mod word;
 pub use algo::Algorithm;
 pub use cell::{TBytes, TCell, TWord};
 pub use cm::ContentionManager;
-pub use error::{cancel, Abort, Cancelled, TxError};
-pub use runtime::{last_commit_stamp, TmRuntime, TmRuntimeBuilder, TxOptions};
+pub use error::{cancel, Abort, Cancelled};
+pub use runtime::{last_commit_stamp, TmRuntime, TmRuntimeBuilder};
 pub use serial::SerialLockMode;
 pub use stats::{take_thread_tally, LivenessSnapshot, StatsSnapshot, ThreadTally};
 pub use txn::{AtomicTx, RelaxedPlan, RelaxedTx, Transaction};

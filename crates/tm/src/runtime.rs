@@ -3,72 +3,18 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::algo::{Algorithm, Engine};
 use crate::arena::{Arena, ThreadCtx};
 use crate::clock::{Clock, SeqLock};
 use crate::cm::{exponential_backoff, ContentionManager, Hourglass};
 use crate::cell::TCell;
-use crate::error::{Abort, Cancelled, TxError};
+use crate::error::{Abort, Cancelled};
 use crate::fault::{self, FaultSite};
 use crate::orec::OrecTable;
 use crate::serial::{SerialLock, SerialLockMode};
 use crate::stats::{Counter, LivenessSnapshot, StatDeltas, StatsSnapshot, ThreadTally, TmStats};
 use crate::txn::{AtomicTx, RelaxedPlan, RelaxedTx, Transaction, TxInner};
-
-/// Bounds on a transaction's retry loop, for the `_with` entry points
-/// ([`TmRuntime::atomic_with`], [`TmRuntime::relaxed_with`]).
-///
-/// The default is unbounded — identical to [`TmRuntime::atomic`] — which
-/// mirrors GCC's libitm: a transaction retries until it commits. Bounds
-/// turn pathological contention into a recoverable [`TxError`] instead of
-/// an indefinite spin, the graceful-degradation path production OCC
-/// systems rely on.
-///
-/// # Examples
-///
-/// ```
-/// use std::time::Duration;
-/// use tm::TxOptions;
-///
-/// let opts = TxOptions::new()
-///     .max_retries(64)
-///     .deadline(Duration::from_millis(50));
-/// assert_eq!(opts.max_retries, Some(64));
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TxOptions {
-    /// Retry budget: the first attempt is free, then at most this many
-    /// retries before [`TxError::RetryLimit`]. `None` = unbounded.
-    pub max_retries: Option<u32>,
-    /// Wall-clock budget measured from transaction entry; checked between
-    /// attempts and inside contention-manager waits (the first attempt
-    /// always runs). `None` = unbounded.
-    pub deadline: Option<Duration>,
-}
-
-impl TxOptions {
-    /// Unbounded options (retry forever, like [`TmRuntime::atomic`]).
-    pub const fn new() -> Self {
-        TxOptions {
-            max_retries: None,
-            deadline: None,
-        }
-    }
-
-    /// Caps consecutive retries of one transaction.
-    pub const fn max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = Some(retries);
-        self
-    }
-
-    /// Caps the transaction's total wall-clock time.
-    pub const fn deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
-        self
-    }
-}
 
 /// Shared state of one runtime. Engines and transactions hold `&RtInner`.
 ///
@@ -350,16 +296,7 @@ impl TmRuntime {
     where
         F: FnMut(&mut AtomicTx<'env>) -> Result<R, Abort>,
     {
-        let res = self.run_loop(RelaxedPlan::new(), TxOptions::new(), false, move |inner| {
-            f(AtomicTx::wrap_mut(inner))
-        });
-        match res {
-            Ok(r) => Ok(r),
-            Err(TxError::Cancelled) => Err(Cancelled),
-            // INVARIANT: unbounded TxOptions can never produce a
-            // retry-limit or timeout error.
-            Err(e) => unreachable!("unbounded transaction returned {e:?}"),
-        }
+        self.run_loop(RelaxedPlan::new(), false, move |inner| f(AtomicTx::wrap_mut(inner)))
     }
 
     /// Runs `f` as a `__transaction_atomic` block *expected* to be
@@ -399,36 +336,7 @@ impl TmRuntime {
     where
         F: FnMut(&mut AtomicTx<'env>) -> Result<R, Abort>,
     {
-        let res = self.run_loop(RelaxedPlan::new(), TxOptions::new(), true, move |inner| {
-            f(AtomicTx::wrap_mut(inner))
-        });
-        match res {
-            Ok(r) => Ok(r),
-            Err(TxError::Cancelled) => Err(Cancelled),
-            // INVARIANT: unbounded TxOptions can never produce a
-            // retry-limit or timeout error.
-            Err(e) => unreachable!("unbounded transaction returned {e:?}"),
-        }
-    }
-
-    /// Runs `f` as a *bounded* `__transaction_atomic` block: like
-    /// [`TmRuntime::atomic`], but `opts` can cap retries and impose a
-    /// wall-clock deadline so pathological contention degrades into a
-    /// recoverable [`TxError`] instead of spinning forever.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::Cancelled`] if `f` cancelled, [`TxError::RetryLimit`] /
-    /// [`TxError::Timeout`] when the corresponding bound was exceeded. In
-    /// every error case the transaction's effects are fully rolled back
-    /// and all runtime locks released.
-    pub fn atomic_with<'env, R, F>(&'env self, opts: TxOptions, mut f: F) -> Result<R, TxError>
-    where
-        F: FnMut(&mut AtomicTx<'env>) -> Result<R, Abort>,
-    {
-        self.run_loop(RelaxedPlan::new(), opts, false, move |inner| {
-            f(AtomicTx::wrap_mut(inner))
-        })
+        self.run_loop(RelaxedPlan::new(), true, move |inner| f(AtomicTx::wrap_mut(inner)))
     }
 
     /// A *transaction expression* (Draft C++ TM Specification §2): reads
@@ -468,17 +376,11 @@ impl TmRuntime {
     where
         F: FnMut(&mut RelaxedTx<'env>) -> Result<R, Abort>,
     {
-        let res = self.run_loop(plan, TxOptions::new(), false, move |inner| {
-            f(RelaxedTx::wrap_mut(inner))
-        });
-        match res {
+        match self.run_loop(plan, false, move |inner| f(RelaxedTx::wrap_mut(inner))) {
             Ok(r) => r,
-            Err(TxError::Cancelled) => panic!(
-                "relaxed transactions cannot cancel (Draft C++ TM Specification)"
-            ),
-            // INVARIANT: unbounded TxOptions can never produce a
-            // retry-limit or timeout error.
-            Err(e) => unreachable!("unbounded transaction returned {e:?}"),
+            Err(Cancelled) => {
+                panic!("relaxed transactions cannot cancel (Draft C++ TM Specification)")
+            }
         }
     }
 
@@ -497,75 +399,34 @@ impl TmRuntime {
     where
         F: FnMut(&mut RelaxedTx<'env>) -> Result<R, Abort>,
     {
-        let res = self.run_loop(plan, TxOptions::new(), true, move |inner| {
-            f(RelaxedTx::wrap_mut(inner))
-        });
-        match res {
+        match self.run_loop(plan, true, move |inner| f(RelaxedTx::wrap_mut(inner))) {
             Ok(r) => r,
-            Err(TxError::Cancelled) => panic!(
-                "relaxed transactions cannot cancel (Draft C++ TM Specification)"
-            ),
-            // INVARIANT: unbounded TxOptions can never produce a
-            // retry-limit or timeout error.
-            Err(e) => unreachable!("unbounded transaction returned {e:?}"),
+            Err(Cancelled) => {
+                panic!("relaxed transactions cannot cancel (Draft C++ TM Specification)")
+            }
         }
     }
 
-    /// Runs `f` as a *bounded* `__transaction_relaxed` block; see
-    /// [`TmRuntime::atomic_with`] for the bound semantics.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::RetryLimit`] / [`TxError::Timeout`] when the
-    /// corresponding [`TxOptions`] bound was exceeded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` cancels: the Draft C++ TM Specification forbids
-    /// relaxed transactions from cancelling (they may be irrevocable).
-    pub fn relaxed_with<'env, R, F>(
-        &'env self,
-        plan: RelaxedPlan,
-        opts: TxOptions,
-        mut f: F,
-    ) -> Result<R, TxError>
-    where
-        F: FnMut(&mut RelaxedTx<'env>) -> Result<R, Abort>,
-    {
-        let res = self.run_loop(plan, opts, false, move |inner| f(RelaxedTx::wrap_mut(inner)));
-        match res {
-            Err(TxError::Cancelled) => panic!(
-                "relaxed transactions cannot cancel (Draft C++ TM Specification)"
-            ),
-            other => other,
-        }
-    }
-
-    /// A cheap progress probe for an external watchdog: pair two of these
-    /// some interval apart and use [`LivenessSnapshot::stalled_since`] /
-    /// [`LivenessSnapshot::abort_storm_since`] to detect a livelocked or
-    /// storming runtime. Costs relaxed atomic loads only: three counters
-    /// folded over the per-thread stat blocks, plus the clock words.
+    /// The runtime's global time-base and gate words — commit clock,
+    /// NOrec sequence lock, hourglass holder — one relaxed load each.
     pub fn liveness(&self) -> LivenessSnapshot {
         let rt = &*self.inner;
         LivenessSnapshot {
-            commits: rt.stats.sum(Counter::commits),
-            aborts: rt.stats.sum(Counter::aborts),
-            panic_aborts: rt.stats.sum(Counter::panic_aborts),
             clock: rt.clock.now(),
             seq: rt.seqlock.load(),
             hourglass_holder: rt.hourglass.holder(),
-            serial_writer_pending: rt.serial.writer_pending(),
         }
     }
 
-    /// The retry loop shared by all entry points. `run_loop` owns the
-    /// `TxInner` and lends it to `body` each attempt (the entry points
-    /// reinterpret the `&mut TxInner` as the `repr(transparent)` facade
-    /// types), so that when a panic unwinds out of `body` or the engine's
-    /// commit path, the loop still holds the transaction state and can
-    /// tear it down — replay undo, release orecs and the serial lock,
-    /// reopen the hourglass — before resuming the unwind.
+    /// The retry loop shared by all entry points. Like libitm's, it retries
+    /// until the transaction commits; the only other ways out are a cancel
+    /// and a resumed unwind. `run_loop` owns the `TxInner` and lends it to
+    /// `body` each attempt (the entry points reinterpret the `&mut TxInner`
+    /// as the `repr(transparent)` facade types), so that when a panic
+    /// unwinds out of `body` or the engine's commit path, the loop still
+    /// holds the transaction state and can tear it down — replay undo,
+    /// release orecs and the serial lock, reopen the hourglass — before
+    /// resuming the unwind.
     ///
     /// The loop's own bookkeeping stays on memory this thread owns: the
     /// transaction id comes from the thread's id block, every counter is
@@ -575,10 +436,9 @@ impl TmRuntime {
     fn run_loop<'env, R, B>(
         &'env self,
         plan: RelaxedPlan,
-        opts: TxOptions,
         ro: bool,
         mut body: B,
-    ) -> Result<R, TxError>
+    ) -> Result<R, Cancelled>
     where
         B: FnMut(&mut TxInner<'env>) -> Result<R, Abort>,
     {
@@ -586,7 +446,6 @@ impl TmRuntime {
         ThreadCtx::with(|tc| {
             let rt: &'env RtInner = &self.inner;
             let id = tc.mint_tx_id();
-            let deadline = opts.deadline.map(|d| Instant::now() + d);
             let mut consecutive_aborts: u32 = 0;
             // Set once this transaction has closed the hourglass gate; only
             // then does finishing touch the gate word again.
@@ -598,8 +457,9 @@ impl TmRuntime {
             // empty).
             let mut arena = tc.take_arena();
             let (mut commit_handlers, mut abort_handlers) = arena.take_handler_vecs();
-            // Every way out of the loop: flush what the last attempt counted,
-            // reopen the gate if this transaction closed it, cache the arena.
+            // Every way out of the loop — commit, cancel, a resumed unwind:
+            // flush what the last attempt counted, reopen the gate if this
+            // transaction closed it, cache the arena.
             let finish = |mut arena: Box<Arena>, ch, ah, holds_gate: bool| {
                 rt.stats.flush(tc.ord, &mut arena.logs.stats);
                 if holds_gate {
@@ -609,11 +469,7 @@ impl TmRuntime {
             };
             loop {
                 if let ContentionManager::Hourglass(_) = rt.cm {
-                    if !rt.hourglass.wait_at_begin_until(id, deadline) {
-                        arena.logs.stats.bump(Counter::timeouts);
-                        finish(arena, commit_handlers, abort_handlers, holds_gate);
-                        return Err(TxError::Timeout);
-                    }
+                    rt.hourglass.wait_at_begin(id);
                 }
                 let mut inner = self.begin_attempt(
                     rt,
@@ -680,38 +536,17 @@ impl TmRuntime {
                     finish(arena, commit_handlers, abort_handlers, holds_gate);
                     resume_unwind(payload);
                 }
-                match outcome {
-                    AttemptOutcome::Committed(r) => {
-                        finish(arena, commit_handlers, abort_handlers, holds_gate);
-                        return Ok(r);
-                    }
-                    AttemptOutcome::Cancelled => {
-                        finish(arena, commit_handlers, abort_handlers, holds_gate);
-                        return Err(TxError::Cancelled);
-                    }
+                let done = match outcome {
+                    AttemptOutcome::Committed(r) => Ok(r),
+                    AttemptOutcome::Cancelled => Err(Cancelled),
                     AttemptOutcome::Aborted => {
                         consecutive_aborts += 1;
-                        if let Some(max) = opts.max_retries {
-                            if consecutive_aborts > max {
-                                arena.logs.stats.bump(Counter::retry_limits);
-                                finish(arena, commit_handlers, abort_handlers, holds_gate);
-                                return Err(TxError::RetryLimit { retries: max });
-                            }
-                        }
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                arena.logs.stats.bump(Counter::timeouts);
-                                finish(arena, commit_handlers, abort_handlers, holds_gate);
-                                return Err(TxError::Timeout);
-                            }
-                        }
                         // The attempt's counts become visible before the retry,
-                        // so a watchdog polling `liveness` sees an abort storm
-                        // while it is still raging.
+                        // so `stats()` shows an abort storm while it rages.
                         rt.stats.flush(tc.ord, &mut arena.logs.stats);
                         match rt.cm {
                             ContentionManager::Backoff { max_shift } => {
-                                exponential_backoff(consecutive_aborts, max_shift, id, deadline);
+                                exponential_backoff(consecutive_aborts, max_shift, id);
                             }
                             ContentionManager::Hourglass(limit) => {
                                 if !holds_gate && consecutive_aborts >= limit {
@@ -720,8 +555,11 @@ impl TmRuntime {
                             }
                             ContentionManager::None | ContentionManager::SerializeAfter(_) => {}
                         }
+                        continue;
                     }
-                }
+                };
+                finish(arena, commit_handlers, abort_handlers, holds_gate);
+                return done;
             }
         })
     }

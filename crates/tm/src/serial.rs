@@ -102,13 +102,6 @@ impl SerialLock {
         let prev = self.state.fetch_and(!WRITER, Ordering::AcqRel);
         debug_assert_ne!(prev & WRITER, 0, "write_release without write_acquire");
     }
-
-    /// Returns `true` if a writer currently holds or awaits the lock.
-    /// Diagnostic only; the answer may be stale immediately.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn writer_pending(&self) -> bool {
-        self.state.load(Ordering::Acquire) & WRITER != 0
-    }
 }
 
 impl fmt::Debug for SerialLock {
@@ -201,15 +194,5 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn writer_pending_is_visible() {
-        let l = SerialLock::new();
-        assert!(!l.writer_pending());
-        l.write_acquire();
-        assert!(l.writer_pending());
-        l.write_release();
-        assert!(!l.writer_pending());
     }
 }

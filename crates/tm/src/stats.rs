@@ -93,10 +93,6 @@ counters! {
     /// rolls back an already-committed transaction; the first payload is
     /// re-thrown after all remaining handlers have run.
     handler_panics,
-    /// Bounded transactions that exhausted `TxOptions::max_retries`.
-    retry_limits,
-    /// Bounded transactions whose `TxOptions::deadline` expired.
-    timeouts,
     /// Read-only fast-lane transactions that committed without ever
     /// promoting: no orec acquired, no undo/redo log, single-fence commit.
     ro_fast_commits,
@@ -266,20 +262,10 @@ impl fmt::Display for StatsSnapshot {
     }
 }
 
-/// A cheap progress probe for the livelock watchdog: pair two snapshots
-/// taken some interval apart and ask whether the runtime made progress.
-///
-/// Everything here is a relaxed atomic load — taking a snapshot folds
-/// three counters over the per-thread stat blocks and never blocks or
-/// writes, so an external watchdog thread can poll at any frequency. See [`crate::TmRuntime::liveness`].
+/// The runtime's global time-base and gate words, read with one load
+/// each; see [`crate::TmRuntime::liveness`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LivenessSnapshot {
-    /// Committed transactions so far.
-    pub commits: u64,
-    /// Aborted attempts so far.
-    pub aborts: u64,
-    /// Panic-torn-down attempts so far.
-    pub panic_aborts: u64,
     /// Global commit-clock value (eager/lazy timestamp clock).
     pub clock: u64,
     /// NOrec global sequence-lock value.
@@ -287,33 +273,6 @@ pub struct LivenessSnapshot {
     /// Transaction id currently holding the hourglass gate closed
     /// (0 = open).
     pub hourglass_holder: u64,
-    /// Whether a serial-irrevocable writer is pending or active on the
-    /// serial lock.
-    pub serial_writer_pending: bool,
-}
-
-impl LivenessSnapshot {
-    /// True if the runtime churned without progressing since `earlier`:
-    /// aborts grew but no transaction committed and neither global clock
-    /// advanced. A sustained `true` across several polls means the system
-    /// is livelocked (abort storm, stuck hourglass holder, or a wedged
-    /// serial writer — the other fields say which).
-    pub fn stalled_since(&self, earlier: &LivenessSnapshot) -> bool {
-        self.aborts > earlier.aborts
-            && self.commits == earlier.commits
-            && self.clock == earlier.clock
-            && self.seq == earlier.seq
-    }
-
-    /// True if the window since `earlier` saw at least `threshold` aborts
-    /// per commit (and at least `threshold` aborts in absolute terms, so a
-    /// tiny window cannot trip the detector). Commits of zero count as one
-    /// to keep the ratio finite.
-    pub fn abort_storm_since(&self, earlier: &LivenessSnapshot, threshold: u64) -> bool {
-        let da = self.aborts.saturating_sub(earlier.aborts);
-        let dc = self.commits.saturating_sub(earlier.commits);
-        da >= threshold && da >= threshold.saturating_mul(dc.max(1))
-    }
 }
 
 /// Per-thread commit/abort tallies, used by the Figure 11 harness to report
@@ -428,35 +387,26 @@ mod tests {
         assert_eq!(sa.begins + sb.begins, 60);
     }
 
-    /// `liveness()` reads the folded counters: a retry storm that never
-    /// commits shows as stalled *while it runs*, and stops showing once a
-    /// commit lands.
+    /// An attempt's counts are flushed before the retry, so `stats()`
+    /// shows an abort storm while it is still raging.
     #[test]
-    fn liveness_detectors_work_from_folded_counters() {
-        use crate::{Abort, TCell, TmRuntime, Transaction, TxOptions};
-        let rt = TmRuntime::default_runtime();
+    fn aborts_become_visible_between_attempts() {
+        use crate::{Abort, TCell, TmRuntime, Transaction};
+        let rt = TmRuntime::builder()
+            .contention_manager(crate::ContentionManager::None)
+            .build();
         let c = TCell::new(0u64);
-        let before = rt.liveness();
-        let mut mid = None;
-        let r = rt.atomic_with(TxOptions::new().max_retries(200), |tx| {
+        let mut seen = Vec::new();
+        rt.atomic(|tx| {
             tx.read(&c)?;
-            // Sampled from inside a late attempt: the earlier attempts'
-            // aborts must already be visible.
-            if mid.is_none() && rt.liveness().aborts >= 100 {
-                mid = Some(rt.liveness());
+            seen.push(rt.stats().aborts);
+            if seen.len() <= 3 {
+                return Err(Abort::Conflict);
             }
-            Err::<(), _>(Abort::Conflict)
+            tx.write(&c, 1)
         });
-        assert!(r.is_err());
-        let mid = mid.expect("aborts must become visible between attempts");
-        assert!(mid.stalled_since(&before));
-        assert!(mid.abort_storm_since(&before, 50));
-        let after = rt.liveness();
-        assert_eq!(after.aborts - before.aborts, 201);
-        rt.atomic(|tx| tx.write(&c, 1));
-        let done = rt.liveness();
-        assert!(!done.stalled_since(&after), "a commit ends the stall");
-        assert!(!done.abort_storm_since(&after, 50));
+        assert_eq!(seen, [0, 1, 2, 3]);
+        assert_eq!(rt.stats().aborts, 3);
     }
 
     #[test]
@@ -503,47 +453,6 @@ mod tests {
         assert!(row.contains("in-flight=10 (10.0%)"), "{row}");
         assert!(row.contains("start-serial=5 (5.0%)"), "{row}");
         assert!(row.contains("abort-serial=1"), "{row}");
-    }
-
-    #[test]
-    fn stalled_detector() {
-        let a = LivenessSnapshot {
-            commits: 10,
-            aborts: 50,
-            clock: 7,
-            ..Default::default()
-        };
-        let churning = LivenessSnapshot { aborts: 80, ..a };
-        assert!(churning.stalled_since(&a));
-        let progressed = LivenessSnapshot {
-            aborts: 80,
-            commits: 11,
-            ..a
-        };
-        assert!(!progressed.stalled_since(&a));
-        let ticked = LivenessSnapshot { aborts: 80, clock: 8, ..a };
-        assert!(!ticked.stalled_since(&a));
-        assert!(!a.stalled_since(&a), "no aborts means no stall signal");
-    }
-
-    #[test]
-    fn abort_storm_detector() {
-        let a = LivenessSnapshot::default();
-        let storm = LivenessSnapshot {
-            aborts: 1000,
-            commits: 10,
-            ..Default::default()
-        };
-        assert!(storm.abort_storm_since(&a, 50));
-        assert!(!storm.abort_storm_since(&a, 200));
-        let tiny = LivenessSnapshot {
-            aborts: 3,
-            ..Default::default()
-        };
-        assert!(
-            !tiny.abort_storm_since(&a, 50),
-            "small windows must not trip the detector"
-        );
     }
 
     #[test]

@@ -599,26 +599,4 @@ impl<'env> RelaxedTx<'env> {
     pub fn is_irrevocable(&self) -> bool {
         self.0.irrevocable
     }
-
-    /// Whether this attempt is still in the read-only fast lane (started
-    /// via [`crate::TmRuntime::relaxed_ro`] and neither written nor gone
-    /// irrevocable yet).
-    pub fn is_fast_lane(&self) -> bool {
-        self.0.ro
-    }
-}
-
-impl<'env> AtomicTx<'env> {
-    /// Whether this transaction is running serially (only possible via the
-    /// contention policy, never via unsafe operations).
-    pub fn is_serial(&self) -> bool {
-        self.0.irrevocable
-    }
-
-    /// Whether this attempt is still in the read-only fast lane (started
-    /// via [`crate::TmRuntime::atomic_ro`] and not yet promoted by a
-    /// write).
-    pub fn is_fast_lane(&self) -> bool {
-        self.0.ro
-    }
 }

@@ -10,11 +10,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Barrier;
-use std::time::Duration;
 
-use tm::{
-    Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction, TxOptions,
-};
+use tm::{Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction};
+
+/// Far more retries than one transaction needs under the contention these
+/// tests create; a transaction still aborting past it is blocked by a lock
+/// a panic leaked.
+const ATTEMPT_BOUND: u32 = 1_000_000;
 
 /// The six configurations the acceptance criterion names:
 /// eager/lazy/NOrec × RW-lock/NoLock.
@@ -45,8 +47,8 @@ fn config_label(rt: &TmRuntime) -> String {
 
 /// Thread A panics mid-write-set; threads B–D then commit 1000
 /// transactions each. If the panic leaked an orec, the serial read lock,
-/// or (NOrec) the sequence lock, the workers would spin forever — the
-/// deadline turns that hang into a loud failure.
+/// or (NOrec) the sequence lock, the workers would abort forever — each
+/// body counts its attempts and turns that hang into a loud failure.
 #[test]
 fn body_panic_never_blocks_other_threads() {
     for rt in all_configs() {
@@ -81,11 +83,11 @@ fn body_panic_never_blocks_other_threads() {
         }
 
         // Threads B–D: 1000 commits each, with a ticket oracle. A leaked
-        // lock shows up as RetryLimit/Timeout instead of a silent hang.
+        // lock shows up as a panic past ATTEMPT_BOUND instead of a silent
+        // hang.
         const THREADS: usize = 3;
         const TXNS: u64 = 1000;
         let barrier = Barrier::new(THREADS);
-        let opts = TxOptions::new().deadline(Duration::from_secs(60));
         let mut tickets: Vec<u64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|t| {
@@ -97,17 +99,19 @@ fn body_panic_never_blocks_other_threads() {
                         barrier.wait();
                         let mut mine = Vec::with_capacity(TXNS as usize);
                         for j in 0..TXNS {
-                            let tk = rt
-                                .atomic_with(opts, |tx| {
-                                    let tk = tx.fetch_add(ticket, 1)?;
-                                    let c = &cells[(t as u64 + j) as usize % cells.len()];
-                                    let v = tx.read(c)?;
-                                    tx.write(c, v + 1)?;
-                                    Ok(tk)
-                                })
-                                .unwrap_or_else(|e| {
-                                    panic!("worker {t} txn {j} failed with {e}: runtime blocked")
-                                });
+                            let mut attempts = 0;
+                            let tk = rt.atomic(|tx| {
+                                attempts += 1;
+                                assert!(
+                                    attempts <= ATTEMPT_BOUND,
+                                    "worker {t} txn {j} still aborting: runtime blocked"
+                                );
+                                let tk = tx.fetch_add(ticket, 1)?;
+                                let c = &cells[(t as u64 + j) as usize % cells.len()];
+                                let v = tx.read(c)?;
+                                tx.write(c, v + 1)?;
+                                Ok(tk)
+                            });
                             mine.push(tk);
                         }
                         mine
@@ -278,14 +282,16 @@ fn hourglass_gate_reopens_after_panic() {
         })
     }));
     assert!(r.is_err());
-    // If the gate were still closed, this transaction would hang forever;
-    // bound it so a regression fails loudly instead.
-    let v = rt
-        .atomic_with(
-            TxOptions::new().deadline(Duration::from_secs(30)),
-            |tx| tx.fetch_add(&c, 1),
-        )
-        .expect("gate must be open after the panic");
+    // If the gate were still closed, the next transaction would wait at
+    // begin forever; read the gate word first so a regression fails loudly
+    // instead, and bound the retries for a leaked orec.
+    assert_eq!(rt.liveness().hourglass_holder, 0, "gate must be open after the panic");
+    let mut attempts = 0;
+    let v = rt.atomic(|tx| {
+        attempts += 1;
+        assert!(attempts <= ATTEMPT_BOUND, "still aborting after the panic");
+        tx.fetch_add(&c, 1)
+    });
     assert_eq!(v, 0);
     assert_eq!(c.load_direct(), 1);
 }

@@ -14,7 +14,7 @@
 #![cfg(feature = "sync-count")]
 
 use tm::sync_count::{take_thread_counts, SyncCounts, SyncSite};
-use tm::{Abort, Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction, TxOptions};
+use tm::{Abort, Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction};
 
 const ALGOS: [Algorithm; 3] = [Algorithm::Eager, Algorithm::Lazy, Algorithm::Norec];
 
@@ -142,19 +142,24 @@ fn the_serial_lock_adds_two_rmws_and_nothing_else() {
     }
 }
 
-/// A bounded transaction that gives up still leaves every shared word
-/// alone: its aborts, retry-limit and handler counts all land in the
-/// thread's own block.
+/// Aborted attempts leave every shared word alone: a transaction that
+/// aborts three times and then commits read-only counts its aborts and
+/// handler runs in the thread's own block and nowhere else.
 #[test]
 fn aborted_attempts_stay_on_own_lines() {
     let rt = runtime(Algorithm::Norec, ContentionManager::None, SerialLockMode::None);
     let cell = TCell::new(0u64);
     let c = measure(|| {
-        let r = rt.atomic_with(TxOptions::new().max_retries(3), |tx| {
+        let mut attempts = 0;
+        rt.atomic(|tx| {
+            attempts += 1;
             tx.read(&cell)?;
-            Err::<(), _>(Abort::Conflict)
+            if attempts <= 3 {
+                return Err(Abort::Conflict);
+            }
+            Ok(())
         });
-        assert!(r.is_err());
+        assert_eq!(attempts, 4);
     });
     assert_eq!(c.shared_line(), 0, "{:?}", nonzero(&c));
     assert!(c.own_line() > 0);
@@ -163,7 +168,8 @@ fn aborted_attempts_stay_on_own_lines() {
 /// The abort edge of the orec algorithms: an attempt that loses a
 /// validation (another thread committed over a word it had read) counts
 /// the conflict in its own stat block and — having locked no orec —
-/// touches no shared line at all.
+/// touches no shared line at all; nor does the read-only retry that then
+/// commits.
 #[test]
 fn a_conflict_abort_issues_no_shared_line_rmw() {
     for algo in [Algorithm::Eager, Algorithm::Lazy] {
@@ -171,8 +177,13 @@ fn a_conflict_abort_issues_no_shared_line_rmw() {
         let (x, w) = (TCell::new(0u64), TCell::new(0u64));
         let before = rt.stats();
         let c = measure(|| {
-            let r = rt.atomic_with(TxOptions::new().max_retries(0), |tx| {
+            let mut attempts = 0;
+            rt.atomic(|tx| {
+                attempts += 1;
                 let seen = tx.read(&x)?;
+                if attempts > 1 {
+                    return tx.read(&w);
+                }
                 // Another thread commits over `x` and `w` (its RMWs land
                 // in its own tally): reading `w` now needs a snapshot
                 // extension, whose validation finds `x` changed.
@@ -186,7 +197,7 @@ fn a_conflict_abort_issues_no_shared_line_rmw() {
                 });
                 tx.read(&w)
             });
-            assert!(r.is_err(), "{algo}: the stale read must abort");
+            assert_eq!(attempts, 2, "{algo}: the stale read must abort once");
         });
         assert_eq!(c.shared_line(), 0, "{algo}: {:?}", nonzero(&c));
         let s = rt.stats().since(&before);
