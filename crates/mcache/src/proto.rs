@@ -117,9 +117,11 @@ pub fn stat_pairs(cache: &McCache) -> Vec<(&'static str, u64)> {
         ("silent_store_elisions", tm.silent_store_elisions),
         ("clock_tick_elisions", tm.clock_tick_elisions),
         ("clock_cas_retries", tm.clock_cas_retries),
-        // Contention-path gauges: orec conflicts and NOrec's
+        // Contention-path gauges: orec conflicts, the aborted attempts
+        // that waited for a held orec before retrying, and NOrec's
         // seqlock-bump elision.
         ("orec_stripe_conflicts", tm.orec_stripe_conflicts),
+        ("orec_lock_waits", tm.lock_waits),
         ("seqlock_bump_elisions", tm.seqlock_bump_elisions),
         ("magazine_refills", s.global.magazine_refills),
         ("magazine_flushes", s.global.magazine_flushes),
@@ -1869,6 +1871,7 @@ mod tests {
             "clock_tick_elisions",
             "clock_cas_retries",
             "orec_stripe_conflicts",
+            "orec_lock_waits",
             "seqlock_bump_elisions",
             "magazine_refills",
             "magazine_flushes",

@@ -347,15 +347,16 @@ fn reaper_spares_active_connections() {
     let srv = server_with(NetConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
-        idle_timeout_ms: 120,
+        idle_timeout_ms: 400,
         ..NetConfig::default()
     });
     let mut s = TcpStream::connect(srv.local_addr()).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    // Keep touching the connection at half the timeout; it must survive
-    // several full timeout windows.
-    for _ in 0..8 {
-        std::thread::sleep(Duration::from_millis(60));
+    // Keep touching the connection at a quarter of the timeout, so a
+    // scheduling stall of most of a window cannot fake idleness; it must
+    // survive four full timeout windows.
+    for _ in 0..16 {
+        std::thread::sleep(Duration::from_millis(100));
         s.write_all(b"version\r\n").expect("keepalive");
         let mut buf = [0u8; 256];
         let n = s.read(&mut buf).expect("keepalive answer");

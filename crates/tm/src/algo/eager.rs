@@ -67,11 +67,13 @@ impl EagerTx {
             if cur == observed {
                 continue;
             }
-            if orec::is_locked(cur) && orec::owner_of(cur) == self.tx_id {
-                // We locked this orec after reading it; the read is stale
-                // only if someone committed in between (pre-lock value
-                // differs from what we read past).
-                if lock_prev(&bufs.locks, idx) == Some(observed) {
+            if orec::is_locked(cur) {
+                if orec::owner_of(cur) != self.tx_id {
+                    bufs.blocked_on = Some((idx, cur));
+                } else if lock_prev(&bufs.locks, idx) == Some(observed) {
+                    // We locked this orec after reading it; the read is
+                    // stale only if someone committed in between (pre-lock
+                    // value differs from what we read past).
                     continue;
                 }
             }
@@ -106,6 +108,7 @@ impl EagerTx {
                     return Ok(tword_at(addr).load_direct());
                 }
                 bufs.stats.bump(Counter::orec_stripe_conflicts);
+                bufs.blocked_on = Some((idx, o1));
                 return Err(Abort::Conflict);
             }
             let v = tword_at(addr).load_direct();
@@ -158,6 +161,7 @@ impl EagerTx {
                     return Ok(());
                 }
                 bufs.stats.bump(Counter::orec_stripe_conflicts);
+                bufs.blocked_on = Some((idx, o));
                 return Err(Abort::Conflict);
             }
             if orec::version_of(o) > self.start_time {

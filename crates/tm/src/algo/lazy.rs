@@ -33,13 +33,15 @@ pub(crate) struct LazyTx {
 
 /// Revalidates the read set against the orec table. `held` is the
 /// commit-time lock list: an orec we locked ourselves is valid iff its
-/// pre-lock value is what the read observed.
+/// pre-lock value is what the read observed. An orec found locked by
+/// another transaction is recorded in `blocked_on`.
 fn validate(
     rt: &RtInner,
     tx_id: u64,
     reads: &[(usize, OrecValue)],
     held: &[(usize, OrecValue)],
     stats: &mut StatDeltas,
+    blocked_on: &mut Option<(usize, OrecValue)>,
 ) -> Result<(), Abort> {
     // Fault site: every caller treats a validation Err like a real
     // conflict and releases any held orecs; a panic here is recovered by
@@ -50,10 +52,12 @@ fn validate(
         if cur == observed {
             continue;
         }
-        if orec::is_locked(cur) && orec::owner_of(cur) == tx_id {
-            // Locked by us during this commit; valid iff the pre-lock
-            // value is what we observed when reading.
-            if held.iter().any(|&(i, prev)| i == idx && prev == observed) {
+        if orec::is_locked(cur) {
+            if orec::owner_of(cur) != tx_id {
+                *blocked_on = Some((idx, cur));
+            } else if held.iter().any(|&(i, prev)| i == idx && prev == observed) {
+                // Locked by us during this commit; valid iff the pre-lock
+                // value is what we observed when reading.
                 continue;
             }
         }
@@ -77,7 +81,7 @@ impl LazyTx {
 
     fn extend(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<(), Abort> {
         let now = rt.clock.now();
-        validate(rt, self.tx_id, &bufs.reads, &[], &mut bufs.stats)?;
+        validate(rt, self.tx_id, &bufs.reads, &[], &mut bufs.stats, &mut bufs.blocked_on)?;
         self.start_time = now;
         bufs.stats.bump(Counter::snapshot_extensions);
         Ok(())
@@ -99,6 +103,7 @@ impl LazyTx {
                 // We never hold locks while executing, so this is always a
                 // concurrent committer: conflict.
                 bufs.stats.bump(Counter::orec_stripe_conflicts);
+                bufs.blocked_on = Some((idx, o1));
                 return Err(Abort::Conflict);
             }
             let v = tword_at(addr).load_direct();
@@ -162,6 +167,7 @@ impl LazyTx {
             writes,
             locks: held,
             stats,
+            blocked_on,
             ..
         } = bufs;
         if writes.is_empty() {
@@ -195,6 +201,7 @@ impl LazyTx {
                         break; // hash collision onto an orec we already hold
                     }
                     stats.bump(Counter::orec_stripe_conflicts);
+                    *blocked_on = Some((idx, o));
                     release_held(rt, held, None);
                     bufs.clear();
                     return Err(Abort::Conflict);
@@ -217,7 +224,7 @@ impl LazyTx {
             // The clock moved past our snapshot: someone committed since
             // we started, revalidate the read set.
             stats.bump(Counter::clock_cas_retries);
-            if validate(rt, self.tx_id, reads, held, stats).is_err() {
+            if validate(rt, self.tx_id, reads, held, stats, blocked_on).is_err() {
                 release_held(rt, held, None);
                 bufs.clear();
                 return Err(Abort::Conflict);
@@ -250,7 +257,7 @@ impl LazyTx {
     /// Caller holds the serial lock exclusively: validate, then publish the
     /// redo log directly.
     pub(crate) fn make_irrevocable(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<(), Abort> {
-        if validate(rt, self.tx_id, &bufs.reads, &[], &mut bufs.stats).is_err() {
+        if validate(rt, self.tx_id, &bufs.reads, &[], &mut bufs.stats, &mut bufs.blocked_on).is_err() {
             bufs.clear();
             return Err(Abort::Conflict);
         }

@@ -246,6 +246,11 @@ pub(crate) struct LogBufs {
     /// ends. They survive [`LogBufs::clear`], which engines call before the
     /// runtime gets to flush.
     pub(crate) stats: StatDeltas,
+    /// `(orec index, locked value seen)` of the orec another transaction
+    /// held when this attempt aborted on it (eager and lazy only). Like the
+    /// stat deltas it survives [`LogBufs::clear`]; the retry loop takes it
+    /// and waits for that orec word to change before the next attempt.
+    pub(crate) blocked_on: Option<(usize, u64)>,
     /// High-watermark log sizes observed on this thread, updated as each
     /// attempt's logs are cleared. [`LogBufs::prewarm`] reserves to these
     /// marks up front, so a workload's steady-state transaction shape never

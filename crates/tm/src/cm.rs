@@ -6,7 +6,8 @@
 //! * [`ContentionManager::SerializeAfter`] — GCC's default: after N
 //!   consecutive aborts the transaction restarts in serial-irrevocable mode
 //!   (requires the serial lock; counted as "Abort Serial" in Tables 1–4).
-//! * [`ContentionManager::None`] — immediate retry ("GCC-NoCM").
+//! * [`ContentionManager::None`] — no policy beyond waiting for the lock
+//!   that aborted the attempt ("GCC-NoCM").
 //! * [`ContentionManager::Backoff`] — randomized exponential backoff.
 //! * [`ContentionManager::Hourglass`] — after N consecutive aborts the
 //!   starving transaction closes a global gate that blocks *new*
@@ -17,12 +18,18 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
+use crate::serial::backoff;
 use crate::sync_count::{self, SyncSite};
 
 /// Which policy the runtime applies between transaction attempts.
+///
+/// Every policy runs after the runtime's own retry rule: an attempt aborted
+/// by an orec another transaction holds first waits, with loads only,
+/// until that orec word changes (DESIGN §9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ContentionManager {
-    /// Immediate retry, never serialize (paper: "GCC-NoCM").
+    /// No policy beyond waiting for the lock that aborted the attempt;
+    /// never serialize (paper: "GCC-NoCM").
     None,
     /// Serialize after this many consecutive aborts (GCC default: 100).
     SerializeAfter(u32),
@@ -88,24 +95,17 @@ impl Hourglass {
 
     /// Blocks until the gate is open or held by `tx_id`.
     ///
-    /// Waiters back off exponentially: a few doubling spin bursts, then a
-    /// `thread::yield_now` floor — on a one-core host a closed gate must
-    /// hand the core to the holder instead of burning it.
+    /// Waiters take the runtime's one wait step ([`backoff`]): 31 spins,
+    /// then a `thread::yield_now` per re-check — on a one-core host a
+    /// closed gate must hand the core to the holder instead of burning it.
     pub fn wait_at_begin(&self, tx_id: u64) {
-        let mut rounds = 0u32;
+        let mut spins = 0u32;
         loop {
             let h = self.holder.load(Ordering::Acquire);
             if h == 0 || h == tx_id {
                 return;
             }
-            if rounds < 6 {
-                for _ in 0..(1u32 << rounds) {
-                    std::hint::spin_loop();
-                }
-            } else {
-                thread::yield_now();
-            }
-            rounds = rounds.saturating_add(1);
+            backoff(&mut spins);
         }
     }
 

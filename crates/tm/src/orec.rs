@@ -34,6 +34,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::serial::backoff;
 use crate::sync_count::{self, SyncSite};
 
 /// Raw orec value.
@@ -167,6 +168,16 @@ impl OrecTable {
     pub fn release(&self, idx: usize, new: OrecValue) {
         self.stripes[idx / ORECS_PER_STRIPE].0[idx % ORECS_PER_STRIPE]
             .store(new, Ordering::Release);
+    }
+
+    /// Waits, with loads only, until the orec at `idx` no longer reads
+    /// `seen` — the locked value that aborted an attempt. The holder leaves
+    /// the word by committing or rolling back, and both store another value.
+    pub(crate) fn wait_for_change(&self, idx: usize, seen: OrecValue) {
+        let mut spins = 0u32;
+        while self.load(idx) == seen {
+            backoff(&mut spins);
+        }
     }
 }
 

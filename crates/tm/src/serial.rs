@@ -114,9 +114,15 @@ impl fmt::Debug for SerialLock {
     }
 }
 
+/// The runtime's one wait step, taken between re-checks of a word another
+/// thread must change: the serial lock here, a held orec after an abort
+/// ([`crate::orec::OrecTable::wait_for_change`]), the hourglass gate
+/// ([`crate::cm::Hourglass::wait_at_begin`]). The first 31 steps spin once
+/// each, every later one yields. The caller re-loads its word after every
+/// step, so a release is seen within one step.
 #[inline]
-fn backoff(spins: &mut u32) {
-    *spins += 1;
+pub(crate) fn backoff(spins: &mut u32) {
+    *spins = spins.saturating_add(1);
     if *spins < 32 {
         std::hint::spin_loop();
     } else {

@@ -131,9 +131,13 @@ counters! {
     /// the sequence bump were both skipped, so concurrent readers kept
     /// their snapshots instead of revalidating.
     seqlock_bump_elisions,
+    /// Aborted attempts that waited, before retrying, for an orec another
+    /// transaction held to change — the retry rule of eager and lazy: an
+    /// attempt that died on a held lock retries once the lock is free.
+    lock_waits,
 }
 
-const NCOUNTERS: usize = Counter::seqlock_bump_elisions as usize + 1;
+const NCOUNTERS: usize = Counter::lock_waits as usize + 1;
 const _: () = assert!(NCOUNTERS <= u32::BITS as usize, "StatDeltas::dirty is a u32 mask");
 
 /// One thread's slice of a runtime's counters: whole cache lines that only
@@ -319,13 +323,13 @@ mod tests {
         for ord in [3, 4, 3 + STAT_BLOCKS as u64] {
             d.add(Counter::commits, 10);
             d.add(Counter::read_log_dedup_hits, 0); // must not mark dirty
-            d.bump(Counter::seqlock_bump_elisions);
+            d.bump(Counter::lock_waits);
             s.flush(ord, &mut d);
             assert_eq!(d.dirty, 0);
             assert_eq!(d.get(Counter::commits), 0, "flush must zero what it moved");
         }
         assert_eq!(s.snapshot().commits, 30);
-        assert_eq!(s.sum(Counter::seqlock_bump_elisions), 3, "the last counter folds too");
+        assert_eq!(s.sum(Counter::lock_waits), 3, "the last counter folds too");
     }
 
     /// More short-lived threads than there are stat blocks, each gone by

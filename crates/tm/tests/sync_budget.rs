@@ -165,6 +165,53 @@ fn aborted_attempts_stay_on_own_lines() {
     assert!(c.own_line() > 0);
 }
 
+/// The retry rule's budget: an attempt that aborts on an orec another
+/// transaction holds, waits for that orec with loads only and then commits
+/// issues no shared-line RMW beyond the committing retry's own protocol —
+/// one orec CAS and one clock CAS. The holder is a parked eager writer on
+/// another thread (its RMWs land in its own tally); it commits only once
+/// the waiter has counted its lock wait, so every run aborts exactly once.
+#[test]
+fn waiting_for_a_held_orec_costs_no_shared_line_rmw() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let rt = runtime(Algorithm::Eager, ContentionManager::None, SerialLockMode::None);
+    let (x, w) = (TCell::new(0u64), TCell::new(0u64));
+    let before = rt.stats();
+    let c = measure(|| {
+        let waits = rt.stats().lock_waits;
+        let held = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                rt.atomic(|tx| {
+                    tx.fetch_add(&x, 1)?;
+                    held.store(true, Ordering::Release);
+                    // An attempt's counts are flushed before it waits.
+                    while rt.stats().lock_waits == waits {
+                        std::thread::yield_now();
+                    }
+                    Ok(())
+                })
+            });
+            while !held.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let mut attempts = 0;
+            rt.atomic(|tx| {
+                attempts += 1;
+                let v = tx.read(&x)?;
+                tx.write(&w, v)
+            });
+            assert_eq!(attempts, 2, "one abort on the held orec, then the commit");
+        });
+    });
+    // Own-line: begins, aborts, orec_stripe_conflicts, lock_waits for the
+    // aborted attempt; begins, commits, clock_tick_elisions for the retry.
+    assert_eq!(nonzero(&c), [(SyncSite::Orec, 1), (SyncSite::Clock, 1), (SyncSite::Stats, 7)]);
+    assert_eq!(c.shared_line(), 2);
+    let s = rt.stats().since(&before);
+    assert_eq!((s.aborts, s.lock_waits), (2, 2), "warm-up + measured run");
+}
+
 /// The abort edge of the orec algorithms: an attempt that loses a
 /// validation (another thread committed over a word it had read) counts
 /// the conflict in its own stat block and — having locked no orec —
