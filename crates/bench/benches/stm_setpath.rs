@@ -10,9 +10,8 @@
 //!     magazine store: ONE transaction carrying the item writes, with the
 //!     chunk handed over by a thread-private magazine (plain pop/push
 //!     outside the section) and the unchanged flags/link words written
-//!     back verbatim so silent-store elision drops them from the write
-//!     set. Must win ≥1.3x median on at least two of the three
-//!     algorithms (the acceptance bar).
+//!     back verbatim, as the real store does. Must win ≥1.3x median on at
+//!     least two of the three algorithms (the acceptance bar).
 //!   - **50/50 mix**: same arms at an even GET/SET split; GETs ride the
 //!     read-only fast lane in both arms so the pair isolates the write
 //!     path. Gated at ≥1.15x on two of three.
@@ -25,9 +24,9 @@
 //!   3-transaction store) vs on (the single-transaction magazine store).
 //!   The magazine must not lose; in practice it wins handily.
 //!
-//! Each arm prints the runtime's write-path counters afterwards
-//! (`silent_store_elisions`, `clock_tick_elisions`, `clock_cas_retries`)
-//! — the numbers quoted in EXPERIMENTS.md.
+//! Each arm prints the runtime's commit-clock counters afterwards
+//! (`clock_tick_elisions`, `clock_cas_retries`) — the numbers quoted in
+//! EXPERIMENTS.md.
 
 use std::hint::black_box;
 
@@ -85,16 +84,15 @@ fn freelist() -> Freelist {
 }
 
 /// The item-link writes shared by every SET arm: value + cas move, the
-/// unchanged flags and bucket-link words written back verbatim (silent
-/// stores — elided from the write set, validated as reads), and the
-/// three-cell stats block.
+/// unchanged flags and bucket-link words written back verbatim (stores
+/// like the others), and the three-cell stats block.
 fn link_writes<'env, Tx: Transaction<'env>>(
     tx: &mut Tx,
     it: &'env [TCell<u64>; ITEM_WORDS],
     stats: &'env [TCell<u64>; 3],
     new_value: u64,
 ) -> Result<u64, tm::Abort> {
-    // Unchanged on overwrite: silent by construction.
+    // Unchanged on overwrite: the value read is written back.
     let link = tx.read(&it[0])?;
     tx.write(&it[0], link)?;
     let flags = tx.read(&it[2])?;
@@ -170,8 +168,8 @@ fn fast_get(rt: &TmRuntime, it: &[TCell<u64>; ITEM_WORDS]) -> u64 {
 fn report(arm: &str, rt: &TmRuntime) {
     let s = rt.stats();
     println!(
-        "    [{arm}] silent_store_elisions={} clock_tick_elisions={} clock_cas_retries={}",
-        s.silent_store_elisions, s.clock_tick_elisions, s.clock_cas_retries
+        "    [{arm}] clock_tick_elisions={} clock_cas_retries={}",
+        s.clock_tick_elisions, s.clock_cas_retries
     );
 }
 

@@ -175,10 +175,6 @@ pub struct CacheCore {
     cas_counter: TCell<u64>,
     /// `flush_all` watermark: items last touched at or before this die.
     pub oldest_live: TCell<u64>,
-    /// Write-nonce for the durability log: operations whose engine commit
-    /// would otherwise be fully read-only (an elided silent touch) bump
-    /// this so the commit mints a fresh stamp for its redo record.
-    pub dur_nonce: TCell<u64>,
 }
 
 impl std::fmt::Debug for CacheCore {
@@ -212,7 +208,6 @@ impl CacheCore {
             global: GlobalStats::default(),
             cas_counter: TCell::new(0),
             oldest_live: TCell::new(0),
-            dur_nonce: TCell::new(0),
             arena,
         }
     }

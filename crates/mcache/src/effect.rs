@@ -117,12 +117,6 @@ impl Effects {
             Effect::Deleted => Record::Del { key },
             Effect::Arith { value, cas } => Record::Arith { cas, value, key },
             Effect::Touched { exp, now } => {
-                if ctx.in_transaction() {
-                    // A touch that rewrites identical times commits with an
-                    // elided (read-only) stamp; bump the nonce so the
-                    // engine mints a fresh one for the record.
-                    ctx.fetch_add_word(core.dur_nonce.word(), 1)?;
-                }
                 Record::Touch { abs_exp: abs(exp), touched_unix: abs(now), key }
             }
             Effect::FlushedAll { now } => Record::FlushAll { flush_unix: abs(now) },

@@ -112,17 +112,14 @@ pub fn stat_pairs(cache: &McCache) -> Vec<(&'static str, u64)> {
         ("slab_reassigns", s.global.rebalances),
         ("request_panics", s.request_panics),
         ("maintenance_panics", s.maintenance_panics),
-        // Write-path overdrive gauges: the STM's mutation fast lane
-        // and the per-worker slab magazines.
-        ("silent_store_elisions", tm.silent_store_elisions),
+        // Write-path gauges: the STM's commit clock and the per-worker
+        // slab magazines.
         ("clock_tick_elisions", tm.clock_tick_elisions),
         ("clock_cas_retries", tm.clock_cas_retries),
-        // Contention-path gauges: orec conflicts, the aborted attempts
-        // that waited for a held orec before retrying, and NOrec's
-        // seqlock-bump elision.
+        // Contention-path gauges: orec conflicts and the aborted attempts
+        // that waited for a held orec before retrying.
         ("orec_stripe_conflicts", tm.orec_stripe_conflicts),
         ("orec_lock_waits", tm.lock_waits),
-        ("seqlock_bump_elisions", tm.seqlock_bump_elisions),
         ("magazine_refills", s.global.magazine_refills),
         ("magazine_flushes", s.global.magazine_flushes),
     ];
@@ -1863,16 +1860,14 @@ mod tests {
     fn ascii_stats_reports_write_path_counters() {
         let c = magazine_cache();
         execute_ascii(&c, 0, b"set k 0 0 1\r\nA\r\n");
-        // A silent store: same key, same bytes.
+        // An overwrite with the same bytes.
         execute_ascii(&c, 0, b"set k 0 0 1\r\nA\r\n");
         let stats = String::from_utf8(execute_ascii(&c, 0, b"stats\r\n")).unwrap();
         for key in [
-            "silent_store_elisions",
             "clock_tick_elisions",
             "clock_cas_retries",
             "orec_stripe_conflicts",
             "orec_lock_waits",
-            "seqlock_bump_elisions",
             "magazine_refills",
             "magazine_flushes",
         ] {

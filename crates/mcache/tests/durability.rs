@@ -207,6 +207,56 @@ fn touch_extends_expiry_across_restart() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `(stamp, kind)` of every record under `dir`, segment by segment in file
+/// order. The format is `dur`'s: a 32-byte segment header, then
+/// `len:u32 crc:u32 payload` frames whose payload starts `stamp:u64 kind:u8`.
+fn record_stamps(dir: &PathBuf) -> Vec<(u64, u8)> {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("seg-"))
+        .collect();
+    segs.sort();
+    let mut out = Vec::new();
+    for seg in segs {
+        let data = std::fs::read(seg).unwrap();
+        let mut at = 32;
+        while at + 8 <= data.len() {
+            let len = u32::from_le_bytes(data[at..at + 4].try_into().unwrap()) as usize;
+            let payload = &data[at + 8..at + 8 + len];
+            out.push((u64::from_le_bytes(payload[..8].try_into().unwrap()), payload[8]));
+            at += 8 + len;
+        }
+    }
+    out
+}
+
+/// A `touch` that rewrites the times its item already has (same expiry,
+/// same second) is a writer like any other: on every store path its
+/// record's stamp is strictly above the store's it touched.
+#[test]
+fn identical_touch_logs_a_fresh_stamp() {
+    const SET: u8 = 1;
+    const TOUCH: u8 = 4;
+    for (branch, magazine) in STORE_PATHS {
+        let tag = format!("{branch}+mag{magazine}");
+        let dir = tmpdir(&format!("touch-same-{tag}"));
+        {
+            let c = McCache::start(config(branch, magazine, &dir));
+            c.set(0, b"k", b"v", 0, 0);
+            assert!(c.touch(0, b"k", 0), "{tag}");
+        }
+        let recs = record_stamps(&dir);
+        let stamp_of = |kind| {
+            let rec = recs.iter().find(|r| r.1 == kind);
+            rec.unwrap_or_else(|| panic!("{tag}: no record of kind {kind} in {recs:?}")).0
+        };
+        let (set, touch) = (stamp_of(SET), stamp_of(TOUCH));
+        assert!(touch > set, "{tag}: touch stamped {touch}, not above its store's {set}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 #[test]
 fn flush_all_is_not_resurrected_by_replay() {
     for branch in [Branch::Baseline, Branch::It(Stage::OnCommit)] {

@@ -131,13 +131,11 @@ fn main() {
     );
     for (schedule, runs, t) in &totals {
         println!(
-            "  {:<17} {runs} runs, {} commits, {} aborts, {} silent stores elided, \
-             {} clock CAS retries, {} fast-lane commits, {} promotions, \
-             {} reader snapshots checked, {} faults injected ({} panic teardowns)",
+            "  {:<17} {runs} runs, {} commits, {} aborts, {} clock CAS retries, \
+             {} fast-lane commits, {} promotions, {} reader snapshots checked, {} faults injected ({} panic teardowns)",
             schedule.name,
             t.commits,
             t.aborts,
-            t.silent_elisions,
             t.clock_cas_retries,
             t.ro_fast_commits,
             t.ro_promotions,

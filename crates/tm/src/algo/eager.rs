@@ -147,15 +147,8 @@ impl EagerTx {
             if orec::is_locked(o) {
                 if orec::owner_of(o) == self.tx_id {
                     let w = tword_at(addr);
-                    let cur = w.load_direct();
-                    if cur == v {
-                        // Silent store under our own lock: the word (ours
-                        // since we hold the orec) already reads `v`.
-                        bufs.stats.bump(Counter::silent_store_elisions);
-                        return Ok(());
-                    }
                     if !undo_recently_logged(&bufs.undo, addr) {
-                        bufs.undo.push((addr, cur));
+                        bufs.undo.push((addr, w.load_direct()));
                     }
                     w.store_direct(v);
                     return Ok(());
@@ -167,22 +160,6 @@ impl EagerTx {
             if orec::version_of(o) > self.start_time {
                 self.extend(rt, bufs)?;
                 continue;
-            }
-            if tword_at(addr).load_direct() == v {
-                // Silent-store elision: the committed word already holds
-                // `v` (consistent iff the orec has not moved under the
-                // value read). Log the orec as a READ instead of locking —
-                // commit-time validation still covers the location, so a
-                // concurrent writer changing it aborts us exactly as a real
-                // write-write conflict would.
-                if rt.orecs.load(idx) != o {
-                    continue; // changed under the value read; re-sample
-                }
-                if let Some(slot) = bufs.read_slot_or_append(idx, o) {
-                    bufs.reads[slot].1 = o;
-                }
-                bufs.stats.bump(Counter::silent_store_elisions);
-                return Ok(());
             }
             if rt.orecs.try_update(idx, o, orec::locked_by(self.tx_id)) {
                 bufs.locks.push((idx, o));

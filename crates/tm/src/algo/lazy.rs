@@ -124,38 +124,6 @@ impl LazyTx {
         }
     }
 
-    pub(crate) fn write_word(
-        &mut self,
-        rt: &RtInner,
-        bufs: &mut LogBufs,
-        addr: usize,
-        v: u64,
-    ) -> Result<(), Abort> {
-        // Silent-store elision: a write whose value equals the committed
-        // contents (read consistently at our snapshot) is logged as a READ
-        // instead of buffered — validation still covers the location, so a
-        // concurrent change aborts us like any read-write conflict, but the
-        // commit never locks the orec or writes the word back. Addresses
-        // already buffered must stay buffered (the redo value, not memory,
-        // is what later reads and the write-back observe).
-        if bufs.redo_lookup(addr).is_none() {
-            let idx = rt.orecs.index_of(addr);
-            let o1 = rt.orecs.load(idx);
-            if !orec::is_locked(o1) && orec::version_of(o1) <= self.start_time {
-                let cur = tword_at(addr).load_direct();
-                if rt.orecs.load(idx) == o1 && cur == v {
-                    if let Some(slot) = bufs.read_slot_or_append(idx, o1) {
-                        bufs.reads[slot].1 = o1;
-                    }
-                    bufs.stats.bump(Counter::silent_store_elisions);
-                    return Ok(());
-                }
-            }
-        }
-        bufs.redo_record(addr, v);
-        Ok(())
-    }
-
     pub(crate) fn commit(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<u64, Abort> {
         // Fault site: commit entry, before any orec is taken.
         if let Err(e) = fault::inject(FaultSite::CommitLock) {

@@ -95,8 +95,12 @@ impl Engine {
     ) -> Result<(), Abort> {
         match self {
             Engine::Eager(e) => e.write_word(rt, bufs, addr, v),
-            Engine::Lazy(e) => e.write_word(rt, bufs, addr, v),
-            Engine::Norec(e) => e.write_word(rt, bufs, addr, v),
+            // Buffered update: the write lands in the redo log and is
+            // published at commit.
+            Engine::Lazy(_) | Engine::Norec(_) => {
+                bufs.redo_record(addr, v);
+                Ok(())
+            }
             Engine::Serial => {
                 tword_at(addr).store_direct(v);
                 Ok(())

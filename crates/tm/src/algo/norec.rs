@@ -96,33 +96,6 @@ impl NorecTx {
         }
     }
 
-    pub(crate) fn write_word(
-        &mut self,
-        rt: &RtInner,
-        bufs: &mut LogBufs,
-        addr: usize,
-        v: u64,
-    ) -> Result<(), Abort> {
-        // Silent-store elision: if the committed word (read consistently at
-        // our snapshot) already holds `v`, log it as a value-based READ
-        // instead of buffering — validation re-reads it at commit, so the
-        // location stays covered while the write set (and the write-back
-        // under the sequence lock) shrinks. Addresses already buffered must
-        // stay buffered.
-        if bufs.redo_lookup(addr).is_none() {
-            let cur = tword_at(addr).load_direct();
-            if rt.seqlock.load() == self.snapshot && cur == v {
-                if let Some(slot) = bufs.read_slot_or_append(addr, cur) {
-                    bufs.reads[slot].1 = cur;
-                }
-                bufs.stats.bump(Counter::silent_store_elisions);
-                return Ok(());
-            }
-        }
-        bufs.redo_record(addr, v);
-        Ok(())
-    }
-
     pub(crate) fn commit(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<u64, Abort> {
         // Fault site: commit entry, before the sequence lock is contended.
         if let Err(e) = fault::inject(FaultSite::CommitLock) {
@@ -133,45 +106,6 @@ impl NorecTx {
             // Read-only: already consistent at `snapshot`.
             bufs.clear();
             return Ok(self.snapshot);
-        }
-        // Seqlock-bump elision: a write set whose every buffered value
-        // already equals committed memory (e.g. a read-modify-write that
-        // settled back on the original value) publishes nothing — the
-        // write-back would be a no-op — so the sequence bump that would
-        // invalidate every reader's seqlock line can be skipped. A cheap
-        // racy pre-scan filters; the loop below then re-checks BOTH logs
-        // inside one even-stable window, which makes the elided commit
-        // exactly a read-only transaction serialized at `t`: its reads are
-        // current at `t`, its writes leave memory bit-identical, and no
-        // reader can observe a torn snapshot because nothing is written
-        // and nothing is bumped.
-        if bufs.writes.iter().all(|&(a, v)| tword_at(a).load_direct() == v) {
-            loop {
-                let t = rt.seqlock.wait_even();
-                let reads_ok = bufs.reads.iter().all(|&(a, v)| tword_at(a).load_direct() == v);
-                let writes_ok = bufs.writes.iter().all(|&(a, v)| tword_at(a).load_direct() == v);
-                if rt.seqlock.load() != t {
-                    continue; // a committer raced the window; re-check
-                }
-                if !reads_ok {
-                    bufs.clear();
-                    return Err(Abort::Conflict);
-                }
-                if writes_ok {
-                    self.snapshot = t;
-                    bufs.stats.bump(Counter::seqlock_bump_elisions);
-                    bufs.clear();
-                    return Ok(t);
-                }
-                // Writes no longer silent (memory moved under the value):
-                // the window doubled as a validation, so extend to `t` and
-                // take the ordinary bumping path.
-                if t != self.snapshot {
-                    bufs.stats.bump(Counter::snapshot_extensions);
-                }
-                self.snapshot = t;
-                break;
-            }
         }
         // NOrec's commit CAS *is* its clock tick: a first-try acquisition
         // means the snapshot was still current — the conflict-free path the

@@ -661,11 +661,11 @@ mod tests {
     fn stat_deltas_survive_clear() {
         use crate::stats::Counter;
         let mut b = LogBufs::default();
-        b.stats.bump(Counter::silent_store_elisions);
+        b.stats.bump(Counter::read_log_dedup_hits);
         b.reads.push((1, 2));
         b.clear();
         assert!(b.reads.is_empty());
-        assert_eq!(b.stats.get(Counter::silent_store_elisions), 1);
+        assert_eq!(b.stats.get(Counter::read_log_dedup_hits), 1);
     }
 
     #[test]

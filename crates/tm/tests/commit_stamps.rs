@@ -48,6 +48,53 @@ fn ro_stamp_not_above_writers() {
     }
 }
 
+/// A transaction whose every write equals memory is a writer like any
+/// other: it commits on the writer path with a fresh stamp, moving the
+/// clock (eager, lazy) or the sequence lock (norec). On eager and lazy the
+/// written orec moves too, so a transaction that read the location before
+/// that commit fails validation and retries; NOrec validates by value and
+/// commits it on the first attempt.
+#[test]
+fn value_equal_writes_commit_as_a_writer() {
+    for a in ALGOS {
+        let rt = runtime(a);
+        let cells: Vec<TCell<u64>> = (0..4).map(TCell::new).collect();
+        rt.atomic(|tx| tx.write(&cells[0], 0));
+        let (stamp, live, stats) = (last_commit_stamp(), rt.liveness(), rt.stats());
+        rt.atomic(|tx| {
+            for (i, c) in cells.iter().enumerate() {
+                tx.write(c, i as u64)?;
+            }
+            Ok(())
+        });
+        let fresh = last_commit_stamp();
+        assert!(fresh > stamp, "{a}: stamp {fresh} not above prior writer {stamp}");
+        let moved = rt.liveness();
+        match a {
+            Algorithm::Norec => assert!(moved.seq > live.seq, "{a}: seqlock did not move"),
+            _ => assert!(moved.clock > live.clock, "{a}: clock did not move"),
+        }
+        let d = rt.stats().since(&stats);
+        assert_eq!((d.commits, d.read_only_commits), (1, 0), "{a}: not a writer commit");
+
+        let other = TCell::new(0u64);
+        let mut attempts = 0;
+        rt.atomic(|tx| {
+            attempts += 1;
+            let v = tx.read(&cells[0])?;
+            if attempts == 1 {
+                std::thread::scope(|s| {
+                    s.spawn(|| rt.atomic(|tx2| tx2.write(&cells[0], 0))).join().unwrap();
+                });
+            }
+            tx.write(&other, v + 1)
+        });
+        let expected = if a == Algorithm::Norec { 1 } else { 2 };
+        assert_eq!(attempts, expected, "{a}: a value-equal commit must move the orec it wrote");
+        assert_eq!(other.load_direct(), 1, "{a}");
+    }
+}
+
 /// The stamp is already visible inside the onCommit handler that the
 /// committing transaction registered.
 #[test]

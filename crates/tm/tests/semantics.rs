@@ -3,7 +3,7 @@
 //! against this runtime — handler ordering, irrevocability, serialization
 //! accounting, contention-manager effects, and the serial lock.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use tm::{
@@ -422,6 +422,116 @@ fn snapshot_is_consistent_under_concurrent_writers() {
         stop.store(1, Ordering::Relaxed);
         writer.join().unwrap();
     }
+}
+
+fn norec_rt() -> TmRuntime {
+    TmRuntime::builder()
+        .algorithm(Algorithm::Norec)
+        .contention_manager(ContentionManager::None)
+        .serial_lock(SerialLockMode::None)
+        .build()
+}
+
+/// A NOrec write set that settles back on the committed value still
+/// validates its reads at commit: a concurrent writer between the read and
+/// the commit aborts the attempt, and the retry sees the new value.
+#[test]
+fn norec_net_zero_write_set_still_validates_its_reads() {
+    let rt = norec_rt();
+    let a = TCell::new(1u64);
+    let b = TCell::new(10u64);
+    let mut first_attempt = true;
+    let seen = rt.atomic(|tx| {
+        let v = tx.read(&b)?;
+        if first_attempt {
+            first_attempt = false;
+            // A concurrent committer between our read and our commit.
+            std::thread::scope(|s| {
+                s.spawn(|| rt.atomic(|tx2| tx2.write(&b, 99))).join().unwrap();
+            });
+        }
+        // Net-zero on `a`: the buffered value equals memory at commit.
+        tx.write(&a, 2)?;
+        tx.write(&a, 1)?;
+        Ok(v)
+    });
+    assert_eq!(seen, 99, "a stale read set must abort the commit");
+    assert_eq!(rt.stats().aborts, 1);
+    assert_eq!(a.load_direct(), 1);
+}
+
+/// NOrec readers holding the a + b == 100 invariant never observe an
+/// intermediate state while real transfers and net-zero read-modify-writes
+/// (buffered writes that settle back on the committed values) interleave.
+#[test]
+fn norec_readers_never_observe_torn_snapshots_around_net_zero_commits() {
+    let rt = Arc::new(norec_rt());
+    let a = Arc::new(TCell::new(60u64));
+    let b = Arc::new(TCell::new(40u64));
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let mut writers = Vec::new();
+    for w in 0..2u64 {
+        let (rt, a, b, stop) = (rt.clone(), a.clone(), b.clone(), stop.clone());
+        writers.push(std::thread::spawn(move || {
+            for i in 0..400u64 {
+                if i % 2 == w % 2 {
+                    // Real transfer: moves value from a to b.
+                    rt.atomic(|tx| {
+                        let va = tx.read(&a)?;
+                        let vb = tx.read(&b)?;
+                        let d = 1 + (i % 3);
+                        if va >= d {
+                            tx.write(&a, va - d)?;
+                            tx.write(&b, vb + d)?;
+                        } else {
+                            tx.write(&a, va + vb)?;
+                            tx.write(&b, 0)?;
+                        }
+                        Ok(())
+                    });
+                } else {
+                    // Net-zero churn on `a`.
+                    rt.atomic(|tx| {
+                        let va = tx.read(&a)?;
+                        tx.write(&a, va ^ 0xFF)?;
+                        tx.write(&a, va)?;
+                        Ok(())
+                    });
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        }));
+    }
+
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let (rt, a, b, stop) = (rt.clone(), a.clone(), b.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let mut checks = 0u64;
+                // Keep checking until the writers are done, but always do a
+                // minimum amount of work: on a single-core host a writer
+                // can finish before this thread is first scheduled.
+                while !stop.load(Ordering::Relaxed) || checks < 50 {
+                    let (va, vb) = rt.atomic_ro(|tx| Ok((tx.read(&a)?, tx.read(&b)?)));
+                    assert_eq!(va + vb, 100, "torn snapshot: {va} + {vb}");
+                    checks += 1;
+                }
+                checks
+            })
+        })
+        .collect();
+
+    for w in writers {
+        w.join().unwrap();
+    }
+    let checks: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    assert!(checks > 0, "readers must have raced the writers");
+    assert_eq!(
+        rt.atomic_ro(|tx| Ok(tx.read(&a)? + tx.read(&b)?)),
+        100,
+        "invariant must hold at quiescence"
+    );
 }
 
 #[test]

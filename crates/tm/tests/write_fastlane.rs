@@ -1,16 +1,14 @@
-//! Write-path fast-lane semantics, black-box:
+//! Write-path semantics, black-box:
 //!
-//! * **Silent-store serializability.** An elided write still participates
-//!   in conflict detection as a read: a transaction that mixes a silent
-//!   store with a real write must abort (and retry) if the silently-written
-//!   location changes under it before commit — the classic hazard silent
-//!   -store elision must not introduce.
-//! * **All-silent transactions are no-ops.** They commit at their snapshot
-//!   like read-only transactions and leave memory untouched even while a
-//!   concurrent writer races them.
-//! * **Zero allocations.** Steady-state read-write commits — with and
-//!   without elided stores, including redo sets past the inline window —
-//!   never touch the heap.
+//! * **A value-equal store is a store.** Writing a location's current
+//!   value back takes part in conflict detection like any other write: a
+//!   transaction whose read of `x` goes stale before it stores that value
+//!   back must abort and retry.
+//! * **Value-equal writers never tear.** Transactions that rewrite
+//!   constants race a writer of the same constants, and memory afterwards
+//!   reflects whole transactions only.
+//! * **Zero allocations.** Steady-state read-write commits — including
+//!   redo sets past the inline window — never touch the heap.
 //!
 //! White-box counterparts (orec/clock/seqlock quiescence, GV5 clock-CAS
 //! elision counters) live in `tm::runtime`'s unit tests.
@@ -31,14 +29,16 @@ fn runtime(algo: Algorithm) -> TmRuntime {
         .build()
 }
 
-/// A transaction writes `x`'s current value back (silent, elided to a
-/// read) plus a real write to `y`, then stalls; a second thread commits a
-/// new value into `x` before letting it proceed. Commit-time validation
-/// must treat the elided store like a read of `x` and abort the attempt —
-/// otherwise the transaction would serialize after the interferer while
-/// still believing `x` held the old value.
+/// A transaction reads `x` and stalls; a second thread commits a new
+/// value into `x` before letting it proceed; then the transaction writes
+/// the value it read back into `x`, plus a real write to `y`. The stale
+/// read must abort the attempt even though its store to `x` equals the
+/// value it read — otherwise the transaction would serialize after the
+/// interferer while still believing `x` held the old value. The stalled
+/// attempt holds no lock while it waits (it has only read), so the
+/// interferer never waits on it.
 #[test]
-fn elided_silent_store_still_conflicts() {
+fn value_equal_store_still_conflicts() {
     for algo in [Algorithm::Eager, Algorithm::Lazy, Algorithm::Norec] {
         let rt = Arc::new(runtime(algo));
         let x = Arc::new(TCell::new(0u64));
@@ -54,15 +54,14 @@ fn elided_silent_store_still_conflicts() {
                 rt.atomic(|tx| {
                     let first = attempts.fetch_add(1, Ordering::Relaxed) == 0;
                     let seen = tx.read(&*x)?;
-                    tx.write(&*x, seen)?; // silent by construction
-                    tx.write(&*y, seen + 100)?; // real write: not read-only
                     if first {
                         ready.store(true, Ordering::Release);
                         while !proceed.load(Ordering::Acquire) {
                             std::hint::spin_loop();
                         }
                     }
-                    Ok(())
+                    tx.write(&*x, seen)?; // the value it read
+                    tx.write(&*y, seen + 100) // real write
                 });
                 attempts.load(Ordering::Relaxed)
             })
@@ -71,7 +70,7 @@ fn elided_silent_store_still_conflicts() {
         while !ready.load(Ordering::Acquire) {
             std::hint::spin_loop();
         }
-        rt.atomic(|tx| tx.write(&*x, 7)); // invalidate the elided store
+        rt.atomic(|tx| tx.write(&*x, 7)); // invalidate the read of x
         proceed.store(true, Ordering::Release);
 
         let attempts = mixer.join().unwrap();
@@ -80,18 +79,18 @@ fn elided_silent_store_still_conflicts() {
             "{algo}: the stale attempt must have aborted (attempts = {attempts})"
         );
         assert!(rt.stats().aborts >= 1, "{algo}");
-        assert!(rt.stats().silent_store_elisions >= 1, "{algo}");
-        // The retry saw x == 7: its write-back of 7 is again silent, and y
-        // carries the refreshed observation — the serializable outcome.
+        // The retry saw x == 7: it writes 7 back, and y carries the
+        // refreshed observation — the serializable outcome.
         assert_eq!(x.load_direct(), 7, "{algo}");
         assert_eq!(y.load_direct(), 107, "{algo}");
     }
 }
 
-/// An all-silent transaction serializes at its snapshot like a read-only
-/// one: whatever it raced, memory afterwards reflects only real writers.
+/// Writers of constants race each other: every write equals memory in one
+/// of the other writer's two states and differs in the other. Whatever
+/// they raced, memory afterwards holds one whole transaction's values.
 #[test]
-fn all_silent_transactions_are_noops_under_contention() {
+fn value_equal_writers_never_tear() {
     for algo in [Algorithm::Eager, Algorithm::Lazy, Algorithm::Norec] {
         let rt = Arc::new(runtime(algo));
         let cells: Arc<Vec<TCell<u64>>> = Arc::new((0..8).map(|_| TCell::new(0)).collect());
@@ -109,8 +108,6 @@ fn all_silent_transactions_are_noops_under_contention() {
                 }
             })
         };
-        // Racing writer of constants 0 and 1: every write is silent against
-        // one of the toggler's two states, real against the other.
         for round in 0..500u64 {
             rt.atomic(|tx| {
                 for c in cells.iter() {
@@ -126,7 +123,6 @@ fn all_silent_transactions_are_noops_under_contention() {
             vals.iter().all(|&v| v == vals[0]) && vals[0] <= 1,
             "{algo}: torn final state {vals:?}"
         );
-        assert!(rt.stats().silent_store_elisions > 0, "{algo}");
     }
 }
 
@@ -139,8 +135,8 @@ fn write_commits_never_allocate() {
         let run = |round: u64| {
             rt.atomic(|tx| {
                 for (i, c) in cells.iter().enumerate() {
-                    // Half the writes repeat the committed value (silent),
-                    // half advance it — the steady-state SET mix.
+                    // Half the writes repeat the committed value, half
+                    // advance it — the steady-state SET mix.
                     let v = if i % 2 == 0 { round } else { i as u64 };
                     tx.write(c, v)?;
                 }
@@ -159,7 +155,6 @@ fn write_commits_never_allocate() {
             allocs, 0,
             "{algo}: {allocs} heap allocations across 200 read-write commits"
         );
-        assert!(rt.stats().silent_store_elisions > 0, "{algo}");
         assert_eq!(rt.stats().aborts, 0, "{algo}");
     }
 }

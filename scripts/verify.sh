@@ -26,15 +26,18 @@ echo "==> tablecheck vs scripts/tablecheck.golden"
 target/release/tablecheck 2>/dev/null | cmp - scripts/tablecheck.golden
 
 # A single green pass of a parallelism-sensitive test proves little: loop
-# the test binary itself, without cargo's per-run overhead.
+# the test binary itself, without cargo's per-run overhead. Each run gets
+# two minutes (a passing one takes well under a second), so a deadlock
+# fails the loop instead of hanging it.
 # usage: loop200 <tm integration test> [test name filter]
 loop200() {
     local bin
     bin=$(cargo test --offline -p tm --test "$1" --no-run 2>&1 \
         | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
     for i in $(seq 1 200); do
-        "$bin" ${2:+"$2"} > /dev/null 2>&1 || {
-            echo "$1${2:+::$2} failed on run $i of 200"; exit 1; }
+        timeout 120 "$bin" ${2:+"$2"} > /dev/null 2>&1 || {
+            [ $? -eq 124 ] && what="timed out" || what="failed"
+            echo "$1${2:+::$2} $what on run $i of 200"; exit 1; }
     done
 }
 
@@ -42,6 +45,11 @@ loop200() {
 # while readers demand uniform snapshots (eager and lazy).
 echo "==> clock_opacity x200"
 loop200 clock_opacity
+
+# A stalled reader of x whose value-equal store to x must still conflict
+# with the writer that interleaved (all three algorithms).
+echo "==> write_fastlane x200"
+loop200 write_fastlane
 
 echo "==> stress smoke (${STRESS_SECONDS}s: every row of testkit::stress::SCHEDULES over every algorithm/lock/CM combo, per seed)"
 cargo run --release --offline -p testkit --bin stress -- --seconds "$STRESS_SECONDS"
