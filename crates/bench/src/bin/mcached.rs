@@ -5,6 +5,7 @@
 //!       --port 11311 --threads 4 --branch it-oncommit --magazine 16 \
 //!       --dur-path /var/tmp/mcached.d --dur-fsync every:32
 //! LISTENING 127.0.0.1:11311
+//! $ printf 'set greeting 0 0 5\r\nhello\r\nget greeting\r\nstats\r\nquit\r\n' | nc 127.0.0.1 11311
 //! ```
 //!
 //! Runs until stdin reaches EOF, a line reading `shutdown` arrives (so a
@@ -21,7 +22,7 @@
 use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use bench::cli::{num, parse_branch, value};
+use bench::cli::{branch_usage, num, parse_branch, value};
 use mcache::net::{NetConfig, Server};
 use mcache::{Branch, DurFsync, McCache, McConfig};
 
@@ -62,10 +63,7 @@ fn parse_args() -> Args {
                 args.threads = value::<usize>(&flag, it, "a thread count", num).max(1)
             }
             "--magazine" => args.magazine = value(&flag, it, "a slot count", num),
-            "--branch" => {
-                let what = "a branch name; see examples/cache_server.rs";
-                args.branch = value(&flag, it, what, parse_branch)
-            }
+            "--branch" => args.branch = value(&flag, it, &branch_usage(), parse_branch),
             "--dur-path" => args.dur_path = Some(value(&flag, it, "a directory", path)),
             "--dur-fsync" => {
                 args.dur_fsync = value(&flag, it, "always | every:N | off", DurFsync::parse)

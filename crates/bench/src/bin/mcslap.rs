@@ -6,7 +6,13 @@
 //!       --concurrency 4 --execute-number 10000 --binary --branch ip-nolock
 //! $ cargo run --release -p bench --bin mcslap -- \
 //!       --tcp 127.0.0.1:11311 --connections 4 --multiget 8 --zipf 0.9
+//! $ for b in baseline ip-nolock; do target/release/mcslap --branch $b -c 4 -x 5000; done
 //! ```
+//!
+//! In-process runs end with the `tm:` serialization line; on the lock
+//! branches (`baseline`, `semaphore`) they also print the top of the
+//! mutrace-style lock table of §3.1, the profile that picked `cache_lock` and
+//! `stats_lock` as the locks worth transactionalizing.
 //!
 //! The workload flags (`--concurrency`, `--execute-number`, `--keys`,
 //! `--value-size[-max]`, `--read-ratio`/`--write-ratio`, `--zipf`,
@@ -41,7 +47,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use bench::cli::{num, parse_branch, value};
+use bench::cli::{branch_usage, num, parse_branch, value};
 use bench::wire::{parse_stat_line, UdpClient, WireConn};
 use mcache::proto::binary::{self, Opcode, Request, Response, Status};
 use mcache::{Branch, McCache, McConfig, McHandle, StoreMode, StoreOp};
@@ -188,10 +194,7 @@ fn parse_args() -> Args {
                 let what = "none | gcc-default | serialize-after:N | backoff:N | hourglass:N";
                 args.cm = Some(value(&flag, it, what, parse_cm))
             }
-            "--branch" => {
-                let what = "a branch name; see examples/cache_server.rs";
-                args.branch = value(&flag, it, what, parse_branch)
-            }
+            "--branch" => args.branch = value(&flag, it, &branch_usage(), parse_branch),
             other => usage_error(&format!("unknown flag {other}")),
         }
         args.given.push(flag);
@@ -822,6 +825,13 @@ fn main() {
             args.magazine,
         );
         println!("tm: {}", handle.tm_stats());
+        if matches!(args.branch, Branch::Baseline | Branch::Semaphore) {
+            // §3.1's first step: which locks contend under this load. Ties
+            // go to the hotter lock, so the item-lock stripes trail.
+            let mut rows = handle.profiler().report();
+            rows.sort_by_key(|r| std::cmp::Reverse((r.contended, r.acquisitions)));
+            rows.iter().take(6).for_each(|row| println!("lock: {row}"));
+        }
         return;
     }
 

@@ -23,21 +23,29 @@ pub fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
     s.parse().ok()
 }
 
-/// [`value`]'s parser for `--branch`.
+/// Every `--branch` name and the branch it selects, in paper order.
+pub const BRANCHES: [(&str, Branch); 12] = [
+    ("baseline", Branch::Baseline),
+    ("semaphore", Branch::Semaphore),
+    ("ip", Branch::Ip(Stage::Plain)),
+    ("it", Branch::It(Stage::Plain)),
+    ("ip-max", Branch::Ip(Stage::Max)),
+    ("it-max", Branch::It(Stage::Max)),
+    ("ip-lib", Branch::Ip(Stage::Lib)),
+    ("it-lib", Branch::It(Stage::Lib)),
+    ("ip-oncommit", Branch::Ip(Stage::OnCommit)),
+    ("it-oncommit", Branch::It(Stage::OnCommit)),
+    ("ip-nolock", Branch::IpNoLock),
+    ("it-nolock", Branch::ItNoLock),
+];
+
+/// [`value`]'s parser for `--branch`: a name in [`BRANCHES`].
 pub fn parse_branch(name: &str) -> Option<Branch> {
-    Some(match name {
-        "baseline" => Branch::Baseline,
-        "semaphore" => Branch::Semaphore,
-        "ip" => Branch::Ip(Stage::Plain),
-        "it" => Branch::It(Stage::Plain),
-        "ip-max" => Branch::Ip(Stage::Max),
-        "it-max" => Branch::It(Stage::Max),
-        "ip-lib" => Branch::Ip(Stage::Lib),
-        "it-lib" => Branch::It(Stage::Lib),
-        "ip-oncommit" => Branch::Ip(Stage::OnCommit),
-        "it-oncommit" => Branch::It(Stage::OnCommit),
-        "ip-nolock" => Branch::IpNoLock,
-        "it-nolock" => Branch::ItNoLock,
-        _ => return None,
-    })
+    BRANCHES.iter().find(|b| b.0 == name).map(|b| b.1)
+}
+
+/// What `--branch` takes, naming every valid branch.
+pub fn branch_usage() -> String {
+    let names: Vec<&str> = BRANCHES.iter().map(|b| b.0).collect();
+    format!("a branch name; valid: {}", names.join(" "))
 }

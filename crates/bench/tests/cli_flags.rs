@@ -102,6 +102,20 @@ fn mcslap_malformed_and_missing_values_exit_2_naming_the_flag() {
     );
 }
 
+/// A bad `--branch` answers with every valid name, so the usage error is
+/// the whole reference (both binaries parse it through one table).
+#[test]
+fn unknown_branch_lists_every_valid_branch() {
+    for bin in [MCACHED, MCSLAP] {
+        let err = usage_error(bin, &["--branch", "ip-maximal"]);
+        assert!(
+            err.contains("valid: baseline semaphore ip it ip-max it-max ip-lib it-lib ip-oncommit \
+                          it-oncommit ip-nolock it-nolock"),
+            "{bin}: {err:?}"
+        );
+    }
+}
+
 /// A flag the chosen target cannot honour is refused, not dropped: the
 /// cache-side knobs with a socket target, the stream-only shapes over UDP,
 /// the socket-side counts in-process, and whatever a scenario or

@@ -35,6 +35,12 @@
 //! // Serialization accounting for the paper's tables:
 //! let tm = cache.tm_stats();
 //! assert_eq!(tm.start_serial + tm.in_flight_switch, 0, "onCommit stage never serializes");
+//!
+//! // The paper's final branch runs without the serial lock at all (§4):
+//! let cache = McCache::start(McConfig { branch: Branch::IpNoLock, workers: 2, ..Default::default() });
+//! cache.set(0, b"key", b"value", 0, 0);
+//! assert_eq!(cache.get(1, b"key").unwrap().data, b"value");
+//! assert_eq!(cache.tm_stats().serialization_rate(), 0.0);
 //! ```
 
 #![warn(missing_docs)]

@@ -79,7 +79,7 @@ mod tests {
     use super::*;
 
     // Note: these tests exercise the counter helpers; the allocator itself
-    // is installed (and asserted against) by the top-level
+    // is installed (and asserted against) by `tm`'s
     // `tests/zero_alloc.rs` integration test, since only one global
     // allocator can exist per binary.
 

@@ -16,7 +16,7 @@
 //! the same oracle stays on.
 //!
 //! Every seed runs every row of [`testkit::stress::SCHEDULES`] — mixed,
-//! read-mostly, write-heavy, contended-commit — over every combo; the
+//! read-mostly, write-heavy, contended-commit, switch — over every combo; the
 //! table documents what each one demands.
 
 use std::time::{Duration, Instant};

@@ -41,7 +41,8 @@ use std::sync::Barrier;
 
 pub use tm::fault::FaultPlan;
 use tm::{
-    Abort, Algorithm, AtomicTx, ContentionManager, SerialLockMode, TCell, TmRuntime, Transaction,
+    Abort, Algorithm, AtomicTx, ContentionManager, RelaxedPlan, SerialLockMode, TCell, TmRuntime,
+    Transaction,
 };
 
 use crate::rng::{mix_seed, Rng, SmallRng, SplitMix64};
@@ -372,6 +373,8 @@ pub struct Schedule {
     /// program; elsewhere it is a snapshot reader of the ticket cell plus
     /// the whole heap.
     pub promotes: Option<fn(u64, usize, usize) -> bool>,
+    /// Every slot is a [`Slot::Switcher`] (overrides `promotes`).
+    pub switches: bool,
     /// The one post-condition the schedule adds to the oracle.
     pub demand: Option<Demand>,
     /// A deliberately injected bug: after the sequential replay the
@@ -399,11 +402,17 @@ pub struct Schedule {
 ///   blocks: the threads fight over the ticket cell and the commit
 ///   machinery (the clock word, orec stripes, the NOrec seqlock) instead
 ///   of data.
-pub const SCHEDULES: [Schedule; 4] = [
+/// * **switch** — every slot is a relaxed transaction that switches to
+///   serial-irrevocable mode in flight, so switchers race for the serial
+///   lock with reads already logged: a switcher whose reads went stale
+///   behind another's serial section (direct stores move no orec) must
+///   restart, not commit them.
+pub const SCHEDULES: [Schedule; 5] = [
     Schedule {
         name: "mixed",
         program: txn_program,
         promotes: None,
+        switches: false,
         demand: None,
         sabotage: false,
     },
@@ -411,6 +420,7 @@ pub const SCHEDULES: [Schedule; 4] = [
         name: "read-mostly",
         program: txn_program,
         promotes: Some(ro_txn_promotes),
+        switches: false,
         demand: Some(Demand {
             met: |r| r.ro_fast_commits > 0 && r.ro_promotions > 0,
             unmet: "the schedule failed to exercise the fast lane \
@@ -422,6 +432,7 @@ pub const SCHEDULES: [Schedule; 4] = [
         name: "write-heavy",
         program: wh_txn_program,
         promotes: None,
+        switches: false,
         demand: None,
         sabotage: false,
     },
@@ -429,6 +440,15 @@ pub const SCHEDULES: [Schedule; 4] = [
         name: "contended-commit",
         program: contended_txn_program,
         promotes: None,
+        switches: false,
+        demand: None,
+        sabotage: false,
+    },
+    Schedule {
+        name: "switch",
+        program: txn_program,
+        promotes: None,
+        switches: true,
         demand: None,
         sabotage: false,
     },
@@ -448,6 +468,14 @@ pub enum Slot {
     },
     /// Snapshots the ticket cell and the whole heap on the fast lane.
     Reader,
+    /// A relaxed transaction: runs the first half of `ops` instrumented,
+    /// switches to serial-irrevocable mode (where the serial lock exists:
+    /// without it serializing is a programming error), then takes its
+    /// ticket and runs the rest.
+    Switcher {
+        /// The program.
+        ops: Vec<StressOp>,
+    },
 }
 
 impl Schedule {
@@ -455,6 +483,9 @@ impl Schedule {
     /// of the seed.
     pub fn slot(&self, seed: u64, thread: usize, txn: usize, cfg: &StressConfig) -> Slot {
         let ops = || (self.program)(seed, thread, txn, cfg);
+        if self.switches {
+            return Slot::Switcher { ops: ops() };
+        }
         match self.promotes {
             None => Slot::Writer { ro_entry: false, pre_reads: Vec::new(), ops: ops() },
             Some(promotes) if promotes(seed, thread, txn) => Slot::Writer {
@@ -679,6 +710,27 @@ pub fn run(
                                 });
                                 my_writes.push((tk.unwrap_or_else(|| taken.get()), t, j));
                             }
+                            Slot::Switcher { ops } => {
+                                let (before, after) = ops.split_at(ops.len() / 2);
+                                let switch = cfg.serial_lock == SerialLockMode::ReaderWriter;
+                                let tk = until_committed(armed, || {
+                                    rt.relaxed(RelaxedPlan::new(), |tx| {
+                                        for &op in before {
+                                            apply_tx(tx, cells, op)?;
+                                        }
+                                        if switch {
+                                            tx.unsafe_op(|| ())?;
+                                        }
+                                        let tk = tx.fetch_add(ticket, 1)?;
+                                        taken.set(tk);
+                                        for &op in after {
+                                            apply_tx(tx, cells, op)?;
+                                        }
+                                        Ok(tk)
+                                    })
+                                });
+                                my_writes.push((tk.unwrap_or_else(|| taken.get()), t, j));
+                            }
                             // A reader whose snapshot a post-commit panic
                             // carried away just loses its sample (readers
                             // register no handlers: a defensive path).
@@ -871,8 +923,13 @@ mod tests {
     }
 
     /// Per-schedule matrix seeds, `(plain, chaos)`, in [`SCHEDULES`] order.
-    const MATRIX_SEEDS: [(u64, u64); 4] =
-        [(0xA5A5, 0xC4A05), (0xB0B0, 0x2EAD), (0x3717, 0x3A17), (0xC047, 0xC4A0)];
+    const MATRIX_SEEDS: [(u64, u64); 5] = [
+        (0xA5A5, 0xC4A05),
+        (0xB0B0, 0x2EAD),
+        (0x3717, 0x3A17),
+        (0xC047, 0xC4A0),
+        (0x5317, 0x5C4A),
+    ];
 
     /// The plain tier: every schedule passes the oracle and its own demand
     /// on all 21 combos — the read-mostly one really commits on the fast
@@ -976,19 +1033,23 @@ mod tests {
 
     /// FNV-1a over every slot of `schedule` at `StressConfig::smoke()`:
     /// the slot kind (0 writer through `atomic`, 1 promoting writer through
-    /// `atomic_ro`, 2 snapshot reader), then for writers the pre-reads and
-    /// the program, counts and operands as little-endian `u64`s.
+    /// `atomic_ro`, 2 snapshot reader, 3 switcher), then for writers the
+    /// pre-reads and the program, counts and operands as little-endian
+    /// `u64`s.
     fn schedule_fingerprint(schedule: &Schedule, seed: u64) -> u64 {
         let cfg = StressConfig::smoke();
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for t in 0..cfg.threads {
             for j in 0..cfg.txns_per_thread {
-                let Slot::Writer { ro_entry, pre_reads, ops } = schedule.slot(seed, t, j, &cfg)
-                else {
-                    fnv1a(&mut h, &[2]);
-                    continue;
+                let (kind, pre_reads, ops) = match schedule.slot(seed, t, j, &cfg) {
+                    Slot::Writer { ro_entry, pre_reads, ops } => (u8::from(ro_entry), pre_reads, ops),
+                    Slot::Switcher { ops } => (3, Vec::new(), ops),
+                    Slot::Reader => {
+                        fnv1a(&mut h, &[2]);
+                        continue;
+                    }
                 };
-                fnv1a(&mut h, &[u8::from(ro_entry)]);
+                fnv1a(&mut h, &[kind]);
                 fnv1a(&mut h, &(pre_reads.len() as u64).to_le_bytes());
                 for i in pre_reads {
                     fnv1a(&mut h, &(i as u64).to_le_bytes());
@@ -1014,13 +1075,14 @@ mod tests {
     /// replaced executed: these constants were computed at the commit
     /// before the collapse (38ed4ad) from `txn_program` / `wh_txn_program`
     /// / `contended_txn_program` and the read-mostly runner's
-    /// `ro_txn_promotes` / `ro_pre_reads` decisions, seeds 1..=8. A change
+    /// `ro_txn_promotes` / `ro_pre_reads` decisions, seeds 1..=8; the
+    /// switch row's were recorded when it was added. A change
     /// here means the stress tiers run different transactions — re-record
     /// only for a change that means to.
     #[test]
     fn schedule_fingerprints_match_the_recorded_runners() {
         #[rustfmt::skip]
-        const RECORDED: [[u64; 8]; 4] = [
+        const RECORDED: [[u64; 8]; 5] = [
             [0x4c1d9d8c63da69e8, 0x18ddd9833dac5ba4, 0x360d3347524611ad, 0xd12973557fdac2a0,
              0xe25dc2e004f8a8e3, 0xe9a396b01b84e9f0, 0x8ec17b15819f076e, 0x9abc713331272b21],
             [0xae50415c92606264, 0xb536a139770a2fda, 0x9877383d5b31a079, 0xa07b6d8c3e67019b,
@@ -1029,6 +1091,8 @@ mod tests {
              0x277bd4bab23e31a9, 0x4153c99277afb306, 0x81417e20ad16ad0c, 0x2221866270b6e444],
             [0xabd0a17f8bb6d4b9, 0x03bc578b5817e6f8, 0x2a54998c9bd4398f, 0xec07b98e8084389f,
              0x84811a5e670a05d4, 0x2dd140ceb3bf2b03, 0x45cb9157fe0921ad, 0x46d182d63b870d92],
+            [0x90d47b2ed1f28148, 0x08cfada73becd904, 0x4c1c0af781ea941d, 0x0af3563002d029d6,
+             0xcc42c610b17ed611, 0x212002837777dd4e, 0x906e303444465186, 0x971c85092a06a8ed],
         ];
         for (schedule, recorded) in SCHEDULES.iter().zip(RECORDED) {
             for (seed, want) in (1..=8).zip(recorded) {

@@ -181,8 +181,14 @@ impl EagerTx {
         }
         if bufs.locks.is_empty() {
             // Invisible reads were validated at read/extend time against a
-            // snapshot; a read-only transaction is serializable at its
-            // snapshot and commits without touching the clock.
+            // snapshot; a read-only transaction commits without touching
+            // the clock. If a writer committed since, it may have
+            // privatized what we read and plain-stored behind orecs it left
+            // unmoved, so revalidate the read set (loads only) first.
+            if rt.clock.now() != self.start_time && self.validate(rt, bufs).is_err() {
+                bufs.clear();
+                return Err(Abort::Conflict);
+            }
             bufs.clear();
             return Ok(self.start_time);
         }

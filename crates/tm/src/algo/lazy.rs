@@ -139,6 +139,14 @@ impl LazyTx {
             ..
         } = bufs;
         if writes.is_empty() {
+            // Read-only: as in eager, a writer that committed since our
+            // snapshot may have privatized what we read, so revalidate.
+            if rt.clock.now() != self.start_time
+                && validate(rt, self.tx_id, reads, held, stats, blocked_on).is_err()
+            {
+                bufs.clear();
+                return Err(Abort::Conflict);
+            }
             bufs.clear();
             return Ok(self.start_time);
         }

@@ -62,6 +62,51 @@
 //! });
 //! assert_eq!(rt.stats().in_flight_switch, 0); // verbose was false
 //! ```
+//!
+//! ## onCommit, the serialization counts, and the NoLock runtime
+//!
+//! ```
+//! use std::cell::Cell;
+//! use tm::{Algorithm, ContentionManager, RelaxedPlan, SerialLockMode, TCell, TmRuntime, Transaction};
+//!
+//! let rt = TmRuntime::default_runtime();
+//! let c = TCell::new(0u64);
+//! rt.relaxed(RelaxedPlan::new(), |tx| {
+//!     tx.write(&c, 1)?;
+//!     tx.unsafe_op(|| eprintln!("stored"))?; // switches in flight
+//!     Ok(())
+//! });
+//! // The same I/O deferred to an onCommit handler needs no switch (§3.5).
+//! let logged = Cell::new(false);
+//! rt.atomic(|tx| {
+//!     tx.fetch_add(&c, 1)?;
+//!     tx.on_commit(|| logged.set(true));
+//!     Ok(())
+//! });
+//! assert!(logged.get());
+//! let s = rt.stats();
+//! assert_eq!((s.commits, s.in_flight_switch, s.start_serial), (2, 1, 0));
+//!
+//! // The paper's §4 runtime: no serial lock, any algorithm and manager.
+//! for algo in [Algorithm::Eager, Algorithm::Lazy, Algorithm::Norec] {
+//!     let rt = TmRuntime::builder()
+//!         .algorithm(algo)
+//!         .contention_manager(ContentionManager::None)
+//!         .serial_lock(SerialLockMode::None)
+//!         .build();
+//!     let n = TCell::new(0u64);
+//!     std::thread::scope(|s| {
+//!         for _ in 0..4 {
+//!             s.spawn(|| {
+//!                 for _ in 0..1000 {
+//!                     rt.atomic(|tx| tx.fetch_add(&n, 1));
+//!                 }
+//!             });
+//!         }
+//!     });
+//!     assert_eq!(n.load_direct(), 4000, "{algo}");
+//! }
+//! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -89,7 +89,27 @@ impl SerialLock {
             }
             backoff(&mut spins);
         }
-        // Drain readers.
+        self.drain_readers();
+    }
+
+    /// Upgrades the caller's read acquisition to write mode, as libitm's
+    /// `write_upgrade`: claims the writer bit while still counted as a
+    /// reader, then drains the other readers. Returns `false`, still
+    /// holding read mode, if another writer holds or awaits the lock: its
+    /// whole serial section would run before this upgrade could complete,
+    /// so the caller must abort (rolling back while it still holds read
+    /// mode, before that section runs) and restart.
+    pub fn write_upgrade(&self) -> bool {
+        sync_count::rmw(SyncSite::SerialLock);
+        if self.state.fetch_or(WRITER, Ordering::AcqRel) & WRITER != 0 {
+            return false;
+        }
+        self.read_release();
+        self.drain_readers();
+        true
+    }
+
+    fn drain_readers(&self) {
         let mut spins = 0u32;
         while self.state.load(Ordering::Acquire) & !WRITER != 0 {
             backoff(&mut spins);
@@ -200,5 +220,28 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// Of two readers upgrading at once, the second loses and keeps its
+    /// read mode; the winner's upgrade completes once the loser lets go.
+    #[test]
+    fn second_upgrade_loses_and_keeps_read_mode() {
+        let l = Arc::new(SerialLock::new());
+        l.read_acquire();
+        l.read_acquire();
+        let winner = {
+            let l = l.clone();
+            thread::spawn(move || {
+                assert!(l.write_upgrade());
+                l.write_release();
+            })
+        };
+        while l.state.load(Ordering::Acquire) & WRITER == 0 {
+            thread::yield_now();
+        }
+        assert!(!l.write_upgrade());
+        l.read_release();
+        winner.join().unwrap();
+        assert_eq!(l.state.load(Ordering::Acquire), 0);
     }
 }

@@ -84,7 +84,8 @@ counters! {
     abort_serial,
     /// Commits completed while irrevocable (any cause).
     irrevocable_commits,
-    /// In-flight switches that failed validation and fell back to an abort.
+    /// In-flight switches that failed validation, or lost the serial-lock
+    /// upgrade to another writer, and fell back to an abort.
     failed_switches,
     /// `onCommit` handlers executed.
     commit_handlers_run,

@@ -468,20 +468,27 @@ impl<'env> TxInner<'env> {
                 // invariants no longer hold. Not counted as a promotion —
                 // `in_flight_switch` already records this transition.
                 self.ro = false;
-                if self.holds_read {
-                    self.rt.serial.read_release();
-                    self.holds_read = false;
+                // Upgrade without letting go: a release-then-acquire would
+                // let another switcher run its whole serial section in the
+                // gap, with direct stores that move no orec this attempt's
+                // validation could see. The loser of a race restarts.
+                debug_assert!(self.holds_read);
+                if !self.rt.serial.write_upgrade() {
+                    self.arena.logs.stats.bump(Counter::failed_switches);
+                    return Err(Abort::Conflict);
                 }
-                self.rt.serial.write_acquire();
+                // Held from here on, so the abort path releases it even if
+                // the switch-time validation panics.
+                self.holds_read = false;
+                self.holds_write = true;
                 match self.engine.make_irrevocable(self.rt, &mut self.arena.logs) {
                     Ok(()) => {
-                        self.holds_write = true;
                         self.irrevocable = true;
                         self.arena.logs.stats.bump(Counter::in_flight_switch);
                         Ok(())
                     }
                     Err(e) => {
-                        self.rt.serial.write_release();
+                        self.release_serial();
                         self.arena.logs.stats.bump(Counter::failed_switches);
                         Err(e)
                     }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification, fully offline: release build, workspace tests
-# (the wire smoke is one of them: crates/bench/tests/mcslap_wire.rs), the
+# Full verification, offline: the tier-1 command (release build, then
+# every workspace member's tests; the root manifest is a virtual
+# workspace, so plain `cargo test` runs them all, the wire smoke
+# crates/bench/tests/mcslap_wire.rs among them), the
 # stress and crash tiers, the system benchmark's oracle, the recovery and
 # protocol oracles, and the bench smokes with their in-bench ratio gates.
 # Leaves the tree clean: every output goes under target/.
@@ -12,11 +14,11 @@ cd "$(dirname "$0")/.."
 
 STRESS_SECONDS="${1:-10}"
 
-echo "==> cargo build --release --offline"
-cargo build --workspace --release --offline
+echo "==> cargo build --release"
+cargo build --release
 
-echo "==> cargo test -q --offline"
-cargo test -q --workspace --offline
+echo "==> cargo test -q"
+cargo test -q
 
 # Transaction shapes: single-worker Tables 1-4 are a pure function of the
 # code paths taken, so any diff against the recorded output is a changed
@@ -50,6 +52,25 @@ loop200 clock_opacity
 # with the writer that interleaved (all three algorithms).
 echo "==> write_fastlane x200"
 loop200 write_fastlane
+
+# Readers on the fast lane race a privatizer that plain-stores after its
+# commit: a read-only commit whose snapshot the clock has passed must
+# revalidate (eager and lazy).
+echo "==> ro_fastlane x200"
+loop200 ro_fastlane
+
+# IT-Max switches ~92% of its transactions to serial-irrevocable mode in
+# flight; a switcher that let go of the serial lock before taking it
+# exclusively could commit reads staled by another's serial section (a
+# refcount underflow panic in mcache). 20 runs per orec algorithm.
+echo "==> mcslap it-max x20 (eager, lazy)"
+for algo in eager lazy; do
+    for i in $(seq 1 20); do
+        timeout 120 target/release/mcslap --branch it-max -c 4 -x 20000 --value-size 1023 \
+            --zipf 0.9 --algorithm "$algo" > /dev/null 2>&1 || {
+            echo "mcslap it-max --algorithm $algo failed on run $i of 20"; exit 1; }
+    done
+done
 
 echo "==> stress smoke (${STRESS_SECONDS}s: every row of testkit::stress::SCHEDULES over every algorithm/lock/CM combo, per seed)"
 cargo run --release --offline -p testkit --bin stress -- --seconds "$STRESS_SECONDS"
@@ -108,7 +129,7 @@ TESTKIT_CASES=5000 TESTKIT_SEED=23 cargo test -q --offline -p mcache --lib -- \
 # across host noise epochs; an absolute fresh-vs-committed comparison does
 # not on this host (EXPERIMENTS.md, "Absolute bench gate: verdict") and is
 # not made. End-to-end regressions are sysbench's alternating pairs;
-# zero-allocation is tests/zero_alloc.rs and mcache/tests/write_path.rs.
+# zero-allocation is tm/tests/zero_alloc.rs and mcache/tests/write_path.rs.
 # Reports land in target/testkit-bench/; the committed BENCH_*.json are
 # recorded evidence a PR refreshes on purpose, never this script.
 for smoke in \
