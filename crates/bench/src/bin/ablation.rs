@@ -21,7 +21,8 @@
 //!   on 5% of keys) — the Figure-1 trade-off, quantified.
 //! * Value size: eager ≈ lazy ≈ norec at 64 B; by 1–4 KiB the buffered
 //!   algorithms pay the byte-store redo-log tax (see also the
-//!   `txn_memcpy256` Criterion bench: eager 0.93 µs vs lazy 2.30 µs).
+//!   `fastpath_copy1k` group of the `stm_fastpath` bench, which copies a
+//!   1 KiB value byte-wise and word-wise under each algorithm).
 //! * Hourglass: tiny thresholds (4) serialize too eagerly (0.021s,
 //!   0.78 a/c); 128 (the paper's setting) already behaves like no-CM.
 //! * Orec table: 2^6 orecs alias disjoint cells into 2.6 false aborts
@@ -187,9 +188,6 @@ fn run_skewed(
     frac: f64,
     prob: f64,
 ) -> bench::RunResult {
-    // Re-implement the runner loop with a skewed workload: the library's
-    // run_once is uniform.
-    let _ = (frac, prob);
     let wl = Workload::builder()
         .concurrency(threads)
         .execute_number(scale.ops)

@@ -14,36 +14,13 @@
 use std::sync::Arc;
 
 use bench::{figures, BenchConfig, Scale};
-use mcache::{McCache, McConfig, SlabConfig};
+use mcache::{McCache, McConfig};
 use workload::Op;
 
 fn run_deterministic(cfg: &BenchConfig, scale: &Scale) -> (u64, u64, u64, u64) {
     let mc = McConfig {
-        branch: cfg.branch,
-        algorithm: cfg.algorithm,
-        contention: cfg.contention,
-        workers: 1,
-        slab: SlabConfig {
-            mem_limit: (scale.keys * (scale.value + 512)).next_power_of_two().max(4 << 20),
-            page_size: 256 << 10,
-            chunk_min: 96,
-            growth_factor: 1.25,
-        },
-        hash_power: 8,
-        hash_power_max: 9,
-        item_lock_power: 8,
-        verbose: false,
-        lru_bump_every: 8,
         maintenance: false,
-        refcount_elision: false,
-        // Tables 1–4 count the 3-transaction store; magazines stay off so
-        // the per-set serialization counts remain bit-identical.
-        magazine: 0,
-        dur_path: None,
-        dur_fsync: mcache::DurFsync::Off,
-        dur_segment_bytes: 4 << 20,
-        dur_compact_ratio: 0.5,
-        ..McConfig::default()
+        ..cfg.mc_config(scale, 1)
     };
     let handle = McCache::start(mc);
     let cache = handle.cache().clone();

@@ -151,7 +151,9 @@ impl BenchConfig {
         }
     }
 
-    fn mc_config(&self, scale: &Scale, threads: usize) -> McConfig {
+    /// The cache configuration a run of this branch uses at `scale` with
+    /// `threads` workers.
+    pub fn mc_config(&self, scale: &Scale, threads: usize) -> McConfig {
         McConfig {
             branch: self.branch,
             algorithm: self.algorithm,

@@ -621,16 +621,11 @@ impl CacheCore {
         };
         let parsed = if n > 40 {
             None // not a plausible decimal; memcached fails the parse
-        } else if !ctx.in_transaction() || policy.is_safe(Category::Libc) {
-            let mut buf = vec![0u8; n];
-            tmstd::memcpy_to_slice(ctx, it.page, voff, &mut buf)?;
-            tmstd::pure(|| marshal(&buf))
         } else {
-            let page = it.page;
-            ctx.unsafe_op(move || {
+            ctx.unsafe_until(policy, Category::Libc, |c| {
                 let mut buf = vec![0u8; n];
-                page.load_slice_direct(voff, &mut buf);
-                marshal(&buf)
+                tmstd::memcpy_to_slice(c, it.page, voff, &mut buf)?;
+                Ok(tmstd::pure(|| marshal(&buf)))
             })?
         };
         let Some(old) = parsed else {
@@ -649,13 +644,9 @@ impl CacheCore {
         if text.len() > capacity {
             return Ok(Some(Err(())));
         }
-        if !ctx.in_transaction() || policy.is_safe(Category::Libc) {
-            tmstd::memcpy_from_slice(ctx, it.page, voff, &text)?;
-        } else {
-            let page = it.page;
-            let t = text.clone();
-            ctx.unsafe_op(move || page.store_slice_direct(voff, &t))?;
-        }
+        ctx.unsafe_until(policy, Category::Libc, |c| {
+            tmstd::memcpy_from_slice(c, it.page, voff, &text)
+        })?;
         sizes.nbytes = text.len() as u32;
         it.set_sizes(ctx, sizes)?;
         let cas = ctx.fetch_add_word(self.cas_counter.word(), 1)? + 1;

@@ -90,6 +90,29 @@ impl<'a, 'e> Ctx<'a, 'e> {
         Ok(())
     }
 
+    /// An operation of category `c` (a `volatile` access, a refcount RMW,
+    /// a libc call), unsafe inside a transaction until the paper's stage
+    /// makes `c` safe. Both clones come from one `body`: it runs on `self`
+    /// when no transaction is open or `c` is safe at this stage, and
+    /// otherwise as an unsafe operation (in-flight switch) on
+    /// [`Ctx::Direct`], the uninstrumented clone.
+    ///
+    /// # Errors
+    ///
+    /// [`Abort::Conflict`] on conflict or failed switch.
+    pub fn unsafe_until<R>(
+        &mut self,
+        policy: &Policy,
+        c: Category,
+        body: impl FnOnce(&mut Ctx<'_, 'e>) -> Result<R, Abort>,
+    ) -> Result<R, Abort> {
+        if !self.in_transaction() || policy.is_safe(c) {
+            body(self)
+        } else {
+            self.unsafe_op(|| body(&mut Ctx::Direct))?
+        }
+    }
+
     /// Reads a maintenance flag that memcached declares `volatile`.
     /// Unsafe until [`crate::Stage::Max`] re-declares it transactional.
     ///
@@ -97,11 +120,7 @@ impl<'a, 'e> Ctx<'a, 'e> {
     ///
     /// [`Abort::Conflict`] on conflict or failed switch.
     pub fn volatile_read(&mut self, policy: &Policy, w: &'e TWord) -> Result<u64, Abort> {
-        if !self.in_transaction() || policy.is_safe(Category::VolatileFlag) {
-            self.get_word(w)
-        } else {
-            self.unsafe_op(|| w.load_direct())
-        }
+        self.unsafe_until(policy, Category::VolatileFlag, |c| c.get_word(w))
     }
 
     /// Writes a `volatile` maintenance flag; see [`Ctx::volatile_read`].
@@ -110,16 +129,13 @@ impl<'a, 'e> Ctx<'a, 'e> {
     ///
     /// [`Abort::Conflict`] on conflict or failed switch.
     pub fn volatile_write(&mut self, policy: &Policy, w: &'e TWord, v: u64) -> Result<(), Abort> {
-        if !self.in_transaction() || policy.is_safe(Category::VolatileFlag) {
-            self.put_word(w, v)
-        } else {
-            self.unsafe_op(|| w.store_direct(v))
-        }
+        self.unsafe_until(policy, Category::VolatileFlag, |c| c.put_word(w, v))
     }
 
     /// A `lock incr`-style reference-count adjustment (delta is signed via
     /// wrapping arithmetic). Returns the previous value. Unsafe until
-    /// [`crate::Stage::Max`].
+    /// [`crate::Stage::Max`]; the uninstrumented clone keeps the real
+    /// fetch-add, since privatized sections bump refcounts concurrently.
     ///
     /// # Errors
     ///
@@ -130,20 +146,9 @@ impl<'a, 'e> Ctx<'a, 'e> {
         w: &'e TWord,
         delta: u64,
     ) -> Result<u64, Abort> {
-        if !self.in_transaction() || policy.is_safe(Category::RefcountRmw) {
-            match self {
-                // Privatized / lock-held data keeps the real fetch-add: the
-                // x86 `lock incr` memcached uses.
-                Ctx::Direct => Ok(w.fetch_add_direct(delta)),
-                _ => {
-                    let old = self.get_word(w)?;
-                    self.put_word(w, old.wrapping_add(delta))?;
-                    Ok(old)
-                }
-            }
-        } else {
-            self.unsafe_op(|| w.fetch_add_direct(delta))
-        }
+        self.unsafe_until(policy, Category::RefcountRmw, |c| {
+            c.fetch_add_word(w, delta)
+        })
     }
 
     /// Read-modify-write add on a word. Direct contexts use a real atomic
@@ -186,35 +191,13 @@ impl<'a, 'e> Ctx<'a, 'e> {
         if cond {
             return Ok(());
         }
-        if !self.in_transaction() || policy.is_safe(Category::AssertAbort) {
+        self.unsafe_until(policy, Category::AssertAbort, |_| {
             tmstd::pure(|| panic!("assertion failed: {msg}"))
-        } else {
-            self.unsafe_op(|| panic!("assertion failed: {msg}"))?;
-            unreachable!()
-        }
+        })
     }
 }
 
 impl<'e> ByteAccess<'e> for Ctx<'_, 'e> {
-    fn get(&mut self, b: &'e TBytes, i: usize) -> Result<u8, Abort> {
-        match self {
-            Ctx::Direct => Ok(b.load_byte_direct(i)),
-            Ctx::Atomic(tx) => tx.read_byte(b, i),
-            Ctx::Relaxed(tx) => tx.read_byte(b, i),
-        }
-    }
-
-    fn put(&mut self, b: &'e TBytes, i: usize, v: u8) -> Result<(), Abort> {
-        match self {
-            Ctx::Direct => {
-                b.store_byte_direct(i, v);
-                Ok(())
-            }
-            Ctx::Atomic(tx) => tx.write_byte(b, i, v),
-            Ctx::Relaxed(tx) => tx.write_byte(b, i, v),
-        }
-    }
-
     fn get_range(&mut self, b: &'e TBytes, off: usize, dst: &mut [u8]) -> Result<(), Abort> {
         match self {
             Ctx::Direct => {

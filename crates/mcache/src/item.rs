@@ -157,12 +157,10 @@ impl<'e> ItemRef<'e> {
 
     /// Current reference count.
     pub fn refcount(&self, ctx: &mut Ctx<'_, 'e>, policy: &Policy) -> Result<u64, Abort> {
-        if ctx.in_transaction() && !policy.is_safe(Category::RefcountRmw) {
-            // Reading a volatile refcount is as unsafe as writing it.
-            ctx.unsafe_op(|| self.word(W_REFCOUNT).load_direct())
-        } else {
-            ctx.get_word(self.word(W_REFCOUNT))
-        }
+        // Reading a volatile refcount is as unsafe as writing it.
+        ctx.unsafe_until(policy, Category::RefcountRmw, |c| {
+            c.get_word(self.word(W_REFCOUNT))
+        })
     }
 
     /// `lock incr`-style refcount increment; returns the new count.
@@ -271,18 +269,9 @@ impl<'e> ItemRef<'e> {
         if nkey as usize != key.len() {
             return Ok(false);
         }
-        if !ctx.in_transaction() || policy.is_safe(Category::Libc) {
-            Ok(tmstd::memcmp_slice(ctx, self.page, self.key_off(), key)? == 0)
-        } else {
-            // libc memcmp: serialize, then compare uninstrumented.
-            let page = self.page;
-            let off = self.key_off();
-            ctx.unsafe_op(move || {
-                let mut buf = vec![0u8; key.len()];
-                page.load_slice_direct(off, &mut buf);
-                buf == key
-            })
-        }
+        ctx.unsafe_until(policy, Category::Libc, |c| {
+            Ok(tmstd::memcmp_slice(c, self.page, self.key_off(), key)? == 0)
+        })
     }
 
     /// Reads the key out (for migration/diagnostics).
@@ -302,8 +291,11 @@ impl<'e> ItemRef<'e> {
         self.suffix_off(sizes) + sizes.nsuffix as usize
     }
 
-    /// Renders the response suffix with the `snprintf` clone — a libc call
-    /// until the Lib stage.
+    /// Renders the response suffix — memcached's `item_make_header`: the
+    /// `snprintf` clone into a private buffer, then a `memcpy` of exactly
+    /// `nsuffix` bytes into the item, so the terminating NUL never lands
+    /// past an item whose empty value ends its chunk. A libc call until
+    /// the Lib stage.
     pub fn write_suffix(
         &self,
         ctx: &mut Ctx<'_, 'e>,
@@ -312,24 +304,11 @@ impl<'e> ItemRef<'e> {
         client_flags: u32,
     ) -> Result<(), Abort> {
         let off = self.suffix_off(sizes);
-        if !ctx.in_transaction() || policy.is_safe(Category::Libc) {
-            tmstd::snprintf_item_suffix(
-                ctx,
-                self.page,
-                off,
-                sizes.nsuffix as usize + 1,
-                client_flags,
-                sizes.nbytes,
-            )?;
-        } else {
-            let page = self.page;
-            let text = format!(" {client_flags} {} \r\n", sizes.nbytes);
-            ctx.unsafe_op(move || {
-                let n = text.len().min(sizes.nsuffix as usize);
-                page.store_slice_direct(off, &text.as_bytes()[..n]);
-            })?;
-        }
-        Ok(())
+        ctx.unsafe_until(policy, Category::Libc, |c| {
+            let mut suffix = [0u8; SUFFIX_MAX + 1];
+            tmstd::pure(|| tmstd::snprintf_item_suffix(&mut suffix, client_flags, sizes.nbytes));
+            tmstd::memcpy_from_slice(c, self.page, off, &suffix[..sizes.nsuffix as usize])
+        })
     }
 
     /// Copies the value in — memcached's `memcpy(ITEM_data(it), ...)`,
@@ -342,15 +321,10 @@ impl<'e> ItemRef<'e> {
         value: &[u8],
     ) -> Result<(), Abort> {
         let off = self.value_off(sizes);
-        if !ctx.in_transaction() || policy.is_safe(Category::Libc) {
-            tmstd::memcpy_from_slice(ctx, self.page, off, &value[..(sizes.nbytes as usize).min(value.len())])
-        } else {
-            let page = self.page;
-            let n = (sizes.nbytes as usize).min(value.len());
-            let data = value[..n].to_vec();
-            ctx.unsafe_op(move || page.store_slice_direct(off, &data))?;
-            Ok(())
-        }
+        let data = &value[..(sizes.nbytes as usize).min(value.len())];
+        ctx.unsafe_until(policy, Category::Libc, |c| {
+            tmstd::memcpy_from_slice(c, self.page, off, data)
+        })
     }
 
     /// Copies the value out — the `get` response path.
@@ -361,19 +335,11 @@ impl<'e> ItemRef<'e> {
         sizes: ItemSizes,
     ) -> Result<Vec<u8>, Abort> {
         let off = self.value_off(sizes);
-        let n = sizes.nbytes as usize;
-        if !ctx.in_transaction() || policy.is_safe(Category::Libc) {
-            let mut v = vec![0u8; n];
-            tmstd::memcpy_to_slice(ctx, self.page, off, &mut v)?;
+        ctx.unsafe_until(policy, Category::Libc, |c| {
+            let mut v = vec![0u8; sizes.nbytes as usize];
+            tmstd::memcpy_to_slice(c, self.page, off, &mut v)?;
             Ok(v)
-        } else {
-            let page = self.page;
-            ctx.unsafe_op(move || {
-                let mut v = vec![0u8; n];
-                page.load_slice_direct(off, &mut v);
-                v
-            })
-        }
+        })
     }
 }
 
@@ -503,6 +469,29 @@ mod tests {
         let mut ctx = Ctx::Direct;
         let policy = Branch::Baseline.policy();
         let _ = it.ref_decr(&mut ctx, &policy);
+    }
+
+    #[test]
+    fn suffix_of_an_empty_value_stays_inside_its_chunk() {
+        // An empty value in a chunk it fills exactly: the next byte is the
+        // next chunk's link word (hash chain or free list).
+        let sizes = ItemSizes {
+            nkey: 5,
+            nsuffix: tmstd::item_suffix_len(0, 0) as u8,
+            nbytes: 0,
+        };
+        let (page, handle) = test_item(sizes.total() + 1);
+        page.store_byte_direct(sizes.total(), 0xAB);
+        let it = ItemRef {
+            page: &page,
+            word0: 0,
+            byte0: 0,
+            handle,
+        };
+        let mut ctx = Ctx::Direct;
+        it.write_suffix(&mut ctx, &Branch::Baseline.policy(), sizes, 0).unwrap();
+        let off = it.suffix_off(sizes);
+        assert_eq!(page.to_vec_direct()[off..], *b" 0 0\r\n\xAB");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!
 //! Parsing happens on private connection buffers — memcached does not
 //! parse inside critical sections — but it runs through the *same*
-//! `tmstd` routines (`isspace`, `strtoull`, `htonl`) in their
-//! uninstrumented clones, keeping the single-source property end-to-end.
+//! `tmstd` routines (`isspace`, `parse_u64`) the transactions use,
+//! keeping the single-source property end-to-end.
 //! [`scan_frame`], [`execute_ascii`], [`execute_ascii_run`] and the
 //! [`binary`] entry points are thin wrappers over the three stages; the
 //! wire front end drives them directly.
@@ -924,8 +924,6 @@ pub mod binary {
         /// Encodes to the 24-byte-header wire format, with the spec's
         /// extras layout: a store's flags then a zero exptime, an
         /// arithmetic delta then a zero initial value and exptime.
-        /// `htons`-family conversions come from `tmstd`, as in the paper's
-        /// §3.4 inventory.
         pub fn encode(&self) -> Vec<u8> {
             let extlen = self.opcode.extras_len();
             let mut extras = [0u8; 20];
@@ -938,12 +936,12 @@ pub mod binary {
             let mut out = Vec::with_capacity(24 + body_len);
             out.push(REQ_MAGIC);
             out.push(self.opcode as u8);
-            out.extend_from_slice(&tmstd::htons(self.key.len() as u16).to_ne_bytes());
+            out.extend_from_slice(&(self.key.len() as u16).to_be_bytes());
             out.push(extlen as u8);
             out.push(0); // data type
-            out.extend_from_slice(&tmstd::htons(0).to_ne_bytes()); // vbucket
-            out.extend_from_slice(&tmstd::htonl(body_len as u32).to_ne_bytes());
-            out.extend_from_slice(&tmstd::htonl(self.opaque).to_ne_bytes());
+            out.extend_from_slice(&0u16.to_be_bytes()); // vbucket
+            out.extend_from_slice(&(body_len as u32).to_be_bytes());
+            out.extend_from_slice(&self.opaque.to_be_bytes());
             out.extend_from_slice(&self.cas.to_be_bytes());
             out.extend_from_slice(&extras[..extlen]);
             out.extend_from_slice(&self.key);
@@ -974,12 +972,12 @@ pub mod binary {
             let body_len = extlen as usize + self.key.len() + self.value.len();
             out.push(RES_MAGIC);
             out.push(self.opcode as u8);
-            out.extend_from_slice(&tmstd::htons(self.key.len() as u16).to_ne_bytes());
+            out.extend_from_slice(&(self.key.len() as u16).to_be_bytes());
             out.push(extlen);
             out.push(0); // data type
-            out.extend_from_slice(&tmstd::htons(self.status as u16).to_ne_bytes());
-            out.extend_from_slice(&tmstd::htonl(body_len as u32).to_ne_bytes());
-            out.extend_from_slice(&tmstd::htonl(self.opaque).to_ne_bytes());
+            out.extend_from_slice(&(self.status as u16).to_be_bytes());
+            out.extend_from_slice(&(body_len as u32).to_be_bytes());
+            out.extend_from_slice(&self.opaque.to_be_bytes());
             out.extend_from_slice(&self.cas.to_be_bytes());
             if extlen == 4 {
                 out.extend_from_slice(&self.flags.to_be_bytes());

@@ -187,3 +187,22 @@ fn all_algorithms_run_the_cache() {
         assert!(c.get(0, b"algo-0").is_some() || c.get(0, b"algo-1").is_some(), "{algo}");
     }
 }
+
+/// Empty values whose items fill their chunk exactly: the rendered
+/// suffix's C terminator must not land on the next chunk's link word
+/// (it used to, and the next lookup tripped the hash-chain cycle assert).
+#[test]
+fn empty_values_in_exactly_fitting_chunks() {
+    // 72-byte header + 18-byte key + " 0 0\r\n" = 96, the smallest chunk.
+    let key = |i: usize| format!("key-{i:014}");
+    for branch in [Branch::Baseline, Branch::IpNoLock, Branch::ItNoLock] {
+        let c = McCache::start(config(branch, 1));
+        for i in 0..500 {
+            c.set(0, key(i).as_bytes(), b"", 0, 0);
+        }
+        for i in 0..500 {
+            let hit = c.get(0, key(i).as_bytes());
+            assert!(hit.is_some_and(|v| v.data.is_empty()), "{branch}: {}", key(i));
+        }
+    }
+}

@@ -567,7 +567,7 @@ fn binary_oversized_body_closes_with_error_frame() {
     let mut frame = vec![0u8; 24];
     frame[0] = 0x80;
     frame[1] = Opcode::Set as u8;
-    frame[8..12].copy_from_slice(&tmstd::htonl(64 << 20).to_ne_bytes());
+    frame[8..12].copy_from_slice(&(64u32 << 20).to_be_bytes());
     s.write_all(&frame).unwrap();
     assert_eq!(read_raw_status(&mut s), Status::ValueTooLarge as u16);
     expect_closed(&mut s);

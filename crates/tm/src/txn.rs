@@ -293,63 +293,6 @@ pub trait Transaction<'env>: sealed::Sealed {
         Ok(())
     }
 
-    /// Transactionally reads whole backing words of a [`TBytes`] —
-    /// one orec/log entry per 8 bytes. This is the bulk primitive
-    /// `tmstd`'s word-granular `memcpy`/`strlen`/`memcmp` rewrites sit on;
-    /// padding bytes of the final word (past `len()`) read as zero.
-    ///
-    /// # Errors
-    ///
-    /// [`Abort::Conflict`] on conflict.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wi + dst.len() > b.word_count()`.
-    fn read_words(&mut self, b: &'env TBytes, wi: usize, dst: &mut [u64]) -> Result<(), Abort>
-    where
-        Self: Sized,
-    {
-        assert!(
-            wi.checked_add(dst.len()).is_some_and(|e| e <= b.word_count()),
-            "TBytes word range {wi}..{} out of bounds ({} words)",
-            wi + dst.len(),
-            b.word_count()
-        );
-        for (k, d) in dst.iter_mut().enumerate() {
-            *d = self.read_word(b.word(wi + k))?;
-        }
-        Ok(())
-    }
-
-    /// Transactionally writes whole backing words of a [`TBytes`] — one
-    /// orec/log entry per 8 bytes, no read-merge. The caller owns every
-    /// byte of the covered words, including any padding past `len()`
-    /// (which must be written as zero to preserve the invariant that
-    /// padding reads as zero).
-    ///
-    /// # Errors
-    ///
-    /// [`Abort::Conflict`] on conflict.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wi + src.len() > b.word_count()`.
-    fn write_words(&mut self, b: &'env TBytes, wi: usize, src: &[u64]) -> Result<(), Abort>
-    where
-        Self: Sized,
-    {
-        assert!(
-            wi.checked_add(src.len()).is_some_and(|e| e <= b.word_count()),
-            "TBytes word range {wi}..{} out of bounds ({} words)",
-            wi + src.len(),
-            b.word_count()
-        );
-        for (k, &v) in src.iter().enumerate() {
-            self.write_word(b.word(wi + k), v)?;
-        }
-        Ok(())
-    }
-
     /// Transactional bulk copy of `src` into a [`TBytes`] window: the
     /// word-granular counterpart of a `memcpy` from private memory. Whole
     /// covered words cost one log entry each (written blind); the partial

@@ -32,11 +32,8 @@ enum Op {
     WriteRange(Index, Index, u64),
     /// Same span semantics through `copy_from_slice`.
     CopySlice(Index, Index, u64),
-    /// Whole-word store via `write_words`.
-    WriteWord(Index, u64),
     ReadByte(Index),
     ReadRange(Index, Index),
-    ReadWords(Index, Index),
     /// Aliased cross-word copy within the buffer: bulk read then bulk
     /// write inside the same transaction.
     CopyWithin(Index, Index, Index),
@@ -50,14 +47,12 @@ fn op_gen() -> impl Fn(&mut testkit::rng::SmallRng) -> Op + Clone {
         let i = Index(rng.next_u64());
         let j = Index(rng.next_u64());
         let k = Index(rng.next_u64());
-        match rng.gen_range(0u32..8) {
+        match rng.gen_range(0u32..6) {
             0 => Op::WriteByte(i, (rng.next_u64() & 0xFF) as u8),
             1 => Op::WriteRange(i, j, rng.next_u64()),
             2 => Op::CopySlice(i, j, rng.next_u64()),
-            3 => Op::WriteWord(i, rng.next_u64()),
-            4 => Op::ReadByte(i),
-            5 => Op::ReadRange(i, j),
-            6 => Op::ReadWords(i, j),
+            3 => Op::ReadByte(i),
+            4 => Op::ReadRange(i, j),
             _ => Op::CopyWithin(i, j, k),
         }
     }
@@ -68,8 +63,7 @@ fn fill(seed: u64, n: usize) -> Vec<u8> {
 }
 
 /// The word the model says word index `wi` holds: little-endian bytes,
-/// zero-padded past `len` (padding bytes are never written non-zero
-/// because `masked_word` zeroes them on word stores).
+/// zero-padded past `len` (no store writes a padding byte).
 fn model_word(model: &[u8], wi: usize) -> u64 {
     let base = wi * 8;
     let mut w = 0u64;
@@ -77,18 +71,6 @@ fn model_word(model: &[u8], wi: usize) -> u64 {
         w |= u64::from(model[base + bi]) << (bi * 8);
     }
     w
-}
-
-/// Zeroes the bytes of `w` that fall past `len` when stored at word `wi`,
-/// keeping the buffer's padding invariant (padding reads as zero).
-fn masked_word(w: u64, wi: usize, len: usize) -> u64 {
-    let base = wi * 8;
-    let live = 8usize.min(len.saturating_sub(base));
-    if live == 8 {
-        w
-    } else {
-        w & ((1u64 << (live * 8)) - 1)
-    }
 }
 
 proptest! {
@@ -131,15 +113,6 @@ proptest! {
                             m[off..off + n].copy_from_slice(&src);
                             tx.copy_from_slice(&b, off, &src)?;
                         }
-                        Op::WriteWord(wi, w) => {
-                            let wi = wi.index(words);
-                            let w = masked_word(w, wi, len);
-                            let base = wi * 8;
-                            let bytes = w.to_le_bytes();
-                            let live = 8usize.min(len - base);
-                            m[base..base + live].copy_from_slice(&bytes[..live]);
-                            tx.write_words(&b, wi, &[w])?;
-                        }
                         Op::ReadByte(i) => {
                             let i = i.index(len);
                             assert_eq!(tx.read_byte(&b, i)?, m[i], "read_byte at {i}");
@@ -150,15 +123,6 @@ proptest! {
                             let mut dst = vec![0u8; n];
                             tx.read_bytes(&b, off, &mut dst)?;
                             assert_eq!(dst, &m[off..off + n], "read_bytes at {off}+{n}");
-                        }
-                        Op::ReadWords(wi, nw) => {
-                            let wi = wi.index(words);
-                            let nw = nw.index(words - wi) + 1;
-                            let mut dst = vec![0u64; nw];
-                            tx.read_words(&b, wi, &mut dst)?;
-                            let want: Vec<u64> =
-                                (wi..wi + nw).map(|w| model_word(&m, w)).collect();
-                            assert_eq!(dst, want, "read_words at {wi}+{nw}");
                         }
                         Op::CopyWithin(d, s, l) => {
                             let soff = s.index(len);
@@ -180,7 +144,7 @@ proptest! {
                 "committed state, algorithm {:?}",
                 rt.algorithm()
             );
-            // Padding bytes past len stay zero through all the word ops.
+            // Padding bytes past len stay zero through all the span ops.
             if len % 8 != 0 {
                 let tail = b.load_word_direct(words - 1);
                 prop_assert_eq!(tail, model_word(&model, words - 1), "tail padding");
@@ -188,14 +152,13 @@ proptest! {
         }
     }
 
-    /// The direct (uninstrumented) slice/word ops agree with the model
+    /// The direct (uninstrumented) slice ops agree with the model
     /// too — same rewrite, no transaction.
     #[test]
     fn direct_slice_ops_match_model(
         len in gen::range(9usize..40),
         ops in gen::vec(op_gen(), 1..24),
     ) {
-        let words = len.div_ceil(8);
         let b = TBytes::zeroed(len);
         let mut m = vec![0u8; len];
         for &op in &ops {
@@ -212,15 +175,6 @@ proptest! {
                     m[off..off + n].copy_from_slice(&src);
                     b.store_slice_direct(off, &src);
                 }
-                Op::WriteWord(wi, w) => {
-                    let wi = wi.index(words);
-                    let w = masked_word(w, wi, len);
-                    let base = wi * 8;
-                    let bytes = w.to_le_bytes();
-                    let live = 8usize.min(len - base);
-                    m[base..base + live].copy_from_slice(&bytes[..live]);
-                    b.store_word_direct(wi, w);
-                }
                 Op::ReadByte(i) => {
                     let i = i.index(len);
                     prop_assert_eq!(b.load_byte_direct(i), m[i]);
@@ -231,13 +185,6 @@ proptest! {
                     let mut dst = vec![0u8; n];
                     b.load_slice_direct(off, &mut dst);
                     prop_assert_eq!(&dst, &m[off..off + n]);
-                }
-                Op::ReadWords(wi, nw) => {
-                    let wi = wi.index(words);
-                    let nw = nw.index(words - wi) + 1;
-                    for w in wi..wi + nw {
-                        prop_assert_eq!(b.load_word_direct(w), model_word(&m, w));
-                    }
                 }
                 Op::CopyWithin(d, s, l) => {
                     let soff = s.index(len);

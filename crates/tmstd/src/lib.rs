@@ -1,36 +1,45 @@
-//! # tmstd — transaction-safe standard-library replacements
+//! # tmstd — the transaction-safe libc routines memcached calls
 //!
 //! The paper's §3.4 ("Making Libraries Safe") identifies the unsafe libc
 //! calls that kept memcached transactions serializing, and removes them in
-//! two ways, both reproduced here:
+//! two ways:
 //!
-//! 1. **Safety via reimplementation** — `memcmp`, `memcpy`, `strlen`,
-//!    `strncmp`, `strncpy`, `strchr`, and a naive `realloc` rewritten as
-//!    `transaction_safe` functions. The spec requires both the
-//!    transactional and non-transactional clones of a safe function to come
-//!    from the same source; this crate enforces that literally by writing
-//!    each function once, generic over [`ByteAccess`], instantiated with
-//!    [`TxAccess`] (instrumented clone) or [`DirectAccess`]
-//!    (uninstrumented clone).
-//! 2. **Safety via marshaling** — `isspace`, `strtol`, `strtoull`, `atoi`,
-//!    `snprintf`, and `htons` wrapped in [`pure`] calls operating on
-//!    explicitly marshaled private copies ([`marshal`] module; the paper's
-//!    Figure 7 pattern). Variable-argument `snprintf` appears as one
-//!    hand-cloned function per call-site signature, as in the paper.
+//! 1. **Safety via reimplementation.** The paper rewrote `memcmp`,
+//!    `memcpy`, `strlen`, `strncmp`, `strncpy`, `strchr` and a naive
+//!    `realloc` as `transaction_safe` functions. The spec requires both
+//!    clones of a safe function, transactional and not, to come from one
+//!    source; this crate writes each routine once, generic over
+//!    [`ByteAccess`], and `mcache::Ctx` instantiates both clones.
+//! 2. **Safety via marshaling.** The paper wrapped `isspace`, `strtol`,
+//!    `strtoull`, `atoi`, `snprintf` and `htons` in `transaction_pure`
+//!    calls on explicitly marshaled private copies ([`pure`]; the
+//!    [`marshal`] module; the paper's Figure 7 pattern). `htons` "did not
+//!    require any marshaling, since its input and return values are both
+//!    integers".
+//!
+//! This rebuild keeps only the routines its cache calls:
+//!
+//! * `memcmp` on a lookup key → [`memcmp_slice`] (`key_eq`);
+//! * `memcpy` of a value in or out → [`memcpy_from_slice`] /
+//!   [`memcpy_to_slice`] (`write_value`, `read_value`, `arith`);
+//! * `snprintf(" %u %u\r\n")` into a private buffer →
+//!   [`snprintf_item_suffix`], and its sizing half [`item_suffix_len`]
+//!   (`item_make_header`; the rendered bytes go out through `memcpy`);
+//! * `strtoull` → [`parse_u64`] and [`isspace`] on a marshaled copy
+//!   (`arith`, and the protocol tokenizer).
+//!
+//! Its keys and values are length-counted, so nothing calls `strlen`,
+//! `strncmp`, `strncpy`, `strchr` or `realloc`; no signed number is parsed,
+//! so nothing calls `strtol` or `atoi`; and the binary protocol's encoders
+//! run outside any transaction and use `to_be_bytes` where memcached calls
+//! `htons`/`htonl`.
 //!
 //! ```
-//! use tm::{TBytes, TmRuntime};
-//! use tmstd::{strlen, DirectAccess, TxAccess};
-//!
-//! let rt = TmRuntime::default_runtime();
-//! let s = TBytes::from_slice(b"some key\0");
-//!
-//! // Instrumented clone, inside a transaction:
-//! let n = rt.atomic(|tx| strlen(&mut TxAccess::new(tx), &s, 0));
-//!
-//! // Uninstrumented clone, same source:
-//! assert_eq!(n, strlen(&mut DirectAccess, &s, 0)?);
-//! # Ok::<(), tm::Abort>(())
+//! // memcached's safe_strtoull, on a marshaled private copy:
+//! let parsed = tmstd::pure(|| tmstd::parse_u64(b" 42\r\n"));
+//! assert_eq!(parsed, Some((42, 3)));
+//! assert!(tmstd::isspace(b'\r'));
+//! assert_eq!(tmstd::item_suffix_len(7, 1024), b" 7 1024\r\n".len());
 //! ```
 
 #![warn(missing_docs)]
@@ -39,30 +48,18 @@
 mod access;
 pub mod marshal;
 mod mem;
-mod str;
 
-pub use access::{ByteAccess, DirectAccess, TxAccess};
-pub use marshal::{
-    atoi, dec_len, htonl, htons, isdigit, isspace, item_suffix_len, parse_i64, parse_u64, pure,
-    snprintf_item_suffix, snprintf_str, snprintf_u64_crlf, strtol, strtoull, GENEROUS_INPUT_BUF,
-    GENEROUS_OUTPUT_BUF,
-};
-pub use mem::{
-    memcmp, memcmp_slice, memcpy, memcpy_from_slice, memcpy_to_slice, memmove, memset, realloc,
-};
-pub use str::{strchr, strlen, strncmp, strncpy, strnlen};
+pub use access::ByteAccess;
+pub use marshal::{isspace, item_suffix_len, parse_u64, pure, snprintf_item_suffix};
+pub use mem::{memcmp_slice, memcpy_from_slice, memcpy_to_slice};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::access::clones::Direct;
     use testkit::prop::gen;
-    use testkit::rng::{Rng, SmallRng};
-    use testkit::{prop_assert_eq, prop_assume, proptest};
+    use testkit::{prop_assert_eq, proptest};
     use tm::{TBytes, TmRuntime};
-
-    fn nonzero_byte() -> impl Fn(&mut SmallRng) -> u8 + Clone {
-        |rng| rng.gen_range(1u32..256) as u8
-    }
 
     proptest! {
         #![cases(64)]
@@ -73,32 +70,27 @@ mod proptests {
         fn clones_agree_memcmp(x in gen::bytes(1..64), y in gen::bytes(1..64)) {
             let n = x.len().min(y.len());
             let xb = TBytes::from_slice(&x);
-            let yb = TBytes::from_slice(&y);
             let rt = TmRuntime::default_runtime();
-            let tx_result = rt.atomic(|tx| memcmp(&mut TxAccess::new(tx), &xb, 0, &yb, 0, n));
-            let direct = memcmp(&mut DirectAccess, &xb, 0, &yb, 0, n).unwrap();
+            let tx_result = rt.atomic(|tx| memcmp_slice(tx, &xb, 0, &y[..n]));
+            let direct = memcmp_slice(&mut Direct, &xb, 0, &y[..n]).unwrap();
             prop_assert_eq!(tx_result.signum(), direct.signum());
             prop_assert_eq!(direct.signum(), x[..n].cmp(&y[..n]) as i32);
         }
 
         #[test]
-        fn clones_agree_strlen(s in gen::bytes(1..64), nul_at in gen::index()) {
-            let pos = nul_at.index(s.len());
-            s[pos] = 0;
-            let b = TBytes::from_slice(&s);
-            let rt = TmRuntime::default_runtime();
-            let tx_len = rt.atomic(|tx| strlen(&mut TxAccess::new(tx), &b, 0));
-            prop_assert_eq!(tx_len, strlen(&mut DirectAccess, &b, 0).unwrap());
-            prop_assert_eq!(tx_len, s.iter().position(|&c| c == 0).unwrap());
-        }
-
-        #[test]
         fn memcpy_roundtrip(data in gen::bytes(0..256), pad in gen::range(0usize..16)) {
-            let src = TBytes::from_slice(&data);
             let dst = TBytes::zeroed(data.len() + pad);
             let rt = TmRuntime::default_runtime();
-            rt.atomic(|tx| memcpy(&mut TxAccess::new(tx), &dst, 0, &src, 0, data.len()));
-            prop_assert_eq!(&dst.to_vec_direct()[..data.len()], &data[..]);
+            let tx_out = rt.atomic(|tx| {
+                memcpy_from_slice(tx, &dst, pad, &data)?;
+                let mut out = vec![0u8; data.len()];
+                memcpy_to_slice(tx, &dst, pad, &mut out)?;
+                Ok(out)
+            });
+            let mut direct_out = vec![0u8; data.len()];
+            memcpy_to_slice(&mut Direct, &dst, pad, &mut direct_out).unwrap();
+            prop_assert_eq!(&tx_out, &data);
+            prop_assert_eq!(&direct_out, &data);
         }
 
         #[test]
@@ -106,29 +98,6 @@ mod proptests {
             let s = format!("{}{}", " ".repeat(ws), v);
             let parsed = parse_u64(s.as_bytes());
             prop_assert_eq!(parsed, Some((v, s.len())));
-        }
-
-        #[test]
-        fn parse_i64_matches_std(v in gen::any_i64()) {
-            // i64::MIN saturates (parser is magnitude-then-negate).
-            prop_assume!(v != i64::MIN);
-            let s = v.to_string();
-            prop_assert_eq!(parse_i64(s.as_bytes()), Some((v, s.len())));
-        }
-
-        #[test]
-        fn strncpy_matches_c_model(src in gen::vec(nonzero_byte(), 0..16),
-                                   n in gen::range(0usize..24)) {
-            let dst = TBytes::from_slice(&[0xEE; 24]);
-            strncpy(&mut DirectAccess, &dst, 0, &src, n).unwrap();
-            let out = dst.to_vec_direct();
-            for k in 0..n {
-                let expect = src.get(k).copied().unwrap_or(0);
-                prop_assert_eq!(out[k], expect);
-            }
-            for k in n..24 {
-                prop_assert_eq!(out[k], 0xEE);
-            }
         }
     }
 }

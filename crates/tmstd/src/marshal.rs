@@ -1,11 +1,11 @@
 //! Safety via marshaling (paper §3.4, Figure 7).
 //!
-//! Functions that were not worth reimplementing transactionally —
-//! `isspace`, `strtol`, `strtoull`, `atoi`, `snprintf`, `htons` — were made
-//! callable from transactions by *marshaling*: copy the shared-memory
-//! arguments onto the stack with instrumented reads, invoke a
-//! `transaction_pure` wrapper around the library function on the private
-//! copy, and marshal any output back with instrumented writes.
+//! Functions that were not worth reimplementing transactionally — the
+//! paper lists `isspace`, `strtol`, `strtoull`, `atoi`, `snprintf` and
+//! `htons` — were made callable from transactions by *marshaling*: copy
+//! the shared-memory arguments onto the stack with instrumented reads,
+//! invoke a `transaction_pure` wrapper around the library function on the
+//! private copy, and marshal any output back with instrumented writes.
 //!
 //! The pure computations here are honest reimplementations (no libc), but
 //! the structure is the paper's: [`pure`] marks the uninstrumented call,
@@ -13,18 +13,10 @@
 //! it. Variable-argument `snprintf` is handled the way the paper did —
 //! "manually clone and replace every variable-argument function with a
 //! unique version for every combination of parameters that appeared in the
-//! program": see [`snprintf_item_suffix`] and [`snprintf_u64_crlf`].
-
-use tm::{Abort, TBytes};
-
-use crate::access::ByteAccess;
-
-/// The size used when a marshaling buffer's bound could not be inferred —
-/// the paper "used a generous 4KB buffer for the input".
-pub const GENEROUS_INPUT_BUF: usize = 4096;
-
-/// ... and 8KB for the output.
-pub const GENEROUS_OUTPUT_BUF: usize = 8192;
+//! program": memcached's one `snprintf` inside a transaction is
+//! [`snprintf_item_suffix`], which renders into a private buffer that the
+//! caller copies out. Its `strtoull` is [`parse_u64`] over a marshaled
+//! copy (`mcache`'s `arith`).
 
 /// Marks an uninstrumented call from transactional context — the
 /// `[[transaction_pure]]` extension. The closure must be genuinely pure
@@ -51,21 +43,8 @@ pub fn isspace(b: u8) -> bool {
 
 /// `isdigit` from `<ctype.h>` (C locale).
 #[inline]
-pub fn isdigit(b: u8) -> bool {
+fn isdigit(b: u8) -> bool {
     b.is_ascii_digit()
-}
-
-/// `htons`: host to network (big-endian) short. "Did not require any
-/// marshaling, since its input and return values are both integers."
-#[inline]
-pub fn htons(v: u16) -> u16 {
-    v.to_be()
-}
-
-/// `htonl`: host to network (big-endian) long.
-#[inline]
-pub fn htonl(v: u32) -> u32 {
-    v.to_be()
 }
 
 /// The pure core of `strtoull` (base 10): parses leading whitespace then
@@ -92,129 +71,22 @@ pub fn parse_u64(buf: &[u8]) -> Option<(u64, usize)> {
     }
 }
 
-/// The pure core of `strtol` (base 10) with an optional sign.
-pub fn parse_i64(buf: &[u8]) -> Option<(i64, usize)> {
-    let mut i = 0;
-    while i < buf.len() && isspace(buf[i]) {
-        i += 1;
+/// Copies `text` (formatted privately) into `out` with C `snprintf`
+/// truncation semantics: at most `out.len() - 1` bytes plus a NUL, nothing
+/// at all into an empty `out`. Returns the untruncated length, like C.
+fn snprintf_out(out: &mut [u8], text: &[u8]) -> usize {
+    if let Some(room) = out.len().checked_sub(1) {
+        let n = text.len().min(room);
+        out[..n].copy_from_slice(&text[..n]);
+        out[n] = 0;
     }
-    let mut neg = false;
-    if i < buf.len() && (buf[i] == b'-' || buf[i] == b'+') {
-        neg = buf[i] == b'-';
-        i += 1;
-    }
-    let start = i;
-    let mut v: i64 = 0;
-    while i < buf.len() && isdigit(buf[i]) {
-        v = v
-            .saturating_mul(10)
-            .saturating_add((buf[i] - b'0') as i64);
-        i += 1;
-    }
-    if i == start {
-        None
-    } else {
-        Some((if neg { -v } else { v }, i))
-    }
-}
-
-/// `strtoull(s + off, ..., 10)` via marshaling: copies at most `maxlen`
-/// bytes of the shared string onto the stack, then calls the pure parser.
-/// The scalar result "needs no further marshaling".
-///
-/// # Errors
-///
-/// [`Abort::Conflict`] under transactional access.
-pub fn strtoull<'e, A: ByteAccess<'e>>(
-    a: &mut A,
-    s: &'e TBytes,
-    off: usize,
-    maxlen: usize,
-) -> Result<Option<(u64, usize)>, Abort> {
-    let n = maxlen.min(s.len().saturating_sub(off)).min(40);
-    let mut stack = [0u8; 40];
-    a.get_range(s, off, &mut stack[..n])?; // marshal in
-    Ok(pure(|| parse_u64(&stack[..n])))
-}
-
-/// `strtol(s + off, ..., 10)` via marshaling.
-///
-/// # Errors
-///
-/// [`Abort::Conflict`] under transactional access.
-pub fn strtol<'e, A: ByteAccess<'e>>(
-    a: &mut A,
-    s: &'e TBytes,
-    off: usize,
-    maxlen: usize,
-) -> Result<Option<(i64, usize)>, Abort> {
-    let n = maxlen.min(s.len().saturating_sub(off)).min(41);
-    let mut stack = [0u8; 41];
-    a.get_range(s, off, &mut stack[..n])?;
-    Ok(pure(|| parse_i64(&stack[..n])))
-}
-
-/// `atoi(s + off)` via marshaling (0 when no digits are found, as in C).
-///
-/// # Errors
-///
-/// [`Abort::Conflict`] under transactional access.
-pub fn atoi<'e, A: ByteAccess<'e>>(
-    a: &mut A,
-    s: &'e TBytes,
-    off: usize,
-) -> Result<i64, Abort> {
-    Ok(strtol(a, s, off, 41)?.map_or(0, |(v, _)| v))
-}
-
-/// Writes `text` (formatted privately) into shared memory with C
-/// `snprintf` truncation semantics: at most `cap - 1` bytes plus a NUL.
-/// Returns the untruncated length, like C.
-///
-/// # Errors
-///
-/// [`Abort::Conflict`] under transactional access.
-///
-/// # Panics
-///
-/// Panics if `doff + min(cap, text-len + 1)` exceeds the buffer, or if
-/// `cap == 0` range writes exceed bounds (a zero `cap` writes nothing).
-fn snprintf_out<'e, A: ByteAccess<'e>>(
-    a: &mut A,
-    dst: &'e TBytes,
-    doff: usize,
-    cap: usize,
-    text: &[u8],
-) -> Result<usize, Abort> {
-    if cap == 0 {
-        return Ok(text.len());
-    }
-    let n = text.len().min(cap - 1);
-    a.put_range(dst, doff, &text[..n])?; // marshal out
-    a.put(dst, doff + n, 0)?;
-    Ok(text.len())
-}
-
-/// `snprintf(dst, cap, "%s", s)` — the string-argument clone.
-///
-/// # Errors
-///
-/// [`Abort::Conflict`] under transactional access.
-pub fn snprintf_str<'e, A: ByteAccess<'e>>(
-    a: &mut A,
-    dst: &'e TBytes,
-    doff: usize,
-    cap: usize,
-    s: &str,
-) -> Result<usize, Abort> {
-    let text = pure(|| s.as_bytes().to_vec());
-    snprintf_out(a, dst, doff, cap, &text)
+    text.len()
 }
 
 /// Decimal digit count of `v` (1 for 0): the allocation-free length
-/// computation the snprintf clones and `item_make_header` sizing share.
+/// computation the snprintf clone and `item_make_header` sizing share.
 #[inline]
-pub fn dec_len(v: u64) -> usize {
+fn dec_len(v: u64) -> usize {
     if v == 0 {
         1
     } else {
@@ -224,7 +96,7 @@ pub fn dec_len(v: u64) -> usize {
 
 /// Renders `v` in decimal at the start of `out`, returning the length.
 /// Stack-only on purpose: C's `snprintf` formats into caller storage
-/// without touching the heap, and the clones must match — a hidden
+/// without touching the heap, and the clone must match — a hidden
 /// allocation here would put a malloc on every store.
 fn fmt_u64(mut v: u64, out: &mut [u8]) -> usize {
     let n = dec_len(v);
@@ -247,20 +119,13 @@ pub fn item_suffix_len(flags: u32, nbytes: u32) -> usize {
     4 + dec_len(flags as u64) + dec_len(nbytes as u64)
 }
 
-/// `snprintf(dst, cap, " %u %u\r\n", flags, nbytes)` — the clone memcached
-/// uses to build each item's cached response suffix at store time.
-///
-/// # Errors
-///
-/// [`Abort::Conflict`] under transactional access.
-pub fn snprintf_item_suffix<'e, A: ByteAccess<'e>>(
-    a: &mut A,
-    dst: &'e TBytes,
-    doff: usize,
-    cap: usize,
-    flags: u32,
-    nbytes: u32,
-) -> Result<usize, Abort> {
+/// `snprintf(buf, buf.len(), " %u %u\r\n", flags, nbytes)` — the clone
+/// memcached's `item_make_header` calls to render each item's cached
+/// response suffix at store time. Like memcached, it formats into a
+/// private buffer: the caller marshals the `nsuffix` rendered bytes out
+/// with [`crate::memcpy_from_slice`], and the terminating NUL never
+/// reaches the item.
+pub fn snprintf_item_suffix(buf: &mut [u8], flags: u32, nbytes: u32) -> usize {
     // " " + 10 digits + " " + 10 digits + "\r\n" = 24 bytes max.
     let mut stack = [0u8; 24];
     let mut n = 0;
@@ -273,35 +138,12 @@ pub fn snprintf_item_suffix<'e, A: ByteAccess<'e>>(
     stack[n] = b'\r';
     stack[n + 1] = b'\n';
     n += 2;
-    snprintf_out(a, dst, doff, cap, &stack[..n])
-}
-
-/// `snprintf(dst, cap, "%llu\r\n", v)` — the clone memcached uses to write
-/// `incr`/`decr` results back into the item.
-///
-/// # Errors
-///
-/// [`Abort::Conflict`] under transactional access.
-pub fn snprintf_u64_crlf<'e, A: ByteAccess<'e>>(
-    a: &mut A,
-    dst: &'e TBytes,
-    doff: usize,
-    cap: usize,
-    v: u64,
-) -> Result<usize, Abort> {
-    // 20 digits + "\r\n"; stack-only, like the suffix clone above.
-    let mut stack = [0u8; 22];
-    let mut n = fmt_u64(v, &mut stack);
-    stack[n] = b'\r';
-    stack[n + 1] = b'\n';
-    n += 2;
-    snprintf_out(a, dst, doff, cap, &stack[..n])
+    snprintf_out(buf, &stack[..n])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::DirectAccess;
 
     #[test]
     fn ctype_predicates() {
@@ -309,13 +151,6 @@ mod tests {
         assert!(!isspace(b'a') && !isspace(b'0'));
         assert!(isdigit(b'0') && isdigit(b'9'));
         assert!(!isdigit(b'a'));
-    }
-
-    #[test]
-    fn network_byte_order() {
-        assert_eq!(htons(0x1234), u16::from_be_bytes([0x12, 0x34]).to_be());
-        assert_eq!(htons(11211).to_le_bytes(), 11211u16.to_be_bytes());
-        assert_eq!(htonl(0x0102_0304).to_le_bytes(), [1, 2, 3, 4]);
     }
 
     #[test]
@@ -332,65 +167,25 @@ mod tests {
     }
 
     #[test]
-    fn parse_i64_signs() {
-        assert_eq!(parse_i64(b"-17 "), Some((-17, 3)));
-        assert_eq!(parse_i64(b"+8"), Some((8, 2)));
-        assert_eq!(parse_i64(b"-"), None);
-    }
-
-    #[test]
-    fn strtoull_from_shared_memory() {
-        let s = TBytes::from_slice(b"  10055\r\n");
-        let mut a = DirectAccess;
-        assert_eq!(strtoull(&mut a, &s, 0, 9).unwrap(), Some((10055, 7)));
-        assert_eq!(strtoull(&mut a, &s, 7, 2).unwrap(), None);
-    }
-
-    #[test]
-    fn atoi_defaults_to_zero() {
-        let s = TBytes::from_slice(b"nope");
-        let mut a = DirectAccess;
-        assert_eq!(atoi(&mut a, &s, 0).unwrap(), 0);
-        let t = TBytes::from_slice(b"-5");
-        assert_eq!(atoi(&mut a, &t, 0).unwrap(), -5);
-    }
-
-    #[test]
     fn snprintf_truncates_like_c() {
-        let d = TBytes::zeroed(8);
-        let mut a = DirectAccess;
-        let full = snprintf_str(&mut a, &d, 0, 5, "hello world").unwrap();
-        assert_eq!(full, 11, "returns untruncated length");
-        assert_eq!(&d.to_vec_direct()[..5], b"hell\0");
+        let mut d = [0xEE; 8];
+        let full = snprintf_item_suffix(&mut d[..5], 7, 1024);
+        assert_eq!(full, 9, "returns untruncated length");
+        assert_eq!(&d[..6], b" 7 1\0\xEE");
     }
 
     #[test]
     fn snprintf_zero_cap_writes_nothing() {
-        let d = TBytes::from_slice(&[9; 4]);
-        let mut a = DirectAccess;
-        assert_eq!(snprintf_str(&mut a, &d, 0, 0, "xy").unwrap(), 2);
-        assert_eq!(d.to_vec_direct(), vec![9; 4]);
+        let mut d = [9; 4];
+        assert_eq!(snprintf_item_suffix(&mut d[..0], 7, 1024), 9);
+        assert_eq!(d, [9; 4]);
     }
 
     #[test]
     fn item_suffix_clone() {
-        let d = TBytes::zeroed(32);
-        let mut a = DirectAccess;
-        let n = snprintf_item_suffix(&mut a, &d, 0, 32, 7, 1024).unwrap();
-        assert_eq!(&d.to_vec_direct()[..n], b" 7 1024\r\n");
-    }
-
-    #[test]
-    fn u64_crlf_clone() {
-        let d = TBytes::zeroed(32);
-        let mut a = DirectAccess;
-        let n = snprintf_u64_crlf(&mut a, &d, 0, 32, 10056).unwrap();
-        assert_eq!(&d.to_vec_direct()[..n], b"10056\r\n");
-    }
-
-    #[test]
-    fn generous_buffer_constants() {
-        assert_eq!(GENEROUS_INPUT_BUF, 4096);
-        assert_eq!(GENEROUS_OUTPUT_BUF, 8192);
+        let mut d = [0xEE; 32];
+        let n = snprintf_item_suffix(&mut d, 7, 1024);
+        assert_eq!(&d[..n + 1], b" 7 1024\r\n\0");
+        assert_eq!(n, item_suffix_len(7, 1024));
     }
 }

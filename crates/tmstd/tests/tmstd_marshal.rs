@@ -1,112 +1,74 @@
 //! Edge cases for the §3.4 library-safety layer: marshaling and the
-//! reimplemented memory/string functions at their boundaries — empty
-//! inputs, marshal-buffer-length strings, non-ASCII bytes, and
-//! overlapping copy regions. Everything here runs through both clones
-//! (instrumented and uninstrumented) where the distinction matters.
+//! reimplemented memory functions at their boundaries — empty inputs,
+//! capacity-length renderings, and non-ASCII bytes. The clone-agreement
+//! tests live next to each routine; here the uninstrumented clone is a
+//! local [`DirectAccess`] adaptor.
 
-use tm::{TBytes, TmRuntime};
+use tm::{Abort, TBytes, TWord};
 use tmstd::{
-    atoi, memcmp, memcmp_slice, memcpy, memmove, memset, parse_i64, parse_u64, snprintf_str,
-    strchr, strlen, strncmp, strncpy, strnlen, strtoull, DirectAccess, TxAccess,
-    GENEROUS_INPUT_BUF, GENEROUS_OUTPUT_BUF,
+    memcmp_slice, memcpy_from_slice, memcpy_to_slice, parse_u64, snprintf_item_suffix, ByteAccess,
 };
+
+/// The uninstrumented clone: plain loads and stores.
+struct DirectAccess;
+
+impl<'env> ByteAccess<'env> for DirectAccess {
+    fn get_range(&mut self, b: &'env TBytes, off: usize, dst: &mut [u8]) -> Result<(), Abort> {
+        b.load_slice_direct(off, dst);
+        Ok(())
+    }
+    fn put_range(&mut self, b: &'env TBytes, off: usize, src: &[u8]) -> Result<(), Abort> {
+        b.store_slice_direct(off, src);
+        Ok(())
+    }
+    fn get_word(&mut self, w: &'env TWord) -> Result<u64, Abort> {
+        Ok(w.load_direct())
+    }
+    fn put_word(&mut self, w: &'env TWord, v: u64) -> Result<(), Abort> {
+        w.store_direct(v);
+        Ok(())
+    }
+}
 
 // --- empty slices ---------------------------------------------------------
 
 #[test]
 fn empty_buffers_compare_equal_and_copy_nothing() {
     let empty = TBytes::from_slice(b"");
-    let other = TBytes::from_slice(b"");
     let mut a = DirectAccess;
-    assert_eq!(memcmp(&mut a, &empty, 0, &other, 0, 0).unwrap(), 0);
     assert_eq!(memcmp_slice(&mut a, &empty, 0, b"").unwrap(), 0);
     // Zero-length copies touch no bytes, even at offset 0 of an empty buffer.
-    memcpy(&mut a, &empty, 0, &other, 0, 0).unwrap();
-    memmove(&mut a, &empty, 0, &other, 0, 0).unwrap();
-    memset(&mut a, &empty, 0, 0xFF, 0).unwrap();
+    memcpy_from_slice(&mut a, &empty, 0, b"").unwrap();
+    memcpy_to_slice(&mut a, &empty, 0, &mut []).unwrap();
     assert_eq!(empty.to_vec_direct(), b"");
-}
-
-#[test]
-fn empty_string_functions() {
-    let empty = TBytes::from_slice(b"");
-    let mut a = DirectAccess;
-    assert_eq!(strlen(&mut a, &empty, 0).unwrap(), 0);
-    assert_eq!(strnlen(&mut a, &empty, 0, 16).unwrap(), 0);
-    assert_eq!(strchr(&mut a, &empty, 0, b'x').unwrap(), None);
-    assert_eq!(strncmp(&mut a, &empty, 0, b"", 0).unwrap(), 0);
-    // strncpy with n == 0 writes nothing.
-    let dst = TBytes::from_slice(&[7u8; 4]);
-    strncpy(&mut a, &dst, 0, b"abc", 0).unwrap();
-    assert_eq!(dst.to_vec_direct(), vec![7u8; 4]);
 }
 
 #[test]
 fn empty_parse_inputs_are_rejected_not_mangled() {
     assert_eq!(parse_u64(b""), None);
-    assert_eq!(parse_i64(b""), None);
     assert_eq!(parse_u64(b"   "), None, "whitespace only");
-    let s = TBytes::from_slice(b"123");
-    let mut a = DirectAccess;
-    // A zero-length marshal window parses nothing.
-    assert_eq!(strtoull(&mut a, &s, 0, 0).unwrap(), None);
-    // An offset at the end of the buffer marshals an empty window.
-    assert_eq!(strtoull(&mut a, &s, 3, 8).unwrap(), None);
-    let e = TBytes::from_slice(b"");
-    assert_eq!(atoi(&mut a, &e, 0).unwrap(), 0);
-}
-
-#[test]
-fn snprintf_empty_string_writes_only_nul() {
-    let d = TBytes::from_slice(&[9u8; 4]);
-    let mut a = DirectAccess;
-    assert_eq!(snprintf_str(&mut a, &d, 0, 4, "").unwrap(), 0);
-    assert_eq!(d.to_vec_direct(), vec![0, 9, 9, 9]);
 }
 
 // --- max-length strings ---------------------------------------------------
 
 #[test]
-fn strtoull_clamps_to_its_marshal_window() {
-    // The stack copy is 40 bytes: digits past it are invisible to the
-    // parse, exactly like memcached's bounded safe_strtoull buffer.
-    let digits = [b'7'; 64];
-    let s = TBytes::from_slice(&digits);
-    let mut a = DirectAccess;
-    let (v, used) = strtoull(&mut a, &s, 0, 64).unwrap().unwrap();
-    assert_eq!(used, 40, "consumes at most the marshaled window");
-    assert_eq!(v, u64::MAX, "40 sevens saturate");
-}
-
-#[test]
 fn forty_digit_value_saturates_but_stays_total() {
     let s: Vec<u8> = std::iter::repeat(b'9').take(40).collect();
     assert_eq!(parse_u64(&s), Some((u64::MAX, 40)));
-    let neg: Vec<u8> = std::iter::once(b'-').chain(s.iter().copied()).collect();
-    assert_eq!(parse_i64(&neg), Some((-i64::MAX, 41)));
 }
 
 #[test]
 fn snprintf_exact_capacity_boundaries() {
-    let mut a = DirectAccess;
+    // memcached renders the item suffix into a private buffer and copies
+    // the rendered bytes out; the NUL stays in the buffer.
     // cap == len + 1: fits exactly, nothing truncated.
-    let d = TBytes::zeroed(8);
-    assert_eq!(snprintf_str(&mut a, &d, 0, 6, "hello").unwrap(), 5);
-    assert_eq!(&d.to_vec_direct()[..6], b"hello\0");
+    let mut d = [0xEE; 16];
+    assert_eq!(snprintf_item_suffix(&mut d[..8], 7, 11), 7);
+    assert_eq!(&d[..9], b" 7 11\r\n\0\xEE");
     // cap == len: C semantics lose the last byte to the NUL.
-    let e = TBytes::zeroed(8);
-    assert_eq!(snprintf_str(&mut a, &e, 0, 5, "hello").unwrap(), 5);
-    assert_eq!(&e.to_vec_direct()[..5], b"hell\0");
-}
-
-#[test]
-fn generous_buffers_hold_a_maximum_item_line() {
-    // memcached's largest key is 250 bytes; a full "VALUE <key> <flags>
-    // <len>\r\n" header plus a 1 KiB value fits the paper's generous 4
-    // KiB in / 8 KiB out marshaling buffers with room to spare.
-    let header = 6 + 1 + 250 + 1 + 10 + 1 + 20 + 2;
-    assert!(header + 1024 < GENEROUS_INPUT_BUF);
-    assert!(GENEROUS_OUTPUT_BUF >= 2 * GENEROUS_INPUT_BUF);
+    let mut e = [0xEE; 16];
+    assert_eq!(snprintf_item_suffix(&mut e[..7], 7, 11), 7);
+    assert_eq!(&e[..8], b" 7 11\r\0\xEE");
 }
 
 // --- non-ASCII bytes ------------------------------------------------------
@@ -116,27 +78,25 @@ fn memcmp_treats_bytes_as_unsigned() {
     // In C, memcmp compares unsigned chars: 0xFF > 0x01. A signed-char
     // slip would invert this.
     let hi = TBytes::from_slice(&[0xFF]);
-    let lo = TBytes::from_slice(&[0x01]);
     let mut a = DirectAccess;
-    assert!(memcmp(&mut a, &hi, 0, &lo, 0, 1).unwrap() > 0);
-    assert!(memcmp(&mut a, &lo, 0, &hi, 0, 1).unwrap() < 0);
     assert!(memcmp_slice(&mut a, &hi, 0, &[0x01]).unwrap() > 0);
-    assert!(strncmp(&mut a, &hi, 0, &[0x01], 1).unwrap() > 0);
 }
 
 #[test]
 fn non_ascii_keys_survive_string_functions() {
     // Keys are arbitrary bytes in memcached's binary protocol.
+    // Keys are length-counted, so an embedded NUL does not end one.
     let key = [0xC3u8, 0xA9, 0x80, 0xFE, 0x01, 0x00, 0xAA];
-    let s = TBytes::from_slice(&key);
+    let dst = TBytes::zeroed(9);
     let mut a = DirectAccess;
-    assert_eq!(strlen(&mut a, &s, 0).unwrap(), 5, "NUL ends the string");
-    assert_eq!(strchr(&mut a, &s, 0, 0xFE).unwrap(), Some(3));
-    assert_eq!(strchr(&mut a, &s, 0, 0xAA).unwrap(), None, "past the NUL");
-    let dst = TBytes::zeroed(7);
-    strncpy(&mut a, &dst, 0, &key, 7).unwrap();
-    assert_eq!(&dst.to_vec_direct()[..5], &key[..5]);
-    assert_eq!(&dst.to_vec_direct()[5..], &[0, 0], "NUL padding");
+    memcpy_from_slice(&mut a, &dst, 1, &key).unwrap();
+    assert_eq!(memcmp_slice(&mut a, &dst, 1, &key).unwrap(), 0);
+    assert!(
+        memcmp_slice(&mut a, &dst, 1, &[0xC3, 0xA9, 0x80, 0xFE, 0x01, 0x00, 0xAB]).unwrap() < 0
+    );
+    let mut out = [0u8; 7];
+    memcpy_to_slice(&mut a, &dst, 1, &mut out).unwrap();
+    assert_eq!(out, key);
 }
 
 #[test]
@@ -146,67 +106,4 @@ fn non_ascii_bytes_do_not_parse_as_digits() {
     assert_eq!(parse_u64(&[0xC2, 0xB2]), None);
     assert_eq!(parse_u64(&[0xB9, 0xB2, 0xB3]), None);
     assert_eq!(parse_u64(b"12\xC2\xB2"), Some((12, 2)), "stops at the first");
-}
-
-#[test]
-fn snprintf_multibyte_utf8_roundtrips() {
-    let text = "héllo — ключ";
-    let d = TBytes::zeroed(64);
-    let mut a = DirectAccess;
-    let n = snprintf_str(&mut a, &d, 0, 64, text).unwrap();
-    assert_eq!(n, text.len(), "byte length, not char count");
-    assert_eq!(&d.to_vec_direct()[..n], text.as_bytes());
-    assert_eq!(d.to_vec_direct()[n], 0);
-}
-
-// --- overlapping copy regions --------------------------------------------
-
-#[test]
-fn memmove_overlap_matches_vec_model_both_directions() {
-    let init: Vec<u8> = (0..32).collect();
-    for (doff, soff, n) in [(4usize, 0usize, 20usize), (0, 4, 20), (8, 8, 16), (1, 0, 31)] {
-        let b = TBytes::from_slice(&init);
-        let mut model = init.clone();
-        let mut a = DirectAccess;
-        memmove(&mut a, &b, doff, &b, soff, n).unwrap();
-        model.copy_within(soff..soff + n, doff);
-        assert_eq!(
-            b.to_vec_direct(),
-            model,
-            "memmove doff={doff} soff={soff} n={n}"
-        );
-    }
-}
-
-#[test]
-fn memmove_overlap_transactional_clone_agrees() {
-    // The instrumented clone must be overlap-safe too: its reads all
-    // happen before its writes (full-temporary copy), even when the
-    // transaction's own write set already covers the source range.
-    let init: Vec<u8> = (0..24).rev().collect();
-    for (doff, soff, n) in [(6usize, 0usize, 18usize), (0, 6, 18)] {
-        let rt = TmRuntime::default_runtime();
-        let b = TBytes::from_slice(&init);
-        let mut model = init.clone();
-        rt.atomic(|tx| {
-            let mut a = TxAccess::new(tx);
-            // Dirty the buffer first so the copy reads tentative state.
-            tmstd::memcpy_from_slice(&mut a, &b, 0, &[0xAB, 0xCD])?;
-            memmove(&mut a, &b, doff, &b, soff, n)
-        });
-        model[0] = 0xAB;
-        model[1] = 0xCD;
-        model.copy_within(soff..soff + n, doff);
-        assert_eq!(b.to_vec_direct(), model, "tx memmove doff={doff} soff={soff}");
-    }
-}
-
-#[test]
-fn memcpy_same_buffer_disjoint_ranges() {
-    // memcpy's contract only forbids *overlap*; disjoint ranges of one
-    // buffer are legal and common (shuffling an item's suffix in place).
-    let b = TBytes::from_slice(b"0123456789abcdef");
-    let mut a = DirectAccess;
-    memcpy(&mut a, &b, 8, &b, 0, 8).unwrap();
-    assert_eq!(b.to_vec_direct(), b"0123456701234567");
 }

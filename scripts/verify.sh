@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification, offline: the tier-1 command (release build, then
+# Full verification, offline: a check that every crate uses each of its
+# [dependencies], the tier-1 command (release build, then
 # every workspace member's tests; the root manifest is a virtual
 # workspace, so plain `cargo test` runs them all, the wire smoke
 # crates/bench/tests/mcslap_wire.rs among them), the
@@ -13,6 +14,21 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 STRESS_SECONDS="${1:-10}"
+
+# Every [dependencies] entry of a member crate is used as a path
+# (`name::`) somewhere in its src/, benches/ or tests/: a dependency
+# nothing names only lengthens the build graph.
+echo "==> no unused [dependencies]"
+for manifest in crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    srcs=()
+    for d in src benches tests; do [ -d "$dir/$d" ] && srcs+=("$dir/$d"); done
+    for dep in $(sed -n '/^\[dependencies\]/,/^\[/s/^\([A-Za-z0-9_-]*\) *[.=].*/\1/p' "$manifest"); do
+        grep -rqE "\b${dep//-/_}::" "${srcs[@]}" || {
+            echo "$manifest: [dependencies] entry '$dep' is named nowhere in its src/, benches/ or tests/"
+            exit 1; }
+    done
+done
 
 echo "==> cargo build --release"
 cargo build --release
