@@ -1,12 +1,15 @@
-//! Prints the paper's evaluation artifacts in paper format (see
-//! EXPERIMENTS.md for the recorded output and the paper-vs-measured
-//! comparison): every one of them in paper order, or only those named.
+//! Prints the rows of `bench::figures::ARTIFACTS`: the paper's evaluation
+//! artifacts in paper format (see EXPERIMENTS.md for the recorded output
+//! and the paper-vs-measured comparison), the deterministic Tables 1–4
+//! (`tablecheck`) and the five ablations — every row in table order, or
+//! only those named.
 //!
 //! ```console
 //! $ cargo run --release -p bench --bin reproduce
 //! $ MC_TRIALS=5 cargo run --release -p bench --bin reproduce -- fig4 table1
+//! $ cargo run --release -p bench --bin reproduce -- tablecheck | cmp - scripts/tablecheck.golden
 //! ```
-use bench::figures::{Kind, ARTIFACTS};
+use bench::figures::ARTIFACTS;
 
 fn main() {
     let wanted: Vec<String> = std::env::args().skip(1).collect();
@@ -20,17 +23,10 @@ fn main() {
     }
     let scale = bench::Scale::from_env();
     eprintln!("reproducing at {scale:?}");
-    for a in ARTIFACTS {
-        if !wanted.is_empty() && !wanted.iter().any(|w| w == a.name) {
-            continue;
-        }
-        match a.kind {
-            Kind::Figure => bench::print_figure(a.title, &(a.configs)(), &scale),
-            Kind::Table => bench::print_table(a.title, &(a.configs)(), &scale),
-        }
-        if a.name == "fig11" {
-            let threads = scale.threads.iter().copied().max().unwrap_or(4);
-            bench::print_abort_rates(&scale, threads);
-        }
+    for a in ARTIFACTS
+        .iter()
+        .filter(|a| wanted.is_empty() || wanted.iter().any(|w| w == a.name))
+    {
+        (a.print)(&scale);
     }
 }

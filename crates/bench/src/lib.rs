@@ -1,5 +1,8 @@
-//! Benchmark harness for the reproduction: workload runner, per-figure and
-//! per-table experiment definitions, and paper-format reporting.
+//! Benchmark harness for the reproduction: one workload runner
+//! ([`run_once_with`]), the rows `reproduce` prints
+//! ([`figures::ARTIFACTS`]: the paper's figures and tables, the
+//! deterministic tables and the [`ablation`]s), and paper-format
+//! reporting.
 //!
 //! The paper's setup: memslap v1.0 with `--concurrency=x
 //! --execute-number=625000 --binary`, x ∈ {1, 2, 4, 8, 12}, server and
@@ -21,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod cli;
 pub mod wire;
 
@@ -172,22 +176,13 @@ impl BenchConfig {
             // site, as the per-set counts in the paper's tables suggest.
             hash_power: 8,
             hash_power_max: 9,
-            item_lock_power: 8,
-            verbose: false,
-            lru_bump_every: 8,
-            maintenance: true,
             refcount_elision: self.refcount_elision,
-            // Figures and tables run with magazines off so the per-set
-            // serialization counts stay bit-identical to the paper's
-            // 3-transaction store; mcslap exposes the knob for the
-            // setpath experiments.
-            magazine: 0,
-            // Figures and tables measure the in-memory paths; durability
-            // has its own bench (stm_durpath) and harness (mccrash).
-            dur_path: None,
-            dur_fsync: mcache::DurFsync::Off,
-            dur_segment_bytes: 4 << 20,
-            dur_compact_ratio: 0.5,
+            // Figures and tables run with magazines off (the default) so
+            // the per-set serialization counts stay bit-identical to the
+            // paper's 3-transaction store; mcslap exposes the knob for the
+            // setpath experiments. They also run without the redo log:
+            // durability has its own bench (stm_durpath) and harness
+            // (mccrash).
             ..McConfig::default()
         }
     }
@@ -206,20 +201,19 @@ pub struct RunResult {
     pub get_hits: u64,
 }
 
-/// Runs `config` once at `threads` workers and returns the measurements.
+/// Runs `config` once at `threads` workers on `scale`'s workload.
 pub fn run_once(config: &BenchConfig, scale: &Scale, threads: usize) -> RunResult {
-    run_once_with(config, scale, threads, Arc::new(scale.workload(threads)))
+    run_once_with(config.mc_config(scale, threads), scale.workload(threads))
 }
 
-/// [`run_once`] with a caller-provided workload (skewed ablations).
-pub fn run_once_with(
-    config: &BenchConfig,
-    scale: &Scale,
-    threads: usize,
-    wl: Arc<Workload>,
-) -> RunResult {
-    let handle = McCache::start(config.mc_config(scale, threads));
+/// The one workload loop: starts a cache from `mc`, preloads half of
+/// `wl`'s keyspace, then runs each of `wl`'s streams on its own worker
+/// thread (worker `w` drives stream `w`) and measures them.
+pub fn run_once_with(mc: McConfig, wl: Workload) -> RunResult {
+    let threads = wl.concurrency();
+    let handle = McCache::start(mc);
     let cache = handle.cache().clone();
+    let wl = Arc::new(wl);
 
     // Preload half the keyspace so gets hit (memslap does an initial
     // window of sets for the same reason).
@@ -340,45 +334,75 @@ pub fn print_table(title: &str, configs: &[BenchConfig], scale: &Scale) {
     println!();
 }
 
-/// The experiment roster, one entry per paper artifact.
+/// Prints Tables 1–4 from one worker with the maintenance thread off.
+/// There the operation stream, and so every serialization decision, is a
+/// pure function of the workload seed: the output is bit-identical run to
+/// run and across runtime-internal refactors (log arenas, write-map
+/// layout), and `scripts/tablecheck.golden` records it.
+pub fn print_tablecheck(scale: &Scale) {
+    use figures::{table1, table2, table3, table4};
+    for (n, configs) in [table1(), table2(), table3(), table4()].into_iter().enumerate() {
+        println!("# Table {} (single worker, deterministic)", n + 1);
+        println!(
+            "{:<16} {:>12} {:>18} {:>14} {:>14}",
+            "branch", "txns", "in-flight-switch", "start-serial", "abort-serial"
+        );
+        for cfg in &configs {
+            let mc = McConfig {
+                maintenance: false,
+                ..cfg.mc_config(scale, 1)
+            };
+            let tm = run_once_with(mc, scale.workload(1)).tm;
+            println!(
+                "{:<16} {:>12} {:>18} {:>14} {:>14}",
+                cfg.label,
+                tm.transactions(),
+                tm.in_flight_switch,
+                tm.start_serial,
+                tm.abort_serial
+            );
+        }
+        println!();
+    }
+}
+
+/// Every row `reproduce` prints: the paper's artifacts, the deterministic
+/// tables and the ablations.
 pub mod figures {
     use super::*;
 
-    /// How an artifact is measured and laid out.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum Kind {
-        /// Run time vs worker threads, mean ± stdev ([`print_figure`]).
-        Figure,
-        /// Serialization causes at 4 threads ([`print_table`]).
-        Table,
-    }
-
-    /// One paper artifact `reproduce` can print.
+    /// One row `reproduce` can print.
     #[derive(Clone, Copy, Debug)]
     pub struct Artifact {
         /// The name `reproduce` takes on its command line.
         pub name: &'static str,
-        /// The heading printed above it.
-        pub title: &'static str,
-        /// How it is measured and laid out.
-        pub kind: Kind,
-        /// Its configurations, in legend order.
-        pub configs: fn() -> Vec<BenchConfig>,
+        /// Runs the row's experiments and prints them, heading included.
+        pub print: fn(&Scale),
     }
 
-    /// Every artifact, in paper order.
+    /// Every row: the paper's artifacts in paper order, then
+    /// [`print_tablecheck`] and the five [`crate::ablation`] rows.
     #[rustfmt::skip]
-    pub const ARTIFACTS: [Artifact; 10] = [
-        Artifact { name: "fig4", title: "Figure 4: Performance of baseline transactional memcached", kind: Kind::Figure, configs: fig4 },
-        Artifact { name: "table1", title: "Table 1: Frequency and cause of serialized transactions", kind: Kind::Table, configs: table1 },
-        Artifact { name: "fig6", title: "Figure 6: Performance of maximally transactionalized memcached", kind: Kind::Figure, configs: fig6 },
-        Artifact { name: "table2", title: "Table 2: Frequency and cause of serialized transactions (Max)", kind: Kind::Table, configs: table2 },
-        Artifact { name: "fig8", title: "Figure 8: Performance with safe library functions", kind: Kind::Figure, configs: fig8 },
-        Artifact { name: "table3", title: "Table 3: Frequency and cause of serialized transactions (Lib)", kind: Kind::Table, configs: table3 },
-        Artifact { name: "fig9", title: "Figure 9: Performance with onCommit handlers", kind: Kind::Figure, configs: fig9 },
-        Artifact { name: "table4", title: "Table 4: Frequency and cause of serialized transactions (onCommit)", kind: Kind::Table, configs: table4 },
-        Artifact { name: "fig10", title: "Figure 10: Performance without the readers/writer lock", kind: Kind::Figure, configs: fig10 },
-        Artifact { name: "fig11", title: "Figure 11: Comparison to other TM algorithms and contention managers", kind: Kind::Figure, configs: fig11 },
+    pub const ARTIFACTS: [Artifact; 16] = [
+        Artifact { name: "fig4", print: |s| print_figure("Figure 4: Performance of baseline transactional memcached", &fig4(), s) },
+        Artifact { name: "table1", print: |s| print_table("Table 1: Frequency and cause of serialized transactions", &table1(), s) },
+        Artifact { name: "fig6", print: |s| print_figure("Figure 6: Performance of maximally transactionalized memcached", &fig6(), s) },
+        Artifact { name: "table2", print: |s| print_table("Table 2: Frequency and cause of serialized transactions (Max)", &table2(), s) },
+        Artifact { name: "fig8", print: |s| print_figure("Figure 8: Performance with safe library functions", &fig8(), s) },
+        Artifact { name: "table3", print: |s| print_table("Table 3: Frequency and cause of serialized transactions (Lib)", &table3(), s) },
+        Artifact { name: "fig9", print: |s| print_figure("Figure 9: Performance with onCommit handlers", &fig9(), s) },
+        Artifact { name: "table4", print: |s| print_table("Table 4: Frequency and cause of serialized transactions (onCommit)", &table4(), s) },
+        Artifact { name: "fig10", print: |s| print_figure("Figure 10: Performance without the readers/writer lock", &fig10(), s) },
+        Artifact { name: "fig11", print: |s| {
+            print_figure("Figure 11: Comparison to other TM algorithms and contention managers", &fig11(), s);
+            print_abort_rates(s);
+        } },
+        Artifact { name: "tablecheck", print: print_tablecheck },
+        Artifact { name: "skew", print: crate::ablation::skew },
+        Artifact { name: "value-size", print: crate::ablation::value_size },
+        Artifact { name: "hourglass", print: crate::ablation::hourglass },
+        Artifact { name: "orecs", print: crate::ablation::orecs },
+        Artifact { name: "refcount-elision", print: crate::ablation::refcount_elision },
     ];
 
     /// Figure 4 configurations: baseline transactionalization.
@@ -545,8 +569,10 @@ pub fn ratio_gate(
 }
 
 /// Prints Figure 11's companion abort-rate report (the paper's §4 text:
-/// aborts per commit and cross-thread variance).
-pub fn print_abort_rates(scale: &Scale, threads: usize) {
+/// aborts per commit and cross-thread variance) at `scale`'s largest
+/// thread count.
+pub fn print_abort_rates(scale: &Scale) {
+    let threads = scale.threads.iter().copied().max().unwrap_or(4);
     println!("# Abort rates at {threads} threads (paper §4 text)");
     println!(
         "{:<16} {:>16} {:>18} {:>22}",
@@ -613,23 +639,19 @@ mod tests {
 
     #[test]
     fn roster_sizes_match_paper() {
-        let sizes: Vec<(&str, usize)> =
-            figures::ARTIFACTS.iter().map(|a| (a.name, (a.configs)().len())).collect();
+        use figures::*;
+        let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
         assert_eq!(
-            sizes,
+            names,
             [
-                ("fig4", 6),
-                ("table1", 4),
-                ("fig6", 5),
-                ("table2", 4),
-                ("fig8", 7),
-                ("table3", 6),
-                ("fig9", 7),
-                ("table4", 6),
-                ("fig10", 5),
-                ("fig11", 6),
+                "fig4", "table1", "fig6", "table2", "fig8", "table3", "fig9", "table4", "fig10",
+                "fig11", "tablecheck", "skew", "value-size", "hourglass", "orecs",
+                "refcount-elision",
             ]
         );
+        let sizes = [fig4, table1, fig6, table2, fig8, table3, fig9, table4, fig10, fig11]
+            .map(|configs| configs().len());
+        assert_eq!(sizes, [6, 4, 5, 4, 7, 6, 7, 6, 5, 6]);
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! The command lines of `mcached` and `mcslap`: every flag fails the same
-//! way. A value that is missing or malformed — and a flag that does not
-//! exist — is one line on stderr naming the flag and exit status 2, never
-//! a silent fall-back to the default.
+//! The command lines of `mcached`, `mcslap` and `reproduce`: every flag
+//! fails the same way. A value that is missing or malformed — and a flag
+//! or row name that does not exist — is one line on stderr naming it and
+//! exit status 2, never a silent fall-back to the default.
 
 use std::process::{Command, Stdio};
 
 const MCACHED: &str = env!("CARGO_BIN_EXE_mcached");
 const MCSLAP: &str = env!("CARGO_BIN_EXE_mcslap");
+const REPRODUCE: &str = env!("CARGO_BIN_EXE_reproduce");
 
 /// Runs `bin` with `args`, expecting it to refuse them before it does
-/// anything (binds, for `mcached`; runs a workload, for `mcslap`).
+/// anything (binds, for `mcached`; runs a workload, for `mcslap` and
+/// `reproduce`).
 /// Returns stderr.
 fn usage_error(bin: &str, args: &[&str]) -> String {
     let out = Command::new(bin)
@@ -196,4 +198,16 @@ fn removed_flags_are_unknown_flags() {
             "{bin}: {err:?}"
         );
     }
+}
+
+/// A name `reproduce` has no row for is refused before anything runs, and
+/// the refusal lists every row it has.
+#[test]
+fn unknown_artifact_lists_every_valid_row() {
+    let err = usage_error(REPRODUCE, &["no-such-artifact"]);
+    assert!(
+        err.contains("valid: fig4 table1 fig6 table2 fig8 table3 fig9 table4 fig10 fig11 \
+                      tablecheck skew value-size hourglass orecs refcount-elision"),
+        "{err:?}"
+    );
 }

@@ -29,6 +29,11 @@ use crate::stats::{GlobalSnapshot, ThreadSnapshot, ThreadStats};
 /// Longest accepted key, as in memcached.
 pub const KEY_MAX: usize = 250;
 
+/// Recovery-time compaction trigger: once the redo log exceeds one
+/// segment, it is rewritten as a single sealed segment whenever the live
+/// entries account for less than this fraction of the on-disk bytes.
+const DUR_COMPACT_RATIO: f64 = 0.5;
+
 /// Cache configuration.
 #[derive(Clone, Debug)]
 pub struct McConfig {
@@ -88,10 +93,6 @@ pub struct McConfig {
     /// Redo-log segment size: the writer rotates to a fresh segment file
     /// before exceeding this many bytes.
     pub dur_segment_bytes: u64,
-    /// Recovery-time compaction trigger: once the log exceeds one segment,
-    /// rewrite it as a single sealed segment whenever the live entries
-    /// account for less than this fraction of the on-disk bytes.
-    pub dur_compact_ratio: f64,
 }
 
 impl Default for McConfig {
@@ -114,7 +115,6 @@ impl Default for McConfig {
             dur_path: None,
             dur_fsync: crate::dur::DurFsync::EveryN(32),
             dur_segment_bytes: 4 << 20,
-            dur_compact_ratio: 0.5,
         }
     }
 }
@@ -642,7 +642,7 @@ impl McCache {
                     .map(|e| 64 + e.key.len() as u64 + e.value.len() as u64)
                     .sum();
                 let compact = rec.log_bytes >= self.cfg.dur_segment_bytes
-                    && (live as f64) < self.cfg.dur_compact_ratio * rec.log_bytes as f64;
+                    && (live as f64) < DUR_COMPACT_RATIO * rec.log_bytes as f64;
                 // The rewrite only reads `rec` and touches the directory,
                 // so it overlaps the load; it is joined before the writer
                 // opens, whose epoch must sort after the rewrite's.

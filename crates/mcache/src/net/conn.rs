@@ -20,6 +20,9 @@ use crate::proto::{self, FrameScan};
 use super::event::{fd_of, RawFd};
 use super::Shared;
 
+/// Bytes per `read(2)` into a connection buffer.
+const READ_CHUNK: usize = 16 << 10;
+
 /// Upper bound on bytes a single pump ingests before dispatching, so
 /// one fire-hosing client cannot grow its buffer unboundedly between
 /// dispatches.
@@ -159,7 +162,7 @@ impl Connection {
             }
             return Pump { keep: true, repump: false };
         }
-        let mut chunk = vec![0u8; shared.cfg.read_chunk];
+        let mut chunk = vec![0u8; READ_CHUNK];
         let mut peer_closed = false;
         let mut hit_read_cap = true;
         for _ in 0..MAX_READS_PER_PUMP {

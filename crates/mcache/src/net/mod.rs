@@ -86,8 +86,6 @@ pub struct NetConfig {
     /// Must not exceed [`McCache::worker_slots`] — each worker owns one
     /// slot.
     pub workers: usize,
-    /// Bytes per `read(2)` into a connection buffer.
-    pub read_chunk: usize,
     /// Backpressure high-water mark: once a connection's pending
     /// response bytes reach this, the worker stops reading (and
     /// answering) that connection until the backlog flushes below it —
@@ -117,7 +115,6 @@ impl Default for NetConfig {
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
-            read_chunk: 16 << 10,
             wbuf_high_water: 4 << 20,
             udp_addr: None,
             unix_path: None,

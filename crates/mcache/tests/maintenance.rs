@@ -2,7 +2,6 @@
 //! under live traffic, in both condition-synchronization styles (§3.2) and
 //! the transactional branches.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mcache::{Branch, McCache, McConfig, McHandle, SlabConfig, Stage};

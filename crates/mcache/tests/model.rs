@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use testkit::prop::{gen, CaseResult};
 use testkit::rng::{Rng, SmallRng};
-use testkit::{no_shrink, prop_assert, prop_assert_eq, proptest};
+use testkit::{no_shrink, prop_assert_eq, proptest};
 
 use mcache::{ArithStatus, Branch, McCache, McConfig, SlabConfig, Stage, StoreStatus};
 

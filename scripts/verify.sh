@@ -39,9 +39,10 @@ cargo test -q
 # Transaction shapes: single-worker Tables 1-4 are a pure function of the
 # code paths taken, so any diff against the recorded output is a changed
 # serialization profile, not noise. (tx_shapes.rs, in the workspace tests
-# above, pins the same thing op by op.)
-echo "==> tablecheck vs scripts/tablecheck.golden"
-target/release/tablecheck 2>/dev/null | cmp - scripts/tablecheck.golden
+# above, pins the same thing op by op, and tablecheck_golden.rs runs this
+# comparison on the debug build.)
+echo "==> reproduce tablecheck vs scripts/tablecheck.golden"
+target/release/reproduce tablecheck 2>/dev/null | cmp - scripts/tablecheck.golden
 
 # A single green pass of a parallelism-sensitive test proves little: loop
 # the test binary itself, without cargo's per-run overhead. Each run gets
