@@ -311,6 +311,11 @@ pub struct CacheStats {
     pub request_panics: u64,
     /// Maintenance-thread panics recovered by respawn.
     pub maintenance_panics: u64,
+    /// The slab pool's size, `mem_limit` (memcached's `limit_maxbytes`).
+    pub limit_maxbytes: u64,
+    /// Pool bytes claimed by size classes, a page at a time (memcached's
+    /// `total_malloced`): the slab memory the cache has committed.
+    pub total_malloced: u64,
     /// Compile shim for the frozen `benchmark/` package, which reads this
     /// field: there is no privatized GET path, so it is always 0. Delete
     /// with the next benchmark PR.
@@ -576,6 +581,8 @@ impl McCache {
             log_lines: self.log_lines.load(Ordering::Relaxed),
             request_panics: self.request_panics(),
             maintenance_panics: self.maintenance_panics(),
+            limit_maxbytes: self.cfg.slab.mem_limit as u64,
+            total_malloced: self.core.arena.malloced_bytes(),
             hot_hits: 0,
         }
     }

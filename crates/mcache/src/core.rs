@@ -624,7 +624,7 @@ impl CacheCore {
         } else {
             ctx.unsafe_until(policy, Category::Libc, |c| {
                 let mut buf = vec![0u8; n];
-                tmstd::memcpy_to_slice(c, it.page, voff, &mut buf)?;
+                tmstd::memcpy_to_slice(c, it.pool, it.in_chunk(voff, n), &mut buf)?;
                 Ok(tmstd::pure(|| marshal(&buf)))
             })?
         };
@@ -645,7 +645,7 @@ impl CacheCore {
             return Ok(Some(Err(())));
         }
         ctx.unsafe_until(policy, Category::Libc, |c| {
-            tmstd::memcpy_from_slice(c, it.page, voff, &text)
+            tmstd::memcpy_from_slice(c, it.pool, it.in_chunk(voff, text.len()), &text)
         })?;
         sizes.nbytes = text.len() as u32;
         it.set_sizes(ctx, sizes)?;

@@ -79,15 +79,19 @@ pub fn encode_opt(h: Option<ItemHandle>) -> u64 {
     h.map_or(0, ItemHandle::to_word)
 }
 
-/// A resolved item: the page holding it plus its chunk's word/byte base.
+/// A resolved item: the storage holding it plus its chunk's bounds.
 #[derive(Clone, Copy, Debug)]
 pub struct ItemRef<'e> {
-    /// The page's backing storage.
-    pub page: &'e TBytes,
-    /// First header word index within the page.
+    /// The backing storage: the arena's slab pool, every page back to back.
+    pub pool: &'e TBytes,
+    /// First header word index within `pool`.
     pub word0: usize,
-    /// First byte offset within the page.
+    /// First byte offset within `pool`.
     pub byte0: usize,
+    /// One past the chunk's last byte within `pool`. The next byte belongs
+    /// to the next chunk, possibly on another class's page; debug builds
+    /// assert that no access reaches it.
+    pub end: usize,
     /// The handle this reference resolves.
     pub handle: ItemHandle,
 }
@@ -121,8 +125,32 @@ impl ItemSizes {
 }
 
 impl<'e> ItemRef<'e> {
+    /// The item in the `chunk_size`-byte chunk at byte `byte0` of `pool`.
+    pub fn new(pool: &'e TBytes, byte0: usize, chunk_size: usize, handle: ItemHandle) -> Self {
+        ItemRef {
+            pool,
+            word0: byte0 / 8,
+            byte0,
+            end: byte0 + chunk_size,
+            handle,
+        }
+    }
+
+    /// `off`, once debug builds have checked that the `len` bytes from it
+    /// stay inside this item's chunk.
+    pub fn in_chunk(&self, off: usize, len: usize) -> usize {
+        debug_assert!(
+            self.byte0 <= off && off + len <= self.end,
+            "item bytes {off}..{} outside its chunk {}..{}",
+            off + len,
+            self.byte0,
+            self.end
+        );
+        off
+    }
+
     fn word(&self, k: usize) -> &'e TWord {
-        self.page.word(self.word0 + k)
+        self.pool.word(self.in_chunk((self.word0 + k) * 8, 8) / 8)
     }
 
     /// The hash-chain successor.
@@ -246,14 +274,14 @@ impl<'e> ItemRef<'e> {
         ctx.put_word(self.word(W_CFLAGS), v as u64)
     }
 
-    /// Byte offset of the key within the page.
+    /// Byte offset of the key within the pool.
     pub fn key_off(&self) -> usize {
         self.byte0 + HDR_BYTES
     }
 
     /// Writes the key bytes (alloc path; the chunk is still private).
     pub fn write_key(&self, ctx: &mut Ctx<'_, 'e>, key: &[u8]) -> Result<(), Abort> {
-        ctx.put_range(self.page, self.key_off(), key)
+        ctx.put_range(self.pool, self.in_chunk(self.key_off(), key.len()), key)
     }
 
     /// Compares the item's key with a lookup key — memcached's
@@ -270,14 +298,15 @@ impl<'e> ItemRef<'e> {
             return Ok(false);
         }
         ctx.unsafe_until(policy, Category::Libc, |c| {
-            Ok(tmstd::memcmp_slice(c, self.page, self.key_off(), key)? == 0)
+            let off = self.in_chunk(self.key_off(), key.len());
+            Ok(tmstd::memcmp_slice(c, self.pool, off, key)? == 0)
         })
     }
 
     /// Reads the key out (for migration/diagnostics).
     pub fn read_key(&self, ctx: &mut Ctx<'_, 'e>, nkey: u8) -> Result<Vec<u8>, Abort> {
         let mut k = vec![0u8; nkey as usize];
-        ctx.get_range(self.page, self.key_off(), &mut k)?;
+        ctx.get_range(self.pool, self.in_chunk(self.key_off(), k.len()), &mut k)?;
         Ok(k)
     }
 
@@ -303,11 +332,11 @@ impl<'e> ItemRef<'e> {
         sizes: ItemSizes,
         client_flags: u32,
     ) -> Result<(), Abort> {
-        let off = self.suffix_off(sizes);
+        let off = self.in_chunk(self.suffix_off(sizes), sizes.nsuffix as usize);
         ctx.unsafe_until(policy, Category::Libc, |c| {
             let mut suffix = [0u8; SUFFIX_MAX + 1];
             tmstd::pure(|| tmstd::snprintf_item_suffix(&mut suffix, client_flags, sizes.nbytes));
-            tmstd::memcpy_from_slice(c, self.page, off, &suffix[..sizes.nsuffix as usize])
+            tmstd::memcpy_from_slice(c, self.pool, off, &suffix[..sizes.nsuffix as usize])
         })
     }
 
@@ -320,10 +349,10 @@ impl<'e> ItemRef<'e> {
         sizes: ItemSizes,
         value: &[u8],
     ) -> Result<(), Abort> {
-        let off = self.value_off(sizes);
         let data = &value[..(sizes.nbytes as usize).min(value.len())];
+        let off = self.in_chunk(self.value_off(sizes), data.len());
         ctx.unsafe_until(policy, Category::Libc, |c| {
-            tmstd::memcpy_from_slice(c, self.page, off, data)
+            tmstd::memcpy_from_slice(c, self.pool, off, data)
         })
     }
 
@@ -334,10 +363,10 @@ impl<'e> ItemRef<'e> {
         policy: &Policy,
         sizes: ItemSizes,
     ) -> Result<Vec<u8>, Abort> {
-        let off = self.value_off(sizes);
+        let off = self.in_chunk(self.value_off(sizes), sizes.nbytes as usize);
         ctx.unsafe_until(policy, Category::Libc, |c| {
             let mut v = vec![0u8; sizes.nbytes as usize];
-            tmstd::memcpy_to_slice(c, self.page, off, &mut v)?;
+            tmstd::memcpy_to_slice(c, self.pool, off, &mut v)?;
             Ok(v)
         })
     }
@@ -395,12 +424,7 @@ mod tests {
     #[test]
     fn header_fields_roundtrip() {
         let (page, handle) = test_item(256);
-        let it = ItemRef {
-            page: &page,
-            word0: 0,
-            byte0: 0,
-            handle,
-        };
+        let it = ItemRef::new(&page, 0, page.len(), handle);
         let mut ctx = Ctx::Direct;
         let other = ItemHandle {
             class: 2,
@@ -422,12 +446,7 @@ mod tests {
     #[test]
     fn flag_bits() {
         let (page, handle) = test_item(256);
-        let it = ItemRef {
-            page: &page,
-            word0: 0,
-            byte0: 0,
-            handle,
-        };
+        let it = ItemRef::new(&page, 0, page.len(), handle);
         let mut ctx = Ctx::Direct;
         it.update_flags(&mut ctx, ITEM_LINKED, 0).unwrap();
         it.update_flags(&mut ctx, ITEM_FETCHED, 0).unwrap();
@@ -442,12 +461,7 @@ mod tests {
     #[test]
     fn refcount_protocol() {
         let (page, handle) = test_item(256);
-        let it = ItemRef {
-            page: &page,
-            word0: 0,
-            byte0: 0,
-            handle,
-        };
+        let it = ItemRef::new(&page, 0, page.len(), handle);
         let mut ctx = Ctx::Direct;
         let policy = Branch::Baseline.policy();
         it.set_refcount(&mut ctx, 1).unwrap();
@@ -460,12 +474,7 @@ mod tests {
     #[should_panic(expected = "refcount underflow")]
     fn refcount_underflow_asserts() {
         let (page, handle) = test_item(256);
-        let it = ItemRef {
-            page: &page,
-            word0: 0,
-            byte0: 0,
-            handle,
-        };
+        let it = ItemRef::new(&page, 0, page.len(), handle);
         let mut ctx = Ctx::Direct;
         let policy = Branch::Baseline.policy();
         let _ = it.ref_decr(&mut ctx, &policy);
@@ -482,12 +491,7 @@ mod tests {
         };
         let (page, handle) = test_item(sizes.total() + 1);
         page.store_byte_direct(sizes.total(), 0xAB);
-        let it = ItemRef {
-            page: &page,
-            word0: 0,
-            byte0: 0,
-            handle,
-        };
+        let it = ItemRef::new(&page, 0, page.len(), handle);
         let mut ctx = Ctx::Direct;
         it.write_suffix(&mut ctx, &Branch::Baseline.policy(), sizes, 0).unwrap();
         let off = it.suffix_off(sizes);
@@ -497,12 +501,7 @@ mod tests {
     #[test]
     fn key_suffix_value_layout() {
         let (page, handle) = test_item(512);
-        let it = ItemRef {
-            page: &page,
-            word0: 0,
-            byte0: 0,
-            handle,
-        };
+        let it = ItemRef::new(&page, 0, page.len(), handle);
         let mut ctx = Ctx::Direct;
         let policy = Branch::Ip(Stage::Lib).policy();
         let sizes = ItemSizes {

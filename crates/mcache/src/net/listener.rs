@@ -17,9 +17,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::conn::{Connection, Stream};
+use super::conn::{Connection, Stream, READ_CHUNK};
 use super::event::{fd_of, Poller, RawFd};
-use super::udp::pump_udp;
+use super::udp::{pump_udp, RECV_BUF};
 use super::Shared;
 
 /// Datagrams drained from the shared UDP socket per service round, so
@@ -142,7 +142,13 @@ pub(crate) struct Worker<P: Poller> {
     /// reads, budget-capped dispatch, swallow tails). While non-empty,
     /// the wait timeout is zero.
     hot: Vec<usize>,
+    /// Receive scratch, allocated once and lent to every pump: a stream
+    /// reads [`READ_CHUNK`] bytes at a time into it, the UDP pump one
+    /// whole datagram.
+    scratch: Box<[u8]>,
 }
+
+const _: () = assert!(READ_CHUNK <= RECV_BUF);
 
 impl<P: Poller> Worker<P> {
     /// Registers the worker's sockets with its poller. Runs on the
@@ -177,6 +183,7 @@ impl<P: Poller> Worker<P> {
             slots: Vec::new(),
             free: Vec::new(),
             hot: Vec::new(),
+            scratch: vec![0u8; RECV_BUF].into_boxed_slice(),
         })
     }
 
@@ -195,7 +202,7 @@ impl<P: Poller> Worker<P> {
         let Some(c) = self.slots.get_mut(slot).and_then(|s| s.as_mut()) else {
             return; // closed earlier in this same event batch
         };
-        let p = c.pump(&self.shared.cache, self.w, &self.shared);
+        let p = c.pump(&self.shared.cache, self.w, &self.shared, &mut self.scratch);
         if !p.keep {
             self.close_slot(slot);
             return;
@@ -360,7 +367,14 @@ impl<P: Poller> Worker<P> {
                 }
             }
             if let (true, Some(us)) = (udp_pending, &self.udp) {
-                udp_pending = !pump_udp(us, &self.shared.cache, self.w, &self.shared, UDP_BATCH);
+                udp_pending = !pump_udp(
+                    us,
+                    &self.shared.cache,
+                    self.w,
+                    &self.shared,
+                    UDP_BATCH,
+                    &mut self.scratch,
+                );
             }
 
             // Phase 4: reaper.

@@ -68,9 +68,10 @@ pub fn decode_header(datagram: &[u8]) -> Option<(u16, u16, u16)> {
 
 /// Largest request datagram we accept. A single datagram cannot
 /// exceed 64KB by UDP itself; the buffer matches.
-const RECV_BUF: usize = 64 << 10;
+pub(crate) const RECV_BUF: usize = 64 << 10;
 
-/// Drains up to `max_datagrams` requests off the shared socket.
+/// Drains up to `max_datagrams` requests off the shared socket into
+/// `scratch`, the worker's receive buffer (at least [`RECV_BUF`] bytes).
 /// Returns whether the socket was drained to `WouldBlock`; when it was
 /// not, the edge-triggered caller must pump again.
 pub(crate) fn pump_udp(
@@ -79,10 +80,11 @@ pub(crate) fn pump_udp(
     w: usize,
     shared: &Shared,
     max_datagrams: usize,
+    scratch: &mut [u8],
 ) -> bool {
-    let mut buf = vec![0u8; RECV_BUF];
+    let buf = &mut scratch[..RECV_BUF];
     for _ in 0..max_datagrams {
-        match sock.recv_from(&mut buf) {
+        match sock.recv_from(buf) {
             Ok((n, peer)) => {
                 shared.stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
                 shared.stats.udp_datagrams_rx.fetch_add(1, Ordering::Relaxed);

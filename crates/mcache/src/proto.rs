@@ -122,6 +122,8 @@ pub fn stat_pairs(cache: &McCache) -> Vec<(&'static str, u64)> {
         ("orec_lock_waits", tm.lock_waits),
         ("magazine_refills", s.global.magazine_refills),
         ("magazine_flushes", s.global.magazine_flushes),
+        ("limit_maxbytes", s.limit_maxbytes),
+        ("total_malloced", s.total_malloced),
     ];
     if let Some(d) = cache.dur_stats() {
         pairs.extend([

@@ -1,9 +1,16 @@
 //! The slab allocator (`slabs.c`): size classes, page carving, free lists,
 //! and the page-level rebalancer — the third lock category of §3.1.
 //!
-//! Memory is preallocated as fixed-size pages; each size class claims pages
-//! from the shared pool and carves them into equal chunks chained onto a
-//! free list. The *slab rebalancer* (a maintenance thread) can move a
+//! The pool is one reservation of `mem_limit` bytes cut into fixed-size
+//! pages; each size class claims pages from it and carves them into equal
+//! chunks chained onto a free list. A page takes memory only when it is
+//! carved — the kernel commits it on the first chunk-header store, as
+//! memcached's `do_slabs_newslab` mallocs a page only when a class first
+//! needs one. An oversized `mem_limit` therefore fails late: the
+//! reservation succeeds under Linux's default overcommit, and a shortage
+//! shows when a carve first touches a page the host cannot back (the OOM
+//! killer), not when the cache starts; memcached instead gets `NULL` from
+//! `malloc` there and answers "out of memory". The *slab rebalancer* (a maintenance thread) can move a
 //! fully-free page from a rich class to a needy one; its `slab_rebalance`
 //! lock is the one the paper replaced with "a boolean that was modified via
 //! transactions" so other threads could `trylock`-probe it (§3.1).
@@ -53,11 +60,13 @@ pub struct SlabClass {
     page_list: Box<[TCell<u64>]>, // page index + 1; 0 = empty slot
 }
 
-/// The arena: pages, classes, and rebalancer state.
+/// The arena: the page pool, classes, and rebalancer state.
 pub struct SlabArena {
     cfg: SlabConfig,
     classes: Vec<SlabClass>,
-    pages: Vec<TBytes>,
+    /// Every page back to back: page `p` is bytes
+    /// `p * page_size .. (p + 1) * page_size`.
+    pool: TBytes,
     page_class: Vec<TCell<u64>>, // class + 1; 0 = unassigned
     page_free: Vec<TCell<u64>>,  // free chunks currently in this page
     pool_next: TCell<u64>,
@@ -74,14 +83,15 @@ impl std::fmt::Debug for SlabArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SlabArena")
             .field("classes", &self.classes.len())
-            .field("pages", &self.pages.len())
+            .field("pages", &self.page_count())
             .field("page_size", &self.cfg.page_size)
             .finish()
     }
 }
 
 impl SlabArena {
-    /// Builds the arena: computes size classes and preallocates all pages.
+    /// Builds the arena: computes size classes and reserves the page pool,
+    /// which commits no memory until pages are carved.
     ///
     /// # Panics
     ///
@@ -122,7 +132,7 @@ impl SlabArena {
 
         SlabArena {
             classes,
-            pages: (0..page_count).map(|_| TBytes::zeroed(cfg.page_size)).collect(),
+            pool: TBytes::zeroed(page_count * cfg.page_size),
             page_class: (0..page_count).map(|_| TCell::new(0u64)).collect(),
             page_free: (0..page_count).map(|_| TCell::new(0u64)).collect(),
             pool_next: TCell::new(0),
@@ -140,7 +150,14 @@ impl SlabArena {
 
     /// Number of pages in the pool.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.page_class.len()
+    }
+
+    /// Bytes of the pool claimed by size classes so far — memcached's
+    /// `total_malloced`. Only claimed pages are ever written, so this
+    /// bounds what the pool has committed.
+    pub(crate) fn malloced_bytes(&self) -> u64 {
+        self.pool_next.load_direct() * self.cfg.page_size as u64
     }
 
     /// Class metadata.
@@ -168,14 +185,11 @@ impl SlabArena {
     /// Panics if the handle's coordinates are out of range.
     pub fn resolve(&self, h: ItemHandle) -> ItemRef<'_> {
         let cl = &self.classes[h.class as usize];
-        let byte0 = h.chunk as usize * cl.chunk_size;
-        assert!(byte0 + cl.chunk_size <= self.cfg.page_size);
-        ItemRef {
-            page: &self.pages[h.page as usize],
-            word0: byte0 / 8,
-            byte0,
-            handle: h,
-        }
+        let in_page = h.chunk as usize * cl.chunk_size;
+        assert!(in_page + cl.chunk_size <= self.cfg.page_size);
+        assert!((h.page as usize) < self.page_count());
+        let byte0 = h.page as usize * self.cfg.page_size + in_page;
+        ItemRef::new(&self.pool, byte0, cl.chunk_size, h)
     }
 
     /// Free chunks currently available in class `c`.
@@ -216,7 +230,7 @@ impl SlabArena {
             }
             // Free list dry: claim a pool page.
             let pn = ctx.get_word(self.pool_next.word())?;
-            if pn as usize >= self.pages.len() {
+            if pn as usize >= self.page_count() {
                 return Ok(None);
             }
             ctx.put_word(self.pool_next.word(), pn + 1)?;
@@ -442,6 +456,35 @@ mod tests {
         assert_eq!(a.class_for(97), Some(1));
         assert_eq!(a.class_for(a.cfg.page_size), Some(a.class_count() as u8 - 1));
         assert_eq!(a.class_for(a.cfg.page_size + 1), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its chunk")]
+    fn an_item_overrunning_the_last_chunk_of_a_page_panics() {
+        // 128-byte chunks tile an 8 KiB page exactly, so the byte past
+        // page 0's last chunk is the first byte of page 1.
+        let a = SlabArena::new(SlabConfig {
+            mem_limit: 64 << 10,
+            page_size: 8 << 10,
+            chunk_min: 128,
+            growth_factor: 2.0,
+        });
+        let cl = a.class(0);
+        assert_eq!(cl.chunks_per_page * cl.chunk_size, a.cfg.page_size);
+        let it = a.resolve(ItemHandle {
+            class: 0,
+            page: 0,
+            chunk: cl.chunks_per_page as u16 - 1,
+        });
+        let sizes = crate::item::ItemSizes {
+            nkey: 1,
+            nsuffix: 0,
+            nbytes: (cl.chunk_size - crate::item::HDR_BYTES) as u32,
+        };
+        assert_eq!(sizes.total(), cl.chunk_size + 1);
+        let value = vec![b'x'; sizes.nbytes as usize];
+        let _ = it.write_value(&mut Ctx::Direct, &Branch::Baseline.policy(), sizes, &value);
     }
 
     #[test]

@@ -136,16 +136,12 @@ fn sizes() -> ItemSizes {
 }
 
 fn item(page: &TBytes) -> ItemRef<'_> {
-    ItemRef {
-        page,
-        word0: 0,
-        byte0: 0,
-        handle: ItemHandle {
-            class: 1,
-            page: 0,
-            chunk: 0,
-        },
-    }
+    let handle = ItemHandle {
+        class: 1,
+        page: 0,
+        chunk: 0,
+    };
+    ItemRef::new(page, 0, page.len(), handle)
 }
 
 fn blank_page() -> TBytes {

@@ -180,6 +180,29 @@ fn stats_reflect_protocol_traffic() {
     assert!(stats.contains("STAT curr_items 1"), "{stats}");
 }
 
+/// `limit_maxbytes` and `total_malloced` under memcached 1.4.15's names:
+/// the pool is `mem_limit`, and a page counts as malloced only once a
+/// size class claims it — none at start, one after the first SET.
+#[test]
+fn stats_report_the_slab_memory_claimed_so_far() {
+    let c = cache(Branch::Baseline);
+    let stat = |name: &str| -> u64 {
+        let stats = String::from_utf8(execute_ascii(&c, 0, b"stats\r\n")).unwrap();
+        let prefix = format!("STAT {name} ");
+        stats
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix.as_str()))
+            .unwrap_or_else(|| panic!("missing {name}: {stats}"))
+            .parse()
+            .unwrap()
+    };
+    assert_eq!(stat("limit_maxbytes"), 2 << 20);
+    assert_eq!(stat("total_malloced"), 0);
+    execute_ascii(&c, 0, b"set m1 0 0 1\r\nA\r\n");
+    assert_eq!(stat("total_malloced"), 64 << 10, "one page_size");
+    assert!(stat("total_malloced") <= stat("limit_maxbytes"));
+}
+
 #[test]
 fn append_and_prepend_keep_the_ttl() {
     // memcached re-stores a concatenation with the original item's flags

@@ -646,6 +646,11 @@ fn binary_stat_over_the_wire() {
     for k in ["dur_fsyncs", "dur_bytes", "dur_compactions"] {
         assert!(stats.contains_key(k), "missing stat {k}");
     }
+    // Slab memory: whole pages, at least the SET's, within the pool.
+    assert_eq!(stats["limit_maxbytes"], 8 << 20);
+    let malloced = stats["total_malloced"];
+    assert!((256 << 10..=8 << 20).contains(&malloced), "{malloced}");
+    assert_eq!(malloced % (256 << 10), 0, "{malloced}");
 
     // An unknown stat subgroup answers a single KeyNotFound, connection
     // intact.

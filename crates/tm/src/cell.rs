@@ -159,13 +159,16 @@ pub struct TBytes {
 
 impl TBytes {
     /// Creates a zero-filled buffer of `len` bytes.
+    ///
+    /// The words come zeroed from the allocator (`calloc`), with no pass
+    /// that writes them. The C library serves a large request from a fresh
+    /// mapping, whose pages the kernel commits, already zero, on first
+    /// touch: an untouched tail costs address space, not memory.
     pub fn zeroed(len: usize) -> Self {
-        let nwords = len.div_ceil(8);
-        let words = (0..nwords).map(|_| TWord::new(0)).collect::<Vec<_>>();
-        TBytes {
-            words: words.into_boxed_slice(),
-            len,
-        }
+        // SAFETY: `TWord` is a `repr(transparent)` `AtomicU64`, for which
+        // all-zero bytes are a valid value (0).
+        let words = unsafe { Box::<[TWord]>::new_zeroed_slice(len.div_ceil(8)).assume_init() };
+        TBytes { words, len }
     }
 
     /// Creates a buffer initialized from `src`.
