@@ -7,7 +7,11 @@
 //! comparing the item's old bucket against `expand_bucket`, the migration
 //! frontier. Because transactional cells must have stable addresses, every
 //! generation's bucket array is preallocated at construction and the table
-//! "grows" by advancing the active generation.
+//! "grows" by advancing the active generation. The generation, the flag and
+//! the frontier share one word ([`Route`]), so a reader that holds only its
+//! item stripe sees an expansion's flip whole.
+
+use std::ops::Range;
 
 use tm::{Abort, TCell, Word};
 use tmstd::ByteAccess;
@@ -21,12 +25,34 @@ use crate::slabs::SlabArena;
 pub struct AssocTable {
     generations: Vec<Box<[TCell<u64>]>>,
     start_power: u32,
-    gen: TCell<u64>,
-    /// The `volatile` expansion flag (serialization site pre-Max).
-    expanding: TCell<bool>,
-    /// Migration frontier: old buckets below this index have moved.
-    expand_bucket: TCell<u64>,
+    /// The packed [`Route`]; `volatile` like memcached's `expanding` and
+    /// `expand_bucket` (a serialization site pre-Max).
+    route: TCell<u64>,
     hash_items: TCell<u64>,
+}
+
+/// Where keys live right now, in one word: the active generation (bits
+/// 40..), whether the previous one is still being migrated (bit 32), and
+/// the migration frontier — old buckets below it have moved (bits 0..32).
+#[derive(Clone, Copy)]
+struct Route(u64);
+
+impl Route {
+    fn new(gen: usize, expanding: bool, frontier: usize) -> Route {
+        Route((gen as u64) << 40 | (expanding as u64) << 32 | frontier as u64)
+    }
+
+    fn gen(self) -> usize {
+        (self.0 >> 40) as usize
+    }
+
+    fn expanding(self) -> bool {
+        self.0 & 1 << 32 != 0
+    }
+
+    fn frontier(self) -> usize {
+        self.0 as u32 as usize
+    }
 }
 
 impl std::fmt::Debug for AssocTable {
@@ -53,9 +79,7 @@ impl AssocTable {
         AssocTable {
             generations,
             start_power,
-            gen: TCell::new(0),
-            expanding: TCell::new(false),
-            expand_bucket: TCell::new(0),
+            route: TCell::new(0),
             hash_items: TCell::new(0),
         }
     }
@@ -66,8 +90,13 @@ impl AssocTable {
 
     /// Total buckets in the active generation (diagnostic).
     pub fn bucket_count<'e>(&'e self, ctx: &mut Ctx<'_, 'e>) -> Result<usize, Abort> {
-        let g = ctx.get_word(self.gen.word())? as usize;
+        let g = Route(ctx.get_word(self.route.word())?).gen();
         Ok(self.generations[g].len())
+    }
+
+    /// Reads the `volatile` route word.
+    fn route<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, policy: &Policy) -> Result<Route, Abort> {
+        ctx.volatile_read(policy, self.route.word()).map(Route)
     }
 
     /// Items currently linked.
@@ -82,7 +111,7 @@ impl AssocTable {
         ctx: &mut Ctx<'_, 'e>,
         policy: &Policy,
     ) -> Result<bool, Abort> {
-        Ok(ctx.volatile_read(policy, self.expanding.word())? != 0)
+        Ok(self.route(ctx, policy)?.expanding())
     }
 
     /// The bucket cell a key with hash `hv` lives in right now, honoring
@@ -93,13 +122,13 @@ impl AssocTable {
         policy: &Policy,
         hv: u32,
     ) -> Result<&'e TCell<u64>, Abort> {
-        let g = ctx.get_word(self.gen.word())? as usize;
-        if self.is_expanding(ctx, policy)? {
+        let r = self.route(ctx, policy)?;
+        let g = r.gen();
+        if r.expanding() {
             let old = g - 1;
-            let ob = hv & self.mask(old);
-            let frontier = ctx.volatile_read(policy, self.expand_bucket.word())?;
-            if (ob as u64) >= frontier {
-                return Ok(&self.generations[old][ob as usize]);
+            let ob = (hv & self.mask(old)) as usize;
+            if ob >= r.frontier() {
+                return Ok(&self.generations[old][ob]);
             }
         }
         Ok(&self.generations[g][(hv & self.mask(g)) as usize])
@@ -149,7 +178,7 @@ impl AssocTable {
         ctx.put_word(cell.word(), h.to_word())?;
         let n = ctx.get_word(self.hash_items.word())? + 1;
         ctx.put_word(self.hash_items.word(), n)?;
-        let g = ctx.get_word(self.gen.word())? as usize;
+        let g = Route(ctx.get_word(self.route.word())?).gen();
         // memcached's mx_needed() check runs on every insert; once the
         // table is saturated (or mid-expansion) every set keeps asking for
         // the maintainer — the per-set sem_post site of §3.5.
@@ -205,39 +234,51 @@ impl AssocTable {
     /// Panics if the table holds items or is expanding: moving `gen` under
     /// linked items would lose them.
     pub fn presize<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, items: u64) -> Result<(), Abort> {
+        let r = Route(ctx.get_word(self.route.word())?);
         assert!(
-            ctx.get_word(self.hash_items.word())? == 0 && ctx.get_word(self.expanding.word())? == 0,
+            ctx.get_word(self.hash_items.word())? == 0 && !r.expanding(),
             "presize on a table in use"
         );
         let last = self.generations.len() - 1;
         let fits = self.generations.iter().position(|b| items <= b.len() as u64 * 3 / 2);
         let g = fits.unwrap_or(last);
-        let cur = ctx.get_word(self.gen.word())?;
-        ctx.put_word(self.gen.word(), cur.max(g as u64))
+        ctx.put_word(self.route.word(), Route::new(r.gen().max(g), false, 0).0)
     }
 
-    /// Begins an expansion (`assoc_expand`): advances the generation and
-    /// raises the `expanding` flag. The maintenance thread then migrates.
-    /// Returns `false` if the table is already at maximum size or already
-    /// expanding.
+    /// Begins an expansion (`assoc_expand`): advances the generation,
+    /// raises the `expanding` flag and resets the frontier, in one store.
+    /// The maintenance thread then migrates. Returns `false` if the table
+    /// is already at maximum size or already expanding.
     pub fn start_expansion<'e>(
         &'e self,
         ctx: &mut Ctx<'_, 'e>,
         policy: &Policy,
     ) -> Result<bool, Abort> {
-        let g = ctx.get_word(self.gen.word())? as usize;
-        if self.is_expanding(ctx, policy)? || g + 1 >= self.generations.len() {
+        let r = self.route(ctx, policy)?;
+        if r.expanding() || r.gen() + 1 >= self.generations.len() {
             return Ok(false);
         }
-        ctx.put_word(self.gen.word(), g as u64 + 1)?;
-        ctx.volatile_write(policy, self.expand_bucket.word(), 0)?;
-        ctx.volatile_write(policy, self.expanding.word(), 1)?;
+        ctx.volatile_write(policy, self.route.word(), Route::new(r.gen() + 1, true, 0).0)?;
         Ok(true)
     }
 
+    /// The old buckets the next [`AssocTable::migrate_step`] of `batch`
+    /// empties, or an empty range when no expansion runs. A peek outside
+    /// any section: only the migrator moves a running expansion's
+    /// frontier, so its next section starts where the peek saw it (or, had
+    /// the peek caught an uncommitted flip, finds nothing to migrate).
+    pub fn next_batch(&self, batch: usize) -> Range<usize> {
+        let r = Route(self.route.load_direct());
+        if !r.expanding() {
+            return 0..0;
+        }
+        let old_len = self.generations[r.gen() - 1].len();
+        r.frontier()..(r.frontier() + batch).min(old_len)
+    }
+
     /// Migrates up to `batch` old buckets into the new generation
-    /// (`assoc_maintenance_thread`'s inner loop). Returns `true` when the
-    /// expansion completed in this call.
+    /// (`assoc_maintenance_thread`'s inner loop) and publishes the new
+    /// frontier. Returns `true` when the expansion completed in this call.
     pub fn migrate_step<'e>(
         &'e self,
         ctx: &mut Ctx<'_, 'e>,
@@ -245,18 +286,18 @@ impl AssocTable {
         arena: &'e SlabArena,
         batch: usize,
     ) -> Result<bool, Abort> {
-        if !self.is_expanding(ctx, policy)? {
+        let r = self.route(ctx, policy)?;
+        if !r.expanding() {
             return Ok(false);
         }
-        let g = ctx.get_word(self.gen.word())? as usize;
-        let old = g - 1;
-        let old_len = self.generations[old].len() as u64;
-        let mut frontier = ctx.volatile_read(policy, self.expand_bucket.word())?;
+        let g = r.gen();
+        let old_len = self.generations[g - 1].len();
+        let mut frontier = r.frontier();
         for _ in 0..batch {
             if frontier >= old_len {
                 break;
             }
-            let cell = &self.generations[old][frontier as usize];
+            let cell = &self.generations[g - 1][frontier];
             let mut cur = decode_opt(ctx.get_word(cell.word())?);
             while let Some(h) = cur {
                 let it = arena.resolve(h);
@@ -276,12 +317,9 @@ impl AssocTable {
             ctx.put_word(cell.word(), 0)?;
             frontier += 1;
         }
-        ctx.volatile_write(policy, self.expand_bucket.word(), frontier)?;
-        if frontier >= old_len {
-            ctx.volatile_write(policy, self.expanding.word(), 0)?;
-            return Ok(true);
-        }
-        Ok(false)
+        let done = frontier >= old_len;
+        ctx.volatile_write(policy, self.route.word(), Route::new(g, !done, frontier).0)?;
+        Ok(done)
     }
 }
 

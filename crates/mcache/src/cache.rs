@@ -5,6 +5,7 @@
 //! synchronization in both the condvar (Figure 2, left) and semaphore
 //! (Figure 2, comments) forms.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -24,7 +25,7 @@ use crate::item::{ItemHandle, ItemSizes};
 use crate::policy::{Branch, Category, ItemMode, Policy, SectionKind};
 use crate::sem::Semaphore;
 use crate::slabs::SlabConfig;
-use crate::stats::{GlobalSnapshot, ThreadSnapshot, ThreadStats};
+use crate::stats::{self, GlobalSnapshot, ThreadSnapshot, ThreadStats};
 
 /// Longest accepted key, as in memcached.
 pub const KEY_MAX: usize = 250;
@@ -410,10 +411,13 @@ impl McCache {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration (zero workers, or a
-    /// contention manager that needs the serial lock on a NoLock branch).
+    /// Panics on inconsistent configuration (zero workers, more item-lock
+    /// stripes than initial hash buckets, or a contention manager that
+    /// needs the serial lock on a NoLock branch).
     pub fn start(cfg: McConfig) -> McHandle {
         assert!(cfg.workers > 0, "need at least one worker slot");
+        // The expansion migrator locks an old bucket by its item stripe.
+        assert!(cfg.item_lock_power <= cfg.hash_power, "item_lock_power must not exceed hash_power");
         assert_eq!(cfg.clock_shards, 1, "the commit clock is one word: clock_shards must be 1");
         let policy = cfg.branch.policy();
         let cm = cfg.contention.unwrap_or(if policy.serial_lock {
@@ -567,9 +571,9 @@ impl McCache {
     pub fn stats(&self) -> CacheStats {
         let mut threads = ThreadSnapshot::default();
         for w in &self.workers {
-            threads = threads + w.stats.snapshot_direct();
+            threads = threads + w.stats.snapshot();
         }
-        let mut global = self.core.global.snapshot_direct();
+        let mut global = self.core.global.snapshot();
         // The trimmed read path counts its commands in per-worker shards
         // (see `get_stats_privatized`) instead of touching the shared
         // `cmd_total` cell; fold the shards back in so `cmd_total` keeps
@@ -895,9 +899,9 @@ impl McCache {
     ) -> Result<(), Abort> {
         let g = &self.core.global;
         for cell in cells {
-            g.bump(ctx, cell)?;
+            stats::bump(ctx, cell)?;
         }
-        g.bump(ctx, &g.cmd_total)
+        stats::bump(ctx, &g.cmd_total)
     }
 
     /// Counts one command as its own two sections: worker `w`'s `cells`
@@ -908,10 +912,10 @@ impl McCache {
         let g = &self.core.global;
         if !cells.is_empty() {
             self.section(Scope::Table(&[&self.workers[w].lock]), &[], &[], |ctx| {
-                cells.iter().try_for_each(|cell| g.bump(ctx, cell))
+                cells.iter().try_for_each(|cell| stats::bump(ctx, cell))
             });
         }
-        self.section(Scope::Table(&[&self.stats_lock]), &[], &[], |ctx| g.bump(ctx, &g.cmd_total));
+        self.section(Scope::Table(&[&self.stats_lock]), &[], &[], |ctx| stats::bump(ctx, &g.cmd_total));
     }
 
     /// GET-path stats by privatization: the per-thread block is only ever
@@ -1399,7 +1403,7 @@ impl McCache {
                     let (got, evicted) =
                         core.refill_batch(ctx, &policy, class, cap, &mut scratch)?;
                     if got > 0 {
-                        core.global.bump(ctx, &core.global.magazine_refills)?;
+                        stats::bump(ctx, &core.global.magazine_refills)?;
                     }
                     if got < cap {
                         // Starving (or evicting): point the rebalancer at
@@ -1443,7 +1447,7 @@ impl McCache {
             let keep = cap / 2;
             self.section(Scope::Item, &[], &[Category::AssertAbort], |ctx| {
                 core.arena.free_batch(ctx, &row[keep..])?;
-                core.global.bump(ctx, &core.global.magazine_flushes)
+                stats::bump(ctx, &core.global.magazine_flushes)
             });
             row.truncate(keep);
         }
@@ -1466,7 +1470,7 @@ impl McCache {
                 }
                 self.section(Scope::Item, &[], &[Category::AssertAbort], |ctx| {
                     core.arena.free_batch(ctx, row)?;
-                    core.global.bump(ctx, &core.global.magazine_flushes)
+                    stats::bump(ctx, &core.global.magazine_flushes)
                 });
                 row.clear();
                 any = true;
@@ -1787,6 +1791,16 @@ impl McCache {
             // (idle, completed): idle ends the inner loop; completed means
             // this call finished a migration and the stat should bump.
             loop {
+                // Every key of old bucket `b` sits on item stripe `b & mask`
+                // (the item lock power is at most the hash power), so
+                // holding the batch's stripes shuts out exactly the readers
+                // of the buckets it empties until the new frontier is
+                // published: the stripe memcached 1.4.2x's migrator takes
+                // with `item_trylock(expand_bucket)`. Ascending, each
+                // before `cache_lock`, as the workers take them.
+                let buckets = core.assoc.next_batch(4);
+                let stripes: BTreeSet<usize> = buckets.clone().map(|b| core.item_locks.stripe(b as u32)).collect();
+                let guards: Vec<ItemGuard<'_>> = stripes.into_iter().map(|s| ItemGuard::new(self, s)).collect();
                 let (idle, completed) = self.section(
                     Scope::Table(&[&self.cache_lock]),
                     &[Category::VolatileFlag],
@@ -1795,13 +1809,14 @@ impl McCache {
                         if !core.assoc.is_expanding(ctx, &policy)? {
                             return Ok((true, false));
                         }
-                        let done = core.assoc.migrate_step(ctx, &policy, &core.arena, 4)?;
+                        let done = core.assoc.migrate_step(ctx, &policy, &core.arena, buckets.len())?;
                         Ok((done, done))
                     },
                 );
+                drop(guards);
                 if completed {
                     self.section(Scope::Table(&[&self.stats_lock]), &[], &[], |ctx| {
-                        core.global.bump(ctx, &core.global.expansions)
+                        stats::bump(ctx, &core.global.expansions)
                     });
                 }
                 if idle {
@@ -1882,7 +1897,7 @@ impl McCache {
         let receiver = ctx.get_word(core.arena.needy_class.word())? as u8;
         if let Some(donor) = core.arena.pick_donor(ctx)? {
             if core.arena.rebalance_step(ctx, &policy, donor, receiver)? {
-                core.global.bump(ctx, &core.global.rebalances)?;
+                stats::bump(ctx, &core.global.rebalances)?;
             }
         }
         ctx.volatile_write(&policy, core.arena.rebalance_signal.word(), 0)?;

@@ -12,7 +12,7 @@ use crate::item::{ItemHandle, ItemSizes, ITEM_FETCHED, ITEM_LINKED};
 use crate::lru::LruList;
 use crate::policy::{Category, ItemMode, Policy};
 use crate::slabs::{SlabArena, SlabConfig};
-use crate::stats::GlobalStats;
+use crate::stats::{bump, GlobalStats};
 
 use lockprof::{ProfiledGuard, ProfiledMutex, Profiler};
 
@@ -490,8 +490,7 @@ impl CacheCore {
                 {
                     Some(guard) => {
                         self.unlink_item(ctx, policy, h, hv)?;
-                        let ev = ctx.get_word(self.global.evictions.word())?;
-                        ctx.put_word(self.global.evictions.word(), ev + 1)?;
+                        bump(ctx, &self.global.evictions)?;
                         self.item_locks.unlock_victim(ctx, guard)?;
                         return Ok(true);
                     }
@@ -522,10 +521,8 @@ impl CacheCore {
         it.set_cas(ctx, cas)?;
         let wants_expansion = self.assoc.insert(ctx, policy, &self.arena, h, hv)?;
         self.lrus[h.class as usize].link_head(ctx, &self.arena, h)?;
-        let cur = ctx.get_word(self.global.curr_items.word())?;
-        ctx.put_word(self.global.curr_items.word(), cur + 1)?;
-        let tot = ctx.get_word(self.global.total_items.word())?;
-        ctx.put_word(self.global.total_items.word(), tot + 1)?;
+        bump(ctx, &self.global.curr_items)?;
+        bump(ctx, &self.global.total_items)?;
         if wants_expansion {
             // May be a no-op at maximum size; the maintainer still gets
             // woken (and finds nothing to do), as in Figure 2.
@@ -658,8 +655,7 @@ impl CacheCore {
     /// lazily.
     pub fn flush_all<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, now: u32) -> Result<(), Abort> {
         ctx.put_word(self.oldest_live.word(), now as u64)?;
-        let f = ctx.get_word(self.global.flush_cmds.word())?;
-        ctx.put_word(self.global.flush_cmds.word(), f + 1)
+        bump(ctx, &self.global.flush_cmds)
     }
 }
 
@@ -741,7 +737,7 @@ mod tests {
         let hit = c.item_get(&mut ctx, &p, b"k", hv, 2, false, false).unwrap().unwrap();
         assert_eq!(hit.value, b"v2-longer");
         assert!(hit.cas > cas1);
-        assert_eq!(c.global.snapshot_direct().curr_items, 1);
+        assert_eq!(c.global.snapshot().curr_items, 1);
     }
 
     #[test]
@@ -752,7 +748,7 @@ mod tests {
         assert!(get(&c, &p, b"ttl", 4).is_some());
         assert!(get(&c, &p, b"ttl", 5).is_none(), "expired at its exptime");
         assert!(get(&c, &p, b"ttl", 6).is_none());
-        assert_eq!(c.global.snapshot_direct().curr_items, 0, "lazy unlink ran");
+        assert_eq!(c.global.snapshot().curr_items, 0, "lazy unlink ran");
     }
 
     #[test]
@@ -791,7 +787,7 @@ mod tests {
             let key = format!("evict-{i}");
             set(&c, &p, key.as_bytes(), &value, 0, 1);
         }
-        let s = c.global.snapshot_direct();
+        let s = c.global.snapshot();
         assert!(s.evictions > 0, "expected evictions, got {s:?}");
         // The most recent key must still be there.
         assert!(get(&c, &p, b"evict-199", 1).is_some());

@@ -167,51 +167,25 @@ impl std::fmt::Display for DurFsync {
     }
 }
 
-/// Durability counters, spliced into the ASCII `stats` response.
-#[derive(Debug, Default)]
-pub struct DurStats {
-    pub(crate) appends: AtomicU64,
-    pub(crate) fsyncs: AtomicU64,
-    pub(crate) bytes: AtomicU64,
-    pub(crate) write_errors: AtomicU64,
-    pub(crate) recovered_items: AtomicU64,
-    pub(crate) torn_records_dropped: AtomicU64,
-    pub(crate) compactions: AtomicU64,
-}
-
-/// A point-in-time copy of [`DurStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DurSnapshot {
-    /// Redo records appended (excluding seals).
-    pub appends: u64,
-    /// `fdatasync` calls issued.
-    pub fsyncs: u64,
-    /// Frame bytes written.
-    pub bytes: u64,
-    /// Appends dropped by I/O failure (cache-only mode) — includes the
-    /// append that triggered degradation.
-    pub log_write_errors: u64,
-    /// Items replayed into the cache at the last startup.
-    pub recovered_items: u64,
-    /// Torn/corrupt records dropped during the last recovery scan.
-    pub torn_records_dropped: u64,
-    /// Log compactions performed at recovery.
-    pub compactions: u64,
-}
-
-impl DurStats {
-    /// Snapshots the counters.
-    pub fn snapshot(&self) -> DurSnapshot {
-        DurSnapshot {
-            appends: self.appends.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            log_write_errors: self.write_errors.load(Ordering::Relaxed),
-            recovered_items: self.recovered_items.load(Ordering::Relaxed),
-            torn_records_dropped: self.torn_records_dropped.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-        }
-    }
+crate::stats::counters! {
+    /// Durability counters, reported by `stats` while the log is attached.
+    struct DurStats(AtomicU64) {
+        /// Redo records appended (excluding seals).
+        appends,
+        /// `fdatasync` calls issued.
+        fsyncs,
+        /// Frame bytes written.
+        bytes,
+        /// Appends dropped by I/O failure (cache-only mode) — includes the
+        /// append that triggered degradation.
+        log_write_errors,
+        /// Items replayed into the cache at the last startup.
+        recovered_items,
+        /// Torn/corrupt records dropped during the last recovery scan.
+        torn_records_dropped,
+        /// Log compactions performed at recovery.
+        compactions,
+    } snapshot DurSnapshot
 }
 
 // ---------------------------------------------------------------------
@@ -591,7 +565,7 @@ impl DurLog {
     }
 
     fn degrade(&self, what: &str, err: &io::Error) {
-        self.stats.write_errors.fetch_add(1, Ordering::Relaxed);
+        self.stats.log_write_errors.fetch_add(1, Ordering::Relaxed);
         if !self.failed.swap(true, Ordering::SeqCst) {
             eprintln!(
                 "mcache: durability {what} failed ({err}); redo log disabled, \
@@ -605,7 +579,7 @@ impl DurLog {
     /// I/O failure every call is a counted no-op.
     pub fn append(&self, stamp: u64, rec: &Record) {
         if self.failed.load(Ordering::Relaxed) {
-            self.stats.write_errors.fetch_add(1, Ordering::Relaxed);
+            self.stats.log_write_errors.fetch_add(1, Ordering::Relaxed);
             return;
         }
         FRAME_BUF.with(|buf| {

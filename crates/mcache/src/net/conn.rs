@@ -289,16 +289,16 @@ pub(crate) struct DispatchOutcome {
 /// request pipeline: every frame, ASCII or binary, is decoded in place
 /// into one run buffer ([`proto::decode`]), which [`proto::run`] executes
 /// when it is full, before a frame error is answered, and at the end — so
-/// its runs are exactly the client's burst. `stats` reports this layer's
-/// counters after the cache's; `quit` closes. Shared by the stream
-/// transports (via [`Connection`]) and the UDP endpoint (one datagram
-/// payload = one run).
+/// its runs are exactly the client's burst. `stats` reads this layer's
+/// counters, after the cache's, only when it executes; `quit` closes.
+/// Shared by the stream transports (via [`Connection`]) and the UDP
+/// endpoint (one datagram payload = one run).
 pub(crate) fn run_frames(cache: &McCache, w: usize, shared: &Shared, buf: &[u8]) -> DispatchOutcome {
     let mut out = Vec::new();
     let (mut consumed, mut swallow, mut close, mut more) = (0, 0, false, false);
     let (mut reqs, mut keys) = (Vec::new(), Vec::new());
     let flush = |reqs: &mut Vec<_>, keys: &mut Vec<_>, out: &mut Vec<u8>| {
-        proto::run(cache, w, reqs, keys, &shared.stats.snapshot().stat_pairs(), out);
+        proto::run(cache, w, reqs, keys, Some(&shared.stats), out);
         reqs.clear();
         keys.clear();
     };

@@ -123,89 +123,39 @@ impl Default for NetConfig {
     }
 }
 
-/// Server-wide wire counters, updated lock-free by the workers and
-/// reported by `stats` on both protocols after the cache's own.
-#[derive(Default)]
-pub struct NetStats {
-    pub(crate) curr_connections: AtomicU64,
-    pub(crate) total_connections: AtomicU64,
-    pub(crate) bytes_read: AtomicU64,
-    pub(crate) bytes_written: AtomicU64,
-    pub(crate) frame_errors: AtomicU64,
-    pub(crate) backpressure_stalls: AtomicU64,
-    pub(crate) accept_errors: AtomicU64,
-    pub(crate) conn_timeouts: AtomicU64,
-    pub(crate) udp_datagrams_rx: AtomicU64,
-    pub(crate) udp_datagrams_tx: AtomicU64,
-}
-
-/// A point-in-time copy of [`NetStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetSnapshot {
-    /// Connections currently open.
-    pub curr_connections: u64,
-    /// Connections ever accepted.
-    pub total_connections: u64,
-    /// Payload bytes read off sockets.
-    pub bytes_read: u64,
-    /// Payload bytes written to sockets.
-    pub bytes_written: u64,
-    /// Frames that failed to scan or decode (oversized values,
-    /// unknown opcodes, unterminated lines, bad UDP headers, ...).
-    pub frame_errors: u64,
-    /// Pump rounds that skipped reading a connection because its
-    /// pending responses sat at or above
-    /// [`NetConfig::wbuf_high_water`] (a slow- or never-reading
-    /// client being held back).
-    pub backpressure_stalls: u64,
-    /// `accept` failures — dominated by fd exhaustion
-    /// (EMFILE/ENFILE), which additionally pauses the accept loop so
-    /// it cannot hot-spin while the table is full.
-    pub accept_errors: u64,
-    /// Connections closed by the idle reaper
-    /// ([`NetConfig::idle_timeout_ms`]).
-    pub conn_timeouts: u64,
-    /// UDP request datagrams received.
-    pub udp_datagrams_rx: u64,
-    /// UDP response datagrams sent (a large response counts once per
-    /// sequenced datagram).
-    pub udp_datagrams_tx: u64,
-}
-
-impl NetSnapshot {
-    /// The counters as `stats` pairs, in reporting order.
-    pub(crate) fn stat_pairs(&self) -> [(&'static str, u64); 10] {
-        [
-            ("curr_connections", self.curr_connections),
-            ("total_connections", self.total_connections),
-            ("bytes_read", self.bytes_read),
-            ("bytes_written", self.bytes_written),
-            ("frame_errors", self.frame_errors),
-            ("backpressure_stalls", self.backpressure_stalls),
-            ("accept_errors", self.accept_errors),
-            ("conn_timeouts", self.conn_timeouts),
-            ("udp_datagrams_rx", self.udp_datagrams_rx),
-            ("udp_datagrams_tx", self.udp_datagrams_tx),
-        ]
-    }
-}
-
-impl NetStats {
-    /// Snapshots the counters.
-    pub fn snapshot(&self) -> NetSnapshot {
-        NetSnapshot {
-            curr_connections: self.curr_connections.load(Ordering::Relaxed),
-            total_connections: self.total_connections.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            frame_errors: self.frame_errors.load(Ordering::Relaxed),
-            backpressure_stalls: self.backpressure_stalls.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            conn_timeouts: self.conn_timeouts.load(Ordering::Relaxed),
-            udp_datagrams_rx: self.udp_datagrams_rx.load(Ordering::Relaxed),
-            udp_datagrams_tx: self.udp_datagrams_tx.load(Ordering::Relaxed),
-        }
-    }
+crate::stats::counters! {
+    /// Server-wide wire counters, updated lock-free by the workers and
+    /// reported by `stats` on both protocols after the cache's own.
+    struct NetStats(AtomicU64) {
+        /// Connections currently open.
+        curr_connections,
+        /// Connections ever accepted.
+        total_connections,
+        /// Payload bytes read off sockets.
+        bytes_read,
+        /// Payload bytes written to sockets.
+        bytes_written,
+        /// Frames that failed to scan or decode (oversized values,
+        /// unknown opcodes, unterminated lines, bad UDP headers, ...).
+        frame_errors,
+        /// Pump rounds that skipped reading a connection because its
+        /// pending responses sat at or above
+        /// [`NetConfig::wbuf_high_water`] (a slow- or never-reading
+        /// client being held back).
+        backpressure_stalls,
+        /// `accept` failures — dominated by fd exhaustion
+        /// (EMFILE/ENFILE), which additionally pauses the accept loop so
+        /// it cannot hot-spin while the table is full.
+        accept_errors,
+        /// Connections closed by the idle reaper
+        /// ([`NetConfig::idle_timeout_ms`]).
+        conn_timeouts,
+        /// UDP request datagrams received.
+        udp_datagrams_rx,
+        /// UDP response datagrams sent (a large response counts once per
+        /// sequenced datagram).
+        udp_datagrams_tx,
+    } snapshot NetSnapshot
 }
 
 /// State shared by every network worker.

@@ -29,6 +29,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::cache::{ArithStatus, GetValue, McCache, StoreMode, StoreOp, StoreStatus};
+use crate::net::NetStats;
 use crate::policy::Branch;
 
 use binary::{Opcode, Response};
@@ -75,7 +76,7 @@ pub fn execute_ascii_run(cache: &McCache, w: usize, cmds: &[&[u8]]) -> Vec<u8> {
     let mut keys = Vec::new();
     let reqs: Vec<Req<'_>> = cmds.iter().map(|f| decode_whole(f, &mut keys)).collect();
     let mut out = Vec::new();
-    run(cache, w, &reqs, &keys, &[], &mut out);
+    run(cache, w, &reqs, &keys, None, &mut out);
     out
 }
 
@@ -88,55 +89,6 @@ fn decode_whole<'a>(frame: &'a [u8], keys: &mut Vec<&'a [u8]>) -> Req<'a> {
         Err(_) if !frame.windows(2).any(|w| w == b"\r\n") => Req::reject(ERROR),
         Err(_) => Req::reject(BAD_CHUNK),
     }
-}
-
-/// The cache's half of the `stats` surface both protocols expose: one
-/// `(name, counter)` pair per statistic, in a stable order. The ASCII
-/// encoder renders them as `STAT name value` lines, the binary one as one
-/// key/value response packet each; both append the pairs the calling
-/// layer passes down (the wire front end's connection counters), so the
-/// two protocols always report the same names. The `dur_*` block appears
-/// only when the durability log is attached.
-pub fn stat_pairs(cache: &McCache) -> Vec<(&'static str, u64)> {
-    let s = cache.stats();
-    let tm = cache.tm_stats();
-    let mut pairs = vec![
-        ("cmd_get", s.threads.get_cmds),
-        ("get_hits", s.threads.get_hits),
-        ("get_misses", s.threads.get_misses),
-        ("cmd_set", s.threads.set_cmds),
-        ("curr_items", s.global.curr_items),
-        ("total_items", s.global.total_items),
-        ("evictions", s.global.evictions),
-        ("hash_expansions", s.global.expansions),
-        ("slab_reassigns", s.global.rebalances),
-        ("request_panics", s.request_panics),
-        ("maintenance_panics", s.maintenance_panics),
-        // Write-path gauges: the STM's commit clock and the per-worker
-        // slab magazines.
-        ("clock_tick_elisions", tm.clock_tick_elisions),
-        ("clock_cas_retries", tm.clock_cas_retries),
-        // Contention-path gauges: orec conflicts and the aborted attempts
-        // that waited for a held orec before retrying.
-        ("orec_stripe_conflicts", tm.orec_stripe_conflicts),
-        ("orec_lock_waits", tm.lock_waits),
-        ("magazine_refills", s.global.magazine_refills),
-        ("magazine_flushes", s.global.magazine_flushes),
-        ("limit_maxbytes", s.limit_maxbytes),
-        ("total_malloced", s.total_malloced),
-    ];
-    if let Some(d) = cache.dur_stats() {
-        pairs.extend([
-            ("dur_appends", d.appends),
-            ("dur_fsyncs", d.fsyncs),
-            ("dur_bytes", d.bytes),
-            ("log_write_errors", d.log_write_errors),
-            ("recovered_items", d.recovered_items),
-            ("torn_records_dropped", d.torn_records_dropped),
-            ("dur_compactions", d.compactions),
-        ]);
-    }
-    pairs
 }
 
 /// `true` when `key` is a protocol-legal key: nonempty and at most
@@ -245,7 +197,7 @@ enum Cmd<'a> {
     Arith { key: &'a [u8], delta: u64, incr: bool },
     Touch { key: &'a [u8], exptime: u32 },
     FlushAll,
-    /// `stats`; a binary STAT's key names a stat group.
+    /// `stats [group]`, and binary STAT, whose key names the group.
     Stats { group: &'a [u8] },
     Version,
     Noop,
@@ -380,8 +332,10 @@ fn decode_ascii<'a>(
             _ => return bad(len, BAD_LINE),
         },
         Some(b"flush_all") => (Cmd::FlushAll, None),
-        // Arguments are ignored: there are no stat groups to select.
-        Some(b"stats") => return Ok((len, Req::ascii(Cmd::Stats { group: &[] }, false))),
+        Some(b"stats") => {
+            let group = t.next().unwrap_or_default();
+            return Ok((len, Req::ascii(Cmd::Stats { group }, false)));
+        }
         Some(b"version") => return Ok((len, Req::ascii(Cmd::Version, false))),
         // Nothing to answer: the connection closes.
         Some(b"quit") => return Ok((len, Req::ascii(Cmd::Quit, true))),
@@ -475,14 +429,14 @@ impl Sink for Option<Response> {
 /// every request in the run with its protocol's panic reply, and is
 /// counted in [`McCache::request_panics`] (a run's cache call finishes
 /// before any of its replies is encoded, so none of them is half out).
-/// `stats` reports `extra_stats` (the wire front end's counters) after
-/// the cache's own.
+/// `stats` reads its counters when it executes, `net`'s among them behind
+/// a server.
 pub(crate) fn run(
     cache: &McCache,
     w: usize,
     reqs: &[Req<'_>],
     keys: &[&[u8]],
-    extra_stats: &[(&'static str, u64)],
+    net: Option<&NetStats>,
     out: &mut impl Sink,
 ) {
     let mut rest = reqs;
@@ -499,12 +453,12 @@ pub(crate) fn run(
             if cache.take_request_panic_trap() {
                 panic!("test trap: request panic");
             }
-            execute(cache, w, batch, keys, extra_stats, out);
+            execute(cache, w, batch, keys, net, out);
         }));
         if ran.is_err() {
             cache.note_request_panic();
             for r in batch {
-                r.answer(Outcome::Panicked, extra_stats, out);
+                r.answer(Outcome::Panicked, out);
             }
         }
     }
@@ -516,7 +470,7 @@ fn execute(
     w: usize,
     batch: &[Req<'_>],
     keys: &[&[u8]],
-    extra_stats: &[(&'static str, u64)],
+    net: Option<&NetStats>,
     out: &mut impl Sink,
 ) {
     match (&batch[0].cmd, &batch[batch.len() - 1].cmd) {
@@ -537,11 +491,11 @@ fn execute(
                 let Cmd::Get(ks) = &r.cmd else { unreachable!("a get run") };
                 let (mine, later) = std::mem::take(&mut values).split_at_mut(ks.len());
                 values = later;
-                r.answer(Outcome::Values(&keys[ks.clone()], mine), extra_stats, out);
+                r.answer(Outcome::Values(&keys[ks.clone()], mine), out);
             }
         }
         (&Cmd::Store(op), _) if batch.len() == 1 => {
-            batch[0].answer(Outcome::Stored(cache.store_op(w, op)), extra_stats, out);
+            batch[0].answer(Outcome::Stored(cache.store_op(w, op)), out);
         }
         (Cmd::Store(_), _) => {
             let ops: Vec<StoreOp<'_>> = batch
@@ -552,7 +506,7 @@ fn execute(
                 })
                 .collect();
             for (r, st) in batch.iter().zip(cache.store_batch(w, &ops)) {
-                r.answer(Outcome::Stored(st), extra_stats, out);
+                r.answer(Outcome::Stored(st), out);
             }
         }
         (cmd, _) => {
@@ -566,13 +520,16 @@ fn execute(
                     cache.flush_all(w);
                     Outcome::Done
                 }
-                Cmd::Stats { .. } => Outcome::Stats(stat_pairs(cache)),
+                // memcached 1.4.15's `process_stat`: the general list, or
+                // no such group, answered before any counter is read.
+                Cmd::Stats { group: [] } => Outcome::Stats(crate::stats::report(cache, net)),
+                Cmd::Stats { .. } => Outcome::NoSuchGroup,
                 Cmd::Version => Outcome::Version(cache.branch()),
                 Cmd::Noop | Cmd::Quit => Outcome::Done,
                 Cmd::Reject(line) => Outcome::Rejected(line),
                 Cmd::Get(_) | Cmd::Store(_) => unreachable!("runs of their own class"),
             };
-            batch[0].answer(outcome, extra_stats, out);
+            batch[0].answer(outcome, out);
         }
     }
 }
@@ -586,6 +543,8 @@ enum Outcome<'v> {
     Found(bool),
     Counted(ArithStatus),
     Stats(Vec<(&'static str, u64)>),
+    /// `stats` naming a group this server does not keep.
+    NoSuchGroup,
     Version(Branch),
     Done,
     Rejected(&'static [u8]),
@@ -594,12 +553,12 @@ enum Outcome<'v> {
 
 impl Req<'_> {
     /// Encodes this request's reply with its protocol's encoder.
-    fn answer(&self, outcome: Outcome<'_>, extra_stats: &[(&'static str, u64)], out: &mut impl Sink) {
+    fn answer(&self, outcome: Outcome<'_>, out: &mut impl Sink) {
         match self.reply {
             Reply::Ascii { noreply: true, .. } => {}
-            Reply::Ascii { with_cas, .. } => render(&self.cmd, with_cas, outcome, extra_stats, out.text()),
+            Reply::Ascii { with_cas, .. } => render(&self.cmd, with_cas, outcome, out.text()),
             Reply::Binary { opcode, opaque, quiet } => {
-                binary::respond(&self.cmd, opcode, opaque, quiet, outcome, extra_stats, out)
+                binary::respond(opcode, opaque, quiet, outcome, out)
             }
         }
     }
@@ -607,13 +566,7 @@ impl Req<'_> {
 
 /// The ASCII encoder: one outcome as memcached's text reply. (Writing
 /// into a `Vec` cannot fail.)
-fn render(
-    cmd: &Cmd<'_>,
-    with_cas: bool,
-    outcome: Outcome<'_>,
-    extra_stats: &[(&'static str, u64)],
-    out: &mut Vec<u8>,
-) {
+fn render(cmd: &Cmd<'_>, with_cas: bool, outcome: Outcome<'_>, out: &mut Vec<u8>) {
     let line: &[u8] = match outcome {
         Outcome::Values(keys, values) => {
             for (key, v) in keys.iter().zip(values.iter()) {
@@ -646,12 +599,13 @@ fn render(
         Outcome::Counted(ArithStatus::NonNumeric) => {
             b"CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
         }
-        Outcome::Stats(pairs) => {
-            for (k, v) in pairs.iter().chain(extra_stats) {
+        Outcome::Stats(lines) => {
+            for (k, v) in lines {
                 let _ = write!(out, "STAT {k} {v}\r\n");
             }
             b"END\r\n"
         }
+        Outcome::NoSuchGroup => ERROR,
         Outcome::Version(branch) => {
             let _ = write!(out, "VERSION 1.4.15-tm ({branch})\r\n");
             return;
@@ -1097,7 +1051,7 @@ pub mod binary {
             *quiet = false;
         }
         let mut last = None;
-        run(cache, w, std::slice::from_ref(&r), &[req.key.as_slice()], &[], &mut last);
+        run(cache, w, std::slice::from_ref(&r), &[req.key.as_slice()], None, &mut last);
         last.expect("a loud request answers")
     }
 
@@ -1114,21 +1068,13 @@ pub mod binary {
         let keys: Vec<&[u8]> = reqs.iter().map(|r| r.key.as_slice()).collect();
         let reqs: Vec<Req<'_>> = reqs.iter().enumerate().map(|(at, r)| r.frame().req(at)).collect();
         let mut out = Vec::new();
-        run(cache, w, &reqs, &keys, &[], &mut out);
+        run(cache, w, &reqs, &keys, None, &mut out);
         out
     }
 
     /// The binary encoder: one outcome as its response packets. A quiet
     /// opcode stays silent on a get miss and on any other success.
-    pub(super) fn respond(
-        cmd: &Cmd<'_>,
-        opcode: Opcode,
-        opaque: u32,
-        quiet: bool,
-        outcome: Outcome<'_>,
-        extra_stats: &[(&'static str, u64)],
-        out: &mut impl Sink,
-    ) {
+    pub(super) fn respond(opcode: Opcode, opaque: u32, quiet: bool, outcome: Outcome<'_>, out: &mut impl Sink) {
         let (cas, flags, key, value) = (0, 0, Vec::new(), Vec::new());
         let mut r = Response { status: Status::Ok, opcode, opaque, cas, flags, key, value };
         r.status = match outcome {
@@ -1155,13 +1101,9 @@ pub mod binary {
                 Status::Ok
             }
             Outcome::Counted(ArithStatus::NonNumeric) => Status::NonNumeric,
-            // A stat group this server does not keep: memcached's answer
-            // for an unknown one.
-            Outcome::Stats(_) if matches!(cmd, Cmd::Stats { group } if !group.is_empty()) => {
-                Status::KeyNotFound
-            }
-            Outcome::Stats(pairs) => {
-                for (k, v) in pairs.iter().chain(extra_stats) {
+            Outcome::NoSuchGroup => Status::KeyNotFound,
+            Outcome::Stats(lines) => {
+                for (k, v) in lines {
                     let (key, value) = (k.as_bytes().to_vec(), v.to_string().into_bytes());
                     out.packet(Response { key, value, ..r.clone() });
                 }
@@ -1892,7 +1834,7 @@ mod tests {
             at += len;
         }
         let mut out = Vec::new();
-        run(c, 0, &reqs, &keys, &[], &mut out);
+        run(c, 0, &reqs, &keys, None, &mut out);
         out
     }
 

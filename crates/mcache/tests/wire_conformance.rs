@@ -13,8 +13,8 @@ use mcache::proto::binary::{Opcode, Request, Response, Status};
 use mcache::proto::{ASCII_LINE_MAX, ASCII_VALUE_MAX};
 use mcache::{Branch, McCache, McConfig, SlabConfig, Stage};
 
-fn server(branch: Branch) -> Server {
-    let handle = McCache::start(McConfig {
+fn config(branch: Branch) -> McConfig {
+    McConfig {
         branch,
         workers: 2,
         slab: SlabConfig {
@@ -28,16 +28,32 @@ fn server(branch: Branch) -> Server {
         item_lock_power: 4,
         maintenance: false,
         ..Default::default()
-    });
-    Server::start(
-        handle,
-        NetConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            ..NetConfig::default()
-        },
-    )
-    .expect("bind ephemeral port")
+    }
+}
+
+fn serve(cfg: McConfig) -> Server {
+    let net = NetConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        ..NetConfig::default()
+    };
+    Server::start(McCache::start(cfg), net).expect("bind ephemeral port")
+}
+
+fn server(branch: Branch) -> Server {
+    serve(config(branch))
+}
+
+/// A fresh directory for a redo log, named after this test thread.
+fn dur_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "mcache-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 fn connect(srv: &Server) -> TcpStream {
@@ -376,24 +392,70 @@ fn quit_is_recognised_by_its_first_token() {
     expect_closed(&mut s);
 }
 
+/// One rule for `stats <group>` on both protocols, memcached 1.4.15's
+/// `process_stat`: no group (a trailing space included) is the general
+/// list, the wire counters among it; a named group this server does not
+/// keep is ASCII `ERROR` and binary `KeyNotFound`, and the connection
+/// serves on.
 #[test]
-fn stats_with_arguments_reports_the_net_counters_too() {
+fn stats_groups_follow_one_rule_on_both_protocols() {
     let srv = server(Branch::It(Stage::OnCommit));
     let mut s = connect(&srv);
-    for req in [&b"stats \r\n"[..], b"stats anything\r\n"] {
-        s.write_all(req).unwrap();
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        while !buf.ends_with(b"END\r\n") {
-            let n = s.read(&mut chunk).unwrap();
-            assert!(n > 0, "connection closed mid-stats");
-            buf.extend_from_slice(&chunk[..n]);
-        }
-        let text = String::from_utf8(buf).expect("stats are ASCII");
-        for key in ["STAT cmd_get ", "STAT curr_connections 1\r\n", "STAT udp_datagrams_tx "] {
-            assert!(text.contains(key), "{req:?} missing {key:?} in:\n{text}");
-        }
+    s.write_all(b"stats \r\n").unwrap();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while !buf.ends_with(b"END\r\n") {
+        let n = s.read(&mut chunk).unwrap();
+        assert!(n > 0, "connection closed mid-stats");
+        buf.extend_from_slice(&chunk[..n]);
     }
+    let text = String::from_utf8(buf).expect("stats are ASCII");
+    for key in ["STAT cmd_get ", "STAT curr_connections 1\r\n", "STAT udp_datagrams_tx "] {
+        assert!(text.contains(key), "missing {key:?} in:\n{text}");
+    }
+    roundtrip(&mut s, b"stats anything\r\n", b"ERROR\r\n");
+    s.write_all(&bin_req(Opcode::Stat, 7, b"anything", b"").encode()).unwrap();
+    let r = read_frame(&mut s, &mut Vec::new());
+    assert_eq!((r.status, r.opaque), (Status::KeyNotFound, 7));
+    assert!(ascii_stats(&mut s).contains("STAT cmd_get "), "connection survives");
+}
+
+/// The names `stats` reports are unique, and carry every counter the
+/// benchmark's wire target parses by name (`Counters::of_wire` in
+/// `benchmark/src/engine.rs`): a renamed row would silently zero a
+/// per-layer metric there. The server has a redo log attached, so every
+/// row of the table is on the list.
+#[test]
+fn stats_names_are_unique_and_cover_the_benchmark_parse() {
+    let dir = dur_dir("statnames");
+    let srv = serve(McConfig {
+        dur_path: Some(dir.clone()),
+        ..config(Branch::It(Stage::OnCommit))
+    });
+    let text = ascii_stats(&mut connect(&srv));
+    let names: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("STAT "))
+        .map(|l| l.split(' ').next().unwrap())
+        .collect();
+    let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
+    assert_eq!(unique.len(), names.len(), "duplicate stat names in {names:?}");
+    for k in [
+        "cmd_get",
+        "get_hits",
+        "cmd_set",
+        "evictions",
+        "hash_expansions",
+        "request_panics",
+        "bytes_read",
+        "bytes_written",
+        "frame_errors",
+    ] {
+        assert!(unique.contains(k), "stats lost {k}, which the benchmark reads");
+    }
+    assert!(unique.contains("dur_appends"), "the log's rows are listed");
+    drop(srv);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Sends ASCII `stats` and reads the dump through its `END`.
@@ -581,38 +643,11 @@ fn binary_oversized_body_closes_with_error_frame() {
 /// counters themselves must reflect the traffic that preceded the dump.
 #[test]
 fn binary_stat_over_the_wire() {
-    let dir = std::env::temp_dir().join(format!(
-        "mcache-binstat-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let handle = McCache::start(McConfig {
-        branch: Branch::It(Stage::OnCommit),
-        workers: 2,
-        slab: SlabConfig {
-            mem_limit: 8 << 20,
-            page_size: 256 << 10,
-            chunk_min: 96,
-            growth_factor: 1.5,
-        },
-        hash_power: 6,
-        hash_power_max: 8,
-        item_lock_power: 4,
-        maintenance: false,
+    let dir = dur_dir("binstat");
+    let srv = serve(McConfig {
         dur_path: Some(dir.clone()),
-        ..Default::default()
+        ..config(Branch::It(Stage::OnCommit))
     });
-    let srv = Server::start(
-        handle,
-        NetConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            ..NetConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
     let mut s = connect(&srv);
     let mut rb = Vec::new();
 

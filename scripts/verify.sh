@@ -48,38 +48,41 @@ target/release/reproduce tablecheck 2>/dev/null | cmp - scripts/tablecheck.golde
 # the test binary itself, without cargo's per-run overhead. Each run gets
 # two minutes (a passing one takes well under a second), so a deadlock
 # fails the loop instead of hanging it.
-# usage: loop200 <tm integration test> [test name filter]
-loop200() {
+# usage: loop_test <package> <integration test> <runs> [test name filter]
+loop_test() {
     local bin
-    bin=$(cargo test --offline -p tm --test "$1" --no-run 2>&1 \
+    bin=$(cargo test --offline -p "$1" --test "$2" --no-run 2>&1 \
         | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
-    for i in $(seq 1 200); do
-        timeout 120 "$bin" ${2:+"$2"} > /dev/null 2>&1 || {
+    for i in $(seq 1 "$3"); do
+        timeout 120 "$bin" ${4:+"$4"} > /dev/null 2>&1 || {
             [ $? -eq 124 ] && what="timed out" || what="failed"
-            echo "$1${2:+::$2} $what on run $i of 200"; exit 1; }
+            echo "$1 $2${4:+::$4} $what on run $i of $3"; exit 1; }
     done
 }
 
 # A hot writer keeps the commit clock moving under a multi-word writer
 # while readers demand uniform snapshots (eager and lazy).
 echo "==> clock_opacity x200"
-loop200 clock_opacity
+loop_test tm clock_opacity 200
 
 # A stalled reader of x whose value-equal store to x must still conflict
 # with the writer that interleaved (all three algorithms).
 echo "==> write_fastlane x200"
-loop200 write_fastlane
+loop_test tm write_fastlane 200
 
 # Readers on the fast lane race a privatizer that plain-stores after its
 # commit: a read-only commit whose snapshot the clock has passed must
 # revalidate (eager and lazy).
 echo "==> ro_fastlane x200"
-loop200 ro_fastlane
+loop_test tm ro_fastlane 200
 
-# IT-Max switches ~92% of its transactions to serial-irrevocable mode in
-# flight; a switcher that let go of the serial lock before taking it
-# exclusively could commit reads staled by another's serial section (a
-# refcount underflow panic in mcache). 20 runs per orec algorithm.
+# GETs race the hash-table migration: a reader holding only its item
+# stripe must never walk an old bucket the migrator has emptied, nor see
+# the generation flip half done (lock branches, IP and IT).
+echo "==> end_to_end, maintenance x500 (expansion races)"
+loop_test mcache end_to_end 500 empty_values_in_exactly_fitting_chunks
+loop_test mcache maintenance 500 expansion_under_load
+
 echo "==> mcslap it-max x20 (eager, lazy)"
 for algo in eager lazy; do
     for i in $(seq 1 20); do
