@@ -17,12 +17,14 @@
 //! (each gets its own `LISTENING-UDP` / `LISTENING-UNIX` line). Starting
 //! on a `--dur-path` that already holds a log replays it before the
 //! socket opens. A flag that is unknown, or whose value is missing or
-//! malformed, is a usage error: one line on stderr, exit 2.
+//! malformed, is a usage error: one line on stderr, exit 2; so is
+//! `--magazine N` (N > 0) on a lock or IP branch, where it would do
+//! nothing.
 
 use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use bench::cli::{branch_usage, num, parse_branch, value};
+use bench::cli::{branch_usage, num, parse_branch, refuse_magazine_off_it, value};
 use mcache::net::{NetConfig, Server};
 use mcache::{Branch, DurFsync, McCache, McConfig};
 
@@ -79,6 +81,7 @@ fn parse_args() -> Args {
             }
         }
     }
+    refuse_magazine_off_it(args.magazine, args.branch);
     args
 }
 

@@ -29,8 +29,9 @@
 //!
 //! `--branch`, `--magazine`, `--algorithm` and `--cm` configure the
 //! in-process cache and are refused with a socket target (they belong on
-//! `mcached`'s command line); `--connections`, `--churn` and `--fanin`
-//! need a socket. Everything that crosses a socket is verified against
+//! `mcached`'s command line), and `--magazine N` (N > 0) is refused on a
+//! lock or IP branch, where it would do nothing; `--connections`,
+//! `--churn` and `--fanin` need a socket. Everything that crosses a socket is verified against
 //! the deterministic workload oracle (values are a pure function of the
 //! key index), reports p50/p95/p99 roundtrip latency, and ends by
 //! asserting the server counted zero frame errors and zero handler panics.
@@ -47,7 +48,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use bench::cli::{branch_usage, num, parse_branch, value};
+use bench::cli::{branch_usage, num, parse_branch, refuse_magazine_off_it, value};
 use bench::wire::{parse_stat_line, UdpClient, WireConn};
 use mcache::proto::binary::{self, Opcode, Request, Response, Status};
 use mcache::{Branch, McCache, McConfig, McHandle, StoreMode, StoreOp};
@@ -229,6 +230,7 @@ impl Target {
                         "{flag} needs a socket target (--tcp or --unix; --connections also takes --udp)"
                     ));
                 }
+                refuse_magazine_off_it(args.magazine, args.branch);
                 return Target::InProcess(McCache::start(McConfig {
                     branch: args.branch,
                     workers: args.concurrency,

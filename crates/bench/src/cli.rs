@@ -1,7 +1,7 @@
 //! Flag-value parsing shared by the harness binaries (`mcached`,
 //! `mcslap`), so every flag fails the same way.
 
-use mcache::{Branch, Stage};
+use mcache::{Branch, ItemMode, Stage};
 
 /// The next argument as `flag`'s value, through `parse`. A missing or
 /// malformed value is a usage error: `<flag> takes <what>` on stderr,
@@ -48,4 +48,15 @@ pub fn parse_branch(name: &str) -> Option<Branch> {
 pub fn branch_usage() -> String {
     let names: Vec<&str> = BRANCHES.iter().map(|b| b.0).collect();
     format!("a branch name; valid: {}", names.join(" "))
+}
+
+/// Refuses `--magazine N` (N > 0) on a lock or IP branch: magazines feed
+/// IT's one-transaction store and exist nowhere else, so the flag would
+/// silently do nothing. One line on stderr, exit 2.
+pub fn refuse_magazine_off_it(magazine: usize, branch: Branch) {
+    if magazine > 0 && branch.policy().item_mode != ItemMode::Transactional {
+        let name = BRANCHES.iter().find(|b| b.1 == branch).map_or("this", |b| b.0);
+        eprintln!("--magazine does not apply: magazines need an it branch, not {name}");
+        std::process::exit(2);
+    }
 }

@@ -174,6 +174,31 @@ fn mcslap_refuses_flags_on_the_wrong_side_of_the_socket() {
     assert!(err.contains("pick one target"), "{err:?}");
 }
 
+/// `--magazine N` (N > 0) feeds IT's one-transaction store and does nothing
+/// on a lock or IP branch — `mcached`'s default is `ip-nolock` — so there
+/// it is refused instead of dropped, by the server and by an in-process
+/// `mcslap`. `--magazine 0`, and any count on an IT branch, still run.
+#[test]
+fn magazine_is_refused_off_the_it_branches() {
+    let why = "--magazine does not apply: magazines need an it branch";
+    for bin in [MCACHED, MCSLAP] {
+        for args in [
+            &["--magazine", "16"][..],
+            &["--branch", "baseline", "--magazine", "1"],
+            &["--magazine", "8", "--branch", "ip-oncommit"],
+            &["--branch", "semaphore", "--magazine", "64"],
+        ] {
+            let err = usage_error(bin, args);
+            assert!(err.contains(why), "{bin} {args:?}: {err:?}");
+        }
+    }
+    for args in [&["--branch", "it-oncommit", "--magazine", "16"][..], &["--magazine", "0"]] {
+        let run = ["-c", "1", "-x", "200"];
+        let out = Command::new(MCSLAP).args(args).args(run).output().expect("spawn mcslap");
+        assert!(out.status.success(), "mcslap {args:?}: {out:?}");
+    }
+}
+
 /// Flags that earlier PRs deleted with the mechanism behind them: the
 /// backend selection (PR 13), the adaptive runtime (PR 17) and mcslap's
 /// warm-restart mode (PR 18; `mccrash`, `recovery_wire.rs` and sysbench's

@@ -133,12 +133,6 @@ pub struct GetValue {
     pub exp: u32,
 }
 
-impl From<GetHit> for GetValue {
-    fn from(h: GetHit) -> GetValue {
-        GetValue { data: h.value, flags: h.flags, cas: h.cas, exp: h.exp }
-    }
-}
-
 /// Store command flavors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreMode {
@@ -395,6 +389,75 @@ struct Chunk {
     fill: Option<ItemSizes>,
     /// Whether allocating it evicted something.
     evicted: bool,
+}
+
+/// Per-request state and answers of a driver run: on the stack for a run
+/// of one, a `Vec` for a batch, so a lone request allocates nothing for
+/// them.
+pub(crate) enum PerOp<T> {
+    One([T; 1]),
+    Many(Vec<T>),
+}
+
+impl<T> PerOp<T> {
+    pub(crate) fn new(mut items: impl ExactSizeIterator<Item = T>) -> Self {
+        match items.len() {
+            1 => PerOp::One([items.next().expect("one item")]),
+            _ => PerOp::Many(items.collect()),
+        }
+    }
+
+    fn map<U>(self, f: impl FnMut(T) -> U) -> PerOp<U> {
+        match self {
+            PerOp::One(one) => PerOp::One(one.map(f)),
+            PerOp::Many(many) => PerOp::Many(many.into_iter().map(f).collect()),
+        }
+    }
+
+    fn into_vec(self) -> Vec<T> {
+        match self {
+            PerOp::One(one) => one.into(),
+            PerOp::Many(many) => many,
+        }
+    }
+}
+
+impl<T> std::ops::Deref for PerOp<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        match self {
+            PerOp::One(one) => one,
+            PerOp::Many(many) => many,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for PerOp<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            PerOp::One(one) => one,
+            PerOp::Many(many) => many,
+        }
+    }
+}
+
+/// One key of a read run: its hash and LRU-bump decision, then what the
+/// lookup found.
+struct ReadSlot<'k> {
+    key: &'k [u8],
+    hv: u32,
+    bump: bool,
+    hit: Option<GetHit>,
+}
+
+/// One op of a store run: its hash, its private chunk (or the status that
+/// ended it before the link section), its answer, and the dead item an
+/// overwrite parked for the worker's magazine.
+struct StoreSlot {
+    hv: u32,
+    chunk: Result<Chunk, StoreStatus>,
+    status: StoreStatus,
+    reclaimed: Option<ItemHandle>,
 }
 
 impl From<AllocError> for StoreStatus {
@@ -947,115 +1010,87 @@ impl McCache {
     // Client operations
     // ------------------------------------------------------------------
 
-    /// Whether the get that drew op number `ops` should bump its item's
-    /// LRU position.
-    fn lru_bump_due(&self, ops: u64) -> bool {
-        let cadence = self.cfg.lru_bump_every;
-        cadence != 0 && ops.is_multiple_of(cadence)
-    }
-
-    /// `get key`.
+    /// `get key`: [`Self::get_multi`] with one key.
     ///
     /// # Panics
     ///
     /// Panics if `w` is not a valid worker slot or the key exceeds
     /// [`KEY_MAX`].
     pub fn get(&self, w: usize, key: &[u8]) -> Option<GetValue> {
-        assert!(key.len() <= KEY_MAX && !key.is_empty(), "bad key length");
-        let hv = jenkins_hash(key, 0);
-        let now = self.rel_time();
-        let ops = self.workers[w].op_count.fetch_add(1, Ordering::Relaxed);
-        let bump_hint = self.lru_bump_due(ops);
-        let (core, policy) = (&self.core, self.policy);
-        let it_mode = policy.item_mode == ItemMode::Transactional;
-
-        // One body for every branch: hash walk, key memcmp, refcount bump,
-        // value copy. Lock and IP run it directly under the item lock; on
-        // IT it is the trimmed GET of the read-path overdrive — stats
-        // moved out (see `get_stats_privatized`), so with refcount elision
-        // a warm hit never writes and commits on the read-only fast lane.
-        let guard = ItemGuard::new(self, core.item_locks.stripe(hv));
-        let elide = it_mode && self.cfg.refcount_elision;
-        let hit = self.section(
-            Scope::ItemRead,
-            &[Category::VolatileFlag],
-            &[Category::Libc, Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
-            |ctx| {
-                let h = core.item_get(ctx, &policy, key, hv, now, bump_hint, elide)?;
-                self.maybe_log(ctx)?;
-                Ok(h)
-            },
-        );
-        if let Some(h) = hit.as_ref().filter(|h| h.needs_bump) {
-            self.update_section(key, hv, h.handle, now);
-        }
-        drop(guard);
-        if it_mode {
-            self.get_stats_privatized(w, hit.is_some() as u64, hit.is_none() as u64);
-        } else {
-            let t = &self.workers[w].stats;
-            self.count_op(
-                w,
-                &[&t.get_cmds, if hit.is_some() { &t.get_hits } else { &t.get_misses }],
-            );
-        }
-        hit.map(GetValue::from)
+        self.read_run(w, &[key])[0].take()
     }
 
-    /// Multiget: `get k1 k2 ... kn` as ONE critical section. On the
-    /// transactional branches the whole batch runs as a single read-only
-    /// fast-lane transaction — one begin, one snapshot to extend, one
-    /// commit fence for n lookups — which is where batching pays: the
-    /// per-transaction overhead the paper measures on the GET path is
-    /// amortized across the batch. Lock branches fall back to per-key
-    /// [`Self::get`]: their striped item locks cannot be held jointly
-    /// without ordering, and memcached's real multiget re-acquires per key
-    /// anyway.
+    /// Multiget: `get k1 k2 ... kn`, the one read driver behind every get.
+    /// On IT the whole run is ONE read-only fast-lane transaction — one
+    /// begin, one snapshot to extend, one commit fence for n lookups —
+    /// which is where batching pays: the per-transaction overhead the
+    /// paper measures on the GET path is amortized across the run, and a
+    /// lone [`Self::get`] is its n = 1 case. Lock and IP branches run the
+    /// same body once per key, under that key's item lock: striped item
+    /// locks cannot be held jointly without an order, and memcached's real
+    /// multiget re-acquires per key anyway.
     ///
     /// # Panics
     ///
     /// Panics if `w` is not a valid worker slot or any key exceeds
     /// [`KEY_MAX`].
     pub fn get_multi(&self, w: usize, keys: &[&[u8]]) -> Vec<Option<GetValue>> {
-        if self.policy.item_mode != ItemMode::Transactional || keys.len() < 2 {
-            return keys.iter().map(|k| self.get(w, k)).collect();
-        }
-        for key in keys {
-            assert!(key.len() <= KEY_MAX && !key.is_empty(), "bad key length");
-        }
+        self.read_run(w, keys).into_vec()
+    }
+
+    /// The read driver of [`Self::get_multi`], which [`Self::get`] and the
+    /// protocol executor call directly, so a run of one keeps its answer on
+    /// the stack: hash walk, key memcmp, refcount bump, value copy per key.
+    /// On IT it is the trimmed GET of the read-path overdrive — stats moved
+    /// out (see `get_stats_privatized`), so with refcount elision a warm
+    /// hit never writes and the run commits on the read-only fast lane.
+    pub(crate) fn read_run(&self, w: usize, keys: &[&[u8]]) -> PerOp<Option<GetValue>> {
         let now = self.rel_time();
         let (core, policy) = (&self.core, self.policy);
-        let elide = self.cfg.refcount_elision;
+        let it_mode = policy.item_mode == ItemMode::Transactional;
+        let (elide, cadence) = (it_mode && self.cfg.refcount_elision, self.cfg.lru_bump_every);
         // Hash + LRU-bump decisions are per-key and side-effecting
         // (op_count advances), so take them once, outside the retry loop.
-        let meta: Vec<(u32, bool)> = keys
-            .iter()
-            .map(|key| {
-                let ops = self.workers[w].op_count.fetch_add(1, Ordering::Relaxed);
-                (jenkins_hash(key, 0), self.lru_bump_due(ops))
-            })
-            .collect();
-        let hits: Vec<Option<GetHit>> = self.section(
-            Scope::ItemRead,
-            &[Category::VolatileFlag],
-            &[Category::Libc, Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
-            |ctx| {
-                let mut out = Vec::with_capacity(keys.len());
-                for (key, &(hv, bump)) in keys.iter().zip(&meta) {
-                    out.push(core.item_get(ctx, &policy, key, hv, now, bump, elide)?);
+        // Bumping every Nth get models memcached's 60-second `item_update`
+        // rate limit: wall-clock seconds barely advance in a benchmark run.
+        let mut slots = PerOp::new(keys.iter().map(|&key| {
+            assert!(key.len() <= KEY_MAX && !key.is_empty(), "bad key length");
+            let ops = self.workers[w].op_count.fetch_add(1, Ordering::Relaxed);
+            let bump = cadence != 0 && ops.is_multiple_of(cadence);
+            ReadSlot { key, hv: jenkins_hash(key, 0), bump, hit: None }
+        }));
+        let per_section = if it_mode { slots.len().max(1) } else { 1 };
+        for run in slots.chunks_mut(per_section) {
+            // A no-op on IT, where the section itself is the item lock.
+            let guard = ItemGuard::new(self, core.item_locks.stripe(run[0].hv));
+            self.section(
+                Scope::ItemRead,
+                &[Category::VolatileFlag],
+                &[Category::Libc, Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
+                |ctx| {
+                    for s in run.iter_mut() {
+                        s.hit = core.item_get(ctx, &policy, s.key, s.hv, now, elide)?;
+                    }
+                    self.maybe_log(ctx)
+                },
+            );
+            for s in run.iter() {
+                if let (true, Some(h)) = (s.bump, &s.hit) {
+                    self.update_section(s.key, s.hv, h.handle, now);
                 }
-                self.maybe_log(ctx)?;
-                Ok(out)
-            },
-        );
-        for (key, (hit, &(hv, _))) in keys.iter().zip(hits.iter().zip(&meta)) {
-            if let Some(h) = hit.as_ref().filter(|h| h.needs_bump) {
-                self.update_section(key, hv, h.handle, now);
+            }
+            drop(guard);
+            if !it_mode {
+                let t = &self.workers[w].stats;
+                let outcome = if run[0].hit.is_some() { &t.get_hits } else { &t.get_misses };
+                self.count_op(w, &[&t.get_cmds, outcome]);
             }
         }
-        let n_hits = hits.iter().flatten().count() as u64;
-        self.get_stats_privatized(w, n_hits, keys.len() as u64 - n_hits);
-        hits.into_iter().map(|o| o.map(GetValue::from)).collect()
+        if it_mode {
+            let hits = slots.iter().filter(|s| s.hit.is_some()).count() as u64;
+            self.get_stats_privatized(w, hits, slots.len() as u64 - hits);
+        }
+        slots.map(|s| s.hit.map(|h| GetValue { data: h.value, flags: h.flags, cas: h.cas, exp: h.exp }))
     }
 
     /// The `item_update` critical section (cache-lock category): re-finds
@@ -1080,12 +1115,12 @@ impl McCache {
 
     /// `set key`.
     pub fn set(&self, w: usize, key: &[u8], value: &[u8], flags: u32, exptime: u32) -> StoreStatus {
-        self.store(w, StoreMode::Set, key, value, flags, exptime)
+        self.store_run(w, &[StoreOp { mode: StoreMode::Set, key, value, flags, exptime }])[0]
     }
 
     /// `add key` (store only if absent).
     pub fn add(&self, w: usize, key: &[u8], value: &[u8], flags: u32, exptime: u32) -> StoreStatus {
-        self.store(w, StoreMode::Add, key, value, flags, exptime)
+        self.store_run(w, &[StoreOp { mode: StoreMode::Add, key, value, flags, exptime }])[0]
     }
 
     /// `replace key` (store only if present).
@@ -1097,7 +1132,7 @@ impl McCache {
         flags: u32,
         exptime: u32,
     ) -> StoreStatus {
-        self.store(w, StoreMode::Replace, key, value, flags, exptime)
+        self.store_run(w, &[StoreOp { mode: StoreMode::Replace, key, value, flags, exptime }])[0]
     }
 
     /// `cas key` (store only if unchanged since `cas_id`).
@@ -1110,7 +1145,7 @@ impl McCache {
         exptime: u32,
         cas_id: u64,
     ) -> StoreStatus {
-        self.store(w, StoreMode::Cas(cas_id), key, value, flags, exptime)
+        self.store_run(w, &[StoreOp { mode: StoreMode::Cas(cas_id), key, value, flags, exptime }])[0]
     }
 
     /// `append key`: concatenate after the existing value (get + CAS loop,
@@ -1132,7 +1167,8 @@ impl McCache {
             let (head, tail) = if after { (&old.data[..], extra) } else { (extra, &old.data[..]) };
             let data = [head, tail].concat();
             // Flags and expiry are the original item's, as in memcached.
-            match self.store(w, StoreMode::Cas(old.cas), key, &data, old.flags, old.exp) {
+            let (flags, exptime) = (old.flags, old.exp);
+            match self.store_run(w, &[StoreOp { mode: StoreMode::Cas(old.cas), key, value: &data, flags, exptime }])[0] {
                 StoreStatus::Exists => continue, // raced; retry
                 s => return s,
             }
@@ -1140,49 +1176,15 @@ impl McCache {
         StoreStatus::NotStored
     }
 
-    fn store(
-        &self,
-        w: usize,
-        mode: StoreMode,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        exptime: u32,
-    ) -> StoreStatus {
-        self.store_op(w, StoreOp { mode, key, value, flags, exptime })
-    }
-
-    /// Every store: the branch's link section(s), then the wakeup an
-    /// out-of-memory allocation raised (a `sem_post` site like any other)
-    /// and the command count that did not ride a link transaction.
-    pub(crate) fn store_op(&self, w: usize, op: StoreOp<'_>) -> StoreStatus {
-        assert!(op.key.len() <= KEY_MAX && !op.key.is_empty(), "bad key length");
-        let hv = jenkins_hash(op.key, 0);
-        let now = self.rel_time();
-        let status = if self.magazines_on() {
-            self.store_magazine(w, &op, hv, now)
-        } else {
-            self.store_sections(w, &op, hv, now)
-        };
-        if status == StoreStatus::OutOfMemory {
-            self.wake(false, true);
-        }
-        if self.policy.item_mode != ItemMode::Transactional
-            || matches!(status, StoreStatus::TooLarge | StoreStatus::OutOfMemory)
-        {
-            self.count_op(w, &[&self.workers[w].stats.set_cmds]);
-        }
-        status
-    }
-
     /// The store as memcached sections it, under the key's item guard:
     /// allocate (the merged cache+slabs section of §3.1's lock-order fix),
     /// fill the value, link. Lock branches run all three directly; IP
     /// privatizes the fill; IT makes each one a transaction — the
     /// 3-transaction store Tables 1–4 count.
-    fn store_sections(&self, w: usize, op: &StoreOp<'_>, hv: u32, now: u32) -> StoreStatus {
+    fn store_sections(&self, w: usize, op: &StoreOp<'_>) -> StoreStatus {
         let (core, policy) = (&self.core, self.policy);
         let it_mode = policy.item_mode == ItemMode::Transactional;
+        let (hv, now) = (jenkins_hash(op.key, 0), self.rel_time());
         let stripe = core.item_locks.stripe(hv);
         let _guard = ItemGuard::new(self, stripe);
         let a = match self.alloc_section(op, now, if it_mode { usize::MAX } else { stripe }) {
@@ -1221,108 +1223,131 @@ impl McCache {
     }
 
     /// Batched stores: a run of pipelined mutations (quiet binary SETQ
-    /// bursts, multi-command ASCII buffers) as ONE critical section. On the
-    /// transactional branches the whole run commits as a single transaction
-    /// — one begin, one commit fence for n stores — amortizing the
+    /// bursts, multi-command ASCII buffers), through the one store driver
+    /// behind every store. On IT a run commits as ONE link transaction —
+    /// one begin, one commit fence for n stores — amortizing the
     /// per-transaction overhead exactly like [`Self::get_multi`] does on
-    /// the read path, with allocation hoisted out front (a magazine pop per
-    /// op when magazines are on, one slab transaction per op otherwise).
-    /// Lock and IP branches, and trivial runs, fall back to per-op stores.
+    /// the read path, with allocation hoisted out front: a magazine pop per
+    /// op, or one slab section per op without magazines. With magazines
+    /// on, a lone store is its n = 1 case. Lock and IP branches store op by
+    /// op under their item locks, and so does a lone IT store without
+    /// magazines: the 3-transaction store Tables 1–4 count.
+    ///
+    /// With magazines the run is the write path's mutation fast lane:
+    /// allocation is a private pop from the worker's chunk cache (no
+    /// transaction, no shared free list), and header, key, suffix, value,
+    /// link, and stats all commit in the one transaction. Every
+    /// shared-memory write stays instrumented: a magazine chunk's privacy
+    /// is an *accounting* fact, not a license for direct writes —
+    /// scribbling a previously-linked chunk uninstrumented would let a
+    /// stale invisible reader (whose read-only commit skips final
+    /// validation) return post-snapshot bytes undetected. A dead
+    /// overwritten item is parked in limbo by `link_new_tx` and merged into
+    /// the magazine after commit, so overwrite-heavy workloads recycle
+    /// chunks entirely within the worker.
     ///
     /// # Panics
     ///
     /// Panics if `w` is not a valid worker slot or any key exceeds
     /// [`KEY_MAX`].
     pub fn store_batch(&self, w: usize, ops: &[StoreOp<'_>]) -> Vec<StoreStatus> {
-        if self.policy.item_mode != ItemMode::Transactional || ops.len() < 2 {
-            return ops.iter().map(|op| self.store_op(w, *op)).collect();
-        }
+        self.store_run(w, ops).into_vec()
+    }
+
+    /// The store driver of [`Self::store_batch`], which `set`, `add`,
+    /// `replace`, `cas` and the protocol executor call directly: a run's
+    /// answers stay on the stack when it has one op.
+    pub(crate) fn store_run(&self, w: usize, ops: &[StoreOp<'_>]) -> PerOp<StoreStatus> {
         for op in ops {
             assert!(op.key.len() <= KEY_MAX && !op.key.is_empty(), "bad key length");
         }
+        let it_mode = self.policy.item_mode == ItemMode::Transactional;
+        let mags = self.magazines_on();
+        if !it_mode || (ops.len() < 2 && !mags) {
+            // Op by op, each followed by the wakeup an out-of-memory
+            // allocation raised (a `sem_post` site like any other) and the
+            // command count that did not ride a link transaction.
+            return PerOp::new(ops.iter().map(|op| {
+                let status = self.store_sections(w, op);
+                if status == StoreStatus::OutOfMemory {
+                    self.wake(false, true);
+                }
+                if !it_mode || matches!(status, StoreStatus::TooLarge | StoreStatus::OutOfMemory) {
+                    self.count_op(w, &[&self.workers[w].stats.set_cmds]);
+                }
+                status
+            }));
+        }
         let core = &self.core;
         let now = self.rel_time();
-        let mags = self.magazines_on();
         // Per-op prep (hash, sizing, one private chunk each) runs once; the
         // link transaction below may retry, so it must not re-allocate.
         let mut evicted = false;
-        let preps: Vec<(u32, Result<Chunk, StoreStatus>)> = ops
-            .iter()
-            .map(|op| {
-                let chunk = match core.size_item(op.key, op.flags, op.value.len() as u32) {
-                    None => Err(StoreStatus::TooLarge),
-                    Some((sizes, class)) if mags => self
-                        .magazine_take(w, class)
-                        .map(|h| Chunk { h, fill: Some(sizes), evicted: false })
-                        .ok_or(StoreStatus::OutOfMemory),
-                    Some((sizes, _)) => match self.alloc_section(op, now, usize::MAX) {
-                        Ok(a) => {
-                            evicted |= a.evicted > 0;
-                            Ok(Chunk { h: a.handle, fill: Some(sizes), evicted: false })
-                        }
-                        Err(e) => Err(e.into()),
-                    },
-                };
-                (jenkins_hash(op.key, 0), chunk)
-            })
-            .collect();
-        let mut statuses: Vec<StoreStatus> = Vec::with_capacity(ops.len());
-        let mut reclaims: Vec<ItemHandle> = Vec::new();
+        let mut slots = PerOp::new(ops.iter().map(|op| {
+            let chunk = match core.size_item(op.key, op.flags, op.value.len() as u32) {
+                None => Err(StoreStatus::TooLarge),
+                // An empty magazine whose refill found nothing raised the
+                // rebalance signal; the wakeup is delivered below.
+                Some((sizes, class)) if mags => self
+                    .magazine_take(w, class)
+                    .map(|h| Chunk { h, fill: Some(sizes), evicted: false })
+                    .ok_or(StoreStatus::OutOfMemory),
+                Some((sizes, _)) => match self.alloc_section(op, now, usize::MAX) {
+                    Ok(a) => {
+                        evicted |= a.evicted > 0;
+                        Ok(Chunk { h: a.handle, fill: Some(sizes), evicted: false })
+                    }
+                    Err(e) => Err(e.into()),
+                },
+            };
+            let status = chunk.err().unwrap_or(StoreStatus::Stored);
+            StoreSlot { hv: jenkins_hash(op.key, 0), chunk, status, reclaimed: None }
+        }));
         let mut any_signal = false;
-        self.section(
-            Scope::Item,
-            &[Category::VolatileFlag, Category::Libc],
-            &[Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
-            |ctx| {
-                // Attempt-local accumulators: an abort rolls them back.
-                statuses.clear();
-                reclaims.clear();
-                any_signal = false;
-                core.assoc.is_expanding(ctx, &self.policy)?;
-                for (op, (hv, chunk)) in ops.iter().zip(&preps) {
-                    let st = match chunk {
-                        Err(st) => *st,
-                        Ok(chunk) => {
-                            let mut reclaimed = None;
-                            let (st, signal) = self.link_body(
-                                ctx,
-                                w,
-                                op,
-                                *hv,
-                                now,
-                                *chunk,
-                                mags.then_some(&mut reclaimed),
-                            )?;
-                            reclaims.extend(reclaimed);
+        if slots.iter().any(|s| s.chunk.is_ok()) {
+            self.section(
+                Scope::Item,
+                &[Category::VolatileFlag, Category::Libc],
+                &[Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
+                |ctx| {
+                    // Attempt-local: an abort rolls every park back.
+                    any_signal = false;
+                    core.assoc.is_expanding(ctx, &self.policy)?;
+                    for (op, s) in ops.iter().zip(slots.iter_mut()) {
+                        s.reclaimed = None;
+                        if let Ok(chunk) = s.chunk {
+                            let reclaim = mags.then_some(&mut s.reclaimed);
+                            let signal;
+                            (s.status, signal) = self.link_body(ctx, w, op, s.hv, now, chunk, reclaim)?;
                             any_signal |= signal;
-                            st
                         }
-                    };
-                    statuses.push(st);
-                }
-                Ok(())
-            },
-        );
-        for ((_, chunk), st) in preps.iter().zip(&statuses) {
-            if let (true, Ok(chunk), false) = (mags, chunk, *st == StoreStatus::Stored) {
+                    }
+                    Ok(())
+                },
+            );
+        }
+        for s in slots.iter() {
+            if let (true, Ok(chunk), false) = (mags, s.chunk, s.status == StoreStatus::Stored) {
+                // Failed predicate: never published, so still private —
+                // straight back into the magazine, no slab-free transaction.
                 self.magazine_put(w, chunk.h);
             }
         }
-        for old in reclaims {
+        for old in slots.iter().filter_map(|s| s.reclaimed) {
             self.magazine_put(w, old);
         }
         if any_signal {
             self.wake(true, false);
         }
-        if evicted || statuses.contains(&StoreStatus::OutOfMemory) {
+        if evicted || slots.iter().any(|s| s.status == StoreStatus::OutOfMemory) {
             self.wake(false, true);
         }
-        for st in &statuses {
-            if matches!(st, StoreStatus::TooLarge | StoreStatus::OutOfMemory) {
+        for s in slots.iter() {
+            if matches!(s.status, StoreStatus::TooLarge | StoreStatus::OutOfMemory) {
                 self.count_op(w, &[&self.workers[w].stats.set_cmds]);
             }
         }
-        statuses
+        slots.map(|s| s.status)
     }
 
     /// The merged cache+slabs allocation section (§3.1's lock-order fix).
@@ -1401,7 +1426,7 @@ impl McCache {
                     scratch.clear(); // attempt-local: aborted pops roll back
                     ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
                     let (got, evicted) =
-                        core.refill_batch(ctx, &policy, class, cap, &mut scratch)?;
+                        core.alloc_chunks(ctx, &policy, class, cap, usize::MAX, |h| scratch.push(h))?;
                     if got > 0 {
                         stats::bump(ctx, &core.global.magazine_refills)?;
                     }
@@ -1439,19 +1464,24 @@ impl McCache {
     /// unboundedly; in the steady SET state (one pop, at most one push per
     /// op) the row never overflows and the spill path never runs.
     fn magazine_put(&self, w: usize, h: ItemHandle) {
-        let core = &self.core;
         let cap = self.cfg.magazine;
         let mut mag = self.workers[w].magazine.lock().unwrap();
         let row = &mut mag.rows[h.class as usize];
         if row.len() >= cap {
-            let keep = cap / 2;
-            self.section(Scope::Item, &[], &[Category::AssertAbort], |ctx| {
-                core.arena.free_batch(ctx, &row[keep..])?;
-                stats::bump(ctx, &core.global.magazine_flushes)
-            });
-            row.truncate(keep);
+            self.magazine_spill(row, cap / 2);
         }
         row.push(h);
+    }
+
+    /// Returns every chunk of a magazine row past its first `keep` to the
+    /// global free lists, in one flush transaction.
+    fn magazine_spill(&self, row: &mut Vec<ItemHandle>, keep: usize) {
+        let core = &self.core;
+        self.section(Scope::Item, &[], &[Category::AssertAbort], |ctx| {
+            row[keep..].iter().try_for_each(|&h| core.arena.free(ctx, h))?;
+            stats::bump(ctx, &core.global.magazine_flushes)
+        });
+        row.truncate(keep);
     }
 
     /// Flushes every worker's magazine back to the global free lists, one
@@ -1460,72 +1490,15 @@ impl McCache {
     /// `flush_all`; locks one worker's magazine at a time. Returns whether
     /// any chunk moved.
     pub fn flush_magazines(&self) -> bool {
-        let core = &self.core;
         let mut any = false;
         for slot in &self.workers {
             let mut mag = slot.magazine.lock().unwrap();
-            for row in mag.rows.iter_mut() {
-                if row.is_empty() {
-                    continue;
-                }
-                self.section(Scope::Item, &[], &[Category::AssertAbort], |ctx| {
-                    core.arena.free_batch(ctx, row)?;
-                    stats::bump(ctx, &core.global.magazine_flushes)
-                });
-                row.clear();
+            for row in mag.rows.iter_mut().filter(|row| !row.is_empty()) {
+                self.magazine_spill(row, 0);
                 any = true;
             }
         }
         any
-    }
-
-    /// The magazine SET — the write path's mutation fast lane. Allocation
-    /// becomes a private pop from the worker's chunk cache (no transaction,
-    /// no shared free list), and header, key, suffix, value, link, and
-    /// stats all commit in ONE transaction instead of the three (alloc +
-    /// value + link) the plain IT store pays. Every shared-memory write
-    /// stays instrumented: a magazine chunk's privacy is an *accounting*
-    /// fact, not a license for direct writes — scribbling a
-    /// previously-linked chunk uninstrumented would let a stale invisible
-    /// reader (whose read-only commit skips final validation) return
-    /// post-snapshot bytes undetected. A dead overwritten item is parked in
-    /// limbo by `link_new_tx` and merged into the magazine after commit, so
-    /// overwrite-heavy workloads recycle chunks entirely within the worker.
-    fn store_magazine(&self, w: usize, op: &StoreOp<'_>, hv: u32, now: u32) -> StoreStatus {
-        let core = &self.core;
-        let Some((sizes, class)) = core.size_item(op.key, op.flags, op.value.len() as u32) else {
-            return StoreStatus::TooLarge;
-        };
-        let Some(h) = self.magazine_take(w, class) else {
-            // The refill raised the rebalance signal; store()'s tail
-            // delivers the wakeup and counts the failed op.
-            return StoreStatus::OutOfMemory;
-        };
-        let chunk = Chunk { h, fill: Some(sizes), evicted: false };
-        let mut reclaimed: Option<ItemHandle> = None;
-        let (st, signal) = self.section(
-            Scope::Item,
-            &[Category::VolatileFlag, Category::Libc],
-            &[Category::RefcountRmw, Category::LogIo, Category::AssertAbort],
-            |ctx| {
-                reclaimed = None; // attempt-local: an aborted park rolls back
-                core.assoc.is_expanding(ctx, &self.policy)?;
-                self.link_body(ctx, w, op, hv, now, chunk, Some(&mut reclaimed))
-            },
-        );
-        if st != StoreStatus::Stored {
-            // Failed predicate: never published, so still private — straight
-            // back into the magazine instead of a slab-free transaction.
-            debug_assert!(reclaimed.is_none());
-            self.magazine_put(w, h);
-        }
-        if let Some(old) = reclaimed {
-            self.magazine_put(w, old);
-        }
-        if signal {
-            self.wake(true, false);
-        }
-        st
     }
 
     /// What every store does per op inside its link section, whoever

@@ -137,8 +137,6 @@ pub struct GetHit {
     /// Relative expiry (0 = never) — carried so `append`/`prepend` keep
     /// the TTL.
     pub exp: u32,
-    /// Whether the LRU position is stale enough to bump.
-    pub needs_bump: bool,
 }
 
 /// Why an allocation failed.
@@ -239,11 +237,9 @@ impl CacheCore {
         Ok(watermark == 0 || last as u64 > watermark)
     }
 
-    #[allow(clippy::too_many_arguments)]
     /// `do_item_get`: find, expiry-check, take a reference, copy the value
-    /// out, release. `bump_hint` models the 60-second `item_update`
-    /// rate-limit (the driver derives it from its op counter; wall-clock
-    /// seconds barely advance in a benchmark run).
+    /// out, release. Whether to bump the item's LRU position afterwards
+    /// (`item_update`) is the caller's call.
     ///
     /// `elide_refcount` is the §5 future-work optimization the paper
     /// credits to transactionalization ("it might be possible to replace
@@ -258,7 +254,6 @@ impl CacheCore {
         key: &[u8],
         hv: u32,
         now: u32,
-        bump_hint: bool,
         elide_refcount: bool,
     ) -> Result<Option<GetHit>, Abort> {
         let Some(h) = self.assoc.find(ctx, policy, &self.arena, key, hv)? else {
@@ -299,7 +294,6 @@ impl CacheCore {
             flags,
             cas,
             exp,
-            needs_bump: bump_hint,
         }))
     }
 
@@ -362,29 +356,20 @@ impl CacheCore {
         let Some((sizes, class)) = self.size_item(key, client_flags, nbytes) else {
             return Ok(Err(AllocError::TooLarge));
         };
-        let mut evicted = 0u32;
-        let handle = loop {
-            if let Some(h) = self.arena.alloc_from(ctx, policy, class)? {
-                break h;
-            }
-            if evicted as usize >= EVICTION_TRIES
-                || !self.evict_one(ctx, policy, class, held_stripe)?
-            {
-                // Ask the rebalancer for a page (raise the volatile signal
-                // and record the starving class) before failing the store.
-                ctx.put_word(self.arena.needy_class.word(), class as u64)?;
-                ctx.volatile_write(policy, self.arena.rebalance_signal.word(), 1)?;
-                return Ok(Err(AllocError::OutOfMemory));
-            }
-            evicted += 1;
-        };
-        if evicted > 0 {
-            // Eviction pressure: same request, softer form.
+        let mut handle = None;
+        let (_, evicted) = self.alloc_chunks(ctx, policy, class, 1, held_stripe, |h| handle = Some(h))?;
+        if handle.is_none() || evicted > 0 {
+            // Ask the rebalancer for a page (raise the volatile signal and
+            // record the starving class): before failing the store, or,
+            // under eviction pressure, the same request in softer form.
             ctx.put_word(self.arena.needy_class.word(), class as u64)?;
             ctx.volatile_write(policy, self.arena.rebalance_signal.word(), 1)?;
         }
+        let Some(handle) = handle else {
+            return Ok(Err(AllocError::OutOfMemory));
+        };
         self.init_item(ctx, policy, handle, key, client_flags, exptime, sizes, now)?;
-        Ok(Ok(Allocation { handle, evicted }))
+        Ok(Ok(Allocation { handle, evicted: evicted as u32 }))
     }
 
     /// Sizing half of `do_item_alloc` (memcached's `item_make_header`):
@@ -433,32 +418,38 @@ impl CacheCore {
         it.write_suffix(ctx, policy, sizes, client_flags)
     }
 
-    /// Magazine refill: pop up to `n` chunks of `class` in one call —
-    /// meant to run inside ONE short transaction — evicting from the
-    /// class's LRU when the pool runs dry. Eviction write-backs thereby
-    /// batch into the refill instead of costing one slab transaction per
-    /// SET. Returns `(chunks_popped, items_evicted)`; zero chunks means
-    /// the pool is exhausted and nothing was evictable (the caller
-    /// flushes magazines and/or raises the rebalance signal).
-    pub fn refill_batch<'e>(
+    /// The one alloc-or-evict loop: pops up to `n` chunks of `class` into
+    /// `take`, evicting from the class's LRU tail (at most
+    /// `EVICTION_TRIES` victims) whenever the pool runs dry. A store's
+    /// allocation asks for one chunk; a magazine refill asks for a whole
+    /// row in ONE short transaction, so its eviction write-backs batch
+    /// into the refill instead of costing one slab transaction per SET.
+    /// Chunks come out as from [`SlabArena::alloc_from`]: accounted
+    /// allocated, so a magazine-held one never looks free to
+    /// [`SlabArena::rebalance_step`]. `held_stripe` is the caller's item
+    /// lock, for the trylock on victims. Returns `(chunks_popped,
+    /// items_evicted)`; raising the rebalance signal is the caller's call.
+    pub fn alloc_chunks<'e>(
         &'e self,
         ctx: &mut Ctx<'_, 'e>,
         policy: &Policy,
         class: u8,
         n: usize,
-        out: &mut Vec<ItemHandle>,
+        held_stripe: usize,
+        mut take: impl FnMut(ItemHandle),
     ) -> Result<(usize, usize), Abort> {
-        let mut got = 0usize;
-        let mut evicted = 0usize;
+        let (mut got, mut evicted) = (0, 0);
         while got < n {
-            got += self.arena.alloc_batch(ctx, policy, class, n - got, out)?;
-            if got >= n {
-                break;
+            match self.arena.alloc_from(ctx, policy, class)? {
+                Some(h) => {
+                    take(h);
+                    got += 1;
+                }
+                None if evicted < EVICTION_TRIES && self.evict_one(ctx, policy, class, held_stripe)? => {
+                    evicted += 1
+                }
+                None => break,
             }
-            if evicted >= EVICTION_TRIES || !self.evict_one(ctx, policy, class, usize::MAX)? {
-                break;
-            }
-            evicted += 1;
         }
         Ok((got, evicted))
     }
@@ -707,7 +698,7 @@ mod tests {
     fn get(core: &CacheCore, policy: &Policy, key: &[u8], now: u32) -> Option<Vec<u8>> {
         let mut ctx = Ctx::Direct;
         let hv = crate::hashes::jenkins_hash(key, 0);
-        core.item_get(&mut ctx, policy, key, hv, now, false, false)
+        core.item_get(&mut ctx, policy, key, hv, now, false)
             .unwrap()
             .map(|h| h.value)
     }
@@ -729,12 +720,12 @@ mod tests {
         set(&c, &p, b"k", b"v1", 0, 1);
         let hv = crate::hashes::jenkins_hash(b"k", 0);
         let cas1 = c
-            .item_get(&mut ctx, &p, b"k", hv, 1, false, false)
+            .item_get(&mut ctx, &p, b"k", hv, 1, false)
             .unwrap()
             .unwrap()
             .cas;
         set(&c, &p, b"k", b"v2-longer", 0, 2);
-        let hit = c.item_get(&mut ctx, &p, b"k", hv, 2, false, false).unwrap().unwrap();
+        let hit = c.item_get(&mut ctx, &p, b"k", hv, 2, false).unwrap().unwrap();
         assert_eq!(hit.value, b"v2-longer");
         assert!(hit.cas > cas1);
         assert_eq!(c.global.snapshot().curr_items, 1);

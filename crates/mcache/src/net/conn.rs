@@ -259,8 +259,7 @@ impl Connection {
             if self.swallow > 0 || self.rbuf.is_empty() {
                 return false;
             }
-            let outcome = run_frames(cache, w, shared, &self.rbuf);
-            self.wbuf.extend_from_slice(&outcome.out);
+            let outcome = run_frames(cache, w, shared, &self.rbuf, &mut self.wbuf);
             self.rbuf.drain(..outcome.consumed);
             self.swallow = outcome.swallow;
             if outcome.close {
@@ -275,7 +274,6 @@ impl Connection {
 }
 
 pub(crate) struct DispatchOutcome {
-    pub(crate) out: Vec<u8>,
     pub(crate) consumed: usize,
     pub(crate) swallow: usize,
     pub(crate) close: bool,
@@ -291,10 +289,15 @@ pub(crate) struct DispatchOutcome {
 /// when it is full, before a frame error is answered, and at the end — so
 /// its runs are exactly the client's burst. `stats` reads this layer's
 /// counters, after the cache's, only when it executes; `quit` closes.
-/// Shared by the stream transports (via [`Connection`]) and the UDP
-/// endpoint (one datagram payload = one run).
-pub(crate) fn run_frames(cache: &McCache, w: usize, shared: &Shared, buf: &[u8]) -> DispatchOutcome {
-    let mut out = Vec::new();
+/// Replies are appended to `out`: the connection's write buffer, or the
+/// UDP endpoint's reply buffer (one datagram payload = one run).
+pub(crate) fn run_frames(
+    cache: &McCache,
+    w: usize,
+    shared: &Shared,
+    buf: &[u8],
+    out: &mut Vec<u8>,
+) -> DispatchOutcome {
     let (mut consumed, mut swallow, mut close, mut more) = (0, 0, false, false);
     let (mut reqs, mut keys) = (Vec::new(), Vec::new());
     let flush = |reqs: &mut Vec<_>, keys: &mut Vec<_>, out: &mut Vec<u8>| {
@@ -309,14 +312,15 @@ pub(crate) fn run_frames(cache: &McCache, w: usize, shared: &Shared, buf: &[u8])
     // whether they run. Without this, the frames already ingested into
     // `rbuf` could amplify into an arbitrarily large `out` in a single
     // dispatch — budget-checking only future reads would not bound it.
-    let out_budget = shared.cfg.wbuf_high_water.max(1);
+    // The budget counts from what `out` already held.
+    let out_budget = out.len() + shared.cfg.wbuf_high_water.max(1);
     loop {
         if out.len() >= out_budget {
             more = consumed < buf.len();
             break;
         }
         if reqs.len() >= MAX_FRAMES_PER_RUN {
-            flush(&mut reqs, &mut keys, &mut out);
+            flush(&mut reqs, &mut keys, out);
             continue;
         }
         match proto::decode(&buf[consumed..], &mut keys) {
@@ -336,7 +340,7 @@ pub(crate) fn run_frames(cache: &McCache, w: usize, shared: &Shared, buf: &[u8])
             }) => {
                 // Answer in order. A bad frame that is delimited leaves
                 // the stream in sync; a swallow or a close ends the run.
-                flush(&mut reqs, &mut keys, &mut out);
+                flush(&mut reqs, &mut keys, out);
                 shared.stats.frame_errors.fetch_add(1, Ordering::Relaxed);
                 out.extend_from_slice(&response);
                 consumed += c;
@@ -348,9 +352,8 @@ pub(crate) fn run_frames(cache: &McCache, w: usize, shared: &Shared, buf: &[u8])
             Err(_incomplete) => break,
         }
     }
-    flush(&mut reqs, &mut keys, &mut out);
+    flush(&mut reqs, &mut keys, out);
     DispatchOutcome {
-        out,
         consumed,
         swallow,
         close,

@@ -124,8 +124,9 @@ fn serve_datagram(
     if payload.is_empty() {
         return;
     }
-    let outcome = run_frames(cache, w, shared, payload);
-    if outcome.consumed + outcome.swallow < payload.len() && outcome.out.is_empty() {
+    let mut out = Vec::new();
+    let outcome = run_frames(cache, w, shared, payload, &mut out);
+    if outcome.consumed + outcome.swallow < payload.len() && out.is_empty() {
         // A truncated tail with nothing served: the datagram carried a
         // partial frame that can never complete (no stream to read).
         shared.stats.frame_errors.fetch_add(1, Ordering::Relaxed);
@@ -135,10 +136,10 @@ fn serve_datagram(
         // Served what was complete; the partial tail is an error.
         shared.stats.frame_errors.fetch_add(1, Ordering::Relaxed);
     }
-    if outcome.out.is_empty() {
+    if out.is_empty() {
         return; // all-noreply runs answer nothing
     }
-    let chunks: Vec<&[u8]> = outcome.out.chunks(UDP_PAYLOAD_MAX).collect();
+    let chunks: Vec<&[u8]> = out.chunks(UDP_PAYLOAD_MAX).collect();
     if chunks.len() > u16::MAX as usize {
         // Cannot be sequenced in 16 bits; drop, as memcached drops
         // responses that exceed the UDP reply window.

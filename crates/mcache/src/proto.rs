@@ -28,7 +28,7 @@ use std::mem::discriminant;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::cache::{ArithStatus, GetValue, McCache, StoreMode, StoreOp, StoreStatus};
+use crate::cache::{ArithStatus, GetValue, McCache, PerOp, StoreMode, StoreOp, StoreStatus};
 use crate::net::NetStats;
 use crate::policy::Branch;
 
@@ -422,13 +422,15 @@ impl Sink for Option<Response> {
 /// One run rule, whatever the protocol and whether quiet or loud:
 /// consecutive get-class requests are one [`McCache::get_multi`] over all
 /// their keys, consecutive set/add/replace/cas stores one
-/// [`McCache::store_batch`], everything else runs alone. Both batch calls
-/// fall back to per-request `get`/`store` on the lock and IP branches, and
-/// a run of one calls them directly, so a lone request's transactions are
-/// its single-request shape. Each run has one panic guard: a panic answers
-/// every request in the run with its protocol's panic reply, and is
-/// counted in [`McCache::request_panics`] (a run's cache call finishes
-/// before any of its replies is encoded, so none of them is half out).
+/// [`McCache::store_batch`], everything else runs alone. A lone get or
+/// store is a run of one like any other. The executor calls the two
+/// calls' drivers ([`McCache::read_run`], [`McCache::store_run`]), which
+/// give a run of one the single request's transactions and keep its
+/// answers on the stack rather than in a `Vec`. Each run has one panic
+/// guard: a panic answers every request in the run with its protocol's
+/// panic reply, and is counted in [`McCache::request_panics`] (a run's
+/// cache call finishes before any of its replies is encoded, so none of
+/// them is half out).
 /// `stats` reads its counters when it executes, `net`'s among them behind
 /// a server.
 pub(crate) fn run(
@@ -475,18 +477,7 @@ fn execute(
 ) {
     match (&batch[0].cmd, &batch[batch.len() - 1].cmd) {
         (Cmd::Get(first), Cmd::Get(last)) => {
-            let all = &keys[first.start..last.end];
-            let (mut one, mut many);
-            let mut values: &mut [Option<GetValue>] = match all {
-                [key] => {
-                    one = [cache.get(w, key)];
-                    &mut one
-                }
-                _ => {
-                    many = cache.get_multi(w, all);
-                    &mut many
-                }
-            };
+            let mut values = &mut cache.read_run(w, &keys[first.start..last.end])[..];
             for r in batch {
                 let Cmd::Get(ks) = &r.cmd else { unreachable!("a get run") };
                 let (mine, later) = std::mem::take(&mut values).split_at_mut(ks.len());
@@ -494,18 +485,12 @@ fn execute(
                 r.answer(Outcome::Values(&keys[ks.clone()], mine), out);
             }
         }
-        (&Cmd::Store(op), _) if batch.len() == 1 => {
-            batch[0].answer(Outcome::Stored(cache.store_op(w, op)), out);
-        }
         (Cmd::Store(_), _) => {
-            let ops: Vec<StoreOp<'_>> = batch
-                .iter()
-                .filter_map(|r| match r.cmd {
-                    Cmd::Store(op) => Some(op),
-                    _ => None,
-                })
-                .collect();
-            for (r, st) in batch.iter().zip(cache.store_batch(w, &ops)) {
+            let ops = PerOp::new(batch.iter().map(|r| match r.cmd {
+                Cmd::Store(op) => op,
+                _ => unreachable!("a store run"),
+            }));
+            for (r, &st) in batch.iter().zip(cache.store_run(w, &ops).iter()) {
                 r.answer(Outcome::Stored(st), out);
             }
         }

@@ -276,49 +276,6 @@ impl SlabArena {
         Ok(())
     }
 
-    /// Pops up to `n` free chunks of class `c` into `out` — the magazine
-    /// refill primitive. One call inside one transaction amortizes the
-    /// freelist-head and free-count traffic across the whole batch instead
-    /// of paying it once per SET. Chunks come out exactly as from
-    /// [`SlabArena::alloc_from`] and are accounted *allocated*
-    /// (`free_count` and `page_free` both drop), so a magazine-held chunk
-    /// can never be swept up by [`SlabArena::rebalance_step`]'s
-    /// fully-free-page scan. Returns how many chunks were popped; fewer
-    /// than `n` means the pool ran dry (the caller evicts or flushes).
-    pub fn alloc_batch<'e>(
-        &'e self,
-        ctx: &mut Ctx<'_, 'e>,
-        policy: &Policy,
-        c: u8,
-        n: usize,
-        out: &mut Vec<ItemHandle>,
-    ) -> Result<usize, Abort> {
-        let mut got = 0;
-        while got < n {
-            match self.alloc_from(ctx, policy, c)? {
-                Some(h) => {
-                    out.push(h);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(got)
-    }
-
-    /// Returns a batch of chunks to their free lists — the magazine flush
-    /// primitive (one transaction per flush instead of one per chunk).
-    pub fn free_batch<'e>(
-        &'e self,
-        ctx: &mut Ctx<'_, 'e>,
-        hs: &[ItemHandle],
-    ) -> Result<(), Abort> {
-        for &h in hs {
-            self.free(ctx, h)?;
-        }
-        Ok(())
-    }
-
     /// Returns a chunk to its class's free list (`slabs_free`).
     pub fn free<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, h: ItemHandle) -> Result<(), Abort> {
         let cl = &self.classes[h.class as usize];

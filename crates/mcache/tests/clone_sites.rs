@@ -243,7 +243,7 @@ fn arith_core() -> CacheCore {
 fn arith_parse_and_write_back_agree() {
     let value = |core: &CacheCore| {
         let hv = jenkins_hash(b"n", 0);
-        let hit = core.item_get(&mut Ctx::Direct, &post_stage(), b"n", hv, 1, false, false);
+        let hit = core.item_get(&mut Ctx::Direct, &post_stage(), b"n", hv, 1, false);
         hit.unwrap().map(|h| h.value)
     };
     let (outcome, after) = three_ways(
