@@ -8,7 +8,7 @@
 //! frontier. Because transactional cells must have stable addresses, every
 //! generation's bucket array is preallocated at construction and the table
 //! "grows" by advancing the active generation. The generation, the flag and
-//! the frontier share one word ([`Route`]), so a reader that holds only its
+//! the frontier share one word (`Route`), so a reader that holds only its
 //! item stripe sees an expansion's flip whole.
 
 use std::ops::Range;

@@ -703,17 +703,18 @@ impl McCache {
                 // Expired-at-replay entries are skipped (and excluded from
                 // any compacted rewrite), and so is foreign garbage that
                 // still passed its crc.
-                rec.entries.retain(|e| {
+                let mut entries = std::mem::take(&mut rec.entries);
+                entries.retain(|e| {
                     (e.abs_exp == 0 || e.abs_exp > unix_now)
-                        && !e.key.is_empty()
-                        && e.key.len() <= KEY_MAX
+                        && (1..=KEY_MAX).contains(&rec.key(e).len())
                 });
+                rec.entries = entries;
                 // Compaction: once the log outgrows a segment and most of
                 // its bytes are dead, rewrite it as one sealed segment.
                 let live: u64 = rec
                     .entries
                     .iter()
-                    .map(|e| 64 + e.key.len() as u64 + e.value.len() as u64)
+                    .map(|e| 64 + rec.key(e).len() as u64 + rec.value(e).len() as u64)
                     .sum();
                 let compact = rec.log_bytes >= self.cfg.dur_segment_bytes
                     && (live as f64) < DUR_COMPACT_RATIO * rec.log_bytes as f64;
@@ -768,7 +769,8 @@ impl McCache {
             } else {
                 e.abs_exp.saturating_sub(self.fx.unix_base()) as u32
             };
-            let loaded = core.load_item(ctx, &policy, &e.key, &e.value, e.flags, rel_exp, now);
+            let (key, value) = (rec.key(e), rec.value(e));
+            let loaded = core.load_item(ctx, &policy, key, value, e.flags, rel_exp, now);
             stored += loaded.expect("direct").is_ok() as u64;
         }
         stored

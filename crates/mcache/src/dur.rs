@@ -31,11 +31,13 @@
 //! once, and every later append is a no-op. A durability fault never
 //! panics a worker and never blocks a commit.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Segment filename prefix; full name is `seg-{epoch:016x}-{index:08}.log`.
@@ -415,6 +417,17 @@ impl<'a> RecordRef<'a> {
         };
         r.0.is_empty().then_some((stamp, rec))
     }
+
+    /// The key a record changes; `None` for `FlushAll` and `Seal`.
+    fn key(&self) -> Option<&'a [u8]> {
+        match *self {
+            RecordRef::Set { key, .. }
+            | RecordRef::Del { key }
+            | RecordRef::Arith { key, .. }
+            | RecordRef::Touch { key, .. } => Some(key),
+            RecordRef::FlushAll { .. } | RecordRef::Seal => None,
+        }
+    }
 }
 
 fn segment_name(epoch: u64, index: u32) -> String {
@@ -721,11 +734,11 @@ impl DurLog {
 // ---------------------------------------------------------------------
 // Recovery.
 
-/// One live entry reconstructed from the log.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One live entry reconstructed from the log: its metadata, and where its
+/// key and value sit in the [`Recovery`] it came from
+/// ([`Recovery::key`], [`Recovery::value`]).
+#[derive(Clone, Copy, Debug)]
 pub struct RecoveredEntry {
-    /// Key bytes.
-    pub key: Vec<u8>,
     /// Client flags.
     pub flags: u32,
     /// Absolute expiry, Unix seconds; 0 = never. Callers skip entries
@@ -733,12 +746,38 @@ pub struct RecoveredEntry {
     pub abs_exp: u64,
     /// Last store/touch time, Unix seconds.
     pub stored_unix: u64,
-    /// Value bytes.
-    pub value: Vec<u8>,
+    key: Span,
+    value: Span,
+}
+
+/// Bytes `off..off + len` of one of a [`Recovery`]'s two images.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    off: u64,
+    len: u32,
+    image: Image,
+}
+
+/// Which of a [`Recovery`]'s images a [`Span`] reads.
+#[derive(Clone, Copy, Debug)]
+enum Image {
+    /// The segments, read end to end.
+    Log,
+    /// The decimal text of the surviving `Arith` post-images.
+    Rendered,
+}
+
+impl Span {
+    /// Where `part`, a slice of the log image `log`, sits in it.
+    fn of(log: &[u8], part: &[u8]) -> Span {
+        let off = part.as_ptr() as usize - log.as_ptr() as usize;
+        debug_assert!(off + part.len() <= log.len());
+        Span { off: off as u64, len: part.len() as u32, image: Image::Log }
+    }
 }
 
 /// The outcome of a recovery scan.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct Recovery {
     /// Live entries (flush watermark applied; expiry left to the
     /// caller's clock), ordered by `(epoch, commit stamp, append order)`
@@ -760,24 +799,66 @@ pub struct Recovery {
     pub log_bytes: u64,
     /// True if the final segment ended in a clean [`Record::Seal`].
     pub sealed_tail: bool,
+    /// What the entries point into: every segment file, end to end in
+    /// segment order, in one allocation.
+    log: Vec<u8>,
+    /// The rest of what they point into (see [`Image::Rendered`]).
+    rendered: Vec<u8>,
+}
+
+impl Recovery {
+    fn bytes(&self, s: Span) -> &[u8] {
+        let image = match s.image {
+            Image::Log => &self.log,
+            Image::Rendered => &self.rendered,
+        };
+        &image[s.off as usize..][..s.len as usize]
+    }
+
+    /// The key bytes of `e`, one of this recovery's entries.
+    pub fn key(&self, e: &RecoveredEntry) -> &[u8] {
+        self.bytes(e.key)
+    }
+
+    /// The value bytes of `e`, one of this recovery's entries.
+    pub fn value(&self, e: &RecoveredEntry) -> &[u8] {
+        self.bytes(e.value)
+    }
+}
+
+impl std::fmt::Debug for Recovery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Recovery")
+            .field("entries", &self.entries.len())
+            .field("cas_floor", &self.cas_floor)
+            .field("torn_records_dropped", &self.torn_records_dropped)
+            .field("records_scanned", &self.records_scanned)
+            .field("segments", &self.segments)
+            .field("max_epoch", &self.max_epoch)
+            .field("log_bytes", &self.log_bytes)
+            .field("sealed_tail", &self.sealed_tail)
+            .finish_non_exhaustive()
+    }
 }
 
 /// One intact record of a scanned segment: where its payload sits in the
-/// segment's buffer, and the two words the fold orders by. 32 bytes — the
-/// sort moves these, never a key or a value.
+/// log image, the two words the fold orders by, and the keyed hash of its
+/// key (0 for a keyless record). 40 bytes — the sort moves these, never a
+/// key or a value.
 #[derive(Clone, Copy)]
 struct Slot {
     epoch: u64,
     stamp: u64,
+    hash: u64,
     off: u64,
-    seg: u32,
     len: u32,
 }
 
-/// One segment file, read whole and walked once.
+const _: () = assert!(std::mem::size_of::<Slot>() == 40, "a Slot is 40 bytes");
+
+/// What the walk of one segment found.
 #[derive(Default)]
 struct Segment {
-    data: Vec<u8>,
     /// `cas_floor` from the header (0 under a bad one).
     hdr_floor: u64,
     /// Intact records in file order.
@@ -806,11 +887,18 @@ fn frame_at(rest: &[u8]) -> Option<(u64, RecordRef<'_>, usize)> {
     Some((stamp, rec, payload.len()))
 }
 
-/// Reads segment number `seg` whole and walks it: header check, then
+/// Reads the segment at `path` into `data`, its part of the log image
+/// (which starts at log offset `base`), and walks it: header check, then
 /// frames until a seal, a clean end (a crash that left the tail intact),
-/// or the first bad frame — which ends this segment only.
-fn scan_segment(seg: u32, path: &Path) -> io::Result<Segment> {
-    let data = fs::read(path)?;
+/// or the first bad frame — which ends this segment only. Each record's
+/// key is hashed here, under `keys`, so the fold never hashes.
+fn scan_segment(
+    path: &Path,
+    base: usize,
+    data: &mut [u8],
+    keys: &RandomState,
+) -> io::Result<Segment> {
+    File::open(path)?.read_exact(data)?;
     let mut out = Segment::default();
     if data.len() < HEADER_BYTES as usize
         || &data[..8] != SEG_MAGIC
@@ -818,41 +906,62 @@ fn scan_segment(seg: u32, path: &Path) -> io::Result<Segment> {
         || crc32(&data[8..28]) != le32(&data[28..])
     {
         out.torn = true;
-    } else {
-        let epoch = le64(&data[12..]);
-        out.hdr_floor = le64(&data[20..]);
-        let mut at = HEADER_BYTES as usize;
-        while at < data.len() {
-            let Some((stamp, rec, len)) = frame_at(&data[at..]) else {
-                out.torn = true;
-                break;
-            };
-            at += 8 + len;
-            if matches!(rec, RecordRef::Seal) {
-                out.sealed = at == data.len();
-                break;
-            }
-            out.slots.push(Slot { epoch, stamp, off: (at - len) as u64, seg, len: len as u32 });
-        }
+        return Ok(out);
     }
-    out.data = data;
+    let epoch = le64(&data[12..]);
+    out.hdr_floor = le64(&data[20..]);
+    let mut at = HEADER_BYTES as usize;
+    while at < data.len() {
+        let Some((stamp, rec, len)) = frame_at(&data[at..]) else {
+            out.torn = true;
+            break;
+        };
+        at += 8 + len;
+        if matches!(rec, RecordRef::Seal) {
+            out.sealed = at == data.len();
+            break;
+        }
+        let hash = rec.key().map_or(0, |key| keys.hash_one(key));
+        let off = (base + at - len) as u64;
+        out.slots.push(Slot { epoch, stamp, hash, off, len: len as u32 });
+    }
     Ok(out)
 }
 
-/// Scans every segment, in parallel: `available_parallelism()` workers
-/// (never more than there are segments, the caller being one of them)
-/// each take the next unscanned file. The result is in segment order,
-/// whichever worker scanned what.
-fn scan_segments(segs: &[(u64, u32, PathBuf)]) -> io::Result<Vec<Segment>> {
-    let next = AtomicUsize::new(0);
+/// Reads every segment into one log image and scans them, in parallel:
+/// `available_parallelism()` workers (never more than there are
+/// segments, the caller being one of them) each take the next unscanned
+/// file. The walks come back in segment order, whichever worker scanned
+/// what.
+///
+/// The image is one allocation, made here: a log past glibc's largest
+/// mmap threshold (32 MiB) is a mapping of its own, which freeing unmaps
+/// at once, where segment-sized buffers would be carved from the scan
+/// workers' malloc arenas, whose tops `malloc_trim` keeps resident.
+fn scan_segments(
+    segs: &[(u64, u32, PathBuf)],
+    keys: &RandomState,
+) -> io::Result<(Vec<u8>, Vec<Segment>)> {
+    let mut lens = Vec::with_capacity(segs.len());
+    for (_, _, path) in segs {
+        lens.push(fs::metadata(path)?.len() as usize);
+    }
+    let mut log = vec![0u8; lens.iter().sum()];
+    let mut parts = Vec::with_capacity(segs.len());
+    let (mut rest, mut base) = (&mut log[..], 0);
+    for (&len, (_, _, path)) in lens.iter().zip(segs) {
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        parts.push((path, base, part));
+        (rest, base) = (tail, base + len);
+    }
+    let next = Mutex::new(parts.into_iter().enumerate());
     let worker = || {
         let mut mine = Vec::new();
         loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some((_, _, path)) = segs.get(i) else {
+            let Some((i, (path, base, data))) = next.lock().unwrap().next() else {
                 return mine;
             };
-            mine.push((i, scan_segment(i as u32, path)));
+            mine.push((i, scan_segment(path, base, data, keys)));
         }
     };
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(segs.len());
@@ -865,19 +974,61 @@ fn scan_segments(segs: &[(u64, u32, PathBuf)]) -> io::Result<Vec<Segment>> {
         scanned
     });
     scanned.sort_unstable_by_key(|&(i, _)| i);
-    scanned.into_iter().map(|(_, seg)| seg).collect()
+    let walks = scanned.into_iter().map(|(_, seg)| seg).collect::<io::Result<_>>()?;
+    Ok((log, walks))
 }
 
-/// What the fold knows about a live key: its post-image so far, borrowed
-/// from the segment buffers.
-struct Live<'a> {
+/// A key as the fold's map holds it: borrowed from the log image, with
+/// the keyed hash the scan computed for it.
+struct Hashed<'a> {
+    hash: u64,
+    key: &'a [u8],
+}
+
+impl Hash for Hashed<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for Hashed<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl Eq for Hashed<'_> {}
+
+/// The fold map's hasher: it is only ever fed a [`Hashed`]'s stored hash,
+/// and hands it back.
+#[derive(Default)]
+struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the fold hashes nothing but stored hashes");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// What the fold knows about a live key: where its key and post-image
+/// sit in the log image.
+struct Live {
     /// Fold position of the last record that changed the entry.
     at: usize,
     flags: u32,
     abs_exp: u64,
     stored_unix: u64,
+    key: Span,
     /// `Err` = an arith post-image, rendered only if the entry survives.
-    value: Result<&'a [u8], u64>,
+    value: Result<Span, u64>,
 }
 
 /// Scans every segment under `dir`, drops torn/corrupt tails, orders the
@@ -885,9 +1036,11 @@ struct Live<'a> {
 /// last-writer-wins, into the live entries. A missing directory is an
 /// empty log.
 ///
-/// Records are decoded as slices into the segment buffers and the sort
-/// moves a 32-byte [`Slot`] per record, so a record that loses the fold
-/// costs no allocation; only the winners are copied out.
+/// The scan hashes each record's key with SipHash under a key drawn for
+/// this recovery, so a crafted log cannot flood the fold; the fold probes
+/// on those stored hashes, and the sort moves a 40-byte `Slot` per record.
+/// The returned [`Recovery`] keeps the log image, and each entry is a
+/// position in it: nothing is copied per record or per entry.
 pub fn recover(dir: &Path) -> io::Result<Recovery> {
     let mut out = Recovery::default();
     let segs = match list_segments(dir) {
@@ -895,16 +1048,16 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
         Err(e) => return Err(e),
     };
-    let mut scanned = scan_segments(&segs)?;
-    let mut slots = Vec::with_capacity(scanned.iter().map(|s| s.slots.len()).sum());
-    for (&(epoch, _, _), seg) in segs.iter().zip(&mut scanned) {
+    let (log, walks) = scan_segments(&segs, &RandomState::new())?;
+    out.log_bytes = log.len() as u64;
+    let mut slots = Vec::with_capacity(walks.iter().map(|s| s.slots.len()).sum());
+    for (&(epoch, _, _), seg) in segs.iter().zip(walks) {
         out.segments += 1;
         out.max_epoch = out.max_epoch.max(epoch);
-        out.log_bytes += seg.data.len() as u64;
         out.torn_records_dropped += seg.torn as u64;
         out.cas_floor = out.cas_floor.max(seg.hdr_floor);
         out.sealed_tail = seg.sealed;
-        slots.extend(std::mem::take(&mut seg.slots));
+        slots.extend(seg.slots);
     }
     out.records_scanned = slots.len() as u64;
     // Serialization order: epoch (process run), then commit stamp; the
@@ -912,32 +1065,34 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
     // keep file append order — same-key appends under one item lock are
     // written in lock order.
     slots.sort_by_key(|s| (s.epoch, s.stamp));
-    let mut live: HashMap<&[u8], Live<'_>> = HashMap::new();
+    let mut live: HashMap<Hashed<'_>, Live, BuildHasherDefault<StoredHash>> = HashMap::default();
     // `flush_all` is time-based like the live cache's `is_live`: the max
     // watermark kills every entry stored at or before it, regardless of
     // replay position (a store in the flush second dies even if its
     // commit stamped after the flush — exactly memcached's rule).
     let mut flush_watermark = 0u64;
     for (at, slot) in slots.iter().enumerate() {
-        let data = &scanned[slot.seg as usize].data;
-        let payload = &data[slot.off as usize..][..slot.len as usize];
+        let payload = &log[slot.off as usize..][..slot.len as usize];
         let (_, rec) = RecordRef::decode(payload).expect("the scan decoded this payload");
+        let hashed = |key| Hashed { hash: slot.hash, key };
         match rec {
             RecordRef::Set { cas, flags, abs_exp, stored_unix, key, value } => {
                 out.cas_floor = out.cas_floor.max(cas);
-                live.insert(key, Live { at, flags, abs_exp, stored_unix, value: Ok(value) });
+                let (key_at, value) = (Span::of(&log, key), Span::of(&log, value));
+                let e = Live { at, flags, abs_exp, stored_unix, key: key_at, value: Ok(value) };
+                live.insert(hashed(key), e);
             }
             RecordRef::Del { key } => {
-                live.remove(key);
+                live.remove(&hashed(key));
             }
             RecordRef::Arith { cas, value, key } => {
                 out.cas_floor = out.cas_floor.max(cas);
-                if let Some(e) = live.get_mut(key) {
+                if let Some(e) = live.get_mut(&hashed(key)) {
                     (e.at, e.value) = (at, Err(value));
                 }
             }
             RecordRef::Touch { abs_exp, touched_unix, key } => {
-                if let Some(e) = live.get_mut(key) {
+                if let Some(e) = live.get_mut(&hashed(key)) {
                     (e.at, e.abs_exp, e.stored_unix) = (at, abs_exp, touched_unix);
                 }
             }
@@ -947,25 +1102,36 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
             RecordRef::Seal => unreachable!("seals never enter the slot list"),
         }
     }
+    // Each fold position changed one key at most, so a table indexed by
+    // position puts the winners in fold order without a sort.
+    let mut winners = Vec::with_capacity(live.len());
+    winners.extend(
+        live.into_values()
+            .filter(|e| flush_watermark == 0 || e.stored_unix > flush_watermark),
+    );
+    let mut by_at = vec![0u32; slots.len()];
     drop(slots);
-    let mut winners: Vec<(&[u8], Live<'_>)> = live
-        .into_iter()
-        .filter(|(_, e)| flush_watermark == 0 || e.stored_unix > flush_watermark)
-        .collect();
-    winners.sort_unstable_by_key(|(_, e)| e.at);
-    out.entries = winners
-        .into_iter()
-        .map(|(key, e)| RecoveredEntry {
-            key: key.to_vec(),
+    for (i, e) in winners.iter().enumerate() {
+        by_at[e.at] = i as u32 + 1;
+    }
+    let rendered = &mut out.rendered;
+    out.entries = Vec::with_capacity(winners.len());
+    out.entries.extend(by_at.iter().filter(|&&i| i != 0).map(|&i| {
+        let e = &winners[i as usize - 1];
+        let value = e.value.unwrap_or_else(|n| {
+            let off = rendered.len();
+            write!(rendered, "{n}").expect("a Vec takes every write");
+            Span { off: off as u64, len: (rendered.len() - off) as u32, image: Image::Rendered }
+        });
+        RecoveredEntry {
             flags: e.flags,
             abs_exp: e.abs_exp,
             stored_unix: e.stored_unix,
-            value: match e.value {
-                Ok(bytes) => bytes.to_vec(),
-                Err(n) => n.to_string().into_bytes(),
-            },
-        })
-        .collect();
+            key: e.key,
+            value,
+        }
+    }));
+    out.log = log;
     Ok(out)
 }
 
@@ -991,8 +1157,8 @@ pub fn compact(dir: &Path, rec: &Recovery, unix_now: u64) -> io::Result<u64> {
             flags: e.flags,
             abs_exp: e.abs_exp,
             stored_unix: e.stored_unix.min(unix_now),
-            key: &e.key,
-            value: &e.value,
+            key: rec.key(e),
+            value: rec.value(e),
         };
         set.encode_framed_into(i as u64 + 1, &mut buf);
         if buf.len() >= COMPACT_CHUNK {
@@ -1022,10 +1188,12 @@ mod tests {
 
     /// The recovery the pipeline above replaced, kept as the differential
     /// oracle and sharing nothing with it: a byte-at-a-time CRC, a decoder
-    /// that owns what it decodes, a full sort of owned records and a fold
-    /// into an owned map.
+    /// that owns what it decodes, a full sort of owned records, a fold
+    /// into an owned map keyed by owned keys, and a sort of the winners by
+    /// the fold position of the last record that changed each.
     mod reference {
         use super::super::*;
+        use super::{outcome, Outcome, Owned};
         use std::io::Read;
 
         pub fn crc32(data: &[u8]) -> u32 {
@@ -1091,11 +1259,11 @@ mod tests {
             r.0.is_empty().then_some((stamp, rec))
         }
 
-        pub fn recover(dir: &Path) -> io::Result<Recovery> {
+        pub fn recover(dir: &Path) -> io::Result<Outcome> {
             let mut out = Recovery::default();
             let segs = match list_segments(dir) {
                 Ok(s) => s,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(outcome(out)),
                 Err(e) => return Err(e),
             };
             let mut records: Vec<(u64, u64, u64, Record)> = Vec::new();
@@ -1154,28 +1322,29 @@ mod tests {
                 }
             }
             records.sort_by_key(|&(e, s, q, _)| (e, s, q));
-            let mut map: HashMap<Vec<u8>, RecoveredEntry> = HashMap::new();
+            // Each live key's entry and the position of its last change.
+            let mut map: HashMap<Vec<u8>, (usize, Owned)> = HashMap::new();
             let mut flush_watermark = 0u64;
-            for (_, _, _, rec) in records {
+            for (at, (_, _, _, rec)) in records.into_iter().enumerate() {
                 match rec {
                     Record::Set { cas, flags, abs_exp, stored_unix, key, value } => {
                         out.cas_floor = out.cas_floor.max(cas);
-                        map.insert(
-                            key.clone(),
-                            RecoveredEntry { key, flags, abs_exp, stored_unix, value },
-                        );
+                        let e = Owned { key: key.clone(), value, flags, abs_exp, stored_unix };
+                        map.insert(key, (at, e));
                     }
                     Record::Del { key } => {
                         map.remove(&key);
                     }
                     Record::Arith { cas, value, key } => {
                         out.cas_floor = out.cas_floor.max(cas);
-                        if let Some(e) = map.get_mut(&key) {
+                        if let Some((last, e)) = map.get_mut(&key) {
+                            *last = at;
                             e.value = value.to_string().into_bytes();
                         }
                     }
                     Record::Touch { abs_exp, touched_unix, key } => {
-                        if let Some(e) = map.get_mut(&key) {
+                        if let Some((last, e)) = map.get_mut(&key) {
+                            *last = at;
                             e.abs_exp = abs_exp;
                             e.stored_unix = touched_unix;
                         }
@@ -1186,11 +1355,14 @@ mod tests {
                     Record::Seal => unreachable!("seals never enter the record list"),
                 }
             }
-            out.entries = map
+            let mut live: Vec<(usize, Owned)> = map
                 .into_values()
-                .filter(|e| flush_watermark == 0 || e.stored_unix > flush_watermark)
+                .filter(|(_, e)| flush_watermark == 0 || e.stored_unix > flush_watermark)
                 .collect();
-            Ok(out)
+            live.sort_by_key(|&(at, _)| at);
+            let mut got = outcome(out);
+            got.0 = live.into_iter().map(|(_, e)| e).collect();
+            Ok(got)
         }
     }
 
@@ -1308,8 +1480,8 @@ mod tests {
         assert_eq!(rec.cas_floor, 3);
         assert_eq!(rec.entries.len(), 1);
         let e = &rec.entries[0];
-        assert_eq!(e.key, b"b");
-        assert_eq!(e.value, b"5", "arith must replace the value text");
+        assert_eq!(rec.key(e), b"b");
+        assert_eq!(rec.value(e), b"5", "arith must replace the value text");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1329,7 +1501,7 @@ mod tests {
         assert_eq!(rec.torn_records_dropped, 1);
         assert_eq!(rec.records_scanned, 1);
         assert_eq!(rec.entries.len(), 1);
-        assert_eq!(rec.entries[0].key, b"a");
+        assert_eq!(rec.key(&rec.entries[0]), b"a");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1365,7 +1537,7 @@ mod tests {
         log.append(10, &set(b"k", b"old", 1, 100));
         drop(log);
         let rec = recover(&dir).unwrap();
-        assert_eq!(rec.entries[0].value, b"new");
+        assert_eq!(rec.value(&rec.entries[0]), b"new");
         fs::remove_dir_all(&dir).unwrap();
 
         // Equal stamps (norec ties): file order breaks the tie.
@@ -1375,7 +1547,7 @@ mod tests {
         log.append(10, &set(b"k", b"second", 2, 100));
         drop(log);
         let rec = recover(&dir).unwrap();
-        assert_eq!(rec.entries[0].value, b"second");
+        assert_eq!(rec.value(&rec.entries[0]), b"second");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1392,7 +1564,7 @@ mod tests {
         drop(log);
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.entries.len(), 1);
-        assert_eq!(rec.entries[0].key, b"after");
+        assert_eq!(rec.key(&rec.entries[0]), b"after");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1433,11 +1605,11 @@ mod tests {
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.entries.len(), 32);
         for e in &rec.entries {
-            let i: u64 = std::str::from_utf8(&e.key[1..]).unwrap().parse().unwrap();
+            let i: u64 = std::str::from_utf8(&rec.key(e)[1..]).unwrap().parse().unwrap();
             if i < 16 {
-                assert_eq!(e.value, b"NEW", "epoch 2 must win for k{i}");
+                assert_eq!(rec.value(e), b"NEW", "epoch 2 must win for k{i}");
             } else {
-                assert_eq!(e.value, b"xxxxxxxxxxxxxxxx");
+                assert_eq!(rec.value(e), b"xxxxxxxxxxxxxxxx");
             }
         }
         fs::remove_dir_all(&dir).unwrap();
@@ -1454,7 +1626,8 @@ mod tests {
         drop(log);
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.entries.len(), 2);
-        let live: u64 = rec.entries.iter().map(|e| (e.key.len() + e.value.len()) as u64).sum();
+        let live: u64 =
+            rec.entries.iter().map(|e| (rec.key(e).len() + rec.value(e).len()) as u64).sum();
         assert!(live < rec.log_bytes / 2, "mostly-dead log: {live} vs {}", rec.log_bytes);
         let epoch = compact(&dir, &rec, 200).unwrap();
         assert_eq!(epoch, 2);
@@ -1463,7 +1636,7 @@ mod tests {
         let rec2 = recover(&dir).unwrap();
         assert!(rec2.sealed_tail);
         assert_eq!(rec2.cas_floor, rec.cas_floor, "floor must ride the header");
-        let mut vals: Vec<_> = rec2.entries.iter().map(|e| e.value.clone()).collect();
+        let mut vals: Vec<_> = rec2.entries.iter().map(|e| rec2.value(e).to_vec()).collect();
         vals.sort();
         assert_eq!(vals, vec![b"keep".to_vec(), b"v63".to_vec()]);
         // A new writer opens above the compacted epoch.
@@ -1517,9 +1690,32 @@ mod tests {
         assert_eq!(rec.segments, 0);
     }
 
-    /// Everything the differential oracle compares, entries by key.
-    fn outcome(mut rec: Recovery) -> (Vec<RecoveredEntry>, [u64; 6], bool) {
-        rec.entries.sort_by(|a, b| a.key.cmp(&b.key));
+    /// A recovered entry with its key and value copied out.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Owned {
+        key: Vec<u8>,
+        value: Vec<u8>,
+        flags: u32,
+        abs_exp: u64,
+        stored_unix: u64,
+    }
+
+    /// Everything the differential oracle compares: the entries in load
+    /// order, the counts, the sealed-tail flag.
+    type Outcome = (Vec<Owned>, [u64; 6], bool);
+
+    fn outcome(rec: Recovery) -> Outcome {
+        let entries = rec
+            .entries
+            .iter()
+            .map(|e| Owned {
+                key: rec.key(e).to_vec(),
+                value: rec.value(e).to_vec(),
+                flags: e.flags,
+                abs_exp: e.abs_exp,
+                stored_unix: e.stored_unix,
+            })
+            .collect();
         let counts = [
             rec.cas_floor,
             rec.torn_records_dropped,
@@ -1528,11 +1724,19 @@ mod tests {
             rec.segments,
             rec.max_epoch,
         ];
-        (rec.entries, counts, rec.sealed_tail)
+        (entries, counts, rec.sealed_tail)
+    }
+
+    /// The live set of `rec`, by key: what a compaction, finished or cut
+    /// short, must preserve (a cut rewrite moves its prefix to the back).
+    fn live_set(rec: Recovery) -> Vec<Owned> {
+        let mut live = outcome(rec).0;
+        live.sort_by(|a, b| a.key.cmp(&b.key));
+        live
     }
 
     /// Writes the random log seed `seed` names: one to three epochs of
-    /// tiny segments over eight keys, all six record kinds, stamps drawn
+    /// tiny segments over 64 keys, all six record kinds, stamps drawn
     /// from a window narrow enough to collide within a batch and to
     /// interleave across segments, `FlushAll` watermarks inside the range
     /// of store times — then damages it: a torn tail, a corrupt frame
@@ -1540,7 +1744,7 @@ mod tests {
     fn write_random_log(dir: &Path, seed: u64) {
         use testkit::rng::{Rng, SmallRng};
         let mut rng = SmallRng::seed_from_u64(seed);
-        let key = |rng: &mut SmallRng| format!("key-{}", rng.gen_range(0..8u32)).into_bytes();
+        let key = |rng: &mut SmallRng| format!("key-{}", rng.gen_range(0..64u32)).into_bytes();
         for _epoch in 0..rng.gen_range(1..4u32) {
             let log = DurLog::open(dir, DurFsync::Off, rng.gen_range(128..512u64), 0).unwrap();
             for i in 0..rng.gen_range(0..60u64) {
@@ -1602,7 +1806,7 @@ mod tests {
             let dir = tmpdir("differential");
             write_random_log(&dir, seed);
             let got = outcome(recover(&dir).unwrap());
-            let want = outcome(reference::recover(&dir).unwrap());
+            let want = reference::recover(&dir).unwrap();
             fs::remove_dir_all(&dir).unwrap();
             testkit::prop_assert_eq!(got, want);
         }
@@ -1625,7 +1829,7 @@ mod tests {
         drop(log);
         assert!(list_segments(&dir).unwrap().len() > 1);
         let rec = recover(&dir).unwrap();
-        let keys: Vec<&[u8]> = rec.entries.iter().map(|e| &e.key[..]).collect();
+        let keys: Vec<&[u8]> = rec.entries.iter().map(|e| rec.key(e)).collect();
         assert_eq!(keys, [b"c", b"e", b"b", b"a"]);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1649,7 +1853,7 @@ mod tests {
         log.seal();
         drop(log);
         let rec = recover(&dir).unwrap();
-        let (live, ..) = outcome(recover(&dir).unwrap());
+        let live = live_set(recover(&dir).unwrap());
         assert_eq!(live.len(), 11);
 
         // Compact a copy to get the rewrite's bytes; `dir` keeps the old
@@ -1661,7 +1865,7 @@ mod tests {
         let epoch = compact(&scratch, &rec, u64::MAX).unwrap();
         let name = segment_name(epoch, 0);
         let rewrite = fs::read(scratch.join(&name)).unwrap();
-        assert_eq!(outcome(recover(&scratch).unwrap()).0, live, "the finished compaction");
+        assert_eq!(live_set(recover(&scratch).unwrap()), live, "the finished compaction");
 
         let mut cuts = vec![0, HEADER_BYTES as usize / 2];
         let mut at = HEADER_BYTES as usize;
@@ -1676,7 +1880,7 @@ mod tests {
             fs::write(dir.join(&name), &rewrite[..cut]).unwrap();
             let got = recover(&dir).unwrap();
             assert_eq!(got.cas_floor, rec.cas_floor, "cut at {cut}");
-            assert_eq!(outcome(got).0, live, "cut at {cut}");
+            assert_eq!(live_set(got), live, "cut at {cut}");
         }
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&scratch).unwrap();

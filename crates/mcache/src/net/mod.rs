@@ -22,7 +22,7 @@
 //!   poller that reports everything ready after a short nap. The
 //!   platform picks; there is no option.
 //! - **Three transports, one state machine.** TCP and Unix-domain
-//!   streams share [`conn::Connection`] verbatim; the UDP endpoint
+//!   streams share `conn::Connection` verbatim; the UDP endpoint
 //!   (`udp.rs`) frames each datagram with memcached's 8-byte UDP
 //!   header and runs its payload through the same coalesced frame
 //!   dispatcher, fanning responses out as sequenced datagrams.

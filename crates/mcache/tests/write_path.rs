@@ -149,6 +149,40 @@ fn recover_allocates_per_live_entry_not_per_record() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Recovery's entries are positions in the segment images it keeps, so
+/// what it allocates follows the segments and the fold map, not the live
+/// count: two logs of the same records, one over 1 000 keys and one over
+/// 10 000, stay under one ceiling that no per-entry copy fits in.
+#[test]
+fn recover_allocates_per_segment_not_per_live_entry() {
+    let records = 10_000u32;
+    let mut counts = Vec::new();
+    for live in [1000u32, 10_000] {
+        let dir = log_dir(&format!("recover-{live}"));
+        let log = DurLog::open(&dir, DurFsync::Off, 128 << 10, 0).unwrap();
+        for i in 0..records {
+            log.append(i as u64 + 1, &set_record(i % live, i));
+        }
+        log.seal();
+        drop(log);
+        let before = thread_allocs();
+        let rec = recover(&dir).unwrap();
+        let allocs = thread_allocs() - before;
+        assert_eq!(rec.entries.len() as u32, live);
+        assert!(rec.segments >= 8, "the ceiling has to hold across segments: {}", rec.segments);
+        counts.push((live, allocs, rec.segments));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    // Both logs hold the same records, so the same segments. Per segment
+    // its path, buffer, slot list and scan thread; a handful for the
+    // merged slots, the fold map's growth and the entry table.
+    let ceiling = 32 * counts[0].2 + 64;
+    assert_eq!(counts[0].2, counts[1].2, "same records, same segments: {counts:?}");
+    for &(live, allocs, _) in &counts {
+        assert!(allocs <= ceiling, "{allocs} allocations for {live} live, ceiling {ceiling}");
+    }
+}
+
 /// A binary GET hit through the calls a server worker makes between its
 /// read and its write — `parse_frame`, `execute`, `encode` — on the branch
 /// the system benchmark runs. The ceiling is what the protocol layer

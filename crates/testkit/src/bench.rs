@@ -2,7 +2,7 @@
 //! the bench binaries in `crates/bench` kept their structure when the
 //! external dependency was removed: `Criterion`, `benchmark_group`,
 //! `bench_function`, `Bencher::iter`/`iter_custom`, and the
-//! [`criterion_group!`]/[`criterion_main!`] macros.
+//! [`criterion_group!`](crate::criterion_group)/[`criterion_main!`](crate::criterion_main) macros.
 //!
 //! Methodology, per benchmark:
 //!

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`rng`] | `rand` | seeded SplitMix64 + xoshiro256++ with a `Rng`-shaped API |
 //! | [`prop`] | `proptest` | generators, a seeded case runner, greedy shrinking, and a [`proptest!`](crate::proptest) macro |
-//! | [`bench`] | `criterion` | warmup + fixed-iteration timing, median/p95 reports, `BENCH_<group>.json` output |
+//! | [`bench`](mod@bench) | `criterion` | warmup + fixed-iteration timing, median/p95 reports, `BENCH_<group>.json` output |
 //! | [`stress`] | — | deterministic, seed-replayable concurrency schedules for the `tm` runtime |
 //! | [`alloc`] | `dhat`-style counting | a counting global allocator for zero-allocation assertions |
 //!

@@ -1,14 +1,14 @@
 //! Deterministic, seed-driven fault injection for chaos testing the
 //! runtime (compiled in only with the `fault` cargo feature).
 //!
-//! The runtime calls [`inject`] at five structurally interesting points —
+//! The runtime calls `inject` at five structurally interesting points —
 //! the [`FaultSite`]s. With the `fault` feature **disabled** (the
 //! default), `inject` is an `#[inline(always)]` no-op that the optimizer
 //! erases entirely: release builds carry zero cost and zero allocations
 //! (guarded by the chaos zero-alloc test in `testkit`).
 //!
 //! With the feature enabled, a thread that has been armed via
-//! [`arm_thread`] draws from a private xorshift stream at every visited
+//! `arm_thread` draws from a private xorshift stream at every visited
 //! site and, per the armed [`FaultPlan`], either:
 //!
 //! * returns a **spurious [`Abort::Conflict`]** (the attempt retries

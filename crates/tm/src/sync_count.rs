@@ -4,10 +4,10 @@
 //! Space" turned into something a test can pin.
 //!
 //! Every site in this crate that issues an atomic RMW on the transaction
-//! path calls [`rmw`] with its [`SyncSite`]. With the feature **disabled**
+//! path calls `rmw` with its [`SyncSite`]. With the feature **disabled**
 //! (the default) `rmw` is an `#[inline(always)]` no-op. With it enabled,
 //! the call bumps a thread-private tally that
-//! `crates/tm/tests/sync_budget.rs` reads back with [`take_thread_counts`]
+//! `crates/tm/tests/sync_budget.rs` reads back with `take_thread_counts`
 //! to assert, per algorithm and per path, how many RMWs one transaction
 //! issues and on whose cache line.
 //!
@@ -55,7 +55,7 @@ impl SyncSite {
     }
 }
 
-/// RMWs issued by one thread, by site; see [`take_thread_counts`].
+/// RMWs issued by one thread, by site; see `take_thread_counts`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyncCounts([u64; SyncSite::ALL.len()]);
 

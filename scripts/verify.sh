@@ -3,8 +3,8 @@
 # [dependencies], the tier-1 command (release build, then
 # every workspace member's tests; the root manifest is a virtual
 # workspace, so plain `cargo test` runs them all, the wire smoke
-# crates/bench/tests/mcslap_wire.rs among them), the
-# stress and crash tiers, the system benchmark's oracle, the recovery and
+# crates/bench/tests/mcslap_wire.rs among them), rustdoc with warnings
+# denied, the stress and crash tiers, the system benchmark's oracle, the recovery and
 # protocol oracles, and the bench smokes with their in-bench ratio gates.
 # Leaves the tree clean: every output goes under target/.
 #
@@ -35,6 +35,11 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+# Every intra-doc link resolves to a public item of the default build: a
+# link to a private or feature-gated item renders as plain text.
+echo "==> cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Transaction shapes: single-worker Tables 1-4 are a pure function of the
 # code paths taken, so any diff against the recorded output is a changed
