@@ -298,11 +298,6 @@ impl UdpClient {
         })
     }
 
-    /// Sets the receive timeout (reassembly gives up with `TimedOut`).
-    pub fn set_timeout(&self, d: Duration) -> io::Result<()> {
-        self.sock.set_read_timeout(Some(d))
-    }
-
     /// Sends one request datagram (`seq=0 total=1`) under a fresh
     /// request id and returns that id.
     pub fn send_request(&mut self, payload: &[u8]) -> io::Result<u16> {

@@ -247,8 +247,11 @@ pub struct McCache {
     // boundaries (per-request guards in `proto`, maintenance respawn).
     request_panics: AtomicU64,
     maintenance_panics: AtomicU64,
-    // Test-only traps that make the next request / maintenance wakeup
-    // panic deliberately (see the `trip_*` methods).
+    // Traps that make the next request / maintenance wakeup panic
+    // deliberately (see the `trip_*` methods). The request trap is built
+    // only for `proto`'s unit tests: `proto::run` would otherwise swap it
+    // on every run of every worker.
+    #[cfg(test)]
     request_panic_trap: AtomicBool,
     assoc_panic_trap: AtomicBool,
     slab_panic_trap: AtomicBool,
@@ -546,6 +549,7 @@ impl McCache {
             fx: Effects::new(unix_base),
             request_panics: AtomicU64::new(0),
             maintenance_panics: AtomicU64::new(0),
+            #[cfg(test)]
             request_panic_trap: AtomicBool::new(false),
             assoc_panic_trap: AtomicBool::new(false),
             slab_panic_trap: AtomicBool::new(false),
@@ -793,14 +797,15 @@ impl McCache {
         self.request_panics.fetch_add(1, Ordering::Relaxed);
     }
 
+    #[cfg(test)]
     pub(crate) fn take_request_panic_trap(&self) -> bool {
         self.request_panic_trap.swap(false, Ordering::SeqCst)
     }
 
     /// Makes the next protocol request panic inside its handler (tests the
     /// per-request guard).
-    #[doc(hidden)]
-    pub fn trip_request_panic(&self) {
+    #[cfg(test)]
+    pub(crate) fn trip_request_panic(&self) {
         self.request_panic_trap.store(true, Ordering::SeqCst);
     }
 

@@ -1138,17 +1138,26 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
 /// The compactor hands its buffer to the file whenever it holds this much.
 const COMPACT_CHUNK: usize = 1 << 20;
 
+/// The name a compaction writes its rewrite under until the rewrite is
+/// synced; `list_segments` ignores it.
+fn rewrite_tmp_name(epoch: u64) -> String {
+    format!("{}.tmp", segment_name(epoch, 0))
+}
+
 /// Rewrites the log as one sealed segment (epoch `max_epoch + 1`)
 /// holding exactly `rec.entries`, in their order, then deletes the older
-/// segments — only once the rewrite is synced, so a crash at any earlier
-/// point leaves the old segments (plus a prefix of the rewrite, which
-/// folds to the same values) to recover from. Returns the epoch written.
-/// Called only at recovery time, before the writer opens, so there is no
-/// concurrent appender; frames stream through one reused buffer.
+/// segments. The rewrite is written under a temporary name and renamed
+/// to its segment name once synced, so a crash at any point leaves either
+/// the old segments or the whole rewrite (beside old segments not yet
+/// deleted) to recover from — never a prefix of the rewrite, whose
+/// entries would load as the newest. A temporary file left by an earlier
+/// crash is overwritten. Returns the epoch written. Called only at
+/// recovery time, before the writer opens, so there is no concurrent
+/// appender; frames stream through one reused buffer.
 pub fn compact(dir: &Path, rec: &Recovery, unix_now: u64) -> io::Result<u64> {
     let epoch = rec.max_epoch + 1;
-    let path = dir.join(segment_name(epoch, 0));
-    let mut file = OpenOptions::new().create_new(true).write(true).open(&path)?;
+    let tmp = dir.join(rewrite_tmp_name(epoch));
+    let mut file = OpenOptions::new().create(true).truncate(true).write(true).open(&tmp)?;
     let mut buf = header_bytes(epoch, rec.cas_floor);
     buf.reserve(COMPACT_CHUNK);
     for (i, e) in rec.entries.iter().enumerate() {
@@ -1170,7 +1179,8 @@ pub fn compact(dir: &Path, rec: &Recovery, unix_now: u64) -> io::Result<u64> {
     file.write_all(&buf)?;
     file.sync_data()?;
     drop(file);
-    // Directory durability for the create+unlinks, best-effort.
+    fs::rename(&tmp, dir.join(segment_name(epoch, 0)))?;
+    // Directory durability for the rename before the unlinks, best-effort.
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
@@ -1727,14 +1737,6 @@ mod tests {
         (entries, counts, rec.sealed_tail)
     }
 
-    /// The live set of `rec`, by key: what a compaction, finished or cut
-    /// short, must preserve (a cut rewrite moves its prefix to the back).
-    fn live_set(rec: Recovery) -> Vec<Owned> {
-        let mut live = outcome(rec).0;
-        live.sort_by(|a, b| a.key.cmp(&b.key));
-        live
-    }
-
     /// Writes the random log seed `seed` names: one to three epochs of
     /// tiny segments over 64 keys, all six record kinds, stamps drawn
     /// from a window narrow enough to collide within a batch and to
@@ -1834,10 +1836,12 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A compaction that dies anywhere before its `fdatasync` leaves the
-    /// old segments plus a prefix of the rewrite: every such prefix —
-    /// cut at each frame boundary and in the middle of each frame — must
-    /// recover to the live set the compaction started from.
+    /// A compaction that dies before its rename leaves the old segments
+    /// plus a prefix of the rewrite under its temporary name: every such
+    /// prefix — cut at each frame boundary and in the middle of each
+    /// frame — must recover the live set the compaction started from, in
+    /// the same load order. So must a compaction that dies after the
+    /// rename, before the old segments are deleted.
     #[test]
     fn interrupted_compaction_recovers_the_same_live_set() {
         let dir = tmpdir("interrupted");
@@ -1853,7 +1857,7 @@ mod tests {
         log.seal();
         drop(log);
         let rec = recover(&dir).unwrap();
-        let live = live_set(recover(&dir).unwrap());
+        let live = outcome(recover(&dir).unwrap()).0;
         assert_eq!(live.len(), 11);
 
         // Compact a copy to get the rewrite's bytes; `dir` keeps the old
@@ -1863,9 +1867,10 @@ mod tests {
             fs::copy(&path, scratch.join(path.file_name().unwrap())).unwrap();
         }
         let epoch = compact(&scratch, &rec, u64::MAX).unwrap();
-        let name = segment_name(epoch, 0);
+        let (name, tmp) = (segment_name(epoch, 0), rewrite_tmp_name(epoch));
         let rewrite = fs::read(scratch.join(&name)).unwrap();
-        assert_eq!(live_set(recover(&scratch).unwrap()), live, "the finished compaction");
+        assert!(!scratch.join(&tmp).exists());
+        assert_eq!(outcome(recover(&scratch).unwrap()).0, live, "the finished compaction");
 
         let mut cuts = vec![0, HEADER_BYTES as usize / 2];
         let mut at = HEADER_BYTES as usize;
@@ -1877,11 +1882,15 @@ mod tests {
         cuts.push(rewrite.len());
         assert!(cuts.len() > 3 * live.len());
         for cut in cuts {
-            fs::write(dir.join(&name), &rewrite[..cut]).unwrap();
+            fs::write(dir.join(&tmp), &rewrite[..cut]).unwrap();
             let got = recover(&dir).unwrap();
             assert_eq!(got.cas_floor, rec.cas_floor, "cut at {cut}");
-            assert_eq!(live_set(got), live, "cut at {cut}");
+            assert_eq!(outcome(got).0, live, "cut at {cut}");
         }
+        fs::rename(dir.join(&tmp), dir.join(&name)).unwrap();
+        let got = recover(&dir).unwrap();
+        assert_eq!(got.cas_floor, rec.cas_floor, "renamed, old segments kept");
+        assert_eq!(outcome(got).0, live, "renamed, old segments kept");
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&scratch).unwrap();
     }

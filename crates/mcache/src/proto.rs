@@ -452,6 +452,7 @@ pub(crate) fn run(
         let (batch, tail) = rest.split_at(n);
         rest = tail;
         let ran = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
             if cache.take_request_panic_trap() {
                 panic!("test trap: request panic");
             }

@@ -347,11 +347,6 @@ pub mod gen {
         any_usize -> usize, any_i64 -> i64,
     }
 
-    /// Uniform `bool`.
-    pub fn any_bool() -> impl Fn(&mut SmallRng) -> bool + Clone {
-        |rng| rng.next_u64() & 1 == 1
-    }
-
     /// A vector of `elem` draws with a length drawn from `len`.
     pub fn vec<T, G>(elem: G, len: Range<usize>) -> impl Fn(&mut SmallRng) -> Vec<T> + Clone
     where

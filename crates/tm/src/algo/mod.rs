@@ -1,9 +1,9 @@
 //! The STM algorithm engines evaluated in the paper's §4 (Figure 11).
 //!
-//! * [`eager`] — the GCC default method group: encounter-time orec locking,
-//!   write-through (direct update) with an undo log.
-//! * [`lazy`] — the paper's "Lazy" variant: same orec table, but buffered
-//!   (redo-log) updates with commit-time locking.
+//! * [`orec_tx`] — the orec engine behind both orec algorithms: GCC's
+//!   default *eager* (encounter-time orec locking, write-through, undo log)
+//!   and the paper's *Lazy* (the same orec table, buffered redo-log updates,
+//!   commit-time locking). The two differ only in [`Engine::write_word`].
 //! * [`norec`] — NOrec \[Dalessandro et al., PPoPP 2010\]: no ownership
 //!   records at all; a single global sequence lock plus value-based
 //!   validation.
@@ -12,9 +12,8 @@
 //! guarantees every address passed in outlives the transaction, so the
 //! internal `usize -> &TWord` casts are sound.
 
-pub mod eager;
-pub mod lazy;
 pub mod norec;
+pub mod orec_tx;
 
 use crate::arena::LogBufs;
 use crate::cell::TWord;
@@ -54,8 +53,8 @@ pub(crate) fn tword_at<'a>(addr: usize) -> &'a TWord {
 /// Per-attempt algorithm state.
 #[derive(Debug)]
 pub(crate) enum Engine {
-    Eager(eager::EagerTx),
-    Lazy(lazy::LazyTx),
+    Eager(orec_tx::OrecTx),
+    Lazy(orec_tx::OrecTx),
     Norec(norec::NorecTx),
     /// Uninstrumented direct access: serial-irrevocable transactions.
     Serial,
@@ -64,8 +63,8 @@ pub(crate) enum Engine {
 impl Engine {
     pub(crate) fn begin(rt: &RtInner, tx_id: u64) -> Engine {
         match rt.algorithm {
-            Algorithm::Eager => Engine::Eager(eager::EagerTx::begin(rt, tx_id)),
-            Algorithm::Lazy => Engine::Lazy(lazy::LazyTx::begin(rt, tx_id)),
+            Algorithm::Eager => Engine::Eager(orec_tx::OrecTx::begin(rt, tx_id)),
+            Algorithm::Lazy => Engine::Lazy(orec_tx::OrecTx::begin(rt, tx_id)),
             Algorithm::Norec => Engine::Norec(norec::NorecTx::begin(rt)),
         }
     }
@@ -78,8 +77,7 @@ impl Engine {
         addr: usize,
     ) -> Result<u64, Abort> {
         match self {
-            Engine::Eager(e) => e.read_word(rt, bufs, addr),
-            Engine::Lazy(e) => e.read_word(rt, bufs, addr),
+            Engine::Eager(e) | Engine::Lazy(e) => e.read_word(rt, bufs, addr),
             Engine::Norec(e) => e.read_word(rt, bufs, addr),
             Engine::Serial => Ok(tword_at(addr).load_direct()),
         }
@@ -94,7 +92,9 @@ impl Engine {
         v: u64,
     ) -> Result<(), Abort> {
         match self {
-            Engine::Eager(e) => e.write_word(rt, bufs, addr, v),
+            // The one step where the orec algorithms differ: eager takes
+            // the orec now and writes in place.
+            Engine::Eager(e) => e.write_through(rt, bufs, addr, v),
             // Buffered update: the write lands in the redo log and is
             // published at commit.
             Engine::Lazy(_) | Engine::Norec(_) => {
@@ -111,8 +111,7 @@ impl Engine {
     /// True if this attempt has written nothing (read-only commit path).
     pub(crate) fn is_read_only(&self, bufs: &LogBufs) -> bool {
         match self {
-            Engine::Eager(e) => e.is_read_only(bufs),
-            Engine::Lazy(e) => e.is_read_only(bufs),
+            Engine::Eager(e) | Engine::Lazy(e) => e.is_read_only(bufs),
             Engine::Norec(e) => e.is_read_only(bufs),
             Engine::Serial => false,
         }
@@ -129,8 +128,7 @@ impl Engine {
     /// one while still holding the serial lock exclusively.
     pub(crate) fn commit(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<u64, Abort> {
         match self {
-            Engine::Eager(e) => e.commit(rt, bufs),
-            Engine::Lazy(e) => e.commit(rt, bufs),
+            Engine::Eager(e) | Engine::Lazy(e) => e.commit(rt, bufs),
             Engine::Norec(e) => e.commit(rt, bufs),
             Engine::Serial => Ok(0),
         }
@@ -141,8 +139,7 @@ impl Engine {
     /// unwind is in flight.
     pub(crate) fn rollback(&mut self, rt: &RtInner, bufs: &mut LogBufs) {
         match self {
-            Engine::Eager(e) => e.rollback(rt, bufs),
-            Engine::Lazy(e) => e.rollback(rt, bufs),
+            Engine::Eager(e) | Engine::Lazy(e) => e.rollback(rt, bufs),
             Engine::Norec(e) => e.rollback(rt, bufs),
             // Serial-irrevocable effects are uninstrumented direct writes;
             // there is nothing to undo (documented: like a panic inside a
@@ -157,8 +154,7 @@ impl Engine {
     /// [`Engine::Serial`]; on failure the attempt must be aborted.
     pub(crate) fn make_irrevocable(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<(), Abort> {
         match self {
-            Engine::Eager(e) => e.make_irrevocable(rt, bufs)?,
-            Engine::Lazy(e) => e.make_irrevocable(rt, bufs)?,
+            Engine::Eager(e) | Engine::Lazy(e) => e.make_irrevocable(rt, bufs)?,
             Engine::Norec(e) => e.make_irrevocable(rt, bufs)?,
             Engine::Serial => return Ok(()),
         }

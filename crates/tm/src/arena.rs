@@ -217,23 +217,24 @@ impl fmt::Debug for WriteMap {
     }
 }
 
-/// The per-attempt log buffers, shared by all three engines. Which fields
-/// an engine uses (and what the `u64` payload means) differs per
-/// algorithm; the arena only cares that all of them are `(usize, u64)`
-/// pairs whose storage is worth keeping.
+/// The per-attempt log buffers, shared by both engines (the orec engine
+/// and NOrec). Which fields an engine uses (and what the `u64` payload
+/// means) differs per engine; the arena only cares that all of them are
+/// `(usize, u64)` pairs whose storage is worth keeping.
 #[derive(Debug, Default)]
 pub(crate) struct LogBufs {
-    /// Read set: eager/lazy record `(orec index, observed OrecValue)`,
-    /// NOrec records `(word address, value read)`.
+    /// Read set: the orec engine records `(orec index, observed
+    /// OrecValue)`, NOrec `(word address, value read)`.
     pub(crate) reads: Vec<(usize, u64)>,
     /// Redo log in program order, one entry per distinct address:
-    /// `(word address, buffered value)`. Unused by eager.
+    /// `(word address, buffered value)`. Empty under eager, which writes
+    /// in place.
     pub(crate) writes: Vec<(usize, u64)>,
-    /// Eager: orec locks held `(orec index, pre-lock value)`. Lazy: the
-    /// commit-time held-lock scratch list. Unused by NOrec.
+    /// Orecs held `(orec index, pre-lock value)`: taken when a word is
+    /// first written under eager, at commit under lazy. Unused by NOrec.
     pub(crate) locks: Vec<(usize, u64)>,
-    /// Eager's undo log `(word address, previous value)`. Unused by the
-    /// buffered engines.
+    /// Undo log `(word address, previous value)` of eager's in-place
+    /// writes. Empty under lazy and NOrec.
     pub(crate) undo: Vec<(usize, u64)>,
     /// Redo-log index for [`LogBufs::writes`] past the inline window.
     pub(crate) wmap: WriteMap,

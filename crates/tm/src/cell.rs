@@ -223,18 +223,6 @@ impl TBytes {
         self.words[wi].load_direct()
     }
 
-    /// Non-transactional store of the backing word at `wi`. The caller
-    /// owns every byte of the word, including padding past `len()` (which
-    /// must be stored as zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wi >= self.word_count()`.
-    #[inline]
-    pub fn store_word_direct(&self, wi: usize, v: u64) {
-        self.words[wi].store_direct(v);
-    }
-
     /// Non-transactional byte load.
     ///
     /// # Panics

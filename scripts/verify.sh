@@ -70,6 +70,12 @@ loop_test() {
 echo "==> clock_opacity x200"
 loop_test tm clock_opacity 200
 
+# Same-data writers on several threads must mint commit stamps in their
+# real-time commit order: the redo log's replay order rests on the one
+# orec engine's commit tick and on NOrec's sequence lock.
+echo "==> commit_stamps x200"
+loop_test tm commit_stamps 200
+
 # A stalled reader of x whose value-equal store to x must still conflict
 # with the writer that interleaved (all three algorithms).
 echo "==> write_fastlane x200"
