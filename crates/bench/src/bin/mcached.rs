@@ -122,8 +122,14 @@ fn main() {
     });
     if let Some(d) = handle.dur_stats() {
         println!(
-            "RECOVERED items={} torn_records_dropped={}",
-            d.recovered_items, d.torn_records_dropped
+            "RECOVERED items={} torn_records_dropped={} \
+             scan_us={} fold_us={} load_us={} compact_us={}",
+            d.recovered_items,
+            d.torn_records_dropped,
+            d.recover_scan_us,
+            d.recover_fold_us,
+            d.recover_load_us,
+            d.recover_compact_us
         );
     }
     let mut server = Server::start(

@@ -36,6 +36,18 @@ fn start(dur_dir: &Path, fsync: &str) -> Daemon {
     ])
 }
 
+/// The `name=value` fields of a `RECOVERED` banner, in order.
+fn banner_fields(banner: &str) -> Vec<(&str, u64)> {
+    let fields = banner.strip_prefix("RECOVERED ").expect("a RECOVERED banner");
+    fields
+        .split(' ')
+        .map(|f| {
+            let (name, value) = f.split_once('=').expect("name=value");
+            (name, value.parse().expect("a count"))
+        })
+        .collect()
+}
+
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("recovery-wire-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -63,11 +75,19 @@ fn stat(conn: &mut WireConn, name: &str) -> u64 {
 fn sigterm_restart_preserves_values_cas_floor_and_expiry() {
     let dir = tmpdir("sigterm");
     let d = start(&dir, "always");
+    let fields = banner_fields(d.recovered_banner.as_deref().expect("log attached"));
+    let names: Vec<&str> = fields.iter().map(|&(name, _)| name).collect();
     assert_eq!(
-        d.recovered_banner.as_deref(),
-        Some("RECOVERED items=0 torn_records_dropped=0"),
+        names,
+        ["items", "torn_records_dropped", "scan_us", "fold_us", "load_us", "compact_us"],
+        "the banner counts, then the recovery's phases"
+    );
+    assert_eq!(
+        fields[..2],
+        [("items", 0), ("torn_records_dropped", 0)],
         "a fresh directory recovers nothing"
     );
+    assert_eq!(fields[5], ("compact_us", 0), "nothing to compact");
     let old_cas;
     {
         let mut c = d.conn();
@@ -95,8 +115,9 @@ fn sigterm_restart_preserves_values_cas_floor_and_expiry() {
 
     let d = start(&dir, "always");
     let banner = d.recovered_banner.clone().expect("log attached");
-    assert!(
-        banner.ends_with("torn_records_dropped=0"),
+    assert_eq!(
+        banner_fields(&banner)[1],
+        ("torn_records_dropped", 0),
         "sealed log recovers without torn records: {banner}"
     );
     {

@@ -15,7 +15,7 @@ pub struct Daemon {
     pub addr: String,
     /// The bound UDP address, when started with `--udp`.
     pub udp_addr: Option<String>,
-    /// The `RECOVERED items=N torn_records_dropped=M` banner, when the
+    /// The `RECOVERED items=N torn_records_dropped=M scan_us=…` banner, when the
     /// server started with a log attached.
     pub recovered_banner: Option<String>,
 }

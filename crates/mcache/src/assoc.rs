@@ -172,10 +172,7 @@ impl AssocTable {
         hv: u32,
     ) -> Result<bool, Abort> {
         let cell = self.bucket_cell(ctx, policy, hv)?;
-        let head = decode_opt(ctx.get_word(cell.word())?);
-        let it = arena.resolve(h);
-        it.set_hnext(ctx, head)?;
-        ctx.put_word(cell.word(), h.to_word())?;
+        Self::link(ctx, arena, cell, h)?;
         let n = ctx.get_word(self.hash_items.word())? + 1;
         ctx.put_word(self.hash_items.word(), n)?;
         let g = Route(ctx.get_word(self.route.word())?).gen();
@@ -185,6 +182,52 @@ impl AssocTable {
         let wants_expansion = n > (self.generations[g].len() as u64 * 3) / 2
             && !self.is_expanding(ctx, policy)?;
         Ok(wants_expansion)
+    }
+
+    /// Pushes `h` onto the chain in `cell`: `assoc_insert`'s link step.
+    fn link<'e>(
+        ctx: &mut Ctx<'_, 'e>,
+        arena: &'e SlabArena,
+        cell: &'e TCell<u64>,
+        h: ItemHandle,
+    ) -> Result<(), Abort> {
+        let head = decode_opt(ctx.get_word(cell.word())?);
+        arena.resolve(h).set_hnext(ctx, head)?;
+        ctx.put_word(cell.word(), h.to_word())
+    }
+
+    /// Start-up recovery's link pass, one share of it: links each
+    /// `(item, hash)` of `items`, in order, whose bucket of the active
+    /// generation is one of the `share`-th of `shares` equal bucket
+    /// ranges. Concurrent calls with different shares touch disjoint
+    /// buckets and chains. Counts nothing and checks no load factor: the
+    /// loader presized the table ([`AssocTable::presize`]) and counts
+    /// what it linked once ([`AssocTable::count_loaded`]).
+    pub(crate) fn link_share<'e>(
+        &'e self,
+        ctx: &mut Ctx<'_, 'e>,
+        arena: &'e SlabArena,
+        share: usize,
+        shares: usize,
+        items: impl Iterator<Item = (ItemHandle, u32)>,
+    ) -> Result<(), Abort> {
+        let r = Route(ctx.get_word(self.route.word())?);
+        debug_assert!(!r.expanding(), "a load links into a settled table");
+        let (buckets, mask) = (&self.generations[r.gen()], self.mask(r.gen()));
+        let part = |b: usize| b * shares / buckets.len();
+        for (h, hv) in items {
+            let b = (hv & mask) as usize;
+            if part(b) == share {
+                Self::link(ctx, arena, &buckets[b], h)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Counts `n` items linked by [`AssocTable::link_share`].
+    pub(crate) fn count_loaded<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, n: u64) -> Result<(), Abort> {
+        let cur = ctx.get_word(self.hash_items.word())?;
+        ctx.put_word(self.hash_items.word(), cur + n)
     }
 
     /// Unlinks an item from its bucket (`assoc_delete`). Returns `true` if
@@ -324,8 +367,29 @@ impl AssocTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The table's state, one line per fact: the route word, the item
+    /// count, and every non-empty bucket's chain, head first.
+    pub(crate) fn fingerprint(table: &AssocTable, arena: &SlabArena) -> Vec<String> {
+        let r = Route(table.route.load_direct());
+        let items = table.hash_items.load_direct();
+        let mut out = vec![format!("route {:#x} hash_items {items}", r.0)];
+        for (b, cell) in table.generations[r.gen()].iter().enumerate() {
+            let mut chain = Vec::new();
+            let mut cur = decode_opt(cell.load_direct());
+            while let Some(h) = cur {
+                chain.push(h);
+                cur = arena.resolve(h).hnext(&mut Ctx::Direct).unwrap();
+            }
+            if !chain.is_empty() {
+                out.push(format!("bucket {b}: {chain:?}"));
+            }
+        }
+        out
+    }
+
     use crate::item::ItemSizes;
     use crate::policy::Branch;
     use crate::slabs::{SlabArena, SlabConfig};

@@ -16,7 +16,7 @@ use lockprof::{ProfiledGuard, ProfiledMutex, Profiler};
 use tm::{Abort, Algorithm, ContentionManager, RelaxedPlan, SerialLockMode, StatsSnapshot, TCell, TmRuntime, Transaction};
 use tmstd::ByteAccess;
 
-use crate::core::{AllocError, Allocation, CacheCore, GetHit};
+use crate::core::{AllocError, Allocation, CacheCore, GetHit, LoadEntry};
 use crate::ctx::Ctx;
 use crate::dur::{self, DurLog, DurSnapshot};
 use crate::effect::{Effect, Effects};
@@ -29,6 +29,17 @@ use crate::stats::{self, GlobalSnapshot, ThreadSnapshot, ThreadStats};
 
 /// Longest accepted key, as in memcached.
 pub const KEY_MAX: usize = 250;
+
+/// Drops the recovered entries a load must skip, before it and before any
+/// compacted rewrite: those expired at replay, and foreign garbage that
+/// still passed its crc (a key no store would take).
+fn drop_unloadable(rec: &mut dur::Recovery, unix_now: u64) {
+    let mut entries = std::mem::take(&mut rec.entries);
+    entries.retain(|e| {
+        (e.abs_exp == 0 || e.abs_exp > unix_now) && (1..=KEY_MAX).contains(&rec.key(e).len())
+    });
+    rec.entries = entries;
+}
 
 /// Recovery-time compaction trigger: once the redo log exceeds one
 /// segment, it is rewritten as a single sealed segment whenever the live
@@ -697,6 +708,7 @@ impl McCache {
         let mut compactions = 0u64;
         let mut torn = 0u64;
         let mut cas_floor = 0u64;
+        let mut phases = dur::RecoveryPhases::default();
         match dur::recover(&dir) {
             Err(e) => {
                 eprintln!("mcache: redo-log recovery failed ({e}); starting cold");
@@ -704,15 +716,8 @@ impl McCache {
             Ok(mut rec) => {
                 torn = rec.torn_records_dropped;
                 cas_floor = rec.cas_floor;
-                // Expired-at-replay entries are skipped (and excluded from
-                // any compacted rewrite), and so is foreign garbage that
-                // still passed its crc.
-                let mut entries = std::mem::take(&mut rec.entries);
-                entries.retain(|e| {
-                    (e.abs_exp == 0 || e.abs_exp > unix_now)
-                        && (1..=KEY_MAX).contains(&rec.key(e).len())
-                });
-                rec.entries = entries;
+                phases = rec.phases;
+                drop_unloadable(&mut rec, unix_now);
                 // Compaction: once the log outgrows a segment and most of
                 // its bytes are dead, rewrite it as one sealed segment.
                 let live: u64 = rec
@@ -726,9 +731,20 @@ impl McCache {
                 // so it overlaps the load; it is joined before the writer
                 // opens, whose epoch must sort after the rewrite's.
                 std::thread::scope(|s| {
-                    let rewrite = compact.then(|| s.spawn(|| dur::compact(&dir, &rec, unix_now)));
+                    let rewrite = compact.then(|| {
+                        s.spawn(|| {
+                            let start = Instant::now();
+                            (dur::compact(&dir, &rec, unix_now), start.elapsed())
+                        })
+                    });
+                    let start = Instant::now();
                     recovered = self.load_recovered(&rec);
-                    match rewrite.map(|h| h.join().expect("the log compactor panicked")) {
+                    phases.load_us = start.elapsed().as_micros() as u64;
+                    let rewritten = rewrite.map(|h| h.join().expect("the log compactor panicked"));
+                    if let Some((_, took)) = rewritten {
+                        phases.compact_us = took.as_micros() as u64;
+                    }
+                    match rewritten.map(|(done, _)| done) {
                         Some(Ok(_)) => compactions = 1,
                         Some(Err(e)) => {
                             eprintln!("mcache: redo-log compaction failed ({e}); keeping segments");
@@ -741,7 +757,7 @@ impl McCache {
         release_freed_memory();
         match DurLog::open(&dir, self.cfg.dur_fsync, self.cfg.dur_segment_bytes, cas_floor) {
             Ok(log) => {
-                log.note_recovery(recovered, torn, compactions);
+                log.note_recovery(recovered, torn, compactions, phases);
                 self.fx.attach_log(log);
             }
             Err(e) => {
@@ -753,31 +769,44 @@ impl McCache {
     }
 
     /// Loads the recovered entries, oldest first, and returns how many
-    /// were stored. Runs under [`Ctx::Direct`] on every branch: `start`
-    /// spawns the maintenance threads (and returns the handle any worker
-    /// needs) only after this, so nothing here is shared yet and no lock,
-    /// transaction, log record or command count is owed — the §3.3
-    /// privatization argument, applied to the whole cache.
+    /// were stored: [`CacheCore::load`], under [`Ctx::Direct`] on every
+    /// branch. `start` spawns the maintenance threads (and returns the
+    /// handle any worker needs) only after this, so nothing here is shared
+    /// yet and no lock, transaction, log record or command count is owed —
+    /// the §3.3 privatization argument, applied to the whole cache.
     fn load_recovered(&self, rec: &dur::Recovery) -> u64 {
-        let (core, policy) = (&self.core, self.policy);
+        let entry = self.prepare_load(rec);
+        self.core.load(&self.policy, rec.entries.len(), self.rel_time(), entry)
+    }
+
+    /// The one-thread load [`McCache::load_recovered`] replaced, kept as
+    /// its reference.
+    #[cfg(test)]
+    fn load_recovered_one_by_one(&self, rec: &dur::Recovery) -> u64 {
+        let entry = self.prepare_load(rec);
+        let n = rec.entries.len();
+        crate::core::tests::load_one_by_one(&self.core, &self.policy, n, self.rel_time(), entry)
+    }
+
+    /// Raises the CAS floor (every loaded item must take an id strictly
+    /// above anything a pre-crash client saw) and presizes the hash table
+    /// for `rec`'s entries; returns entry `i` as the load takes it.
+    fn prepare_load<'r>(
+        &self,
+        rec: &'r dur::Recovery,
+    ) -> impl Fn(usize) -> LoadEntry<'r> + Sync + use<'_, 'r> {
         let ctx = &mut Ctx::Direct;
-        // CAS floor first: every loaded item must take an id strictly
-        // above anything a pre-crash client saw.
-        core.set_cas_floor(ctx, rec.cas_floor).expect("direct");
-        core.assoc.presize(ctx, rec.entries.len() as u64).expect("direct");
-        let now = self.rel_time();
-        let mut stored = 0;
-        for e in &rec.entries {
-            let rel_exp = if e.abs_exp == 0 {
-                0
-            } else {
-                e.abs_exp.saturating_sub(self.fx.unix_base()) as u32
+        self.core.set_cas_floor(ctx, rec.cas_floor).expect("direct");
+        self.core.assoc.presize(ctx, rec.entries.len() as u64).expect("direct");
+        let unix_base = self.fx.unix_base();
+        move |i| {
+            let e = &rec.entries[i];
+            let exptime = match e.abs_exp {
+                0 => 0,
+                abs => abs.saturating_sub(unix_base) as u32,
             };
-            let (key, value) = (rec.key(e), rec.value(e));
-            let loaded = core.load_item(ctx, &policy, key, value, e.flags, rel_exp, now);
-            stored += loaded.expect("direct").is_ok() as u64;
+            LoadEntry { key: rec.key(e), value: rec.value(e), flags: e.flags, exptime }
         }
-        stored
     }
 
     /// Requests whose handler panicked and was converted to a
@@ -1904,3 +1933,118 @@ fn release_freed_memory() {
 
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 fn release_freed_memory() {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dur::{DurFsync, DurLog, Record};
+    use testkit::rng::{Rng, SmallRng};
+
+    /// Writes `n` sets, oldest first, whose value lengths `value_len`
+    /// draws from the entry's index, with expired entries, over-long keys
+    /// and values too large for any chunk mixed in, and recovers them.
+    fn recovered(
+        tag: &str,
+        seed: u64,
+        n: usize,
+        page_size: usize,
+        value_len: impl Fn(&mut SmallRng, usize) -> usize,
+    ) -> dur::Recovery {
+        let name = format!("mcache-load-{tag}-{seed}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let log = DurLog::open(&dir, DurFsync::Off, 1 << 20, 7).unwrap();
+        let unix_now = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_secs();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for i in 0..n {
+            let mut key = format!("key-{i:06}-{:03}", rng.gen_range(0..1000u32)).into_bytes();
+            let mut len = value_len(&mut rng, i);
+            let mut abs_exp = [0, unix_now + 3600][rng.gen_range(0..2usize)];
+            match i % 50 {
+                7 => abs_exp = unix_now - 10,
+                19 => key.resize(KEY_MAX + 1 + rng.gen_range(0..8usize), b'k'),
+                31 => len = page_size + 1,
+                _ => {}
+            }
+            let set = Record::Set {
+                cas: rng.gen_range(1..5000u64),
+                flags: rng.gen_range(0..3u32),
+                abs_exp,
+                stored_unix: unix_now - 60,
+                key,
+                value: (0..len).map(|_| rng.gen_range(b'a'..b'{')).collect(),
+            };
+            log.append(i as u64 + 1, &set);
+        }
+        drop(log);
+        let rec = dur::recover(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        rec
+    }
+
+    /// Loads `rec` planned into one fresh cache and one by one into
+    /// another, asserts every line of their fingerprints equal, and
+    /// returns the planned cache.
+    fn load_both(tag: &str, rec: &mut dur::Recovery, slab: SlabConfig) -> McHandle {
+        let cfg = || McConfig { slab, hash_power: 8, maintenance: false, ..Default::default() };
+        // The two must agree on the Unix second relative times count from.
+        let (planned, reference) = loop {
+            let (a, b) = (McCache::start(cfg()), McCache::start(cfg()));
+            if a.fx.unix_base() == b.fx.unix_base() {
+                break (a, b);
+            }
+        };
+        let before = rec.entries.len();
+        drop_unloadable(rec, planned.unix_time());
+        assert!(rec.entries.len() < before, "{tag}: expired entries and long keys are dropped");
+        let stored = planned.load_recovered(rec);
+        assert_eq!(stored, reference.load_recovered_one_by_one(rec), "{tag}: items stored");
+        let p = crate::core::tests::load_fingerprint(&planned.core, &planned.policy);
+        let r = crate::core::tests::load_fingerprint(&reference.core, &reference.policy);
+        for (i, (p, r)) in p.iter().zip(&r).enumerate() {
+            assert_eq!(p, r, "{tag}: fingerprint line {i}, planned vs one by one");
+        }
+        assert_eq!(p.len(), r.len(), "{tag}: fingerprint lengths");
+        assert_eq!(planned.stats().global.total_items, stored);
+        planned
+    }
+
+    /// The classes holding items after a load.
+    fn classes_used(h: &McHandle) -> usize {
+        h.core.lrus.iter().filter(|l| !l.is_empty(&mut Ctx::Direct).unwrap()).count()
+    }
+
+    #[test]
+    fn the_planned_load_builds_the_cache_a_one_by_one_load_builds() {
+        let roomy = SlabConfig { mem_limit: 8 << 20, page_size: 64 << 10, ..Default::default() };
+        let tight = SlabConfig { mem_limit: 256 << 10, page_size: 16 << 10, ..Default::default() };
+        for seed in 1..=3 {
+            let mut rec = recovered("one-class", seed, 3000, roomy.page_size, |_, _| 100);
+            let h = load_both("one class that fits", &mut rec, roomy);
+            assert_eq!(classes_used(&h), 1);
+            assert_eq!(h.stats().global.evictions, 0);
+
+            let mixed = |rng: &mut SmallRng, _| rng.gen_range(0..3000);
+            let mut rec = recovered("mixed", seed, 3000, roomy.page_size, mixed);
+            let h = load_both("mixed value sizes", &mut rec, roomy);
+            assert!(classes_used(&h) >= 3, "mixed sizes fill several classes");
+            assert_eq!(h.stats().global.evictions, 0);
+
+            // About 3x the pool in three classes, then a fourth class that
+            // comes only once the pool is dry and gets no memory.
+            let sizes = [60, 300, 700];
+            let mut rec = recovered("evict", seed, 1400, tight.page_size, |rng, i| {
+                if i < 1250 { sizes[rng.gen_range(0..3usize)] } else { 2000 }
+            });
+            let h = load_both("3x the pool", &mut rec, tight);
+            let fits = rec.entries.iter().filter(|e| rec.value(e).len() <= tight.page_size);
+            let g = h.stats().global;
+            assert!(g.evictions > 0, "the classes evict");
+            assert!(g.total_items < fits.count() as u64, "the late class is refused memory");
+            assert_eq!(g.curr_items, g.total_items - g.evictions);
+        }
+    }
+}

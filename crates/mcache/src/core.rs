@@ -3,12 +3,12 @@
 //! and generic over the execution context so every branch shares one
 //! implementation.
 
-use tm::{Abort, TCell};
+use tm::{Abort, TCell, Word};
 use tmstd::ByteAccess;
 
 use crate::assoc::AssocTable;
 use crate::ctx::Ctx;
-use crate::item::{ItemHandle, ItemSizes, ITEM_FETCHED, ITEM_LINKED};
+use crate::item::{decode_opt, ItemHandle, ItemSizes, ITEM_FETCHED, ITEM_LINKED};
 use crate::lru::LruList;
 use crate::policy::{Category, ItemMode, Policy};
 use crate::slabs::{SlabArena, SlabConfig};
@@ -182,6 +182,76 @@ impl std::fmt::Debug for CacheCore {
             .field("assoc", &self.assoc)
             .finish_non_exhaustive()
     }
+}
+
+/// One entry for [`CacheCore::load`].
+#[derive(Clone, Copy, Debug)]
+pub struct LoadEntry<'r> {
+    /// Key bytes.
+    pub key: &'r [u8],
+    /// Value bytes.
+    pub value: &'r [u8],
+    /// Client flags.
+    pub flags: u32,
+    /// Relative expiry (0 = never).
+    pub exptime: u32,
+}
+
+/// Where a load's plan puts one entry, as words: its chunk (0 when it is
+/// not stored, or is evicted later in the load), CAS id and LRU
+/// neighbours.
+#[derive(Clone, Copy, Default)]
+struct Placement {
+    item: u64,
+    cas: u64,
+    lru_next: u64,
+    lru_prev: u64,
+}
+
+/// One slab class's share of a load's plan.
+#[derive(Default)]
+struct ClassPlan {
+    /// The page the class carves from now, and how many of its chunks are
+    /// still to hand out (the highest first, as `carve` chains them).
+    page: u32,
+    left: u16,
+    /// Entries given a chunk, in load order; the first `evicted` of them
+    /// lost it to a later one.
+    stored: Vec<u32>,
+    evicted: usize,
+}
+
+impl ClassPlan {
+    /// The entries still stored at the end, oldest first: the LRU.
+    fn live(&self) -> &[u32] {
+        &self.stored[self.evicted..]
+    }
+}
+
+/// What the plan pass of [`CacheCore::load`] decides.
+struct LoadPlan {
+    /// One per entry, in load order.
+    place: Vec<Placement>,
+    /// One per slab class.
+    classes: Vec<ClassPlan>,
+    /// The class of each pool page the load claims, in claim order.
+    claimed: Vec<u8>,
+    /// The CAS counter after the load.
+    cas: u64,
+    /// The last class that evicted or dropped an entry.
+    needy: Option<u8>,
+}
+
+/// Runs `jobs` at once, the calling thread taking the first, and returns
+/// when all are done (a panic in one is re-raised here).
+fn on_workers<F: FnOnce() + Send>(mut jobs: impl Iterator<Item = F>) {
+    std::thread::scope(|s| {
+        let Some(mine) = jobs.next() else { return };
+        for job in jobs {
+            s.spawn(job);
+        }
+        mine();
+    });
 }
 
 /// How many LRU tail candidates an allocation will consider before giving
@@ -523,34 +593,180 @@ impl CacheCore {
         Ok(false)
     }
 
-    /// Stores one item under a key the table is known not to hold:
-    /// allocate (evicting from the LRU tail if memory is full), fill, link,
-    /// drop the allocation reference — the store's own bodies minus the
-    /// lookup. Start-up recovery loads the replayed set through this under
-    /// [`Ctx::Direct`], before any other thread can reach the cache.
-    #[allow(clippy::too_many_arguments)]
-    pub fn load_item<'e>(
+    /// Loads `n` entries, `entry(0)` the oldest, into a fresh cache under
+    /// [`Ctx::Direct`], leaving it exactly as storing them one after
+    /// another would: each goes through `load_item`'s alloc (evicting the
+    /// class's oldest survivor when the pool is dry, or dropping the entry
+    /// when the class has none), fill, link and release — the loop the
+    /// tests keep as this function's reference. Returns how many were
+    /// stored, those evicted later in the load included.
+    ///
+    /// Four passes. *Plan*, on the calling thread, from sizes alone: each
+    /// entry's chunk (pages claimed in the one-by-one order, chunks handed
+    /// out top-down as `carve` chains them), eviction or drop, CAS id and
+    /// LRU neighbours. *Fill*: `available_parallelism()` workers, the
+    /// caller among them, each write a disjoint range of entries' items
+    /// and key hashes. *Link*: the same number of workers each link a
+    /// disjoint range of buckets. *Finish*, on the caller: carve each
+    /// class's leftover chunks, set the LRU ends and the counters.
+    ///
+    /// Plain stores are enough because nothing is shared yet (the §3.3
+    /// privatization argument): the cache's threads start after this,
+    /// and the joins of the passes publish the workers' stores. Only the
+    /// caller allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page of the pool is already claimed.
+    pub fn load<'r>(
+        &self,
+        policy: &Policy,
+        n: usize,
+        now: u32,
+        entry: impl Fn(usize) -> LoadEntry<'r> + Sync,
+    ) -> u64 {
+        let plan = self.plan_load(n, &entry);
+
+        // Fill, then link.
+        let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
+        let share = n.div_ceil(workers).max(1);
+        let mut hashes = vec![0u32; n];
+        let (place, entry) = (&plan.place, &entry);
+        on_workers(hashes.chunks_mut(share).enumerate().map(|(k, hashes)| {
+            move || {
+                let ctx = &mut Ctx::Direct;
+                for (i, hv) in (k * share..).zip(hashes) {
+                    let p = place[i];
+                    if p.item != 0 {
+                        let e = entry(i);
+                        self.fill_loaded(ctx, policy, p, e, now).expect("direct");
+                        *hv = crate::hashes::jenkins_hash(e.key, 0);
+                    }
+                }
+            }
+        }));
+        let hashes = &hashes;
+        on_workers((0..workers).map(|w| {
+            move || {
+                let linked = place.iter().zip(hashes).filter(|(p, _)| p.item != 0);
+                let linked = linked.map(|(p, &hv)| (ItemHandle::from_word(p.item), hv));
+                let ctx = &mut Ctx::Direct;
+                self.assoc.link_share(ctx, &self.arena, w, workers, linked).expect("direct");
+            }
+        }));
+
+        self.finish_load(&mut Ctx::Direct, policy, &plan).expect("direct")
+    }
+
+    /// The plan pass of [`CacheCore::load`].
+    fn plan_load<'r>(&self, n: usize, entry: impl Fn(usize) -> LoadEntry<'r>) -> LoadPlan {
+        let arena = &self.arena;
+        assert_eq!(arena.malloced_bytes(), 0, "a load fills a fresh cache");
+        let mut plan = LoadPlan {
+            place: vec![Placement::default(); n],
+            classes: (0..arena.class_count()).map(|_| ClassPlan::default()).collect(),
+            claimed: Vec::new(),
+            cas: self.cas_counter.load_direct(),
+            needy: None,
+        };
+        for i in 0..n {
+            let e = entry(i);
+            let Some((_, c)) = self.size_item(e.key, e.flags, e.value.len() as u32) else {
+                continue; // too large: never allocated
+            };
+            let cl = &mut plan.classes[c as usize];
+            if cl.left == 0 && plan.claimed.len() < arena.page_count() {
+                cl.page = plan.claimed.len() as u32;
+                cl.left = arena.class(c).chunks_per_page as u16;
+                plan.claimed.push(c);
+            }
+            let item = if cl.left > 0 {
+                cl.left -= 1;
+                ItemHandle { class: c, page: cl.page, chunk: cl.left }.to_word()
+            } else {
+                // The pool is dry: the class's oldest survivor gives its
+                // chunk up, or, with none left, the entry is dropped.
+                plan.needy = Some(c);
+                let Some(&victim) = cl.stored.get(cl.evicted) else { continue };
+                cl.evicted += 1;
+                std::mem::take(&mut plan.place[victim as usize].item)
+            };
+            plan.cas += 1;
+            plan.place[i] = Placement { item, cas: plan.cas, ..Placement::default() };
+            cl.stored.push(i as u32);
+        }
+        let place = &mut plan.place;
+        for cl in &plan.classes {
+            let live = cl.live();
+            for (j, &i) in live.iter().enumerate() {
+                let older = j.checked_sub(1).map_or(0, |k| place[live[k] as usize].item);
+                let newer = live.get(j + 1).map_or(0, |&k| place[k as usize].item);
+                let p = &mut place[i as usize];
+                (p.lru_next, p.lru_prev) = (older, newer);
+            }
+        }
+        plan
+    }
+
+    /// The finish pass of [`CacheCore::load`]: claims the planned pages in
+    /// order, carving only each class's leftover chunks, then stores the
+    /// LRU ends and the counters. Returns how many entries were stored.
+    fn finish_load<'e>(
         &'e self,
         ctx: &mut Ctx<'_, 'e>,
         policy: &Policy,
-        key: &[u8],
-        value: &[u8],
-        client_flags: u32,
-        exptime: u32,
+        plan: &LoadPlan,
+    ) -> Result<u64, Abort> {
+        for (p, &c) in plan.claimed.iter().enumerate() {
+            let cl = &plan.classes[c as usize];
+            let free = if cl.page == p as u32 { 0..cl.left } else { 0..0 };
+            let claimed = self.arena.claim_page(ctx, c, free)?;
+            debug_assert!(claimed, "the plan claims no more pages than the pool has");
+        }
+        let (mut stored, mut live) = (0, 0);
+        let handle = |i: &u32| ItemHandle::from_word(plan.place[*i as usize].item);
+        for (lru, cl) in self.lrus.iter().zip(&plan.classes) {
+            let survivors = cl.live();
+            let (head, tail) = (survivors.last().map(handle), survivors.first().map(handle));
+            lru.set_loaded(ctx, head, tail, survivors.len() as u64)?;
+            stored += cl.stored.len() as u64;
+            live += survivors.len() as u64;
+        }
+        self.assoc.count_loaded(ctx, live)?;
+        let g = &self.global;
+        let evicted = stored - live;
+        for (cell, n) in [(&g.curr_items, live), (&g.total_items, stored), (&g.evictions, evicted)] {
+            let cur = ctx.get_word(cell.word())?;
+            ctx.put_word(cell.word(), cur + n)?;
+        }
+        ctx.put_word(self.cas_counter.word(), plan.cas)?;
+        if let Some(c) = plan.needy {
+            ctx.put_word(self.arena.needy_class.word(), c as u64)?;
+            ctx.volatile_write(policy, self.arena.rebalance_signal.word(), 1)?;
+        }
+        Ok(stored)
+    }
+
+    /// The fill pass for one planned entry: the item as `load_item` leaves
+    /// it, but for its hash-chain link.
+    fn fill_loaded<'e>(
+        &'e self,
+        ctx: &mut Ctx<'_, 'e>,
+        policy: &Policy,
+        p: Placement,
+        e: LoadEntry<'_>,
         now: u32,
-    ) -> Result<Result<Allocation, AllocError>, Abort> {
-        let hv = crate::hashes::jenkins_hash(key, 0);
-        let nbytes = value.len() as u32;
-        let a = match self.alloc_item(ctx, policy, key, client_flags, exptime, nbytes, now, usize::MAX)? {
-            Ok(a) => a,
-            Err(e) => return Ok(Err(e)),
-        };
-        let it = self.arena.resolve(a.handle);
-        let sizes = it.sizes(ctx)?;
-        it.write_value(ctx, policy, sizes, value)?;
-        self.link_item(ctx, policy, a.handle, hv)?;
-        self.item_release(ctx, policy, a.handle)?;
-        Ok(Ok(a))
+    ) -> Result<(), Abort> {
+        let h = ItemHandle::from_word(p.item);
+        let (sizes, _) = self.size_item(e.key, e.flags, e.value.len() as u32).expect("planned");
+        self.init_item(ctx, policy, h, e.key, e.flags, e.exptime, sizes, now)?;
+        let it = self.arena.resolve(h);
+        it.write_value(ctx, policy, sizes, e.value)?;
+        it.set_refcount(ctx, 0)?;
+        it.set_flags(ctx, (h.class as u64) << 8 | ITEM_LINKED)?;
+        it.set_cas(ctx, p.cas)?;
+        it.set_lru_next(ctx, decode_opt(p.lru_next))?;
+        it.set_lru_prev(ctx, decode_opt(p.lru_prev))
     }
 
     /// `do_item_update`: re-position in the LRU and refresh last-access.
@@ -651,9 +867,101 @@ impl CacheCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::policy::Branch;
+
+    /// The reference for [`CacheCore::load`]: `load_item` on each entry,
+    /// oldest first, on the calling thread.
+    pub(crate) fn load_one_by_one<'r>(
+        core: &CacheCore,
+        policy: &Policy,
+        n: usize,
+        now: u32,
+        entry: impl Fn(usize) -> LoadEntry<'r> + Sync,
+    ) -> u64 {
+        let ctx = &mut Ctx::Direct;
+        let mut stored = 0;
+        for i in 0..n {
+            let e = entry(i);
+            let loaded = load_item(core, ctx, policy, e.key, e.value, e.flags, e.exptime, now);
+            stored += loaded.expect("direct").is_ok() as u64;
+        }
+        stored
+    }
+
+    /// Stores one item under a key the table is known not to hold:
+    /// allocate (evicting from the LRU tail if memory is full), fill, link,
+    /// drop the allocation reference — the store's own bodies minus the
+    /// lookup.
+    #[allow(clippy::too_many_arguments)]
+    fn load_item<'e>(
+        core: &'e CacheCore,
+        ctx: &mut Ctx<'_, 'e>,
+        policy: &Policy,
+        key: &[u8],
+        value: &[u8],
+        client_flags: u32,
+        exptime: u32,
+        now: u32,
+    ) -> Result<Result<Allocation, AllocError>, Abort> {
+        let hv = crate::hashes::jenkins_hash(key, 0);
+        let nbytes = value.len() as u32;
+        let a = match core.alloc_item(ctx, policy, key, client_flags, exptime, nbytes, now, usize::MAX)? {
+            Ok(a) => a,
+            Err(e) => return Ok(Err(e)),
+        };
+        let it = core.arena.resolve(a.handle);
+        let sizes = it.sizes(ctx)?;
+        it.write_value(ctx, policy, sizes, value)?;
+        core.link_item(ctx, policy, a.handle, hv)?;
+        core.item_release(ctx, policy, a.handle)?;
+        Ok(Ok(a))
+    }
+
+    /// What a load decides, one line per fact, for comparing two loads:
+    /// the arena's and the hash table's fingerprints, each class's LRU
+    /// walked newest to oldest with every item's key, value and header
+    /// words, and the counters.
+    pub(crate) fn load_fingerprint(core: &CacheCore, policy: &Policy) -> Vec<String> {
+        let ctx = &mut Ctx::Direct;
+        let mut out = crate::slabs::tests::fingerprint(&core.arena);
+        out.extend(crate::assoc::tests::fingerprint(&core.assoc, &core.arena));
+        for (c, lru) in core.lrus.iter().enumerate() {
+            let (head, tail) = (lru.head(ctx).unwrap(), lru.tail(ctx).unwrap());
+            out.push(format!("lru {c}: head {head:?} tail {tail:?} len {}", lru.len(ctx).unwrap()));
+            let mut cur = head;
+            while let Some(h) = cur {
+                let it = core.arena.resolve(h);
+                let sizes = it.sizes(ctx).unwrap();
+                let key = it.read_key(ctx, sizes.nkey).unwrap();
+                let key = String::from_utf8_lossy(&key);
+                let value = it.read_value(ctx, policy, sizes).unwrap();
+                let fnv = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+                out.push(format!(
+                    "  {h:?} key {key} flags {:#x} refcount {} times {:?} cas {} client_flags {} \
+                     sizes {sizes:?} prev {:?} value fnv {:#x}",
+                    it.flags(ctx).unwrap(),
+                    it.refcount(ctx, policy).unwrap(),
+                    it.times(ctx).unwrap(),
+                    it.cas(ctx).unwrap(),
+                    it.client_flags(ctx).unwrap(),
+                    it.lru_prev(ctx).unwrap(),
+                    value.iter().fold(0xcbf2_9ce4_8422_2325, fnv),
+                ));
+                cur = it.lru_next(ctx).unwrap();
+            }
+        }
+        let g = core.global.snapshot();
+        out.push(format!(
+            "curr_items {} total_items {} evictions {} cas_counter {}",
+            g.curr_items,
+            g.total_items,
+            g.evictions,
+            core.cas_counter.load_direct()
+        ));
+        out
+    }
 
     fn core() -> CacheCore {
         CacheCore::new(

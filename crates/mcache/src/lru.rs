@@ -64,6 +64,21 @@ impl LruList {
         Ok(())
     }
 
+    /// Sets the ends and the length of a list whose items start-up
+    /// recovery has already chained through their LRU words, oldest
+    /// (`tail`) to newest (`head`).
+    pub(crate) fn set_loaded<'e>(
+        &'e self,
+        ctx: &mut Ctx<'_, 'e>,
+        head: Option<ItemHandle>,
+        tail: Option<ItemHandle>,
+        count: u64,
+    ) -> Result<(), Abort> {
+        ctx.put_word(self.head.word(), encode_opt(head))?;
+        ctx.put_word(self.tail.word(), encode_opt(tail))?;
+        ctx.put_word(self.count.word(), count)
+    }
+
     /// Unlinks `h` from wherever it is (`item_unlink_q`).
     pub fn unlink<'e>(
         &'e self,

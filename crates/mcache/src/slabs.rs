@@ -15,6 +15,8 @@
 //! lock is the one the paper replaced with "a boolean that was modified via
 //! transactions" so other threads could `trylock`-probe it (§3.1).
 
+use std::ops::Range;
+
 use tm::{Abort, TBytes, TCell, Word};
 use tmstd::ByteAccess;
 
@@ -229,31 +231,62 @@ impl SlabArena {
                 return Ok(Some(h));
             }
             // Free list dry: claim a pool page.
-            let pn = ctx.get_word(self.pool_next.word())?;
-            if pn as usize >= self.page_count() {
+            if !self.claim_page(ctx, c, 0..cl.chunks_per_page as u16)? {
                 return Ok(None);
             }
-            ctx.put_word(self.pool_next.word(), pn + 1)?;
-            self.assign_page(ctx, c, pn as u32)?;
         }
     }
 
-    /// Assigns pool page `p` to class `c` and carves it onto the free
-    /// list.
-    fn assign_page<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, c: u8, p: u32) -> Result<(), Abort> {
+    /// Claims the next pool page for class `c` and carves the chunks
+    /// `free` of it onto the class's free list (every chunk, except where
+    /// start-up recovery has already filled the others with items).
+    /// Returns `false` when the pool is exhausted.
+    pub(crate) fn claim_page<'e>(
+        &'e self,
+        ctx: &mut Ctx<'_, 'e>,
+        c: u8,
+        free: Range<u16>,
+    ) -> Result<bool, Abort> {
+        let pn = ctx.get_word(self.pool_next.word())?;
+        if pn as usize >= self.page_count() {
+            return Ok(false);
+        }
+        ctx.put_word(self.pool_next.word(), pn + 1)?;
+        self.assign_page(ctx, c, pn as u32, free)?;
+        Ok(true)
+    }
+
+    /// Assigns pool page `p` to class `c` and carves the chunks `free` of
+    /// it onto the free list.
+    fn assign_page<'e>(
+        &'e self,
+        ctx: &mut Ctx<'_, 'e>,
+        c: u8,
+        p: u32,
+        free: Range<u16>,
+    ) -> Result<(), Abort> {
         let cl = &self.classes[c as usize];
         ctx.put_word(self.page_class[p as usize].word(), c as u64 + 1)?;
         let pc = ctx.get_word(cl.page_count.word())?;
         ctx.put_word(cl.page_list[pc as usize].word(), p as u64 + 1)?;
         ctx.put_word(cl.page_count.word(), pc + 1)?;
-        self.carve(ctx, c, p)
+        self.carve(ctx, c, p, free)
     }
 
-    /// Chains every chunk of page `p` onto class `c`'s free list.
-    fn carve<'e>(&'e self, ctx: &mut Ctx<'_, 'e>, c: u8, p: u32) -> Result<(), Abort> {
+    /// Adds page `p`'s chunks to class `c` and chains the chunks `free` of
+    /// it onto the free list, so the highest of them is handed out first;
+    /// the others are in use.
+    fn carve<'e>(
+        &'e self,
+        ctx: &mut Ctx<'_, 'e>,
+        c: u8,
+        p: u32,
+        free: Range<u16>,
+    ) -> Result<(), Abort> {
         let cl = &self.classes[c as usize];
+        let nfree = free.len() as u64;
         let mut head = crate::item::decode_opt(ctx.get_word(cl.freelist_head.word())?);
-        for chunk in 0..cl.chunks_per_page as u16 {
+        for chunk in free {
             let h = ItemHandle { class: c, page: p, chunk };
             let it = self.resolve(h);
             it.set_hnext(ctx, head)?;
@@ -266,13 +299,10 @@ impl SlabArena {
             crate::item::encode_opt(head),
         )?;
         let fc = ctx.get_word(cl.free_count.word())?;
-        ctx.put_word(cl.free_count.word(), fc + cl.chunks_per_page as u64)?;
+        ctx.put_word(cl.free_count.word(), fc + nfree)?;
         let tc = ctx.get_word(cl.total_chunks.word())?;
         ctx.put_word(cl.total_chunks.word(), tc + cl.chunks_per_page as u64)?;
-        ctx.put_word(
-            self.page_free[p as usize].word(),
-            cl.chunks_per_page as u64,
-        )?;
+        ctx.put_word(self.page_free[p as usize].word(), nfree)?;
         Ok(())
     }
 
@@ -359,7 +389,8 @@ impl SlabArena {
         ctx.put_word(dcl.page_list[pc as usize - 1].word(), 0)?;
         ctx.put_word(dcl.page_count.word(), pc - 1)?;
         // Hand it to the receiver.
-        self.assign_page(ctx, receiver, p)?;
+        let rcl = &self.classes[receiver as usize];
+        self.assign_page(ctx, receiver, p, 0..rcl.chunks_per_page as u16)?;
         Ok(true)
     }
 
@@ -380,8 +411,43 @@ impl SlabArena {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The arena's state, one line per fact: claimed pages, each page's
+    /// class and free count, each class's pages, counts and free list in
+    /// order, and the rebalance signal.
+    pub(crate) fn fingerprint(arena: &SlabArena) -> Vec<String> {
+        let mut out = vec![format!("pool_next {}", arena.pool_next.load_direct())];
+        for (p, (class, free)) in arena.page_class.iter().zip(&arena.page_free).enumerate() {
+            let (class, free) = (class.load_direct(), free.load_direct());
+            out.push(format!("page {p}: class+1 {class} free {free}"));
+        }
+        for (c, cl) in arena.classes.iter().enumerate() {
+            let pages: Vec<u64> = cl.page_list.iter().map(|p| p.load_direct()).collect();
+            out.push(format!(
+                "class {c}: pages {} {pages:?} free {} total {}",
+                cl.page_count.load_direct(),
+                cl.free_count.load_direct(),
+                cl.total_chunks.load_direct()
+            ));
+            let mut cur = crate::item::decode_opt(cl.freelist_head.load_direct());
+            while let Some(h) = cur {
+                let it = arena.resolve(h);
+                let (ctx, policy) = (&mut Ctx::Direct, crate::Branch::Baseline.policy());
+                let (flags, rc) = (it.flags(ctx).unwrap(), it.refcount(ctx, &policy).unwrap());
+                out.push(format!("  free {h:?} flags {flags:#x} refcount {rc}"));
+                cur = it.hnext(ctx).unwrap();
+            }
+        }
+        out.push(format!(
+            "needy_class {} rebalance_signal {}",
+            arena.needy_class.load_direct(),
+            arena.rebalance_signal.load_direct()
+        ));
+        out
+    }
+
     use crate::policy::Branch;
 
     fn small_arena() -> SlabArena {

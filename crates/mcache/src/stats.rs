@@ -198,6 +198,10 @@ pub(crate) const STATS: &[(&str, Scope)] = &[
     ("recovered_items", Dur(|d| d.recovered_items)),
     ("torn_records_dropped", Dur(|d| d.torn_records_dropped)),
     ("dur_compactions", Dur(|d| d.compactions)),
+    ("recover_scan_us", Dur(|d| d.recover_scan_us)),
+    ("recover_fold_us", Dur(|d| d.recover_fold_us)),
+    ("recover_load_us", Dur(|d| d.recover_load_us)),
+    ("recover_compact_us", Dur(|d| d.recover_compact_us)),
     ("curr_connections", Net(|n| n.curr_connections)),
     ("total_connections", Net(|n| n.total_connections)),
     ("bytes_read", Net(|n| n.bytes_read)),

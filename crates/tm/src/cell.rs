@@ -244,15 +244,20 @@ impl TBytes {
     pub fn store_byte_direct(&self, i: usize, b: u8) {
         assert!(i < self.len, "TBytes index {i} out of bounds ({})", self.len);
         let (wi, sh) = Self::locate(i);
+        self.merge_word_direct(wi, (b as u64) << sh, 0xff << sh);
+    }
+
+    /// Stores the bits of `bits` under `mask` into word `wi`, keeping the
+    /// rest. Non-transactional callers are expected to hold a lock
+    /// (baseline branches), so a plain load/store pair is the
+    /// memcached-faithful behavior; we use a CAS loop anyway so direct
+    /// mode is never the source of lost updates in mixed tests, nor when
+    /// two writers own different bytes of one word.
+    fn merge_word_direct(&self, wi: usize, bits: u64, mask: u64) {
         let w = &self.words[wi].0;
-        // Read-modify-write of the containing word. Non-transactional
-        // callers are expected to hold a lock (baseline branches), so a
-        // plain load/store pair is the memcached-faithful behavior; we use
-        // a CAS loop anyway so direct mode is never the source of lost
-        // updates in mixed tests.
         let mut cur = w.load(Ordering::Acquire);
         loop {
-            let merged = (cur & !(0xffu64 << sh)) | ((b as u64) << sh);
+            let merged = (cur & !mask) | bits;
             match w.compare_exchange_weak(cur, merged, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => return,
                 Err(c) => cur = c,
@@ -298,21 +303,21 @@ impl TBytes {
             self.len
         );
         // Whole covered words are stored blind (the caller owns every byte
-        // of them); partial head/tail words go through the byte-merging
-        // CAS path so neighboring bytes outside the range are preserved.
+        // of them); a partial head or tail word is merged with one masked
+        // CAS, so neighboring bytes outside the range are preserved.
         let mut i = 0;
         while i < src.len() {
             let (wi, sh) = Self::locate(offset + i);
             let first = (sh / 8) as usize;
             let n = (8 - first).min(src.len() - i);
             if n == 8 {
-                let mut bytes = [0u8; 8];
-                bytes.copy_from_slice(&src[i..i + 8]);
+                let bytes = src[i..i + 8].try_into().expect("eight bytes");
                 self.words[wi].store_direct(u64::from_le_bytes(bytes));
             } else {
-                for k in 0..n {
-                    self.store_byte_direct(offset + i + k, src[i + k]);
-                }
+                let mut bytes = [0u8; 8];
+                bytes[first..first + n].copy_from_slice(&src[i..i + n]);
+                let mask = (u64::MAX >> (64 - 8 * n)) << sh;
+                self.merge_word_direct(wi, u64::from_le_bytes(bytes), mask);
             }
             i += n;
         }

@@ -200,3 +200,40 @@ proptest! {
         prop_assert_eq!(&b.to_vec_direct(), &m);
     }
 }
+
+/// Two threads own interleaved byte ranges that share words — A bytes
+/// `8k..8k+3`, B bytes `8k+3..8k+8` of every word — and store them with
+/// `store_slice_direct` round after round, each reading its own bytes
+/// back after every round. A partial-word store that wrote the whole word
+/// from a stale read would put the other thread's previous bytes back
+/// over its latest ones, and the owner would read them.
+#[test]
+fn concurrent_partial_word_direct_stores_lose_no_byte() {
+    const LEN: usize = 4096;
+    const ROUNDS: u32 = 400;
+    let b = TBytes::zeroed(LEN);
+    let writer = |lo: usize, n: usize, tag: u8| {
+        let b = &b;
+        move || {
+            for round in 1..=ROUNDS {
+                let fill = [round as u8 ^ tag; 8];
+                for k in 0..LEN / 8 {
+                    b.store_slice_direct(8 * k + lo, &fill[..n]);
+                }
+                let mut got = [0u8; 8];
+                for k in 0..LEN / 8 {
+                    b.load_slice_direct(8 * k + lo, &mut got[..n]);
+                    assert_eq!(&got[..n], &fill[..n], "bytes {}.. lost round {round}", 8 * k + lo);
+                }
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(writer(0, 3, 0x00));
+        s.spawn(writer(3, 5, 0x80));
+    });
+    let (a_last, b_last) = (ROUNDS as u8, ROUNDS as u8 ^ 0x80);
+    for (i, &byte) in b.to_vec_direct().iter().enumerate() {
+        assert_eq!(byte, if i % 8 < 3 { a_last } else { b_last }, "byte {i}");
+    }
+}

@@ -53,10 +53,11 @@ target/release/reproduce tablecheck 2>/dev/null | cmp - scripts/tablecheck.golde
 # the test binary itself, without cargo's per-run overhead. Each run gets
 # two minutes (a passing one takes well under a second), so a deadlock
 # fails the loop instead of hanging it.
-# usage: loop_test <package> <integration test> <runs> [test name filter]
+# usage: loop_test <package> <integration test | lib> <runs> [test name filter]
 loop_test() {
-    local bin
-    bin=$(cargo test --offline -p "$1" --test "$2" --no-run 2>&1 \
+    local bin target=(--test "$2")
+    [ "$2" = lib ] && target=(--lib)
+    bin=$(cargo test --offline -p "$1" "${target[@]}" --no-run 2>&1 \
         | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
     for i in $(seq 1 "$3"); do
         timeout 120 "$bin" ${4:+"$4"} > /dev/null 2>&1 || {
@@ -93,6 +94,13 @@ loop_test tm ro_fastlane 200
 echo "==> end_to_end, maintenance x500 (expansion races)"
 loop_test mcache end_to_end 500 empty_values_in_exactly_fitting_chunks
 loop_test mcache maintenance 500 expansion_under_load
+
+# The recovery load fills and links items on every core: it must build
+# the cache a one-by-one load builds. Direct stores from two threads into
+# bytes that share words must lose none.
+echo "==> planned load, partial-word direct stores x50"
+loop_test mcache lib 50 cache::tests::the_planned_load_builds_the_cache_a_one_by_one_load_builds
+loop_test tm tbytes_word_coherence 50 concurrent_partial_word_direct_stores_lose_no_byte
 
 echo "==> mcslap it-max x20 (eager, lazy)"
 for algo in eager lazy; do
