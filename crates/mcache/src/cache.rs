@@ -16,7 +16,7 @@ use lockprof::{ProfiledGuard, ProfiledMutex, Profiler};
 use tm::{Abort, Algorithm, ContentionManager, RelaxedPlan, SerialLockMode, StatsSnapshot, TCell, TmRuntime, Transaction};
 use tmstd::ByteAccess;
 
-use crate::core::{AllocError, Allocation, CacheCore, GetHit, LoadEntry};
+use crate::core::{AllocError, CacheCore, GetHit, LoadEntry};
 use crate::ctx::Ctx;
 use crate::dur::{self, DurLog, DurSnapshot};
 use crate::effect::{Effect, Effects};
@@ -394,6 +394,56 @@ impl Drop for ItemGuard<'_> {
     }
 }
 
+/// The slab rebalance lock in the branch's form — the mutex, or the
+/// transactional boolean of §3.1 — held for exactly as long as the guard
+/// lives. Release on drop means a rebalance pass that panics (and is
+/// re-entered by the supervisor) cannot leave the boolean set and the
+/// re-entered loop spinning on it for the rest of the process's life.
+enum RebalanceGuard<'a> {
+    /// Lock branches.
+    Mutex(#[allow(dead_code)] ProfiledGuard<'a, ()>),
+    /// Transactional branches: `arena.rebalance_lock` is 1 until drop.
+    Tx(&'a McCache),
+}
+
+impl<'a> RebalanceGuard<'a> {
+    /// A trylock spin with the paper's `pthread_yield` fallback; `None`
+    /// once the cache shuts down.
+    fn acquire(cache: &'a McCache) -> Option<Self> {
+        let (core, policy) = (&cache.core, cache.policy);
+        loop {
+            if !policy.transactional {
+                if let Some(g) = cache.rebalance_mutex.try_lock() {
+                    return Some(RebalanceGuard::Mutex(g));
+                }
+            } else if cache.section(Scope::Table(&[]), &[Category::VolatileFlag], &[], |ctx| {
+                ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
+                let cell = core.arena.rebalance_lock.word();
+                if ctx.get_word(cell)? != 0 {
+                    return Ok(false);
+                }
+                ctx.put_word(cell, 1)?;
+                Ok(true)
+            }) {
+                return Some(RebalanceGuard::Tx(cache));
+            }
+            if cache.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl Drop for RebalanceGuard<'_> {
+    fn drop(&mut self) {
+        if let RebalanceGuard::Tx(cache) = self {
+            let cell = cache.core.arena.rebalance_lock.word();
+            cache.section(Scope::Table(&[]), &[], &[], |ctx| ctx.put_word(cell, 0));
+        }
+    }
+}
+
 /// A private chunk on its way into a link section.
 #[derive(Clone, Copy)]
 struct Chunk {
@@ -401,8 +451,6 @@ struct Chunk {
     /// `Some` while the value (and, for a raw magazine chunk, the header)
     /// is still to be written — by the link section itself.
     fill: Option<ItemSizes>,
-    /// Whether allocating it evicted something.
-    evicted: bool,
 }
 
 /// Per-request state and answers of a driver run: on the stack for a run
@@ -974,15 +1022,9 @@ impl McCache {
     /// `sem_post`: how IT hoists the wakeup out of its (already large)
     /// store transaction, and how every branch delivers the one an
     /// out-of-memory allocation raised.
-    fn wake(&self, assoc: bool, slab: bool) {
+    fn wake(&self, slab: bool) {
         self.section(Scope::Table(&[]), &[Category::SemPost], &[], |ctx| {
-            if assoc {
-                self.signal_maintenance(ctx, false)?;
-            }
-            if slab {
-                self.signal_maintenance(ctx, true)?;
-            }
-            Ok(())
+            self.signal_maintenance(ctx, slab)
         });
     }
 
@@ -1223,37 +1265,36 @@ impl McCache {
         let (hv, now) = (jenkins_hash(op.key, 0), self.rel_time());
         let stripe = core.item_locks.stripe(hv);
         let _guard = ItemGuard::new(self, stripe);
-        let a = match self.alloc_section(op, now, if it_mode { usize::MAX } else { stripe }) {
-            Ok(a) => a,
+        let h = match self.alloc_section(op, now, if it_mode { usize::MAX } else { stripe }) {
+            Ok(h) => h,
             Err(e) => return e.into(),
         };
         // On IT the fill *begins* with the value memcpy — libc on every
         // path, so this section starts serial until Lib (IT-Max's
         // persistent "Start Serial" column).
         self.section(Scope::Item, &[Category::Libc], &[Category::AssertAbort], |ctx| {
-            let it = core.arena.resolve(a.handle);
+            let it = core.arena.resolve(h);
             let sizes = it.sizes(ctx)?;
             it.write_value(ctx, &policy, sizes, op.value)
         });
         // IP signals the maintainer from inside the link section; IT
         // hoists that out and drops the allocation reference inside.
         let tail = if it_mode { Category::RefcountRmw } else { Category::SemPost };
-        let chunk = Chunk { h: a.handle, fill: None, evicted: a.evicted > 0 };
         let (st, signal) = self.section(
             Scope::Table(&[&self.cache_lock]),
             &[Category::VolatileFlag],
             &[Category::Libc, tail, Category::LogIo, Category::AssertAbort],
             |ctx| {
                 core.assoc.is_expanding(ctx, &policy)?; // memcached's volatile `expanding` read
-                self.link_body(ctx, w, op, hv, now, chunk, None)
+                self.link_body(ctx, w, op, hv, now, Chunk { h, fill: None }, None)
             },
         );
         if !it_mode {
             // Still under the item lock: the allocation reference.
-            self.section(Scope::Item, &[], &[], |ctx| core.item_release(ctx, &policy, a.handle));
+            self.section(Scope::Item, &[], &[], |ctx| core.item_release(ctx, &policy, h));
         }
         if signal {
-            self.wake(true, chunk.evicted);
+            self.wake(false);
         }
         st
     }
@@ -1306,7 +1347,7 @@ impl McCache {
             return PerOp::new(ops.iter().map(|op| {
                 let status = self.store_sections(w, op);
                 if status == StoreStatus::OutOfMemory {
-                    self.wake(false, true);
+                    self.wake(true);
                 }
                 if !it_mode || matches!(status, StoreStatus::TooLarge | StoreStatus::OutOfMemory) {
                     self.count_op(w, &[&self.workers[w].stats.set_cmds]);
@@ -1318,7 +1359,6 @@ impl McCache {
         let now = self.rel_time();
         // Per-op prep (hash, sizing, one private chunk each) runs once; the
         // link transaction below may retry, so it must not re-allocate.
-        let mut evicted = false;
         let mut slots = PerOp::new(ops.iter().map(|op| {
             let chunk = match core.size_item(op.key, op.flags, op.value.len() as u32) {
                 None => Err(StoreStatus::TooLarge),
@@ -1326,13 +1366,10 @@ impl McCache {
                 // rebalance signal; the wakeup is delivered below.
                 Some((sizes, class)) if mags => self
                     .magazine_take(w, class)
-                    .map(|h| Chunk { h, fill: Some(sizes), evicted: false })
+                    .map(|h| Chunk { h, fill: Some(sizes) })
                     .ok_or(StoreStatus::OutOfMemory),
                 Some((sizes, _)) => match self.alloc_section(op, now, usize::MAX) {
-                    Ok(a) => {
-                        evicted |= a.evicted > 0;
-                        Ok(Chunk { h: a.handle, fill: Some(sizes), evicted: false })
-                    }
+                    Ok(h) => Ok(Chunk { h, fill: Some(sizes) }),
                     Err(e) => Err(e.into()),
                 },
             };
@@ -1373,10 +1410,10 @@ impl McCache {
             self.magazine_put(w, old);
         }
         if any_signal {
-            self.wake(true, false);
+            self.wake(false);
         }
-        if evicted || slots.iter().any(|s| s.status == StoreStatus::OutOfMemory) {
-            self.wake(false, true);
+        if slots.iter().any(|s| s.status == StoreStatus::OutOfMemory) {
+            self.wake(true);
         }
         for s in slots.iter() {
             if matches!(s.status, StoreStatus::TooLarge | StoreStatus::OutOfMemory) {
@@ -1396,7 +1433,7 @@ impl McCache {
         op: &StoreOp<'_>,
         now: u32,
         held_stripe: usize,
-    ) -> Result<Allocation, AllocError> {
+    ) -> Result<ItemHandle, AllocError> {
         let (core, policy) = (&self.core, self.policy);
         let nbytes = op.value.len() as u32;
         self.section(
@@ -1454,14 +1491,14 @@ impl McCache {
         let mut scratch: Vec<ItemHandle> = Vec::with_capacity(cap);
         let mut flushed = false;
         loop {
-            let evictions = self.section(
+            self.section(
                 Scope::Item,
                 &[Category::VolatileFlag],
                 &[Category::Libc, Category::RefcountRmw, Category::AssertAbort],
                 |ctx| {
                     scratch.clear(); // attempt-local: aborted pops roll back
                     ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
-                    let (got, evicted) =
+                    let (got, _) =
                         core.alloc_chunks(ctx, &policy, class, cap, usize::MAX, |h| scratch.push(h))?;
                     if got > 0 {
                         stats::bump(ctx, &core.global.magazine_refills)?;
@@ -1472,14 +1509,9 @@ impl McCache {
                         ctx.put_word(core.arena.needy_class.word(), class as u64)?;
                         ctx.volatile_write(&policy, core.arena.rebalance_signal.word(), 1)?;
                     }
-                    Ok(evicted)
+                    Ok(())
                 },
             );
-            if evictions > 0 {
-                // Deliver the wakeup outside the refill transaction, like
-                // the IT store hoists its sem_post.
-                self.wake(false, true);
-            }
             if let Some(h) = scratch.pop() {
                 if !scratch.is_empty() {
                     let mut mag = self.workers[w].magazine.lock().unwrap();
@@ -1574,12 +1606,9 @@ impl McCache {
         if st == StoreStatus::Stored {
             self.maybe_log(ctx)?;
             if it_mode {
-                signal_later = wants_maintainer || chunk.evicted;
-            } else if wants_maintainer || chunk.evicted {
+                signal_later = wants_maintainer;
+            } else if wants_maintainer {
                 self.signal_maintenance(ctx, false)?;
-                if chunk.evicted {
-                    self.signal_maintenance(ctx, true)?;
-                }
             }
             let stored = Effect::Stored { h: chunk.h, value: op.value, flags: op.flags };
             self.emit(ctx, op.key, stored)?;
@@ -1839,8 +1868,6 @@ impl McCache {
     }
 
     fn slab_rebalance_loop(&self) {
-        let core = &self.core;
-        let policy = self.policy;
         while !self.shutdown.load(Ordering::SeqCst) {
             if !self.policy.semaphores {
                 let mut g = self.slabs_lock.lock();
@@ -1852,34 +1879,12 @@ impl McCache {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
+            let Some(_lock) = RebalanceGuard::acquire(self) else {
+                return;
+            };
+            // Inside the lock, where a real fault in the pass would strike.
             if self.slab_panic_trap.swap(false, Ordering::SeqCst) {
                 panic!("test trap: slab rebalance panic");
-            }
-            // Acquire the rebalance lock: a trylock spin on the mutex in
-            // the lock branches; the transactional boolean (§3.1) after.
-            let mut mutex_guard = None;
-            loop {
-                let got = if !self.policy.transactional {
-                    mutex_guard = self.rebalance_mutex.try_lock();
-                    mutex_guard.is_some()
-                } else {
-                    self.section(Scope::Table(&[]), &[Category::VolatileFlag], &[], |ctx| {
-                        ctx.volatile_read(&policy, core.arena.rebalance_signal.word())?;
-                        let cell = core.arena.rebalance_lock.word();
-                        if ctx.get_word(cell)? != 0 {
-                            return Ok(false);
-                        }
-                        ctx.put_word(cell, 1)?;
-                        Ok(true)
-                    })
-                };
-                if got {
-                    break;
-                }
-                if self.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::yield_now(); // the paper's pthread_yield fallback
             }
             self.section(
                 Scope::Table(&[&self.slabs_lock]),
@@ -1887,12 +1892,6 @@ impl McCache {
                 &[Category::AssertAbort],
                 |ctx| self.rebalance_once(ctx),
             );
-            if self.policy.transactional {
-                self.section(Scope::Table(&[]), &[], &[], |ctx| {
-                    ctx.put_word(core.arena.rebalance_lock.word(), 0)
-                });
-            }
-            drop(mutex_guard);
         }
     }
 

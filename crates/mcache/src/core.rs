@@ -149,15 +149,6 @@ pub enum AllocError {
     OutOfMemory,
 }
 
-/// A successful allocation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Allocation {
-    /// The freshly initialized (still private) item.
-    pub handle: ItemHandle,
-    /// How many items were evicted on the way.
-    pub evicted: u32,
-}
-
 /// The shared cache state and its single-source operation logic.
 pub struct CacheCore {
     /// Slab arena.
@@ -422,7 +413,7 @@ impl CacheCore {
         nbytes: u32,
         now: u32,
         held_stripe: usize,
-    ) -> Result<Result<Allocation, AllocError>, Abort> {
+    ) -> Result<Result<ItemHandle, AllocError>, Abort> {
         let Some((sizes, class)) = self.size_item(key, client_flags, nbytes) else {
             return Ok(Err(AllocError::TooLarge));
         };
@@ -432,6 +423,8 @@ impl CacheCore {
             // Ask the rebalancer for a page (raise the volatile signal and
             // record the starving class): before failing the store, or,
             // under eviction pressure, the same request in softer form.
+            // Raising it wakes nobody: the rebalancer's timed pass finds
+            // it, and only an out-of-memory store posts the wakeup.
             ctx.put_word(self.arena.needy_class.word(), class as u64)?;
             ctx.volatile_write(policy, self.arena.rebalance_signal.word(), 1)?;
         }
@@ -439,7 +432,7 @@ impl CacheCore {
             return Ok(Err(AllocError::OutOfMemory));
         };
         self.init_item(ctx, policy, handle, key, client_flags, exptime, sizes, now)?;
-        Ok(Ok(Allocation { handle, evicted: evicted as u32 }))
+        Ok(Ok(handle))
     }
 
     /// Sizing half of `do_item_alloc` (memcached's `item_make_header`):
@@ -904,19 +897,19 @@ pub(crate) mod tests {
         client_flags: u32,
         exptime: u32,
         now: u32,
-    ) -> Result<Result<Allocation, AllocError>, Abort> {
+    ) -> Result<Result<ItemHandle, AllocError>, Abort> {
         let hv = crate::hashes::jenkins_hash(key, 0);
         let nbytes = value.len() as u32;
-        let a = match core.alloc_item(ctx, policy, key, client_flags, exptime, nbytes, now, usize::MAX)? {
-            Ok(a) => a,
+        let h = match core.alloc_item(ctx, policy, key, client_flags, exptime, nbytes, now, usize::MAX)? {
+            Ok(h) => h,
             Err(e) => return Ok(Err(e)),
         };
-        let it = core.arena.resolve(a.handle);
+        let it = core.arena.resolve(h);
         let sizes = it.sizes(ctx)?;
         it.write_value(ctx, policy, sizes, value)?;
-        core.link_item(ctx, policy, a.handle, hv)?;
-        core.item_release(ctx, policy, a.handle)?;
-        Ok(Ok(a))
+        core.link_item(ctx, policy, h, hv)?;
+        core.item_release(ctx, policy, h)?;
+        Ok(Ok(h))
     }
 
     /// What a load decides, one line per fact, for comparing two loads:
@@ -988,19 +981,19 @@ pub(crate) mod tests {
     ) -> ItemHandle {
         let mut ctx = Ctx::Direct;
         let hv = crate::hashes::jenkins_hash(key, 0);
-        let a = core
+        let h = core
             .alloc_item(&mut ctx, policy, key, 0, exptime, value.len() as u32, now, usize::MAX)
             .unwrap()
             .unwrap();
-        let it = core.arena.resolve(a.handle);
+        let it = core.arena.resolve(h);
         let sizes = it.sizes(&mut ctx).unwrap();
         it.write_value(&mut ctx, policy, sizes, value).unwrap();
         if let Some(old) = core.assoc.find(&mut ctx, policy, &core.arena, key, hv).unwrap() {
             core.unlink_item(&mut ctx, policy, old, hv).unwrap();
         }
-        core.link_item(&mut ctx, policy, a.handle, hv).unwrap();
-        core.item_release(&mut ctx, policy, a.handle).unwrap();
-        a.handle
+        core.link_item(&mut ctx, policy, h, hv).unwrap();
+        core.item_release(&mut ctx, policy, h).unwrap();
+        h
     }
 
     fn get(core: &CacheCore, policy: &Policy, key: &[u8], now: u32) -> Option<Vec<u8>> {

@@ -226,15 +226,15 @@ fn arith_core() -> CacheCore {
     let mut ctx = Ctx::Direct;
     for (key, value) in [(&b"n"[..], &b"41"[..]), (b"x", b"4x")] {
         let hv = jenkins_hash(key, 0);
-        let a = core
+        let h = core
             .alloc_item(&mut ctx, &p, key, 0, 0, value.len() as u32, 1, usize::MAX)
             .unwrap()
             .unwrap();
-        let it = core.arena.resolve(a.handle);
+        let it = core.arena.resolve(h);
         let sizes = it.sizes(&mut ctx).unwrap();
         it.write_value(&mut ctx, &p, sizes, value).unwrap();
-        core.link_item(&mut ctx, &p, a.handle, hv).unwrap();
-        core.item_release(&mut ctx, &p, a.handle).unwrap();
+        core.link_item(&mut ctx, &p, h, hv).unwrap();
+        core.item_release(&mut ctx, &p, h).unwrap();
     }
     core
 }

@@ -95,6 +95,13 @@ echo "==> end_to_end, maintenance x500 (expansion races)"
 loop_test mcache end_to_end 500 empty_values_in_exactly_fitting_chunks
 loop_test mcache maintenance 500 expansion_under_load
 
+# No eviction wakes the rebalancer: its 25 ms timed pass must find the
+# request and move a page, and a pass that panics while it holds the
+# rebalance lock must let go of it. Both need a second thread and a poll.
+echo "==> maintenance x20 (timed rebalance pass, panic releases the lock)"
+loop_test mcache maintenance 20 rebalance_without_out_of_memory
+loop_test mcache maintenance 20 a_panicking_rebalance_pass_releases_the_rebalance_lock
+
 # The recovery load fills and links items on every core: it must build
 # the cache a one-by-one load builds. Direct stores from two threads into
 # bytes that share words must lose none.
